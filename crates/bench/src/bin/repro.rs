@@ -22,7 +22,7 @@
 //!   ablation-preload ablation-rsize ablation-readahead
 //!   ablation-readdirplus ablation-lease
 //!   all              everything above
-//!   bench            the simulator benchmarking itself (see below)
+//!   bench            PDES / lease / shard behaviour gates (see below)
 //!   pdes-smoke       256-client PDES determinism smoke gate
 //!   shard            N-client × M-server sharded-fleet sweep (writes
 //!                    BENCH_pr9.json and holds the LAN scaling gate)
@@ -44,37 +44,35 @@
 //! `profile` cargo feature to report real numbers:
 //! `cargo run --release --features profile -- graph1 --quick --profile`.
 //!
-//! `repro bench` runs the queue-replay microbenches (timer wheel,
-//! `BinaryHeap` baseline, and the adaptive queue, each replaying
-//! identical recorded schedules — including a 64-client crowd trace)
-//! plus a timed pass over every experiment, and writes
-//! `BENCH_pr4.json`; it then runs the PDES crowd matrix (256- and
-//! 1,024-client worlds, monolithic baseline vs 1/2/4/8 sim threads)
-//! and writes `BENCH_pr6.json` with `nproc`/rustc metadata, and the
-//! lease section (Create-Delete write-RPC recovery vs noconsist plus
-//! a lease-soak certification) into `BENCH_pr8.json`, and the sharded
-//! N×M fleet sweep into `BENCH_pr9.json`. `repro bench --check FILE`
-//! re-runs the microbenches, the PDES matrix, the lease section, and
-//! the shard gate cells, and exits nonzero if: throughput regressed
-//! more than 30% against the committed numbers; the adaptive queue
-//! trails the heap more than 5% on the shallow replay; the
-//! partitioned engine costs more than 10% at one sim thread; any
-//! thread count diverges from the monolithic state hash; (given ≥4
-//! cores) 4 sim threads fail a 2x speedup; the lease mount recovers
-//! under 60% of the noconsist write-RPC reduction on any topology;
-//! the lease soak reports a violation; the committed or fresh LAN
-//! fleet fails the M=4 ≥ 2× M=1 aggregate-throughput floor; or the
-//! shard gate cells diverge across `--sim-threads` × `--jobs`
-//! settings. A committed report missing a gated section fails loudly
-//! rather than waiving the gate. Gates that need more cores than the
-//! machine has are reported as skipped — and recorded as skipped in
-//! the JSON, so a committed report says which gates actually ran.
+//! `repro bench` holds the behaviour gates that are not paper figures
+//! (host speed is measured by the package under `benchmark/`, not
+//! here). It runs the PDES crowd matrix (256- and 1,024-client worlds,
+//! monolithic baseline vs 1/2/4/8 sim threads) and writes
+//! `BENCH_pr6.json` with `nproc`/rustc metadata, the lease section
+//! (Create-Delete write-RPC recovery vs noconsist plus a lease-soak
+//! certification) into `BENCH_pr8.json`, and the sharded N×M fleet
+//! sweep into `BENCH_pr9.json`. `repro bench --check` writes nothing:
+//! it re-runs the PDES matrix, the lease section and the shard gate
+//! cells, and exits nonzero if: the partitioned engine costs more than
+//! 10% at one sim thread; any thread count diverges from the
+//! monolithic state hash; (given ≥4 cores) 4 sim threads fail a 2x
+//! speedup; the lease mount recovers under 60% of the noconsist
+//! write-RPC reduction on any topology; the lease soak reports a
+//! violation; the committed or fresh LAN fleet fails the M=4 ≥ 2× M=1
+//! aggregate-throughput floor; or the shard gate cells diverge across
+//! `--sim-threads` × `--jobs` settings. A committed report missing a
+//! gated section fails loudly rather than waiving the gate. Gates that
+//! need more cores than the machine has are reported as skipped — and
+//! recorded as skipped in the JSON, so a committed report says which
+//! gates actually ran.
 
 use std::time::Instant;
 
-use renofs_bench::experiments::shard;
+use renofs_bench::experiments::{
+    ablations, cd, cpu, crowd, faults, mab, servercmp, shard, soak, trace, transport,
+};
 use renofs_bench::Scale;
-use renofs_bench::{bench, lease, pdes};
+use renofs_bench::{lease, pdes};
 use renofs_workload::andrew::AndrewSpec;
 
 // With the `profile` feature, count every heap allocation so the
@@ -88,7 +86,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro <experiment|all|bench|pdes-smoke|shard|shard-smoke> \
          [--quick | --scale quick|paper] \
-         [--jobs N] [--sim-threads N] [--profile] [--out FILE] [--check FILE] [--seeds N] \
+         [--jobs N] [--sim-threads N] [--profile] [--check] [--seeds N] \
          [--case SPEC] [--duration SECS] [--max-ops N] [--long] [--lease]"
     );
     eprintln!(
@@ -102,7 +100,7 @@ fn usage() -> ! {
          oracle, heartbeats to stderr) until the budget is spent, failing fast on the \
          first violation; `--long` switches to the certification worlds (up to 16 \
          clients, crash/reboot cycles; default {} seeds). `--seeds N` caps the sweep.",
-        renofs_bench::experiments::soak::LONG_SEEDS
+        soak::LONG_SEEDS
     );
     eprintln!("run `repro all --quick` for the fast version of everything");
     std::process::exit(2);
@@ -114,8 +112,7 @@ struct Options {
     jobs: usize,
     sim_threads: usize,
     profile: bool,
-    out: String,
-    check: Option<String>,
+    check: bool,
     seeds: Option<usize>,
     case: Option<String>,
     duration: Option<u64>,
@@ -131,8 +128,7 @@ fn parse_args() -> Options {
     let mut jobs = renofs_bench::runner::default_jobs();
     let mut sim_threads = 1;
     let mut profile = false;
-    let mut out = "BENCH_pr4.json".to_string();
-    let mut check = None;
+    let mut check = false;
     let mut seeds = None;
     let mut case = None;
     let mut duration = None;
@@ -167,20 +163,7 @@ fn parse_args() -> Options {
                 };
             }
             "--profile" => profile = true,
-            "--out" => {
-                i += 1;
-                out = match args.get(i) {
-                    Some(f) => f.clone(),
-                    None => usage(),
-                };
-            }
-            "--check" => {
-                i += 1;
-                check = match args.get(i) {
-                    Some(f) => Some(f.clone()),
-                    None => usage(),
-                };
-            }
+            "--check" => check = true,
             "--seeds" => {
                 i += 1;
                 seeds = match args.get(i).and_then(|v| v.parse().ok()) {
@@ -227,7 +210,6 @@ fn parse_args() -> Options {
         jobs,
         sim_threads,
         profile,
-        out,
         check,
         seeds,
         case,
@@ -245,7 +227,6 @@ fn parse_args() -> Options {
 /// when the oracle reports a violation, so CI can gate on a bounded
 /// soak run.
 fn run_soak_mode(opts: &Options, scale: &Scale) {
-    use renofs_bench::experiments::soak;
     if let Some(spec) = &opts.case {
         let case = match soak::SoakCase::parse(spec) {
             Ok(c) => c,
@@ -300,7 +281,7 @@ fn run_soak_mode(opts: &Options, scale: &Scale) {
     }
 }
 
-/// Where the PDES matrix lands (next to the PR 4 queue-replay report).
+/// Where the PDES matrix lands.
 const PDES_OUT: &str = "BENCH_pr6.json";
 
 /// Where the lease write-behind section lands.
@@ -336,136 +317,145 @@ fn run_shard_mode(scale: &Scale) {
     eprintln!("[shard] wrote {SHARD_OUT}");
 }
 
-fn run_bench_mode(opts: &Options, scale: &Scale, spec: &AndrewSpec) {
-    let checking = opts.check.is_some();
-    let report = bench::run_bench(scale, spec, opts.jobs, !checking);
-    let pdes_report = pdes::run_pdes_section(scale, &report.scale_name);
-    let lease_report = lease::run_lease_section(scale, &report.scale_name);
-    match &opts.check {
-        Some(path) => {
-            let committed = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("[bench] cannot read {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            match bench::check_against(&committed, &report) {
-                Ok(msg) => eprintln!("[bench] {msg}"),
-                Err(msg) => {
-                    eprintln!("[bench] FAIL: {msg}");
-                    std::process::exit(1);
-                }
-            }
-            // The PDES gates judge the fresh matrix (determinism,
-            // sequential overhead, core-conditioned speedup), not a
-            // committed file: wall-clocks only compare within one
-            // machine and one run.
-            match pdes_report.check() {
-                Ok(msg) => eprintln!("[bench] pdes: {msg}"),
-                Err(msg) => {
-                    eprintln!("[bench] FAIL: pdes: {msg}");
-                    std::process::exit(1);
-                }
-            }
-            // The lease gate holds both the committed BENCH_pr8.json
-            // (which must exist, parse, and certify a clean sweep) and
-            // the fresh recovery/honesty numbers.
-            let committed_lease = match std::fs::read_to_string(LEASE_OUT) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!(
-                        "[bench] FAIL: cannot read {LEASE_OUT}: {e} — the lease gate \
-                         needs the committed report; regenerate it with `repro bench`"
-                    );
-                    std::process::exit(1);
-                }
-            };
-            match lease::check_against(&committed_lease, &lease_report) {
-                Ok(msg) => eprintln!("[bench] lease: {msg}"),
-                Err(msg) => {
-                    eprintln!("[bench] FAIL: lease: {msg}");
-                    std::process::exit(1);
-                }
-            }
-            // The shard gate holds the committed BENCH_pr9.json (which
-            // must exist, parse, and certify the scaling floor) and a
-            // fresh run of the two LAN gate cells at two
-            // `--sim-threads` × `--jobs` settings.
-            let committed_shard = match std::fs::read_to_string(SHARD_OUT) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!(
-                        "[bench] FAIL: cannot read {SHARD_OUT}: {e} — the shard gate \
-                         needs the committed report; regenerate it with `repro shard`"
-                    );
-                    std::process::exit(1);
-                }
-            };
-            match shard::check_against(&committed_shard, scale) {
-                Ok(msg) => eprintln!("[bench] shard: {msg}"),
-                Err(msg) => {
-                    eprintln!("[bench] FAIL: shard: {msg}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        None => {
-            if let Err(e) = std::fs::write(&opts.out, report.to_json()) {
-                eprintln!("[bench] cannot write {}: {e}", opts.out);
-                std::process::exit(1);
-            }
-            if let Err(e) = std::fs::write(PDES_OUT, pdes_report.to_json()) {
-                eprintln!("[bench] cannot write {PDES_OUT}: {e}");
-                std::process::exit(1);
-            }
-            if let Err(e) = std::fs::write(LEASE_OUT, lease_report.to_json()) {
-                eprintln!("[bench] cannot write {LEASE_OUT}: {e}");
-                std::process::exit(1);
-            }
-            let shard_report = shard::run_shard_section(scale, &report.scale_name);
-            if let Err(e) = std::fs::write(SHARD_OUT, shard_report.to_json()) {
-                eprintln!("[bench] cannot write {SHARD_OUT}: {e}");
-                std::process::exit(1);
-            }
-            print!("{}", report.summary());
-            print!("{}", pdes_report.summary());
-            print!("{}", lease_report.summary());
-            print!("{}", shard_report.summary());
-            match pdes_report.check() {
-                Ok(msg) => eprintln!("[bench] pdes: {msg}"),
-                Err(msg) => {
-                    eprintln!("[bench] FAIL: pdes: {msg}");
-                    std::process::exit(1);
-                }
-            }
-            match lease_report.check() {
-                Ok(msg) => eprintln!("[bench] lease: {msg}"),
-                Err(msg) => {
-                    eprintln!("[bench] FAIL: lease: {msg}");
-                    std::process::exit(1);
-                }
-            }
-            match shard_report.check() {
-                Ok(msg) => eprintln!("[bench] shard: {msg}"),
-                Err(msg) => {
-                    eprintln!("[bench] FAIL: shard: {msg}");
-                    std::process::exit(1);
-                }
-            }
-            match shard::determinism_probe(scale, &shard_report) {
-                Ok(msg) => eprintln!("[bench] shard: {msg}"),
-                Err(msg) => {
-                    eprintln!("[bench] FAIL: shard: {msg}");
-                    std::process::exit(1);
-                }
-            }
-            eprintln!(
-                "[bench] wrote {}, {PDES_OUT}, {LEASE_OUT} and {SHARD_OUT}",
-                opts.out
-            );
+/// Prints a passed gate's verdict, or reports the failure and exits 1.
+fn hold_gate(section: &str, verdict: Result<String, String>) {
+    match verdict {
+        Ok(msg) => eprintln!("[bench] {section}: {msg}"),
+        Err(msg) => {
+            eprintln!("[bench] FAIL: {section}: {msg}");
+            std::process::exit(1);
         }
     }
+}
+
+/// Reads a committed report a `--check` gate needs.
+fn read_committed(path: &str, section: &str, regenerate: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!(
+            "[bench] FAIL: cannot read {path}: {e} — the {section} gate needs the \
+             committed report; regenerate it with `{regenerate}`"
+        );
+        std::process::exit(1);
+    })
+}
+
+fn write_report(path: &str, json: String) {
+    if let Err(e) = std::fs::write(path, json) {
+        eprintln!("[bench] cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run_bench_mode(opts: &Options, scale: &Scale) {
+    let scale_name = if opts.quick { "quick" } else { "paper" };
+    let pdes_report = pdes::run_pdes_section(scale, scale_name);
+    let lease_report = lease::run_lease_section(scale, scale_name);
+    if opts.check {
+        // The PDES gates judge the fresh matrix (determinism,
+        // sequential overhead, core-conditioned speedup), not a
+        // committed file: wall-clocks only compare within one machine
+        // and one run.
+        hold_gate("pdes", pdes_report.check());
+        // The lease gate holds both the committed BENCH_pr8.json (which
+        // must exist, parse, and certify a clean sweep) and the fresh
+        // recovery/honesty numbers.
+        let committed = read_committed(LEASE_OUT, "lease", "repro bench");
+        hold_gate("lease", lease::check_against(&committed, &lease_report));
+        // The shard gate holds the committed BENCH_pr9.json (which must
+        // exist, parse, and certify the scaling floor) and a fresh run
+        // of the two LAN gate cells at two `--sim-threads` × `--jobs`
+        // settings.
+        let committed = read_committed(SHARD_OUT, "shard", "repro shard");
+        hold_gate("shard", shard::check_against(&committed, scale));
+    } else {
+        write_report(PDES_OUT, pdes_report.to_json());
+        write_report(LEASE_OUT, lease_report.to_json());
+        let shard_report = shard::run_shard_section(scale, scale_name);
+        write_report(SHARD_OUT, shard_report.to_json());
+        print!("{}", pdes_report.summary());
+        print!("{}", lease_report.summary());
+        print!("{}", shard_report.summary());
+        hold_gate("pdes", pdes_report.check());
+        hold_gate("lease", lease_report.check());
+        hold_gate("shard", shard_report.check());
+        hold_gate("shard", shard::determinism_probe(scale, &shard_report));
+        eprintln!("[bench] wrote {PDES_OUT}, {LEASE_OUT} and {SHARD_OUT}");
+    }
+}
+
+/// One named experiment: its `repro` subcommand and a closure that runs
+/// it and renders the comparable stdout block.
+type NamedExperiment<'a> = (&'static str, Box<dyn Fn() -> String + 'a>);
+
+/// The dispatch table behind `repro <experiment>` and `repro all`:
+/// every experiment renders to a string so the timing line can bracket
+/// exactly the compute, not the printing.
+fn experiment_list<'a>(
+    scale: &'a Scale,
+    spec: &'a AndrewSpec,
+    jobs: usize,
+) -> Vec<NamedExperiment<'a>> {
+    vec![
+        ("graph1", Box::new(|| transport::graph1(scale).to_string())),
+        ("graph2", Box::new(|| transport::graph2(scale).to_string())),
+        ("graph3", Box::new(|| transport::graph3(scale).to_string())),
+        ("graph4", Box::new(|| transport::graph4(scale).to_string())),
+        ("graph5", Box::new(|| transport::graph5(scale).to_string())),
+        ("table1", Box::new(|| transport::table1(scale).to_string())),
+        ("graph6", Box::new(|| cpu::graph6(scale).to_string())),
+        ("graph7", Box::new(|| trace::graph7(scale).to_string())),
+        ("graph8", Box::new(|| servercmp::graph8(scale).to_string())),
+        ("graph9", Box::new(|| servercmp::graph9(scale).to_string())),
+        (
+            "table2",
+            Box::new(move || mab::table2(spec, jobs).to_string()),
+        ),
+        (
+            "table3",
+            Box::new(move || mab::table3(spec, jobs).to_string()),
+        ),
+        (
+            "table4",
+            Box::new(move || mab::table4(spec, jobs).to_string()),
+        ),
+        ("table5", Box::new(|| cd::table5(scale).to_string())),
+        ("faults", Box::new(|| faults::faults(scale).to_string())),
+        ("crowd", Box::new(|| crowd::crowd(scale).to_string())),
+        ("soak", Box::new(|| soak::soak(scale).to_string())),
+        ("section3", Box::new(|| cpu::section3(scale).to_string())),
+        (
+            "ablation-rto",
+            Box::new(|| ablations::ablation_rto(scale).to_string()),
+        ),
+        (
+            "ablation-slowstart",
+            Box::new(|| ablations::ablation_slowstart(scale).to_string()),
+        ),
+        (
+            "ablation-namelen",
+            Box::new(|| ablations::ablation_namelen(scale).to_string()),
+        ),
+        (
+            "ablation-preload",
+            Box::new(|| ablations::ablation_preload(scale).to_string()),
+        ),
+        (
+            "ablation-rsize",
+            Box::new(|| ablations::ablation_rsize(scale).to_string()),
+        ),
+        (
+            "ablation-readahead",
+            Box::new(|| ablations::ablation_readahead(scale).to_string()),
+        ),
+        (
+            "ablation-readdirplus",
+            Box::new(|| ablations::ablation_readdirplus(scale).to_string()),
+        ),
+        (
+            "ablation-lease",
+            Box::new(|| ablations::ablation_lease(scale).to_string()),
+        ),
+    ]
 }
 
 fn main() {
@@ -489,7 +479,7 @@ fn main() {
     }
 
     if opts.what == "bench" {
-        run_bench_mode(&opts, &scale, &spec);
+        run_bench_mode(&opts, &scale);
         if opts.profile {
             eprint!("{}", renofs_sim::profile::report());
         }
@@ -541,9 +531,7 @@ fn main() {
         return;
     }
 
-    // The dispatch table: every experiment renders to a string so the
-    // timing line can bracket exactly the compute, not the printing.
-    let experiments = bench::experiment_list(&scale, &spec, jobs);
+    let experiments = experiment_list(&scale, &spec, jobs);
 
     if opts.what != "all" && !experiments.iter().any(|(n, _)| *n == opts.what) {
         eprintln!("unknown experiment: {}", opts.what);

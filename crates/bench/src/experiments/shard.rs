@@ -68,6 +68,10 @@ pub const GATE_CLIENTS: usize = 256;
 /// Required aggregate-op/s ratio of the M=4 LAN cell over M=1.
 pub const SHARD_SCALING_FLOOR: f64 = 2.0;
 
+/// Allowed fractional drop of the fresh M=4 aggregate op/s below the
+/// committed number before `--check` fails.
+pub const CHECK_TOLERANCE: f64 = 0.30;
+
 /// Transport label of the gate cells.
 const GATE_TRANSPORT: &str = "UDP rto=A+4D";
 
@@ -633,11 +637,11 @@ impl ShardReport {
 /// A missing or truncated gate section is a loud error, never a waived
 /// gate.
 pub(crate) fn committed_gate(json: &str) -> Result<(f64, f64), String> {
-    let ratio = crate::bench::find_number(json, "lan_scaling", "ratio").ok_or(
+    let ratio = crate::lease::find_number(json, "lan_scaling", "ratio").ok_or(
         "committed shard JSON is missing the gated \"lan_scaling\" section — \
          regenerate it with `repro shard` or `repro bench`",
     )?;
-    let m4 = crate::bench::find_number(json, "lan_scaling", "m4_ops_per_sec")
+    let m4 = crate::lease::find_number(json, "lan_scaling", "m4_ops_per_sec")
         .ok_or("committed shard JSON has no m4_ops_per_sec")?;
     Ok((ratio, m4))
 }
@@ -698,7 +702,7 @@ pub fn determinism_probe(scale: &Scale, report: &ShardReport) -> Result<String, 
 /// fresh at two `--sim-threads` × `--jobs` settings and holds (a) the
 /// committed report's ratio, (b) the fresh ratio, (c) fresh M=4
 /// throughput against the committed number within
-/// [`crate::bench::CHECK_TOLERANCE`], and (d) hash equality between the
+/// [`CHECK_TOLERANCE`], and (d) hash equality between the
 /// two fresh settings.
 pub fn check_against(committed: &str, scale: &Scale) -> Result<String, String> {
     let (c_ratio, c_m4) = committed_gate(committed)?;
@@ -735,7 +739,7 @@ pub fn check_against(committed: &str, scale: &Scale) -> Result<String, String> {
             m4.agg_ops_per_sec, m1.agg_ops_per_sec
         ));
     }
-    let floor = c_m4 * (1.0 - crate::bench::CHECK_TOLERANCE);
+    let floor = c_m4 * (1.0 - CHECK_TOLERANCE);
     if m4.agg_ops_per_sec < floor {
         return Err(format!(
             "M=4 aggregate throughput regressed: {:.1} op/s vs committed {c_m4:.1} \

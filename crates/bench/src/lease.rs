@@ -24,10 +24,34 @@
 //!    mode that recovered the RPCs by quietly serving stale cache
 //!    would fail here, not pass with an asterisk.
 
-use crate::bench::{find_number, find_number2};
 use crate::experiments::{ablations, soak};
 use crate::pdes::EnvMeta;
 use crate::Scale;
+
+/// Extracts the number following `"key":` inside the (flat) object that
+/// follows the first occurrence of `"section"` in `json`. Only parses
+/// the hand-rolled shape the `BENCH_pr8.json` and `BENCH_pr9.json`
+/// writers emit.
+pub(crate) fn find_number(json: &str, section: &str, key: &str) -> Option<f64> {
+    let sec = format!("\"{section}\"");
+    let rest = &json[json.find(&sec)? + sec.len()..];
+    let keypat = format!("\"{key}\"");
+    let rest = &rest[rest.find(&keypat)? + keypat.len()..];
+    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
+    let end = rest
+        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// Like [`find_number`], but scoped to the object following `section`:
+/// finds `sub` after `section`, then `key` after that, so identically
+/// named sub-objects in other sections don't shadow it.
+pub(crate) fn find_number2(json: &str, section: &str, sub: &str, key: &str) -> Option<f64> {
+    let sec = format!("\"{section}\"");
+    let rest = &json[json.find(&sec)? + sec.len()..];
+    find_number(rest, sub, key)
+}
 
 /// The lease mount must recover at least this fraction of the
 /// noconsist write-RPC reduction on every topology.
@@ -151,8 +175,8 @@ impl LeaseReport {
         self.topos.iter().find(|t| t.key == "lan").expect("lan row")
     }
 
-    /// Renders the report as JSON (same hand-rolled format as
-    /// `BENCH_pr4.json`; the checker parses only what this writes).
+    /// Renders the report as JSON (hand-rolled; the checker parses only
+    /// what this writes).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");

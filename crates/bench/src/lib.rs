@@ -7,7 +7,6 @@
 //! scaled-down versions of each harness so the claimed relationships
 //! are verified in CI, not just eyeballed.
 
-pub mod bench;
 pub mod experiments;
 pub mod fmt;
 pub mod lease;

@@ -25,7 +25,7 @@
 //!   silently passed. The JSON records `nproc` and the rustc version so
 //!   cross-machine comparisons stay interpretable.
 //!
-//! Results go to `BENCH_pr6.json` next to the PR 4 report.
+//! Results go to `BENCH_pr6.json`.
 
 use std::time::Instant;
 
@@ -41,6 +41,13 @@ use crate::Scale;
 /// Allowed fractional wall-clock overhead of the partitioned engine at
 /// one sim thread over the monolithic baseline.
 pub const PDES_OVERHEAD_TOLERANCE: f64 = 0.10;
+
+/// Per-process measurement noise observed on this container: repeated
+/// runs of the *same* binary settle anywhere in roughly a ±6 % band
+/// (layout/ASLR luck that best-of-N rounds inside one process cannot
+/// average away). The overhead gate adds this on top of its structural
+/// tolerance for the hard fail threshold and warns inside the slack band.
+pub const MEASUREMENT_NOISE_MARGIN: f64 = 0.08;
 
 /// Cores required before the multi-thread speedup gate applies.
 pub const PDES_SPEEDUP_CORES: usize = 4;
@@ -405,11 +412,11 @@ impl PdesReport {
                 }
             }
             // Structural ceiling plus the per-process noise margin (see
-            // [`crate::bench::MEASUREMENT_NOISE_MARGIN`]): the band in
+            // [`MEASUREMENT_NOISE_MARGIN`]): the band in
             // between warns instead of failing, a hard FAIL means the
             // carve itself regressed.
             let ceiling = mono.wall_s * (1.0 + PDES_OVERHEAD_TOLERANCE);
-            let hard_ceiling = ceiling * (1.0 + crate::bench::MEASUREMENT_NOISE_MARGIN);
+            let hard_ceiling = ceiling * (1.0 + MEASUREMENT_NOISE_MARGIN);
             if base.wall_s > hard_ceiling {
                 return Err(format!(
                     "{clients}-client PDES overhead: 1-thread partitioned took {:.3}s vs \
@@ -418,7 +425,7 @@ impl PdesReport {
                     mono.wall_s,
                     hard_ceiling,
                     PDES_OVERHEAD_TOLERANCE * 100.0,
-                    crate::bench::MEASUREMENT_NOISE_MARGIN * 100.0
+                    MEASUREMENT_NOISE_MARGIN * 100.0
                 ));
             }
             if base.wall_s > ceiling {
@@ -638,7 +645,7 @@ mod tests {
     #[test]
     fn overhead_gate_catches_a_slow_sequential_engine() {
         // Past the structural ceiling *and* the noise margin: hard fail.
-        let hard = (1.0 + PDES_OVERHEAD_TOLERANCE) * (1.0 + crate::bench::MEASUREMENT_NOISE_MARGIN);
+        let hard = (1.0 + PDES_OVERHEAD_TOLERANCE) * (1.0 + MEASUREMENT_NOISE_MARGIN);
         let mut r = report(1);
         r.cells
             .iter_mut()

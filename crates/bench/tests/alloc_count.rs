@@ -16,11 +16,44 @@
 use renofs::{TopologyKind, TransportKind, World, WorldConfig};
 use renofs_bench::experiments::world_for;
 use renofs_netsim::topology::presets::Background;
-use renofs_sim::{profile, SimDuration};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use renofs_sim::{profile, EventQueue, SimDuration, SimTime};
 use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig};
 
 #[global_allocator]
 static ALLOC: profile::CountingAlloc = profile::CountingAlloc;
+
+/// `profile::allocs()` counts for the whole process, and the harness
+/// runs tests on parallel threads: every test holds this for its whole
+/// body so no other test's allocations land inside a measured section.
+static MEASURING: Mutex<()> = Mutex::new(());
+
+fn measuring() -> MutexGuard<'static, ()> {
+    // A failed budget assertion poisons the lock; the others still run.
+    MEASURING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[test]
+fn a_presized_event_queue_fills_without_allocating() {
+    let _alone = measuring();
+    let n = 512;
+    // The harness thread itself allocates now and then (it may be
+    // spawning the next test); that only ever adds, so the quietest of a
+    // few tries is the queue's own count.
+    let quietest = (0..5)
+        .map(|_| {
+            let mut q: EventQueue<[u64; 37]> = EventQueue::with_capacity(n);
+            let a0 = profile::allocs();
+            for i in 0..n as u64 {
+                q.push(SimTime::from_nanos(i * 7919 % 1000), [i; 37]);
+            }
+            assert_eq!(q.len(), n);
+            profile::allocs() - a0
+        })
+        .min();
+    assert_eq!(quietest, Some(0), "pushes within the hint allocated");
+}
 
 /// Runs a pure-read LAN workload for `secs` simulated seconds and
 /// returns (heap allocations during the run, RPCs completed).
@@ -55,6 +88,7 @@ fn run_reads(secs: u64) -> (u64, u64) {
 
 #[test]
 fn steady_state_lan_read_rpcs_allocate_next_to_nothing() {
+    let _alone = measuring();
     // First run warms the thread-local cluster/small-mbuf pools and
     // takes the one-time lazy-init allocations.
     let (_, _) = run_reads(10);
@@ -139,6 +173,7 @@ fn marginal_crowd(mix: LoadMix) -> f64 {
 
 #[test]
 fn steady_state_read_rpcs_at_16_clients_allocate_next_to_nothing() {
+    let _alone = measuring();
     // The single-client budget, re-enforced at 16 clients sharing one
     // nfsd pool: per-client transports, the request queue, and 32
     // workload threads all dropping reply chains back into the mbuf
@@ -163,6 +198,7 @@ fn steady_state_read_rpcs_at_16_clients_allocate_next_to_nothing() {
 
 #[test]
 fn steady_state_crowd_mix_at_16_clients_stays_within_its_op_costs() {
+    let _alone = measuring();
     // The full crowd mix carries allocations the ops themselves own,
     // identical at N=1 and so not scale-out costs: every lookup decodes
     // its name into a fresh `String` on the server, and every setattr
@@ -180,6 +216,7 @@ fn steady_state_crowd_mix_at_16_clients_stays_within_its_op_costs() {
 
 #[test]
 fn crowd_budget_survives_a_second_sim_thread() {
+    let _alone = measuring();
     // The same crowd world on two OS threads: each conservative round
     // now ships its jobs to a worker over a channel (a Go order, the
     // job list, a Done report) and reply chains drop back into mbuf

@@ -628,7 +628,8 @@ pub struct World {
 /// instead of re-growing them from empty every time.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorldScratch {
-    /// Peak event-queue depth observed.
+    /// Peak event-queue depth observed; the next world's hub queue is
+    /// created with room for this many pending events.
     pub queue_cap: usize,
     /// Peak network-output event burst observed.
     pub net_events_cap: usize,
@@ -941,7 +942,8 @@ impl World {
         self.hub.servers.len()
     }
 
-    /// Lifetime queue counters: `(events popped, peak pending depth)`.
+    /// Lifetime queue counters over *every* domain: `(events popped,
+    /// summed; peak pending depth, the deepest single domain)`.
     pub fn queue_stats(&self) -> (u64, usize) {
         let pops = self.doms.iter().map(|d| d.pops()).sum();
         let peak = self.doms.iter().map(|d| d.peak_depth()).max().unwrap_or(0);
@@ -949,11 +951,17 @@ impl World {
     }
 
     /// Starts recording event-queue operations (for replay benchmarks).
+    ///
+    /// Records domain 0 only — the whole queue of a monolithic world, the
+    /// hub's (server-side) queue of a partitioned one, where the client
+    /// domains' operations are not in the stream.
+    /// [`queue_stats`](Self::queue_stats) covers every domain, so on a
+    /// partitioned world its pop count exceeds the trace's.
     pub fn start_queue_trace(&mut self) {
         self.doms[0].start_trace();
     }
 
-    /// Stops recording and returns the queue operation stream.
+    /// Stops recording and returns domain 0's queue operation stream.
     pub fn take_queue_trace(&mut self) -> Vec<renofs_sim::queue::QueueOp> {
         self.doms[0].take_trace()
     }

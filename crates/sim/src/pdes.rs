@@ -2,7 +2,7 @@
 //!
 //! A partitioned world splits its pending-event set into per-machine
 //! *domains*: every client machine is one domain and the server plus its
-//! nfsd pool is another. Each domain owns an [`AdaptiveQueue`], a logical
+//! nfsd pool is another. Each domain owns an [`EventQueue`], a logical
 //! clock, and a sequence counter; cross-domain traffic travels as
 //! timestamped messages stamped with a globally unique *canonical key*
 //!
@@ -28,7 +28,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::queue::AdaptiveQueue;
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// Bits of the canonical key reserved for the creator's sequence number.
@@ -62,7 +62,7 @@ pub fn key_seq(key: u64) -> u64 {
     key & ((1 << SEQ_BITS) - 1)
 }
 
-/// One simulation domain's pending-event set: an adaptive queue ordered
+/// One simulation domain's pending-event set: an event queue ordered
 /// by `(time, canonical key)`, a logical clock, and the sequence counter
 /// that mints this domain's keys.
 ///
@@ -72,7 +72,7 @@ pub fn key_seq(key: u64) -> u64 {
 /// minted. Pops advance the domain clock; pushes in the domain's past
 /// clamp to the clock, matching the monolithic queue's contract.
 pub struct DomainQ<E> {
-    q: AdaptiveQueue<E>,
+    q: EventQueue<E>,
     seq: u64,
     clock: SimTime,
     dom: u32,
@@ -87,7 +87,7 @@ impl<E> DomainQ<E> {
     /// Creates an empty domain queue with a backing-capacity hint.
     pub fn with_capacity(dom: u32, cap: usize) -> Self {
         DomainQ {
-            q: AdaptiveQueue::with_capacity(cap),
+            q: EventQueue::with_capacity(cap),
             seq: 0,
             clock: SimTime::ZERO,
             dom,
@@ -151,7 +151,7 @@ impl<E> DomainQ<E> {
     }
 
     /// The `(time, key)` of this domain's earliest pending event.
-    pub fn peek(&mut self) -> Option<(SimTime, u64)> {
+    pub fn peek(&self) -> Option<(SimTime, u64)> {
         self.q.peek_keyed()
     }
 
@@ -333,7 +333,7 @@ mod tests {
         // Reference: one flat keyed queue holding everything. Subject:
         // three domains merged. Both must yield the same (time, key)
         // sequence.
-        let mut flat: AdaptiveQueue<u64> = AdaptiveQueue::new();
+        let mut flat: EventQueue<u64> = EventQueue::new();
         let mut doms: Vec<DomainQ<u64>> = (0..3).map(DomainQ::new).collect();
         let mut merge = Merge::new();
 
@@ -385,16 +385,15 @@ mod tests {
     }
 
     #[test]
-    fn keyed_order_survives_promotion() {
-        // Cross the adaptive queue's promotion threshold with keyed
-        // pushes whose keys run *against* insertion order; the wheel
-        // must still honour (time, key).
+    fn keyed_order_runs_against_insertion_order() {
+        // Keyed pushes at one instant whose keys descend as they are
+        // inserted: the pop order must follow (time, key), not arrival.
         let mut dq: DomainQ<u64> = DomainQ::new(0);
         let t = SimTime::from_millis(1);
-        let n = 3 * crate::queue::PROMOTE_DEPTH as u64;
+        let n = 192;
         for i in 0..n {
-            // Descending keys at one instant, from a fictitious remote
-            // domain so we control the key directly.
+            // From a fictitious remote domain so we control the key
+            // directly.
             dq.push_incoming(t, event_key(1, n - 1 - i), n - 1 - i);
         }
         let order: Vec<u64> = std::iter::from_fn(|| dq.pop().map(|(_, _, e)| e)).collect();

@@ -1,126 +1,157 @@
-//! Property test: the timer-wheel [`EventQueue`] and the promoting
-//! [`AdaptiveQueue`] are observationally identical to the original
-//! [`HeapQueue`] binary heap.
+//! Property test: [`EventQueue`] against the model its contract
+//! describes — a list kept sorted by `(time, seq)`, equal keys in arrival
+//! order, popped from the front.
 //!
-//! Random interleaved push/pop schedules — including simultaneous events,
-//! past-time pushes (which clamp to `now`), times beyond the wheel horizon
-//! (overflow heap), and long advances that wrap the wheel several times —
-//! must produce the identical `(time, seq, event)` pop stream.
+//! Random interleavings of pushes and pops, with simultaneous events,
+//! past-time pushes (which clamp to `now`), bursts that take the pending
+//! set from empty to a few thousand deep, and drains back to empty. A case
+//! feeds the queue either `push` or `push_keyed` throughout: the contract
+//! forbids mixing them.
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
-use renofs_sim::queue::baseline::HeapQueue;
-use renofs_sim::{AdaptiveQueue, EventQueue, SimTime};
+use renofs_sim::{EventQueue, SimTime};
 
-/// One step of a schedule, decoded from raw fuzz words.
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    /// Push at `now + offset_ns`.
-    PushAhead(u64),
-    /// Push at the same instant as the previous push (a tie).
-    PushTie,
-    /// Push at an absolute time that may be in the past (clamps).
-    PushAbsolute(u64),
-    /// Pop once from both queues and compare.
-    Pop,
+/// The reference: `(time, seq, id)` sorted by `(time, seq)`.
+#[derive(Default)]
+struct Model {
+    now: SimTime,
+    pending: VecDeque<(SimTime, u64, u32)>,
 }
 
-fn decode(kind: u8, raw: u64) -> Step {
-    match kind % 10 {
-        // Near-future: inside one wheel slot (≤ 65 µs).
-        0 | 1 => Step::PushAhead(raw % 66_000),
-        // Mid-range: within the wheel window (~268 ms).
-        2 | 3 => Step::PushAhead(raw % 268_000_000),
-        // Far-future: beyond the horizon, lands in the overflow heap.
-        4 => Step::PushAhead(268_000_000 + raw % 30_000_000_000),
-        5 => Step::PushTie,
-        6 => Step::PushAbsolute(raw % 2_000_000_000),
-        _ => Step::Pop,
+impl Model {
+    fn push(&mut self, at: SimTime, seq: u64, id: u32) {
+        let time = at.max(self.now);
+        let after = self
+            .pending
+            .partition_point(|&(t, s, _)| (t, s) <= (time, seq));
+        self.pending.insert(after, (time, seq, id));
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64, u32)> {
+        let head = self.pending.pop_front()?;
+        self.now = head.0;
+        Some(head)
     }
 }
 
-fn run_schedule(ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
-    let mut wheel: EventQueue<u32> = EventQueue::new();
-    let mut adaptive: AdaptiveQueue<u32> = AdaptiveQueue::new();
-    let mut heap: HeapQueue<u32> = HeapQueue::new();
-    let mut id: u32 = 0;
+/// Queue and model fed the same schedule.
+struct Pair {
+    keyed: bool,
+    q: EventQueue<u32>,
+    model: Model,
+    pushed: u32,
+}
+
+impl Pair {
+    fn push(&mut self, at: SimTime, raw: u64) {
+        let id = self.pushed;
+        self.pushed += 1;
+        if self.keyed {
+            // Caller keys are unique but unrelated to arrival order, like
+            // the PDES `(creator domain, creator seq)` keys.
+            let key = ((raw % 8) << 40) | u64::from(id);
+            self.q.push_keyed(at, key, id);
+            self.model.push(at, key, id);
+        } else {
+            self.q.push(at, id);
+            self.model.push(at, u64::from(id), id);
+        }
+    }
+
+    fn pop(&mut self) -> Result<(), TestCaseError> {
+        let expect = self.model.pop();
+        prop_assert_eq!(self.q.peek_keyed(), expect.map(|(t, s, _)| (t, s)));
+        prop_assert_eq!(self.q.peek_time(), expect.map(|(t, _, _)| t));
+        if self.keyed {
+            prop_assert_eq!(self.q.pop_keyed(), expect);
+        } else {
+            prop_assert_eq!(self.q.pop(), expect.map(|(t, _, id)| (t, id)));
+        }
+        prop_assert_eq!(self.q.now(), self.model.now);
+        Ok(())
+    }
+}
+
+fn run_schedule(keyed: bool, ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
+    let mut p = Pair {
+        keyed,
+        q: EventQueue::new(),
+        model: Model::default(),
+        pushed: 0,
+    };
     let mut last_push = SimTime::ZERO;
+    let mut peak = 0;
     for &(kind, raw) in ops {
-        match decode(kind, raw) {
-            Step::PushAhead(off) => {
-                let at = SimTime::from_nanos(wheel.now().as_nanos() + off);
-                last_push = at;
-                wheel.push(at, id);
-                adaptive.push(at, id);
-                heap.push(at, id);
-                id += 1;
+        match kind % 16 {
+            // Ahead of the clock: microseconds to tens of seconds.
+            0..=2 => {
+                last_push = SimTime::from_nanos(p.q.now().as_nanos() + raw % 66_000);
+                p.push(last_push, raw);
             }
-            Step::PushTie => {
-                wheel.push(last_push, id);
-                adaptive.push(last_push, id);
-                heap.push(last_push, id);
-                id += 1;
+            3 | 4 => {
+                last_push = SimTime::from_nanos(p.q.now().as_nanos() + raw % 30_000_000_000);
+                p.push(last_push, raw);
             }
-            Step::PushAbsolute(ns) => {
-                let at = SimTime::from_nanos(ns);
-                last_push = at;
-                wheel.push(at, id);
-                adaptive.push(at, id);
-                heap.push(at, id);
-                id += 1;
+            // A tie with the previous push.
+            5 | 6 => p.push(last_push, raw),
+            // An absolute time, often in the past.
+            7 | 8 => {
+                last_push = SimTime::from_nanos(raw % 2_000_000_000);
+                p.push(last_push, raw);
             }
-            Step::Pop => {
-                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                prop_assert_eq!(adaptive.peek_time(), heap.peek_time());
-                let expect = heap.pop();
-                prop_assert_eq!(wheel.pop(), expect);
-                prop_assert_eq!(adaptive.pop(), expect);
-                prop_assert_eq!(wheel.now(), heap.now());
-                prop_assert_eq!(adaptive.now(), heap.now());
+            // A burst, a few of them at one instant.
+            9 => {
+                for i in 0..raw % 600 {
+                    let at = p.q.now().as_nanos() + (raw >> 16).wrapping_mul(i / 3) % 268_000_000;
+                    p.push(SimTime::from_nanos(at), raw.wrapping_add(i));
+                }
             }
+            // A drain to empty, and one pop beyond it.
+            10 if raw % 4 == 0 => {
+                while !p.q.is_empty() {
+                    p.pop()?;
+                }
+                p.pop()?;
+            }
+            _ => p.pop()?,
         }
-        prop_assert_eq!(wheel.len(), heap.len());
-        prop_assert_eq!(adaptive.len(), heap.len());
-        prop_assert_eq!(wheel.is_empty(), heap.is_empty());
+        prop_assert_eq!(p.q.len(), p.model.pending.len());
+        prop_assert_eq!(p.q.is_empty(), p.model.pending.is_empty());
+        peak = peak.max(p.q.len());
     }
-    // Drain: every remaining event must match in time, order, and payload.
-    loop {
-        let (a, b) = (wheel.pop(), heap.pop());
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(adaptive.pop(), b);
-        if a.is_none() {
-            break;
-        }
+    prop_assert_eq!(p.q.peak_depth(), peak);
+    while !p.q.is_empty() {
+        p.pop()?;
     }
-    Ok(())
+    prop_assert_eq!(p.q.pops(), u64::from(p.pushed));
+    p.pop()
 }
 
 proptest! {
-    /// The wheel and the reference heap pop the identical stream under
-    /// arbitrary interleavings of pushes and pops.
+    /// The queue pops the model's stream under arbitrary interleavings.
     #[test]
-    fn wheel_matches_heap_reference(
+    fn queue_matches_sorted_list_model(
+        keyed in any::<bool>(),
         ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..500),
     ) {
-        run_schedule(&ops)?;
+        run_schedule(keyed, &ops)?;
     }
 
-    /// Pure-burst schedules: many pushes at one instant pop FIFO on both.
+    /// Pure-burst schedules: many pushes at one instant pop FIFO.
     #[test]
-    fn simultaneous_bursts_match(
+    fn simultaneous_bursts_are_fifo(
         n in 1usize..200,
         at in 0u64..3_000_000_000,
     ) {
-        let mut wheel: EventQueue<usize> = EventQueue::new();
-        let mut heap: HeapQueue<usize> = HeapQueue::new();
+        let mut q: EventQueue<usize> = EventQueue::new();
         let t = SimTime::from_nanos(at);
         for i in 0..n {
-            wheel.push(t, i);
-            heap.push(t, i);
+            q.push(t, i);
         }
         for i in 0..n {
-            let got = wheel.pop();
-            prop_assert_eq!(got, heap.pop());
-            prop_assert_eq!(got, Some((t, i)));
+            prop_assert_eq!(q.pop(), Some((t, i)));
         }
     }
 }

@@ -53,12 +53,15 @@ cargo run -q --release -p renofs-bench --bin repro -- soak --duration 30 --seeds
 echo "==> cargo test -p renofs-bench --features profile (alloc discipline + profiler)"
 cargo test -q -p renofs-bench --features profile --release
 
-echo "==> repro bench --check BENCH_pr4.json (queue + crowd + lease regression gates)"
-# Also holds the PDES matrix gates, the BENCH_pr8.json lease gate
-# (>=60% write-RPC recovery vs noconsist at zero soak violations), and
-# the BENCH_pr9.json shard gate (LAN aggregate op/s at M=4 >= 2x M=1,
-# all shards routed, fairness >= 0.8, byte-identical across a fresh
-# sim-threads x jobs matrix).
-cargo run -q --release -p renofs-bench --bin repro -- bench --scale quick --check BENCH_pr4.json
+echo "==> repro bench --scale quick --check (PDES + lease + shard behaviour gates)"
+# The PDES matrix gates (per-mode state hash agreement, 1-thread
+# overhead), the BENCH_pr8.json lease gate (>=60% write-RPC recovery vs
+# noconsist at zero soak violations), and the BENCH_pr9.json shard gate
+# (LAN aggregate op/s at M=4 >= 2x M=1, all shards routed, fairness >=
+# 0.8, byte-identical across a fresh sim-threads x jobs matrix).
+cargo run -q --release -p renofs-bench --bin repro -- bench --scale quick --check
+
+echo "==> benchmark/check.sh (the frozen benchmark still builds and runs against these crates)"
+bash benchmark/check.sh
 
 echo "All checks passed."
