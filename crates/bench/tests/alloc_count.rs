@@ -100,14 +100,16 @@ fn steady_state_lan_read_rpcs_allocate_next_to_nothing() {
         "need a meaningful RPC delta: {extra_rpcs}"
     );
     let marginal = a_long.saturating_sub(a_short) as f64 / extra_rpcs as f64;
+    eprintln!("marginal allocs/RPC, LAN read: {marginal:.3}");
     // An 8 KB read RPC moves ~6 fragments through two NICs, the link
     // layer, reassembly, and the RPC layer. With the pools, scratch
     // buffers, and inline segment lists in place the whole path should
-    // recycle memory; allow a little slack for histogram growth and
-    // hash-map resizes, which amortize to well under one allocation
-    // per RPC.
+    // recycle memory. What is left is mpsc block amortization (two
+    // crossings per RPC, a message each way, 31 messages per block:
+    // 0.13), histogram growth and hash-map resizes: measured 0.42; the
+    // bound is twice that.
     assert!(
-        marginal < 1.0,
+        marginal < 0.85,
         "steady-state LAN read RPCs allocate too much: {marginal:.2} allocs/RPC \
          ({} allocs over {} extra RPCs)",
         a_long.saturating_sub(a_short),
@@ -189,8 +191,9 @@ fn steady_state_read_rpcs_at_16_clients_allocate_next_to_nothing() {
         write: 0,
     };
     let marginal = marginal_crowd(mix);
+    // Measured 0.26; the bound is twice that.
     assert!(
-        marginal < 1.0,
+        marginal < 0.55,
         "steady-state read RPCs at 16 clients allocate too much: \
          {marginal:.2} allocs/RPC"
     );

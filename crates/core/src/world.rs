@@ -6,7 +6,11 @@
 //! runs on real OS threads in natural blocking style against the
 //! [`Syscalls`] trait; determinism is preserved by strict hand-off —
 //! exactly one workload thread is runnable at any instant, and it runs
-//! only while the event loop waits for its next request.
+//! only while the event loop waits for its next request. A thread
+//! crosses to the loop only for an answer it does not hold: `now()` reads
+//! the clock stamped on its last resume, and calls that return nothing
+//! are posted to travel with the next call that returns a value (see
+//! [`Syscalls`] and DESIGN.md §8).
 //!
 //! Every CPU microsecond, disk seek, wire serialization, IP fragment and
 //! retransmission flows through this loop, which is what lets the bench
@@ -47,6 +51,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use renofs_mbuf::{CopyMeter, MbufChain};
@@ -239,9 +244,12 @@ impl WorldConfig {
     }
 }
 
-/// Requests from workload threads.
+/// Requests from workload threads. `Sleep`, `ChargeCpu`, `LocalDisk` and
+/// `ForgetTicket` answer with nothing, so [`WorldSys`] posts them; the
+/// rest return a value and cross to the world.
 enum Req {
-    Now,
+    /// Replies in place: the crossing that empties a proc's post box.
+    Flush,
     Sleep(SimDuration),
     ChargeCpu(SimDuration),
     Rpc(usize, NfsProc, MbufChain),
@@ -260,7 +268,6 @@ enum Req {
 
 /// Responses to workload threads.
 enum Resp {
-    Time(SimTime),
     Unit,
     Chain(RpcResult),
     MaybeChain(Option<RpcResult>),
@@ -404,45 +411,118 @@ impl NfsdStats {
     }
 }
 
+/// A proc's requests in issue order: posted ones, then the call that
+/// crossed. Strict hand-off makes access exclusive — the proc pushes only
+/// while it runs, the world pops only while the proc is blocked — so the
+/// lock is never contended.
+type PostBox = Arc<Mutex<VecDeque<Req>>>;
+
+/// Posted requests a proc may accumulate before it crosses regardless.
+const POST_CAP: usize = 8;
+
+fn lock(posts: &PostBox) -> MutexGuard<'_, VecDeque<Req>> {
+    // Pushes and pops leave the queue valid at every step, and `Finish`
+    // locks it while a workload panic unwinds.
+    posts.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The world's end of one proc's boundary.
+#[derive(Clone)]
+struct ProcPort {
+    resp_tx: Sender<(SimTime, Resp)>,
+    posts: PostBox,
+}
+
+impl ProcPort {
+    /// The next request of a blocked proc. While its post box holds
+    /// requests the proc stays blocked and `resp` (the `Unit` of a posted
+    /// request) is dropped; once the box is empty `resp` resumes the proc,
+    /// stamped with the domain `clock`, and the world waits for it to cross
+    /// again. `None`: the proc is gone.
+    fn next_req(
+        &self,
+        tid: usize,
+        req_rx: &Receiver<usize>,
+        clock: SimTime,
+        resp: Resp,
+    ) -> Option<Req> {
+        let mut posts = lock(&self.posts);
+        if posts.is_empty() {
+            drop(posts);
+            self.resp_tx.send((clock, resp)).ok()?;
+            let id = req_rx.recv().expect("thread alive");
+            debug_assert_eq!(id, tid, "only one thread runnable at a time");
+            posts = lock(&self.posts);
+        }
+        posts.pop_front()
+    }
+}
+
 struct ThreadState {
-    resp_tx: Sender<Resp>,
+    port: ProcPort,
     handle: Option<JoinHandle<()>>,
 }
 
 /// The syscall endpoint handed to each workload thread.
+///
+/// [`now`](Syscalls::now) is answered from `clock`, the domain clock
+/// stamped on the reply that last resumed this proc. That value is exact,
+/// not a cache that can go stale: virtual time advances only when the
+/// event loop pops an event, and the loop is blocked waiting for this
+/// proc's next crossing for as long as the proc is runnable.
 pub struct WorldSys {
     id: usize,
-    req_tx: Sender<(usize, Req)>,
-    resp_rx: Receiver<Resp>,
+    req_tx: Sender<usize>,
+    resp_rx: Receiver<(SimTime, Resp)>,
+    posts: PostBox,
+    clock: SimTime,
+    /// Requests posted since the last crossing.
+    posted: usize,
+    #[cfg(test)]
+    crossings: u64,
 }
 
 impl WorldSys {
+    /// Crosses to the world: everything posted, then `req`, and blocks for
+    /// `req`'s reply.
     fn ask(&mut self, req: Req) -> Resp {
-        self.req_tx.send((self.id, req)).expect("world alive");
-        self.resp_rx.recv().expect("world alive")
+        lock(&self.posts).push_back(req);
+        self.posted = 0;
+        #[cfg(test)]
+        {
+            self.crossings += 1;
+        }
+        self.req_tx.send(self.id).expect("world alive");
+        let (clock, resp) = self.resp_rx.recv().expect("world alive");
+        self.clock = clock;
+        resp
+    }
+
+    /// Records a request that answers with nothing; it travels with the
+    /// next crossing.
+    fn post(&mut self, req: Req) {
+        lock(&self.posts).push_back(req);
+        self.posted += 1;
+        if self.posted == POST_CAP {
+            self.ask(Req::Flush);
+        }
     }
 }
 
 impl Syscalls for WorldSys {
     fn now(&mut self) -> SimTime {
-        match self.ask(Req::Now) {
-            Resp::Time(t) => t,
-            _ => unreachable!(),
+        if self.posted > 0 {
+            self.ask(Req::Flush);
         }
+        self.clock
     }
 
     fn charge_cpu(&mut self, d: SimDuration) {
-        match self.ask(Req::ChargeCpu(d)) {
-            Resp::Unit => {}
-            _ => unreachable!(),
-        }
+        self.post(Req::ChargeCpu(d));
     }
 
     fn sleep(&mut self, d: SimDuration) {
-        match self.ask(Req::Sleep(d)) {
-            Resp::Unit => {}
-            _ => unreachable!(),
-        }
+        self.post(Req::Sleep(d));
     }
 
     fn rpc(&mut self, proc: NfsProc, msg: MbufChain) -> RpcResult {
@@ -482,10 +562,7 @@ impl Syscalls for WorldSys {
     }
 
     fn forget_ticket(&mut self, t: Ticket) {
-        match self.ask(Req::ForgetTicket(t.0)) {
-            Resp::Unit => {}
-            _ => unreachable!(),
-        }
+        self.post(Req::ForgetTicket(t.0));
     }
 
     fn wait_all_async(&mut self) {
@@ -496,14 +573,11 @@ impl Syscalls for WorldSys {
     }
 
     fn local_disk(&mut self, bytes: usize, write: bool, sequential: bool) {
-        match self.ask(Req::LocalDisk {
+        self.post(Req::LocalDisk {
             bytes,
             write,
             seq: sequential,
-        }) {
-            Resp::Unit => {}
-            _ => unreachable!(),
-        }
+        });
     }
 }
 
@@ -568,9 +642,9 @@ struct ClientDom {
     biods: usize,
     // Per-client scheduler. Thread ids, ticket numbers and datagram ids
     // are all domain-local; workloads treat every one of them as opaque.
-    req_tx: Sender<(usize, Req)>,
-    req_rx: Receiver<(usize, Req)>,
-    resp_txs: Vec<Sender<Resp>>,
+    req_tx: Sender<usize>,
+    req_rx: Receiver<usize>,
+    ports: Vec<ProcPort>,
     ready: VecDeque<(usize, Resp)>,
     live: usize,
     tickets_done: HashMap<u64, RpcResult>,
@@ -610,8 +684,8 @@ pub struct World {
     forgotten: HashSet<u64>,
     next_ticket: u64,
     // Threads.
-    req_tx: Sender<(usize, Req)>,
-    req_rx: Receiver<(usize, Req)>,
+    req_tx: Sender<usize>,
+    req_rx: Receiver<usize>,
     threads: Vec<ThreadState>,
     /// Which client machine each workload thread runs on.
     thread_client: Vec<usize>,
@@ -797,7 +871,7 @@ impl World {
                         biods: cfg.biods,
                         req_tx,
                         req_rx,
-                        resp_txs: Vec::new(),
+                        ports: Vec::new(),
                         ready: VecDeque::new(),
                         live: 0,
                         tickets_done: HashMap::new(),
@@ -1133,11 +1207,15 @@ impl World {
         F: FnOnce(&mut WorldSys) + Send + 'static,
     {
         assert!(client < self.clients.len(), "no such client machine");
+        assert!(
+            !self.started,
+            "spawn every proc before the world first runs: start signals go out once"
+        );
         // A partitioned world schedules each thread through its client
         // domain's private channel under a domain-local thread id; the
         // monolithic world keeps one global channel and global ids.
         let id = match &self.part {
-            Some(p) => p.cdoms[client].resp_txs.len(),
+            Some(p) => p.cdoms[client].ports.len(),
             None => self.threads.len(),
         };
         let (resp_tx, resp_rx) = channel();
@@ -1145,44 +1223,59 @@ impl World {
             Some(p) => p.cdoms[client].req_tx.clone(),
             None => self.req_tx.clone(),
         };
+        let port = ProcPort {
+            resp_tx,
+            // Sized once, here: a box never holds more than a full post
+            // buffer and the request that flushes it.
+            posts: Arc::new(Mutex::new(VecDeque::with_capacity(POST_CAP + 1))),
+        };
+        let posts = port.posts.clone();
         let handle = std::thread::spawn(move || {
-            let mut sys = WorldSys {
-                id,
-                req_tx,
-                resp_rx,
-            };
             // Wait for the start signal so thread startup order cannot
             // perturb determinism.
-            match sys.resp_rx.recv() {
-                Ok(Resp::Unit) => {}
-                _ => return,
-            }
+            let Ok((clock, Resp::Unit)) = resp_rx.recv() else {
+                return;
+            };
             // `Finished` must reach the world even when the workload
             // panics — otherwise the event loop waits forever for this
             // thread's next request. The drop guard fires during unwind
-            // too; `run` then surfaces the panic from `join`.
+            // too; `run` then surfaces the panic from `join`. Requests
+            // still posted are in the box ahead of it: a proc's trailing
+            // `charge_cpu` moves the CPU model and the finish clock.
             struct Finish {
                 id: usize,
-                tx: Sender<(usize, Req)>,
+                tx: Sender<usize>,
+                posts: PostBox,
             }
             impl Drop for Finish {
                 fn drop(&mut self) {
-                    let _ = self.tx.send((self.id, Req::Finished));
+                    lock(&self.posts).push_back(Req::Finished);
+                    let _ = self.tx.send(self.id);
                 }
             }
             let _fin = Finish {
                 id,
-                tx: sys.req_tx.clone(),
+                tx: req_tx.clone(),
+                posts: posts.clone(),
             };
-            f(&mut sys);
+            f(&mut WorldSys {
+                id,
+                req_tx,
+                resp_rx,
+                posts,
+                clock,
+                posted: 0,
+                #[cfg(test)]
+                crossings: 0,
+            });
         });
         if let Some(p) = &mut self.part {
             let cd = &mut p.cdoms[client];
-            cd.resp_txs.push(resp_tx.clone());
+            cd.ports.push(port.clone());
             cd.live += 1;
         }
         self.threads.push(ThreadState {
-            resp_tx,
+            port,
             handle: Some(handle),
         });
         self.thread_client.push(client);
@@ -1262,31 +1355,25 @@ impl World {
         }
     }
 
-    /// Sends `resp` to a blocked thread and services its requests until
-    /// it blocks again (or finishes).
-    fn resume(&mut self, tid: usize, resp: Resp) {
+    /// Services a blocked thread's requests, resuming it with `resp` once
+    /// none is left in its post box, until a request blocks it in virtual
+    /// time (or it finishes).
+    fn resume(&mut self, tid: usize, mut resp: Resp) {
         let _sp = profile::span(profile::Subsystem::Client);
-        if self.threads[tid].resp_tx.send(resp).is_err() {
-            return;
-        }
+        let ci = self.thread_client[tid];
         loop {
-            let (id, req) = self.req_rx.recv().expect("thread alive");
-            debug_assert_eq!(id, tid, "only one thread runnable at a time");
-            let ci = self.thread_client[tid];
-            match req {
-                Req::Now => {
-                    let t = self.doms[0].clock();
-                    let _ = self.threads[tid].resp_tx.send(Resp::Time(t));
-                }
-                Req::PollTicket(t) => {
-                    let r = self.tickets_done.remove(&t);
-                    let _ = self.threads[tid].resp_tx.send(Resp::MaybeChain(r));
-                }
+            let port = &self.threads[tid].port;
+            let Some(req) = port.next_req(tid, &self.req_rx, self.doms[0].clock(), resp) else {
+                return;
+            };
+            resp = match req {
+                Req::Flush => Resp::Unit,
+                Req::PollTicket(t) => Resp::MaybeChain(self.tickets_done.remove(&t)),
                 Req::ForgetTicket(t) => {
                     if self.tickets_done.remove(&t).is_none() {
                         self.forgotten.insert(t);
                     }
-                    let _ = self.threads[tid].resp_tx.send(Resp::Unit);
+                    Resp::Unit
                 }
                 Req::Sleep(d) => {
                     let at = self.doms[0].clock() + d;
@@ -1327,40 +1414,37 @@ impl World {
                         self.start_rpc(ci, sj, Waker::Async(ticket), proc, msg);
                         return;
                     }
-                    if self.clients[ci].async_outstanding < slots {
-                        let ticket = self.next_ticket;
-                        self.next_ticket += 1;
-                        self.clients[ci].async_outstanding += 1;
-                        self.start_rpc(ci, sj, Waker::Async(ticket), proc, msg);
-                        let _ = self.threads[tid].resp_tx.send(Resp::Ticket(ticket));
-                    } else {
+                    if self.clients[ci].async_outstanding >= slots {
                         self.clients[ci]
                             .parked_async
                             .push_back((tid, sj, proc, msg));
                         return;
                     }
+                    let ticket = self.next_ticket;
+                    self.next_ticket += 1;
+                    self.clients[ci].async_outstanding += 1;
+                    self.start_rpc(ci, sj, Waker::Async(ticket), proc, msg);
+                    Resp::Ticket(ticket)
                 }
                 Req::AwaitTicket(t) => {
-                    if let Some(reply) = self.tickets_done.remove(&t) {
-                        let _ = self.threads[tid].resp_tx.send(Resp::Chain(reply));
-                    } else {
+                    let Some(reply) = self.tickets_done.remove(&t) else {
                         self.ticket_waiters.insert(t, tid);
                         return;
-                    }
+                    };
+                    Resp::Chain(reply)
                 }
                 Req::WaitAllAsync => {
-                    if self.clients[ci].async_outstanding == 0 {
-                        let _ = self.threads[tid].resp_tx.send(Resp::Unit);
-                    } else {
+                    if self.clients[ci].async_outstanding > 0 {
                         self.clients[ci].wait_all.push(tid);
                         return;
                     }
+                    Resp::Unit
                 }
                 Req::Finished => {
                     self.live_threads -= 1;
                     return;
                 }
-            }
+            };
         }
     }
 
@@ -1959,7 +2043,7 @@ impl World {
         // Seed every domain's ready FIFO in spawn order; round 0 releases
         // the threads exactly as `release_threads` does monolithically.
         for cd in cdoms.iter_mut() {
-            for tid in 0..cd.resp_txs.len() {
+            for tid in 0..cd.ports.len() {
                 cd.ready.push_back((tid, Resp::Unit));
             }
         }
@@ -2111,28 +2195,21 @@ impl ClientCtx<'_> {
 
     /// Per-domain copy of the monolithic `resume`: strict hand-off with
     /// one runnable workload thread, domain-local ids and tickets.
-    fn resume(&mut self, tid: usize, resp: Resp) {
+    fn resume(&mut self, tid: usize, mut resp: Resp) {
         let _sp = profile::span(profile::Subsystem::Client);
-        if self.cd.resp_txs[tid].send(resp).is_err() {
-            return;
-        }
         loop {
-            let (id, req) = self.cd.req_rx.recv().expect("thread alive");
-            debug_assert_eq!(id, tid, "only one thread runnable per domain");
-            match req {
-                Req::Now => {
-                    let t = self.dq.clock();
-                    let _ = self.cd.resp_txs[tid].send(Resp::Time(t));
-                }
-                Req::PollTicket(t) => {
-                    let r = self.cd.tickets_done.remove(&t);
-                    let _ = self.cd.resp_txs[tid].send(Resp::MaybeChain(r));
-                }
+            let port = &self.cd.ports[tid];
+            let Some(req) = port.next_req(tid, &self.cd.req_rx, self.dq.clock(), resp) else {
+                return;
+            };
+            resp = match req {
+                Req::Flush => Resp::Unit,
+                Req::PollTicket(t) => Resp::MaybeChain(self.cd.tickets_done.remove(&t)),
                 Req::ForgetTicket(t) => {
                     if self.cd.tickets_done.remove(&t).is_none() {
                         self.cd.forgotten.insert(t);
                     }
-                    let _ = self.cd.resp_txs[tid].send(Resp::Unit);
+                    Resp::Unit
                 }
                 Req::Sleep(d) => {
                     let at = self.dq.clock() + d;
@@ -2167,39 +2244,36 @@ impl ClientCtx<'_> {
                         self.start_rpc(sj, Waker::Async(ticket), proc, msg);
                         return;
                     }
-                    if self.rt.async_outstanding < slots {
-                        let ticket = self.cd.next_ticket;
-                        self.cd.next_ticket += 1;
-                        self.rt.async_outstanding += 1;
-                        self.start_rpc(sj, Waker::Async(ticket), proc, msg);
-                        let _ = self.cd.resp_txs[tid].send(Resp::Ticket(ticket));
-                    } else {
+                    if self.rt.async_outstanding >= slots {
                         self.rt.parked_async.push_back((tid, sj, proc, msg));
                         return;
                     }
+                    let ticket = self.cd.next_ticket;
+                    self.cd.next_ticket += 1;
+                    self.rt.async_outstanding += 1;
+                    self.start_rpc(sj, Waker::Async(ticket), proc, msg);
+                    Resp::Ticket(ticket)
                 }
                 Req::AwaitTicket(t) => {
-                    if let Some(reply) = self.cd.tickets_done.remove(&t) {
-                        let _ = self.cd.resp_txs[tid].send(Resp::Chain(reply));
-                    } else {
+                    let Some(reply) = self.cd.tickets_done.remove(&t) else {
                         self.cd.ticket_waiters.insert(t, tid);
                         return;
-                    }
+                    };
+                    Resp::Chain(reply)
                 }
                 Req::WaitAllAsync => {
-                    if self.rt.async_outstanding == 0 {
-                        let _ = self.cd.resp_txs[tid].send(Resp::Unit);
-                    } else {
+                    if self.rt.async_outstanding > 0 {
                         self.rt.wait_all.push(tid);
                         return;
                     }
+                    Resp::Unit
                 }
                 Req::Finished => {
                     self.cd.live -= 1;
                     self.cd.last_finish = self.cd.last_finish.max(self.dq.clock());
                     return;
                 }
-            }
+            };
         }
     }
 
@@ -3399,5 +3473,149 @@ mod tests {
         let kinds: Vec<_> = world.client_events().iter().map(|e| e.kind).collect();
         assert!(kinds.contains(&ClientEventKind::ServerCrashed));
         assert!(kinds.contains(&ClientEventKind::ServerRebooted));
+    }
+
+    // ----- what crosses the proc↔world boundary ---------------------------
+
+    fn null_call(xid: u32) -> MbufChain {
+        use renofs_sunrpc::{AuthUnix, CallHeader, NFS_PROGRAM, NFS_VERSION};
+        let mut msg = MbufChain::new();
+        CallHeader {
+            xid,
+            prog: NFS_PROGRAM,
+            vers: NFS_VERSION,
+            proc: NfsProc::Null.to_wire(),
+            auth: AuthUnix::root("t"),
+        }
+        .encode(&mut msg, &mut CopyMeter::new());
+        msg
+    }
+
+    /// Runs `f` as the only proc of a world; returns its result and the
+    /// finished world.
+    fn run_one<T: Send + 'static>(
+        cfg: WorldConfig,
+        f: impl FnOnce(&mut WorldSys) -> T + Send + 'static,
+    ) -> (T, World) {
+        let mut world = World::new(cfg);
+        let (tx, rx) = result_channel();
+        world.spawn(move |sys| {
+            let out = f(sys);
+            tx.send(out).unwrap();
+        });
+        world.run();
+        (rx.recv().unwrap(), world)
+    }
+
+    #[test]
+    fn generator_shape_costs_two_crossings_per_iteration() {
+        let (crossings, _) = run_one(WorldConfig::baseline(), |sys| {
+            for xid in 0..10 {
+                sys.sleep(SimDuration::from_millis(3));
+                let issued = sys.now();
+                assert_eq!(sys.now(), issued);
+                sys.rpc(NfsProc::Null, null_call(xid)).unwrap();
+                assert!(sys.now() > issued);
+            }
+            sys.crossings
+        });
+        assert_eq!(crossings, 20, "sleep+now share one crossing, rpc is one");
+    }
+
+    #[test]
+    fn charge_then_rpc_is_one_crossing() {
+        let (crossings, _) = run_one(WorldConfig::baseline(), |sys| {
+            for xid in 0..10 {
+                sys.charge_cpu(SimDuration::from_micros(50));
+                sys.rpc(NfsProc::Null, null_call(xid)).unwrap();
+            }
+            sys.crossings
+        });
+        assert_eq!(crossings, 10);
+    }
+
+    #[test]
+    fn now_after_a_posted_charge_reads_the_post_charge_time() {
+        let d = SimDuration::from_micros(700);
+        let ((t0, t1, crossings), _) = run_one(WorldConfig::baseline(), move |sys| {
+            let t0 = sys.now();
+            sys.charge_cpu(d);
+            (t0, sys.now(), sys.crossings)
+        });
+        assert_eq!(t1, t0 + d, "idle CPU: the charge ends d later");
+        assert_eq!(crossings, 1, "the first now() had nothing to flush");
+    }
+
+    #[test]
+    fn a_full_post_buffer_crosses_by_itself() {
+        let d = SimDuration::from_micros(10);
+        let n = 3 * POST_CAP as u64 + 2;
+        let ((t0, t1, crossings), _) = run_one(WorldConfig::baseline(), move |sys| {
+            let t0 = sys.now();
+            for _ in 0..n {
+                sys.charge_cpu(d);
+            }
+            (t0, sys.now(), sys.crossings)
+        });
+        assert_eq!(t1, t0 + d * n, "every charge ran, in order");
+        assert_eq!(
+            crossings,
+            3 + 1,
+            "three full buffers, then now() for the rest"
+        );
+    }
+
+    #[test]
+    fn a_trailing_posted_charge_still_moves_the_finish_clock() {
+        let d = SimDuration::from_millis(9);
+        let (t0, world) = run_one(WorldConfig::baseline(), move |sys| {
+            let t0 = sys.now();
+            sys.charge_cpu(d);
+            t0
+        });
+        assert_eq!(world.now(), t0 + d);
+        assert_eq!(world.client_host().cpu.busy_time(), d);
+    }
+
+    #[test]
+    #[should_panic(expected = "boom with posts pending")]
+    fn a_panic_with_posts_pending_is_reraised_by_run() {
+        let mut world = World::new(WorldConfig::baseline());
+        world.spawn(|sys| {
+            sys.charge_cpu(SimDuration::from_millis(1));
+            sys.sleep(SimDuration::from_millis(1));
+            panic!("boom with posts pending");
+        });
+        world.run();
+    }
+
+    #[test]
+    fn a_posted_charge_ahead_of_an_async_rpc_that_parks() {
+        let mut cfg = WorldConfig::baseline();
+        cfg.biods = 1;
+        let d = SimDuration::from_micros(20);
+        let (crossings, world) = run_one(cfg, move |sys| {
+            let t0 = sys.now();
+            let first = sys.rpc_async(NfsProc::Null, null_call(1));
+            sys.charge_cpu(d);
+            // The only biod is busy for a round trip, far longer than d:
+            // this parks until `first` completes and frees the slot.
+            let second = sys.rpc_async(NfsProc::Null, null_call(2));
+            assert!(sys.now() > t0 + d);
+            assert!(sys.poll_ticket(first).is_some(), "slot freed by completion");
+            assert!(!sys.await_ticket(second).unwrap().is_empty());
+            sys.crossings
+        });
+        assert_eq!(crossings, 4, "rpc_async, charge+rpc_async, poll, await");
+        assert_eq!(world.client_host().cpu.busy_in(CpuCategory::User), d);
+    }
+
+    #[test]
+    #[should_panic(expected = "before the world first runs")]
+    fn spawning_into_a_started_world_is_rejected() {
+        let mut world = World::new(WorldConfig::baseline());
+        world.spawn(|sys| sys.sleep(SimDuration::from_millis(1)));
+        world.run_until(SimTime::from_secs(1));
+        world.spawn(|_| {});
     }
 }

@@ -26,6 +26,10 @@ cargo run -q --release -p renofs-bench --bin repro -- pdes-smoke --scale quick
 echo "==> crowd determinism matrix (sim-threads x jobs, byte-identical)"
 cargo test -q -p renofs-bench --release --test pdes_determinism
 
+echo "==> handoff differential (posted syscalls == one crossing per call, both engines)"
+# The debug run above draws 24 cases; release draws the full 192.
+cargo test -q -p renofs --release --test handoff_differential
+
 echo "==> repro shard-smoke --scale quick (N x M fleet + router determinism gate)"
 # Runs a small sharded-fleet cell, checks every shard served traffic,
 # and re-runs it under a sim-threads x jobs matrix asserting
