@@ -16,6 +16,23 @@
 //! retransmission flows through this loop, which is what lets the bench
 //! harnesses reproduce the paper's graphs.
 //!
+//! # One set of handlers, two schedulers
+//!
+//! What a machine does with an event is written once. `ClientCtx` holds
+//! a client machine's handlers (syscalls, RPC issue and completion,
+//! transport timers, arriving datagrams) and `Hub` the network's and the
+//! server machines' (frames, the nfsd pool, crashes); each touches only
+//! its own side's state, and the two sides meet through `Ev::Send`
+//! frames — a TCP mount included, each end of which lives with the
+//! machine that runs it. An engine only decides which queue an event
+//! is pushed on, which scheduler resumes a proc and which network carries
+//! a frame. The single-queue loop (`run_single`, `step`) runs every
+//! machine off `doms[0]` with one proc scheduler, and its hub's network
+//! reaches the client machines, so the hub hands their datagrams back. A
+//! carved world (DESIGN.md §11) gives each client machine a queue, a
+//! scheduler and its access links, and synchronizes them with the hub's
+//! by a conservative barrier. Both produce the same bytes.
+//!
 //! # Clients
 //!
 //! [`WorldConfig::clients`] scales the world from the paper's measured
@@ -65,7 +82,9 @@ use renofs_sim::pdes::DomainQ;
 use renofs_sim::stats::Running;
 use renofs_sim::{profile, SimDuration, SimTime};
 use renofs_sunrpc::{frame_record, peek_xid_kind, MsgKind, RecordReader, NFS_PORT};
-use renofs_transport::{TcpConfig, TcpConn, UdpAction, UdpRpcClient, UdpRpcConfig, UdpStats};
+use renofs_transport::{
+    TcpConfig, TcpConn, TcpOut, TcpSegment, UdpAction, UdpRpcClient, UdpRpcConfig, UdpStats,
+};
 
 use crate::costs;
 use crate::host::{udp_fragments, Host, HostProfile};
@@ -327,10 +346,10 @@ enum Ev {
         server: usize,
     },
     /// A console note whose time is known at construction (crash/reboot
-    /// observations). Partitioned worlds pre-schedule these in each client
-    /// domain so the hub's crash handler never has to reach into client
-    /// state; monolithic worlds never schedule them.
+    /// observations), pre-scheduled on the queue that runs `client` so the
+    /// hub's crash handler never has to reach into client state.
     Note {
+        client: usize,
         kind: ClientEventKind,
     },
 }
@@ -339,15 +358,34 @@ enum Ev {
 #[allow(clippy::large_enum_variant)]
 enum Transport {
     Udp(UdpRpcClient),
-    Tcp(Box<TcpState>),
+    Tcp(Box<TcpEnd>),
 }
 
-struct TcpState {
-    client: TcpConn,
-    server: TcpConn,
-    client_reader: RecordReader,
-    server_reader: RecordReader,
-    mss: usize,
+fn tcp_config(mtu: usize) -> TcpConfig {
+    TcpConfig::for_mss(mtu - IP_HEADER - TCP_HEADER)
+}
+
+/// One endpoint of a TCP mount, owned by the machine it runs on: the
+/// connection and the record reader for the stream it receives. The two
+/// ends of a mount meet only through the `Ev::Send` frames they exchange.
+struct TcpEnd {
+    conn: TcpConn,
+    reader: RecordReader,
+}
+
+impl TcpEnd {
+    /// A passive endpoint on a path of the given MTU.
+    fn listening(mtu: usize, iss: u32) -> Self {
+        TcpEnd {
+            conn: TcpConn::server(tcp_config(mtu), iss),
+            reader: RecordReader::new(),
+        }
+    }
+
+    /// The next complete record of the received stream, if one is whole.
+    fn next_record(&mut self) -> Option<MbufChain> {
+        self.reader.next_record(&mut CopyMeter::new())
+    }
 }
 
 /// Everything one client machine owns: its node, host model, transport
@@ -368,16 +406,29 @@ struct ClientRt {
     /// do one machine's per-server streams.
     pending: HashMap<(usize, u32), Waker>,
     events: Vec<ClientEvent>,
+    /// biods on this machine (0 = an asynchronous request runs
+    /// synchronously in the proc that issues it).
+    biods: usize,
     async_outstanding: usize,
     parked_async: VecDeque<(usize, usize, NfsProc, MbufChain)>,
     wait_all: Vec<usize>,
+}
+
+impl ClientRt {
+    /// This machine's end of its TCP mount of server `sj` (`None` on a
+    /// UDP mount).
+    fn tcp(&mut self, sj: usize) -> Option<&mut TcpEnd> {
+        match &mut self.transports[sj] {
+            Transport::Tcp(end) => Some(end),
+            Transport::Udp(_) => None,
+        }
+    }
 }
 
 /// A request waiting for a free nfsd daemon context.
 struct QueuedRpc {
     request: MbufChain,
     client: usize,
-    tcp: bool,
     arrival: SimTime,
 }
 
@@ -427,8 +478,9 @@ fn lock(posts: &PostBox) -> MutexGuard<'_, VecDeque<Req>> {
 }
 
 /// The world's end of one proc's boundary.
-#[derive(Clone)]
 struct ProcPort {
+    /// The client machine the proc runs on.
+    client: usize,
     resp_tx: Sender<(SimTime, Resp)>,
     posts: PostBox,
 }
@@ -458,9 +510,71 @@ impl ProcPort {
     }
 }
 
-struct ThreadState {
-    port: ProcPort,
-    handle: Option<JoinHandle<()>>,
+/// Which reply a proc parked on a ticket is owed when the RPC completes.
+enum TicketHolder {
+    /// Blocked in `await_ticket`: owed the RPC's result.
+    Awaiting(usize),
+    /// A 0-biod proc still inside `rpc_async`, performing the RPC itself:
+    /// owed the `Ticket`. The result waits in `tickets_done` for the
+    /// await that follows.
+    Issuing(usize),
+}
+
+/// A proc scheduler: the ports of the procs it runs, the FIFO of those
+/// ready to resume, and the ticket tables of their asynchronous RPCs. A
+/// single-queue world holds one — thread ids and tickets are world-wide
+/// and procs of every client resume from the one FIFO in wake-up order —
+/// and a carved world holds one per client domain, with domain-local ids.
+/// Workloads treat ids and tickets as opaque either way.
+struct Sched {
+    req_tx: Sender<usize>,
+    req_rx: Receiver<usize>,
+    ports: Vec<ProcPort>,
+    ready: VecDeque<(usize, Resp)>,
+    /// Procs that have not finished.
+    live: usize,
+    /// Event time of the most recent proc finish.
+    last_finish: SimTime,
+    tickets_done: HashMap<u64, RpcResult>,
+    ticket_waiters: HashMap<u64, TicketHolder>,
+    forgotten: HashSet<u64>,
+    next_ticket: u64,
+    /// Reusable UDP-transport action buffer, drained after every
+    /// transport step.
+    udp_actions: Vec<UdpAction>,
+}
+
+impl Sched {
+    fn new() -> Self {
+        let (req_tx, req_rx) = channel();
+        Sched {
+            req_tx,
+            req_rx,
+            ports: Vec::new(),
+            ready: VecDeque::new(),
+            live: 0,
+            last_finish: SimTime::ZERO,
+            tickets_done: HashMap::new(),
+            ticket_waiters: HashMap::new(),
+            forgotten: HashSet::new(),
+            next_ticket: 1,
+            udp_actions: Vec::new(),
+        }
+    }
+
+    /// Readies every proc in spawn order (they start suspended), so thread
+    /// start-up order cannot perturb determinism.
+    fn release(&mut self) {
+        for tid in 0..self.ports.len() {
+            self.ready.push_back((tid, Resp::Unit));
+        }
+    }
+
+    fn issue_ticket(&mut self) -> u64 {
+        let ticket = self.next_ticket;
+        self.next_ticket += 1;
+        ticket
+    }
 }
 
 /// The syscall endpoint handed to each workload thread.
@@ -591,9 +705,20 @@ struct ClientMeta {
     mtus: Vec<usize>,
 }
 
+/// Where the shards sit. Immutable after construction and read by every
+/// domain: a client addresses its `Send`s by server index and resolves a
+/// reply's source node back to the shard it came from.
+struct ServerMap {
+    /// Server index -> node.
+    nodes: Vec<NodeId>,
+    /// Node index -> server index.
+    of_node: Vec<Option<usize>>,
+}
+
 /// One shard's server machine: node, host model, NFS server instance
-/// (its own dup cache and boot epoch), crash state, and nfsd service
-/// pool. Index 0 is "the" server of the single-server experiments.
+/// (its own dup cache and boot epoch), crash state, nfsd service pool,
+/// and its end of every client's TCP mount. Index 0 is "the" server of
+/// the single-server experiments.
 struct ServerRt {
     node: NodeId,
     host: Host,
@@ -602,99 +727,88 @@ struct ServerRt {
     nfsd_busy: usize,
     nfsd_queue: VecDeque<QueuedRpc>,
     nfsd_stats: NfsdStats,
+    /// The server end of each client's TCP connection, by client index;
+    /// empty when the mounts are UDP.
+    conns: Vec<TcpEnd>,
 }
 
 /// The server-side simulation domain: the shared internetwork (minus
 /// any carved client access links) and every server machine of the
-/// fleet. In a partitioned world this is everything domain 0 owns (the
-/// shards share the trunk, so they share the coordinator's queue); a
-/// monolithic world keeps the same struct and simply runs every event
-/// against it from the single global queue.
+/// fleet. In a carved world this is everything domain 0 owns (the
+/// shards share the trunk, so they share the coordinator's queue). A
+/// single-queue world runs the same handlers; there the network still
+/// includes the clients' access links, so its final hops toward a client
+/// happen here and the completed datagrams are handed back.
 struct Hub {
     net: Network,
     servers: Vec<ServerRt>,
+    smap: Arc<ServerMap>,
     /// Node index -> client index, for demultiplexing deliveries.
     node_client: Vec<Option<usize>>,
-    /// Node index -> server index, same.
-    node_server: Vec<Option<usize>>,
     metas: Vec<ClientMeta>,
     /// nfsd daemon contexts per server (0 = unbounded).
     nfsds: usize,
-    scratch: CopyMeter,
+    /// Whether the client machines run in domains of their own.
+    carved: bool,
+    /// Carved worlds: network events that land on a client machine's node,
+    /// keyed here and queued in that client's domain at the next barrier.
+    frames: Vec<(usize, Msg)>,
+    /// Single-queue worlds: datagrams that completed at a client machine,
+    /// for the event loop to hand to that client. Both buffers are drained
+    /// by whoever drives the hub and keep their capacity.
+    deliveries: Vec<(usize, Delivery)>,
     /// Reusable network-step output: drained after every absorb, so the
     /// per-hop path allocates nothing once the vectors reach working size.
     net_out: NetOutput,
 }
 
-/// One client machine's simulation-domain runtime: its carved access
-/// network, boundary lookaheads, private scheduler (workload threads,
-/// request channel, ready FIFO, ticket table) and reusable buffers.
-/// Only partitioned worlds build these.
+/// One client machine's simulation domain in a carved world: its access
+/// network, boundary lookaheads, private proc scheduler and a reusable
+/// network-step buffer.
 struct ClientDom {
     access: AccessNet,
     /// Client→hub conservative lookahead (uplink propagation delay).
     la_up: SimDuration,
     /// Hub→client conservative lookahead (final-link propagation delay).
     la_dn: SimDuration,
-    /// Every shard's server node, indexed by server (Send addressing and
-    /// reply demultiplexing inside the client domain).
-    server_nodes: Vec<NodeId>,
-    biods: usize,
-    // Per-client scheduler. Thread ids, ticket numbers and datagram ids
-    // are all domain-local; workloads treat every one of them as opaque.
-    req_tx: Sender<usize>,
-    req_rx: Receiver<usize>,
-    ports: Vec<ProcPort>,
-    ready: VecDeque<(usize, Resp)>,
-    live: usize,
-    tickets_done: HashMap<u64, RpcResult>,
-    ticket_waiters: HashMap<u64, usize>,
-    forgotten: HashSet<u64>,
-    next_ticket: u64,
-    /// Event time of this domain's most recent thread finish.
-    last_finish: SimTime,
-    udp_actions: Vec<UdpAction>,
+    sched: Sched,
     net_out: NetOutput,
 }
 
-/// Partitioned-world state: the per-client domains and the finish clock.
+/// Carved-world state: the per-client domains and the finish clock.
 struct Partition {
     cdoms: Vec<ClientDom>,
     /// Max event time at which any workload thread finished — what the
-    /// monolithic engine's clock reads when `run` returns.
+    /// single-queue loop's clock reads when `run` returns.
     finish: SimTime,
+}
+
+/// Who schedules the procs and which queues their events ride on. The
+/// handlers ([`ClientCtx`], [`Hub`]) are the same under both.
+// One per world.
+#[allow(clippy::large_enum_variant)]
+enum Engine {
+    /// One queue (`doms[0]`), one scheduler for every client's procs.
+    Single(Sched),
+    /// A queue and a scheduler per client machine, the hub on `doms[0]`,
+    /// synchronized by a conservative barrier.
+    Carved(Partition),
 }
 
 /// The simulation world.
 pub struct World {
     cfg: WorldConfig,
     /// Per-domain event queues. `doms[0]` is the hub (server) domain; a
-    /// monolithic world has only that entry and its plain-counter keys
-    /// reproduce the historical single-queue order exactly. Partitioned
+    /// single-queue world has only that entry and its plain-counter keys
+    /// reproduce the historical single-queue order exactly. Carved
     /// worlds add one domain per client at `1 + client index`.
     doms: Vec<DomainQ<Ev>>,
     hub: Hub,
     clients: Vec<ClientRt>,
-    /// Per-client domains when the world is partitioned.
-    part: Option<Partition>,
-    // RPC bookkeeping (tickets are unique world-wide). Monolithic mode
-    // only; partitioned worlds keep these per client domain.
-    tickets_done: HashMap<u64, RpcResult>,
-    ticket_waiters: HashMap<u64, usize>,
-    forgotten: HashSet<u64>,
-    next_ticket: u64,
-    // Threads.
-    req_tx: Sender<usize>,
-    req_rx: Receiver<usize>,
-    threads: Vec<ThreadState>,
-    /// Which client machine each workload thread runs on.
-    thread_client: Vec<usize>,
-    live_threads: usize,
-    ready: VecDeque<(usize, Resp)>,
+    engine: Engine,
+    /// Every workload thread, for `run` to join.
+    handles: Vec<JoinHandle<()>>,
     started: bool,
-    /// Reusable UDP-transport action buffer, drained after every
-    /// transport step (monolithic mode; client domains carry their own).
-    udp_actions: Vec<UdpAction>,
 }
 
 /// Capacity hints carried across the `World`s of a parameter sweep, so
@@ -782,20 +896,10 @@ impl World {
                     TransportKind::UdpCustom(c) => {
                         Transport::Udp(UdpRpcClient::new(mounted(c.clone()), xid_seed))
                     }
-                    TransportKind::Tcp => {
-                        let mss = mtu - IP_HEADER - TCP_HEADER;
-                        let tcp_cfg = TcpConfig::for_mss(mss);
-                        Transport::Tcp(Box::new(TcpState {
-                            // The client connection is a placeholder until
-                            // `tcp_connect` replaces it with the active
-                            // opener and pumps the handshake.
-                            client: TcpConn::server(tcp_cfg, 0),
-                            server: TcpConn::server(tcp_cfg, 88_000),
-                            client_reader: RecordReader::new(),
-                            server_reader: RecordReader::new(),
-                            mss,
-                        }))
-                    }
+                    // A placeholder until `tcp_connect` replaces the
+                    // connection with the active opener and pumps the
+                    // handshake.
+                    TransportKind::Tcp => Transport::Tcp(Box::new(TcpEnd::listening(mtu, 0))),
                 };
                 transports.push(transport);
                 mtus.push(mtu);
@@ -808,6 +912,7 @@ impl World {
                 mtus,
                 pending: HashMap::new(),
                 events: Vec::new(),
+                biods: cfg.biods,
                 async_outstanding: 0,
                 parked_async: VecDeque::new(),
                 wait_all: Vec::new(),
@@ -830,6 +935,13 @@ impl World {
                     nfsd_busy: 0,
                     nfsd_queue: VecDeque::new(),
                     nfsd_stats: NfsdStats::default(),
+                    conns: match cfg.transport {
+                        TransportKind::Tcp => clients
+                            .iter()
+                            .map(|c| TcpEnd::listening(c.mtus[j], 88_000))
+                            .collect(),
+                        _ => Vec::new(),
+                    },
                 }
             })
             .collect();
@@ -845,8 +957,8 @@ impl World {
         // access network carves cleanly toward every server (draw-free
         // uplink, corruption-free reply paths) so the hub RNG stream is
         // untouched, there are at least two clients to separate, and the
-        // transport is UDP (a TCP connection's two endpoints share one
-        // congestion state, which cannot be split across domains).
+        // transport is UDP (the TCP handshake below is pumped through the
+        // single queue).
         let carves =
             if !cfg.force_monolithic && n >= 2 && !matches!(cfg.transport, TransportKind::Tcp) {
                 client_nodes
@@ -857,45 +969,40 @@ impl World {
                 None
             };
         let mut doms = vec![DomainQ::with_capacity(0, scratch.queue_cap)];
-        let part = carves.map(|carves| Partition {
-            cdoms: carves
-                .into_iter()
-                .map(|carve| {
-                    doms.push(DomainQ::new(doms.len() as u32));
-                    let (req_tx, req_rx) = channel();
-                    ClientDom {
-                        access: carve.access,
-                        la_up: carve.lookahead_up,
-                        la_dn: carve.lookahead_down,
-                        server_nodes: server_nodes.clone(),
-                        biods: cfg.biods,
-                        req_tx,
-                        req_rx,
-                        ports: Vec::new(),
-                        ready: VecDeque::new(),
-                        live: 0,
-                        tickets_done: HashMap::new(),
-                        ticket_waiters: HashMap::new(),
-                        forgotten: HashSet::new(),
-                        next_ticket: 1,
-                        last_finish: SimTime::ZERO,
-                        udp_actions: Vec::new(),
-                        net_out: NetOutput::default(),
-                    }
-                })
-                .collect(),
-            finish: SimTime::ZERO,
-        });
-        let (req_tx, req_rx) = channel();
+        let engine = match carves {
+            Some(carves) => Engine::Carved(Partition {
+                cdoms: carves
+                    .into_iter()
+                    .map(|carve| {
+                        doms.push(DomainQ::new(doms.len() as u32));
+                        ClientDom {
+                            access: carve.access,
+                            la_up: carve.lookahead_up,
+                            la_dn: carve.lookahead_down,
+                            sched: Sched::new(),
+                            net_out: NetOutput::default(),
+                        }
+                    })
+                    .collect(),
+                finish: SimTime::ZERO,
+            }),
+            None => Engine::Single(Sched::new()),
+        };
+        let carved = matches!(engine, Engine::Carved(_));
         let mut world = World {
             hub: Hub {
                 net,
                 servers,
+                smap: Arc::new(ServerMap {
+                    nodes: server_nodes,
+                    of_node: node_server,
+                }),
                 node_client,
-                node_server,
                 metas,
                 nfsds: cfg.nfsds,
-                scratch: CopyMeter::new(),
+                carved,
+                frames: Vec::new(),
+                deliveries: Vec::new(),
                 net_out: NetOutput {
                     events: Vec::with_capacity(scratch.net_events_cap),
                     delivered: Vec::new(),
@@ -904,22 +1011,15 @@ impl World {
             cfg,
             doms,
             clients,
-            part,
-            tickets_done: HashMap::new(),
-            ticket_waiters: HashMap::new(),
-            forgotten: HashSet::new(),
-            next_ticket: 1,
-            req_tx,
-            req_rx,
-            threads: Vec::new(),
-            thread_client: Vec::new(),
-            live_threads: 0,
-            ready: VecDeque::new(),
+            engine,
+            handles: Vec::new(),
             started: false,
-            udp_actions: Vec::new(),
         };
         // Fault-plan crashes hit server 0 (the paper's box; sharded
-        // worlds crash their primary shard).
+        // worlds crash their primary shard). What each client's console
+        // prints about them has statically known times, so it is scheduled
+        // here, on the queue that runs the client, and the hub's crash
+        // handler stays domain-local.
         for (at, downtime) in world.cfg.faults.server_crashes() {
             world.doms[0].push(
                 at,
@@ -928,29 +1028,19 @@ impl World {
                     downtime,
                 },
             );
-            if world.part.is_some() {
-                // Console notes have statically known times; scheduling
-                // them per client domain keeps the hub's crash handler
-                // domain-local.
-                for dq in &mut world.doms[1..] {
-                    dq.push(
-                        at,
-                        Ev::Note {
-                            kind: ClientEventKind::ServerCrashed,
-                        },
-                    );
-                    dq.push(
-                        at + downtime,
-                        Ev::Note {
-                            kind: ClientEventKind::ServerRebooted,
-                        },
-                    );
+            for client in 0..n {
+                let dq = &mut world.doms[if carved { 1 + client } else { 0 }];
+                for (when, kind) in [
+                    (at, ClientEventKind::ServerCrashed),
+                    (at + downtime, ClientEventKind::ServerRebooted),
+                ] {
+                    dq.push(when, Ev::Note { client, kind });
                 }
             }
         }
         if matches!(world.cfg.transport, TransportKind::Tcp) {
-            for ci in 0..world.clients.len() {
-                for sj in 0..world.hub.servers.len() {
+            for ci in 0..n {
+                for sj in 0..m {
                     world.tcp_connect(ci, sj);
                 }
             }
@@ -961,31 +1051,48 @@ impl World {
     /// Whether this world runs as per-machine domains under conservative
     /// synchronization (true) or as one global event queue (false).
     pub fn is_partitioned(&self) -> bool {
-        self.part.is_some()
+        matches!(self.engine, Engine::Carved(_))
     }
 
-    fn tcp_connect(&mut self, ci: usize, sj: usize) {
-        let mss = match &self.clients[ci].transports[sj] {
-            Transport::Tcp(t) => t.mss,
-            _ => unreachable!(),
-        };
-        let (conn, out) = TcpConn::client(TcpConfig::for_mss(mss), 11_000, self.doms[0].clock());
-        if let Transport::Tcp(t) = &mut self.clients[ci].transports[sj] {
-            t.client = conn;
+    /// The one scheduler of a single-queue world.
+    fn sched(&mut self) -> &mut Sched {
+        match &mut self.engine {
+            Engine::Single(sched) => sched,
+            Engine::Carved(_) => unreachable!("a carved world schedules procs per client domain"),
         }
-        self.apply_tcp_out(ci, sj, out, true, self.doms[0].clock());
-        // Pump the event loop until established.
+    }
+
+    /// The handlers of client `ci` over the single queue.
+    fn ctx(&mut self, ci: usize) -> ClientCtx<'_> {
+        let Engine::Single(sched) = &mut self.engine else {
+            unreachable!("a carved world builds its contexts per domain round")
+        };
+        ClientCtx {
+            ci,
+            rt: &mut self.clients[ci],
+            sched,
+            dq: &mut self.doms[0],
+            smap: &self.hub.smap,
+        }
+    }
+
+    /// Opens client `ci`'s connection to server `sj`, pumping the single
+    /// queue until both ends are established.
+    fn tcp_connect(&mut self, ci: usize, sj: usize) {
+        let now = self.doms[0].clock();
+        let (conn, out) = TcpConn::client(tcp_config(self.clients[ci].mtus[sj]), 11_000, now);
+        self.clients[ci].tcp(sj).expect("a TCP mount").conn = conn;
+        self.ctx(ci).tcp_out(sj, out, now);
         for _ in 0..10_000 {
-            let established = match &self.clients[ci].transports[sj] {
-                Transport::Tcp(t) => t.client.is_established() && t.server.is_established(),
-                _ => true,
-            };
-            if established {
+            let ends = [
+                self.clients[ci].tcp(sj).expect("a TCP mount"),
+                &mut self.hub.servers[sj].conns[ci],
+            ];
+            if ends.iter().all(|end| end.conn.is_established()) {
                 return;
             }
-            match self.doms[0].pop() {
-                Some((t, _, ev)) => self.handle_event(t, ev),
-                None => break,
+            if !self.step() {
+                break;
             }
         }
         panic!("TCP connection failed to establish");
@@ -1089,7 +1196,7 @@ impl World {
     /// access-network shard into the hub's totals.
     pub fn net_stats(&self) -> NetStats {
         let mut s = self.hub.net.stats();
-        if let Some(p) = &self.part {
+        if let Engine::Carved(p) = &self.engine {
             for cd in &p.cdoms {
                 s.absorb(&cd.access.stats());
             }
@@ -1136,7 +1243,7 @@ impl World {
     /// A specific (client, server) pair's TCP transport statistics.
     pub fn tcp_stats_to(&self, ci: usize, sj: usize) -> Option<renofs_transport::tcp::TcpStats> {
         match &self.clients[ci].transports[sj] {
-            Transport::Tcp(t) => Some(t.client.stats()),
+            Transport::Tcp(end) => Some(end.conn.stats()),
             _ => None,
         }
     }
@@ -1163,9 +1270,9 @@ impl World {
     /// the event time of the last workload-thread finish — the same
     /// instant the monolithic engine's clock stops at.
     pub fn now(&self) -> SimTime {
-        match &self.part {
-            Some(p) => p.finish,
-            None => self.doms[0].clock(),
+        match &self.engine {
+            Engine::Carved(p) => p.finish,
+            Engine::Single(_) => self.doms[0].clock(),
         }
     }
 
@@ -1211,26 +1318,26 @@ impl World {
             !self.started,
             "spawn every proc before the world first runs: start signals go out once"
         );
-        // A partitioned world schedules each thread through its client
-        // domain's private channel under a domain-local thread id; the
-        // monolithic world keeps one global channel and global ids.
-        let id = match &self.part {
-            Some(p) => p.cdoms[client].ports.len(),
-            None => self.threads.len(),
+        // A carved world schedules each proc through its client domain's
+        // scheduler under a domain-local id; a single-queue world has one
+        // scheduler and world-wide ids.
+        let sched = match &mut self.engine {
+            Engine::Carved(p) => &mut p.cdoms[client].sched,
+            Engine::Single(sched) => sched,
         };
+        let id = sched.ports.len();
         let (resp_tx, resp_rx) = channel();
-        let req_tx = match &self.part {
-            Some(p) => p.cdoms[client].req_tx.clone(),
-            None => self.req_tx.clone(),
-        };
-        let port = ProcPort {
+        let req_tx = sched.req_tx.clone();
+        // Sized once, here: a box never holds more than a full post
+        // buffer and the request that flushes it.
+        let posts: PostBox = Arc::new(Mutex::new(VecDeque::with_capacity(POST_CAP + 1)));
+        sched.ports.push(ProcPort {
+            client,
             resp_tx,
-            // Sized once, here: a box never holds more than a full post
-            // buffer and the request that flushes it.
-            posts: Arc::new(Mutex::new(VecDeque::with_capacity(POST_CAP + 1))),
-        };
-        let posts = port.posts.clone();
-        let handle = std::thread::spawn(move || {
+            posts: posts.clone(),
+        });
+        sched.live += 1;
+        self.handles.push(std::thread::spawn(move || {
             // Wait for the start signal so thread startup order cannot
             // perturb determinism.
             let Ok((clock, Resp::Unit)) = resp_rx.recv() else {
@@ -1268,18 +1375,7 @@ impl World {
                 #[cfg(test)]
                 crossings: 0,
             });
-        });
-        if let Some(p) = &mut self.part {
-            let cd = &mut p.cdoms[client];
-            cd.ports.push(port.clone());
-            cd.live += 1;
-        }
-        self.threads.push(ThreadState {
-            port,
-            handle: Some(handle),
-        });
-        self.thread_client.push(client);
-        self.live_threads += 1;
+        }));
         id
     }
 
@@ -1288,741 +1384,93 @@ impl World {
     /// warm-up interval. [`World::run`] must still be called afterwards.
     pub fn run_until(&mut self, t: SimTime) {
         assert!(
-            self.part.is_none(),
+            !self.is_partitioned(),
             "run_until requires a monolithic world (warm-up harnesses run single-client worlds)"
         );
-        if !self.started {
-            self.release_threads();
-        }
-        loop {
-            if let Some((tid, resp)) = self.ready.pop_front() {
-                self.resume(tid, resp);
-                continue;
-            }
-            if self.live_threads == 0 {
-                return;
-            }
-            match self.doms[0].peek() {
-                Some((pt, _)) if pt <= t => {
-                    let (at, _, ev) = self.doms[0].pop().expect("peeked");
-                    self.handle_event(at, ev);
-                }
-                _ => return,
-            }
-        }
-    }
-
-    fn release_threads(&mut self) {
-        self.started = true;
-        for tid in 0..self.threads.len() {
-            self.ready.push_back((tid, Resp::Unit));
-        }
+        self.run_single(Some(t));
     }
 
     /// Runs the world until every workload thread has finished.
     pub fn run(&mut self) {
-        if self.part.is_some() {
+        if self.is_partitioned() {
             self.run_partitioned();
         } else {
-            self.run_monolithic();
+            self.run_single(None);
         }
-        for t in &mut self.threads {
-            if let Some(h) = t.handle.take() {
-                if let Err(payload) = h.join() {
-                    // Re-raise a workload panic on the caller's thread so
-                    // tests fail loudly instead of reporting half a run.
-                    std::panic::resume_unwind(payload);
-                }
+        for handle in self.handles.drain(..) {
+            if let Err(payload) = handle.join() {
+                // Re-raise a workload panic on the caller's thread so
+                // tests fail loudly instead of reporting half a run.
+                std::panic::resume_unwind(payload);
             }
         }
     }
 
-    /// The historical single-queue engine: strict hand-off between the
-    /// event loop and exactly one runnable workload thread.
-    fn run_monolithic(&mut self) {
+    // ----- the single-queue engine -----------------------------------------
+
+    /// The single-queue scheduler: strict hand-off between the event loop
+    /// and exactly one runnable workload thread, the ready FIFO draining
+    /// before each pop, until every proc has finished or the next event
+    /// lies past `until`.
+    fn run_single(&mut self, until: Option<SimTime>) {
         if !self.started {
-            self.release_threads();
+            self.started = true;
+            self.sched().release();
         }
-        while self.live_threads > 0 {
-            if let Some((tid, resp)) = self.ready.pop_front() {
-                self.resume(tid, resp);
+        loop {
+            let sched = self.sched();
+            if let Some((tid, resp)) = sched.ready.pop_front() {
+                let ci = sched.ports[tid].client;
+                self.ctx(ci).resume(tid, resp);
                 continue;
             }
-            match self.doms[0].pop() {
-                Some((t, _, ev)) => self.handle_event(t, ev),
-                None => panic!("deadlock: threads blocked with no pending events"),
-            }
-        }
-    }
-
-    /// Services a blocked thread's requests, resuming it with `resp` once
-    /// none is left in its post box, until a request blocks it in virtual
-    /// time (or it finishes).
-    fn resume(&mut self, tid: usize, mut resp: Resp) {
-        let _sp = profile::span(profile::Subsystem::Client);
-        let ci = self.thread_client[tid];
-        loop {
-            let port = &self.threads[tid].port;
-            let Some(req) = port.next_req(tid, &self.req_rx, self.doms[0].clock(), resp) else {
-                return;
-            };
-            resp = match req {
-                Req::Flush => Resp::Unit,
-                Req::PollTicket(t) => Resp::MaybeChain(self.tickets_done.remove(&t)),
-                Req::ForgetTicket(t) => {
-                    if self.tickets_done.remove(&t).is_none() {
-                        self.forgotten.insert(t);
-                    }
-                    Resp::Unit
-                }
-                Req::Sleep(d) => {
-                    let at = self.doms[0].clock() + d;
-                    self.doms[0].push(at, Ev::Wake(tid, Resp::Unit));
-                    return;
-                }
-                Req::ChargeCpu(d) => {
-                    let done = self.clients[ci].host.cpu.charge(
-                        self.doms[0].clock(),
-                        d,
-                        CpuCategory::User,
-                    );
-                    self.doms[0].push(done, Ev::Wake(tid, Resp::Unit));
-                    return;
-                }
-                Req::LocalDisk { bytes, write, seq } => {
-                    let done =
-                        self.clients[ci]
-                            .host
-                            .disk_io(self.doms[0].clock(), bytes, write, seq);
-                    self.doms[0].push(done, Ev::Wake(tid, Resp::Unit));
-                    return;
-                }
-                Req::Rpc(sj, proc, msg) => {
-                    self.start_rpc(ci, sj, Waker::Sync(tid), proc, msg);
-                    return;
-                }
-                Req::RpcAsync(sj, proc, msg) => {
-                    let slots = self.cfg.biods;
-                    if slots == 0 {
-                        // No biods: the process itself performs the RPC,
-                        // blocking until completion (write-through
-                        // behaviour of "async,0biod").
-                        let ticket = self.next_ticket;
-                        self.next_ticket += 1;
-                        self.clients[ci].async_outstanding += 1;
-                        self.ticket_block_thread(tid, ticket);
-                        self.start_rpc(ci, sj, Waker::Async(ticket), proc, msg);
-                        return;
-                    }
-                    if self.clients[ci].async_outstanding >= slots {
-                        self.clients[ci]
-                            .parked_async
-                            .push_back((tid, sj, proc, msg));
-                        return;
-                    }
-                    let ticket = self.next_ticket;
-                    self.next_ticket += 1;
-                    self.clients[ci].async_outstanding += 1;
-                    self.start_rpc(ci, sj, Waker::Async(ticket), proc, msg);
-                    Resp::Ticket(ticket)
-                }
-                Req::AwaitTicket(t) => {
-                    let Some(reply) = self.tickets_done.remove(&t) else {
-                        self.ticket_waiters.insert(t, tid);
-                        return;
-                    };
-                    Resp::Chain(reply)
-                }
-                Req::WaitAllAsync => {
-                    if self.clients[ci].async_outstanding > 0 {
-                        self.clients[ci].wait_all.push(tid);
-                        return;
-                    }
-                    Resp::Unit
-                }
-                Req::Finished => {
-                    self.live_threads -= 1;
-                    return;
-                }
-            };
-        }
-    }
-
-    /// Marks a thread as blocked waiting for the given ticket while also
-    /// expecting the `Ticket` response first (0-biod synchronous case).
-    fn ticket_block_thread(&mut self, tid: usize, ticket: u64) {
-        // The thread will receive Ticket(t) when the RPC completes; it
-        // then immediately awaits the ticket, which is already done.
-        self.ticket_waiters.insert(ticket, usize::MAX - tid);
-    }
-
-    // ----- RPC initiation and completion ---------------------------------
-
-    fn start_rpc(&mut self, ci: usize, sj: usize, waker: Waker, proc: NfsProc, msg: MbufChain) {
-        let Ok((xid, MsgKind::Call)) = peek_xid_kind(&msg) else {
-            panic!("workload issued a malformed RPC message");
-        };
-        debug_assert!(
-            !self.clients[ci].pending.contains_key(&(sj, xid)),
-            "duplicate xid {xid} in flight on client {ci} toward server {sj}"
-        );
-        self.clients[ci].pending.insert((sj, xid), waker);
-        let now = self.doms[0].clock();
-        match &mut self.clients[ci].transports[sj] {
-            Transport::Udp(u) => {
-                let mut actions = std::mem::take(&mut self.udp_actions);
-                u.call(now, xid, proc.rto_class(), msg, &mut actions);
-                self.apply_udp_actions(ci, sj, &mut actions);
-                self.udp_actions = actions;
-            }
-            Transport::Tcp(_) => {
-                // Once-per-record socket/codec work.
-                let t = self.clients[ci].host.charge_record(now);
-                let framed = frame_record(msg, &mut self.hub.scratch);
-                let out = match &mut self.clients[ci].transports[sj] {
-                    Transport::Tcp(ts) => ts.client.send(framed, t),
-                    _ => unreachable!(),
-                };
-                self.apply_tcp_out(ci, sj, out, true, t);
-            }
-        }
-    }
-
-    fn apply_udp_actions(&mut self, ci: usize, sj: usize, actions: &mut Vec<UdpAction>) {
-        let now = self.doms[0].clock();
-        for action in actions.drain(..) {
-            match action {
-                UdpAction::Send { payload, .. } => {
-                    let c = &mut self.clients[ci];
-                    let frags = udp_fragments(payload.len(), c.mtus[sj]);
-                    let done = c.host.charge_tx(now, &payload, frags, false);
-                    let (src, sport) = (c.node, c.sport);
-                    self.doms[0].push(
-                        done,
-                        Ev::Send {
-                            src,
-                            dst: self.hub.servers[sj].node,
-                            proto: ProtoHeader::Udp {
-                                sport,
-                                dport: NFS_PORT,
-                            },
-                            payload,
-                        },
-                    );
-                }
-                UdpAction::ArmTimer { xid, gen, deadline } => {
-                    self.doms[0].push(
-                        deadline,
-                        Ev::UdpTimer {
-                            client: ci,
-                            server: sj,
-                            xid,
-                            gen,
-                        },
-                    );
-                }
-                UdpAction::GiveUp { xid } => {
-                    self.clients[ci].events.push(ClientEvent {
-                        at: now,
-                        kind: ClientEventKind::SoftTimeout,
-                    });
-                    self.finish_rpc(ci, sj, xid, Err(RpcError::TimedOut), now);
-                }
-                UdpAction::NotResponding { .. } => {
-                    self.clients[ci].events.push(ClientEvent {
-                        at: now,
-                        kind: ClientEventKind::NotResponding,
-                    });
-                }
-                UdpAction::ServerOk { .. } => {
-                    self.clients[ci].events.push(ClientEvent {
-                        at: now,
-                        kind: ClientEventKind::ServerOk,
-                    });
-                }
-            }
-        }
-    }
-
-    fn apply_tcp_out(
-        &mut self,
-        ci: usize,
-        sj: usize,
-        out: renofs_transport::TcpOut,
-        from_client: bool,
-        at: SimTime,
-    ) {
-        // Received data first: `out` was produced by the `from_client`
-        // side, so its received chunks belong to that side's record
-        // reader — RPC replies on the client, requests on the server.
-        for chunk in out.received {
-            self.tcp_ingest(ci, sj, chunk, from_client, at);
-        }
-        if let Some((deadline, gen)) = out.arm_timer {
-            self.doms[0].push(
-                deadline,
-                Ev::TcpTimer {
-                    client: ci,
-                    server: sj,
-                    server_side: !from_client,
-                    gen,
-                },
-            );
-        }
-        for seg in out.segments {
-            let host = if from_client {
-                &mut self.clients[ci].host
-            } else {
-                &mut self.hub.servers[sj].host
-            };
-            let done = host.charge_tcp_tx(at, &seg.payload);
-            let csport = self.clients[ci].sport;
-            let (sport, dport) = if from_client {
-                (csport, NFS_PORT)
-            } else {
-                (NFS_PORT, csport)
-            };
-            let (src, dst) = if from_client {
-                (self.clients[ci].node, self.hub.servers[sj].node)
-            } else {
-                (self.hub.servers[sj].node, self.clients[ci].node)
-            };
-            self.doms[0].push(
-                done,
-                Ev::Send {
-                    src,
-                    dst,
-                    proto: ProtoHeader::Tcp {
-                        sport,
-                        dport,
-                        seq: seg.seq,
-                        ack: seg.ack,
-                        window: seg.window,
-                        flags: seg.flags,
-                    },
-                    payload: seg.payload,
-                },
-            );
-        }
-    }
-
-    /// Feeds in-order stream data into the record reader of the side
-    /// that received it.
-    fn tcp_ingest(
-        &mut self,
-        ci: usize,
-        sj: usize,
-        chunk: MbufChain,
-        receiver_is_client: bool,
-        at: SimTime,
-    ) {
-        let mut records = Vec::new();
-        if let Transport::Tcp(t) = &mut self.clients[ci].transports[sj] {
-            let reader = if receiver_is_client {
-                &mut t.client_reader
-            } else {
-                &mut t.server_reader
-            };
-            reader.push(chunk);
-            while let Some(rec) = reader.next_record(&mut self.hub.scratch) {
-                records.push(rec);
-            }
-        }
-        for rec in records {
-            // Once-per-record socket/codec work on the receiving side.
-            let t = if receiver_is_client {
-                self.clients[ci].host.charge_record(at)
-            } else {
-                self.hub.servers[sj].host.charge_record(at)
-            };
-            if receiver_is_client {
-                self.client_rpc_reply(ci, sj, rec, t);
-            } else {
-                self.serve_request(rec, ci, sj, true, t);
-            }
-        }
-    }
-
-    fn client_rpc_reply(&mut self, ci: usize, sj: usize, reply: MbufChain, at: SimTime) {
-        let _sp = profile::span(profile::Subsystem::Client);
-        profile::count(profile::Subsystem::Client, 1);
-        let Ok((xid, MsgKind::Reply)) = peek_xid_kind(&reply) else {
-            return;
-        };
-        // For UDP the transport tracked RTTs itself; over TCP there is
-        // no RPC-level bookkeeping to update.
-        if let Transport::Udp(u) = &mut self.clients[ci].transports[sj] {
-            let mut actions = std::mem::take(&mut self.udp_actions);
-            let completed = u.on_reply(at, xid, reply, &mut actions);
-            self.apply_udp_actions(ci, sj, &mut actions);
-            self.udp_actions = actions;
-            let Some(call) = completed else {
-                return;
-            };
-            self.finish_rpc(ci, sj, xid, Ok(call.reply), at);
-        } else {
-            self.finish_rpc(ci, sj, xid, Ok(reply), at);
-        }
-    }
-
-    fn finish_rpc(&mut self, ci: usize, sj: usize, xid: u32, result: RpcResult, at: SimTime) {
-        let Some(waker) = self.clients[ci].pending.remove(&(sj, xid)) else {
-            return;
-        };
-        match waker {
-            Waker::Sync(tid) => {
-                self.doms[0].push(at, Ev::Wake(tid, Resp::Chain(result)));
-            }
-            Waker::Async(ticket) => {
-                self.doms[0].push(
-                    at,
-                    Ev::AsyncDone {
-                        client: ci,
-                        ticket,
-                        result,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Admits an RPC request to the nfsd pool: service starts now if a
-    /// daemon context is free, otherwise the request queues FIFO.
-    fn serve_request(
-        &mut self,
-        request: MbufChain,
-        client: usize,
-        sj: usize,
-        tcp: bool,
-        at: SimTime,
-    ) {
-        if self.cfg.nfsds > 0 {
-            let srv = &mut self.hub.servers[sj];
-            if srv.nfsd_busy >= self.cfg.nfsds {
-                srv.nfsd_queue.push_back(QueuedRpc {
-                    request,
-                    client,
-                    tcp,
-                    arrival: at,
-                });
-                srv.nfsd_stats.queued += 1;
-                srv.nfsd_stats.peak_queue = srv.nfsd_stats.peak_queue.max(srv.nfsd_queue.len());
+            if sched.live == 0 {
                 return;
             }
-            srv.nfsd_busy += 1;
-        }
-        self.nfsd_serve(request, client, sj, tcp, at, at);
-    }
-
-    /// One nfsd daemon services a request: runs the server code, charges
-    /// CPU and disk, and schedules the reply transmission.
-    fn nfsd_serve(
-        &mut self,
-        request: MbufChain,
-        client: usize,
-        sj: usize,
-        tcp: bool,
-        arrival: SimTime,
-        start: SimTime,
-    ) {
-        let _sp = profile::span(profile::Subsystem::Server);
-        profile::count(profile::Subsystem::Server, 1);
-        self.hub.servers[sj]
-            .nfsd_stats
-            .queue_delays_ms
-            .push(start.since(arrival).as_millis_f64());
-        let (reply, cost) =
-            self.hub.servers[sj]
-                .server
-                .service_from(start, &request, client as u32);
-        if reply.is_empty() {
-            // Unparseable request: the daemon is immediately free again.
-            if self.cfg.nfsds > 0 {
-                self.doms[0].push(start, Ev::NfsdDone { server: sj });
-            }
-            return;
-        }
-        let host = &mut self.hub.servers[sj].host;
-        let mut t = host.cpu.charge(
-            start,
-            costs::NFS_SERVICE_FIXED
-                + costs::CACHE_SEARCH_STEP * cost.cache_steps
-                + costs::DIR_SCAN_ENTRY * cost.dir_scan_entries,
-            CpuCategory::Nfs,
-        );
-        if cost.bytes_copied > 0 {
-            t = host.cpu.charge(
-                t,
-                costs::COPY_PER_BYTE * cost.bytes_copied,
-                CpuCategory::BufCopy,
-            );
-        }
-        for bytes in &cost.disk_reads {
-            t = host.disk_io(t, *bytes, false, false);
-        }
-        let mut seq = false;
-        for bytes in &cost.disk_writes {
-            // Data blocks stream sequentially; metadata seeks.
-            t = host.disk_io(t, *bytes, true, seq && *bytes > 512);
-            seq = true;
-        }
-        let done;
-        if tcp {
-            let t = self.hub.servers[sj].host.charge_record(t);
-            let framed = frame_record(reply, &mut self.hub.scratch);
-            let out = match &mut self.clients[client].transports[sj] {
-                Transport::Tcp(ts) => ts.server.send(framed, t),
-                _ => unreachable!(),
-            };
-            self.apply_tcp_out(client, sj, out, false, t);
-            done = t;
-        } else {
-            let c = &self.clients[client];
-            let frags = udp_fragments(reply.len(), c.mtus[sj]);
-            let (dst, dport) = (c.node, c.sport);
-            done = self.hub.servers[sj].host.charge_tx(t, &reply, frags, false);
-            self.doms[0].push(
-                done,
-                Ev::Send {
-                    src: self.hub.servers[sj].node,
-                    dst,
-                    proto: ProtoHeader::Udp {
-                        sport: NFS_PORT,
-                        dport,
-                    },
-                    payload: reply,
-                },
-            );
-        }
-        self.hub.servers[sj].nfsd_stats.served += 1;
-        self.hub.servers[sj]
-            .nfsd_stats
-            .service_ms
-            .add(done.since(start).as_millis_f64());
-        if self.cfg.nfsds > 0 {
-            self.doms[0].push(done, Ev::NfsdDone { server: sj });
-        }
-    }
-
-    // ----- event handling -------------------------------------------------
-
-    fn handle_event(&mut self, now: SimTime, ev: Ev) {
-        match ev {
-            Ev::Wake(tid, resp) => self.ready.push_back((tid, resp)),
-            Ev::AsyncDone {
-                client,
-                ticket,
-                result,
-            } => self.async_done(client, ticket, result),
-            Ev::UdpTimer {
-                client,
-                server,
-                xid,
-                gen,
-            } => {
-                if let Transport::Udp(u) = &mut self.clients[client].transports[server] {
-                    let mut actions = std::mem::take(&mut self.udp_actions);
-                    u.on_timer(now, xid, gen, &mut actions);
-                    self.apply_udp_actions(client, server, &mut actions);
-                    self.udp_actions = actions;
-                }
-            }
-            Ev::TcpTimer {
-                client,
-                server,
-                server_side,
-                gen,
-            } => {
-                let out = match &mut self.clients[client].transports[server] {
-                    Transport::Tcp(t) => {
-                        if server_side {
-                            t.server.on_timer(gen, now)
-                        } else {
-                            t.client.on_timer(gen, now)
-                        }
-                    }
+            if let Some(t) = until {
+                match self.doms[0].peek() {
+                    Some((next, _)) if next <= t => {}
                     _ => return,
-                };
-                self.apply_tcp_out(client, server, out, !server_side, now);
-            }
-            Ev::Send {
-                src,
-                dst,
-                proto,
-                payload,
-            } => {
-                let _sp = profile::span(profile::Subsystem::Links);
-                let id = self.hub.net.alloc_dgram_id();
-                let mut out = std::mem::take(&mut self.hub.net_out);
-                self.hub.net.send_into(
-                    now,
-                    Datagram {
-                        id,
-                        src,
-                        dst,
-                        proto,
-                        payload,
-                    },
-                    &mut out,
-                );
-                self.absorb_net(&mut out);
-                self.hub.net_out = out;
-            }
-            Ev::Net(nev) => {
-                let _sp = profile::span(profile::Subsystem::Links);
-                let mut out = std::mem::take(&mut self.hub.net_out);
-                self.hub.net.handle_into(now, nev, &mut out);
-                self.absorb_net(&mut out);
-                self.hub.net_out = out;
-            }
-            Ev::NfsdDone { server } => {
-                let srv = &mut self.hub.servers[server];
-                srv.nfsd_busy = srv.nfsd_busy.saturating_sub(1);
-                if srv.up {
-                    if let Some(q) = srv.nfsd_queue.pop_front() {
-                        srv.nfsd_busy += 1;
-                        self.nfsd_serve(q.request, q.client, server, q.tcp, q.arrival, now);
-                    }
                 }
             }
-            Ev::ServerCrash { server, downtime } => {
-                let srv = &mut self.hub.servers[server];
-                srv.up = false;
-                // Requests waiting for a daemon die with the machine;
-                // the clients retransmit them after the reboot.
-                srv.nfsd_queue.clear();
-                for c in &mut self.clients {
-                    c.events.push(ClientEvent {
-                        at: now,
-                        kind: ClientEventKind::ServerCrashed,
-                    });
-                }
-                self.doms[0].push(now + downtime, Ev::ServerReboot { server });
-            }
-            Ev::ServerReboot { server } => {
-                // Volatile state (name cache, buffer cache, dup cache)
-                // is lost; the on-disk file system survives.
-                let srv = &mut self.hub.servers[server];
-                srv.server.reboot();
-                srv.up = true;
-                for c in &mut self.clients {
-                    c.events.push(ClientEvent {
-                        at: now,
-                        kind: ClientEventKind::ServerRebooted,
-                    });
-                }
-            }
-            Ev::Note { .. } => {
-                unreachable!("console notes are scheduled only in partitioned worlds")
-            }
+            assert!(
+                self.step(),
+                "deadlock: threads blocked with no pending events"
+            );
         }
     }
 
-    fn absorb_net(&mut self, out: &mut NetOutput) {
-        profile::count(profile::Subsystem::Links, out.events.len() as u64);
-        for (t, ev) in out.events.drain(..) {
-            self.doms[0].push(t, Ev::Net(ev));
-        }
-        for d in out.delivered.drain(..) {
-            self.on_delivery(d);
-        }
-    }
-
-    fn on_delivery(&mut self, d: Delivery) {
-        let now = self.doms[0].clock();
-        let at_server = self.hub.node_server[d.host.0];
-        // A crashed host receives nothing: requests (and TCP segments)
-        // addressed to it die on arrival and the client must retransmit.
-        if let Some(sj) = at_server {
-            if !self.hub.servers[sj].up {
-                return;
-            }
-        }
-        // Which client machine and which server this delivery concerns:
-        // the datagram's source identifies the other endpoint.
-        let (ci, sj) = if let Some(sj) = at_server {
-            (self.hub.node_client[d.dgram.src.0], Some(sj))
-        } else {
-            (
-                self.hub.node_client[d.host.0],
-                self.hub.node_server[d.dgram.src.0],
-            )
+    /// Pops the single queue's next event and hands it to the machine that
+    /// owns it; false when the queue is empty. The hub is offered it first
+    /// — nine events in ten are frames, and an event is ~300 bytes to pass
+    /// on once more — and gives back one that names a client machine. Its
+    /// network here reaches the client machines too, so it also hands back
+    /// the datagrams that completed at one.
+    fn step(&mut self) -> bool {
+        // Borrowed once: a bounds check between the pop and the call would
+        // pin the event in a local of its own, which is one more copy.
+        let dq = &mut self.doms[0];
+        let Some((now, _, ev)) = dq.pop() else {
+            return false;
         };
-        let (Some(ci), Some(sj)) = (ci, sj) else {
-            return; // not a client<->server exchange this world models
+        let Some(ev) = self.hub.handle_event(dq, now, ev) else {
+            let mut handed = std::mem::take(&mut self.hub.deliveries);
+            for (ci, d) in handed.drain(..) {
+                self.ctx(ci).deliver(now, d);
+            }
+            self.hub.deliveries = handed;
+            return true;
         };
-        let len = d.dgram.payload.len();
-        let frags = d.frags.max(1);
-        let at_server = at_server.is_some();
-        match d.dgram.proto {
-            ProtoHeader::Udp { .. } => {
-                if at_server {
-                    let t = self.hub.servers[sj].host.charge_rx(now, len, frags, false);
-                    self.serve_request(d.dgram.payload, ci, sj, false, t);
-                } else {
-                    let t = self.clients[ci].host.charge_rx(now, len, frags, false);
-                    self.client_rpc_reply(ci, sj, d.dgram.payload, t);
-                }
-            }
-            ProtoHeader::Tcp {
-                seq,
-                ack,
-                window,
-                flags,
-                ..
-            } => {
-                let host = if at_server {
-                    &mut self.hub.servers[sj].host
-                } else {
-                    &mut self.clients[ci].host
-                };
-                let t = host.charge_tcp_rx(now, len);
-                let out = match &mut self.clients[ci].transports[sj] {
-                    Transport::Tcp(ts) => {
-                        let conn = if at_server {
-                            &mut ts.server
-                        } else {
-                            &mut ts.client
-                        };
-                        conn.on_segment(seq, ack, window, flags, d.dgram.payload, now)
-                    }
-                    _ => return,
-                };
-                self.apply_tcp_out(ci, sj, out, !at_server, t);
-            }
-        }
-    }
-
-    fn async_done(&mut self, ci: usize, ticket: u64, result: RpcResult) {
-        self.clients[ci].async_outstanding = self.clients[ci].async_outstanding.saturating_sub(1);
-        if self.forgotten.remove(&ticket) {
-            // Dropped interest; discard the reply.
-        } else if let Some(holder) = self.ticket_waiters.remove(&ticket) {
-            if holder > usize::MAX / 2 {
-                // 0-biod synchronous case: the thread is still waiting
-                // for its Ticket response.
-                let tid = usize::MAX - holder;
-                self.tickets_done.insert(ticket, result);
-                self.ready.push_back((tid, Resp::Ticket(ticket)));
-            } else {
-                self.ready.push_back((holder, Resp::Chain(result)));
-            }
-        } else {
-            self.tickets_done.insert(ticket, result);
-        }
-        // A slot freed: admit a parked async request from this client.
-        if let Some((tid, sj, proc, msg)) = self.clients[ci].parked_async.pop_front() {
-            let t = self.next_ticket;
-            self.next_ticket += 1;
-            self.clients[ci].async_outstanding += 1;
-            self.start_rpc(ci, sj, Waker::Async(t), proc, msg);
-            self.ready.push_back((tid, Resp::Ticket(t)));
-        }
-        if self.clients[ci].async_outstanding == 0 {
-            for tid in self.clients[ci].wait_all.drain(..) {
-                self.ready.push_back((tid, Resp::Unit));
-            }
-        }
+        let ci = match &ev {
+            Ev::Wake(tid, _) => self.sched().ports[*tid].client,
+            Ev::AsyncDone { client, .. }
+            | Ev::UdpTimer { client, .. }
+            | Ev::TcpTimer { client, .. }
+            | Ev::Note { client, .. } => *client,
+            _ => unreachable!("the hub keeps its own events"),
+        };
+        self.ctx(ci).handle_event(now, ev);
+        true
     }
 
     // ----- the partitioned (PDES) engine ----------------------------------
@@ -2038,15 +1486,16 @@ impl World {
         self.started = true;
         let n = self.clients.len();
         let workers = self.cfg.sim_threads.max(1) - 1;
-        let part = self.part.as_mut().expect("partitioned world");
+        let Engine::Carved(part) = &mut self.engine else {
+            unreachable!("single-queue worlds run through run_single")
+        };
         let cdoms = &mut part.cdoms;
-        // Seed every domain's ready FIFO in spawn order; round 0 releases
-        // the threads exactly as `release_threads` does monolithically.
+        // Round 0 releases the procs, as the single-queue loop does before
+        // its first pop.
         for cd in cdoms.iter_mut() {
-            for tid in 0..cd.ports.len() {
-                cd.ready.push_back((tid, Resp::Unit));
-            }
+            cd.sched.release();
         }
+        let smap = self.hub.smap.clone();
         let la_up: Vec<SimDuration> = cdoms.iter().map(|c| c.la_up).collect();
         let la_dn: Vec<SimDuration> = cdoms.iter().map(|c| c.la_dn).collect();
         let (hub_doms, client_dqs) = self.doms.split_at_mut(1);
@@ -2057,6 +1506,7 @@ impl World {
                 rts: &mut self.clients,
                 cds: cdoms,
                 dqs: client_dqs,
+                smap: &smap,
                 reports: Vec::new(),
                 to_hub: Vec::new(),
             };
@@ -2081,8 +1531,8 @@ impl World {
                     cds = c2;
                     dqs = d2;
                     let (go_tx, go_rx) = channel::<WorkerGo>();
-                    let dtx = done_tx.clone();
-                    s.spawn(move || pdes_worker(base, r1, c1, d1, go_rx, dtx));
+                    let (dtx, smap) = (done_tx.clone(), &*smap);
+                    s.spawn(move || pdes_worker(base, r1, c1, d1, smap, go_rx, dtx));
                     go_txs.push(go_tx);
                     worker_of.extend(std::iter::repeat_n(w, take));
                     base += take;
@@ -2148,66 +1598,55 @@ struct WorkerDone {
     to_hub: Vec<Msg>,
 }
 
-/// Mutable view of one client machine's domain for one round. The
-/// methods mirror the monolithic engine's client half exactly — same
-/// transport calls in the same order against per-domain state.
+/// The Ethernet frame of one TCP segment leaving `src` for `dst`.
+fn tcp_frame(src: (NodeId, u16), dst: (NodeId, u16), seg: TcpSegment) -> Ev {
+    Ev::Send {
+        src: src.0,
+        dst: dst.0,
+        proto: ProtoHeader::Tcp {
+            sport: src.1,
+            dport: dst.1,
+            seq: seg.seq,
+            ack: seg.ack,
+            window: seg.window,
+            flags: seg.flags,
+        },
+        payload: seg.payload,
+    }
+}
+
+/// One client machine's handlers — syscalls, RPC issue and completion,
+/// transport timers, arriving datagrams — over the state an engine lends
+/// them: the machine, the scheduler of its procs and the queue its events
+/// ride on. The single-queue loop builds one per event over the world's
+/// one scheduler and `doms[0]`; a carved world builds one per domain
+/// round over the domain's own. Nothing here touches a server machine:
+/// what goes to one leaves as an `Ev::Send` frame.
 struct ClientCtx<'a> {
     ci: usize,
     rt: &'a mut ClientRt,
-    cd: &'a mut ClientDom,
+    sched: &'a mut Sched,
     dq: &'a mut DomainQ<Ev>,
-    /// Cross-domain emissions toward the hub, collected this round.
-    emit: &'a mut Vec<Msg>,
+    smap: &'a ServerMap,
 }
 
 impl ClientCtx<'_> {
-    /// Delivers the round's incoming messages, then executes every local
-    /// event strictly below `bound`, interleaving thread resumes exactly
-    /// like the monolithic loop (ready FIFO drains before each pop).
-    fn round(&mut self, bound: SimTime, msgs: &mut Vec<Msg>) -> ClientReport {
-        for (t, key, ev) in msgs.drain(..) {
-            self.dq.push_incoming(t, key, ev);
-        }
-        self.drain_ready();
-        loop {
-            match self.dq.peek() {
-                Some((t, _)) if t < bound => {
-                    let (at, _, ev) = self.dq.pop().expect("peeked");
-                    debug_assert_eq!(at, t);
-                    self.handle_event(at, ev);
-                    self.drain_ready();
-                }
-                _ => break,
-            }
-        }
-        ClientReport {
-            eot: self.dq.peek().map(|(t, _)| t),
-            live: self.cd.live,
-            last_finish: self.cd.last_finish,
-        }
-    }
-
-    fn drain_ready(&mut self) {
-        while let Some((tid, resp)) = self.cd.ready.pop_front() {
-            self.resume(tid, resp);
-        }
-    }
-
-    /// Per-domain copy of the monolithic `resume`: strict hand-off with
-    /// one runnable workload thread, domain-local ids and tickets.
+    /// Services a blocked thread's requests, resuming it with `resp` once
+    /// none is left in its post box, until a request blocks it in virtual
+    /// time (or it finishes).
     fn resume(&mut self, tid: usize, mut resp: Resp) {
         let _sp = profile::span(profile::Subsystem::Client);
         loop {
-            let port = &self.cd.ports[tid];
-            let Some(req) = port.next_req(tid, &self.cd.req_rx, self.dq.clock(), resp) else {
+            let port = &self.sched.ports[tid];
+            let Some(req) = port.next_req(tid, &self.sched.req_rx, self.dq.clock(), resp) else {
                 return;
             };
             resp = match req {
                 Req::Flush => Resp::Unit,
-                Req::PollTicket(t) => Resp::MaybeChain(self.cd.tickets_done.remove(&t)),
+                Req::PollTicket(t) => Resp::MaybeChain(self.sched.tickets_done.remove(&t)),
                 Req::ForgetTicket(t) => {
-                    if self.cd.tickets_done.remove(&t).is_none() {
-                        self.cd.forgotten.insert(t);
+                    if self.sched.tickets_done.remove(&t).is_none() {
+                        self.sched.forgotten.insert(t);
                     }
                     Resp::Unit
                 }
@@ -2235,28 +1674,32 @@ impl ClientCtx<'_> {
                     return;
                 }
                 Req::RpcAsync(sj, proc, msg) => {
-                    let slots = self.cd.biods;
-                    if slots == 0 {
-                        let ticket = self.cd.next_ticket;
-                        self.cd.next_ticket += 1;
-                        self.rt.async_outstanding += 1;
-                        self.cd.ticket_waiters.insert(ticket, usize::MAX - tid);
-                        self.start_rpc(sj, Waker::Async(ticket), proc, msg);
-                        return;
-                    }
-                    if self.rt.async_outstanding >= slots {
+                    let slots = self.rt.biods;
+                    if slots > 0 && self.rt.async_outstanding >= slots {
                         self.rt.parked_async.push_back((tid, sj, proc, msg));
                         return;
                     }
-                    let ticket = self.cd.next_ticket;
-                    self.cd.next_ticket += 1;
+                    let ticket = self.sched.issue_ticket();
                     self.rt.async_outstanding += 1;
                     self.start_rpc(sj, Waker::Async(ticket), proc, msg);
+                    if slots == 0 {
+                        // No biods: the process itself performs the RPC,
+                        // blocking until completion (write-through
+                        // behaviour of "async,0biod"). It receives
+                        // Ticket(t) then, and immediately awaits the
+                        // ticket, which is already done.
+                        self.sched
+                            .ticket_waiters
+                            .insert(ticket, TicketHolder::Issuing(tid));
+                        return;
+                    }
                     Resp::Ticket(ticket)
                 }
                 Req::AwaitTicket(t) => {
-                    let Some(reply) = self.cd.tickets_done.remove(&t) else {
-                        self.cd.ticket_waiters.insert(t, tid);
+                    let Some(reply) = self.sched.tickets_done.remove(&t) else {
+                        self.sched
+                            .ticket_waiters
+                            .insert(t, TicketHolder::Awaiting(tid));
                         return;
                     };
                     Resp::Chain(reply)
@@ -2269,13 +1712,15 @@ impl ClientCtx<'_> {
                     Resp::Unit
                 }
                 Req::Finished => {
-                    self.cd.live -= 1;
-                    self.cd.last_finish = self.cd.last_finish.max(self.dq.clock());
+                    self.sched.live -= 1;
+                    self.sched.last_finish = self.sched.last_finish.max(self.dq.clock());
                     return;
                 }
             };
         }
     }
+
+    // ----- RPC initiation and completion ---------------------------------
 
     fn start_rpc(&mut self, sj: usize, waker: Waker, proc: NfsProc, msg: MbufChain) {
         let Ok((xid, MsgKind::Call)) = peek_xid_kind(&msg) else {
@@ -2290,12 +1735,18 @@ impl ClientCtx<'_> {
         let now = self.dq.clock();
         match &mut self.rt.transports[sj] {
             Transport::Udp(u) => {
-                let mut actions = std::mem::take(&mut self.cd.udp_actions);
+                let mut actions = std::mem::take(&mut self.sched.udp_actions);
                 u.call(now, xid, proc.rto_class(), msg, &mut actions);
                 self.apply_udp_actions(sj, &mut actions);
-                self.cd.udp_actions = actions;
+                self.sched.udp_actions = actions;
             }
-            Transport::Tcp(_) => unreachable!("TCP worlds are never partitioned"),
+            Transport::Tcp(end) => {
+                // Once-per-record socket/codec work.
+                let t = self.rt.host.charge_record(now);
+                let framed = frame_record(msg, &mut CopyMeter::new());
+                let out = end.conn.send(framed, t);
+                self.tcp_out(sj, out, t);
+            }
         }
     }
 
@@ -2310,7 +1761,7 @@ impl ClientCtx<'_> {
                         done,
                         Ev::Send {
                             src: self.rt.node,
-                            dst: self.cd.server_nodes[sj],
+                            dst: self.smap.nodes[sj],
                             proto: ProtoHeader::Udp {
                                 sport: self.rt.sport,
                                 dport: NFS_PORT,
@@ -2331,25 +1782,44 @@ impl ClientCtx<'_> {
                     );
                 }
                 UdpAction::GiveUp { xid } => {
-                    self.rt.events.push(ClientEvent {
-                        at: now,
-                        kind: ClientEventKind::SoftTimeout,
-                    });
+                    self.note(now, ClientEventKind::SoftTimeout);
                     self.finish_rpc(sj, xid, Err(RpcError::TimedOut), now);
                 }
-                UdpAction::NotResponding { .. } => {
-                    self.rt.events.push(ClientEvent {
-                        at: now,
-                        kind: ClientEventKind::NotResponding,
-                    });
-                }
-                UdpAction::ServerOk { .. } => {
-                    self.rt.events.push(ClientEvent {
-                        at: now,
-                        kind: ClientEventKind::ServerOk,
-                    });
-                }
+                UdpAction::NotResponding { .. } => self.note(now, ClientEventKind::NotResponding),
+                UdpAction::ServerOk { .. } => self.note(now, ClientEventKind::ServerOk),
             }
+        }
+    }
+
+    /// Applies one step of this machine's end of its connection to server
+    /// `sj`: received stream data goes through the record reader to the
+    /// RPCs it answers, then the timer is armed and the segments leave.
+    fn tcp_out(&mut self, sj: usize, out: TcpOut, at: SimTime) {
+        for chunk in out.received {
+            let Some(end) = self.rt.tcp(sj) else { break };
+            end.reader.push(chunk);
+            while let Some(rec) = self.rt.tcp(sj).and_then(TcpEnd::next_record) {
+                // Once-per-record socket/codec work on the receiving side.
+                let t = self.rt.host.charge_record(at);
+                self.client_rpc_reply(sj, rec, t);
+            }
+        }
+        if let Some((deadline, gen)) = out.arm_timer {
+            self.dq.push(
+                deadline,
+                Ev::TcpTimer {
+                    client: self.ci,
+                    server: sj,
+                    server_side: false,
+                    gen,
+                },
+            );
+        }
+        for seg in out.segments {
+            let done = self.rt.host.charge_tcp_tx(at, &seg.payload);
+            let src = (self.rt.node, self.rt.sport);
+            self.dq
+                .push(done, tcp_frame(src, (self.smap.nodes[sj], NFS_PORT), seg));
         }
     }
 
@@ -2359,18 +1829,19 @@ impl ClientCtx<'_> {
         let Ok((xid, MsgKind::Reply)) = peek_xid_kind(&reply) else {
             return;
         };
-        match &mut self.rt.transports[sj] {
-            Transport::Udp(u) => {
-                let mut actions = std::mem::take(&mut self.cd.udp_actions);
-                let completed = u.on_reply(at, xid, reply, &mut actions);
-                self.apply_udp_actions(sj, &mut actions);
-                self.cd.udp_actions = actions;
-                let Some(call) = completed else {
-                    return;
-                };
-                self.finish_rpc(sj, xid, Ok(call.reply), at);
-            }
-            Transport::Tcp(_) => unreachable!("TCP worlds are never partitioned"),
+        // For UDP the transport tracks RTTs itself; over TCP there is no
+        // RPC-level bookkeeping to update.
+        if let Transport::Udp(u) = &mut self.rt.transports[sj] {
+            let mut actions = std::mem::take(&mut self.sched.udp_actions);
+            let completed = u.on_reply(at, xid, reply, &mut actions);
+            self.apply_udp_actions(sj, &mut actions);
+            self.sched.udp_actions = actions;
+            let Some(call) = completed else {
+                return;
+            };
+            self.finish_rpc(sj, xid, Ok(call.reply), at);
+        } else {
+            self.finish_rpc(sj, xid, Ok(reply), at);
         }
     }
 
@@ -2397,148 +1868,217 @@ impl ClientCtx<'_> {
 
     fn async_done(&mut self, ticket: u64, result: RpcResult) {
         self.rt.async_outstanding = self.rt.async_outstanding.saturating_sub(1);
-        if self.cd.forgotten.remove(&ticket) {
+        if self.sched.forgotten.remove(&ticket) {
             // Dropped interest; discard the reply.
-        } else if let Some(holder) = self.cd.ticket_waiters.remove(&ticket) {
-            if holder > usize::MAX / 2 {
-                // 0-biod synchronous case: the thread is still waiting
-                // for its Ticket response.
-                let tid = usize::MAX - holder;
-                self.cd.tickets_done.insert(ticket, result);
-                self.cd.ready.push_back((tid, Resp::Ticket(ticket)));
-            } else {
-                self.cd.ready.push_back((holder, Resp::Chain(result)));
-            }
         } else {
-            self.cd.tickets_done.insert(ticket, result);
+            match self.sched.ticket_waiters.remove(&ticket) {
+                Some(TicketHolder::Awaiting(tid)) => {
+                    self.sched.ready.push_back((tid, Resp::Chain(result)));
+                }
+                Some(TicketHolder::Issuing(tid)) => {
+                    self.sched.tickets_done.insert(ticket, result);
+                    self.sched.ready.push_back((tid, Resp::Ticket(ticket)));
+                }
+                None => {
+                    self.sched.tickets_done.insert(ticket, result);
+                }
+            }
         }
         // A slot freed: admit a parked async request from this client.
         if let Some((tid, sj, proc, msg)) = self.rt.parked_async.pop_front() {
-            let t = self.cd.next_ticket;
-            self.cd.next_ticket += 1;
+            let t = self.sched.issue_ticket();
             self.rt.async_outstanding += 1;
             self.start_rpc(sj, Waker::Async(t), proc, msg);
-            self.cd.ready.push_back((tid, Resp::Ticket(t)));
+            self.sched.ready.push_back((tid, Resp::Ticket(t)));
         }
         if self.rt.async_outstanding == 0 {
             for tid in self.rt.wait_all.drain(..) {
-                self.cd.ready.push_back((tid, Resp::Unit));
+                self.sched.ready.push_back((tid, Resp::Unit));
             }
         }
     }
 
+    /// Appends a line to this machine's console log.
+    fn note(&mut self, at: SimTime, kind: ClientEventKind) {
+        self.rt.events.push(ClientEvent { at, kind });
+    }
+
+    // ----- event handling -------------------------------------------------
+
+    /// Every event a client machine owns under either engine. Frames
+    /// (`Send`, `Net`) belong to whichever network carries them, so the
+    /// engines handle those and call [`deliver`](Self::deliver).
     fn handle_event(&mut self, now: SimTime, ev: Ev) {
         match ev {
-            Ev::Wake(tid, resp) => self.cd.ready.push_back((tid, resp)),
+            Ev::Wake(tid, resp) => self.sched.ready.push_back((tid, resp)),
             Ev::AsyncDone { ticket, result, .. } => self.async_done(ticket, result),
             Ev::UdpTimer {
                 server, xid, gen, ..
             } => {
                 if let Transport::Udp(u) = &mut self.rt.transports[server] {
-                    let mut actions = std::mem::take(&mut self.cd.udp_actions);
+                    let mut actions = std::mem::take(&mut self.sched.udp_actions);
                     u.on_timer(now, xid, gen, &mut actions);
                     self.apply_udp_actions(server, &mut actions);
-                    self.cd.udp_actions = actions;
+                    self.sched.udp_actions = actions;
                 }
             }
-            Ev::Send {
-                src,
-                dst,
-                proto,
-                payload,
-            } => {
-                let _sp = profile::span(profile::Subsystem::Links);
-                let id = self.cd.access.alloc_dgram_id();
-                let mut out = std::mem::take(&mut self.cd.net_out);
-                self.cd.access.send_into(
-                    now,
-                    Datagram {
-                        id,
-                        src,
-                        dst,
-                        proto,
-                        payload,
-                    },
-                    &mut out,
-                );
-                profile::count(profile::Subsystem::Links, out.events.len() as u64);
-                // Every uplink emission lands in the hub domain; the
-                // creator key preserves deterministic merge order there.
-                for (t, nev) in out.events.drain(..) {
-                    let key = self.dq.alloc_key();
-                    self.emit.push((t, key, Ev::Net(nev)));
+            Ev::TcpTimer { server, gen, .. } => {
+                if let Some(end) = self.rt.tcp(server) {
+                    let out = end.conn.on_timer(gen, now);
+                    self.tcp_out(server, out, now);
                 }
-                debug_assert!(out.delivered.is_empty(), "uplink send cannot deliver");
-                self.cd.net_out = out;
             }
-            Ev::Net(nev) => {
-                let _sp = profile::span(profile::Subsystem::Links);
-                let mut out = std::mem::take(&mut self.cd.net_out);
-                self.cd.access.handle_into(now, nev, &mut out);
-                profile::count(profile::Subsystem::Links, out.events.len() as u64);
-                // Reassembly timers are domain-local.
-                for (t, nev) in out.events.drain(..) {
-                    self.dq.push(t, Ev::Net(nev));
-                }
-                for d in out.delivered.drain(..) {
-                    debug_assert_eq!(d.host, self.rt.node, "delivery left the client domain");
-                    let len = d.dgram.payload.len();
-                    let frags = d.frags.max(1);
-                    // Which shard this reply came back from: the
-                    // datagram's source is that server's node.
-                    let sj = self
-                        .cd
-                        .server_nodes
-                        .iter()
-                        .position(|&s| s == d.dgram.src)
-                        .expect("reply source is a known server");
-                    match d.dgram.proto {
-                        ProtoHeader::Udp { .. } => {
-                            let t = self.rt.host.charge_rx(now, len, frags, false);
-                            self.client_rpc_reply(sj, d.dgram.payload, t);
-                        }
-                        ProtoHeader::Tcp { .. } => {
-                            unreachable!("TCP worlds are never partitioned")
-                        }
-                    }
-                }
-                self.cd.net_out = out;
-            }
-            Ev::Note { kind } => self.rt.events.push(ClientEvent { at: now, kind }),
-            Ev::TcpTimer { .. }
+            Ev::Note { kind, .. } => self.note(now, kind),
+            Ev::Send { .. }
+            | Ev::Net(_)
             | Ev::NfsdDone { .. }
             | Ev::ServerCrash { .. }
-            | Ev::ServerReboot { .. } => {
-                unreachable!("hub event in a client domain")
+            | Ev::ServerReboot { .. } => unreachable!("not a client machine's event"),
+        }
+    }
+
+    /// A datagram completed at this machine: charges its reception, then
+    /// it is an RPC reply (UDP) or a segment for the connection to the
+    /// server it came from (TCP). One from a node that is no server is
+    /// none of this world's exchanges and is ignored.
+    fn deliver(&mut self, now: SimTime, d: Delivery) {
+        debug_assert_eq!(d.host, self.rt.node, "delivered to another machine");
+        let Some(sj) = self.smap.of_node[d.dgram.src.0] else {
+            return;
+        };
+        let len = d.dgram.payload.len();
+        match d.dgram.proto {
+            ProtoHeader::Udp { .. } => {
+                let t = self.rt.host.charge_rx(now, len, d.frags.max(1), false);
+                self.client_rpc_reply(sj, d.dgram.payload, t);
+            }
+            ProtoHeader::Tcp {
+                seq,
+                ack,
+                window,
+                flags,
+                ..
+            } => {
+                let t = self.rt.host.charge_tcp_rx(now, len);
+                let Some(end) = self.rt.tcp(sj) else { return };
+                let out = end
+                    .conn
+                    .on_segment(seq, ack, window, flags, d.dgram.payload, now);
+                self.tcp_out(sj, out, t);
             }
         }
     }
 }
 
+impl ClientDom {
+    /// One round of this domain in a carved world: delivers the incoming
+    /// messages, then executes every local event strictly below the job's
+    /// bound, the ready FIFO draining before each pop exactly as in the
+    /// single-queue loop. The access network carries the frames: uplink
+    /// emissions go to `emit` for the hub, the final hop of a reply ends
+    /// in [`ClientCtx::deliver`].
+    fn round(
+        &mut self,
+        rt: &mut ClientRt,
+        dq: &mut DomainQ<Ev>,
+        smap: &ServerMap,
+        emit: &mut Vec<Msg>,
+        job: &mut RoundJob,
+    ) -> ClientReport {
+        let mut ctx = ClientCtx {
+            ci: job.ci,
+            rt,
+            sched: &mut self.sched,
+            dq,
+            smap,
+        };
+        for (t, key, ev) in job.msgs.drain(..) {
+            ctx.dq.push_incoming(t, key, ev);
+        }
+        loop {
+            // Every proc of this scheduler runs on this machine.
+            while let Some((tid, resp)) = ctx.sched.ready.pop_front() {
+                ctx.resume(tid, resp);
+            }
+            let now = match ctx.dq.peek() {
+                Some((t, _)) if t < job.bound => t,
+                _ => break,
+            };
+            let (_, _, ev) = ctx.dq.pop().expect("peeked");
+            let out = &mut self.net_out;
+            match ev {
+                Ev::Send {
+                    src,
+                    dst,
+                    proto,
+                    payload,
+                } => {
+                    let _sp = profile::span(profile::Subsystem::Links);
+                    let id = self.access.alloc_dgram_id();
+                    self.access.send_into(
+                        now,
+                        Datagram {
+                            id,
+                            src,
+                            dst,
+                            proto,
+                            payload,
+                        },
+                        out,
+                    );
+                    profile::count(profile::Subsystem::Links, out.events.len() as u64);
+                    // Every uplink emission lands in the hub domain; the
+                    // creator key preserves deterministic merge order there.
+                    for (t, nev) in out.events.drain(..) {
+                        let key = ctx.dq.alloc_key();
+                        emit.push((t, key, Ev::Net(nev)));
+                    }
+                    debug_assert!(out.delivered.is_empty(), "uplink send cannot deliver");
+                }
+                Ev::Net(nev) => {
+                    let _sp = profile::span(profile::Subsystem::Links);
+                    self.access.handle_into(now, nev, out);
+                    profile::count(profile::Subsystem::Links, out.events.len() as u64);
+                    // Reassembly timers are domain-local.
+                    for (t, nev) in out.events.drain(..) {
+                        ctx.dq.push(t, Ev::Net(nev));
+                    }
+                    for d in out.delivered.drain(..) {
+                        ctx.deliver(now, d);
+                    }
+                }
+                ev => ctx.handle_event(now, ev),
+            }
+        }
+        ClientReport {
+            eot: ctx.dq.peek().map(|(t, _)| t),
+            live: ctx.sched.live,
+            last_finish: ctx.sched.last_finish,
+        }
+    }
+}
+
 impl Hub {
-    /// Executes every hub event strictly below `bound`. Emissions whose
-    /// network event lands on a client machine's node are routed to the
-    /// flat `emits` list instead of the local queue.
-    fn round(&mut self, dq: &mut DomainQ<Ev>, bound: SimTime, emits: &mut Vec<(usize, Msg)>) {
+    /// Executes every hub event strictly below `bound`.
+    fn round(&mut self, dq: &mut DomainQ<Ev>, bound: SimTime) {
         loop {
             match dq.peek() {
                 Some((t, _)) if t < bound => {
                     let (at, _, ev) = dq.pop().expect("peeked");
                     debug_assert_eq!(at, t);
-                    self.handle_event(dq, at, ev, emits);
+                    let stray = self.handle_event(dq, at, ev);
+                    debug_assert!(stray.is_none(), "a client's event in the hub domain");
                 }
                 _ => return,
             }
         }
     }
 
-    fn handle_event(
-        &mut self,
-        dq: &mut DomainQ<Ev>,
-        now: SimTime,
-        ev: Ev,
-        emits: &mut Vec<(usize, Msg)>,
-    ) {
+    /// Every event the network and the server machines own under either
+    /// engine; `dq` is the queue they ride on. What reaches a client
+    /// machine leaves through `frames` or `deliveries`. An event that is a
+    /// client machine's is returned untouched.
+    fn handle_event(&mut self, dq: &mut DomainQ<Ev>, now: SimTime, ev: Ev) -> Option<Ev> {
         match ev {
             Ev::Send {
                 src,
@@ -2560,14 +2100,14 @@ impl Hub {
                     },
                     &mut out,
                 );
-                self.absorb_net(dq, now, &mut out, emits);
+                self.absorb_net(dq, now, &mut out);
                 self.net_out = out;
             }
             Ev::Net(nev) => {
                 let _sp = profile::span(profile::Subsystem::Links);
                 let mut out = std::mem::take(&mut self.net_out);
                 self.net.handle_into(now, nev, &mut out);
-                self.absorb_net(dq, now, &mut out, emits);
+                self.absorb_net(dq, now, &mut out);
                 self.net_out = out;
             }
             Ev::NfsdDone { server } => {
@@ -2575,22 +2115,32 @@ impl Hub {
                 srv.nfsd_busy = srv.nfsd_busy.saturating_sub(1);
                 if srv.up {
                     if let Some(q) = srv.nfsd_queue.pop_front() {
-                        debug_assert!(!q.tcp, "TCP worlds are never partitioned");
                         srv.nfsd_busy += 1;
                         self.nfsd_serve(dq, q.request, q.client, server, q.arrival, now);
                     }
                 }
+            }
+            Ev::TcpTimer {
+                client,
+                server,
+                server_side: true,
+                gen,
+            } => {
+                let out = self.servers[server].conns[client].conn.on_timer(gen, now);
+                self.tcp_out(dq, client, server, out, now);
             }
             Ev::ServerCrash { server, downtime } => {
                 let srv = &mut self.servers[server];
                 srv.up = false;
                 // Requests waiting for a daemon die with the machine; the
                 // clients retransmit them after the reboot. Client console
-                // notes were pre-scheduled in each client domain.
+                // notes were pre-scheduled with the crash.
                 srv.nfsd_queue.clear();
                 dq.push(now + downtime, Ev::ServerReboot { server });
             }
             Ev::ServerReboot { server } => {
+                // Volatile state (name cache, buffer cache, dup cache)
+                // is lost; the on-disk file system survives.
                 let srv = &mut self.servers[server];
                 srv.server.reboot();
                 srv.up = true;
@@ -2599,45 +2149,49 @@ impl Hub {
             | Ev::AsyncDone { .. }
             | Ev::UdpTimer { .. }
             | Ev::TcpTimer { .. }
-            | Ev::Note { .. } => unreachable!("client event in the hub domain"),
+            | Ev::Note { .. } => return Some(ev),
         }
+        None
     }
 
-    fn absorb_net(
-        &mut self,
-        dq: &mut DomainQ<Ev>,
-        now: SimTime,
-        out: &mut NetOutput,
-        emits: &mut Vec<(usize, Msg)>,
-    ) {
+    fn absorb_net(&mut self, dq: &mut DomainQ<Ev>, now: SimTime, out: &mut NetOutput) {
         profile::count(profile::Subsystem::Links, out.events.len() as u64);
         for (t, ev) in out.events.drain(..) {
-            let node = self.net.event_node(&ev);
-            match self.node_client[node.0] {
+            // A carved world's access links belong to the client domains.
+            let owner = if self.carved {
+                self.node_client[self.net.event_node(&ev).0]
+            } else {
+                None
+            };
+            match owner {
                 Some(ci) => {
                     let key = dq.alloc_key();
-                    emits.push((ci, (t, key, Ev::Net(ev))));
+                    self.frames.push((ci, (t, key, Ev::Net(ev))));
                 }
                 None => {
                     dq.push(t, Ev::Net(ev));
                 }
             }
         }
+        // A network step completes at most one datagram.
         for d in out.delivered.drain(..) {
             self.on_delivery(dq, now, d);
         }
     }
 
     fn on_delivery(&mut self, dq: &mut DomainQ<Ev>, now: SimTime, d: Delivery) {
-        let Some(sj) = self.node_server[d.host.0] else {
+        let Some(sj) = self.smap.of_node[d.host.0] else {
             debug_assert!(
-                false,
+                !self.carved,
                 "client-bound fragments cross domains before reassembly"
             );
+            if let Some(ci) = self.node_client[d.host.0] {
+                self.deliveries.push((ci, d));
+            }
             return;
         };
-        // A crashed server receives nothing: requests addressed to it die
-        // on arrival and the client must retransmit.
+        // A crashed server receives nothing: requests (and TCP segments)
+        // addressed to it die on arrival and the client must retransmit.
         if !self.servers[sj].up {
             return;
         }
@@ -2645,16 +2199,66 @@ impl Hub {
             return; // not from any client machine
         };
         let len = d.dgram.payload.len();
-        let frags = d.frags.max(1);
+        let srv = &mut self.servers[sj];
         match d.dgram.proto {
             ProtoHeader::Udp { .. } => {
-                let t = self.servers[sj].host.charge_rx(now, len, frags, false);
+                let t = srv.host.charge_rx(now, len, d.frags.max(1), false);
                 self.serve_request(dq, d.dgram.payload, ci, sj, t);
             }
-            ProtoHeader::Tcp { .. } => unreachable!("TCP worlds are never partitioned"),
+            ProtoHeader::Tcp {
+                seq,
+                ack,
+                window,
+                flags,
+                ..
+            } => {
+                let t = srv.host.charge_tcp_rx(now, len);
+                let Some(end) = srv.conns.get_mut(ci) else {
+                    return;
+                };
+                let out = end
+                    .conn
+                    .on_segment(seq, ack, window, flags, d.dgram.payload, now);
+                self.tcp_out(dq, ci, sj, out, t);
+            }
         }
     }
 
+    /// Applies one step of server `sj`'s end of its connection to client
+    /// `ci`: received stream data goes through the record reader into the
+    /// nfsd pool, then the timer is armed and the segments leave.
+    fn tcp_out(&mut self, dq: &mut DomainQ<Ev>, ci: usize, sj: usize, out: TcpOut, at: SimTime) {
+        for chunk in out.received {
+            self.servers[sj].conns[ci].reader.push(chunk);
+            while let Some(rec) = self.servers[sj].conns[ci].next_record() {
+                // Once-per-record socket/codec work on the receiving side.
+                let t = self.servers[sj].host.charge_record(at);
+                self.serve_request(dq, rec, ci, sj, t);
+            }
+        }
+        if let Some((deadline, gen)) = out.arm_timer {
+            dq.push(
+                deadline,
+                Ev::TcpTimer {
+                    client: ci,
+                    server: sj,
+                    server_side: true,
+                    gen,
+                },
+            );
+        }
+        let (m, srv) = (&self.metas[ci], &mut self.servers[sj]);
+        for seg in out.segments {
+            let done = srv.host.charge_tcp_tx(at, &seg.payload);
+            dq.push(
+                done,
+                tcp_frame((srv.node, NFS_PORT), (m.node, m.sport), seg),
+            );
+        }
+    }
+
+    /// Admits an RPC request to the nfsd pool: service starts now if a
+    /// daemon context is free, otherwise the request queues FIFO.
     fn serve_request(
         &mut self,
         dq: &mut DomainQ<Ev>,
@@ -2669,7 +2273,6 @@ impl Hub {
                 srv.nfsd_queue.push_back(QueuedRpc {
                     request,
                     client,
-                    tcp: false,
                     arrival: at,
                 });
                 srv.nfsd_stats.queued += 1;
@@ -2681,6 +2284,8 @@ impl Hub {
         self.nfsd_serve(dq, request, client, sj, at, at);
     }
 
+    /// One nfsd daemon services a request: runs the server code, charges
+    /// CPU and disk, and schedules the reply transmission.
     fn nfsd_serve(
         &mut self,
         dq: &mut DomainQ<Ev>,
@@ -2728,25 +2333,35 @@ impl Hub {
             t = host.disk_io(t, *bytes, true, seq && *bytes > 512);
             seq = true;
         }
-        let m = &self.metas[client];
-        let frags = udp_fragments(reply.len(), m.mtus[sj]);
-        let done = srv.host.charge_tx(t, &reply, frags, false);
-        dq.push(
-            done,
-            Ev::Send {
-                src: srv.node,
-                dst: m.node,
-                proto: ProtoHeader::Udp {
-                    sport: NFS_PORT,
-                    dport: m.sport,
+        // A TCP mount has a connection to answer on; UDP replies are
+        // addressed from the client's metadata.
+        let done = if let Some(end) = srv.conns.get_mut(client) {
+            let t = srv.host.charge_record(t);
+            let framed = frame_record(reply, &mut CopyMeter::new());
+            let out = end.conn.send(framed, t);
+            self.tcp_out(dq, client, sj, out, t);
+            t
+        } else {
+            let m = &self.metas[client];
+            let frags = udp_fragments(reply.len(), m.mtus[sj]);
+            let done = srv.host.charge_tx(t, &reply, frags, false);
+            dq.push(
+                done,
+                Ev::Send {
+                    src: srv.node,
+                    dst: m.node,
+                    proto: ProtoHeader::Udp {
+                        sport: NFS_PORT,
+                        dport: m.sport,
+                    },
+                    payload: reply,
                 },
-                payload: reply,
-            },
-        );
-        srv.nfsd_stats.served += 1;
-        srv.nfsd_stats
-            .service_ms
-            .add(done.since(start).as_millis_f64());
+            );
+            done
+        };
+        let stats = &mut self.servers[sj].nfsd_stats;
+        stats.served += 1;
+        stats.service_ms.add(done.since(start).as_millis_f64());
         if self.nfsds > 0 {
             dq.push(done, Ev::NfsdDone { server: sj });
         }
@@ -2774,6 +2389,7 @@ struct SeqExec<'a> {
     rts: &'a mut [ClientRt],
     cds: &'a mut [ClientDom],
     dqs: &'a mut [DomainQ<Ev>],
+    smap: &'a ServerMap,
     reports: Vec<(usize, ClientReport)>,
     to_hub: Vec<Msg>,
 }
@@ -2782,14 +2398,8 @@ impl RoundExec for SeqExec<'_> {
     fn dispatch(&mut self, jobs: &mut Vec<RoundJob>) {
         for job in jobs.iter_mut() {
             let ci = job.ci;
-            let mut ctx = ClientCtx {
-                ci,
-                rt: &mut self.rts[ci],
-                cd: &mut self.cds[ci],
-                dq: &mut self.dqs[ci],
-                emit: &mut self.to_hub,
-            };
-            let report = ctx.round(job.bound, &mut job.msgs);
+            let (rt, dq) = (&mut self.rts[ci], &mut self.dqs[ci]);
+            let report = self.cds[ci].round(rt, dq, self.smap, &mut self.to_hub, job);
             self.reports.push((ci, report));
         }
     }
@@ -2850,6 +2460,7 @@ fn pdes_worker(
     rts: &mut [ClientRt],
     cds: &mut [ClientDom],
     dqs: &mut [DomainQ<Ev>],
+    smap: &ServerMap,
     go_rx: Receiver<WorkerGo>,
     done_tx: Sender<WorkerDone>,
 ) {
@@ -2857,16 +2468,9 @@ fn pdes_worker(
     while let Ok(go) = go_rx.recv() {
         let mut reports = Vec::with_capacity(go.jobs.len());
         for mut job in go.jobs {
-            let ci = job.ci;
-            let i = ci - base;
-            let mut ctx = ClientCtx {
-                ci,
-                rt: &mut rts[i],
-                cd: &mut cds[i],
-                dq: &mut dqs[i],
-                emit: &mut to_hub,
-            };
-            reports.push((ci, ctx.round(job.bound, &mut job.msgs)));
+            let i = job.ci - base;
+            let report = cds[i].round(&mut rts[i], &mut dqs[i], smap, &mut to_hub, &mut job);
+            reports.push((job.ci, report));
         }
         let done = WorkerDone {
             reports,
@@ -3017,7 +2621,6 @@ fn pdes_coordinate(
         .expect("partitioned worlds have at least one client");
     let mut sched = ClientSched::new(la_up, la_dn);
     let mut inbox: Vec<Vec<Msg>> = (0..n).map(|_| Vec::new()).collect();
-    let mut hub_emits: Vec<(usize, Msg)> = Vec::new();
     let mut jobs: Vec<RoundJob> = Vec::with_capacity(n);
     let mut reports: Vec<(usize, ClientReport)> = Vec::new();
     let mut to_hub: Vec<Msg> = Vec::new();
@@ -3026,8 +2629,8 @@ fn pdes_coordinate(
     let mut finish = SimTime::ZERO;
     let mut rounds = 0u64;
     // Round 0 only releases the workload threads: bound zero executes no
-    // events, every thread runs to its first block (as `release_threads`
-    // does monolithically), and the first real events get scheduled.
+    // events, every thread runs to its first block (as in the single-queue
+    // loop before its first pop), and the first real events get scheduled.
     for ci in 0..n {
         jobs.push(RoundJob {
             ci,
@@ -3086,7 +2689,7 @@ fn pdes_coordinate(
         // the workers' client rounds. When its head sits at or above its
         // bound it would pop nothing — don't even make the call.
         if hub_eot.is_some_and(|h| h < hub_bound) {
-            hub.round(hub_dq, hub_bound, &mut hub_emits);
+            hub.round(hub_dq, hub_bound);
         }
         exec.collect(&mut reports, &mut to_hub);
         // Hand each job's (drained) message buffer back to the client's
@@ -3111,7 +2714,7 @@ fn pdes_coordinate(
         for (t, k, ev) in to_hub.drain(..) {
             hub_dq.push_incoming(t, k, ev);
         }
-        for (ci, m) in hub_emits.drain(..) {
+        for (ci, m) in hub.frames.drain(..) {
             sched.note_msg(ci, m.0);
             inbox[ci].push(m);
         }
@@ -3617,5 +3220,59 @@ mod tests {
         world.spawn(|sys| sys.sleep(SimDuration::from_millis(1)));
         world.run_until(SimTime::from_secs(1));
         world.spawn(|_| {});
+    }
+
+    /// Pins the TCP path of a multi-client world — the handshake, record
+    /// marking at both ends, `QueuedRpc`s waiting behind the one daemon, a
+    /// crash window and the retransmissions that ride it out — to what
+    /// the commit before the connection state was split by endpoint
+    /// computed (bcefaf8).
+    #[test]
+    fn tcp_ring_world_with_a_crash_window_is_pinned() {
+        let mut cfg = WorldConfig::baseline();
+        cfg.topology = TopologyKind::TokenRing;
+        cfg.transport = TransportKind::Tcp;
+        cfg.clients = 3;
+        cfg.nfsds = 1;
+        cfg.faults =
+            FaultPlan::new().server_crash(SimTime::from_millis(1500), SimDuration::from_secs(2));
+        let mut world = World::new(cfg);
+        preload(&mut world, "shared.bin", &[5u8; 24_000]);
+        let root = world.root_handle();
+        for ci in 0..3 {
+            world.spawn_on(ci, move |sys| {
+                let mut fs = ClientFs::mount(sys, ClientConfig::reno(), root, "uvax1");
+                for round in 0..4 {
+                    let fh = fs.lookup_path("/shared.bin").unwrap();
+                    assert_eq!(fs.read(fh, 0, 24_000).unwrap().len(), 24_000);
+                    let out = fs
+                        .open(&format!("/c{ci}_{round}.bin"), true, false)
+                        .unwrap();
+                    fs.write(out, 0, &[ci as u8; 9_000]).unwrap();
+                    fs.close(out).unwrap();
+                    fs.sys().sleep(SimDuration::from_millis(400));
+                }
+            });
+        }
+        world.run();
+        let mut seen = format!("now={:?}\n", world.now());
+        for ci in 0..3 {
+            seen.push_str(&format!(
+                "client{ci}: {:?} {:?}\n",
+                world.client_events_of(ci),
+                world.tcp_stats_of(ci)
+            ));
+        }
+        seen.push_str(&format!(
+            "nfsd={:?} server={:?}\n",
+            world.nfsd_stats(),
+            world.server().stats()
+        ));
+        // FNV-1a.
+        let hash = seen.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        });
+        assert!(world.nfsd_stats().queued > 0, "requests queued behind TCP");
+        assert_eq!(hash, 0x8231_e9c1_a8fc_929e, "{seen}");
     }
 }

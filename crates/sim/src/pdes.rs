@@ -158,10 +158,12 @@ impl<E> DomainQ<E> {
     /// Removes and returns the earliest event, advancing the domain
     /// clock to it.
     pub fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        let (t, k, e) = self.q.pop_keyed()?;
+        let (t, _) = self.q.peek_keyed()?;
         debug_assert!(t >= self.clock, "domain clock ran backwards");
         self.clock = self.clock.max(t);
-        Some((t, k, e))
+        // Returned as popped: taking the tuple apart to rebuild it would
+        // copy the event once more.
+        self.q.pop_keyed()
     }
 
     /// Number of pending events.

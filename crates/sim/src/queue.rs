@@ -189,18 +189,19 @@ impl<E> EventQueue<E> {
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
         let Key { time, seq, slot } = self.heap.pop()?;
         debug_assert!(time >= self.now, "time ran backwards");
-        let freed = std::mem::replace(&mut self.slab[slot as usize], Slot::Free(self.free));
-        let Slot::Full(event) = freed else {
-            unreachable!("heap key points at a free slot");
-        };
-        self.free = slot;
         self.now = time;
         self.pops += 1;
         if let Some(t) = self.trace.as_mut() {
             t.push(QueueOp::Pop);
         }
         crate::profile::count_event();
-        Some((time, seq, event))
+        // Last, and straight into the return value: an event held in a
+        // local across the bookkeeping above is copied once more.
+        let next_free = std::mem::replace(&mut self.free, slot);
+        match std::mem::replace(&mut self.slab[slot as usize], Slot::Free(next_free)) {
+            Slot::Full(event) => Some((time, seq, event)),
+            Slot::Free(_) => unreachable!("heap key points at a free slot"),
+        }
     }
 
     /// The time of the earliest pending event, if any.

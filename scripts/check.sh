@@ -30,6 +30,10 @@ echo "==> handoff differential (posted syscalls == one crossing per call, both e
 # The debug run above draws 24 cases; release draws the full 192.
 cargo test -q -p renofs --release --test handoff_differential
 
+echo "==> pdes equivalence (single queue == carved, random shapes and fault plans)"
+# Likewise 8 cases in the debug run above, 64 in release.
+cargo test -q -p renofs --release --test pdes_equivalence
+
 echo "==> repro shard-smoke --scale quick (N x M fleet + router determinism gate)"
 # Runs a small sharded-fleet cell, checks every shard served traffic,
 # and re-runs it under a sim-threads x jobs matrix asserting
