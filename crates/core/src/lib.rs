@@ -18,12 +18,13 @@
 //!   replica failover.
 //! - [`world::World`]: the deterministic event loop tying client hosts,
 //!   transports, network and servers together, with blocking-style
-//!   workload threads.
+//!   workload procs.
 //! - [`presets`]: ready-made "4.3BSD Reno" and "Ultrix 2.2" machine and
 //!   mount configurations, plus the MicroVAXII and DS3100 hardware
 //!   profiles.
 
 pub mod client;
+mod coro;
 pub mod costs;
 pub mod host;
 pub mod presets;

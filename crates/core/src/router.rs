@@ -538,7 +538,7 @@ impl<S: Syscalls> RouterFs<S> {
         self.mounts[0].fs.sys().now()
     }
 
-    /// Sleeps the machine's workload thread.
+    /// Sleeps the machine's workload proc.
     pub fn sleep(&mut self, d: SimDuration) {
         self.mounts[0].fs.sys().sleep(d)
     }

@@ -2,8 +2,9 @@
 //!
 //! [`ClientFs`](crate::client::ClientFs) is written in natural blocking
 //! style against this trait. In the full simulation
-//! ([`crate::world::World`]) each call suspends the workload thread while
-//! the event loop advances virtual time; in unit tests the
+//! ([`crate::world::World`]) a call that blocks suspends the workload proc
+//! — a coroutine on the event loop's own thread — while the loop advances
+//! virtual time; in unit tests the
 //! [`Loopback`] implementation services RPCs synchronously against an
 //! in-process [`NfsServer`], which makes client caching behaviour — the
 //! RPC counts of Table 3 — testable without a network.
@@ -33,6 +34,12 @@ pub enum RpcError {
 pub type RpcResult = Result<MbufChain, RpcError>;
 
 /// Primitives the simulated machine provides to the client.
+///
+/// Under [`World`](crate::world::World) the caller is a *proc*, not a
+/// thread: it runs on the thread that runs its machine's events, sees that
+/// thread's thread-locals, and while it is suspended in a call other procs
+/// run there. Holding a lock across a call that another proc will want
+/// deadlocks, as it always did under strict hand-off.
 ///
 /// # Posted calls
 ///
@@ -148,7 +155,7 @@ impl<T: Syscalls + ?Sized> Syscalls for &mut T {
 /// pinned index, while explicit `*_to` calls pass through untouched.
 ///
 /// This is the borrow-based sibling of [`crate::router::ServerPort`]:
-/// workload threads that receive the world's system by `&mut` (and so
+/// workload procs that receive the world's system by `&mut` (and so
 /// cannot share it through an `Rc`) wrap it in a `PinTo` to aim a
 /// single-server load generator at one shard.
 pub struct PinTo<'a, S: Syscalls> {

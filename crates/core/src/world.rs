@@ -3,14 +3,16 @@
 //! One [`World`] owns a community of client machines and a server machine
 //! joined by a simulated internetwork, per-client RPC transports
 //! (UDP-fixed, UDP-dynamic or TCP), and the NFS server. Workload code
-//! runs on real OS threads in natural blocking style against the
-//! [`Syscalls`] trait; determinism is preserved by strict hand-off —
-//! exactly one workload thread is runnable at any instant, and it runs
-//! only while the event loop waits for its next request. A thread
-//! crosses to the loop only for an answer it does not hold: `now()` reads
-//! the clock stamped on its last resume, and calls that return nothing
-//! are posted to travel with the next call that returns a value (see
-//! [`Syscalls`] and DESIGN.md §8).
+//! runs in natural blocking style against the [`Syscalls`] trait, each
+//! proc a stackful coroutine (`crate::coro`) on the thread that runs its
+//! client machine's events: the event loop switches to a proc to resume
+//! it and the proc switches back when a call must block, so exactly one
+//! of them runs at any instant — strict hand-off, which is what keeps the
+//! run deterministic — and no other thread is involved. A proc crosses to
+//! the loop only for an answer it does not hold: `now()` reads the clock
+//! stamped on its last resume, and calls that return nothing are posted
+//! to travel with the next call that returns a value (see [`Syscalls`]
+//! and DESIGN.md §8).
 //!
 //! Every CPU microsecond, disk seek, wire serialization, IP fragment and
 //! retransmission flows through this loop, which is what lets the bench
@@ -66,10 +68,11 @@
 //! coordinator's queue); the carve must be legal toward every server
 //! and publishes the minimum lookahead over shards.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::rc::Rc;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 use renofs_mbuf::{CopyMeter, MbufChain};
 use renofs_netsim::topology::presets::{self, Background};
@@ -86,6 +89,7 @@ use renofs_transport::{
     TcpConfig, TcpConn, TcpOut, TcpSegment, UdpAction, UdpRpcClient, UdpRpcConfig, UdpStats,
 };
 
+use crate::coro::{self, Coroutine, PanicPayload};
 use crate::costs;
 use crate::host::{udp_fragments, Host, HostProfile};
 use crate::proto::NfsProc;
@@ -263,7 +267,7 @@ impl WorldConfig {
     }
 }
 
-/// Requests from workload threads. `Sleep`, `ChargeCpu`, `LocalDisk` and
+/// Requests from workload procs. `Sleep`, `ChargeCpu`, `LocalDisk` and
 /// `ForgetTicket` answer with nothing, so [`WorldSys`] posts them; the
 /// rest return a value and cross to the world.
 enum Req {
@@ -285,7 +289,7 @@ enum Req {
     Finished,
 }
 
-/// Responses to workload threads.
+/// Responses to workload procs.
 enum Resp {
     Unit,
     Chain(RpcResult),
@@ -462,51 +466,55 @@ impl NfsdStats {
     }
 }
 
-/// A proc's requests in issue order: posted ones, then the call that
-/// crossed. Strict hand-off makes access exclusive — the proc pushes only
-/// while it runs, the world pops only while the proc is blocked — so the
-/// lock is never contended.
-type PostBox = Arc<Mutex<VecDeque<Req>>>;
+/// What a proc and the world tell each other, one heap cell per proc. The
+/// switch between them carries no values, and exactly one side runs at a
+/// time: the proc fills `posts` and takes `reply` only while it runs, the
+/// world the reverse only while the proc is suspended, and neither holds a
+/// borrow across a switch.
+struct ProcCell {
+    /// The proc's requests in issue order: posted ones, then the call that
+    /// crossed.
+    posts: RefCell<VecDeque<Req>>,
+    /// What resumes the proc: the domain clock and the reply to the call
+    /// it crossed with.
+    reply: Cell<Option<(SimTime, Resp)>>,
+}
 
 /// Posted requests a proc may accumulate before it crosses regardless.
 const POST_CAP: usize = 8;
-
-fn lock(posts: &PostBox) -> MutexGuard<'_, VecDeque<Req>> {
-    // Pushes and pops leave the queue valid at every step, and `Finish`
-    // locks it while a workload panic unwinds.
-    posts.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The world's end of one proc's boundary.
 struct ProcPort {
     /// The client machine the proc runs on.
     client: usize,
-    resp_tx: Sender<(SimTime, Resp)>,
-    posts: PostBox,
+    /// World-wide spawn number.
+    seq: usize,
+    coro: Coroutine,
+    cell: Rc<ProcCell>,
+    /// What the proc's body panicked with, for `run` to re-raise.
+    panic: Option<PanicPayload>,
 }
 
 impl ProcPort {
-    /// The next request of a blocked proc. While its post box holds
-    /// requests the proc stays blocked and `resp` (the `Unit` of a posted
+    /// The next request of a suspended proc. While its post box holds
+    /// requests the proc stays suspended and `resp` (the `Unit` of a posted
     /// request) is dropped; once the box is empty `resp` resumes the proc,
-    /// stamped with the domain `clock`, and the world waits for it to cross
-    /// again. `None`: the proc is gone.
-    fn next_req(
-        &self,
-        tid: usize,
-        req_rx: &Receiver<usize>,
-        clock: SimTime,
-        resp: Resp,
-    ) -> Option<Req> {
-        let mut posts = lock(&self.posts);
-        if posts.is_empty() {
-            drop(posts);
-            self.resp_tx.send((clock, resp)).ok()?;
-            let id = req_rx.recv().expect("thread alive");
-            debug_assert_eq!(id, tid, "only one thread runnable at a time");
-            posts = lock(&self.posts);
+    /// stamped with the domain `clock`, and it runs until it crosses again
+    /// or ends — normally or by a panic, kept for `run` — which queues
+    /// `Finished` behind whatever it had posted.
+    fn next_req(&mut self, clock: SimTime, resp: Resp) -> Req {
+        if self.cell.posts.borrow().is_empty() {
+            self.cell.reply.set(Some((clock, resp)));
+            let finished = self.coro.resume().unwrap_or_else(|payload| {
+                self.panic = Some(payload);
+                true
+            });
+            if finished {
+                self.cell.posts.borrow_mut().push_back(Req::Finished);
+            }
         }
-        posts.pop_front()
+        let req = self.cell.posts.borrow_mut().pop_front();
+        req.expect("a proc suspends only with a request in its box")
     }
 }
 
@@ -522,13 +530,11 @@ enum TicketHolder {
 
 /// A proc scheduler: the ports of the procs it runs, the FIFO of those
 /// ready to resume, and the ticket tables of their asynchronous RPCs. A
-/// single-queue world holds one — thread ids and tickets are world-wide
+/// single-queue world holds one — proc ids and tickets are world-wide
 /// and procs of every client resume from the one FIFO in wake-up order —
 /// and a carved world holds one per client domain, with domain-local ids.
 /// Workloads treat ids and tickets as opaque either way.
 struct Sched {
-    req_tx: Sender<usize>,
-    req_rx: Receiver<usize>,
     ports: Vec<ProcPort>,
     ready: VecDeque<(usize, Resp)>,
     /// Procs that have not finished.
@@ -546,10 +552,7 @@ struct Sched {
 
 impl Sched {
     fn new() -> Self {
-        let (req_tx, req_rx) = channel();
         Sched {
-            req_tx,
-            req_rx,
             ports: Vec::new(),
             ready: VecDeque::new(),
             live: 0,
@@ -562,8 +565,8 @@ impl Sched {
         }
     }
 
-    /// Readies every proc in spawn order (they start suspended), so thread
-    /// start-up order cannot perturb determinism.
+    /// Readies every proc in spawn order (they start suspended): each runs
+    /// to its first crossing before the first event is popped.
     fn release(&mut self) {
         for tid in 0..self.ports.len() {
             self.ready.push_back((tid, Resp::Unit));
@@ -577,18 +580,22 @@ impl Sched {
     }
 }
 
-/// The syscall endpoint handed to each workload thread.
+/// The syscall endpoint handed to each workload proc.
+///
+/// A proc is a coroutine on the thread that runs its client machine's
+/// events, not a thread of its own: a call that blocks suspends it there
+/// and the event loop carries on. So a `WorldSys` is `!Send`, a proc sees
+/// that thread's thread-locals (the mbuf free lists among them), and a
+/// lock held across a syscall that another proc then wants deadlocks —
+/// as it always did under strict hand-off.
 ///
 /// [`now`](Syscalls::now) is answered from `clock`, the domain clock
 /// stamped on the reply that last resumed this proc. That value is exact,
 /// not a cache that can go stale: virtual time advances only when the
-/// event loop pops an event, and the loop is blocked waiting for this
-/// proc's next crossing for as long as the proc is runnable.
+/// event loop pops an event, and the loop is inside this proc's resume
+/// for as long as the proc runs.
 pub struct WorldSys {
-    id: usize,
-    req_tx: Sender<usize>,
-    resp_rx: Receiver<(SimTime, Resp)>,
-    posts: PostBox,
+    cell: Rc<ProcCell>,
     clock: SimTime,
     /// Requests posted since the last crossing.
     posted: usize,
@@ -597,17 +604,17 @@ pub struct WorldSys {
 }
 
 impl WorldSys {
-    /// Crosses to the world: everything posted, then `req`, and blocks for
-    /// `req`'s reply.
+    /// Crosses to the world: everything posted, then `req`, and suspends
+    /// until `req`'s reply (unwinding instead if the world is dropped).
     fn ask(&mut self, req: Req) -> Resp {
-        lock(&self.posts).push_back(req);
+        self.cell.posts.borrow_mut().push_back(req);
         self.posted = 0;
         #[cfg(test)]
         {
             self.crossings += 1;
         }
-        self.req_tx.send(self.id).expect("world alive");
-        let (clock, resp) = self.resp_rx.recv().expect("world alive");
+        coro::suspend();
+        let (clock, resp) = self.cell.reply.take().expect("resumed with a reply");
         self.clock = clock;
         resp
     }
@@ -615,7 +622,7 @@ impl WorldSys {
     /// Records a request that answers with nothing; it travels with the
     /// next crossing.
     fn post(&mut self, req: Req) {
-        lock(&self.posts).push_back(req);
+        self.cell.posts.borrow_mut().push_back(req);
         self.posted += 1;
         if self.posted == POST_CAP {
             self.ask(Req::Flush);
@@ -778,7 +785,7 @@ struct ClientDom {
 /// Carved-world state: the per-client domains and the finish clock.
 struct Partition {
     cdoms: Vec<ClientDom>,
-    /// Max event time at which any workload thread finished — what the
+    /// Max event time at which any workload proc finished — what the
     /// single-queue loop's clock reads when `run` returns.
     finish: SimTime,
 }
@@ -796,6 +803,14 @@ enum Engine {
 }
 
 /// The simulation world.
+///
+/// A world is `!Send`: a proc that has run is a suspended stack tied to
+/// the thread that ran it (see [`WorldSys`]).
+///
+/// ```compile_fail,E0277
+/// fn must_be_send<T: Send>() {}
+/// must_be_send::<renofs::World>();
+/// ```
 pub struct World {
     cfg: WorldConfig,
     /// Per-domain event queues. `doms[0]` is the hub (server) domain; a
@@ -806,8 +821,8 @@ pub struct World {
     hub: Hub,
     clients: Vec<ClientRt>,
     engine: Engine,
-    /// Every workload thread, for `run` to join.
-    handles: Vec<JoinHandle<()>>,
+    /// Procs spawned so far.
+    spawned: usize,
     started: bool,
 }
 
@@ -1012,7 +1027,7 @@ impl World {
             doms,
             clients,
             engine,
-            handles: Vec::new(),
+            spawned: 0,
             started: false,
         };
         // Fault-plan crashes hit server 0 (the paper's box; sharded
@@ -1267,7 +1282,7 @@ impl World {
     }
 
     /// Current virtual time. For a partitioned world after `run`, this is
-    /// the event time of the last workload-thread finish — the same
+    /// the event time of the last workload-proc finish — the same
     /// instant the monolithic engine's clock stops at.
     pub fn now(&self) -> SimTime {
         match &self.engine {
@@ -1298,7 +1313,7 @@ impl World {
         self.hub.servers[sj].up
     }
 
-    /// Spawns a workload thread on client 0. It starts suspended;
+    /// Spawns a workload proc on client 0. It starts suspended;
     /// [`World::run`] schedules it.
     pub fn spawn<F>(&mut self, f: F) -> usize
     where
@@ -1307,7 +1322,7 @@ impl World {
         self.spawn_on(0, f)
     }
 
-    /// Spawns a workload thread on the given client machine. It starts
+    /// Spawns a workload proc on the given client machine. It starts
     /// suspended; [`World::run`] schedules it.
     pub fn spawn_on<F>(&mut self, client: usize, f: F) -> usize
     where
@@ -1316,7 +1331,7 @@ impl World {
         assert!(client < self.clients.len(), "no such client machine");
         assert!(
             !self.started,
-            "spawn every proc before the world first runs: start signals go out once"
+            "spawn every proc before the world first runs: procs are released once"
         );
         // A carved world schedules each proc through its client domain's
         // scheduler under a domain-local id; a single-queue world has one
@@ -1326,60 +1341,36 @@ impl World {
             Engine::Single(sched) => sched,
         };
         let id = sched.ports.len();
-        let (resp_tx, resp_rx) = channel();
-        let req_tx = sched.req_tx.clone();
-        // Sized once, here: a box never holds more than a full post
-        // buffer and the request that flushes it.
-        let posts: PostBox = Arc::new(Mutex::new(VecDeque::with_capacity(POST_CAP + 1)));
-        sched.ports.push(ProcPort {
-            client,
-            resp_tx,
-            posts: posts.clone(),
+        let cell = Rc::new(ProcCell {
+            // Sized once, here: a box never holds more than a full post
+            // buffer and the request that flushes it.
+            posts: RefCell::new(VecDeque::with_capacity(POST_CAP + 1)),
+            reply: Cell::new(None),
         });
-        sched.live += 1;
-        self.handles.push(std::thread::spawn(move || {
-            // Wait for the start signal so thread startup order cannot
-            // perturb determinism.
-            let Ok((clock, Resp::Unit)) = resp_rx.recv() else {
-                return;
-            };
-            // `Finished` must reach the world even when the workload
-            // panics — otherwise the event loop waits forever for this
-            // thread's next request. The drop guard fires during unwind
-            // too; `run` then surfaces the panic from `join`. Requests
-            // still posted are in the box ahead of it: a proc's trailing
-            // `charge_cpu` moves the CPU model and the finish clock.
-            struct Finish {
-                id: usize,
-                tx: Sender<usize>,
-                posts: PostBox,
-            }
-            impl Drop for Finish {
-                fn drop(&mut self) {
-                    lock(&self.posts).push_back(Req::Finished);
-                    let _ = self.tx.send(self.id);
-                }
-            }
-            let _fin = Finish {
-                id,
-                tx: req_tx.clone(),
-                posts: posts.clone(),
-            };
+        let theirs = cell.clone();
+        let coro = Coroutine::new(move || {
+            let (clock, _) = theirs.reply.take().expect("released with the clock");
             f(&mut WorldSys {
-                id,
-                req_tx,
-                resp_rx,
-                posts,
+                cell: theirs,
                 clock,
                 posted: 0,
                 #[cfg(test)]
                 crossings: 0,
             });
-        }));
+        });
+        sched.ports.push(ProcPort {
+            client,
+            seq: self.spawned,
+            coro,
+            cell,
+            panic: None,
+        });
+        sched.live += 1;
+        self.spawned += 1;
         id
     }
 
-    /// Runs the world until virtual time reaches `t` (or every thread
+    /// Runs the world until virtual time reaches `t` (or every proc
     /// finishes). Used by harnesses that reset CPU accounting after a
     /// warm-up interval. [`World::run`] must still be called afterwards.
     pub fn run_until(&mut self, t: SimTime) {
@@ -1390,26 +1381,30 @@ impl World {
         self.run_single(Some(t));
     }
 
-    /// Runs the world until every workload thread has finished.
+    /// Runs the world until every workload proc has finished.
     pub fn run(&mut self) {
         if self.is_partitioned() {
             self.run_partitioned();
         } else {
             self.run_single(None);
         }
-        for handle in self.handles.drain(..) {
-            if let Err(payload) = handle.join() {
-                // Re-raise a workload panic on the caller's thread so
-                // tests fail loudly instead of reporting half a run.
-                std::panic::resume_unwind(payload);
-            }
+        // Re-raise a workload panic (the first in spawn order) so tests
+        // fail loudly instead of reporting half a run.
+        let scheds: Vec<&mut Sched> = match &mut self.engine {
+            Engine::Single(sched) => vec![sched],
+            Engine::Carved(p) => p.cdoms.iter_mut().map(|cd| &mut cd.sched).collect(),
+        };
+        let ports = scheds.into_iter().flat_map(|sched| &mut sched.ports);
+        let first = ports.filter(|p| p.panic.is_some()).min_by_key(|p| p.seq);
+        if let Some(payload) = first.and_then(|p| p.panic.take()) {
+            std::panic::resume_unwind(payload);
         }
     }
 
     // ----- the single-queue engine -----------------------------------------
 
     /// The single-queue scheduler: strict hand-off between the event loop
-    /// and exactly one runnable workload thread, the ready FIFO draining
+    /// and exactly one running workload proc, the ready FIFO draining
     /// before each pop, until every proc has finished or the next event
     /// lies past `until`.
     fn run_single(&mut self, until: Option<SimTime>) {
@@ -1435,7 +1430,7 @@ impl World {
             }
             assert!(
                 self.step(),
-                "deadlock: threads blocked with no pending events"
+                "deadlock: procs blocked with no pending events"
             );
         }
     }
@@ -1531,7 +1526,7 @@ impl World {
                     cds = c2;
                     dqs = d2;
                     let (go_tx, go_rx) = channel::<WorkerGo>();
-                    let (dtx, smap) = (done_tx.clone(), &*smap);
+                    let (dtx, smap, c1) = (done_tx.clone(), &*smap, PinnedDoms(c1));
                     s.spawn(move || pdes_worker(base, r1, c1, d1, smap, go_rx, dtx));
                     go_txs.push(go_tx);
                     worker_of.extend(std::iter::repeat_n(w, take));
@@ -1566,9 +1561,9 @@ type Msg = (SimTime, u64, Ev);
 struct ClientReport {
     /// Earliest pending local event after the round (`None` = drained).
     eot: Option<SimTime>,
-    /// Workload threads still running on this client.
+    /// Workload procs still running on this client.
     live: usize,
-    /// Latest thread-finish time seen so far on this client.
+    /// Latest proc-finish time seen so far on this client.
     last_finish: SimTime,
 }
 
@@ -1631,16 +1626,13 @@ struct ClientCtx<'a> {
 }
 
 impl ClientCtx<'_> {
-    /// Services a blocked thread's requests, resuming it with `resp` once
+    /// Services a suspended proc's requests, resuming it with `resp` once
     /// none is left in its post box, until a request blocks it in virtual
     /// time (or it finishes).
     fn resume(&mut self, tid: usize, mut resp: Resp) {
         let _sp = profile::span(profile::Subsystem::Client);
         loop {
-            let port = &self.sched.ports[tid];
-            let Some(req) = port.next_req(tid, &self.sched.req_rx, self.dq.clock(), resp) else {
-                return;
-            };
+            let req = self.sched.ports[tid].next_req(self.dq.clock(), resp);
             resp = match req {
                 Req::Flush => Resp::Unit,
                 Req::PollTicket(t) => Resp::MaybeChain(self.sched.tickets_done.remove(&t)),
@@ -2453,17 +2445,33 @@ impl RoundExec for ParExec {
     }
 }
 
+/// The chunk of client domains a PDES worker runs, crossing to its thread.
+struct PinnedDoms<'a>(&'a mut [ClientDom]);
+
+// SAFETY: a `ClientDom` is `!Send` for its procs alone: a proc that has
+// run is a stack whose frames may hold `!Send` values and thread-local
+// addresses, among them the `WorldSys` sharing an `Rc` cell with its port.
+// `run_partitioned` runs at most once per world and every proc was spawned
+// before it, so no proc of the chunk has run when it crosses; the worker
+// that receives it is the only thread to resume them, or to touch their
+// cells, until the scope joins it. By then each has finished — its frames
+// and their `Rc` clone are gone — unless the run panicked, and a proc left
+// suspended by that is never resumed again: `Coroutine::drop` leaves its
+// stack alone on any thread but the one that ran it.
+unsafe impl Send for PinnedDoms<'_> {}
+
 /// A worker's whole life: run each Go order's jobs over its client
 /// chunk and report; exit when the coordinator drops the channel.
 fn pdes_worker(
     base: usize,
     rts: &mut [ClientRt],
-    cds: &mut [ClientDom],
+    cds: PinnedDoms<'_>,
     dqs: &mut [DomainQ<Ev>],
     smap: &ServerMap,
     go_rx: Receiver<WorkerGo>,
     done_tx: Sender<WorkerDone>,
 ) {
+    let cds = cds.0;
     let mut to_hub: Vec<Msg> = Vec::new();
     while let Ok(go) = go_rx.recv() {
         let mut reports = Vec::with_capacity(go.jobs.len());
@@ -2628,8 +2636,8 @@ fn pdes_coordinate(
     let mut live_total = 0usize;
     let mut finish = SimTime::ZERO;
     let mut rounds = 0u64;
-    // Round 0 only releases the workload threads: bound zero executes no
-    // events, every thread runs to its first block (as in the single-queue
+    // Round 0 only releases the workload procs: bound zero executes no
+    // events, every proc runs to its first block (as in the single-queue
     // loop before its first pop), and the first real events get scheduled.
     for ci in 0..n {
         jobs.push(RoundJob {
@@ -2654,7 +2662,7 @@ fn pdes_coordinate(
         rounds += 1;
         if live_total == 0 {
             // Like the monolithic engine, the run ends the moment the
-            // last workload thread finishes; any remaining queue entries
+            // last workload proc finishes; any remaining queue entries
             // (stale retransmit timers, reassembly expiries) are dropped.
             if std::env::var_os("RENOFS_PDES_DEBUG").is_some() {
                 eprintln!("[pdes-debug] rounds={rounds} clients={n}");
@@ -2665,7 +2673,7 @@ fn pdes_coordinate(
         let client_up = sched.client_up();
         assert!(
             hub_eot.is_some() || client_up.is_some(),
-            "deadlock: threads blocked with no pending events"
+            "deadlock: procs blocked with no pending events"
         );
         // Echo cap: cut the hub's bound at head + shortest round trip.
         let hub_bound = match (client_up, hub_eot.map(|h| h + echo)) {
@@ -3220,6 +3228,45 @@ mod tests {
         world.spawn(|sys| sys.sleep(SimDuration::from_millis(1)));
         world.run_until(SimTime::from_secs(1));
         world.spawn(|_| {});
+    }
+
+    #[test]
+    fn dropping_a_started_world_unwinds_its_procs() {
+        let held = Arc::new(());
+        let mut world = World::new(WorldConfig::baseline());
+        for _ in 0..3 {
+            let mine = held.clone();
+            world.spawn(move |sys| {
+                sys.sleep(SimDuration::from_secs(60));
+                sys.now();
+                drop(mine);
+            });
+        }
+        world.run_until(SimTime::from_secs(1));
+        assert_eq!(Arc::strong_count(&held), 4, "three procs asleep");
+        drop(world);
+        assert_eq!(Arc::strong_count(&held), 1);
+    }
+
+    #[test]
+    fn a_proc_can_run_a_world_of_its_own() {
+        let d = SimDuration::from_millis(5);
+        let (inner_elapsed, outer) = run_one(WorldConfig::baseline(), move |sys| {
+            sys.sleep(d);
+            let (elapsed, inner) = run_one(WorldConfig::baseline(), move |sys| {
+                let t0 = sys.now();
+                sys.rpc(NfsProc::Null, null_call(1)).unwrap();
+                sys.sleep(d);
+                sys.now().since(t0)
+            });
+            assert_eq!(inner.server().stats().total(), 1);
+            // Back on the outer proc's own stack and clock.
+            sys.sleep(d);
+            elapsed
+        });
+        assert!(inner_elapsed > d);
+        assert_eq!(outer.now(), SimTime::ZERO + d * 2);
+        assert_eq!(outer.server().stats().total(), 0);
     }
 
     /// Pins the TCP path of a multi-client world — the handshake, record

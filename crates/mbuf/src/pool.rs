@@ -18,15 +18,16 @@
 //! The fast path is a thread-local list, matching how the experiment
 //! runner parallelizes (whole simulations per worker thread), so the
 //! common allocate/free pair never locks. Underneath it sits a shared
-//! overflow tier: workload generator procs run on their own OS threads
-//! and build call messages that the world thread consumes and frees,
-//! while reply chains travel the opposite way — so each thread's local
-//! list only ever sees one side of the flow and would starve (the taker
-//! allocating fresh forever, the freer discarding at capacity). A
-//! thread whose list fills spills a batch to the shared tier and a
-//! thread whose list empties refills a batch from it, so buffers
-//! circulate back to where they are taken and the lock is amortized
-//! over [`XFER_BATCH`] operations.
+//! overflow tier for worlds whose buffers cross threads: a carved world
+//! at `sim_threads > 1`, where a call built on a client domain's worker
+//! is freed by the coordinator thread that runs the servers, and reply
+//! chains travel the opposite way. A local list that sees only one side
+//! of such a flow starves (the taker allocating fresh forever, the freer
+//! discarding at capacity), so a thread whose list fills spills a batch
+//! to the shared tier and a thread whose list empties refills a batch
+//! from it: buffers circulate back to where they are taken and the lock
+//! is amortized over [`XFER_BATCH`] operations. At one sim thread procs,
+//! transports and servers all use one thread's lists and the tier idles.
 
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -174,14 +175,14 @@ fn give(rc: Arc<ClusterBuf>) {
         if p.capacity == 0 || rc.capacity() < MCLBYTES {
             return;
         }
-        // A thread that has never *taken* a cluster is a pure producer —
-        // a workload thread dropping reply chains shipped over from the
-        // simulation loop. Letting it fill a full-size local free list
-        // strands (threads × capacity) buffers where no allocation will
-        // ever reuse them, and with a crowd of client threads the
-        // consumer side re-allocates fresh for the entire fill window.
-        // Producers stage only one transfer batch locally and spill it
-        // to the shared tier, where the simulation thread refills from.
+        // A thread that has never *taken* a cluster is a pure producer:
+        // it only drops chains shipped over from another thread. Letting
+        // it fill a full-size local free list strands (threads ×
+        // capacity) buffers where no allocation will ever reuse them,
+        // and the consumer side re-allocates fresh for the entire fill
+        // window. Producers stage only one transfer batch locally and
+        // spill it to the shared tier, where the allocating thread
+        // refills from.
         let cap = if p.fresh + p.reused == 0 {
             XFER_BATCH.min(p.capacity)
         } else {

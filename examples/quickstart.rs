@@ -16,7 +16,7 @@ fn main() {
     let mut world = World::new(WorldConfig::baseline());
     let root = world.root_handle();
 
-    // Results come back from the workload thread over a channel.
+    // Results come back from the workload proc over a channel.
     let (tx, rx) = std::sync::mpsc::channel();
 
     world.spawn(move |sys| {

@@ -30,6 +30,9 @@ echo "==> handoff differential (posted syscalls == one crossing per call, both e
 # The debug run above draws 24 cases; release draws the full 192.
 cargo test -q -p renofs --release --test handoff_differential
 
+echo "==> no proc is an OS thread (64 procs, thread count unchanged)"
+cargo test -q -p renofs --release --test no_proc_threads
+
 echo "==> pdes equivalence (single queue == carved, random shapes and fault plans)"
 # Likewise 8 cases in the debug run above, 64 in release.
 cargo test -q -p renofs --release --test pdes_equivalence
@@ -68,6 +71,18 @@ echo "==> repro bench --scale quick --check (PDES + lease + shard behaviour gate
 # (LAN aggregate op/s at M=4 >= 2x M=1, all shards routed, fairness >=
 # 0.8, byte-identical across a fresh sim-threads x jobs matrix).
 cargo run -q --release -p renofs-bench --bin repro -- bench --scale quick --check
+
+echo "==> kernel-time gate (repro all --scale quick --jobs 1: sys <= 10% of CPU time)"
+# A proc hand-off is a register switch on the world's own thread; time in
+# the kernel means something blocks or wakes a thread again (37 % before
+# procs were coroutines, 2 % since).
+TIMEFORMAT='%U %S'
+cpu=$({ time ./target/release/repro all --scale quick --jobs 1 >/dev/null 2>&1; } 2>&1)
+echo "    user, sys seconds: $cpu"
+awk '{ exit !($2 <= 0.10 * ($1 + $2)) }' <<<"$cpu" || {
+    echo "kernel-time gate failed: sys is more than 10% of user + sys" >&2
+    exit 1
+}
 
 echo "==> benchmark/check.sh (the frozen benchmark still builds and runs against these crates)"
 bash benchmark/check.sh
