@@ -297,6 +297,9 @@ enum Resp {
     Ticket(u64),
 }
 
+// Every crossing moves one of each between a proc and the world.
+const _: () = assert!(size_of::<Req>() <= 40 && size_of::<Resp>() <= 40);
+
 /// Who is waiting for an RPC reply.
 #[derive(Clone, Copy, Debug)]
 enum Waker {
@@ -305,9 +308,6 @@ enum Waker {
 }
 
 /// World events.
-// Payload-carrying variants dominate the size; events are short-lived
-// heap-queue entries, so boxing would only add indirection.
-#[allow(clippy::large_enum_variant)]
 enum Ev {
     Net(NetEvent),
     Wake(usize, Resp),
@@ -357,6 +357,9 @@ enum Ev {
         kind: ClientEventKind,
     },
 }
+
+// Popped, dispatched and pushed by value once per frame per hop.
+const _: () = assert!(size_of::<Ev>() <= 96);
 
 // The UDP client is large but there are only a handful per world.
 #[allow(clippy::large_enum_variant)]
@@ -1436,33 +1439,32 @@ impl World {
     }
 
     /// Pops the single queue's next event and hands it to the machine that
-    /// owns it; false when the queue is empty. The hub is offered it first
-    /// — nine events in ten are frames, and an event is ~300 bytes to pass
-    /// on once more — and gives back one that names a client machine. Its
-    /// network here reaches the client machines too, so it also hands back
-    /// the datagrams that completed at one.
+    /// owns it; false when the queue is empty. The hub's network here
+    /// reaches the client machines too, so it hands back the datagrams
+    /// that completed at one.
     fn step(&mut self) -> bool {
-        // Borrowed once: a bounds check between the pop and the call would
-        // pin the event in a local of its own, which is one more copy.
-        let dq = &mut self.doms[0];
-        let Some((now, _, ev)) = dq.pop() else {
+        let Some((now, _, ev)) = self.doms[0].pop() else {
             return false;
-        };
-        let Some(ev) = self.hub.handle_event(dq, now, ev) else {
-            let mut handed = std::mem::take(&mut self.hub.deliveries);
-            for (ci, d) in handed.drain(..) {
-                self.ctx(ci).deliver(now, d);
-            }
-            self.hub.deliveries = handed;
-            return true;
         };
         let ci = match &ev {
             Ev::Wake(tid, _) => self.sched().ports[*tid].client,
             Ev::AsyncDone { client, .. }
             | Ev::UdpTimer { client, .. }
-            | Ev::TcpTimer { client, .. }
+            | Ev::TcpTimer {
+                client,
+                server_side: false,
+                ..
+            }
             | Ev::Note { client, .. } => *client,
-            _ => unreachable!("the hub keeps its own events"),
+            _ => {
+                self.hub.handle_event(&mut self.doms[0], now, ev);
+                let mut handed = std::mem::take(&mut self.hub.deliveries);
+                for (ci, d) in handed.drain(..) {
+                    self.ctx(ci).deliver(now, d);
+                }
+                self.hub.deliveries = handed;
+                return true;
+            }
         };
         self.ctx(ci).handle_event(now, ev);
         true
@@ -2058,8 +2060,7 @@ impl Hub {
                 Some((t, _)) if t < bound => {
                     let (at, _, ev) = dq.pop().expect("peeked");
                     debug_assert_eq!(at, t);
-                    let stray = self.handle_event(dq, at, ev);
-                    debug_assert!(stray.is_none(), "a client's event in the hub domain");
+                    self.handle_event(dq, at, ev);
                 }
                 _ => return,
             }
@@ -2068,9 +2069,8 @@ impl Hub {
 
     /// Every event the network and the server machines own under either
     /// engine; `dq` is the queue they ride on. What reaches a client
-    /// machine leaves through `frames` or `deliveries`. An event that is a
-    /// client machine's is returned untouched.
-    fn handle_event(&mut self, dq: &mut DomainQ<Ev>, now: SimTime, ev: Ev) -> Option<Ev> {
+    /// machine leaves through `frames` or `deliveries`.
+    fn handle_event(&mut self, dq: &mut DomainQ<Ev>, now: SimTime, ev: Ev) {
         match ev {
             Ev::Send {
                 src,
@@ -2106,10 +2106,7 @@ impl Hub {
                 let srv = &mut self.servers[server];
                 srv.nfsd_busy = srv.nfsd_busy.saturating_sub(1);
                 if srv.up {
-                    if let Some(q) = srv.nfsd_queue.pop_front() {
-                        srv.nfsd_busy += 1;
-                        self.nfsd_serve(dq, q.request, q.client, server, q.arrival, now);
-                    }
+                    self.start_queued(dq, server, now);
                 }
             }
             Ev::TcpTimer {
@@ -2124,10 +2121,16 @@ impl Hub {
             Ev::ServerCrash { server, downtime } => {
                 let srv = &mut self.servers[server];
                 srv.up = false;
-                // Requests waiting for a daemon die with the machine; the
-                // clients retransmit them after the reboot. Client console
-                // notes were pre-scheduled with the crash.
-                srv.nfsd_queue.clear();
+                // Requests waiting for a daemon die with the machine, and a
+                // UDP client retransmits them after the reboot. A TCP
+                // client never will: their bytes were ACKed by a connection
+                // this model keeps across the crash as if re-established,
+                // and Reno's `nfs_reconnect` re-sends every outstanding
+                // call, so those stay queued for the reboot to serve.
+                // Client console notes were pre-scheduled with the crash.
+                if srv.conns.is_empty() {
+                    srv.nfsd_queue.clear();
+                }
                 dq.push(now + downtime, Ev::ServerReboot { server });
             }
             Ev::ServerReboot { server } => {
@@ -2136,14 +2139,16 @@ impl Hub {
                 let srv = &mut self.servers[server];
                 srv.server.reboot();
                 srv.up = true;
+                // Calls a TCP mount left queued across the crash: with
+                // every client blocked on one, nothing else kicks the queue.
+                self.start_queued(dq, server, now);
             }
             Ev::Wake(..)
             | Ev::AsyncDone { .. }
             | Ev::UdpTimer { .. }
             | Ev::TcpTimer { .. }
-            | Ev::Note { .. } => return Some(ev),
+            | Ev::Note { .. } => unreachable!("a client machine's event"),
         }
-        None
     }
 
     fn absorb_net(&mut self, dq: &mut DomainQ<Ev>, now: SimTime, out: &mut NetOutput) {
@@ -2246,6 +2251,18 @@ impl Hub {
                 done,
                 tcp_frame((srv.node, NFS_PORT), (m.node, m.sport), seg),
             );
+        }
+    }
+
+    /// Starts queued requests, FIFO, on whatever daemon contexts are free.
+    fn start_queued(&mut self, dq: &mut DomainQ<Ev>, sj: usize, now: SimTime) {
+        while self.servers[sj].nfsd_busy < self.nfsds {
+            let srv = &mut self.servers[sj];
+            let Some(q) = srv.nfsd_queue.pop_front() else {
+                break;
+            };
+            srv.nfsd_busy += 1;
+            self.nfsd_serve(dq, q.request, q.client, sj, q.arrival, now);
         }
     }
 
@@ -3267,6 +3284,53 @@ mod tests {
         assert!(inner_elapsed > d);
         assert_eq!(outer.now(), SimTime::ZERO + d * 2);
         assert_eq!(outer.server().stats().total(), 0);
+    }
+
+    /// A call that was waiting for a daemon when the server crashed was
+    /// already ACKed by the server's end of the TCP connection, so no
+    /// retransmission will ever bring it back: the reboot must serve it.
+    /// Dropping it with the queue left every proc blocked with no event
+    /// pending.
+    #[test]
+    fn tcp_calls_queued_at_a_crash_are_served_after_the_reboot() {
+        // All three READs leave at 500 ms; at 510 ms one is at the disk
+        // and two wait behind it.
+        let crash = SimTime::from_millis(510);
+        let mut cfg = WorldConfig::baseline();
+        cfg.transport = TransportKind::Tcp;
+        cfg.clients = 3;
+        cfg.nfsds = 1;
+        cfg.faults = FaultPlan::new().server_crash(crash, SimDuration::from_secs(2));
+        let mut world = World::new(cfg);
+        preload(&mut world, "shared.bin", &[5u8; 8192]);
+        let root = world.root_handle();
+        let (tx, rx) = result_channel();
+        for ci in 0..3 {
+            let tx = tx.clone();
+            world.spawn_on(ci, move |sys| {
+                let mut fs = ClientFs::mount(sys, ClientConfig::reno(), root, "uvax1");
+                let fh = fs.lookup_path("/shared.bin").unwrap();
+                let now = fs.sys().now();
+                fs.sys().sleep(SimTime::from_millis(500).since(now));
+                let res = fs.read(fh, 0, 8192).map(|bytes| bytes.len());
+                tx.send((res, fs.sys().now())).unwrap();
+            });
+        }
+        world.run_until(crash - SimDuration::from_nanos(1));
+        let srv = &world.hub.servers[0];
+        assert_eq!((srv.nfsd_busy, srv.nfsd_queue.len()), (1, 2));
+        world.run();
+        // Every proc finishes, none before the reboot. The two queued
+        // calls are answered first, by a server to which a handle from
+        // before the crash is stale; the third had to re-send its own.
+        let mut results: Vec<_> = rx.try_iter().collect();
+        results.sort_by_key(|&(_, done)| done);
+        assert_eq!(results.len(), 3);
+        assert!(results[0].1 > crash + SimDuration::from_secs(2));
+        let stale = Err(crate::client::ClientError::Stale);
+        assert_eq!(results[0].0, stale);
+        assert_eq!(results[1].0, stale);
+        assert_eq!(results[2].0, Ok(8192));
     }
 
     /// Pins the TCP path of a multi-client world — the handshake, record

@@ -1,10 +1,10 @@
 //! Mbufs and mbuf chains.
 
+use std::collections::VecDeque;
 use std::fmt;
 
-use crate::inline_deque::InlineDeque;
 use crate::meter::CopyMeter;
-use crate::pool::{ClusterRef, SmallBuf};
+use crate::pool::{self, ClusterRef, SmallBuf, Spine};
 
 /// Inline data capacity of a small mbuf (4.3BSD's `MLEN` less headers).
 pub const MLEN: usize = 112;
@@ -12,12 +12,8 @@ pub const MLEN: usize = 112;
 /// Capacity of an mbuf cluster (4.3BSD's `MCLBYTES`).
 pub const MCLBYTES: usize = 2048;
 
-/// Segments kept inline in the chain before the list spills to the heap.
-/// Six covers the common RPC shapes: a header mbuf plus the four clusters
-/// of an 8 KB read/write, with one spare.
-const SEG_INLINE: usize = 6;
-
-type SegList = InlineDeque<Mbuf, SEG_INLINE>;
+/// The segment list of a chain that owns no spine.
+static NO_SEGS: VecDeque<Mbuf> = VecDeque::new();
 
 enum Storage {
     /// Unique inline storage, recycled through the small-mbuf free list.
@@ -200,6 +196,12 @@ impl fmt::Debug for Mbuf {
 
 /// A chain of mbufs holding one logical message.
 ///
+/// As in 4.3BSD the chain itself is a pointer: the segment list (the
+/// *spine*) lives on the heap and is recycled through [`pool`] like the
+/// clusters and small data areas it lists, so a chain moves as two words
+/// however many structs and queues it is handed through by value. An
+/// empty chain owns no spine and costs nothing to make, take or drop.
+///
 /// # Examples
 ///
 /// ```
@@ -213,14 +215,20 @@ impl fmt::Debug for Mbuf {
 /// assert_eq!(chain.to_vec_for_test(), b"hello world");
 /// assert_eq!(meter.bytes(), 11);
 /// ```
+#[derive(Default)]
 pub struct MbufChain {
-    segs: SegList,
+    spine: Option<Spine>,
     len: usize,
 }
 
-impl Default for MbufChain {
-    fn default() -> Self {
-        Self::new()
+// Fragments, events and syscall replies carry a chain by value.
+const _: () = assert!(size_of::<MbufChain>() <= 16);
+
+impl Drop for MbufChain {
+    fn drop(&mut self) {
+        if let Some(spine) = self.spine.take() {
+            pool::give(spine);
+        }
     }
 }
 
@@ -229,20 +237,29 @@ impl Clone for MbufChain {
     /// whole chain). Small-mbuf bytes are duplicated but not metered;
     /// use [`MbufChain::share_range`] when accounting matters.
     fn clone(&self) -> Self {
-        MbufChain {
-            segs: self.segs.clone(),
-            len: self.len,
+        let mut c = MbufChain::new();
+        if !self.segs().is_empty() {
+            c.segs_mut().extend(self.segs().iter().cloned());
         }
+        c.len = self.len;
+        c
     }
 }
 
 impl MbufChain {
     /// Creates an empty chain.
     pub fn new() -> Self {
-        MbufChain {
-            segs: SegList::new(),
-            len: 0,
-        }
+        Self::default()
+    }
+
+    fn segs(&self) -> &VecDeque<Mbuf> {
+        self.spine.as_deref().unwrap_or(&NO_SEGS)
+    }
+
+    /// The segment list for pushing onto, taking a spine from the pool
+    /// if the chain has none yet.
+    fn segs_mut(&mut self) -> &mut VecDeque<Mbuf> {
+        self.spine.get_or_insert_with(pool::take)
     }
 
     /// Creates an empty chain whose first small mbuf reserves `leading`
@@ -250,7 +267,7 @@ impl MbufChain {
     /// allocating (the `MH_ALIGN` idiom).
     pub fn with_leading_space(leading: usize) -> Self {
         let mut c = MbufChain::new();
-        c.segs
+        c.segs_mut()
             .push_back(Mbuf::small_with_leading(leading.min(MLEN)));
         c
     }
@@ -274,17 +291,20 @@ impl MbufChain {
 
     /// Number of mbufs in the chain (empty reserved mbufs included).
     pub fn seg_count(&self) -> usize {
-        self.segs.len()
+        self.segs().len()
     }
 
     /// Iterates over the data segments (skipping empty mbufs).
     pub fn segments(&self) -> impl Iterator<Item = &[u8]> {
-        self.segs.iter().filter(|m| !m.is_empty()).map(|m| m.data())
+        self.segs()
+            .iter()
+            .filter(|m| !m.is_empty())
+            .map(|m| m.data())
     }
 
     /// Iterates over the mbufs themselves.
     pub fn mbufs(&self) -> impl Iterator<Item = &Mbuf> {
-        self.segs.iter()
+        self.segs().iter()
     }
 
     /// Appends `src` by copying, charging the meter for the copied
@@ -302,24 +322,28 @@ impl MbufChain {
     /// contexts where the copy is priced separately (e.g. test fixtures).
     /// Returns the number of clusters allocated along the way.
     pub fn append_bytes_unmetered(&mut self, mut src: &[u8]) -> usize {
+        if src.is_empty() {
+            return 0;
+        }
         self.len += src.len();
+        let segs = self.segs_mut();
         let mut allocs = 0;
         while !src.is_empty() {
-            let space = match self.segs.back_mut() {
+            let space = match segs.back_mut() {
                 Some(m) => m.trailing_space(),
                 None => 0,
             };
             if space == 0 {
                 if src.len() > MLEN {
-                    self.segs.push_back(Mbuf::cluster());
+                    segs.push_back(Mbuf::cluster());
                     allocs += 1;
                 } else {
-                    self.segs.push_back(Mbuf::small());
+                    segs.push_back(Mbuf::small());
                 }
                 continue;
             }
             let n = space.min(src.len());
-            self.segs.back_mut().unwrap().append(&src[..n]);
+            segs.back_mut().unwrap().append(&src[..n]);
             src = &src[n..];
         }
         allocs
@@ -333,7 +357,8 @@ impl MbufChain {
         }
         meter.charge(src.len());
         self.len += src.len();
-        if let Some(first) = self.segs.front_mut() {
+        let segs = self.segs_mut();
+        if let Some(first) = segs.front_mut() {
             if !first.is_cluster() && first.leading_space() >= src.len() {
                 first.prepend(src);
                 return;
@@ -341,33 +366,34 @@ impl MbufChain {
         }
         // Chunk the header into fresh small mbufs, last chunk first.
         let mut rest = src;
-        let mut front: Vec<Mbuf> = Vec::new();
         while !rest.is_empty() {
             let n = rest.len().min(MLEN);
             let mut m = Mbuf::small_with_leading(MLEN);
             m.prepend(&rest[rest.len() - n..]);
-            front.push(m);
+            segs.push_front(m);
             rest = &rest[..rest.len() - n];
-        }
-        for m in front {
-            self.segs.push_front(m);
         }
     }
 
     /// Concatenates `other` onto the end of this chain without copying
     /// (`m_cat`). Adjacent windows of one shared cluster coalesce back
     /// into a single mbuf, so a reassembled 8 KB datagram lands at its
-    /// original four clusters instead of one window per fragment slice —
-    /// keeping the segment list inline (no heap spill) and short.
-    pub fn append_chain(&mut self, other: MbufChain) {
+    /// original four clusters instead of one window per fragment slice,
+    /// which keeps the spine short and inside its pooled capacity.
+    pub fn append_chain(&mut self, mut other: MbufChain) {
+        // Drained, not consumed: `other` parks its emptied spine on drop.
+        let Some(donor) = other.spine.as_mut() else {
+            return;
+        };
         self.len += other.len;
-        for m in other.segs.into_iter() {
-            if let Some(back) = self.segs.back_mut() {
+        let segs = self.segs_mut();
+        for m in donor.drain(..) {
+            if let Some(back) = segs.back_mut() {
                 if back.try_merge(&m) {
                     continue;
                 }
             }
-            self.segs.push_back(m);
+            segs.push_back(m);
         }
     }
 
@@ -386,7 +412,7 @@ impl MbufChain {
         }
         let mut skip = off;
         let mut want = len;
-        for m in &self.segs {
+        for m in self.segs() {
             if want == 0 {
                 break;
             }
@@ -396,7 +422,7 @@ impl MbufChain {
             }
             let take = (m.len() - skip).min(want);
             if m.is_cluster() {
-                out.segs.push_back(m.share_window(skip, take));
+                out.segs_mut().push_back(m.share_window(skip, take));
                 out.len += take;
             } else {
                 out.append_bytes(&m.data()[skip..skip + take], meter);
@@ -422,26 +448,31 @@ impl MbufChain {
             return tail;
         }
         let mut remaining = at;
-        let mut head_segs = SegList::new();
-        while let Some(mut m) = self.segs.pop_front() {
+        let head_segs = self.spine.as_mut().expect("a chain with data has a spine");
+        let tail_segs = tail.segs_mut();
+        // One turn of the ring: each mbuf leaves the front and either
+        // rejoins at the back (the head side) or moves to the tail, so
+        // both sides keep their order and the head needs no second spine.
+        for _ in 0..head_segs.len() {
+            let mut m = head_segs.pop_front().expect("counted above");
             if remaining >= m.len() {
                 remaining -= m.len();
                 head_segs.push_back(m);
                 continue;
             }
             if remaining == 0 {
-                tail.segs.push_back(m);
+                tail_segs.push_back(m);
                 continue;
             }
             // Straddling mbuf.
             let tail_len = m.len() - remaining;
             if m.is_cluster() {
-                tail.segs.push_back(m.share_window(remaining, tail_len));
+                tail_segs.push_back(m.share_window(remaining, tail_len));
             } else {
                 let mut copy = Mbuf::small();
                 meter.charge(tail_len);
                 copy.append(&m.data()[remaining..]);
-                tail.segs.push_back(copy);
+                tail_segs.push_back(copy);
             }
             m.len = remaining;
             head_segs.push_back(m);
@@ -449,47 +480,48 @@ impl MbufChain {
         }
         tail.len = self.len - at;
         self.len = at;
-        self.segs = head_segs;
         tail
     }
 
     /// Drops `n` bytes from the front (`m_adj` with a positive count).
     pub fn trim_front(&mut self, mut n: usize) {
+        let Some(segs) = self.spine.as_mut() else {
+            return;
+        };
         n = n.min(self.len);
         self.len -= n;
         while n > 0 {
-            let front = self.segs.front_mut().expect("len accounting");
+            let front = segs.front_mut().expect("len accounting");
             if front.len() <= n {
                 n -= front.len();
-                self.segs.pop_front();
+                segs.pop_front();
             } else {
                 front.off += n;
                 front.len -= n;
                 n = 0;
             }
         }
-        self.drop_empty();
+        segs.retain(|m| !m.is_empty());
     }
 
     /// Drops `n` bytes from the back (`m_adj` with a negative count).
     pub fn trim_back(&mut self, mut n: usize) {
+        let Some(segs) = self.spine.as_mut() else {
+            return;
+        };
         n = n.min(self.len);
         self.len -= n;
         while n > 0 {
-            let back = self.segs.back_mut().expect("len accounting");
+            let back = segs.back_mut().expect("len accounting");
             if back.len() <= n {
                 n -= back.len();
-                self.segs.pop_back();
+                segs.pop_back();
             } else {
                 back.len -= n;
                 n = 0;
             }
         }
-        self.drop_empty();
-    }
-
-    fn drop_empty(&mut self) {
-        self.segs.retain(|m| !m.is_empty());
+        segs.retain(|m| !m.is_empty());
     }
 
     /// Copies `dst.len()` bytes starting at `off` out of the chain,
@@ -513,7 +545,7 @@ impl MbufChain {
         assert!(off + dst.len() <= self.len, "copy_out out of bounds");
         let mut skip = off;
         let mut pos = 0;
-        for m in &self.segs {
+        for m in self.segs() {
             if pos == dst.len() {
                 break;
             }
@@ -558,7 +590,7 @@ impl MbufChain {
     pub fn pullup(&mut self, n: usize, meter: &mut CopyMeter) {
         assert!(n <= self.len, "pullup beyond chain length");
         assert!(n <= MCLBYTES, "pullup larger than a cluster");
-        if let Some(first) = self.segs.front() {
+        if let Some(first) = self.segs().front() {
             if first.len() >= n {
                 return;
             }
@@ -570,9 +602,11 @@ impl MbufChain {
         let mut lead = MbufChain::new();
         let allocs = lead.append_bytes_unmetered(&head);
         meter.charge_cluster_allocs(allocs);
-        lead.len = n;
-        for m in lead.segs.into_iter().rev() {
-            self.segs.push_front(m);
+        if let Some(donor) = lead.spine.as_mut() {
+            let segs = self.segs_mut();
+            while let Some(m) = donor.pop_back() {
+                segs.push_front(m);
+            }
         }
         self.len += n;
     }
@@ -580,7 +614,7 @@ impl MbufChain {
 
 impl fmt::Debug for MbufChain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "MbufChain[len={} segs={}]", self.len, self.segs.len())
+        write!(f, "MbufChain[len={} segs={}]", self.len, self.seg_count())
     }
 }
 
@@ -785,6 +819,28 @@ mod tests {
         m.take();
         c.pullup(4, &mut m);
         assert_eq!(m.bytes(), 0);
+    }
+
+    #[test]
+    fn an_empty_chain_owns_no_spine() {
+        let before = pool::spine_stats();
+        let mut c = MbufChain::new();
+        let d = std::mem::take(&mut c);
+        assert_eq!((c.seg_count(), d.seg_count()), (0, 0));
+        assert!(c.clone().split_off(0, &mut meter()).is_empty());
+        drop((c, d));
+        assert_eq!(pool::spine_stats(), before, "neither taken nor parked");
+    }
+
+    #[test]
+    fn a_dropped_chain_parks_its_spine_for_the_next() {
+        let mut m = meter();
+        drop(MbufChain::from_slice(b"abc", &mut m));
+        let before = pool::spine_stats();
+        assert_eq!(before.free, 1);
+        let c = MbufChain::from_slice(b"def", &mut m);
+        assert_eq!(pool::spine_stats().reused, before.reused + 1);
+        assert_eq!((c.seg_count(), c.to_vec_for_test()), (1, b"def".to_vec()));
     }
 
     #[test]

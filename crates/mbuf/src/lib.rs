@@ -11,6 +11,10 @@
 //!   analog of `m_copym`) duplicates a chain without copying cluster bytes
 //!   — this is what lets TCP keep retransmission data, and what the
 //!   "page loaning" future-work extension builds on.
+//! - A chain is a pointer, as in 4.3BSD: its segment list (the *spine*)
+//!   lives on the heap and is recycled through [`pool`] like the clusters
+//!   and small data areas, so the structs and events that carry a chain
+//!   by value stay small.
 //! - Every genuine memory-to-memory copy is charged to a [`CopyMeter`].
 //!   Hosts convert metered bytes into CPU time, which is how the paper's
 //!   Section 3 observation ("the mbuf-to-interface copy routine topped the
@@ -18,11 +22,9 @@
 
 mod chain;
 mod cursor;
-pub mod inline_deque;
 mod meter;
 pub mod pool;
 
 pub use chain::{Mbuf, MbufChain, MCLBYTES, MLEN};
 pub use cursor::Cursor;
-pub use inline_deque::InlineDeque;
 pub use meter::CopyMeter;

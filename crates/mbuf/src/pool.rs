@@ -1,14 +1,14 @@
-//! A free list of cluster buffers.
+//! Free lists for the three things an mbuf chain is made of.
 //!
 //! 4.3BSD keeps mbuf clusters on a kernel free list (`mclfree`) so the
-//! hot allocate/free path never touches the page allocator. The
-//! simulator's original `Mbuf::cluster()` instead allocated a fresh
-//! 2 KB `Vec` per cluster, which dominated the allocator profile of
-//! long sweeps. This module reproduces the free list: dropped cluster
-//! buffers return here and are handed back out, cleared, on the next
-//! allocation.
+//! hot allocate/free path never touches the page allocator. This module
+//! reproduces that for every heap block a chain owns: the 2 KB clusters,
+//! the `MLEN`-byte data areas of small mbufs, and the *spine* — the
+//! segment list a chain points to. Dropped buffers return here and are
+//! handed back out, as new, on the next allocation; one two-tier list
+//! ([`take`]/[`give`]) serves all three kinds through [`Pooled`].
 //!
-//! The free list parks the whole `Arc<ClusterBuf>`, not just the byte
+//! The cluster list parks the whole `Arc<ClusterBuf>`, not just the byte
 //! buffer: `Arc::new` is itself a heap allocation, and an 8 KB read
 //! reply takes four clusters, so recycling only the `Vec` would still
 //! cost four allocations per RPC. An `Arc` is recyclable exactly when
@@ -30,9 +30,11 @@
 //! transports and servers all use one thread's lists and the tier idles.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::LocalKey;
 
-use crate::chain::{MCLBYTES, MLEN};
+use crate::chain::{Mbuf, MCLBYTES, MLEN};
 
 /// Free-list capacity before returned buffers spill to the shared tier.
 const DEFAULT_CAPACITY: usize = 128;
@@ -40,68 +42,146 @@ const DEFAULT_CAPACITY: usize = 128;
 /// Free-list capacity for small mbuf data areas.
 const SMALL_DEFAULT_CAPACITY: usize = 256;
 
-/// Shared-tier capacity for cluster buffers (all threads combined).
-const SHARED_CLUSTER_CAPACITY: usize = 1024;
-
-/// Shared-tier capacity for small-mbuf data areas.
-const SHARED_SMALL_CAPACITY: usize = 4096;
+/// Free-list capacity for chain spines: every chain in flight holds one,
+/// as most hold one small mbuf.
+const SPINE_DEFAULT_CAPACITY: usize = 256;
 
 /// Buffers moved per spill or refill of the shared tier.
 const XFER_BATCH: usize = 32;
 
-/// The cross-thread overflow tier.
-struct Shared {
-    clusters: Vec<Arc<ClusterBuf>>,
-    // The `Box` is the resource being pooled: `SmallBuf` hands the same
-    // heap block back out, so storing unboxed arrays would defeat it.
-    #[allow(clippy::vec_box)]
-    smalls: Vec<Box<[u8; MLEN]>>,
-}
-
-static SHARED: Mutex<Shared> = Mutex::new(Shared {
-    clusters: Vec::new(),
-    smalls: Vec::new(),
-});
-
-fn shared() -> MutexGuard<'static, Shared> {
-    // The tier holds plain buffers, so a panic while the lock was held
-    // cannot leave them inconsistent; recover instead of poisoning every
-    // later test in the process.
-    SHARED.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-struct Pool {
-    free: Vec<Arc<ClusterBuf>>,
+/// One thread's free list of one pooled kind.
+pub(crate) struct FreeList<T> {
+    free: Vec<T>,
     capacity: usize,
     fresh: u64,
     reused: u64,
 }
 
-thread_local! {
-    static POOL: RefCell<Pool> = const {
-        RefCell::new(Pool {
+impl<T> FreeList<T> {
+    const fn new(capacity: usize) -> Self {
+        FreeList {
             free: Vec::new(),
-            capacity: DEFAULT_CAPACITY,
+            capacity,
             fresh: 0,
             reused: 0,
-        })
+        }
+    }
+}
+
+/// A kind of buffer the pool recycles: where its two tiers live, and what
+/// leaving and joining a free list mean for it.
+pub(crate) trait Pooled: Sized + 'static {
+    /// Shared-tier capacity (all threads combined).
+    const SHARED_CAPACITY: usize;
+    /// This thread's free list.
+    fn local() -> &'static LocalKey<RefCell<FreeList<Self>>>;
+    /// The cross-thread overflow tier.
+    fn shared() -> &'static Mutex<Vec<Self>>;
+    /// A new buffer from the heap.
+    fn fresh() -> Self;
+    /// Called on give: whether the buffer may be parked at all. No list
+    /// is borrowed yet, so it may drop what the buffer still holds (which
+    /// can give to another kind's list).
+    fn admit(&mut self) -> bool {
+        true
+    }
+    /// Called on take: returns a parked buffer to its as-new state.
+    fn reset(&mut self) {}
+}
+
+/// Defines `Pooled::local` and `Pooled::shared` for one kind (statics
+/// cannot be generic, so each kind declares its own pair).
+macro_rules! tiers {
+    ($kind:ty, $capacity:expr) => {
+        fn local() -> &'static LocalKey<RefCell<FreeList<Self>>> {
+            thread_local! {
+                static LOCAL: RefCell<FreeList<$kind>> =
+                    const { RefCell::new(FreeList::new($capacity)) };
+            }
+            &LOCAL
+        }
+        fn shared() -> &'static Mutex<Vec<Self>> {
+            static SHARED: Mutex<Vec<$kind>> = Mutex::new(Vec::new());
+            &SHARED
+        }
     };
 }
 
-/// A snapshot of this thread's pool counters.
+fn shared<T: Pooled>() -> MutexGuard<'static, Vec<T>> {
+    // The tier holds plain buffers, so a panic while the lock was held
+    // cannot leave them inconsistent; recover instead of poisoning every
+    // later test in the process.
+    T::shared().lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A buffer of kind `T` from the free list, or fresh if it is empty.
+pub(crate) fn take<T: Pooled>() -> T {
+    T::local().with(|p| {
+        let mut p = p.borrow_mut();
+        if p.free.is_empty() && p.capacity > 0 {
+            let mut sh = shared::<T>();
+            let at = sh.len() - sh.len().min(XFER_BATCH);
+            p.free.extend(sh.drain(at..));
+        }
+        match p.free.pop() {
+            Some(mut item) => {
+                p.reused += 1;
+                item.reset();
+                item
+            }
+            None => {
+                p.fresh += 1;
+                T::fresh()
+            }
+        }
+    })
+}
+
+/// Parks `item` on the free list if its kind admits it and there is room.
+pub(crate) fn give<T: Pooled>(mut item: T) {
+    if !item.admit() {
+        return;
+    }
+    T::local().with(|p| {
+        let mut p = p.borrow_mut();
+        // A thread that has never *taken* a buffer of this kind is a pure
+        // producer: it only drops chains shipped over from another
+        // thread. Letting it fill a full-size local free list strands
+        // (threads × capacity) buffers where no allocation will ever
+        // reuse them, and the consumer side re-allocates fresh for the
+        // entire fill window. Producers stage only one transfer batch
+        // locally and spill it to the shared tier, where the allocating
+        // thread refills from.
+        let cap = if p.fresh + p.reused == 0 {
+            XFER_BATCH.min(p.capacity)
+        } else {
+            p.capacity
+        };
+        if cap > 0 && p.free.len() >= cap {
+            let mut sh = shared::<T>();
+            let room = T::SHARED_CAPACITY - sh.len();
+            let at = p.free.len() - XFER_BATCH.min(room).min(p.free.len());
+            sh.extend(p.free.drain(at..));
+        }
+        if p.free.len() < cap {
+            p.free.push(item);
+        }
+    });
+}
+
+/// A snapshot of one of this thread's free lists.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Cluster buffers allocated fresh from the heap.
+    /// Buffers allocated fresh from the heap.
     pub fresh: u64,
-    /// Cluster buffers recycled from the free list.
+    /// Buffers recycled from the free list.
     pub reused: u64,
     /// Buffers currently parked on the free list.
     pub free: usize,
 }
 
-/// Returns this thread's pool counters.
-pub fn stats() -> PoolStats {
-    POOL.with(|p| {
+fn stats_of<T: Pooled>() -> PoolStats {
+    T::local().with(|p| {
         let p = p.borrow();
         PoolStats {
             fresh: p.fresh,
@@ -111,94 +191,57 @@ pub fn stats() -> PoolStats {
     })
 }
 
-/// Sets the free-list capacity for this thread. `0` disables pooling:
-/// every allocation is fresh and every drop is final — useful for
-/// comparing pooled and unpooled behavior.
-pub fn set_capacity(capacity: usize) {
-    POOL.with(|p| {
+fn set_capacity_of<T: Pooled>(capacity: usize) {
+    T::local().with(|p| {
         let mut p = p.borrow_mut();
         p.capacity = capacity;
         p.free.truncate(capacity);
     });
 }
 
-/// Empties the free lists (cluster and small) and zeroes the counters
-/// for this thread.
+fn reset_of<T: Pooled>() {
+    T::local().with(|p| {
+        let mut p = p.borrow_mut();
+        *p = FreeList::new(p.capacity);
+    });
+}
+
+/// Returns this thread's cluster pool counters.
+pub fn stats() -> PoolStats {
+    stats_of::<Arc<ClusterBuf>>()
+}
+
+/// Returns this thread's small-mbuf pool counters.
+pub fn small_stats() -> PoolStats {
+    stats_of::<SmallArea>()
+}
+
+/// Returns this thread's chain-spine pool counters.
+pub fn spine_stats() -> PoolStats {
+    stats_of::<Spine>()
+}
+
+/// Sets this thread's free-list capacity for clusters and for the chain
+/// spines that carry them. `0` disables pooling: every allocation is
+/// fresh and every drop is final — useful for comparing pooled and
+/// unpooled behavior.
+pub fn set_capacity(capacity: usize) {
+    set_capacity_of::<Arc<ClusterBuf>>(capacity);
+    set_capacity_of::<Spine>(capacity);
+}
+
+/// Sets the small-mbuf free-list capacity for this thread; `0` disables
+/// pooling.
+pub fn set_small_capacity(capacity: usize) {
+    set_capacity_of::<SmallArea>(capacity);
+}
+
+/// Empties the free lists (cluster, small and spine) and zeroes the
+/// counters for this thread.
 pub fn reset() {
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        p.free.clear();
-        p.fresh = 0;
-        p.reused = 0;
-    });
-    SMALL_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        p.free.clear();
-        p.fresh = 0;
-        p.reused = 0;
-    });
-}
-
-fn take() -> Arc<ClusterBuf> {
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if p.free.is_empty() && p.capacity > 0 {
-            let mut sh = shared();
-            let n = sh.clusters.len().min(XFER_BATCH);
-            let at = sh.clusters.len() - n;
-            p.free.extend(sh.clusters.drain(at..));
-        }
-        match p.free.pop() {
-            Some(mut rc) => {
-                p.reused += 1;
-                let buf = &mut Arc::get_mut(&mut rc)
-                    .expect("pooled clusters are unshared")
-                    .0;
-                debug_assert!(buf.capacity() >= MCLBYTES);
-                buf.clear();
-                rc
-            }
-            None => {
-                p.fresh += 1;
-                Arc::new(ClusterBuf(Vec::with_capacity(MCLBYTES)))
-            }
-        }
-    })
-}
-
-fn give(rc: Arc<ClusterBuf>) {
-    if Arc::strong_count(&rc) != 1 {
-        return; // Another window still references the cluster.
-    }
-    POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if p.capacity == 0 || rc.capacity() < MCLBYTES {
-            return;
-        }
-        // A thread that has never *taken* a cluster is a pure producer:
-        // it only drops chains shipped over from another thread. Letting
-        // it fill a full-size local free list strands (threads ×
-        // capacity) buffers where no allocation will ever reuse them,
-        // and the consumer side re-allocates fresh for the entire fill
-        // window. Producers stage only one transfer batch locally and
-        // spill it to the shared tier, where the allocating thread
-        // refills from.
-        let cap = if p.fresh + p.reused == 0 {
-            XFER_BATCH.min(p.capacity)
-        } else {
-            p.capacity
-        };
-        if p.free.len() >= cap {
-            let mut sh = shared();
-            let room = SHARED_CLUSTER_CAPACITY - sh.clusters.len();
-            let n = XFER_BATCH.min(room).min(p.free.len());
-            let at = p.free.len() - n;
-            sh.clusters.extend(p.free.drain(at..));
-        }
-        if p.free.len() < cap {
-            p.free.push(rc);
-        }
-    });
+    reset_of::<Arc<ClusterBuf>>();
+    reset_of::<SmallArea>();
+    reset_of::<Spine>();
 }
 
 /// The bytes of one cluster. Only reachable through [`ClusterRef`]; the
@@ -206,10 +249,24 @@ fn give(rc: Arc<ClusterBuf>) {
 /// nor the `Arc` allocation is repaid on the hot path.
 pub(crate) struct ClusterBuf(Vec<u8>);
 
-impl std::ops::Deref for ClusterBuf {
-    type Target = Vec<u8>;
-    fn deref(&self) -> &Vec<u8> {
-        &self.0
+impl Pooled for Arc<ClusterBuf> {
+    const SHARED_CAPACITY: usize = 1024;
+
+    tiers!(Arc<ClusterBuf>, DEFAULT_CAPACITY);
+    fn fresh() -> Self {
+        Arc::new(ClusterBuf(Vec::with_capacity(MCLBYTES)))
+    }
+
+    /// Recyclable only once no other window references the cluster.
+    fn admit(&mut self) -> bool {
+        Arc::strong_count(self) == 1 && self.0.capacity() >= MCLBYTES
+    }
+
+    fn reset(&mut self) {
+        Arc::get_mut(self)
+            .expect("pooled clusters are unshared")
+            .0
+            .clear();
     }
 }
 
@@ -266,102 +323,19 @@ impl Drop for ClusterRef {
     }
 }
 
-// ---------------------------------------------------------------------
-// Small-mbuf data areas.
-//
-// The same recycling trick for the MLEN-byte inline areas: every RPC
-// header, XDR fragment, and console message lives in small mbufs, so a
-// busy simulation churns through them even faster than clusters.
-// ---------------------------------------------------------------------
+/// The `MLEN`-byte data area of a small mbuf: every RPC header and XDR
+/// fragment lives in one, so a busy simulation churns through them even
+/// faster than clusters. The `Box` is what is pooled: [`SmallBuf`] hands
+/// the same heap block back out.
+type SmallArea = Box<[u8; MLEN]>;
 
-struct SmallPool {
-    // See `Shared::smalls`: the pooled unit is the heap block itself.
-    #[allow(clippy::vec_box)]
-    free: Vec<Box<[u8; MLEN]>>,
-    capacity: usize,
-    fresh: u64,
-    reused: u64,
-}
+impl Pooled for SmallArea {
+    const SHARED_CAPACITY: usize = 4096;
 
-thread_local! {
-    static SMALL_POOL: RefCell<SmallPool> = const {
-        RefCell::new(SmallPool {
-            free: Vec::new(),
-            capacity: SMALL_DEFAULT_CAPACITY,
-            fresh: 0,
-            reused: 0,
-        })
-    };
-}
-
-/// Returns this thread's small-mbuf pool counters.
-pub fn small_stats() -> PoolStats {
-    SMALL_POOL.with(|p| {
-        let p = p.borrow();
-        PoolStats {
-            fresh: p.fresh,
-            reused: p.reused,
-            free: p.free.len(),
-        }
-    })
-}
-
-/// Sets the small-mbuf free-list capacity for this thread; `0` disables
-/// pooling.
-pub fn set_small_capacity(capacity: usize) {
-    SMALL_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        p.capacity = capacity;
-        p.free.truncate(capacity);
-    });
-}
-
-fn small_take() -> Box<[u8; MLEN]> {
-    SMALL_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if p.free.is_empty() && p.capacity > 0 {
-            let mut sh = shared();
-            let n = sh.smalls.len().min(XFER_BATCH);
-            let at = sh.smalls.len() - n;
-            p.free.extend(sh.smalls.drain(at..));
-        }
-        match p.free.pop() {
-            Some(b) => {
-                p.reused += 1;
-                b
-            }
-            None => {
-                p.fresh += 1;
-                Box::new([0u8; MLEN])
-            }
-        }
-    })
-}
-
-fn small_give(b: Box<[u8; MLEN]>) {
-    SMALL_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if p.capacity == 0 {
-            return;
-        }
-        // Same producer-thread rule as `give`: a thread that never
-        // allocates small mbufs must not park them locally forever.
-        let cap = if p.fresh + p.reused == 0 {
-            XFER_BATCH.min(p.capacity)
-        } else {
-            p.capacity
-        };
-        if p.free.len() >= cap {
-            let mut sh = shared();
-            let room = SHARED_SMALL_CAPACITY - sh.smalls.len();
-            let n = XFER_BATCH.min(room).min(p.free.len());
-            let at = p.free.len() - n;
-            sh.smalls.extend(p.free.drain(at..));
-        }
-        if p.free.len() < cap {
-            p.free.push(b);
-        }
-    });
+    tiers!(SmallArea, SMALL_DEFAULT_CAPACITY);
+    fn fresh() -> Self {
+        Box::new([0u8; MLEN])
+    }
 }
 
 /// Owned small-mbuf storage whose data area returns to the free list on
@@ -370,18 +344,18 @@ fn small_give(b: Box<[u8; MLEN]>) {
 /// Recycled areas are *not* re-zeroed: an mbuf only ever exposes the
 /// `(off, len)` window its owner wrote via `append`/`prepend`, so stale
 /// bytes outside the window are unobservable.
-pub(crate) struct SmallBuf(Option<Box<[u8; MLEN]>>);
+pub(crate) struct SmallBuf(Option<SmallArea>);
 
 impl SmallBuf {
     /// Allocates from the free list, or zero-filled fresh storage.
     pub(crate) fn alloc() -> Self {
-        SmallBuf(Some(small_take()))
+        SmallBuf(Some(take()))
     }
 }
 
 impl Clone for SmallBuf {
     fn clone(&self) -> Self {
-        let mut b = small_take();
+        let mut b: SmallArea = take();
         b.copy_from_slice(&**self);
         SmallBuf(Some(b))
     }
@@ -403,8 +377,33 @@ impl std::ops::DerefMut for SmallBuf {
 impl Drop for SmallBuf {
     fn drop(&mut self) {
         if let Some(b) = self.0.take() {
-            small_give(b);
+            give(b);
         }
+    }
+}
+
+/// The segment list of an [`MbufChain`](crate::MbufChain), which holds it
+/// by pointer so that a chain moves as two words. The `Box` and the
+/// deque's buffer are both what is pooled: a parked spine is empty but
+/// keeps its capacity.
+pub(crate) type Spine = Box<VecDeque<Mbuf>>;
+
+impl Pooled for Spine {
+    const SHARED_CAPACITY: usize = 4096;
+
+    tiers!(Spine, SPINE_DEFAULT_CAPACITY);
+    /// Room for the header mbuf plus the four clusters of an 8 KB
+    /// read/write, so the common shapes never grow it.
+    fn fresh() -> Self {
+        Box::new(VecDeque::with_capacity(8))
+    }
+
+    /// Drops the segments, so their clusters and small areas go back to
+    /// *their* lists now and the next chain to take this spine can see
+    /// nothing of the last one.
+    fn admit(&mut self) -> bool {
+        self.clear();
+        true
     }
 }
 
@@ -418,9 +417,9 @@ mod tests {
     fn isolated() -> MutexGuard<'static, ()> {
         static TEST_LOCK: Mutex<()> = Mutex::new(());
         let guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let mut sh = shared();
-        sh.clusters.clear();
-        sh.smalls.clear();
+        shared::<Arc<ClusterBuf>>().clear();
+        shared::<SmallArea>().clear();
+        shared::<Spine>().clear();
         guard
     }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for mbuf chain algebra.
 
 use proptest::prelude::*;
-use renofs_mbuf::{CopyMeter, MbufChain};
+use renofs_mbuf::{pool, CopyMeter, MbufChain};
 
 fn chain_from(data: &[u8], chunk_sizes: &[usize]) -> MbufChain {
     // Build the chain with an arbitrary append pattern so segment
@@ -113,6 +113,41 @@ proptest! {
         if n > 0 {
             prop_assert!(c.mbufs().next().unwrap().len() >= n);
         }
+    }
+
+    /// A spine parked with its segments still on it would hand one RPC's
+    /// data to the next chain that takes it.
+    #[test]
+    fn recycled_spines_carry_no_stale_segments(
+        data in proptest::collection::vec(any::<u8>(), 1..6000),
+        chunks in proptest::collection::vec(1usize..700, 1..8),
+        junk_segs in 9usize..40,
+    ) {
+        // The reference build, on spines straight from the heap.
+        pool::set_capacity(0);
+        pool::reset();
+        let fresh = chain_from(&data, &chunks);
+        let expect = (fresh.seg_count(), fresh.len(), fresh.to_vec_for_test());
+        drop(fresh);
+
+        // Churn the pool with chains longer than a spine's first capacity.
+        pool::set_capacity(128);
+        pool::reset();
+        let mut meter = CopyMeter::new();
+        for _ in 0..4 {
+            let mut junk = MbufChain::new();
+            for i in 0..junk_segs {
+                junk.append_chain(MbufChain::from_slice(&[i as u8; 200], &mut meter));
+            }
+            prop_assert_eq!(junk.seg_count(), junk_segs);
+        }
+        let before = pool::spine_stats();
+        let c = chain_from(&data, &chunks);
+        prop_assert!(
+            pool::spine_stats().reused > before.reused,
+            "the chain must be built on a spine the junk chains used"
+        );
+        prop_assert_eq!((c.seg_count(), c.len(), c.to_vec_for_test()), expect);
     }
 
     #[test]

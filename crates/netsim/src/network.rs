@@ -10,10 +10,6 @@ use crate::packet::{Datagram, Fragment, ProtoHeader, IP_HEADER};
 use crate::topology::{LinkId, NodeId, NodeKind, Topology};
 
 /// Events the network schedules for itself via the caller's event queue.
-// The fragment variant is fat because `MbufChain` keeps its segment
-// list inline; boxing it here would put an allocation back on the
-// per-hop datapath that the inline representation exists to remove.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum NetEvent {
     /// A fragment finishes traversing `link` and arrives at its far end.
@@ -35,6 +31,8 @@ pub enum NetEvent {
         dgram_id: u64,
     },
 }
+
+const _: () = assert!(size_of::<NetEvent>() <= 88); // moved through the caller's queue per hop
 
 /// A datagram delivered to a host.
 #[derive(Debug)]

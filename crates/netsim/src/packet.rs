@@ -131,6 +131,8 @@ pub struct Fragment {
     pub payload: MbufChain,
 }
 
+const _: () = assert!(size_of::<Fragment>() <= 80); // passed by value at every hop
+
 impl Fragment {
     /// Bytes this fragment occupies at the IP layer.
     pub fn ip_len(&self) -> usize {

@@ -512,10 +512,22 @@ impl Oracle {
                         .rev()
                         .find(|(_, v)| v.t_start <= obs.t_done && v.len == *len && v.fnv == *fnv)
                         .map(|(k, _)| k);
+                    // Close-to-open floor: the newest *certain* version
+                    // committed more than `grace` before the open.
+                    let floor = pm
+                        .versions
+                        .iter()
+                        .enumerate()
+                        .rev()
+                        .find(|(_, v)| v.certain && v.t_done + self.grace <= obs.t_start)
+                        .map(|(k, _)| k);
                     let Some(seen) = seen else {
-                        // An empty read of a never-committed file is the
-                        // freshly created state, not corruption.
-                        if *len == 0 && pm.versions.is_empty() {
+                        // The created-empty state is the file's version
+                        // "-1": an empty read is legitimate, not
+                        // corruption, while close-to-open owes the reader
+                        // nothing newer (an uncertain close may never
+                        // have landed).
+                        if *len == 0 && floor.is_none() {
                             continue;
                         }
                         violations.push(Violation::CorruptRead {
@@ -527,15 +539,6 @@ impl Oracle {
                         });
                         continue;
                     };
-                    // Close-to-open floor: the newest *certain* version
-                    // committed more than `grace` before the open.
-                    let floor = pm
-                        .versions
-                        .iter()
-                        .enumerate()
-                        .rev()
-                        .find(|(_, v)| v.certain && v.t_done + self.grace <= obs.t_start)
-                        .map(|(k, _)| k);
                     if let Some(floor) = floor {
                         if seen < floor {
                             violations.push(Violation::StaleRead {
@@ -899,5 +902,42 @@ mod tests {
             observed(1, 5 * SEC + 500_000_000, "/c0/f0", 22),
         ];
         assert!(Oracle::new(GRACE).check(&obs).is_empty());
+    }
+
+    /// A create that succeeded, then one close of 100 bytes, then an
+    /// empty read of the file at `read_at`.
+    fn created_closed_read_empty(certain: bool, read_at: u64) -> Vec<Obs> {
+        let path = "/c0/f0".to_string();
+        let created = Obs {
+            client: 0,
+            t_start: SEC,
+            t_done: SEC + 1,
+            kind: ObsKind::Created {
+                path: path.clone(),
+                outcome: OpOutcome::Ok,
+            },
+        };
+        let mut read = observed(1, read_at, &path, fnv1a(b""));
+        if let ObsKind::Observed { len, .. } = &mut read.kind {
+            *len = 0;
+        }
+        vec![created, committed(0, 2 * SEC, &path, 11, certain), read]
+    }
+
+    #[test]
+    fn empty_read_is_legal_until_a_certain_close_is_owed() {
+        // The close timed out (soft mount across a crash): its write may
+        // never have landed, so the file may still be as it was created.
+        let v = Oracle::new(GRACE).check(&created_closed_read_empty(false, 9 * SEC));
+        assert!(v.is_empty(), "{v:?}");
+        // A close that certainly landed is still inside the grace window.
+        let v = Oracle::new(GRACE).check(&created_closed_read_empty(true, 2 * SEC + GRACE / 2));
+        assert!(v.is_empty(), "{v:?}");
+        // Past the window close-to-open owes the reader those 100 bytes.
+        let v = Oracle::new(GRACE).check(&created_closed_read_empty(true, 9 * SEC));
+        assert!(
+            matches!(v.as_slice(), [Violation::CorruptRead { len: 0, .. }]),
+            "{v:?}"
+        );
     }
 }

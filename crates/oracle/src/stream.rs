@@ -204,12 +204,6 @@ struct PathState {
     touched: u64,
 }
 
-impl PathState {
-    fn total_versions(&self) -> usize {
-        self.retired + self.versions.len()
-    }
-}
-
 /// The incremental checker. Feed per-client observations as they
 /// happen, heartbeat idle clients, then [`finish`](Self::finish).
 pub struct StreamingOracle {
@@ -626,24 +620,23 @@ impl StreamingOracle {
             self.adjudicate(path, &p, seen);
             return;
         }
-        match self.paths.get(path) {
-            // Never-modelled path: the buffered checker skips it too.
-            None => {}
-            Some(ps) => {
-                // An empty read of a never-committed file is the
-                // freshly created state, not corruption.
-                if p.len == 0 && ps.total_versions() == 0 {
-                    return;
-                }
-                self.violations.push(Violation::CorruptRead {
-                    client: p.client,
-                    path: path.to_string(),
-                    t: p.t_done,
-                    len: p.len,
-                    fnv: p.fnv,
-                });
-            }
+        // Never-modelled path: the buffered checker skips it too.
+        if !self.paths.contains_key(path) {
+            return;
         }
+        // The created-empty state is the file's version "-1": an empty
+        // read is legitimate, not corruption, while close-to-open owes
+        // the reader nothing newer.
+        if p.len == 0 && !self.durable_before(path, p.t_start) {
+            return;
+        }
+        self.violations.push(Violation::CorruptRead {
+            client: p.client,
+            path: path.to_string(),
+            t: p.t_done,
+            len: p.len,
+            fnv: p.fnv,
+        });
     }
 
     /// Resolves the head of one (client, path) pending FIFO while it
@@ -994,6 +987,32 @@ mod tests {
         ];
         let (b, s, _) = both(cfg_small(), split(&log, 2));
         assert!(b.is_empty(), "buffered baseline dirty: {b:?}");
+        assert_eq!(b, s);
+    }
+
+    #[test]
+    fn empty_read_is_legal_until_a_certain_close_is_owed() {
+        // Created, one close, an empty read long after it, and a later
+        // observation so that expiry (not the finish drain) settles it.
+        let log = |certain: bool| {
+            vec![
+                created(0, SEC, "/d/f", OpOutcome::Ok),
+                committed(0, 2 * SEC, "/d/f", "v1", certain),
+                observed(1, 9 * SEC, "/d/f", ""),
+                listed(1, 40 * SEC, "/d", &["f"]),
+            ]
+        };
+        // An uncertain close may never have landed: the file may still be
+        // as it was created.
+        let (b, s, _) = both(cfg_small(), split(&log(false), 2));
+        assert!(b.is_empty(), "buffered baseline dirty: {b:?}");
+        assert_eq!(b, s);
+        // A certain one older than grace is owed to the reader.
+        let (b, s, _) = both(cfg_small(), split(&log(true), 2));
+        assert!(
+            matches!(b.as_slice(), [Violation::CorruptRead { len: 0, .. }]),
+            "{b:?}"
+        );
         assert_eq!(b, s);
     }
 

@@ -7,14 +7,14 @@
 //! # Implementation
 //!
 //! [`EventQueue`] is a binary heap of 24-byte keys `(time, seq, slot)` over
-//! a slab of events. The world's event type is ~300 bytes, so what a queue
-//! costs is *moving entries*, not comparing keys: a heap of whole entries
-//! drags every event through each sift, and a timer wheel copies it bucket
-//! → working heap → caller. Here an event is written once, into its slab
-//! slot, on push and read once on pop; only keys are sifted. Freed slots
-//! form an intrusive LIFO list (each holds the index of the next free
-//! one), so the slab never grows past the peak pending depth and a pop's
-//! slot — still warm in cache — is the next push's.
+//! a slab of events: an event is written once, into its slab slot, on push
+//! and read once on pop; only keys are sifted. Freed slots form an
+//! intrusive LIFO list (each holds the index of the next free one), so the
+//! slab never grows past the peak pending depth and a pop's slot — still
+//! warm in cache — is the next push's. The split was chosen over a heap of
+//! whole entries when the world's event was 296 bytes; it is 88 now that an
+//! mbuf chain is a pointer, and whether the split still pays has not been
+//! re-measured (ROADMAP item 1b).
 //!
 //! Events pop in `(time, seq)` order and pushes in the past clamp to `now`.
 
@@ -195,8 +195,6 @@ impl<E> EventQueue<E> {
             t.push(QueueOp::Pop);
         }
         crate::profile::count_event();
-        // Last, and straight into the return value: an event held in a
-        // local across the bookkeeping above is copied once more.
         let next_free = std::mem::replace(&mut self.free, slot);
         match std::mem::replace(&mut self.slab[slot as usize], Slot::Free(next_free)) {
             Slot::Full(event) => Some((time, seq, event)),

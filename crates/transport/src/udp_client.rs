@@ -82,10 +82,6 @@ impl UdpRpcConfig {
 }
 
 /// Actions the caller must perform after a transport step.
-// `Send` is fat because `MbufChain` keeps its segment list inline; the
-// action vector is recycled by the caller, so the size costs nothing
-// per call, while boxing the payload would allocate on every send.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum UdpAction {
     /// Transmit this RPC message as a UDP datagram.

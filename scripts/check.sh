@@ -43,10 +43,12 @@ echo "==> repro shard-smoke --scale quick (N x M fleet + router determinism gate
 # byte-identical digests; exits nonzero on any mismatch.
 cargo run -q --release -p renofs-bench --bin repro -- shard-smoke --scale quick
 
-echo "==> repro soak --seeds 24 --scale quick (chaos oracle gate)"
+echo "==> repro soak --seeds 400 --scale quick (chaos oracle gate)"
 # Exits nonzero on any oracle violation; a fixed seed range keeps the
-# gate deterministic and bounded.
-cargo run -q --release -p renofs-bench --bin repro -- soak --seeds 24 --scale quick >/dev/null
+# gate deterministic and bounded (two seconds). 400 reaches the worlds
+# that found the last two bugs: a created-but-empty file read as
+# corruption (seed 157) and a TCP world hung across a crash (seed 239).
+cargo run -q --release -p renofs-bench --bin repro -- soak --seeds 400 --scale quick >/dev/null
 
 echo "==> repro soak --lease --seeds 12 --scale quick (NQNFS lease oracle gate)"
 # Lease worlds (write-behind clients, crash/reboot and partition
