@@ -1,7 +1,7 @@
 //! The experiment runner: one subcommand per paper table/figure.
 //!
 //! ```text
-//! repro <experiment> [--quick | --scale quick|paper] [--jobs N] [--sim-threads N] [--profile]
+//! repro <experiment> [--quick | --scale quick|paper] [--jobs N] [--profile]
 //!
 //! experiments:
 //!   graph1..graph5   RTT vs load per transport and topology
@@ -23,7 +23,7 @@
 //!   ablation-readdirplus ablation-lease
 //!   all              everything above
 //!   bench            PDES / lease / shard behaviour gates (see below)
-//!   pdes-smoke       256-client PDES determinism smoke gate
+//!   pdes-smoke       256-client carved-vs-monolithic smoke gate
 //!   shard            N-client × M-server sharded-fleet sweep (writes
 //!                    BENCH_pr9.json and holds the LAN scaling gate)
 //!   shard-smoke      32-client M=1/M=2 fleet determinism smoke gate
@@ -34,11 +34,6 @@
 //! stdout for any `--jobs` value; per-experiment wall-clock timing goes
 //! to stderr so it never perturbs the comparable output.
 //!
-//! `--sim-threads N` sets the OS-thread count driving each multi-client
-//! world's event loop (the conservative-PDES domain executor; see
-//! DESIGN.md §11). The default of 1 runs the same bounded-round
-//! protocol inline, and output is byte-identical for any value.
-//!
 //! `--profile` prints the self-profiler's subsystem table (events,
 //! wall-clock, allocations) to stderr after the run. It needs the
 //! `profile` cargo feature to report real numbers:
@@ -46,25 +41,22 @@
 //!
 //! `repro bench` holds the behaviour gates that are not paper figures
 //! (host speed is measured by the package under `benchmark/`, not
-//! here). It runs the PDES crowd matrix (256- and 1,024-client worlds,
-//! monolithic baseline vs 1/2/4/8 sim threads) and writes
-//! `BENCH_pr6.json` with `nproc`/rustc metadata, the lease section
+//! here). It runs the PDES crowd section (256- and 1,024-client worlds,
+//! on the single queue and carved into per-machine domains; DESIGN.md
+//! §11) and writes `BENCH_pr6.json` with `nproc`/rustc metadata, the
+//! lease section
 //! (Create-Delete write-RPC recovery vs noconsist plus a lease-soak
 //! certification) into `BENCH_pr8.json`, and the sharded N×M fleet
 //! sweep into `BENCH_pr9.json`. `repro bench --check` writes nothing:
-//! it re-runs the PDES matrix, the lease section and the shard gate
-//! cells, and exits nonzero if: the partitioned engine costs more than
-//! 10% at one sim thread; any thread count diverges from the
-//! monolithic state hash; (given ≥4 cores) 4 sim threads fail a 2x
-//! speedup; the lease mount recovers under 60% of the noconsist
+//! it re-runs the PDES section, the lease section and the shard gate
+//! cells, and exits nonzero if: a carved world costs more than 10% over
+//! the same world on the single queue; the two state hashes diverge;
+//! the lease mount recovers under 60% of the noconsist
 //! write-RPC reduction on any topology; the lease soak reports a
 //! violation; the committed or fresh LAN fleet fails the M=4 ≥ 2× M=1
 //! aggregate-throughput floor; or the shard gate cells diverge across
-//! `--sim-threads` × `--jobs` settings. A committed report missing a
-//! gated section fails loudly rather than waiving the gate. Gates that
-//! need more cores than the machine has are reported as skipped — and
-//! recorded as skipped in the JSON, so a committed report says which
-//! gates actually ran.
+//! `--jobs` settings. A committed report missing a gated section fails
+//! loudly rather than waiving the gate.
 
 use std::time::Instant;
 
@@ -86,7 +78,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro <experiment|all|bench|pdes-smoke|shard|shard-smoke> \
          [--quick | --scale quick|paper] \
-         [--jobs N] [--sim-threads N] [--profile] [--check] [--seeds N] \
+         [--jobs N] [--profile] [--check] [--seeds N] \
          [--case SPEC] [--duration SECS] [--max-ops N] [--long] [--lease]"
     );
     eprintln!(
@@ -110,7 +102,6 @@ struct Options {
     what: String,
     quick: bool,
     jobs: usize,
-    sim_threads: usize,
     profile: bool,
     check: bool,
     seeds: Option<usize>,
@@ -126,7 +117,6 @@ fn parse_args() -> Options {
     let mut what = None;
     let mut quick = false;
     let mut jobs = renofs_bench::runner::default_jobs();
-    let mut sim_threads = 1;
     let mut profile = false;
     let mut check = false;
     let mut seeds = None;
@@ -151,13 +141,6 @@ fn parse_args() -> Options {
             "--jobs" => {
                 i += 1;
                 jobs = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => usage(),
-                };
-            }
-            "--sim-threads" => {
-                i += 1;
-                sim_threads = match args.get(i).and_then(|v| v.parse().ok()) {
                     Some(n) if n >= 1 => n,
                     _ => usage(),
                 };
@@ -208,7 +191,6 @@ fn parse_args() -> Options {
         what: what.unwrap_or_else(|| "all".to_string()),
         quick,
         jobs,
-        sim_threads,
         profile,
         check,
         seeds,
@@ -351,10 +333,9 @@ fn run_bench_mode(opts: &Options, scale: &Scale) {
     let pdes_report = pdes::run_pdes_section(scale, scale_name);
     let lease_report = lease::run_lease_section(scale, scale_name);
     if opts.check {
-        // The PDES gates judge the fresh matrix (determinism,
-        // sequential overhead, core-conditioned speedup), not a
-        // committed file: wall-clocks only compare within one machine
-        // and one run.
+        // The PDES gates judge the fresh cells (determinism, carved
+        // overhead), not a committed file: wall-clocks only compare
+        // within one machine and one run.
         hold_gate("pdes", pdes_report.check());
         // The lease gate holds both the committed BENCH_pr8.json (which
         // must exist, parse, and certify a clean sweep) and the fresh
@@ -363,8 +344,7 @@ fn run_bench_mode(opts: &Options, scale: &Scale) {
         hold_gate("lease", lease::check_against(&committed, &lease_report));
         // The shard gate holds the committed BENCH_pr9.json (which must
         // exist, parse, and certify the scaling floor) and a fresh run
-        // of the two LAN gate cells at two `--sim-threads` × `--jobs`
-        // settings.
+        // of the two LAN gate cells at two `--jobs` settings.
         let committed = read_committed(SHARD_OUT, "shard", "repro shard");
         hold_gate("shard", shard::check_against(&committed, scale));
     } else {
@@ -466,7 +446,6 @@ fn main() {
         Scale::paper()
     };
     scale.jobs = opts.jobs;
-    scale.sim_threads = opts.sim_threads;
     let spec = if opts.quick {
         AndrewSpec::small()
     } else {

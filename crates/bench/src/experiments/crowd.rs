@@ -207,20 +207,13 @@ fn rate_for(topo: TopologyKind) -> f64 {
 }
 
 /// Runs one cell: an N-client world, the crowd mix from every client.
-fn run_cell(
-    cell: &Cell,
-    duration: SimDuration,
-    warmup: SimDuration,
-    nfiles: usize,
-    sim_threads: usize,
-) -> CrowdRow {
+fn run_cell(cell: &Cell, duration: SimDuration, warmup: SimDuration, nfiles: usize) -> CrowdRow {
     let mut cfg = WorldConfig::baseline();
     cfg.topology = cell.topo;
     cfg.transport = cell.transport.clone();
     cfg.background = Background::quiet();
     cfg.clients = cell.clients;
     cfg.nfsds = cell.nfsds;
-    cfg.sim_threads = sim_threads;
     // The tuned server: the dup cache is what makes retransmitted
     // SETATTRs safe, and this experiment measures how often it fires.
     cfg.server.dup_cache = true;
@@ -323,7 +316,7 @@ pub fn crowd_with_counts(scale: &Scale, counts: &[usize]) -> CrowdReport {
     let nfiles = scale.nfiles;
     let cells = cells(counts);
     let rows = run_jobs(&cells, scale.jobs, |cell| {
-        run_cell(cell, duration, warmup, nfiles, scale.sim_threads)
+        run_cell(cell, duration, warmup, nfiles)
     });
     CrowdReport { rows }
 }

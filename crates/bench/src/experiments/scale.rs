@@ -23,10 +23,6 @@ pub struct Scale {
     /// Worker threads for the parallel job runner. Results are
     /// byte-identical whatever the value; see `runner`.
     pub jobs: usize,
-    /// OS threads driving each multi-client world's event loop (the
-    /// conservative-PDES domain executor). Results are byte-identical
-    /// whatever the value; 1 runs the bounded rounds inline.
-    pub sim_threads: usize,
 }
 
 impl Scale {
@@ -41,7 +37,6 @@ impl Scale {
             nfiles: 100,
             cd_iters: 20,
             jobs: crate::runner::default_jobs(),
-            sim_threads: 1,
         }
     }
 
@@ -56,7 +51,6 @@ impl Scale {
             nfiles: 40,
             cd_iters: 5,
             jobs: crate::runner::default_jobs(),
-            sim_threads: 1,
         }
     }
 }

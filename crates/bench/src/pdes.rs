@@ -1,28 +1,17 @@
-//! The `repro bench` PDES section: crowd worlds under the partitioned
-//! (conservative parallel discrete-event) engine.
+//! The `repro bench` PDES section: crowd worlds carved into per-machine
+//! domains against the same worlds on the single queue.
 //!
-//! PR 4 scaled worlds to N clients but still advanced each world on one
-//! thread; the per-machine domain engine removes that ceiling. This
-//! section measures what the refactor bought and guards what it must
-//! not cost:
-//!
-//! * **Throughput matrix.** A 256- and a 1,024-client same-LAN crowd
-//!   world (dynamic-RTO UDP, quiet background, a 32-daemon nfsd pool)
-//!   run under the monolithic engine (the PR 4 baseline, forced via
-//!   `force_monolithic`) and under the partitioned engine at 1/2/4/8
-//!   sim threads. Each cell reports events dispatched, wall-clock, and
-//!   events/sec.
+//! * **Throughput.** A 256- and a 1,024-client same-LAN crowd world
+//!   (dynamic-RTO UDP, quiet background, a 32-daemon nfsd pool) run on the
+//!   single queue (forced via `force_monolithic`) and carved. Each cell
+//!   reports events dispatched, wall-clock, and events/sec.
 //! * **Determinism.** Every cell also reports a state hash over the
-//!   workload reports and transport/server counters. All cells of one
-//!   world size — monolithic included — must agree: the partitioned
-//!   engine's contract is byte-identical behaviour at any thread count.
-//! * **Gates, conditioned on cores.** `repro bench --check` always
-//!   holds the sequential-overhead gate (partitioned at 1 sim thread
-//!   within [`PDES_OVERHEAD_TOLERANCE`] of monolithic wall-clock) and
-//!   the determinism gate. The ≥2× speedup-at-4-threads gate only
-//!   applies when the machine has at least [`PDES_SPEEDUP_CORES`]
-//!   cores; on smaller machines it is *printed* as skipped, never
-//!   silently passed. The JSON records `nproc` and the rustc version so
+//!   workload reports and transport/server counters. The two cells of one
+//!   world size must agree: a carved world's contract is the single
+//!   queue's bytes.
+//! * **Gates.** `repro bench --check` holds the overhead gate (carved
+//!   within [`PDES_OVERHEAD_TOLERANCE`] of monolithic wall-clock) and the
+//!   determinism gate. The JSON records `nproc` and the rustc version so
 //!   cross-machine comparisons stay interpretable.
 //!
 //! Results go to `BENCH_pr6.json`.
@@ -38,8 +27,8 @@ use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig};
 use crate::runner::{point_seed, workload_seed};
 use crate::Scale;
 
-/// Allowed fractional wall-clock overhead of the partitioned engine at
-/// one sim thread over the monolithic baseline.
+/// Allowed fractional wall-clock overhead of a carved world over the
+/// same world on the single queue.
 pub const PDES_OVERHEAD_TOLERANCE: f64 = 0.10;
 
 /// Per-process measurement noise observed on this container: repeated
@@ -49,18 +38,8 @@ pub const PDES_OVERHEAD_TOLERANCE: f64 = 0.10;
 /// tolerance for the hard fail threshold and warns inside the slack band.
 pub const MEASUREMENT_NOISE_MARGIN: f64 = 0.08;
 
-/// Cores required before the multi-thread speedup gate applies.
-pub const PDES_SPEEDUP_CORES: usize = 4;
-
-/// Required events/sec speedup of 4 sim threads over 1 on the
-/// 1,024-client world, when the machine has the cores for it.
-pub const PDES_SPEEDUP_FLOOR: f64 = 2.0;
-
 /// Client counts of the two measured crowd worlds.
 pub const PDES_SIZES: [usize; 2] = [256, 1024];
-
-/// Sim-thread sweep for the partitioned engine.
-pub const PDES_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// nfsd pool width of the PDES crowd worlds.
 pub const PDES_NFSDS: usize = 32;
@@ -107,13 +86,13 @@ impl EnvMeta {
     }
 }
 
-/// Which engine a cell ran under.
+/// Which shape a cell's world was asked to take.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PdesMode {
-    /// The PR 4 single-queue engine (`force_monolithic`).
+    /// The single queue (`force_monolithic`).
     Monolithic,
-    /// The partitioned engine at the given sim-thread count.
-    Partitioned(usize),
+    /// A domain per client machine.
+    Carved,
 }
 
 /// One measured cell of the PDES matrix.
@@ -121,13 +100,13 @@ pub enum PdesMode {
 pub struct PdesCell {
     /// Client machines in the world.
     pub clients: usize,
-    /// Engine and thread count.
+    /// The shape asked for.
     pub mode: PdesMode,
     /// Whether the world actually carved into per-machine domains.
     pub partitioned: bool,
     /// Events dispatched across all domain queues.
     pub events: u64,
-    /// Wall-clock seconds (best of the cell's reps).
+    /// Wall-clock seconds of the run.
     pub wall_s: f64,
     /// Events dispatched per wall-clock second.
     pub events_per_sec: f64,
@@ -136,17 +115,10 @@ pub struct PdesCell {
 }
 
 impl PdesCell {
-    fn mode_label(&self) -> String {
+    fn mode_label(&self) -> &'static str {
         match self.mode {
-            PdesMode::Monolithic => "monolithic".to_string(),
-            PdesMode::Partitioned(t) => format!("pdes×{t}"),
-        }
-    }
-
-    fn sim_threads(&self) -> usize {
-        match self.mode {
-            PdesMode::Monolithic => 1,
-            PdesMode::Partitioned(t) => t,
+            PdesMode::Monolithic => "monolithic",
+            PdesMode::Carved => "carved",
         }
     }
 }
@@ -156,7 +128,7 @@ impl PdesCell {
 pub struct PdesReport {
     /// Machine and toolchain the numbers were taken on.
     pub env: EnvMeta,
-    /// All cells, monolithic baseline first per world size.
+    /// All cells, monolithic then carved per world size.
     pub cells: Vec<PdesCell>,
 }
 
@@ -203,80 +175,54 @@ fn state_hash(world: &World, reports: &[nhfsstone::NhfsstoneReport]) -> u64 {
     fnv1a(&bytes)
 }
 
-/// Runs one cell `reps` times (a 1,024-client world is too costly for
-/// best-of-5; the gates use min-of-2 on the cells they compare) and
-/// keeps the best wall-clock. Events and the state hash must not vary
-/// between reps — the simulation is deterministic.
+/// Runs one cell once.
 fn run_pdes_cell(
     clients: usize,
     mode: PdesMode,
     duration: SimDuration,
     warmup: SimDuration,
     nfiles: usize,
-    reps: usize,
 ) -> PdesCell {
-    let mut best = f64::INFINITY;
-    let mut events = 0;
-    let mut hash = 0;
-    let mut partitioned = false;
-    for rep in 0..reps {
-        let mut cfg = WorldConfig::baseline();
-        cfg.background = Background::quiet();
-        cfg.clients = clients;
-        cfg.nfsds = PDES_NFSDS;
-        cfg.server.dup_cache = true;
-        // Same seeds for every mode and thread count: the determinism
-        // gate compares state hashes across the whole column.
-        cfg.seed = point_seed(0x9DE5, clients, 0);
-        match mode {
-            PdesMode::Monolithic => cfg.force_monolithic = true,
-            PdesMode::Partitioned(t) => cfg.sim_threads = t,
-        }
-        let mut world = World::new(cfg);
-        let mut ncfg = NhfsstoneConfig::paper(4.0, LoadMix::crowd());
-        ncfg.procs = 2;
-        ncfg.duration = duration;
-        ncfg.warmup = warmup;
-        ncfg.nfiles = nfiles;
-        ncfg.seed = workload_seed(0x9DE5, clients);
-        let t0 = Instant::now();
-        let reports = nhfsstone::run_crowd(&mut world, &ncfg);
-        let wall = t0.elapsed().as_secs_f64();
-        let h = state_hash(&world, &reports);
-        let (pops, _) = world.queue_stats();
-        if rep == 0 {
-            events = pops;
-            hash = h;
-            partitioned = world.is_partitioned();
-        } else {
-            assert_eq!(h, hash, "a rep of the same cell diverged");
-        }
-        if wall < best {
-            best = wall;
-        }
-    }
+    let mut cfg = WorldConfig::baseline();
+    cfg.background = Background::quiet();
+    cfg.clients = clients;
+    cfg.nfsds = PDES_NFSDS;
+    cfg.server.dup_cache = true;
+    // Same seeds for both modes: the determinism gate compares their
+    // state hashes.
+    cfg.seed = point_seed(0x9DE5, clients, 0);
+    cfg.force_monolithic = mode == PdesMode::Monolithic;
+    let mut world = World::new(cfg);
+    let mut ncfg = NhfsstoneConfig::paper(4.0, LoadMix::crowd());
+    ncfg.procs = 2;
+    ncfg.duration = duration;
+    ncfg.warmup = warmup;
+    ncfg.nfiles = nfiles;
+    ncfg.seed = workload_seed(0x9DE5, clients);
+    let t0 = Instant::now();
+    let reports = nhfsstone::run_crowd(&mut world, &ncfg);
+    let wall_s = t0.elapsed().as_secs_f64();
+    let (events, _) = world.queue_stats();
     PdesCell {
         clients,
         mode,
-        partitioned,
+        partitioned: world.is_partitioned(),
         events,
-        wall_s: best,
-        events_per_sec: events as f64 / best,
-        state_hash: hash,
+        wall_s,
+        events_per_sec: events as f64 / wall_s,
+        state_hash: state_hash(&world, &reports),
     }
 }
 
-/// Runs the full PDES matrix: per world size, the monolithic baseline
-/// then the sim-thread sweep. The two cells the overhead gate compares
-/// (monolithic and 1-thread partitioned) get two reps each; the rest of
-/// the sweep is informational on a small machine and gets one.
+/// Runs the PDES section: per world size, the world on the single queue
+/// and carved.
 pub fn run_pdes_section(scale: &Scale, scale_name: &str) -> PdesReport {
     let env = EnvMeta::detect(scale_name);
     let mut cells = Vec::new();
     for &clients in &PDES_SIZES {
         let (duration, warmup) = pdes_durations(scale, clients);
-        // The overhead gate compares monolithic against 1-thread
-        // partitioned wall-clock — a *ratio*, so the two cells are
+        // The overhead gate compares monolithic against carved
+        // wall-clock — a *ratio*, so the two cells are
         // measured in interleaved back-to-back rounds and the round
         // with the lowest ratio is kept whole. Host-load drift on a
         // shared box easily exceeds the 10 % tolerance across
@@ -291,34 +237,13 @@ pub fn run_pdes_section(scale: &Scale, scale_name: &str) -> PdesReport {
         // run was persistently slower than the monolithic one rather
         // than every round landing in the same host-load spike.
         let measure_round = |mono_first: bool| {
-            let run_mono = || {
-                run_pdes_cell(
-                    clients,
-                    PdesMode::Monolithic,
-                    duration,
-                    warmup,
-                    scale.nfiles,
-                    1,
-                )
-            };
-            let run_one = || {
-                run_pdes_cell(
-                    clients,
-                    PdesMode::Partitioned(1),
-                    duration,
-                    warmup,
-                    scale.nfiles,
-                    1,
-                )
-            };
+            let run = |mode| run_pdes_cell(clients, mode, duration, warmup, scale.nfiles);
             if mono_first {
-                let m = run_mono();
-                let o = run_one();
-                (m, o)
+                let m = run(PdesMode::Monolithic);
+                (m, run(PdesMode::Carved))
             } else {
-                let o = run_one();
-                let m = run_mono();
-                (m, o)
+                let o = run(PdesMode::Carved);
+                (run(PdesMode::Monolithic), o)
             }
         };
         let (mut mono, mut one) = measure_round(true);
@@ -350,19 +275,6 @@ pub fn run_pdes_section(scale: &Scale, scale_name: &str) -> PdesReport {
         }
         cells.push(mono);
         cells.push(one);
-        for &t in &PDES_THREADS {
-            if t == 1 {
-                continue;
-            }
-            cells.push(run_pdes_cell(
-                clients,
-                PdesMode::Partitioned(t),
-                duration,
-                warmup,
-                scale.nfiles,
-                1,
-            ));
-        }
     }
     PdesReport { env, cells }
 }
@@ -377,14 +289,11 @@ impl PdesReport {
 
     /// Applies the PDES gates to this (freshly measured) report:
     ///
-    /// 1. every partitioned cell actually carved (otherwise the matrix
-    ///    silently degenerates to five monolithic runs);
-    /// 2. all cells of one world size produced the same state hash;
-    /// 3. partitioned at 1 sim thread stays within
-    ///    [`PDES_OVERHEAD_TOLERANCE`] of the monolithic wall-clock;
-    /// 4. on a ≥[`PDES_SPEEDUP_CORES`]-core machine, 4 sim threads reach
-    ///    [`PDES_SPEEDUP_FLOOR`]× the 1-thread events/sec on the
-    ///    1,024-client world — skipped (and said so) on smaller machines.
+    /// 1. every carved cell actually carved (otherwise the section
+    ///    silently degenerates to monolithic runs);
+    /// 2. both cells of one world size produced the same state hash;
+    /// 3. the carved world stays within [`PDES_OVERHEAD_TOLERANCE`] of the
+    ///    monolithic wall-clock.
     pub fn check(&self) -> Result<String, String> {
         let mut verdict = Vec::new();
         for &clients in &PDES_SIZES {
@@ -392,24 +301,17 @@ impl PdesReport {
                 .cell(clients, PdesMode::Monolithic)
                 .ok_or(format!("no monolithic cell for {clients} clients"))?;
             let base = self
-                .cell(clients, PdesMode::Partitioned(1))
-                .ok_or(format!("no 1-thread cell for {clients} clients"))?;
-            for cell in self.cells.iter().filter(|c| c.clients == clients) {
-                if matches!(cell.mode, PdesMode::Partitioned(_)) && !cell.partitioned {
-                    return Err(format!(
-                        "{clients}-client world did not carve into domains under {}",
-                        cell.mode_label()
-                    ));
-                }
-                if cell.state_hash != mono.state_hash {
-                    return Err(format!(
-                        "determinism: {clients}-client {} state hash {:#018x} != \
-                         monolithic {:#018x}",
-                        cell.mode_label(),
-                        cell.state_hash,
-                        mono.state_hash
-                    ));
-                }
+                .cell(clients, PdesMode::Carved)
+                .ok_or(format!("no carved cell for {clients} clients"))?;
+            if !base.partitioned {
+                return Err(format!("{clients}-client world did not carve into domains"));
+            }
+            if base.state_hash != mono.state_hash {
+                return Err(format!(
+                    "determinism: {clients}-client carved state hash {:#018x} != \
+                     monolithic {:#018x}",
+                    base.state_hash, mono.state_hash
+                ));
             }
             // Structural ceiling plus the per-process noise margin (see
             // [`MEASUREMENT_NOISE_MARGIN`]): the band in
@@ -419,7 +321,7 @@ impl PdesReport {
             let hard_ceiling = ceiling * (1.0 + MEASUREMENT_NOISE_MARGIN);
             if base.wall_s > hard_ceiling {
                 return Err(format!(
-                    "{clients}-client PDES overhead: 1-thread partitioned took {:.3}s vs \
+                    "{clients}-client PDES overhead: the carved world took {:.3}s vs \
                      monolithic {:.3}s (hard ceiling {:.3}s, tolerance {:.0}% + {:.0}% noise)",
                     base.wall_s,
                     mono.wall_s,
@@ -430,98 +332,37 @@ impl PdesReport {
             }
             if base.wall_s > ceiling {
                 verdict.push(format!(
-                    "{clients}-client hashes agree, 1-thread overhead {:+.1}% \
+                    "{clients}-client hashes agree, carved overhead {:+.1}% \
                      (WARNING: over the {:.0}% target but within measurement noise)",
                     (base.wall_s / mono.wall_s - 1.0) * 100.0,
                     PDES_OVERHEAD_TOLERANCE * 100.0
                 ));
             } else {
                 verdict.push(format!(
-                    "{clients}-client hashes agree, 1-thread overhead {:+.1}%",
+                    "{clients}-client hashes agree, carved overhead {:+.1}%",
                     (base.wall_s / mono.wall_s - 1.0) * 100.0
                 ));
             }
         }
-        if self.env.nproc >= PDES_SPEEDUP_CORES {
-            let clients = PDES_SIZES[PDES_SIZES.len() - 1];
-            let one = self
-                .cell(clients, PdesMode::Partitioned(1))
-                .expect("gated above");
-            let four = self
-                .cell(clients, PdesMode::Partitioned(4))
-                .ok_or(format!("no 4-thread cell for {clients} clients"))?;
-            let speedup = four.events_per_sec / one.events_per_sec;
-            if speedup < PDES_SPEEDUP_FLOOR {
-                return Err(format!(
-                    "{clients}-client speedup at 4 sim threads is {speedup:.2}x \
-                     (< {PDES_SPEEDUP_FLOOR:.1}x, nproc={})",
-                    self.env.nproc
-                ));
-            }
-            verdict.push(format!("4-thread speedup {speedup:.2}x"));
-        } else {
-            verdict.push(format!(
-                "SKIPPED multi-core speedup gate (nproc={} < {PDES_SPEEDUP_CORES})",
-                self.env.nproc
-            ));
-        }
         Ok(verdict.join("; "))
     }
 
-    /// The 4-thread speedup on the largest world, when its cells exist.
-    fn multicore_speedup(&self) -> Option<f64> {
-        let clients = PDES_SIZES[PDES_SIZES.len() - 1];
-        let one = self.cell(clients, PdesMode::Partitioned(1))?;
-        let four = self.cell(clients, PdesMode::Partitioned(4))?;
-        Some(four.events_per_sec / one.events_per_sec)
-    }
-
     /// Renders the report as JSON (the whole `BENCH_pr6.json` file).
-    ///
-    /// The `gates` section records whether the core-conditioned speedup
-    /// gate actually ran on this machine: a committed report from a
-    /// single-core box says `"skipped"` (and why) instead of silently
-    /// looking identical to one whose speedup gate held.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str("  \"bench\": \"pr6-pdes\",\n");
         s.push_str(&format!("  \"env\": {},\n", self.env.to_json()));
         s.push_str(&format!("  \"nfsds\": {PDES_NFSDS},\n"));
-        s.push_str("  \"gates\": {\n");
-        match (
-            self.env.nproc >= PDES_SPEEDUP_CORES,
-            self.multicore_speedup(),
-        ) {
-            (true, Some(speedup)) => s.push_str(&format!(
-                "    \"multi_core_speedup\": {{ \"status\": \"ran\", \"nproc\": {}, \
-                 \"required_cores\": {PDES_SPEEDUP_CORES}, \"speedup\": {speedup:.2}, \
-                 \"floor\": {PDES_SPEEDUP_FLOOR:.1} }}\n",
-                self.env.nproc
-            )),
-            (ran, _) => s.push_str(&format!(
-                "    \"multi_core_speedup\": {{ \"status\": \"skipped\", \"reason\": \
-                 \"{}\", \"nproc\": {}, \"required_cores\": {PDES_SPEEDUP_CORES}, \
-                 \"floor\": {PDES_SPEEDUP_FLOOR:.1} }}\n",
-                if ran {
-                    "matrix is missing the 1- or 4-thread cell".to_string()
-                } else {
-                    format!("nproc={} < {PDES_SPEEDUP_CORES}", self.env.nproc)
-                },
-                self.env.nproc
-            )),
-        }
-        s.push_str("  },\n");
         s.push_str("  \"pdes\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
             let comma = if i + 1 < self.cells.len() { "," } else { "" };
             s.push_str(&format!(
-                "    {{ \"clients\": {}, \"mode\": \"{}\", \"sim_threads\": {}, \
+                "    {{ \"clients\": {}, \"mode\": \"{}\", \
                  \"partitioned\": {}, \"events\": {}, \"wall_s\": {:.3}, \
                  \"events_per_sec\": {:.0}, \"state_hash\": \"{:#018x}\" }}{comma}\n",
                 c.clients,
                 c.mode_label(),
-                c.sim_threads(),
                 c.partitioned,
                 c.events,
                 c.wall_s,
@@ -556,27 +397,27 @@ impl PdesReport {
     }
 }
 
-/// The `repro pdes-smoke` gate: one 256-client crowd world at 1 and 2
-/// sim threads, short window, asserting the world carves and the state
-/// hashes agree. Cheap enough for `scripts/check.sh`.
+/// The `repro pdes-smoke` gate: one 256-client crowd world carved and on
+/// the single queue, short window, asserting the world carves and the
+/// state hashes agree. Cheap enough for `scripts/check.sh`.
 pub fn pdes_smoke(scale: &Scale) -> Result<String, String> {
     let duration = SimDuration::from_secs(2).min(scale.duration);
     let warmup = SimDuration::from_secs(1);
-    let one = run_pdes_cell(256, PdesMode::Partitioned(1), duration, warmup, 20, 1);
-    let two = run_pdes_cell(256, PdesMode::Partitioned(2), duration, warmup, 20, 1);
-    if !one.partitioned || !two.partitioned {
+    let carved = run_pdes_cell(256, PdesMode::Carved, duration, warmup, 20);
+    let mono = run_pdes_cell(256, PdesMode::Monolithic, duration, warmup, 20);
+    if !carved.partitioned || mono.partitioned {
         return Err("smoke world did not carve into per-machine domains".to_string());
     }
-    if one.state_hash != two.state_hash {
+    if carved.state_hash != mono.state_hash {
         return Err(format!(
-            "smoke hashes diverge: 1 thread {:#018x}, 2 threads {:#018x}",
-            one.state_hash, two.state_hash
+            "smoke hashes diverge: carved {:#018x}, monolithic {:#018x}",
+            carved.state_hash, mono.state_hash
         ));
     }
     Ok(format!(
-        "256-client smoke carved and agrees at 1/2 sim threads \
+        "256-client smoke agrees carved and monolithic \
          ({:#018x}, {:.0} and {:.0} events/s)",
-        one.state_hash, one.events_per_sec, two.events_per_sec
+        carved.state_hash, carved.events_per_sec, mono.events_per_sec
     ))
 }
 
@@ -596,24 +437,15 @@ mod tests {
         }
     }
 
-    fn report(nproc: usize) -> PdesReport {
+    fn report() -> PdesReport {
         let mut cells = Vec::new();
         for &clients in &PDES_SIZES {
             cells.push(cell(clients, PdesMode::Monolithic, 1.00, 42));
-            cells.push(cell(clients, PdesMode::Partitioned(1), 1.05, 42));
-            for &t in &PDES_THREADS[1..] {
-                // A fictional machine with perfect scaling to 4 threads.
-                cells.push(cell(
-                    clients,
-                    PdesMode::Partitioned(t),
-                    1.05 / t.min(4) as f64,
-                    42,
-                ));
-            }
+            cells.push(cell(clients, PdesMode::Carved, 1.05, 42));
         }
         PdesReport {
             env: EnvMeta {
-                nproc,
+                nproc: 1,
                 rustc: "rustc (test)".to_string(),
                 scale: "quick".to_string(),
             },
@@ -623,19 +455,16 @@ mod tests {
 
     #[test]
     fn gates_pass_on_a_clean_report() {
-        let one_core = report(1).check().expect("1-core report must pass");
-        assert!(one_core.contains("SKIPPED"), "got: {one_core}");
-        let big = report(8).check().expect("8-core report must pass");
-        assert!(big.contains("speedup"), "got: {big}");
-        assert!(!big.contains("SKIPPED"), "got: {big}");
+        let verdict = report().check().expect("a clean report must pass");
+        assert!(verdict.contains("hashes agree"), "got: {verdict}");
     }
 
     #[test]
     fn determinism_gate_catches_a_diverging_hash() {
-        let mut r = report(1);
+        let mut r = report();
         r.cells
             .iter_mut()
-            .find(|c| c.mode == PdesMode::Partitioned(2))
+            .find(|c| c.mode == PdesMode::Carved)
             .unwrap()
             .state_hash = 7;
         let err = r.check().expect_err("hash divergence must fail");
@@ -646,10 +475,10 @@ mod tests {
     fn overhead_gate_catches_a_slow_sequential_engine() {
         // Past the structural ceiling *and* the noise margin: hard fail.
         let hard = (1.0 + PDES_OVERHEAD_TOLERANCE) * (1.0 + MEASUREMENT_NOISE_MARGIN);
-        let mut r = report(1);
+        let mut r = report();
         r.cells
             .iter_mut()
-            .find(|c| c.clients == PDES_SIZES[0] && c.mode == PdesMode::Partitioned(1))
+            .find(|c| c.clients == PDES_SIZES[0] && c.mode == PdesMode::Carved)
             .unwrap()
             .wall_s = hard + 0.02;
         let err = r
@@ -657,10 +486,10 @@ mod tests {
             .expect_err("overhead past the hard ceiling must fail");
         assert!(err.contains("overhead"), "got: {err}");
         // Between the 10% target and the hard ceiling: pass with a warning.
-        let mut r = report(1);
+        let mut r = report();
         r.cells
             .iter_mut()
-            .find(|c| c.clients == PDES_SIZES[0] && c.mode == PdesMode::Partitioned(1))
+            .find(|c| c.clients == PDES_SIZES[0] && c.mode == PdesMode::Carved)
             .unwrap()
             .wall_s = hard - 0.02;
         let msg = r.check().expect("noise-band overhead must pass");
@@ -668,28 +497,8 @@ mod tests {
     }
 
     #[test]
-    fn speedup_gate_applies_only_with_enough_cores() {
-        let mut r = report(8);
-        for c in r
-            .cells
-            .iter_mut()
-            .filter(|c| matches!(c.mode, PdesMode::Partitioned(t) if t > 1))
-        {
-            c.events_per_sec = 1_000_000.0; // no speedup at all
-            c.wall_s = 1.05;
-        }
-        let err = r.check().expect_err("flat scaling on 8 cores must fail");
-        assert!(err.contains("speedup"), "got: {err}");
-        // The same flat numbers pass on one core, with a printed skip.
-        let mut small = r;
-        small.env.nproc = 1;
-        let msg = small.check().expect("1-core report must skip the gate");
-        assert!(msg.contains("SKIPPED"), "got: {msg}");
-    }
-
-    #[test]
     fn carve_gate_catches_a_silently_monolithic_matrix() {
-        let mut r = report(1);
+        let mut r = report();
         for c in &mut r.cells {
             c.partitioned = false;
         }
@@ -699,33 +508,12 @@ mod tests {
 
     #[test]
     fn json_carries_env_and_every_cell() {
-        let r = report(1);
+        let r = report();
         let json = r.to_json();
         assert!(json.contains("\"nproc\": 1"), "got: {json}");
         assert!(json.contains("\"rustc\""), "got: {json}");
         assert!(json.contains("\"clients\": 1024"), "got: {json}");
         assert!(json.contains("\"mode\": \"monolithic\""), "got: {json}");
         assert_eq!(json.matches("\"state_hash\"").count(), r.cells.len());
-    }
-
-    /// A committed report must record which gates actually ran: a
-    /// single-core machine's JSON says the speedup gate was skipped
-    /// (and why), a multi-core machine's carries the measured speedup.
-    #[test]
-    fn json_records_skipped_and_ran_multicore_gates() {
-        let json = report(1).to_json();
-        assert!(
-            json.contains("\"multi_core_speedup\": { \"status\": \"skipped\""),
-            "got: {json}"
-        );
-        assert!(json.contains("\"reason\": \"nproc=1 < 4\""), "got: {json}");
-        assert!(json.contains("\"required_cores\": 4"), "got: {json}");
-        let json = report(8).to_json();
-        assert!(
-            json.contains("\"multi_core_speedup\": { \"status\": \"ran\""),
-            "got: {json}"
-        );
-        assert!(json.contains("\"speedup\": 4.00"), "got: {json}");
-        assert!(json.contains("\"floor\": 2.0"), "got: {json}");
     }
 }

@@ -7,13 +7,18 @@
 //! thread-local mbuf pools. The *marginal* allocations of the extra
 //! simulated seconds — (allocs of long run) − (allocs of short run) —
 //! divide over the extra RPCs; world setup and pool fills cancel out.
+//! That also cancels whatever a proc allocates once, when it starts, so
+//! two *absolute* budgets stand beside the marginal ones: a whole short
+//! `World::run` per client, and a generator proc against the size of the
+//! file set it draws from.
 //!
 //! Needs `--features profile` (the counting allocator lives behind the
 //! same feature as the profiler): `cargo test -p renofs-bench
 //! --features profile --test alloc_count`.
 #![cfg(feature = "profile")]
 
-use renofs::{TopologyKind, TransportKind, World, WorldConfig};
+use renofs::syscalls::Loopback;
+use renofs::{NfsServer, ServerConfig, TopologyKind, TransportKind, World, WorldConfig};
 use renofs_bench::experiments::world_for;
 use renofs_mbuf::{pool, CopyMeter, MbufChain};
 use renofs_netsim::topology::presets::Background;
@@ -87,10 +92,9 @@ fn warm_pools_build_8k_reply_chains_without_allocating() {
 #[test]
 fn spines_dropped_on_a_second_thread_come_back_to_the_builder() {
     let _alone = measuring();
-    // The spine twin of `crowd_budget_survives_a_second_sim_thread`
-    // below: this thread only builds chains and another only drops them,
-    // as a client domain's worker and the coordinator do at
-    // `sim_threads > 1`. The dropper is a pure producer, so its frees
+    // This thread only builds chains and another only drops them, as
+    // happens to anything a `--jobs` worker hands to the thread that
+    // renders its result. The dropper is a pure producer, so its frees
     // must reach the shared tier and this thread must refill from there;
     // a stranded spine shows as `fresh` growing by a batch every round.
     // The rounds compared build more chains than the shared tier can
@@ -187,9 +191,9 @@ fn steady_state_lan_read_rpcs_allocate_next_to_nothing() {
 
 /// Runs `mix` with 16 clients against a 4-daemon nfsd pool for `secs`
 /// simulated seconds and returns (allocations, RPCs completed). The
-/// world carves (quiet background, UDP), so this binds the partitioned
-/// engine's allocation discipline at `sim_threads` OS threads.
-fn run_crowd_16_threads(secs: u64, mix: LoadMix, sim_threads: usize) -> (u64, u64) {
+/// world carves (quiet background, UDP), so this binds the allocation
+/// discipline of the per-machine domains and the loop that merges them.
+fn run_crowd_16(secs: u64, mix: LoadMix) -> (u64, u64) {
     let mut cfg = WorldConfig::baseline();
     cfg.topology = TopologyKind::SameLan;
     cfg.transport = TransportKind::UdpDynamic {
@@ -200,11 +204,10 @@ fn run_crowd_16_threads(secs: u64, mix: LoadMix, sim_threads: usize) -> (u64, u6
     cfg.nfsds = 4;
     cfg.seed = 0xA11C;
     cfg.server.dup_cache = true;
-    cfg.sim_threads = sim_threads;
     let mut world = World::new(cfg);
     assert!(
         world.is_partitioned(),
-        "the crowd budget binds the PDES engine"
+        "the crowd budget binds the carved world"
     );
     let mut wcfg = NhfsstoneConfig::paper(4.0, mix);
     wcfg.procs = 2;
@@ -222,23 +225,18 @@ fn run_crowd_16_threads(secs: u64, mix: LoadMix, sim_threads: usize) -> (u64, u6
 
 /// The marginal allocations per RPC of the extra simulated seconds,
 /// long run minus short run (same method as the single-client test).
-fn marginal_crowd_threads(mix: LoadMix, sim_threads: usize) -> f64 {
-    let (_, _) = run_crowd_16_threads(6, mix, sim_threads);
-    let (a_short, r_short) = run_crowd_16_threads(10, mix, sim_threads);
-    let (a_long, r_long) = run_crowd_16_threads(30, mix, sim_threads);
+fn marginal_crowd(mix: LoadMix) -> f64 {
+    let (_, _) = run_crowd_16(6, mix);
+    let (a_short, r_short) = run_crowd_16(10, mix);
+    let (a_long, r_long) = run_crowd_16(30, mix);
     let extra_rpcs = r_long - r_short;
     assert!(
         extra_rpcs > 500,
         "need a meaningful RPC delta: {extra_rpcs}"
     );
     let marginal = a_long.saturating_sub(a_short) as f64 / extra_rpcs as f64;
-    eprintln!("marginal allocs/RPC at sim_threads={sim_threads}: {marginal:.3}");
+    eprintln!("marginal allocs/RPC at 16 clients: {marginal:.3}");
     marginal
-}
-
-/// [`marginal_crowd_threads`] at the default one sim thread.
-fn marginal_crowd(mix: LoadMix) -> f64 {
-    marginal_crowd_threads(mix, 1)
 }
 
 #[test]
@@ -274,43 +272,102 @@ fn steady_state_crowd_mix_at_16_clients_stays_within_its_op_costs() {
     // cache. With 40% lookups and 10% setattrs that budgets ~1 extra
     // alloc/RPC on top of the read-path bound above; hold the line there
     // so the transport/pool side cannot silently regress underneath.
-    // Measured 0.91 (0.73 before a chain's segment list was a pooled
-    // spine: each cached SETATTR reply now also keeps a spine — a box
-    // and its buffer — out of circulation while the ring fills); the
-    // bound was and stays 1.5.
+    // Measured 0.63, and 0.63 at the parent of the change that re-read
+    // it (each cached SETATTR reply keeps a spine — a box and its buffer —
+    // out of circulation while the ring fills); the 0.91 recorded here
+    // before had gone stale, so the bound comes down from 1.5 to twice
+    // the reading.
     let marginal = marginal_crowd(LoadMix::crowd());
     assert!(
-        marginal < 1.5,
+        marginal < 1.3,
         "crowd-mix RPCs at 16 clients allocate too much: \
          {marginal:.2} allocs/RPC"
     );
 }
 
 #[test]
-fn crowd_budget_survives_a_second_sim_thread() {
+fn a_short_crowd_run_allocates_a_bounded_amount_per_client() {
     let _alone = measuring();
-    // The same crowd world on two OS threads: each conservative round
-    // now ships its jobs to a worker over a channel (a Go order, the
-    // job list, a Done report) and reply chains drop back into mbuf
-    // pools from the *worker* thread, so its frees must spill to the
-    // shared tier rather than strand in worker-local caches — stranding
-    // shows up here as the simulation side allocating fresh clusters
-    // every round. The round-protocol messages legitimately cost a few
-    // allocations each, so the budget is looser than the inline bound
-    // (measured 28.0 allocs/RPC, the bound is twice that); what it guards
-    // is the order of magnitude: a stranded pool or a per-round
-    // O(clients) buffer regression blows past it immediately.
-    let mix = LoadMix {
-        lookup: 0,
-        read: 100,
-        getattr: 0,
-        setattr: 0,
-        write: 0,
-    };
-    let marginal = marginal_crowd_threads(mix, 2);
+    // What the marginal budgets above cannot see: allocations a client
+    // makes once. A 64-client carved world, one generator proc each over
+    // the default 100 files, the whole of a 4 s `World::run` (preload
+    // excluded), divided by clients. A proc that builds a table over its
+    // file set, or a domain that sizes a buffer per client on first use,
+    // lands here in full.
+    const CLIENTS: usize = 64;
+    let mut cfg = WorldConfig::baseline();
+    cfg.background = Background::quiet();
+    cfg.clients = CLIENTS;
+    cfg.nfsds = 4;
+    cfg.seed = 0xA11C;
+    cfg.server.dup_cache = true;
+    let mut world = World::new(cfg);
+    assert!(world.is_partitioned());
+    let mut wcfg = NhfsstoneConfig::paper(4.0, LoadMix::crowd());
+    wcfg.procs = 1;
+    wcfg.duration = SimDuration::from_secs(4);
+    wcfg.warmup = SimDuration::ZERO;
+    wcfg.seed = 7;
+    let (dir, files) = nhfsstone::preload_subtree(&mut world, &wcfg);
+    let end = world.now() + wcfg.duration;
+    for ci in 0..CLIENTS {
+        let (wcfg, files) = (wcfg.clone(), files.clone());
+        world.spawn_on(ci, move |sys| {
+            nhfsstone::generator_proc(sys, 0, &wcfg, dir, &files, SimTime::ZERO, end, None);
+        });
+    }
+    let a0 = profile::allocs();
+    world.run();
+    let per_client = (profile::allocs() - a0) as f64 / CLIENTS as f64;
+    eprintln!("allocs per client over a short crowd run: {per_client:.1}");
+    // Measured 33.3 (135.3 while every generator proc rendered its 100
+    // lookup names and filled an 8 KB write payload before its first
+    // RPC); the bound is twice the reading.
     assert!(
-        marginal < 56.0,
-        "read RPCs at 16 clients on 2 sim threads allocate too much: \
-         {marginal:.2} allocs/RPC"
+        per_client < 67.0,
+        "a short crowd run allocates too much: {per_client:.1} per client"
     );
+}
+
+/// Allocations inside one LOOKUP-only generator proc over a loopback
+/// server exporting `nfiles` files. The proc runs twice and the second
+/// run counts: it draws the same files, so whatever the server keeps per
+/// file it has looked up is already there.
+fn lookup_proc_allocs(nfiles: usize) -> u64 {
+    let mut server = NfsServer::new(ServerConfig::reno(), SimTime::ZERO);
+    let mut cfg = NhfsstoneConfig::paper(20.0, LoadMix::pure_lookup());
+    cfg.nfiles = nfiles;
+    let root = server.fs().root();
+    let dir = server
+        .fs_mut()
+        .mkdir(root, "t", 0o755, SimTime::ZERO)
+        .unwrap();
+    let files: Vec<_> = (0..nfiles)
+        .map(|i| {
+            let name = nhfsstone::file_name(i, cfg.long_names);
+            let ino = server.fs_mut().create(dir, &name, 0o644, SimTime::ZERO);
+            server.handle_for(ino.unwrap()).unwrap()
+        })
+        .collect();
+    let dir = server.handle_for(dir).unwrap();
+    let mut sys = Loopback::new(server);
+    let mut run = |end| {
+        let a0 = profile::allocs();
+        let samples =
+            nhfsstone::generator_proc(&mut sys, 0, &cfg, dir, &files, SimTime::ZERO, end, None);
+        assert!(samples.len() > 50, "the proc must look files up");
+        profile::allocs() - a0
+    };
+    run(SimTime::from_secs(30));
+    run(SimTime::from_secs(60))
+}
+
+#[test]
+fn a_generator_proc_allocates_nothing_per_file() {
+    let _alone = measuring();
+    // Equal runs but for the size of the file set (the draws, hence the
+    // RPC count, do not depend on it): quietest of a few tries each, as
+    // above. A per-proc table of names made these differ by 990.
+    let quietest = |nfiles| (0..3).map(|_| lookup_proc_allocs(nfiles)).min();
+    assert_eq!(quietest(10), quietest(1000));
 }

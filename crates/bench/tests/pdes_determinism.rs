@@ -1,34 +1,27 @@
-//! Byte-identical experiment output across the full `--sim-threads` ×
-//! `--jobs` matrix.
+//! Carved worlds through the job runner.
 //!
-//! `--jobs` parallelizes across independent worlds and was proven
-//! determinism-safe in the runner; `--sim-threads` parallelizes *inside*
-//! one world via the conservative-PDES engine (DESIGN.md §11). Neither
-//! axis — nor their product — may perturb a single rendered byte. The
-//! crowd experiment is the matrix workhorse because its cells carve
-//! (quiet background, UDP) while its TCP cells exercise the monolithic
-//! fallback in the same report; the chaos soak adds fault plans and
-//! oracle bookkeeping on top.
+//! `determinism.rs` holds the `--jobs` axis for the crowd and the plain
+//! soak, whose multi-client cells carve (quiet background, UDP). What is
+//! left for this file: the guard that such a world really does carve, or
+//! those tests compare the single queue with itself, and the lease soak,
+//! whose client-side lease state is the one thing they do not run.
 
 use renofs::{World, WorldConfig};
-use renofs_bench::experiments::{crowd, soak};
+use renofs_bench::experiments::soak;
 use renofs_bench::Scale;
 use renofs_sim::SimDuration;
 
-fn scale(sim_threads: usize, jobs: usize) -> Scale {
+fn scale(jobs: usize) -> Scale {
     let mut s = Scale::quick();
     s.duration = SimDuration::from_secs(4);
     s.warmup = SimDuration::from_secs(1);
     s.nfiles = 12;
     s.jobs = jobs;
-    s.sim_threads = sim_threads;
     s
 }
 
 /// The carve guard: the representative crowd world — multi-client,
-/// quiet background, UDP — must actually run partitioned, or the whole
-/// matrix below degenerates into comparing the monolithic engine with
-/// itself.
+/// quiet background, UDP — must actually carve into per-machine domains.
 #[test]
 fn quiet_udp_multiclient_worlds_carve() {
     let mut cfg = WorldConfig::baseline();
@@ -40,59 +33,15 @@ fn quiet_udp_multiclient_worlds_carve() {
     );
 }
 
-/// The tentpole contract at the experiment level: every `--sim-threads`
-/// value at every `--jobs` level renders the same crowd table, byte for
-/// byte.
-#[test]
-fn crowd_output_is_byte_identical_across_the_matrix() {
-    let baseline = crowd::crowd_with_counts(&scale(1, 1), &[2]).to_string();
-    assert!(
-        baseline.contains("same LAN"),
-        "baseline report rendered: {baseline}"
-    );
-    for threads in [1usize, 2, 4, 8] {
-        for jobs in [1usize, 4] {
-            if (threads, jobs) == (1, 1) {
-                continue;
-            }
-            let got = crowd::crowd_with_counts(&scale(threads, jobs), &[2]).to_string();
-            assert_eq!(
-                got, baseline,
-                "crowd output diverged at sim_threads={threads} jobs={jobs}"
-            );
-        }
-    }
-}
-
-/// The chaos soak — randomized fault plans, oracle verdicts, shrunk
-/// case specs — through the same matrix (a lighter corner of it: the
-/// soak already replays every case twice per seed for its determinism
-/// oracle).
-#[test]
-fn soak_output_is_byte_identical_across_sim_threads() {
-    let render = |threads: usize, jobs: usize| {
-        soak::soak_with(&scale(threads, jobs), 0, 2, soak::Mutation::None).to_string()
-    };
-    let baseline = render(1, 1);
-    for (threads, jobs) in [(4usize, 1usize), (1, 2), (4, 2), (2, 4), (1, 4)] {
-        let got = render(threads, jobs);
-        assert_eq!(
-            got, baseline,
-            "soak output diverged at sim_threads={threads} jobs={jobs}"
-        );
-    }
-}
-
-/// Lease worlds through the same matrix: write-behind and recall
-/// servicing add client-side state (the lease map, the recall queue,
-/// retry sleeps) whose iteration order must stay deterministic for the
-/// rendered report — lease-traffic columns included — to survive the
-/// `--sim-threads` × `--jobs` product byte for byte.
+/// Lease worlds across `--jobs`: write-behind and recall servicing add
+/// client-side state (the lease map, the recall queue, retry sleeps)
+/// whose iteration order must stay deterministic for the rendered report
+/// — lease-traffic columns included — to come out the same byte for byte.
 #[test]
 fn lease_soak_output_is_byte_identical_across_the_matrix() {
-    let render = |threads: usize, jobs: usize| {
+    let render = |jobs: usize| {
         soak::soak_profile_with(
-            &scale(threads, jobs),
+            &scale(jobs),
             0,
             2,
             soak::Mutation::None,
@@ -100,41 +49,16 @@ fn lease_soak_output_is_byte_identical_across_the_matrix() {
         )
         .to_string()
     };
-    let baseline = render(1, 1);
+    let baseline = render(1);
     assert!(
         baseline.contains("recall"),
         "lease report must carry lease columns: {baseline}"
     );
-    for (threads, jobs) in [(2usize, 1usize), (4, 1), (1, 4), (2, 4), (4, 4)] {
-        let got = render(threads, jobs);
+    for jobs in [2usize, 4] {
         assert_eq!(
-            got, baseline,
-            "lease soak output diverged at sim_threads={threads} jobs={jobs}"
+            render(jobs),
+            baseline,
+            "lease soak output diverged at jobs={jobs}"
         );
-    }
-}
-
-/// The streaming checker's internals — not just the rendered table —
-/// must be deterministic across the PDES axis: watermark arrival order
-/// changes with thread interleaving, but the released sequence (and so
-/// the violation list, the retirement counter, and the `peak_retained`
-/// high-water mark) may not.
-#[test]
-fn streaming_stats_are_byte_identical_across_sim_threads() {
-    for seed in [2u64, 5] {
-        let case = soak::SoakCase::from_seed(seed);
-        let base = soak::run_case_with_threads(&case, soak::Mutation::None, 1);
-        for threads in [2usize, 4] {
-            let got = soak::run_case_with_threads(&case, soak::Mutation::None, threads);
-            assert_eq!(
-                got.violations, base.violations,
-                "seed {seed}: violations diverged at sim_threads={threads}"
-            );
-            assert_eq!(
-                (got.observations, got.peak_retained, got.retired),
-                (base.observations, base.peak_retained, base.retired),
-                "seed {seed}: streaming stats diverged at sim_threads={threads}"
-            );
-        }
     }
 }

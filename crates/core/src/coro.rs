@@ -166,8 +166,8 @@ impl Coroutine {
         let resumer = CURRENT.replace(ctl);
         // SAFETY: the body has not finished, so `sp` holds its initial
         // frame or what its last `switch` saved, and its stack has run on
-        // this thread only (`Coroutine` is `!Send`; the one place that
-        // lends procs to a worker does so before they run).
+        // this thread only (`Coroutine` is `!Send`, and nothing in the
+        // crate wraps one to send it).
         unsafe { switch(ctl.sp.as_ptr()) };
         CURRENT.set(resumer);
         ctl.panic.take().map_or(Ok(ctl.finished.get()), Err)

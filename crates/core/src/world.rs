@@ -18,7 +18,7 @@
 //! retransmission flows through this loop, which is what lets the bench
 //! harnesses reproduce the paper's graphs.
 //!
-//! # One set of handlers, two schedulers
+//! # One set of handlers, two world shapes
 //!
 //! What a machine does with an event is written once. `ClientCtx` holds
 //! a client machine's handlers (syscalls, RPC issue and completion,
@@ -26,14 +26,14 @@
 //! server machines' (frames, the nfsd pool, crashes); each touches only
 //! its own side's state, and the two sides meet through `Ev::Send`
 //! frames — a TCP mount included, each end of which lives with the
-//! machine that runs it. An engine only decides which queue an event
-//! is pushed on, which scheduler resumes a proc and which network carries
-//! a frame. The single-queue loop (`run_single`, `step`) runs every
-//! machine off `doms[0]` with one proc scheduler, and its hub's network
-//! reaches the client machines, so the hub hands their datagrams back. A
-//! carved world (DESIGN.md §11) gives each client machine a queue, a
-//! scheduler and its access links, and synchronizes them with the hub's
-//! by a conservative barrier. Both produce the same bytes.
+//! machine that runs it. A world's shape only decides which queue an
+//! event is pushed on, which scheduler resumes a proc and which network
+//! carries a frame. The single-queue loop (`run_single`, `step`) runs
+//! every machine off `doms[0]` with one proc scheduler, and its hub's
+//! network reaches the client machines, so the hub hands their datagrams
+//! back. A carved world (DESIGN.md §11) gives each client machine a queue,
+//! a scheduler and its access links, and one loop (`run_carved`) runs the
+//! globally earliest event of all the queues. Both produce the same bytes.
 //!
 //! # Clients
 //!
@@ -63,16 +63,13 @@
 //! client keeps one transport *per server* — independent XID streams
 //! and RTO state per (client, server) pair — and addresses RPCs with
 //! [`Syscalls::rpc_to`]. An M = 1 world is byte-identical to the
-//! pre-shard single-server world. Under PDES the whole fleet lives in
-//! the hub domain (the servers share the trunk, so they share the
-//! coordinator's queue); the carve must be legal toward every server
-//! and publishes the minimum lookahead over shards.
+//! pre-shard single-server world. In a carved world the whole fleet lives
+//! in the hub domain (the servers share the trunk, so they share its
+//! queue), and the carve must be legal toward every server.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
 
 use renofs_mbuf::{CopyMeter, MbufChain};
 use renofs_netsim::topology::presets::{self, Background};
@@ -81,7 +78,7 @@ use renofs_netsim::{
     ProtoHeader, IP_HEADER, TCP_HEADER,
 };
 use renofs_sim::cpu::CpuCategory;
-use renofs_sim::pdes::DomainQ;
+use renofs_sim::pdes::{DomainQ, Heads};
 use renofs_sim::stats::Running;
 use renofs_sim::{profile, SimDuration, SimTime};
 use renofs_sunrpc::{frame_record, peek_xid_kind, MsgKind, RecordReader, NFS_PORT};
@@ -229,12 +226,6 @@ pub struct WorldConfig {
     pub faults: FaultPlan,
     /// Hard/soft mount semantics for the UDP transports.
     pub mount: MountOptions,
-    /// OS threads driving the simulation itself. 1 (the default) runs the
-    /// event loop on the calling thread; N > 1 spreads the client domains
-    /// of a partitioned world over N − 1 workers plus the coordinator.
-    /// Results are byte-identical at every value: both modes execute the
-    /// same conservative rounds in the same per-domain order.
-    pub sim_threads: usize,
     /// Refuses the per-machine domain partition even when it is legal,
     /// keeping the single global event queue (trace recorders and A/B
     /// overhead baselines use this).
@@ -261,7 +252,6 @@ impl WorldConfig {
             seed: 42,
             faults: FaultPlan::new(),
             mount: MountOptions::hard(),
-            sim_threads: 1,
             force_monolithic: false,
         }
     }
@@ -716,7 +706,7 @@ struct ClientMeta {
 }
 
 /// Where the shards sit. Immutable after construction and read by every
-/// domain: a client addresses its `Send`s by server index and resolves a
+/// machine: a client addresses its `Send`s by server index and resolves a
 /// reply's source node back to the shard it came from.
 struct ServerMap {
     /// Server index -> node.
@@ -745,14 +735,14 @@ struct ServerRt {
 /// The server-side simulation domain: the shared internetwork (minus
 /// any carved client access links) and every server machine of the
 /// fleet. In a carved world this is everything domain 0 owns (the
-/// shards share the trunk, so they share the coordinator's queue). A
+/// shards share the trunk, so they share one queue). A
 /// single-queue world runs the same handlers; there the network still
 /// includes the clients' access links, so its final hops toward a client
 /// happen here and the completed datagrams are handed back.
 struct Hub {
     net: Network,
     servers: Vec<ServerRt>,
-    smap: Arc<ServerMap>,
+    smap: ServerMap,
     /// Node index -> client index, for demultiplexing deliveries.
     node_client: Vec<Option<usize>>,
     metas: Vec<ClientMeta>,
@@ -761,11 +751,12 @@ struct Hub {
     /// Whether the client machines run in domains of their own.
     carved: bool,
     /// Carved worlds: network events that land on a client machine's node,
-    /// keyed here and queued in that client's domain at the next barrier.
-    frames: Vec<(usize, Msg)>,
+    /// as `(client, time, key, event)` — keyed here, the creator, and
+    /// queued in that client's domain.
+    frames: Vec<(usize, SimTime, u64, Ev)>,
     /// Single-queue worlds: datagrams that completed at a client machine,
     /// for the event loop to hand to that client. Both buffers are drained
-    /// by whoever drives the hub and keep their capacity.
+    /// after each hub event by the loop that ran it and keep their capacity.
     deliveries: Vec<(usize, Delivery)>,
     /// Reusable network-step output: drained after every absorb, so the
     /// per-hop path allocates nothing once the vectors reach working size.
@@ -773,14 +764,9 @@ struct Hub {
 }
 
 /// One client machine's simulation domain in a carved world: its access
-/// network, boundary lookaheads, private proc scheduler and a reusable
-/// network-step buffer.
+/// network, private proc scheduler and a reusable network-step buffer.
 struct ClientDom {
     access: AccessNet,
-    /// Client→hub conservative lookahead (uplink propagation delay).
-    la_up: SimDuration,
-    /// Hub→client conservative lookahead (final-link propagation delay).
-    la_dn: SimDuration,
     sched: Sched,
     net_out: NetOutput,
 }
@@ -788,7 +774,7 @@ struct ClientDom {
 /// Carved-world state: the per-client domains and the finish clock.
 struct Partition {
     cdoms: Vec<ClientDom>,
-    /// Max event time at which any workload proc finished — what the
+    /// Event time at which the last workload proc finished — what the
     /// single-queue loop's clock reads when `run` returns.
     finish: SimTime,
 }
@@ -800,8 +786,8 @@ struct Partition {
 enum Engine {
     /// One queue (`doms[0]`), one scheduler for every client's procs.
     Single(Sched),
-    /// A queue and a scheduler per client machine, the hub on `doms[0]`,
-    /// synchronized by a conservative barrier.
+    /// A queue and a scheduler per client machine, the hub on `doms[0]`;
+    /// the globally earliest event runs next.
     Carved(Partition),
 }
 
@@ -995,8 +981,6 @@ impl World {
                         doms.push(DomainQ::new(doms.len() as u32));
                         ClientDom {
                             access: carve.access,
-                            la_up: carve.lookahead_up,
-                            la_dn: carve.lookahead_down,
                             sched: Sched::new(),
                             net_out: NetOutput::default(),
                         }
@@ -1011,10 +995,10 @@ impl World {
             hub: Hub {
                 net,
                 servers,
-                smap: Arc::new(ServerMap {
+                smap: ServerMap {
                     nodes: server_nodes,
                     of_node: node_server,
-                }),
+                },
                 node_client,
                 metas,
                 nfsds: cfg.nfsds,
@@ -1066,8 +1050,8 @@ impl World {
         world
     }
 
-    /// Whether this world runs as per-machine domains under conservative
-    /// synchronization (true) or as one global event queue (false).
+    /// Whether this world runs as per-machine domains (true) or as one
+    /// global event queue (false).
     pub fn is_partitioned(&self) -> bool {
         matches!(self.engine, Engine::Carved(_))
     }
@@ -1083,7 +1067,7 @@ impl World {
     /// The handlers of client `ci` over the single queue.
     fn ctx(&mut self, ci: usize) -> ClientCtx<'_> {
         let Engine::Single(sched) = &mut self.engine else {
-            unreachable!("a carved world builds its contexts per domain round")
+            unreachable!("a carved world builds its contexts per domain")
         };
         ClientCtx {
             ci,
@@ -1284,9 +1268,9 @@ impl World {
         }
     }
 
-    /// Current virtual time. For a partitioned world after `run`, this is
-    /// the event time of the last workload-proc finish — the same
-    /// instant the monolithic engine's clock stops at.
+    /// Current virtual time. For a carved world after `run`, this is the
+    /// event time of the last workload-proc finish — the same instant the
+    /// single queue's clock stops at.
     pub fn now(&self) -> SimTime {
         match &self.engine {
             Engine::Carved(p) => p.finish,
@@ -1387,7 +1371,7 @@ impl World {
     /// Runs the world until every workload proc has finished.
     pub fn run(&mut self) {
         if self.is_partitioned() {
-            self.run_partitioned();
+            self.run_carved();
         } else {
             self.run_single(None);
         }
@@ -1470,129 +1454,73 @@ impl World {
         true
     }
 
-    // ----- the partitioned (PDES) engine ----------------------------------
+    // ----- the carved world's loop -----------------------------------------
 
-    /// Runs a partitioned world to completion: every client machine and
-    /// the hub execute rounds against their private queues, synchronized
-    /// by a conservative barrier whose lookahead is the boundary links'
-    /// propagation delay. The round schedule is a pure function of queue
-    /// state, so every `sim_threads` value executes the identical event
-    /// order and the run is byte-identical at any thread count.
-    fn run_partitioned(&mut self) {
-        assert!(!self.started, "a partitioned world runs exactly once");
-        self.started = true;
-        let n = self.clients.len();
-        let workers = self.cfg.sim_threads.max(1) - 1;
+    /// Runs a carved world to completion: each turn runs the globally
+    /// earliest event — the least `(time, key)` among the heads of the
+    /// hub's queue and every client machine's — on the machine that owns
+    /// it, and moves what it sent to another machine into that machine's
+    /// queue under the creator's key. One event per turn, however far the
+    /// winner's next head lies below the runner-up's: its own emission can
+    /// reach another machine and come back sooner than that. A crossing
+    /// takes at least a nanosecond (`renofs_sim::pdes`), which is what makes
+    /// this order each machine's own `(time, key)` order and so the
+    /// single-queue loop's bytes.
+    fn run_carved(&mut self) {
         let Engine::Carved(part) = &mut self.engine else {
             unreachable!("single-queue worlds run through run_single")
         };
-        let cdoms = &mut part.cdoms;
-        // Round 0 releases the procs, as the single-queue loop does before
-        // its first pop.
-        for cd in cdoms.iter_mut() {
-            cd.sched.release();
-        }
-        let smap = self.hub.smap.clone();
-        let la_up: Vec<SimDuration> = cdoms.iter().map(|c| c.la_up).collect();
-        let la_dn: Vec<SimDuration> = cdoms.iter().map(|c| c.la_dn).collect();
-        let (hub_doms, client_dqs) = self.doms.split_at_mut(1);
-        let hub_dq = &mut hub_doms[0];
-        let hub = &mut self.hub;
-        let finish = if workers == 0 {
-            let mut exec = SeqExec {
-                rts: &mut self.clients,
-                cds: cdoms,
-                dqs: client_dqs,
-                smap: &smap,
-                reports: Vec::new(),
-                to_hub: Vec::new(),
-            };
-            pdes_coordinate(hub, hub_dq, &la_up, &la_dn, &mut exec)
-        } else {
-            let nworkers = workers.min(n);
-            std::thread::scope(|s| {
-                let (done_tx, done_rx) = channel::<WorkerDone>();
-                let mut go_txs = Vec::with_capacity(nworkers);
-                let mut worker_of = Vec::with_capacity(n);
-                let mut rts: &mut [ClientRt] = &mut self.clients;
-                let mut cds: &mut [ClientDom] = cdoms;
-                let mut dqs: &mut [DomainQ<Ev>] = client_dqs;
-                let mut base = 0usize;
-                for w in 0..nworkers {
-                    // Contiguous chunks, remainder spread over the front.
-                    let take = (n - base).div_ceil(nworkers - w);
-                    let (r1, r2) = rts.split_at_mut(take);
-                    let (c1, c2) = cds.split_at_mut(take);
-                    let (d1, d2) = dqs.split_at_mut(take);
-                    rts = r2;
-                    cds = c2;
-                    dqs = d2;
-                    let (go_tx, go_rx) = channel::<WorkerGo>();
-                    let (dtx, smap, c1) = (done_tx.clone(), &*smap, PinnedDoms(c1));
-                    s.spawn(move || pdes_worker(base, r1, c1, d1, smap, go_rx, dtx));
-                    go_txs.push(go_tx);
-                    worker_of.extend(std::iter::repeat_n(w, take));
-                    base += take;
-                }
-                let mut exec = ParExec {
-                    go_txs,
-                    done_rx,
-                    worker_of,
-                    buckets: (0..nworkers).map(|_| Vec::new()).collect(),
-                    outstanding: 0,
+        let (hub, cdoms) = (&mut self.hub, &mut part.cdoms);
+        let (hub_dq, dqs) = self.doms.split_first_mut().expect("the hub's queue");
+        if !self.started {
+            self.started = true;
+            // Every proc runs to its first block before the first pop, as
+            // in the single-queue loop.
+            for (ci, cd) in cdoms.iter_mut().enumerate() {
+                cd.sched.release();
+                let ctx = ClientCtx {
+                    ci,
+                    rt: &mut self.clients[ci],
+                    sched: &mut cd.sched,
+                    dq: &mut dqs[ci],
+                    smap: &hub.smap,
                 };
-                pdes_coordinate(hub, hub_dq, &la_up, &la_dn, &mut exec)
-                // Dropping `exec` closes the Go channels; the workers'
-                // recv loops end and the scope joins them.
-            })
-        };
-        part.finish = finish;
+                ctx.run_ready();
+            }
+        }
+        // Leaf `d` follows the head of `doms[d]`.
+        let mut heads = Heads::new(1 + dqs.len());
+        heads.set(0, hub_dq.peek());
+        for (ci, dq) in dqs.iter().enumerate() {
+            heads.set(1 + ci, dq.peek());
+        }
+        let mut live: usize = cdoms.iter().map(|cd| cd.sched.live).sum();
+        // The run ends the moment the last proc finishes; whatever is still
+        // queued (stale timers, duplicates at a server) is never run.
+        while live > 0 {
+            let d = heads
+                .min()
+                .expect("deadlock: procs blocked with no pending events");
+            if d == 0 {
+                let (now, _, ev) = hub_dq.pop().expect("the head that won");
+                hub.handle_event(hub_dq, now, ev);
+                for (ci, t, key, ev) in hub.frames.drain(..) {
+                    dqs[ci].push_incoming(t, key, ev);
+                    heads.set(1 + ci, dqs[ci].peek());
+                }
+            } else {
+                let (ci, cd) = (d - 1, &mut cdoms[d - 1]);
+                let before = cd.sched.live;
+                let rt = &mut self.clients[ci];
+                cd.step(ci, rt, &mut dqs[ci], &hub.smap, hub_dq);
+                live -= before - cd.sched.live;
+                heads.set(d, dqs[ci].peek());
+            }
+            heads.set(0, hub_dq.peek());
+        }
+        let finishes = cdoms.iter().map(|cd| cd.sched.last_finish);
+        part.finish = finishes.max().expect("a carved world has clients");
     }
-}
-
-// ----- partitioned-engine machinery (module level so worker threads can
-// borrow disjoint client chunks without touching `World`) ----------------
-
-/// A cross-domain message: arrival time, canonical event key (allocated
-/// by the *creator* domain), and the event itself. The receiving queue
-/// orders by `(time, key)`, so arrival order between messages is
-/// irrelevant — which is what makes worker completion order harmless.
-type Msg = (SimTime, u64, Ev);
-
-/// What a client domain reports back at the end of a round it ran.
-struct ClientReport {
-    /// Earliest pending local event after the round (`None` = drained).
-    eot: Option<SimTime>,
-    /// Workload procs still running on this client.
-    live: usize,
-    /// Latest proc-finish time seen so far on this client.
-    last_finish: SimTime,
-}
-
-/// One scheduled client's work order for a round: deliver `msgs` into
-/// the local queue, then execute every local event strictly below
-/// `bound`. The coordinator only builds a job for clients whose
-/// effective earliest work lies below their bound — everyone else would
-/// provably pop nothing, so the executors never touch them and their
-/// last report stands.
-struct RoundJob {
-    ci: usize,
-    bound: SimTime,
-    msgs: Vec<Msg>,
-}
-
-/// One round's work orders for a worker (only its own clients').
-struct WorkerGo {
-    jobs: Vec<RoundJob>,
-}
-
-/// A worker's round result: a report per job plus every message its
-/// clients emitted toward the hub. Merge order between workers is
-/// irrelevant: reports are keyed by client and messages merge by
-/// `(time, key)` in the hub queue.
-struct WorkerDone {
-    reports: Vec<(usize, ClientReport)>,
-    to_hub: Vec<Msg>,
 }
 
 /// The Ethernet frame of one TCP segment leaving `src` for `dst`.
@@ -1616,9 +1544,9 @@ fn tcp_frame(src: (NodeId, u16), dst: (NodeId, u16), seg: TcpSegment) -> Ev {
 /// transport timers, arriving datagrams — over the state an engine lends
 /// them: the machine, the scheduler of its procs and the queue its events
 /// ride on. The single-queue loop builds one per event over the world's
-/// one scheduler and `doms[0]`; a carved world builds one per domain
-/// round over the domain's own. Nothing here touches a server machine:
-/// what goes to one leaves as an `Ev::Send` frame.
+/// one scheduler and `doms[0]`; a carved world builds one per event over
+/// the domain's own. Nothing here touches a server machine: what goes to
+/// one leaves as an `Ev::Send` frame.
 struct ClientCtx<'a> {
     ci: usize,
     rt: &'a mut ClientRt,
@@ -1628,6 +1556,14 @@ struct ClientCtx<'a> {
 }
 
 impl ClientCtx<'_> {
+    /// Resumes every ready proc of a carved domain, in wake-up order (each
+    /// runs on this machine).
+    fn run_ready(mut self) {
+        while let Some((tid, resp)) = self.sched.ready.pop_front() {
+            self.resume(tid, resp);
+        }
+    }
+
     /// Services a suspended proc's requests, resuming it with `resp` once
     /// none is left in its post box, until a request blocks it in virtual
     /// time (or it finishes).
@@ -1965,108 +1901,73 @@ impl ClientCtx<'_> {
 }
 
 impl ClientDom {
-    /// One round of this domain in a carved world: delivers the incoming
-    /// messages, then executes every local event strictly below the job's
-    /// bound, the ready FIFO draining before each pop exactly as in the
-    /// single-queue loop. The access network carries the frames: uplink
-    /// emissions go to `emit` for the hub, the final hop of a reply ends
-    /// in [`ClientCtx::deliver`].
-    fn round(
+    /// Runs this domain's earliest event in a carved world, then every
+    /// proc it readied, as the single-queue loop drains its ready FIFO
+    /// before the next pop. The access network carries the frames: what
+    /// the uplink emits lands in the hub's queue under this domain's keys,
+    /// the final hop of a reply ends in [`ClientCtx::deliver`].
+    fn step(
         &mut self,
+        ci: usize,
         rt: &mut ClientRt,
         dq: &mut DomainQ<Ev>,
         smap: &ServerMap,
-        emit: &mut Vec<Msg>,
-        job: &mut RoundJob,
-    ) -> ClientReport {
+        hub_dq: &mut DomainQ<Ev>,
+    ) {
+        let (now, _, ev) = dq.pop().expect("the head that won");
+        let (access, out) = (&mut self.access, &mut self.net_out);
         let mut ctx = ClientCtx {
-            ci: job.ci,
+            ci,
             rt,
             sched: &mut self.sched,
             dq,
             smap,
         };
-        for (t, key, ev) in job.msgs.drain(..) {
-            ctx.dq.push_incoming(t, key, ev);
-        }
-        loop {
-            // Every proc of this scheduler runs on this machine.
-            while let Some((tid, resp)) = ctx.sched.ready.pop_front() {
-                ctx.resume(tid, resp);
-            }
-            let now = match ctx.dq.peek() {
-                Some((t, _)) if t < job.bound => t,
-                _ => break,
-            };
-            let (_, _, ev) = ctx.dq.pop().expect("peeked");
-            let out = &mut self.net_out;
-            match ev {
-                Ev::Send {
-                    src,
-                    dst,
-                    proto,
-                    payload,
-                } => {
-                    let _sp = profile::span(profile::Subsystem::Links);
-                    let id = self.access.alloc_dgram_id();
-                    self.access.send_into(
-                        now,
-                        Datagram {
-                            id,
-                            src,
-                            dst,
-                            proto,
-                            payload,
-                        },
-                        out,
-                    );
-                    profile::count(profile::Subsystem::Links, out.events.len() as u64);
-                    // Every uplink emission lands in the hub domain; the
-                    // creator key preserves deterministic merge order there.
-                    for (t, nev) in out.events.drain(..) {
-                        let key = ctx.dq.alloc_key();
-                        emit.push((t, key, Ev::Net(nev)));
-                    }
-                    debug_assert!(out.delivered.is_empty(), "uplink send cannot deliver");
+        match ev {
+            Ev::Send {
+                src,
+                dst,
+                proto,
+                payload,
+            } => {
+                let _sp = profile::span(profile::Subsystem::Links);
+                let id = access.alloc_dgram_id();
+                access.send_into(
+                    now,
+                    Datagram {
+                        id,
+                        src,
+                        dst,
+                        proto,
+                        payload,
+                    },
+                    out,
+                );
+                profile::count(profile::Subsystem::Links, out.events.len() as u64);
+                for (t, nev) in out.events.drain(..) {
+                    hub_dq.push_incoming(t, ctx.dq.alloc_key(), Ev::Net(nev));
                 }
-                Ev::Net(nev) => {
-                    let _sp = profile::span(profile::Subsystem::Links);
-                    self.access.handle_into(now, nev, out);
-                    profile::count(profile::Subsystem::Links, out.events.len() as u64);
-                    // Reassembly timers are domain-local.
-                    for (t, nev) in out.events.drain(..) {
-                        ctx.dq.push(t, Ev::Net(nev));
-                    }
-                    for d in out.delivered.drain(..) {
-                        ctx.deliver(now, d);
-                    }
-                }
-                ev => ctx.handle_event(now, ev),
+                debug_assert!(out.delivered.is_empty(), "uplink send cannot deliver");
             }
+            Ev::Net(nev) => {
+                let _sp = profile::span(profile::Subsystem::Links);
+                access.handle_into(now, nev, out);
+                profile::count(profile::Subsystem::Links, out.events.len() as u64);
+                // Reassembly timers are domain-local.
+                for (t, nev) in out.events.drain(..) {
+                    ctx.dq.push(t, Ev::Net(nev));
+                }
+                for d in out.delivered.drain(..) {
+                    ctx.deliver(now, d);
+                }
+            }
+            ev => ctx.handle_event(now, ev),
         }
-        ClientReport {
-            eot: ctx.dq.peek().map(|(t, _)| t),
-            live: ctx.sched.live,
-            last_finish: ctx.sched.last_finish,
-        }
+        ctx.run_ready();
     }
 }
 
 impl Hub {
-    /// Executes every hub event strictly below `bound`.
-    fn round(&mut self, dq: &mut DomainQ<Ev>, bound: SimTime) {
-        loop {
-            match dq.peek() {
-                Some((t, _)) if t < bound => {
-                    let (at, _, ev) = dq.pop().expect("peeked");
-                    debug_assert_eq!(at, t);
-                    self.handle_event(dq, at, ev);
-                }
-                _ => return,
-            }
-        }
-    }
-
     /// Every event the network and the server machines own under either
     /// engine; `dq` is the queue they ride on. What reaches a client
     /// machine leaves through `frames` or `deliveries`.
@@ -2162,8 +2063,7 @@ impl Hub {
             };
             match owner {
                 Some(ci) => {
-                    let key = dq.alloc_key();
-                    self.frames.push((ci, (t, key, Ev::Net(ev))));
+                    self.frames.push((ci, t, dq.alloc_key(), Ev::Net(ev)));
                 }
                 None => {
                     dq.push(t, Ev::Net(ev));
@@ -2377,376 +2277,6 @@ impl Hub {
     }
 }
 
-/// How the coordinator hands a round to the client domains: `dispatch`
-/// starts the scheduled jobs (inline or by messaging workers),
-/// `collect` returns one report per job plus the hub-bound messages.
-/// Splitting the two lets the hub's own round overlap the workers'.
-trait RoundExec {
-    /// Runs (or ships) the round's jobs. The sequential executor drains
-    /// each job's messages but leaves the job list itself intact so the
-    /// coordinator can reclaim the message buffers' capacity; the
-    /// parallel executor consumes the jobs (they cross threads).
-    fn dispatch(&mut self, jobs: &mut Vec<RoundJob>);
-    /// Appends one report per job and the round's hub-bound emissions
-    /// into the coordinator's (drained) buffers.
-    fn collect(&mut self, reports: &mut Vec<(usize, ClientReport)>, to_hub: &mut Vec<Msg>);
-}
-
-/// `--sim-threads 1`: the identical rounds run inline on the caller,
-/// into buffers that swap with the coordinator's each round.
-struct SeqExec<'a> {
-    rts: &'a mut [ClientRt],
-    cds: &'a mut [ClientDom],
-    dqs: &'a mut [DomainQ<Ev>],
-    smap: &'a ServerMap,
-    reports: Vec<(usize, ClientReport)>,
-    to_hub: Vec<Msg>,
-}
-
-impl RoundExec for SeqExec<'_> {
-    fn dispatch(&mut self, jobs: &mut Vec<RoundJob>) {
-        for job in jobs.iter_mut() {
-            let ci = job.ci;
-            let (rt, dq) = (&mut self.rts[ci], &mut self.dqs[ci]);
-            let report = self.cds[ci].round(rt, dq, self.smap, &mut self.to_hub, job);
-            self.reports.push((ci, report));
-        }
-    }
-
-    fn collect(&mut self, reports: &mut Vec<(usize, ClientReport)>, to_hub: &mut Vec<Msg>) {
-        std::mem::swap(&mut self.reports, reports);
-        std::mem::swap(&mut self.to_hub, to_hub);
-    }
-}
-
-/// `--sim-threads > 1`: persistent scoped workers own contiguous client
-/// chunks; rounds travel over channels. Only workers with at least one
-/// job hear about a round at all.
-struct ParExec {
-    go_txs: Vec<Sender<WorkerGo>>,
-    done_rx: Receiver<WorkerDone>,
-    /// Which worker owns each client (chunks are contiguous).
-    worker_of: Vec<usize>,
-    /// Per-worker job buckets, reused between rounds.
-    buckets: Vec<Vec<RoundJob>>,
-    /// Workers messaged this round, hence reports owed.
-    outstanding: usize,
-}
-
-impl RoundExec for ParExec {
-    fn dispatch(&mut self, jobs: &mut Vec<RoundJob>) {
-        for job in jobs.drain(..) {
-            self.buckets[self.worker_of[job.ci]].push(job);
-        }
-        self.outstanding = 0;
-        for (w, bucket) in self.buckets.iter_mut().enumerate() {
-            if !bucket.is_empty() {
-                let go = WorkerGo {
-                    jobs: std::mem::take(bucket),
-                };
-                self.go_txs[w].send(go).expect("worker alive");
-                self.outstanding += 1;
-            }
-        }
-    }
-
-    fn collect(&mut self, reports: &mut Vec<(usize, ClientReport)>, to_hub: &mut Vec<Msg>) {
-        for _ in 0..self.outstanding {
-            let d = self.done_rx.recv().expect("worker alive");
-            // Reports are keyed by client and hub-bound messages merge
-            // by (time, key) in the queue, so worker completion order
-            // cannot perturb determinism.
-            reports.extend(d.reports);
-            to_hub.extend(d.to_hub);
-        }
-    }
-}
-
-/// The chunk of client domains a PDES worker runs, crossing to its thread.
-struct PinnedDoms<'a>(&'a mut [ClientDom]);
-
-// SAFETY: a `ClientDom` is `!Send` for its procs alone: a proc that has
-// run is a stack whose frames may hold `!Send` values and thread-local
-// addresses, among them the `WorldSys` sharing an `Rc` cell with its port.
-// `run_partitioned` runs at most once per world and every proc was spawned
-// before it, so no proc of the chunk has run when it crosses; the worker
-// that receives it is the only thread to resume them, or to touch their
-// cells, until the scope joins it. By then each has finished — its frames
-// and their `Rc` clone are gone — unless the run panicked, and a proc left
-// suspended by that is never resumed again: `Coroutine::drop` leaves its
-// stack alone on any thread but the one that ran it.
-unsafe impl Send for PinnedDoms<'_> {}
-
-/// A worker's whole life: run each Go order's jobs over its client
-/// chunk and report; exit when the coordinator drops the channel.
-fn pdes_worker(
-    base: usize,
-    rts: &mut [ClientRt],
-    cds: PinnedDoms<'_>,
-    dqs: &mut [DomainQ<Ev>],
-    smap: &ServerMap,
-    go_rx: Receiver<WorkerGo>,
-    done_tx: Sender<WorkerDone>,
-) {
-    let cds = cds.0;
-    let mut to_hub: Vec<Msg> = Vec::new();
-    while let Ok(go) = go_rx.recv() {
-        let mut reports = Vec::with_capacity(go.jobs.len());
-        for mut job in go.jobs {
-            let i = job.ci - base;
-            let report = cds[i].round(&mut rts[i], &mut dqs[i], smap, &mut to_hub, &mut job);
-            reports.push((job.ci, report));
-        }
-        let done = WorkerDone {
-            reports,
-            to_hub: std::mem::take(&mut to_hub),
-        };
-        if done_tx.send(done).is_err() {
-            return;
-        }
-    }
-}
-
-/// A lazy min-heap entry for the coordinator's client index: the sort
-/// key, the client's generation at push time, and the client. An entry
-/// is stale — popped and ignored — once the client's generation has
-/// moved on (its effective earliest time changed).
-type LazyEntry<K> = std::cmp::Reverse<(K, u32, u32)>;
-
-/// The coordinator's per-client schedule state. Each client's
-/// *effective earliest time* (`eff`) is the earlier of its reported
-/// queue head and its earliest undelivered hub message; the two lazy
-/// heaps index it so every round costs O(scheduled clients), never
-/// O(clients): `run_heap` (keyed `eff − la_dn`, signed nanoseconds)
-/// yields exactly the clients whose bound `hub_next + la_dn` admits
-/// work, and `up_heap` (keyed `eff + la_up`) yields the client-side cap
-/// on the hub's bound.
-struct ClientSched {
-    eff: Vec<Option<SimTime>>,
-    generation: Vec<u32>,
-    la_up: Vec<SimDuration>,
-    la_dn: Vec<SimDuration>,
-    run_heap: std::collections::BinaryHeap<LazyEntry<i128>>,
-    up_heap: std::collections::BinaryHeap<LazyEntry<SimTime>>,
-}
-
-impl ClientSched {
-    fn new(la_up: &[SimDuration], la_dn: &[SimDuration]) -> Self {
-        let n = la_up.len();
-        ClientSched {
-            eff: vec![None; n],
-            generation: vec![0; n],
-            la_up: la_up.to_vec(),
-            la_dn: la_dn.to_vec(),
-            run_heap: std::collections::BinaryHeap::with_capacity(n),
-            up_heap: std::collections::BinaryHeap::with_capacity(n),
-        }
-    }
-
-    /// Records a new effective earliest time, invalidating the client's
-    /// old heap entries and pushing fresh ones.
-    fn set_eff(&mut self, ci: usize, eff: Option<SimTime>) {
-        self.eff[ci] = eff;
-        self.generation[ci] = self.generation[ci].wrapping_add(1);
-        if let Some(e) = eff {
-            let g = self.generation[ci];
-            let run_key = e.as_nanos() as i128 - self.la_dn[ci].as_nanos() as i128;
-            self.run_heap
-                .push(std::cmp::Reverse((run_key, g, ci as u32)));
-            self.up_heap
-                .push(std::cmp::Reverse((e + self.la_up[ci], g, ci as u32)));
-        }
-    }
-
-    /// An undelivered hub message for `ci` arriving at `t`: counts
-    /// toward its effective earliest time — it is already committed
-    /// work — even though delivery waits for the client's next round.
-    fn note_msg(&mut self, ci: usize, t: SimTime) {
-        match self.eff[ci] {
-            Some(e) if e <= t => {}
-            _ => self.set_eff(ci, Some(t)),
-        }
-    }
-
-    /// The minimum of `eff + la_up` over all clients (`None` = all
-    /// drained): the earliest a client emission could reach the hub.
-    fn client_up(&mut self) -> Option<SimTime> {
-        loop {
-            let &std::cmp::Reverse((t, g, ci)) = self.up_heap.peek()?;
-            if self.generation[ci as usize] == g {
-                return Some(t);
-            }
-            self.up_heap.pop();
-        }
-    }
-
-    /// Drains every client whose effective earliest time is below its
-    /// round bound (`eff < hub_next + la_dn`, i.e. `eff − la_dn <
-    /// hub_next`) into `jobs`, handing each its undelivered messages.
-    /// Every scheduled client pops at least one event, so the total
-    /// number of jobs over a run is bounded by the event count.
-    fn schedule(&mut self, hub_next: SimTime, inbox: &mut [Vec<Msg>], jobs: &mut Vec<RoundJob>) {
-        let horizon = hub_next.as_nanos() as i128;
-        loop {
-            let Some(&std::cmp::Reverse((key, g, ci))) = self.run_heap.peek() else {
-                return;
-            };
-            let ci = ci as usize;
-            if self.generation[ci] != g {
-                self.run_heap.pop();
-                continue;
-            }
-            if key >= horizon {
-                return;
-            }
-            self.run_heap.pop();
-            jobs.push(RoundJob {
-                ci,
-                bound: hub_next + self.la_dn[ci],
-                msgs: std::mem::take(&mut inbox[ci]),
-            });
-        }
-    }
-}
-
-/// The conservative barrier loop, identical at every thread count.
-///
-/// Each round: (1) compute each domain's bound from every *other*
-/// domain's earliest pending work plus the boundary lookahead — the
-/// hub's bound is the min over clients of their effective earliest time
-/// plus the uplink delay, each scheduled client's bound is the hub's
-/// earliest time plus its downlink delay; (2) run the scheduled
-/// domains' rounds independently (a client whose effective earliest
-/// work sits at or above its bound would pop nothing, so it is not
-/// dispatched at all and its hub messages stay parked in `inbox` —
-/// delivery timing is unobservable because the receiving queue orders
-/// by `(time, key)`); (3) exchange the messages at the barrier. The
-/// globally earliest pending event is always strictly below its
-/// domain's bound (lookaheads are ≥ the 1 ns floor), so every round
-/// makes progress, and because `hub_next` never decreases, messages
-/// always arrive at or above the receiver's clock however long they sat
-/// parked — the causality auditor checks exactly this.
-fn pdes_coordinate(
-    hub: &mut Hub,
-    hub_dq: &mut DomainQ<Ev>,
-    la_up: &[SimDuration],
-    la_dn: &[SimDuration],
-    exec: &mut dyn RoundExec,
-) -> SimTime {
-    let n = la_up.len();
-    // The shortest round trip hub → any client → hub. Every event the hub
-    // executes may emit toward an idle client and provoke a response, so
-    // the hub's round may never run further than this past its own head —
-    // an idle client constrains the hub even though it reports no events.
-    let echo = la_up
-        .iter()
-        .zip(la_dn)
-        .map(|(u, d)| *u + *d)
-        .min()
-        .expect("partitioned worlds have at least one client");
-    let mut sched = ClientSched::new(la_up, la_dn);
-    let mut inbox: Vec<Vec<Msg>> = (0..n).map(|_| Vec::new()).collect();
-    let mut jobs: Vec<RoundJob> = Vec::with_capacity(n);
-    let mut reports: Vec<(usize, ClientReport)> = Vec::new();
-    let mut to_hub: Vec<Msg> = Vec::new();
-    let mut live: Vec<usize> = vec![0; n];
-    let mut live_total = 0usize;
-    let mut finish = SimTime::ZERO;
-    let mut rounds = 0u64;
-    // Round 0 only releases the workload procs: bound zero executes no
-    // events, every proc runs to its first block (as in the single-queue
-    // loop before its first pop), and the first real events get scheduled.
-    for ci in 0..n {
-        jobs.push(RoundJob {
-            ci,
-            bound: SimTime::ZERO,
-            msgs: Vec::new(),
-        });
-    }
-    exec.dispatch(&mut jobs);
-    exec.collect(&mut reports, &mut to_hub);
-    jobs.clear();
-    for (t, k, ev) in to_hub.drain(..) {
-        hub_dq.push_incoming(t, k, ev);
-    }
-    for (ci, r) in reports.drain(..) {
-        live_total += r.live;
-        live[ci] = r.live;
-        finish = finish.max(r.last_finish);
-        sched.set_eff(ci, r.eot);
-    }
-    loop {
-        rounds += 1;
-        if live_total == 0 {
-            // Like the monolithic engine, the run ends the moment the
-            // last workload proc finishes; any remaining queue entries
-            // (stale retransmit timers, reassembly expiries) are dropped.
-            if std::env::var_os("RENOFS_PDES_DEBUG").is_some() {
-                eprintln!("[pdes-debug] rounds={rounds} clients={n}");
-            }
-            break;
-        }
-        let hub_eot = hub_dq.peek().map(|(t, _)| t);
-        let client_up = sched.client_up();
-        assert!(
-            hub_eot.is_some() || client_up.is_some(),
-            "deadlock: procs blocked with no pending events"
-        );
-        // Echo cap: cut the hub's bound at head + shortest round trip.
-        let hub_bound = match (client_up, hub_eot.map(|h| h + echo)) {
-            (Some(b), Some(cap)) => b.min(cap),
-            (b, cap) => b.or(cap).expect("asserted above"),
-        };
-        // The hub's earliest possible action: its own queue head or the
-        // earliest client emission that could reach it (= its round
-        // bound), whichever is sooner. Using the min keeps a client from
-        // running past its own reply when the hub's head event is far in
-        // the future, and keeps every client's round bound finite while
-        // the hub could still answer it — an unbounded round would grind
-        // a blocked client's retransmit timer forever.
-        let hub_next = match hub_eot {
-            Some(h) => h.min(hub_bound),
-            None => hub_bound,
-        };
-        sched.schedule(hub_next, &mut inbox, &mut jobs);
-        exec.dispatch(&mut jobs);
-        // The hub's round runs on the coordinator thread, overlapping
-        // the workers' client rounds. When its head sits at or above its
-        // bound it would pop nothing — don't even make the call.
-        if hub_eot.is_some_and(|h| h < hub_bound) {
-            hub.round(hub_dq, hub_bound);
-        }
-        exec.collect(&mut reports, &mut to_hub);
-        // Hand each job's (drained) message buffer back to the client's
-        // inbox slot so its capacity gets reused. (The parallel executor
-        // consumed the jobs; this loop is then a no-op.)
-        for job in jobs.drain(..) {
-            if job.msgs.capacity() > 0 {
-                inbox[job.ci] = job.msgs;
-            }
-        }
-        for (ci, r) in reports.drain(..) {
-            live_total -= live[ci] - r.live;
-            live[ci] = r.live;
-            finish = finish.max(r.last_finish);
-            // The job delivered everything parked for this client, so
-            // its queue head is the whole story again.
-            sched.set_eff(ci, r.eot);
-        }
-        // Absorb client emissions only after the hub's round: they are
-        // stamped at or above the hub's bound, so its clock has not
-        // passed them (the causality auditor checks exactly this).
-        for (t, k, ev) in to_hub.drain(..) {
-            hub_dq.push_incoming(t, k, ev);
-        }
-        for (ci, m) in hub.frames.drain(..) {
-            sched.note_msg(ci, m.0);
-            inbox[ci].push(m);
-        }
-    }
-    finish
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2754,6 +2284,7 @@ mod tests {
     use crate::proto::NfsStatus;
     use renofs_vfs::InodeId;
     use std::sync::mpsc::channel as result_channel;
+    use std::sync::Arc;
 
     fn preload(world: &mut World, name: &str, bytes: &[u8]) {
         let root = world.server().fs().root();

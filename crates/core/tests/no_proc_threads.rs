@@ -23,7 +23,7 @@ fn sixty_four_procs_add_no_os_thread() {
     let mut cfg = WorldConfig::baseline();
     cfg.clients = 2;
     let mut world = World::new(cfg);
-    assert!(world.is_partitioned(), "the carved engine, one sim thread");
+    assert!(world.is_partitioned(), "a carved world");
     let before = os_threads();
     let (tx, rx) = channel();
     for i in 0..64 {

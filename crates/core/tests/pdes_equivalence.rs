@@ -1,23 +1,28 @@
-//! Partitioned ⇔ monolithic equivalence under randomized fault plans.
+//! Carved ⇔ monolithic equivalence under randomized fault plans.
 //!
-//! The conservative-PDES engine (DESIGN.md §11) promises byte-identical
-//! results to the historical single-queue loop, whatever the thread
-//! count and whatever the world throws at it. This property test builds
-//! a two-client world, draws its shape — one or two server shards, biods
-//! or none, an nfsd pool or none, so the asynchronous-RPC ticket paths
-//! and shard addressing run under both schedulers — and a random fault
-//! plan — server crash windows (which partitioned worlds absorb: the
-//! crash is a hub event and the client console notes are pre-scheduled)
-//! plus occasional link faults (which must refuse the carve and fall
-//! back to the single queue) — and requires the full observable state to
-//! match between a forced-monolithic run and a 2-thread partitioned run.
+//! A carved world (DESIGN.md §11) promises byte-identical results to the
+//! single-queue loop, whatever the world throws at it. This property test
+//! builds a two-client world, draws its shape — one or two server shards,
+//! biods or none, an nfsd pool or none, so the asynchronous-RPC ticket
+//! paths and shard addressing run under both loops — and a random fault
+//! plan — server crash windows (which carved worlds absorb: the crash is
+//! a hub event and the client console notes are pre-scheduled) plus
+//! occasional link faults (which must refuse the carve and fall back to
+//! the single queue) — and requires the full observable state to match
+//! between a forced-monolithic run and a carved one. A second, fixed case
+//! ends a crowd in overload, with work still queued at the server: the
+//! two loops must stop at the same event.
 
 use proptest::prelude::*;
 use renofs::client::ClientConfig;
+use renofs::proto::{build, NfsProc, Sattr};
 use renofs::router::{ExportMap, RouterFs};
+use renofs::syscalls::Syscalls;
 use renofs::{TopologyKind, TransportKind, World, WorldConfig};
+use renofs_mbuf::{CopyMeter, MbufChain};
 use renofs_netsim::FaultPlan;
-use renofs_sim::{SimDuration, SimTime};
+use renofs_sim::{Rng, SimDuration, SimTime};
+use renofs_sunrpc::{AuthUnix, CallHeader, NFS_PROGRAM, NFS_VERSION};
 use std::sync::mpsc::channel;
 
 /// Decodes `(kind, at, dur)` draws into a plan. Three in four events are
@@ -89,14 +94,8 @@ fn digest(world: &mut World) -> String {
 /// spread over the shards, every other one three blocks long so its
 /// writes go out through the biods (or, without biods, through the
 /// issuing proc) faster than two slots drain — under the fault plan;
-/// returns the world digest and whether the run actually used the
-/// partitioned engine.
-fn run_world(
-    shape: Shape,
-    plan: &FaultPlan,
-    sim_threads: usize,
-    force_monolithic: bool,
-) -> (String, bool) {
+/// returns the world digest and whether the world was carved.
+fn run_world(shape: Shape, plan: &FaultPlan, force_monolithic: bool) -> (String, bool) {
     let mut cfg = WorldConfig::baseline();
     cfg.topology = TopologyKind::SameLan;
     cfg.transport = TransportKind::UdpDynamic {
@@ -106,7 +105,6 @@ fn run_world(
     cfg.servers = shape.servers;
     cfg.biods = shape.biods;
     cfg.nfsds = shape.nfsds;
-    cfg.sim_threads = sim_threads;
     cfg.force_monolithic = force_monolithic;
     cfg.faults = plan.clone();
     let mut world = World::new(cfg);
@@ -173,8 +171,8 @@ proptest! {
             nfsds: if nfsds { 2 } else { 0 },
         };
         let (plan, link_fault) = build_plan(&events);
-        let (mono, mono_part) = run_world(shape, &plan, 1, true);
-        let (pdes, pdes_part) = run_world(shape, &plan, 2, false);
+        let (mono, mono_part) = run_world(shape, &plan, true);
+        let (pdes, pdes_part) = run_world(shape, &plan, false);
         prop_assert!(!mono_part, "force_monolithic must defeat the carve");
         if link_fault {
             prop_assert!(
@@ -190,7 +188,113 @@ proptest! {
         prop_assert_eq!(
             mono,
             pdes,
-            "partitioned execution diverged from the monolithic engine"
+            "the carved world diverged from the single queue"
         );
     }
+}
+
+/// 128 clients, one paced proc each (the crowd mix at 12 op/s for 6 s),
+/// against one nfsd with a fixed 1 s RTO and the dup cache on: every
+/// client retransmits, and copies of calls already answered are still
+/// queued at the server when the last proc finishes. Returns the final
+/// clock, server counters and nfsd accounting, the retransmit count, and
+/// how many requests the run left in the nfsd queue (at least).
+fn run_overloaded_crowd(force_monolithic: bool) -> (String, u64, u64) {
+    const CLIENTS: usize = 128;
+    let mut cfg = WorldConfig::baseline();
+    cfg.transport = TransportKind::UdpFixed {
+        timeo: SimDuration::from_secs(1),
+    };
+    cfg.clients = CLIENTS;
+    cfg.nfsds = 1;
+    cfg.server.dup_cache = true;
+    cfg.force_monolithic = force_monolithic;
+    let mut world = World::new(cfg);
+    assert_eq!(world.is_partitioned(), !force_monolithic);
+    let root = world.root_handle();
+    let files: Vec<_> = (0..20)
+        .map(|i| {
+            let server = world.server_mut();
+            let dir = server.fs().root();
+            let ino = server
+                .fs_mut()
+                .create(dir, &format!("f{i:02}"), 0o644, SimTime::ZERO)
+                .unwrap();
+            server
+                .fs_mut()
+                .write(ino, 0, &[7; 8192], SimTime::ZERO)
+                .unwrap();
+            server.handle_for(ino).unwrap()
+        })
+        .collect();
+    let end = SimTime::from_secs(6);
+    for ci in 0..CLIENTS {
+        let files = files.clone();
+        world.spawn_on(ci, move |sys| {
+            let mut rng = Rng::new(0x5eed ^ (ci as u64).wrapping_mul(0x9E37_79B9));
+            let mut xid = 0x0100_0000u32;
+            // A proc ends on the reply that takes it past `end`, not a
+            // sleep later: the copies it retransmitted while that call
+            // waited are still in the server's queue.
+            while sys.now() < end {
+                sys.sleep(SimDuration::from_secs_f64(rng.exp(1.0 / 12.0)));
+                let (pick, i) = (rng.gen_range(0, 100), rng.index(files.len()));
+                let proc = match pick {
+                    0..40 => NfsProc::Lookup,
+                    40..65 => NfsProc::Read,
+                    65..90 => NfsProc::Getattr,
+                    _ => NfsProc::Setattr,
+                };
+                xid += 1;
+                let (mut msg, mut m) = (MbufChain::with_leading_space(64), CopyMeter::new());
+                CallHeader {
+                    xid,
+                    prog: NFS_PROGRAM,
+                    vers: NFS_VERSION,
+                    proc: proc.to_wire(),
+                    auth: AuthUnix::root("crowd"),
+                }
+                .encode(&mut msg, &mut m);
+                match proc {
+                    NfsProc::Lookup => {
+                        build::dirop_args(&mut msg, &mut m, &root, &format!("f{i:02}"))
+                    }
+                    NfsProc::Read => build::read_args(&mut msg, &mut m, &files[i], 0, 8192),
+                    NfsProc::Getattr => build::handle_args(&mut msg, &mut m, &files[i]),
+                    _ => {
+                        let chmod = Sattr {
+                            mode: Some(0o644),
+                            ..Sattr::default()
+                        };
+                        build::setattr_args(&mut msg, &mut m, &files[i], &chmod)
+                    }
+                }
+                sys.rpc(proc, msg).unwrap();
+            }
+        });
+    }
+    world.run();
+    let retransmits = (0..CLIENTS)
+        .map(|ci| world.udp_stats_of(ci).unwrap().retransmits)
+        .sum();
+    let state = format!(
+        "now={:?}\nserver={:?}\nnfsd={:?}",
+        world.now(),
+        world.server().stats(),
+        world.nfsd_stats()
+    );
+    let nfsd = world.nfsd_stats();
+    (state, retransmits, nfsd.queued.saturating_sub(nfsd.served))
+}
+
+#[test]
+fn carved_crowd_stops_where_the_single_queue_does() {
+    let (mono, mono_rexmit, mono_left) = run_overloaded_crowd(true);
+    let (carved, carved_rexmit, _) = run_overloaded_crowd(false);
+    assert!(
+        mono_rexmit > 100 && mono_left > 0,
+        "the case must end in overload: {mono_rexmit} retransmissions, {mono_left} left queued"
+    );
+    assert_eq!(mono_rexmit, carved_rexmit);
+    assert_eq!(mono, carved, "the two loops ended at different events");
 }

@@ -252,7 +252,7 @@ impl MbufChain {
         Self::default()
     }
 
-    fn segs(&self) -> &VecDeque<Mbuf> {
+    pub(crate) fn segs(&self) -> &VecDeque<Mbuf> {
         self.spine.as_deref().unwrap_or(&NO_SEGS)
     }
 

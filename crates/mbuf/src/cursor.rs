@@ -24,6 +24,10 @@ use crate::chain::MbufChain;
 pub struct Cursor<'a> {
     chain: &'a MbufChain,
     pos: usize,
+    /// A segment at or before the one holding `pos`, and the chain offset
+    /// at which it starts: reads walk on from here, not from segment 0.
+    seg: usize,
+    seg_start: usize,
 }
 
 // A short read has exactly one cause (not enough bytes), so the unit
@@ -33,7 +37,12 @@ pub struct Cursor<'a> {
 impl<'a> Cursor<'a> {
     /// Creates a cursor at the start of the chain.
     pub fn new(chain: &'a MbufChain) -> Self {
-        Cursor { chain, pos: 0 }
+        Cursor {
+            chain,
+            pos: 0,
+            seg: 0,
+            seg_start: 0,
+        }
     }
 
     /// Current byte offset.
@@ -59,13 +68,42 @@ impl<'a> Cursor<'a> {
         if buf.len() > self.remaining() {
             return Err(());
         }
-        self.chain.copy_out_unmetered(self.pos, buf);
-        self.pos += buf.len();
+        let mut done = 0;
+        while done < buf.len() {
+            let src = self.here();
+            let take = src.len().min(buf.len() - done);
+            buf[done..done + take].copy_from_slice(&src[..take]);
+            done += take;
+            self.pos += take;
+        }
         Ok(())
     }
 
-    /// Reads a big-endian `u32` (the XDR unit).
+    /// The rest of the segment holding `pos`, which must lie before the
+    /// end of the chain; moves the memo up to that segment.
+    fn here(&mut self) -> &'a [u8] {
+        let segs = self.chain.segs();
+        loop {
+            let data = segs[self.seg].data();
+            match data.get(self.pos - self.seg_start..) {
+                Some(rest) if !rest.is_empty() => return rest,
+                _ => {}
+            }
+            self.seg_start += data.len();
+            self.seg += 1;
+        }
+    }
+
+    /// Reads a big-endian `u32` (the XDR unit): in place when its four
+    /// bytes lie in one segment.
     pub fn read_u32(&mut self) -> Result<u32, ()> {
+        if self.remaining() < 4 {
+            return Err(());
+        }
+        if let Some(b) = self.here().first_chunk() {
+            self.pos += 4;
+            return Ok(u32::from_be_bytes(*b));
+        }
         let mut b = [0u8; 4];
         self.read_exact(&mut b)?;
         Ok(u32::from_be_bytes(b))

@@ -16,18 +16,18 @@
 //! references the cluster.
 //!
 //! The fast path is a thread-local list, matching how the experiment
-//! runner parallelizes (whole simulations per worker thread), so the
-//! common allocate/free pair never locks. Underneath it sits a shared
-//! overflow tier for worlds whose buffers cross threads: a carved world
-//! at `sim_threads > 1`, where a call built on a client domain's worker
-//! is freed by the coordinator thread that runs the servers, and reply
-//! chains travel the opposite way. A local list that sees only one side
-//! of such a flow starves (the taker allocating fresh forever, the freer
-//! discarding at capacity), so a thread whose list fills spills a batch
-//! to the shared tier and a thread whose list empties refills a batch
-//! from it: buffers circulate back to where they are taken and the lock
-//! is amortized over [`XFER_BATCH`] operations. At one sim thread procs,
-//! transports and servers all use one thread's lists and the tier idles.
+//! runner parallelizes (`--jobs`: whole simulations per worker thread,
+//! procs included), so the common allocate/free pair never locks.
+//! Underneath it sits a shared overflow tier, the second level behind
+//! every worker's small local list. A world whose live set outgrows the
+//! list — a crowd holds thousands of chains at once, against 128 or 256
+//! local slots — spills a batch to the tier as it frees and refills a
+//! batch as it takes, instead of discarding at capacity and allocating
+//! fresh a moment later. The same mechanism serves buffers that change
+//! threads (a result built on a worker and dropped by the thread that
+//! renders it): a list that sees only one side of such a flow would starve
+//! or overflow, so frees circulate back through the tier to whoever
+//! takes, and the lock is amortized over [`XFER_BATCH`] operations.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

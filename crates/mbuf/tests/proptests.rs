@@ -1,7 +1,7 @@
 //! Property-based tests for mbuf chain algebra.
 
 use proptest::prelude::*;
-use renofs_mbuf::{pool, CopyMeter, MbufChain};
+use renofs_mbuf::{pool, CopyMeter, Cursor, MbufChain};
 
 fn chain_from(data: &[u8], chunk_sizes: &[usize]) -> MbufChain {
     // Build the chain with an arbitrary append pattern so segment
@@ -20,6 +20,25 @@ fn chain_from(data: &[u8], chunk_sizes: &[usize]) -> MbufChain {
         rest = &rest[n..];
         i += 1;
     }
+    c
+}
+
+/// A chain holding `data` whose segments end exactly where `cuts` say: one
+/// mbuf per cut (an empty one for a cut of 0), then one for the rest.
+fn chain_cut_at(data: &[u8], cuts: &[usize]) -> MbufChain {
+    let mut meter = CopyMeter::new();
+    let mut c = MbufChain::new();
+    let mut rest = data;
+    for &cut in cuts {
+        let (piece, tail) = rest.split_at(cut.min(rest.len()));
+        c.append_chain(if piece.is_empty() {
+            MbufChain::with_leading_space(8)
+        } else {
+            MbufChain::from_slice(piece, &mut meter)
+        });
+        rest = tail;
+    }
+    c.append_chain(MbufChain::from_slice(rest, &mut meter));
     c
 }
 
@@ -164,5 +183,52 @@ proptest! {
         let mut buf = vec![0u8; len];
         c.copy_out(lo, &mut buf, &mut meter);
         prop_assert_eq!(buf, &data[lo..lo + len]);
+    }
+
+    /// A cursor's reads equal the same script over the flattened bytes,
+    /// wherever the segment boundaries fall: words that straddle one, empty
+    /// segments, skips across several, and short reads, which must fail
+    /// and leave the cursor where it was.
+    #[test]
+    fn cursor_script_matches_flat_bytes(
+        data in proptest::collection::vec(any::<u8>(), 0..600),
+        cuts in proptest::collection::vec(0usize..40, 0..40),
+        script in proptest::collection::vec((any::<u8>(), any::<u16>()), 1..120),
+    ) {
+        let chain = chain_cut_at(&data, &cuts);
+        prop_assert_eq!(chain.to_vec_for_test(), &data[..]);
+        let mut cur = Cursor::new(&chain);
+        let mut pos = 0;
+        for (op, n) in script {
+            let left = &data[pos..];
+            let n = n as usize % 97;
+            match op % 4 {
+                0 => {
+                    let expect = left.first_chunk().map(|b| u32::from_be_bytes(*b));
+                    prop_assert_eq!(cur.read_u32().ok(), expect);
+                    pos += expect.map_or(0, |_| 4);
+                }
+                1 => {
+                    let mut buf = vec![0; n];
+                    let ok = cur.read_exact(&mut buf).is_ok();
+                    prop_assert_eq!(ok, n <= left.len());
+                    if ok {
+                        prop_assert_eq!(&buf[..], &left[..n]);
+                        pos += n;
+                    }
+                }
+                2 => {
+                    prop_assert_eq!(cur.skip(n).is_ok(), n <= left.len());
+                    pos += if n <= left.len() { n } else { 0 };
+                }
+                _ => {
+                    let expect = left.get(..n).map(<[u8]>::to_vec);
+                    prop_assert_eq!(cur.read_vec(n).ok(), expect);
+                    pos += if n <= left.len() { n } else { 0 };
+                }
+            }
+            prop_assert_eq!(cur.position(), pos);
+            prop_assert_eq!(cur.remaining(), data.len() - pos);
+        }
     }
 }

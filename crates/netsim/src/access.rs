@@ -1,6 +1,6 @@
 //! The client-domain slice of a partitioned network.
 //!
-//! A conservative-PDES world gives each client machine its own simulation
+//! A carved world gives each client machine its own simulation
 //! domain. The network state that domain needs to own is exactly the
 //! client's *access network*: the uplink wire it serializes requests onto
 //! and the reassembly state for replies arriving at its host. Everything
@@ -25,8 +25,10 @@ use crate::network::{fragment_into, NetEvent, NetOutput, NetStats, Network, Reas
 use crate::packet::{Datagram, Fragment};
 use crate::topology::{LinkId, NodeId, NodeKind};
 
-/// A successfully carved client access network plus the conservative
-/// lookahead each direction of the boundary publishes.
+/// A successfully carved client access network plus the least delay a
+/// frame takes to cross the boundary in each direction. The world's loop
+/// needs only that both are positive (`renofs_sim::pdes`); the values are
+/// what this module's tests hold emissions to.
 pub struct AccessCarve {
     /// The client domain's private network slice.
     pub access: AccessNet,
@@ -189,8 +191,9 @@ impl Network {
     ///   reassembly never reaches the checksum-miss draw).
     ///
     /// The published lookaheads are the boundary links' propagation
-    /// delays, floored at [`MIN_LOOKAHEAD`] so a hypothetical zero-delay
-    /// link cannot collapse the conservative horizon.
+    /// delays, floored at [`MIN_LOOKAHEAD`] so that even across a
+    /// hypothetical zero-delay link a frame lands strictly in the other
+    /// domain's future.
     pub fn carve_access(&self, client: NodeId, server: NodeId) -> Option<AccessCarve> {
         let topo = self.topology();
         if !matches!(topo.node_kind(client), NodeKind::Host) {
@@ -233,8 +236,8 @@ impl Network {
     /// server *and* the client's first hop is the same physical uplink
     /// for all of them (the carved [`AccessNet`] owns exactly one
     /// uplink; the presets guarantee one access drop per client). The
-    /// published lookaheads are the minima over servers, which keeps the
-    /// conservative barrier sound for whichever shard answers first.
+    /// published lookaheads are the minima over servers: a bound for
+    /// whichever shard answers first.
     pub fn carve_access_multi(&self, client: NodeId, servers: &[NodeId]) -> Option<AccessCarve> {
         let (&first, rest) = servers.split_first()?;
         let mut carve = self.carve_access(client, first)?;

@@ -22,8 +22,8 @@
 //! flattened log. Because the release *sequence* is a pure function of
 //! the observations themselves (watermarks only gate progress, never
 //! reorder it), every derived quantity — violations, `peak_retained`,
-//! retirement counts — is byte-identical at any `--jobs` or
-//! `--sim-threads` setting and any feed interleaving.
+//! retirement counts — is byte-identical at any `--jobs` setting and
+//! any feed interleaving.
 //!
 //! # Eager vs deferred adjudication
 //!

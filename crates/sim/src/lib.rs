@@ -29,7 +29,7 @@ pub mod time;
 
 pub use cpu::{Cpu, CpuProfile};
 pub use disk::{Disk, DiskProfile};
-pub use pdes::{DomainQ, Merge};
+pub use pdes::{DomainQ, Heads};
 pub use queue::EventQueue;
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};

@@ -1,32 +1,29 @@
-//! Conservative parallel discrete-event simulation (PDES) substrate.
+//! Per-machine event domains and the order that merges them.
 //!
-//! A partitioned world splits its pending-event set into per-machine
-//! *domains*: every client machine is one domain and the server plus its
-//! nfsd pool is another. Each domain owns an [`EventQueue`], a logical
-//! clock, and a sequence counter; cross-domain traffic travels as
-//! timestamped messages stamped with a globally unique *canonical key*
+//! A carved world splits its pending-event set into per-machine
+//! *domains*: every client machine is one and the network with the server
+//! machines (the hub) is another. Each domain owns a [`DomainQ`] — an
+//! [`EventQueue`], a logical clock and a sequence counter — and stamps
+//! every event it creates with a globally unique *canonical key*
 //!
 //! ```text
 //! key = (creator domain id << SEQ_BITS) | creator sequence number
 //! ```
 //!
 //! so every event in the world has a total order by `(time, key)` that
-//! depends only on which domain created it and in what order — never on
-//! which OS thread happened to run the domain. The sequential engine pops
-//! domains through a [`Merge`] in exactly that order; the parallel engine
-//! executes each domain's events in the same per-domain order under
-//! conservative bounds, so both produce identical per-domain event
-//! sequences by construction.
+//! depends only on which domain created it and in what order. An event
+//! that lands in another domain travels under its creator's key
+//! ([`DomainQ::alloc_key`], [`DomainQ::push_incoming`]); the engine runs
+//! the globally earliest event, found through a [`Heads`] tree over the
+//! domain queues' heads, one at a time.
 //!
-//! The conservative synchronization horizon (*lookahead*) is the minimum
-//! propagation delay of the link a message must cross: a domain may safely
-//! execute every event strictly before `min(neighbor clock + link delay)`
-//! because no neighbor can emit a message that arrives earlier. Zero-delay
-//! links would collapse that horizon to nothing, so link carving floors
-//! the lookahead at [`MIN_LOOKAHEAD`] (1 ns).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! That order equals each domain's own `(time, key)` order, however ties
+//! between domains fall, because an event crossing a boundary arrives
+//! strictly later than the one that emitted it: it rides a link, and link
+//! carving floors that delay at [`MIN_LOOKAHEAD`] (1 ns). When a domain
+//! runs its event at `t`, every event anywhere before `t` has run and
+//! everything bound for the domain at or before `t` is already queued; two
+//! events of different domains at one instant cannot see each other.
 
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
@@ -36,10 +33,10 @@ use crate::time::{SimDuration, SimTime};
 /// (a 30-minute 1,024-client crowd world pops ~10^8 events *total*).
 pub const SEQ_BITS: u32 = 40;
 
-/// Smallest lookahead any inter-domain link may publish. A zero-delay
-/// link would force domains into lockstep with no safe horizon at all;
-/// flooring at 1 ns keeps the conservative bound strictly ahead of the
-/// neighbor's clock so every round is guaranteed to make progress.
+/// Smallest delay any inter-domain link may publish. A zero-delay link
+/// would let an event act on another domain at its own instant, where the
+/// order between the two domains' events is not defined; flooring at 1 ns
+/// keeps every crossing strictly in the receiver's future.
 pub const MIN_LOOKAHEAD: SimDuration = SimDuration::from_nanos(1);
 
 /// Packs a creator `(domain, seq)` pair into a canonical event key.
@@ -94,20 +91,13 @@ impl<E> DomainQ<E> {
         }
     }
 
-    /// This domain's id (the high bits of every key it mints).
-    pub fn dom(&self) -> u32 {
-        self.dom
-    }
-
     /// The domain's logical clock: the time of its most recently executed
     /// event, or a later time set by [`bump_clock`](Self::bump_clock).
     pub fn clock(&self) -> SimTime {
         self.clock
     }
 
-    /// Advances the clock to `t` if `t` is later. Used at run start to
-    /// align every domain with the world clock, so a domain idle through
-    /// an earlier run does not schedule "new" work in the global past.
+    /// Advances the clock to `t` if `t` is later.
     pub fn bump_clock(&mut self, t: SimTime) {
         self.clock = self.clock.max(t);
     }
@@ -133,9 +123,9 @@ impl<E> DomainQ<E> {
     /// creator.
     ///
     /// The causality auditor (debug builds and the `profile` feature)
-    /// panics if the message is stamped before this domain's clock — a
-    /// conservative-synchronization bug: some bound let a neighbor run too
-    /// far ahead. Release builds clamp to the clock like any other push.
+    /// panics if the message is stamped before this domain's clock: the
+    /// engine ran this domain ahead of an earlier event elsewhere. Release
+    /// builds clamp to the clock like any other push.
     pub fn push_incoming(&mut self, at: SimTime, key: u64, event: E) {
         #[cfg(any(debug_assertions, feature = "profile"))]
         assert!(
@@ -197,63 +187,72 @@ impl<E> DomainQ<E> {
     }
 }
 
-/// Lazy k-way merge over a set of [`DomainQ`]s, yielding events in global
-/// `(time, key)` order — the canonical order both engines preserve.
+/// A winner tree over the heads of a world's domain queues: which domain
+/// holds the globally earliest `(time, key)`.
 ///
-/// The heap holds `(time, key, domain)` candidates, possibly stale: the
-/// caller must [`touch`](Self::touch) a domain after every mutation
-/// (local push, incoming message, or pop) so its current head is always
-/// represented; superseded candidates are discarded on pop when they no
-/// longer match the domain's head. This makes each pop O(log D) in
-/// practice instead of a full O(D) scan across domains.
-pub struct Merge {
-    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+/// The caller [`set`](Self::set)s a domain's leaf after anything that may
+/// have moved that queue's head; [`min`](Self::min) reads the root. A `set`
+/// replays the matches on the leaf's path to the root and stops at the
+/// first one whose outcome it did not change.
+pub struct Heads {
+    /// Each domain's head packed as `time << 64 | key`; [`Self::DRAINED`]
+    /// for an empty queue and for the leaves that pad the tree. (Beside the
+    /// tree, not in its nodes: 32-byte nodes measured 7 % slower.)
+    keys: Vec<u128>,
+    /// The implicit tree, root at 1: `win[i]` is the domain that wins
+    /// subtree `i`, and `win[leaves + d]` is domain `d` itself.
+    win: Vec<u32>,
 }
 
-impl Default for Merge {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+impl Heads {
+    const DRAINED: u128 = u128::MAX;
 
-impl Merge {
-    /// Creates an empty merge.
-    pub fn new() -> Self {
-        Merge {
-            heap: BinaryHeap::new(),
+    /// A tree over `domains` queues, all drained.
+    pub fn new(domains: usize) -> Self {
+        let leaves = domains.next_power_of_two();
+        let mut win = vec![0; 2 * leaves];
+        for i in (1..2 * leaves).rev() {
+            // Every key is equal, so the left child wins every match.
+            win[i] = if i >= leaves {
+                (i - leaves) as u32
+            } else {
+                win[2 * i]
+            };
+        }
+        Heads {
+            keys: vec![Self::DRAINED; leaves],
+            win,
         }
     }
 
-    /// Registers `dq`'s current head as a candidate. Call after any
-    /// mutation of the domain; duplicates are fine and are skipped later.
-    pub fn touch<E>(&mut self, dq: &mut DomainQ<E>) {
-        if let Some((t, k)) = dq.peek() {
-            self.heap.push(Reverse((t, k, dq.dom())));
+    /// Records domain `d`'s current head (`None` = drained).
+    pub fn set(&mut self, d: usize, head: Option<(SimTime, u64)>) {
+        let pack = |(t, k): (SimTime, u64)| (t.as_nanos() as u128) << 64 | k as u128;
+        let key = head.map_or(Self::DRAINED, pack);
+        debug_assert!(head.is_none() || key != Self::DRAINED);
+        if self.keys[d] == key {
+            return;
         }
-    }
-
-    /// Discards all candidates and re-registers every domain's head.
-    pub fn rebuild<E>(&mut self, doms: &mut [DomainQ<E>]) {
-        self.heap.clear();
-        for dq in doms {
-            self.touch(dq);
-        }
-    }
-
-    /// Pops the globally earliest event across `doms` (indexed by domain
-    /// id), or `None` when every domain is drained of *registered* work.
-    pub fn pop<E>(&mut self, doms: &mut [DomainQ<E>]) -> Option<(u32, SimTime, u64, E)> {
-        while let Some(Reverse((t, k, dom))) = self.heap.pop() {
-            let dq = &mut doms[dom as usize];
-            if dq.peek() == Some((t, k)) {
-                let (t, k, e) = dq.pop().expect("peeked head vanished");
-                return Some((dom, t, k, e));
+        self.keys[d] = key;
+        let mut i = (self.keys.len() + d) / 2;
+        while i >= 1 {
+            let (l, r) = (self.win[2 * i], self.win[2 * i + 1]);
+            let left_wins = self.keys[l as usize] <= self.keys[r as usize];
+            let w = if left_wins { l } else { r };
+            // The same winner as before, and not the leaf that moved: no
+            // match further up sees a difference.
+            if w == self.win[i] && w as usize != d {
+                return;
             }
-            // Stale candidate: the head it described was already popped
-            // or displaced by an earlier arrival (which `touch` has
-            // since registered). Drop it and keep scanning.
+            self.win[i] = w;
+            i /= 2;
         }
-        None
+    }
+
+    /// The domain whose head is earliest, or `None` when all are drained.
+    pub fn min(&self) -> Option<usize> {
+        let w = self.win[1] as usize;
+        (self.keys[w] != Self::DRAINED).then_some(w)
     }
 }
 
@@ -328,62 +327,6 @@ mod tests {
         let mut dq: DomainQ<&str> = DomainQ::new(1);
         dq.bump_clock(SimTime::from_millis(5));
         dq.push_incoming(SimTime::from_millis(4), event_key(0, 0), "late");
-    }
-
-    #[test]
-    fn merge_matches_flat_queue_order() {
-        // Reference: one flat keyed queue holding everything. Subject:
-        // three domains merged. Both must yield the same (time, key)
-        // sequence.
-        let mut flat: EventQueue<u64> = EventQueue::new();
-        let mut doms: Vec<DomainQ<u64>> = (0..3).map(DomainQ::new).collect();
-        let mut merge = Merge::new();
-
-        // A deterministic but scrambled schedule: event i goes to domain
-        // i % 3 at a time that collides frequently.
-        for i in 0..200u64 {
-            let dom = (i % 3) as u32;
-            let t = SimTime::from_micros((i * 7) % 40);
-            let key = event_key(dom, i / 3);
-            flat.push_keyed(t, key, key);
-            doms[dom as usize].push_incoming(t, key, key);
-            merge.touch(&mut doms[dom as usize]);
-        }
-
-        let mut flat_order = Vec::new();
-        while let Some((t, k, e)) = flat.pop_keyed() {
-            flat_order.push((t, k, e));
-        }
-        let mut merged = Vec::new();
-        while let Some((dom, t, k, e)) = merge.pop(&mut doms) {
-            assert_eq!(dom, key_domain(k));
-            merge.touch(&mut doms[dom as usize]);
-            merged.push((t, k, e));
-        }
-        assert_eq!(flat_order, merged);
-    }
-
-    #[test]
-    fn merge_handles_interleaved_pushes() {
-        // Pushing earlier work into a domain after its head is registered
-        // must still pop in order: touch() registers the new head and the
-        // stale candidate is discarded.
-        let mut doms: Vec<DomainQ<&str>> = (0..2).map(DomainQ::new).collect();
-        let mut merge = Merge::new();
-        doms[0].push(SimTime::from_millis(9), "late0");
-        merge.touch(&mut doms[0]);
-        doms[1].push(SimTime::from_millis(5), "mid1");
-        merge.touch(&mut doms[1]);
-        // Now displace domain 0's head with something earlier.
-        doms[0].push(SimTime::from_millis(1), "early0");
-        merge.touch(&mut doms[0]);
-
-        let mut order = Vec::new();
-        while let Some((dom, _, _, e)) = merge.pop(&mut doms) {
-            merge.touch(&mut doms[dom as usize]);
-            order.push(e);
-        }
-        assert_eq!(order, vec!["early0", "mid1", "late0"]);
     }
 
     #[test]

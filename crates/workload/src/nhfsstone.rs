@@ -12,6 +12,8 @@
 //! 2. `preload_bytes` fills the test files before measuring, so reads
 //!    are not biased toward empty files.
 
+use std::fmt::{self, Write};
+
 use renofs::proto::{self, NfsProc};
 use renofs::syscalls::Syscalls;
 use renofs::{FileHandle, World};
@@ -165,10 +167,46 @@ pub struct NhfsstoneReport {
 /// The file name for index `i` (the long variant defeats 31-char name
 /// caches, like the real benchmark's generated names).
 pub fn file_name(i: usize, long: bool) -> String {
-    if long {
-        format!("nhfsstone_test_file_with_a_very_long_name_{i:06}")
-    } else {
-        format!("nf{i:04}")
+    NameBuf::file(i, long).as_str().to_owned()
+}
+
+/// A file name on the stack: what a generator proc looks up, once per
+/// LOOKUP, without a table of names per proc or a `String` per call.
+struct NameBuf {
+    /// Room for the long prefix (42 bytes) and every digit of a `usize`.
+    bytes: [u8; 64],
+    len: usize,
+}
+
+impl NameBuf {
+    /// Renders [`file_name`]`(i, long)`.
+    fn file(i: usize, long: bool) -> Self {
+        let mut name = NameBuf {
+            bytes: [0; 64],
+            len: 0,
+        };
+        let fits = if long {
+            write!(name, "nhfsstone_test_file_with_a_very_long_name_{i:06}")
+        } else {
+            write!(name, "nf{i:04}")
+        };
+        fits.expect("a file name fits its buffer");
+        name
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("written from `&str`s")
+    }
+}
+
+impl Write for NameBuf {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let room = self.bytes[self.len..]
+            .get_mut(..s.len())
+            .ok_or(fmt::Error)?;
+        room.copy_from_slice(s.as_bytes());
+        self.len += s.len();
+        Ok(())
     }
 }
 
@@ -250,13 +288,9 @@ pub fn generator_proc<S: Syscalls>(
     let mut samples = Vec::new();
     let per_proc_interval = cfg.procs as f64 / cfg.rate_per_sec;
     let total_weight = cfg.mix.total().max(1);
-    let payload: Vec<u8> = vec![0xA5; 8192];
-    // Lookup names rendered once up front; formatting one per op would
-    // put a String allocation on the steady-state RPC path.
-    let names: Vec<String> = if cfg.mix.lookup > 0 {
-        (0..files.len())
-            .map(|i| file_name(i, cfg.long_names))
-            .collect()
+    // Only a mix that writes pays for the WRITE payload.
+    let payload: Vec<u8> = if cfg.mix.write > 0 {
+        vec![0xA5; 8192]
     } else {
         Vec::new()
     };
@@ -271,11 +305,11 @@ pub fn generator_proc<S: Syscalls>(
         xid = xid.wrapping_add(1);
         let start = sys.now();
         let (proc, msg) = if pick < cfg.mix.lookup {
-            let name = &names[file_idx];
+            let name = NameBuf::file(file_idx, cfg.long_names);
             (
                 NfsProc::Lookup,
                 build_call(xid, NfsProc::Lookup, |c, m| {
-                    proto::build::dirop_args(c, m, &dir, name)
+                    proto::build::dirop_args(c, m, &dir, name.as_str())
                 }),
             )
         } else if pick < cfg.mix.lookup + cfg.mix.read {
@@ -492,6 +526,18 @@ mod tests {
             long_names: true,
             read_size: 8192,
             seed: 11,
+        }
+    }
+
+    #[test]
+    fn stack_names_are_the_preload_names() {
+        for i in [0, 7, 99, 100_000, 1_234_567, usize::MAX] {
+            let long = format!("nhfsstone_test_file_with_a_very_long_name_{i:06}");
+            let short = format!("nf{i:04}");
+            for (long_names, expect) in [(true, long), (false, short)] {
+                assert_eq!(file_name(i, long_names), expect);
+                assert_eq!(NameBuf::file(i, long_names).as_str(), expect);
+            }
         }
     }
 

@@ -11,6 +11,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> one engine loop per world shape (no unsafe impl outside coro.rs, no sim-thread knob)"
+grep -rn 'unsafe impl' crates/core/src --exclude=coro.rs && exit 1
+grep -rn 'sim[_-]threads' crates scripts README.md DESIGN.md EXPERIMENTS.md && exit 1
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 
@@ -20,10 +24,10 @@ cargo run -q --release -p renofs-bench --bin repro -- faults --scale quick >/dev
 echo "==> repro crowd --scale quick (smoke)"
 cargo run -q --release -p renofs-bench --bin repro -- crowd --scale quick >/dev/null
 
-echo "==> repro pdes-smoke --scale quick (256-client carve + determinism gate)"
+echo "==> repro pdes-smoke --scale quick (256 clients: carved and monolithic events/s, one hash)"
 cargo run -q --release -p renofs-bench --bin repro -- pdes-smoke --scale quick
 
-echo "==> crowd determinism matrix (sim-threads x jobs, byte-identical)"
+echo "==> carved worlds across --jobs (the carve guard, lease soak byte-identical)"
 cargo test -q -p renofs-bench --release --test pdes_determinism
 
 echo "==> handoff differential (posted syscalls == one crossing per call, both engines)"
@@ -39,8 +43,8 @@ cargo test -q -p renofs --release --test pdes_equivalence
 
 echo "==> repro shard-smoke --scale quick (N x M fleet + router determinism gate)"
 # Runs a small sharded-fleet cell, checks every shard served traffic,
-# and re-runs it under a sim-threads x jobs matrix asserting
-# byte-identical digests; exits nonzero on any mismatch.
+# and re-runs it at --jobs 2 asserting byte-identical digests; exits
+# nonzero on any mismatch.
 cargo run -q --release -p renofs-bench --bin repro -- shard-smoke --scale quick
 
 echo "==> repro soak --seeds 400 --scale quick (chaos oracle gate)"
@@ -67,11 +71,11 @@ echo "==> cargo test -p renofs-bench --features profile (alloc discipline + prof
 cargo test -q -p renofs-bench --features profile --release
 
 echo "==> repro bench --scale quick --check (PDES + lease + shard behaviour gates)"
-# The PDES matrix gates (per-mode state hash agreement, 1-thread
+# The PDES gates (carved and monolithic state hashes agree, carved
 # overhead), the BENCH_pr8.json lease gate (>=60% write-RPC recovery vs
 # noconsist at zero soak violations), and the BENCH_pr9.json shard gate
 # (LAN aggregate op/s at M=4 >= 2x M=1, all shards routed, fairness >=
-# 0.8, byte-identical across a fresh sim-threads x jobs matrix).
+# 0.8, byte-identical across a fresh --jobs 1 x 2 pair).
 cargo run -q --release -p renofs-bench --bin repro -- bench --scale quick --check
 
 echo "==> kernel-time gate (repro all --scale quick --jobs 1: sys <= 10% of CPU time)"

@@ -1,9 +1,22 @@
 #!/usr/bin/env python3
-"""Symbolises scripts/hostprof.c's samples: self time by function, memmove
-by caller, inclusive time.  Usage: hostprof.py EXECUTABLE SAMPLES"""
+"""Symbolises scripts/hostprof.c's samples: self time by function, libc
+leaves by caller, inclusive time.
+Usage: hostprof.py EXECUTABLE SAMPLES [--under 'SYM|SYM'] [--callers SYM]
+--under keeps only the samples whose stack has a frame containing one of the
+symbols; --callers adds the top caller chains (three frames) of a function."""
 import bisect, collections, os, re, subprocess, sys
 
-exe, path = os.path.realpath(sys.argv[1]), sys.argv[2]
+args = sys.argv[1:]
+
+
+def option(flag):
+    if flag in args:
+        i = args.index(flag)
+        return args.pop(i) and args.pop(i)
+
+
+under, callers_of = option("--under"), option("--callers")
+exe, path = os.path.realpath(args[0]), args[1]
 maps, named, samples = [], [], []  # (start, end, file), (addr, name), [addr..]
 for line in open(path):
     kind, *f = line.split()
@@ -60,18 +73,30 @@ def name(addr, leaf):
     return os.path.basename(file) + ":" + (table[i][1] + "~" if i >= 0 else hex(off))
 
 
-self_time, inclusive, callers = (collections.Counter() for _ in range(3))
+self_time, inclusive, callers, chains = (collections.Counter() for _ in range(4))
+kept = 0
 for s in samples:
     fn = name(s[0], True)
-    self_time[fn] += 1
     stack = [fn] + [name(a, False) for a in s[2:]]
-    if fn in ("memmove", "memcpy"):  # frameless: the caller is the word at RSP
-        callers[name(s[1], False)] += 1
-        stack.append(name(s[1], False))
+    # A libc leaf (memmove, malloc, free...) is frameless and its frame walk
+    # starts a level late or nowhere: its caller is the word at RSP.
+    libc_leaf = locate(s[0])[0] != exe and os.path.exists(locate(s[1])[0])
+    if libc_leaf:
+        stack.insert(1, name(s[1], False))
+    if under and not any(u in f for f in stack for u in under.split("|")):
+        continue
+    kept += 1
+    self_time[fn] += 1
+    if libc_leaf:
+        callers[f"{fn} <- {stack[1]}"] += 1
     for f in set(stack):
         inclusive[f] += 1
-for title, table in [("self time by function", self_time),
-                     ("memmove/memcpy by caller", callers), ("inclusive time", inclusive)]:
-    print(f"\n== {title} ({len(samples)} samples, % of all) ==")
+    at = next((i for i, f in enumerate(stack) if callers_of and callers_of in f), None)
+    if at is not None:
+        chains[" <- ".join(stack[at + 1:at + 4])] += 1
+tables = [("self time by function", self_time), ("libc leaves by caller", callers),
+          ("inclusive time", inclusive)] + ([(f"callers of {callers_of}", chains)] * bool(callers_of))
+for title, table in tables:
+    print(f"\n== {title} ({kept} of {len(samples)} samples{' under ' + under if under else ''}, % of kept) ==")
     for name, n in table.most_common(25):
-        print(f"{100.0 * n / max(len(samples), 1):6.1f}%  {name}")
+        print(f"{100.0 * n / max(kept, 1):6.1f}%  {name}")

@@ -3,11 +3,17 @@
 # valgrind: builds the benchmark with frame pointers and line tables into
 # its own target directory, runs one workload under the LD_PRELOADed
 # SIGPROF sampler (scripts/hostprof.c, 250 Hz of CPU time) and prints
-# self time by function, memmove by caller and inclusive time
-# (scripts/hostprof.py). The whole process is sampled; on every workload
-# but the crowd, set-up is well under a percent of it.
+# self time by function, libc leaves by caller and inclusive time
+# (scripts/hostprof.py). The whole process is sampled. On every workload
+# but the crowd, set-up is well under a percent of it; on the crowd the run
+# phase is two thirds (building and dropping 1,024 clients is the rest), a
+# proc's stack ends at `coro::entry` rather than `World::run`, and the run
+# phase is the samples under either:
 #
-#   scripts/hostprof.sh [WORKLOAD [SECONDS [SEED]]]    (read_56k, 12 s, 1)
+#   scripts/hostprof.sh [WORKLOAD [SECONDS [SEED [hostprof.py options]]]]
+#   scripts/hostprof.sh                                (read_56k, 12 s, 1)
+#   scripts/hostprof.sh crowd_1024x4 12 1 --under 'World::run|coro::entry'
+#   scripts/hostprof.sh lookup_lan 12 1 --callers copy_out_unmetered
 #
 # Build and samples go to target/hostprof/ (or $HOSTPROF_DIR). The first
 # run after a build waits out the benchmark's own 90 s settling time.
@@ -27,4 +33,4 @@ bench="$dir/target/release/bench"
 HOSTPROF_OUT="$dir/samples.txt" LD_PRELOAD="$dir/hostprof.so" \
     "$bench" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 >"$dir/bench.out"
 grep -m1 host_us_per_rpc "$dir/bench.out" || true
-python3 scripts/hostprof.py "$bench" "$dir/samples.txt"
+python3 scripts/hostprof.py "$bench" "$dir/samples.txt" "${@:4}"
