@@ -35,7 +35,8 @@
 //! to stderr so it never perturbs the comparable output.
 //!
 //! `--profile` prints the self-profiler's subsystem table (events,
-//! wall-clock, allocations) to stderr after the run. It needs the
+//! wall-clock, allocations) and the event census (pops by kind of event,
+//! stale and live) to stderr after the run. It needs the
 //! `profile` cargo feature to report real numbers:
 //! `cargo run --release --features profile -- graph1 --quick --profile`.
 //!

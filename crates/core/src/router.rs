@@ -1,7 +1,7 @@
 //! Client-side mount router for sharded multi-server fleets.
 //!
-//! The paper's testbed is one export on one server; ROADMAP item 2 asks
-//! for the fleet generalization. [`RouterFs`] plays the automounter's
+//! The paper's testbed is one export on one server; a sharded fleet of
+//! servers is the generalization. [`RouterFs`] plays the automounter's
 //! role: it holds one [`ClientFs`] mount per export, routes each
 //! path-based operation to the owning shard by longest-prefix match on
 //! component boundaries, and stitches the shards back into one

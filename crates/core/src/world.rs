@@ -80,7 +80,7 @@ use renofs_netsim::{
 use renofs_sim::cpu::CpuCategory;
 use renofs_sim::pdes::{DomainQ, Heads};
 use renofs_sim::stats::Running;
-use renofs_sim::{profile, SimDuration, SimTime};
+use renofs_sim::{profile, IntMap, SimDuration, SimTime};
 use renofs_sunrpc::{frame_record, peek_xid_kind, MsgKind, RecordReader, NFS_PORT};
 use renofs_transport::{
     TcpConfig, TcpConn, TcpOut, TcpSegment, UdpAction, UdpRpcClient, UdpRpcConfig, UdpStats,
@@ -351,6 +351,26 @@ enum Ev {
 // Popped, dispatched and pushed by value once per frame per hop.
 const _: () = assert!(size_of::<Ev>() <= 96);
 
+impl Ev {
+    /// Counts this popped event in the `--profile` census (every engine's
+    /// pop calls it; nothing without the `profile` feature).
+    #[inline]
+    fn census(&self) {
+        let kind = match self {
+            Ev::Net(NetEvent::FragArrive { .. }) => "Net(FragArrive)",
+            Ev::Net(NetEvent::ReasmExpire { .. }) => "Net(ReasmExpire)",
+            Ev::Wake(..) => "Wake",
+            Ev::AsyncDone { .. } => "AsyncDone",
+            Ev::UdpTimer { .. } => "UdpTimer",
+            Ev::TcpTimer { .. } => "TcpTimer",
+            Ev::Send { .. } => "Send",
+            Ev::NfsdDone { .. } => "NfsdDone",
+            _ => "other",
+        };
+        profile::census(kind, false);
+    }
+}
+
 // The UDP client is large but there are only a handful per world.
 #[allow(clippy::large_enum_variant)]
 enum Transport {
@@ -401,7 +421,7 @@ struct ClientRt {
     /// In-flight RPCs by (server, xid). Per-client: independent machines
     /// draw xids from independent counters and routinely collide, and so
     /// do one machine's per-server streams.
-    pending: HashMap<(usize, u32), Waker>,
+    pending: IntMap<(usize, u32), Waker>,
     events: Vec<ClientEvent>,
     /// biods on this machine (0 = an asynchronous request runs
     /// synchronously in the proc that issues it).
@@ -914,7 +934,7 @@ impl World {
                 transports,
                 sport: 1023 + i as u16,
                 mtus,
-                pending: HashMap::new(),
+                pending: IntMap::default(),
                 events: Vec::new(),
                 biods: cfg.biods,
                 async_outstanding: 0,
@@ -1430,6 +1450,7 @@ impl World {
         let Some((now, _, ev)) = self.doms[0].pop() else {
             return false;
         };
+        ev.census();
         let ci = match &ev {
             Ev::Wake(tid, _) => self.sched().ports[*tid].client,
             Ev::AsyncDone { client, .. }
@@ -1503,6 +1524,7 @@ impl World {
                 .expect("deadlock: procs blocked with no pending events");
             if d == 0 {
                 let (now, _, ev) = hub_dq.pop().expect("the head that won");
+                ev.census();
                 hub.handle_event(hub_dq, now, ev);
                 for (ci, t, key, ev) in hub.frames.drain(..) {
                     dqs[ci].push_incoming(t, key, ev);
@@ -1915,6 +1937,7 @@ impl ClientDom {
         hub_dq: &mut DomainQ<Ev>,
     ) {
         let (now, _, ev) = dq.pop().expect("the head that won");
+        ev.census();
         let (access, out) = (&mut self.access, &mut self.net_out);
         let mut ctx = ClientCtx {
             ci,

@@ -36,7 +36,7 @@ impl LinkParams {
 }
 
 /// Cumulative per-direction link statistics.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LinkStats {
     /// Frames accepted for transmission.
     pub frames: u64,
@@ -73,6 +73,34 @@ pub enum TxResult {
     Dropped,
 }
 
+/// What a link works out per frame size: the serialization time and the
+/// mean background wait ahead of it (unread on a link without background).
+#[derive(Clone, Copy)]
+struct FrameTime {
+    ip_bytes: usize,
+    service: SimDuration,
+    bg_mean: f64,
+}
+
+impl FrameTime {
+    fn of(params: &LinkParams, ip_bytes: usize) -> Self {
+        let service = params.tx_time(ip_bytes);
+        // The M/M/1 mean wait: rho/(1-rho) service times.
+        let bg_mean = service.as_secs_f64() * params.bg_util / (1.0 - params.bg_util);
+        FrameTime {
+            ip_bytes,
+            service,
+            bg_mean,
+        }
+    }
+}
+
+/// Frame sizes a link direction remembers. A direction sees a handful: the
+/// MTU-sized fragment, a datagram's tail, a small call or acknowledgement.
+/// Three 24-byte entries keep the crowd cell's ~4,100 directions under
+/// 0.3 MB; a size that falls out is recomputed, never wrong.
+const FRAME_MEMO: usize = 3;
+
 /// One direction of a link.
 pub(crate) struct Link {
     from: NodeId,
@@ -81,10 +109,16 @@ pub(crate) struct Link {
     busy_until: SimTime,
     stats: LinkStats,
     faults: FaultWindows,
+    /// [`FrameTime`]s of the last few distinct frame sizes, replaced round
+    /// robin: the float divisions behind them are paid per size, not per
+    /// frame. Every entry is always a true value for its `ip_bytes`.
+    memo: [FrameTime; FRAME_MEMO],
+    memo_next: u8,
 }
 
 impl Link {
     pub(crate) fn new(from: NodeId, to: NodeId, params: LinkParams) -> Self {
+        let memo = [FrameTime::of(&params, 0); FRAME_MEMO];
         Link {
             from,
             to,
@@ -92,6 +126,8 @@ impl Link {
             busy_until: SimTime::ZERO,
             stats: LinkStats::default(),
             faults: FaultWindows::default(),
+            memo,
+            memo_next: 0,
         }
     }
 
@@ -118,11 +154,12 @@ impl Link {
         s
     }
 
-    /// Test-only access to mutate parameters after topology construction
-    /// (e.g. to inject loss on one link direction).
+    /// Test-only: injects random loss on this link direction after topology
+    /// construction. (Bandwidth, overhead and `bg_util` are fixed at
+    /// construction: the frame-time memo is computed from them.)
     #[cfg(test)]
-    pub(crate) fn params_mut_for_test(&mut self) -> &mut LinkParams {
-        &mut self.params
+    pub(crate) fn set_loss_prob_for_test(&mut self, loss_prob: f64) {
+        self.params.loss_prob = loss_prob;
     }
 
     /// Whether transmits on this link never consume RNG draws: no random
@@ -158,10 +195,14 @@ impl Link {
             self.stats.flap_drops += 1;
             return TxResult::Dropped;
         }
-        // Backlog currently waiting (bytes implied by the busy horizon).
-        let backlog = self.busy_until.since(now);
-        let backlog_bytes =
-            (backlog.as_secs_f64() * self.params.bandwidth_bps as f64 / 8.0) as usize;
+        // Backlog currently waiting (bytes implied by the busy horizon);
+        // an idle wire has none, and needs no float arithmetic to say so.
+        let backlog_bytes = if self.busy_until <= now {
+            0
+        } else {
+            let backlog = self.busy_until.since(now);
+            (backlog.as_secs_f64() * self.params.bandwidth_bps as f64 / 8.0) as usize
+        };
         if backlog_bytes + ip_bytes > self.params.queue_capacity_bytes {
             self.stats.queue_drops += 1;
             return TxResult::Dropped;
@@ -197,7 +238,7 @@ impl Link {
                 self.stats.dup_frames += 1;
                 // The duplicate trails the original by one serialization
                 // time, as if a bridge replayed it back to back.
-                return TxResult::Duplicated(arrival, arrival + self.params.tx_time(ip_bytes));
+                return TxResult::Duplicated(arrival, arrival + self.frame_time(ip_bytes).service);
             }
         }
         TxResult::Arrives(arrival)
@@ -206,29 +247,203 @@ impl Link {
     /// Serializes the frame (plus any sampled background traffic ahead of
     /// it) and returns the time serialization completes.
     fn occupy(&mut self, now: SimTime, ip_bytes: usize, rng: &mut Rng) -> SimTime {
-        let service = self.params.tx_time(ip_bytes);
-        let bg = self.background_wait(service, rng);
-        let start = now.max(self.busy_until) + bg;
-        let done = start + service;
-        self.busy_until = done;
-        done
+        let frame = self.frame_time(ip_bytes);
+        // Extra wait caused by background cross-traffic: an exponential
+        // about the M/M/1 mean. A link without background draws nothing.
+        let bg = if self.params.bg_util <= 0.0 {
+            SimDuration::ZERO
+        } else {
+            SimDuration::from_secs_f64(rng.exp(frame.bg_mean))
+        };
+        self.busy_until = now.max(self.busy_until) + bg + frame.service;
+        self.busy_until
     }
 
-    /// Extra wait caused by background cross-traffic: an exponential with
-    /// the M/M/1 mean rho/(1-rho) service times.
-    fn background_wait(&self, service: SimDuration, rng: &mut Rng) -> SimDuration {
-        let rho = self.params.bg_util;
-        if rho <= 0.0 {
-            return SimDuration::ZERO;
+    /// The [`FrameTime`] of `ip_bytes`, remembered or worked out afresh.
+    fn frame_time(&mut self, ip_bytes: usize) -> FrameTime {
+        if let Some(hit) = self.memo.iter().find(|m| m.ip_bytes == ip_bytes) {
+            return *hit;
         }
-        let mean = service.as_secs_f64() * rho / (1.0 - rho);
-        SimDuration::from_secs_f64(rng.exp(mean))
+        let fresh = FrameTime::of(&self.params, ip_bytes);
+        self.memo[usize::from(self.memo_next)] = fresh;
+        self.memo_next = (self.memo_next + 1) % FRAME_MEMO as u8;
+        fresh
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
+    use crate::topology::presets::{self, Background};
+    use proptest::prelude::*;
+
+    /// The reference the memo is held to: `transmit` as it stood before a
+    /// link remembered anything, every quantity worked out afresh per frame
+    /// from [`LinkParams`] — `tx_time`, the background mean, the backlog in
+    /// bytes whether or not there is one.
+    fn reference_transmit(l: &mut Link, now: SimTime, ip_bytes: usize, rng: &mut Rng) -> TxResult {
+        fn occupy(l: &mut Link, now: SimTime, ip_bytes: usize, rng: &mut Rng) -> SimTime {
+            let service = l.params.tx_time(ip_bytes);
+            let rho = l.params.bg_util;
+            let bg = if rho <= 0.0 {
+                SimDuration::ZERO
+            } else {
+                let mean = service.as_secs_f64() * rho / (1.0 - rho);
+                SimDuration::from_secs_f64(rng.exp(mean))
+            };
+            let done = now.max(l.busy_until) + bg + service;
+            l.busy_until = done;
+            done
+        }
+        if !l.faults.is_empty() && l.faults.is_down(now) {
+            l.stats.flap_drops += 1;
+            return TxResult::Dropped;
+        }
+        let backlog = l.busy_until.since(now);
+        let backlog_bytes = (backlog.as_secs_f64() * l.params.bandwidth_bps as f64 / 8.0) as usize;
+        if backlog_bytes + ip_bytes > l.params.queue_capacity_bytes {
+            l.stats.queue_drops += 1;
+            return TxResult::Dropped;
+        }
+        let loss = (l.params.loss_prob + l.faults.extra_loss(now)).min(1.0);
+        if rng.chance(loss) {
+            occupy(l, now, ip_bytes, rng);
+            l.stats.random_drops += 1;
+            return TxResult::Dropped;
+        }
+        let done = occupy(l, now, ip_bytes, rng);
+        l.stats.frames += 1;
+        l.stats.bytes += ip_bytes as u64;
+        let mut arrival = done + l.params.prop_delay + l.faults.extra_delay(now);
+        if let Some((prob, max_extra)) = l.faults.reorder_at(now) {
+            if rng.chance(prob) {
+                let span = max_extra.as_nanos().max(1);
+                arrival += SimDuration::from_nanos(rng.gen_range(0, span) + 1);
+                l.stats.reordered_frames += 1;
+            }
+        }
+        if let Some(prob) = l.faults.corrupt_prob(now) {
+            if rng.chance(prob) {
+                l.stats.corrupted_frames += 1;
+                return TxResult::ArrivesCorrupted(arrival);
+            }
+        }
+        if let Some(prob) = l.faults.dup_prob(now) {
+            if rng.chance(prob) {
+                l.stats.dup_frames += 1;
+                return TxResult::Duplicated(arrival, arrival + l.params.tx_time(ip_bytes));
+            }
+        }
+        TxResult::Arrives(arrival)
+    }
+
+    /// One direction of each link kind of the paper's third configuration:
+    /// Ethernet, token ring, 56 Kbps serial line.
+    fn preset_params(bg: &Background, kind: usize) -> LinkParams {
+        let (topo, _, _) = presets::slow_link_path(bg);
+        topo.links[2 * kind].params().clone()
+    }
+
+    proptest! {
+        /// A link answering from its memo and the reference, one RNG seed
+        /// each, offered the same frames — more sizes than the memo holds,
+        /// into a backlog, at the instant the wire falls idle, and after a
+        /// long silence, with and without fault windows — agree on every
+        /// result, on `busy_until`, on the counters and on the RNG state,
+        /// after every frame.
+        #[test]
+        fn memo_matches_per_frame_arithmetic(
+            bg in 0usize..3,
+            kind in 0usize..3,
+            faulty in any::<bool>(),
+            seed in any::<u64>(),
+            frames in proptest::collection::vec((0usize..FRAME_MEMO + 4, 0u8..5, any::<u32>()), 1..400),
+        ) {
+            let bg = [Background::quiet(), Background::off_peak(), Background::production()][bg];
+            let params = preset_params(&bg, kind);
+            // More sizes than the memo holds, the MTU and the empty frame among them.
+            let size = |i: usize| [params.mtu, 0, 40, 132, 396, 572, 1, 1480][i].min(params.mtu);
+            let mut links = [(); 2].map(|()| Link::new(NodeId(0), NodeId(1), params.clone()));
+            let mut rngs = [Rng::new(seed), Rng::new(seed)];
+            if faulty {
+                let (t, d) = (SimTime::from_millis(5), SimDuration::from_secs(2));
+                let plan = FaultPlan::new()
+                    .duplicate(t, 0.4, d)
+                    .loss_burst(t, 0.2, d)
+                    .delay_spike(SimTime::from_secs(1), SimDuration::from_millis(3), d)
+                    .reorder(t, 0.3, SimDuration::from_millis(2), d)
+                    .corrupt(SimTime::from_secs(1), 0.2, d)
+                    .flap(SimTime::from_secs(3), SimDuration::from_millis(200));
+                links.iter_mut().for_each(|l| l.set_faults(plan.compile()));
+            }
+            let mut now = SimTime::ZERO;
+            for (i, &(size_idx, gap, raw)) in frames.iter().enumerate() {
+                let service = params.tx_time(params.mtu).as_nanos();
+                now = match gap {
+                    // Into the backlog, or (once it drains) the same instant.
+                    0 | 1 => now,
+                    // The instant the wire falls idle.
+                    2 => now.max(links[0].busy_until),
+                    // Around one frame time later; a long silence.
+                    3 => now + SimDuration::from_nanos(u64::from(raw) % (2 * service)),
+                    _ => now + SimDuration::from_nanos(u64::from(raw) * 4),
+                };
+                let ip_bytes = size(size_idx);
+                let got = links[0].transmit(now, ip_bytes, &mut rngs[0]);
+                let want = reference_transmit(&mut links[1], now, ip_bytes, &mut rngs[1]);
+                prop_assert_eq!(got, want, "frame {} of {} bytes at {:?}", i, ip_bytes, now);
+                prop_assert_eq!(links[0].busy_until, links[1].busy_until);
+                prop_assert_eq!(links[0].stats(), links[1].stats());
+                prop_assert_eq!(format!("{:?}", rngs[0]), format!("{:?}", rngs[1]));
+            }
+        }
+    }
+
+    /// Drop-tail lands on the same frame whether the capacity check met an
+    /// idle wire (the shortcut: no backlog, no float arithmetic) or a
+    /// backlog (bytes implied by the busy horizon).
+    #[test]
+    fn queue_capacity_drops_with_and_without_backlog() {
+        let mut p = quiet_params();
+        p.queue_capacity_bytes = 4_000;
+        let mut rng = Rng::new(9);
+        // Idle wire: the frame's own size against the capacity.
+        let mut idle = Link::new(NodeId(0), NodeId(1), p.clone());
+        assert_eq!(
+            idle.transmit(SimTime::ZERO, 4_001, &mut rng),
+            TxResult::Dropped
+        );
+        assert_ne!(
+            idle.transmit(SimTime::from_secs(1), 4_000, &mut rng),
+            TxResult::Dropped
+        );
+        assert_eq!(idle.stats().queue_drops, 1);
+        // Backlogged: 1,000-byte frames at one instant until the queue is
+        // full, then again from the instant the wire falls idle.
+        let mut link = Link::new(NodeId(0), NodeId(1), p.clone());
+        let mut reference = Link::new(NodeId(0), NodeId(1), p);
+        for start in [SimTime::ZERO, SimTime::from_secs(1)] {
+            let now = start.max(link.busy_until);
+            let results: Vec<TxResult> = (0..8)
+                .map(|_| {
+                    let got = link.transmit(now, 1_000, &mut rng);
+                    assert_eq!(
+                        got,
+                        reference_transmit(&mut reference, now, 1_000, &mut rng)
+                    );
+                    got
+                })
+                .collect();
+            // Three frames queue 3 x 1,026 wire bytes; a fourth would pass
+            // 4,000. The second burst starts on an idle wire and fares the same.
+            let dropped: Vec<usize> = (0..8)
+                .filter(|&i| results[i] == TxResult::Dropped)
+                .collect();
+            assert_eq!(dropped, [3, 4, 5, 6, 7], "{results:?}");
+        }
+        assert_eq!(link.stats(), reference.stats());
+    }
 
     fn quiet_params() -> LinkParams {
         LinkParams {

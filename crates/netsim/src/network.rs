@@ -1,9 +1,9 @@
 //! The network core: fragmentation, forwarding and reassembly.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 use renofs_mbuf::{CopyMeter, MbufChain};
-use renofs_sim::{Rng, SimDuration, SimTime};
+use renofs_sim::{IntMap, Rng, SimDuration, SimTime};
 
 use crate::link::TxResult;
 use crate::packet::{Datagram, Fragment, ProtoHeader, IP_HEADER};
@@ -119,7 +119,7 @@ struct ReasmState {
 /// ([`crate::AccessNet`]) run the identical reassembly code on their own
 /// state instead of sharing the hub's map.
 pub(crate) struct Reassembler {
-    reasm: HashMap<(NodeId, NodeId, u64), ReasmState>,
+    reasm: IntMap<(NodeId, NodeId, u64), ReasmState>,
     timeout: SimDuration,
     /// Cleared part-lists recycled between reassembly states.
     parts_pool: Vec<Vec<(usize, MbufChain)>>,
@@ -128,7 +128,7 @@ pub(crate) struct Reassembler {
 impl Reassembler {
     pub(crate) fn new() -> Self {
         Reassembler {
-            reasm: HashMap::new(),
+            reasm: IntMap::default(),
             timeout: SimDuration::from_secs(20),
             parts_pool: Vec::new(),
         }
@@ -174,24 +174,29 @@ impl Reassembler {
             return None;
         }
         let key = (host, frag.src, frag.dgram_id);
-        let fresh = !self.reasm.contains_key(&key);
-        let state = self.reasm.entry(key).or_insert_with(|| ReasmState {
-            parts: self.parts_pool.pop().unwrap_or_default(),
-            total_len: frag.total_len,
-            received: 0,
-            corrupted: false,
-        });
+        // One hash per fragment: the entry serves the first fragment's
+        // insert, every later lookup and the last one's removal.
+        let mut entry = match self.reasm.entry(key) {
+            Entry::Occupied(entry) => entry,
+            Entry::Vacant(slot) => {
+                out.events.push((
+                    now + self.timeout,
+                    NetEvent::ReasmExpire {
+                        host,
+                        src: frag.src,
+                        dgram_id: frag.dgram_id,
+                    },
+                ));
+                slot.insert_entry(ReasmState {
+                    parts: self.parts_pool.pop().unwrap_or_default(),
+                    total_len: frag.total_len,
+                    received: 0,
+                    corrupted: false,
+                })
+            }
+        };
+        let state = entry.get_mut();
         state.corrupted |= frag.corrupted;
-        if fresh {
-            out.events.push((
-                now + self.timeout,
-                NetEvent::ReasmExpire {
-                    host,
-                    src: frag.src,
-                    dgram_id: frag.dgram_id,
-                },
-            ));
-        }
         // Ignore duplicate offsets (a retransmitted fragment).
         if state.parts.iter().any(|&(off, _)| off == frag.offset) {
             return None;
@@ -203,7 +208,7 @@ impl Reassembler {
             return None;
         }
         // Complete: stitch parts in offset order.
-        let mut state = self.reasm.remove(&key).expect("state just touched");
+        let mut state = entry.remove();
         state.parts.sort_by_key(|&(off, _)| off);
         let frags = state.parts.len();
         let mut payload = MbufChain::new();
@@ -238,6 +243,8 @@ impl Reassembler {
         if let Some(state) = self.reasm.remove(&(host, src, dgram_id)) {
             stats.reasm_failures += 1;
             self.recycle_parts(state.parts);
+        } else {
+            renofs_sim::profile::census("Net(ReasmExpire)", true);
         }
     }
 
@@ -702,7 +709,7 @@ mod tests {
     fn lost_fragment_loses_whole_datagram() {
         let (mut topo, c, s) = presets::same_lan(&Background::quiet());
         // Force loss on the first link direction.
-        topo.links[0].params_mut_for_test().loss_prob = 0.35;
+        topo.links[0].set_loss_prob_for_test(0.35);
         let mut net = Network::new(topo, 11);
         let mut complete = 0;
         let mut sent = 0;
@@ -720,7 +727,7 @@ mod tests {
     #[test]
     fn reassembly_timeout_cleans_up() {
         let (mut topo, c, s) = presets::same_lan(&Background::quiet());
-        topo.links[0].params_mut_for_test().loss_prob = 0.5;
+        topo.links[0].set_loss_prob_for_test(0.5);
         let mut net = Network::new(topo, 12);
         let mut failures_possible = false;
         for i in 0..40 {

@@ -8,6 +8,8 @@
 //!
 //! - [`SimTime`] / [`SimDuration`]: nanosecond-resolution virtual time.
 //! - [`EventQueue`]: a stable-order pending-event set.
+//! - [`IntMap`]: a `HashMap` under a multiply-fold hasher, for keys that are
+//!   integers the simulator mints itself.
 //! - [`Rng`]: a deterministic xoshiro256** PRNG, so identical seeds yield
 //!   identical traces.
 //! - [`Cpu`]: a serializing CPU resource with utilization accounting,
@@ -20,6 +22,7 @@
 
 pub mod cpu;
 pub mod disk;
+pub mod inthash;
 pub mod pdes;
 pub mod profile;
 pub mod queue;
@@ -29,6 +32,7 @@ pub mod time;
 
 pub use cpu::{Cpu, CpuProfile};
 pub use disk::{Disk, DiskProfile};
+pub use inthash::{IntHasher, IntMap};
 pub use pdes::{DomainQ, Heads};
 pub use queue::EventQueue;
 pub use rng::Rng;

@@ -19,6 +19,10 @@
 //!
 //! Spans must not nest (the simulator's dispatch loop enters exactly one
 //! subsystem per event), which keeps attribution unambiguous.
+//!
+//! Plus the **census**: pops by kind of event, and how many of each kind
+//! the handler found stale — how many events, of what, and how many for
+//! nothing is the first question before cutting any of them.
 
 /// The simulator subsystems the profiler attributes samples to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,6 +77,7 @@ mod imp {
     use super::{Subsystem, SUBSYSTEMS};
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+    use std::sync::Mutex;
     use std::time::Instant;
 
     static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -88,6 +93,8 @@ mod imp {
     static SUB_EVENTS: [AtomicU64; N] = [ZERO; N];
     static SUB_NANOS: [AtomicU64; N] = [ZERO; N];
     static SUB_ALLOCS: [AtomicU64; N] = [ZERO; N];
+    /// The census: `(kind of event, pops, pops the handler found stale)`.
+    static CENSUS: Mutex<Vec<(&'static str, u64, u64)>> = Mutex::new(Vec::new());
 
     /// Turns sample collection on or off.
     pub fn set_enabled(on: bool) {
@@ -107,6 +114,22 @@ mod imp {
             SUB_EVENTS[i].store(0, Relaxed);
             SUB_NANOS[i].store(0, Relaxed);
             SUB_ALLOCS[i].store(0, Relaxed);
+        }
+        CENSUS.lock().expect("a census update panicked").clear();
+    }
+
+    /// Census: one popped event of `kind` — or, with `stale`, its handler
+    /// finding it so (a timer whose generation moved on, a reassembly that
+    /// had already completed).
+    pub fn census(kind: &'static str, stale: bool) {
+        if enabled() {
+            let mut rows = CENSUS.lock().expect("a census update panicked");
+            let at = rows.iter().position(|r| r.0 == kind).unwrap_or(rows.len());
+            if at == rows.len() {
+                rows.push((kind, 0, 0));
+            }
+            rows[at].1 += u64::from(!stale);
+            rows[at].2 += u64::from(stale);
         }
     }
 
@@ -252,6 +275,22 @@ mod imp {
             total_ns as f64 / 1e6,
             allocs(),
         );
+        let mut rows = CENSUS.lock().expect("a census update panicked").clone();
+        rows.sort_by_key(|&(_, pops, _)| std::cmp::Reverse(pops));
+        let all = rows.iter().map(|r| r.1).sum::<u64>().max(1) as f64;
+        let _ = writeln!(
+            out,
+            "[census] event {:>20} {:>6} {:>10} {:>10}",
+            "pops", "share", "stale", "live"
+        );
+        for (kind, pops, stale) in rows {
+            let share = 100.0 * pops as f64 / all;
+            let live = pops - stale;
+            let _ = writeln!(
+                out,
+                "[census] {kind:<16} {pops:>10} {share:>5.1}% {stale:>10} {live:>10}"
+            );
+        }
         out
     }
 
@@ -290,8 +329,8 @@ mod imp {
 
 #[cfg(feature = "profile")]
 pub use imp::{
-    allocs, count, count_event, enabled, events, note_alloc, report, reset, set_enabled, snapshot,
-    span, CountingAlloc, Span,
+    allocs, census, count, count_event, enabled, events, note_alloc, report, reset, set_enabled,
+    snapshot, span, CountingAlloc, Span,
 };
 
 /// No-op stubs when the `profile` feature is off: same API surface, zero
@@ -299,6 +338,10 @@ pub use imp::{
 #[cfg(not(feature = "profile"))]
 mod stub {
     use super::Subsystem;
+
+    /// No-op without the `profile` feature.
+    #[inline(always)]
+    pub fn census(_kind: &'static str, _stale: bool) {}
 
     /// No-op without the `profile` feature.
     #[inline(always)]
@@ -360,8 +403,8 @@ mod stub {
 
 #[cfg(not(feature = "profile"))]
 pub use stub::{
-    allocs, count, count_event, enabled, events, note_alloc, report, reset, set_enabled, snapshot,
-    span, Span,
+    allocs, census, count, count_event, enabled, events, note_alloc, report, reset, set_enabled,
+    snapshot, span, Span,
 };
 
 #[cfg(all(test, feature = "profile"))]
@@ -384,6 +427,13 @@ mod tests {
         assert_eq!(snap[0].1, 1, "queue events");
         assert_eq!(snap[3].1, 3, "server events");
         assert!(report().contains("links"));
+        for stale in [false, false, true] {
+            census("UdpTimer", stale);
+        }
+        let report = report();
+        let row = report.lines().find(|l| l.contains("UdpTimer")).unwrap();
+        let cols: Vec<&str> = row.split_whitespace().skip(2).collect();
+        assert_eq!(cols, ["2", "100.0%", "1", "1"]);
         set_enabled(false);
         reset();
     }

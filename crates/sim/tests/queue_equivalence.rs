@@ -7,6 +7,13 @@
 //! set from empty to a few thousand deep, and drains back to empty. A case
 //! feeds the queue either `push` or `push_keyed` throughout: the contract
 //! forbids mixing them.
+//!
+//! The queue keeps its earliest entry in a front slot beside the heap, so
+//! everything a caller can observe — the head, the depth, the clock, the
+//! high-water mark — is compared with the model after *every* operation,
+//! and two schedule shapes live in the slot: the hop chain (each pop
+//! schedules the next-earliest event) and the displacement (a push beats
+//! the slot's occupant, by time or by key alone).
 
 use std::collections::VecDeque;
 
@@ -42,70 +49,100 @@ struct Pair {
     q: EventQueue<u32>,
     model: Model,
     pushed: u32,
+    /// The model's running maximum depth.
+    peak: usize,
 }
 
 impl Pair {
-    fn push(&mut self, at: SimTime, raw: u64) {
+    fn new(keyed: bool) -> Self {
+        Pair {
+            keyed,
+            q: EventQueue::new(),
+            model: Model::default(),
+            pushed: 0,
+            peak: 0,
+        }
+    }
+
+    /// Pushes under a key the schedule chose (keyed) or the queue's own
+    /// counter (unkeyed, where `key` is ignored).
+    fn push_with_key(&mut self, at: SimTime, key: u64) -> Result<(), TestCaseError> {
         let id = self.pushed;
         self.pushed += 1;
         if self.keyed {
-            // Caller keys are unique but unrelated to arrival order, like
-            // the PDES `(creator domain, creator seq)` keys.
-            let key = ((raw % 8) << 40) | u64::from(id);
             self.q.push_keyed(at, key, id);
             self.model.push(at, key, id);
         } else {
             self.q.push(at, id);
             self.model.push(at, u64::from(id), id);
         }
+        self.check()
+    }
+
+    fn push(&mut self, at: SimTime, raw: u64) -> Result<(), TestCaseError> {
+        // Caller keys are unique but unrelated to arrival order, like the
+        // PDES `(creator domain, creator seq)` keys.
+        self.push_with_key(at, ((raw % 8) << 40) | u64::from(self.pushed))
     }
 
     fn pop(&mut self) -> Result<(), TestCaseError> {
         let expect = self.model.pop();
-        prop_assert_eq!(self.q.peek_keyed(), expect.map(|(t, s, _)| (t, s)));
-        prop_assert_eq!(self.q.peek_time(), expect.map(|(t, _, _)| t));
         if self.keyed {
             prop_assert_eq!(self.q.pop_keyed(), expect);
         } else {
             prop_assert_eq!(self.q.pop(), expect.map(|(t, _, id)| (t, id)));
         }
+        self.check()
+    }
+
+    /// Everything observable, after every operation.
+    fn check(&mut self) -> Result<(), TestCaseError> {
+        let head = self.model.pending.front().map(|&(t, s, _)| (t, s));
+        prop_assert_eq!(self.q.peek_keyed(), head);
+        prop_assert_eq!(self.q.len(), self.model.pending.len());
+        prop_assert_eq!(self.q.is_empty(), self.model.pending.is_empty());
         prop_assert_eq!(self.q.now(), self.model.now);
+        self.peak = self.peak.max(self.model.pending.len());
+        prop_assert_eq!(self.q.peak_depth(), self.peak);
         Ok(())
+    }
+
+    /// Drains to empty, pops once beyond it, and checks the pop count.
+    fn finish(mut self) -> Result<(), TestCaseError> {
+        while !self.q.is_empty() {
+            self.pop()?;
+        }
+        prop_assert_eq!(self.q.pops(), u64::from(self.pushed));
+        self.pop()
     }
 }
 
 fn run_schedule(keyed: bool, ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
-    let mut p = Pair {
-        keyed,
-        q: EventQueue::new(),
-        model: Model::default(),
-        pushed: 0,
-    };
+    let mut p = Pair::new(keyed);
     let mut last_push = SimTime::ZERO;
-    let mut peak = 0;
     for &(kind, raw) in ops {
         match kind % 16 {
             // Ahead of the clock: microseconds to tens of seconds.
             0..=2 => {
                 last_push = SimTime::from_nanos(p.q.now().as_nanos() + raw % 66_000);
-                p.push(last_push, raw);
+                p.push(last_push, raw)?;
             }
             3 | 4 => {
                 last_push = SimTime::from_nanos(p.q.now().as_nanos() + raw % 30_000_000_000);
-                p.push(last_push, raw);
+                p.push(last_push, raw)?;
             }
             // A tie with the previous push.
-            5 | 6 => p.push(last_push, raw),
+            5 | 6 => p.push(last_push, raw)?,
             // An absolute time, often in the past.
             7 | 8 => {
                 last_push = SimTime::from_nanos(raw % 2_000_000_000);
-                p.push(last_push, raw);
+                p.push(last_push, raw)?;
             }
             // A burst, a few of them at one instant.
             9 => {
                 for i in 0..raw % 600 {
                     let at = p.q.now().as_nanos() + (raw >> 16).wrapping_mul(i / 3) % 268_000_000;
-                    p.push(SimTime::from_nanos(at), raw.wrapping_add(i));
+                    p.push(SimTime::from_nanos(at), raw.wrapping_add(i))?;
                 }
             }
             // A drain to empty, and one pop beyond it.
@@ -117,16 +154,78 @@ fn run_schedule(keyed: bool, ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
             }
             _ => p.pop()?,
         }
-        prop_assert_eq!(p.q.len(), p.model.pending.len());
-        prop_assert_eq!(p.q.is_empty(), p.model.pending.is_empty());
-        peak = peak.max(p.q.len());
     }
-    prop_assert_eq!(p.q.peak_depth(), peak);
-    while !p.q.is_empty() {
+    p.finish()
+}
+
+/// The frame path's shape: over a backlog of far-off timers, each pop
+/// schedules one event a little after `now` and before everything pending —
+/// it belongs in the front slot — and now and then one that does not.
+fn run_hop_chain(keyed: bool, backlog: usize, hops: &[(u16, u8)]) -> Result<(), TestCaseError> {
+    let mut p = Pair::new(keyed);
+    for i in 0..backlog as u64 {
+        p.push(SimTime::from_nanos(20_000_000_000 + i * 7), i)?;
+    }
+    p.push(SimTime::from_nanos(1), 0)?;
+    for &(gap, kind) in hops {
         p.pop()?;
+        let next = SimTime::from_nanos(p.q.now().as_nanos() + u64::from(gap));
+        p.push(next, u64::from(kind))?;
+        match kind % 8 {
+            // A second event behind the first: the slot is taken.
+            0 => p.push(next, u64::from(kind) + 1)?,
+            // One ahead of it: the occupant is displaced into the heap.
+            1 => p.push(p.q.now(), u64::from(kind) + 2)?,
+            // A timer, far behind everything.
+            2 => p.push(SimTime::from_nanos(next.as_nanos() + 40_000_000_000), 3)?,
+            _ => {}
+        }
     }
-    prop_assert_eq!(p.q.pops(), u64::from(p.pushed));
-    p.pop()
+    p.finish()
+}
+
+/// Pushes that beat the slot's occupant: by an earlier time, and at the
+/// occupant's own time under a smaller key (displaces) or a larger one
+/// (queues behind it). Unkeyed, the key is arrival order and an equal time
+/// never displaces.
+fn run_displacement(keyed: bool, steps: &[(u8, u16)]) -> Result<(), TestCaseError> {
+    let mut p = Pair::new(keyed);
+    // Distinct keys around a midpoint: step `i` may go `delta` below or above.
+    let key = |i: usize, up: bool, delta: u16| {
+        let mid = 1u64 << 32;
+        let off = ((i as u64) << 17) | (u64::from(delta) + 1);
+        if up {
+            mid + off
+        } else {
+            mid - off
+        }
+    };
+    let mut head = SimTime::from_nanos(1_000_000);
+    p.push_with_key(head, 1 << 32)?;
+    for (i, &(kind, delta)) in steps.iter().enumerate() {
+        match kind % 6 {
+            0 => {
+                head = SimTime::from_nanos(head.as_nanos().saturating_sub(u64::from(delta)));
+                p.push_with_key(head, key(i, kind & 8 == 0, delta))?;
+            }
+            1 => p.push_with_key(head, key(i, false, delta))?,
+            2 => p.push_with_key(head, key(i, true, delta))?,
+            3 => p.push_with_key(
+                SimTime::from_nanos(head.as_nanos() + 1),
+                key(i, false, delta),
+            )?,
+            _ => {
+                p.pop()?;
+                if let Some(&(t, _, _)) = p.model.pending.front() {
+                    head = t;
+                } else {
+                    head = SimTime::from_nanos(p.q.now().as_nanos() + 1_000_000);
+                    p.push_with_key(head, key(i, true, delta))?;
+                }
+            }
+        }
+    }
+    p.finish()
 }
 
 proptest! {
@@ -137,6 +236,49 @@ proptest! {
         ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..500),
     ) {
         run_schedule(keyed, &ops)?;
+    }
+
+    /// Hop chains: most pushes land in the front slot.
+    #[test]
+    fn hop_chain_matches_model(
+        keyed in any::<bool>(),
+        backlog in 0usize..150,
+        hops in proptest::collection::vec((1u16..2_000, any::<u8>()), 100..600),
+    ) {
+        run_hop_chain(keyed, backlog, &hops)?;
+    }
+
+    /// Displacements: pushes that beat the slot's occupant by time or by key.
+    #[test]
+    fn displacement_matches_model(
+        keyed in any::<bool>(),
+        steps in proptest::collection::vec((any::<u8>(), any::<u16>()), 1..300),
+    ) {
+        run_displacement(keyed, &steps)?;
+    }
+
+    /// A recorded trace holds every logical push and pop, slot or heap:
+    /// replaying it pops as many events as the live queue did.
+    #[test]
+    fn replay_pops_what_the_live_queue_popped(
+        ops in proptest::collection::vec((any::<u8>(), 0u64..5_000_000), 1..600),
+    ) {
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.start_trace();
+        let mut pushes = 0;
+        for &(kind, at) in &ops {
+            if kind % 3 == 0 {
+                q.pop();
+            } else {
+                // Hops (just after `now`) and absolute times, some past.
+                let at = if kind % 3 == 1 { q.now().as_nanos() + at % 500 } else { at };
+                q.push(SimTime::from_nanos(at), ());
+                pushes += 1;
+            }
+        }
+        let trace = q.take_trace();
+        prop_assert_eq!(trace.len() as u64, pushes + q.pops());
+        prop_assert_eq!(EventQueue::replay(&trace), q.pops());
     }
 
     /// Pure-burst schedules: many pushes at one instant pop FIFO.

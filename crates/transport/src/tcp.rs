@@ -534,6 +534,7 @@ impl TcpConn {
     pub fn on_timer(&mut self, gen: u64, now: SimTime) -> TcpOut {
         let mut out = TcpOut::default();
         if !self.timer_armed || gen != self.timer_gen {
+            renofs_sim::profile::census("TcpTimer", true);
             return out;
         }
         match self.state {

@@ -15,10 +15,8 @@
 //! cache can suppress re-execution) and Karn's rule excludes
 //! retransmitted calls from RTT sampling.
 
-use std::collections::HashMap;
-
 use renofs_mbuf::MbufChain;
-use renofs_sim::{SimDuration, SimTime};
+use renofs_sim::{profile, IntMap, SimDuration, SimTime};
 
 use crate::cwnd::CongWindow;
 use crate::rto::{DynRto, RpcClass, RtoPolicy};
@@ -173,7 +171,7 @@ pub struct UdpRpcClient {
     rto: DynRto,
     cwnd: Option<CongWindow>,
     next_xid: u32,
-    pending: HashMap<u32, Pending>,
+    pending: IntMap<u32, Pending>,
     /// Calls admitted but deferred by the congestion window.
     queue: Vec<(u32, RpcClass, MbufChain)>,
     stats: UdpStats,
@@ -201,7 +199,7 @@ impl UdpRpcClient {
             rto,
             cwnd,
             next_xid: xid_seed,
-            pending: HashMap::new(),
+            pending: IntMap::default(),
             queue: Vec::new(),
             stats: UdpStats::default(),
             down_reported: false,
@@ -348,12 +346,10 @@ impl UdpRpcClient {
     /// Handles a retransmit timer, appending the resulting actions.
     /// Stale (xid, gen) pairs are no-ops.
     pub fn on_timer(&mut self, now: SimTime, xid: u32, gen: u64, actions: &mut Vec<UdpAction>) {
-        let Some(p) = self.pending.get_mut(&xid) else {
+        let Some(p) = self.pending.get_mut(&xid).filter(|p| p.timer_gen == gen) else {
+            profile::census("UdpTimer", true);
             return;
         };
-        if p.timer_gen != gen {
-            return;
-        }
         // A soft mount stops here once `retrans` transmissions have all
         // timed out; the syscall comes back with `ETIMEDOUT`.
         if self.cfg.soft && p.sends >= self.cfg.retrans {

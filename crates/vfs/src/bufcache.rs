@@ -12,7 +12,7 @@
 //!    comes from costlier buffer-cache searches. [`CacheOrg`] prices both
 //!    organizations in *search steps* for the CPU model.
 
-use std::collections::HashMap;
+use renofs_sim::IntMap;
 
 use crate::types::{VnodeId, BLOCK_SIZE};
 
@@ -179,7 +179,7 @@ pub struct BufCacheStats {
 pub struct BufCache {
     org: CacheOrg,
     capacity: usize,
-    map: HashMap<(VnodeId, u64), (Buf, u64)>,
+    map: IntMap<(VnodeId, u64), (Buf, u64)>,
     clock: u64,
     ambient: u64,
     stats: BufCacheStats,
@@ -191,7 +191,7 @@ impl BufCache {
         BufCache {
             org,
             capacity: capacity.max(1),
-            map: HashMap::new(),
+            map: IntMap::default(),
             clock: 0,
             ambient: 0,
             stats: BufCacheStats::default(),

@@ -15,6 +15,9 @@ echo "==> one engine loop per world shape (no unsafe impl outside coro.rs, no si
 grep -rn 'unsafe impl' crates/core/src --exclude=coro.rs && exit 1
 grep -rn 'sim[_-]threads' crates scripts README.md DESIGN.md EXPERIMENTS.md && exit 1
 
+echo "==> IntMap is for keys the simulator mints (a key with wire bytes in it keeps SipHash)"
+grep -rnE 'IntMap<(\([^)]*)?(String|Vec<u8>)' crates --include='*.rs' && exit 1
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 
@@ -89,6 +92,11 @@ awk '{ exit !($2 <= 0.10 * ($1 + $2)) }' <<<"$cpu" || {
     echo "kernel-time gate failed: sys is more than 10% of user + sys" >&2
     exit 1
 }
+
+echo "==> scripts/digests.sh (the five workload digests equal scripts/digests.expected)"
+# What "bit-identical" means for a host-speed change, as a gate: every
+# simulated result of a fixed-size run of each benchmark workload.
+bash scripts/digests.sh
 
 echo "==> benchmark/check.sh (the frozen benchmark still builds and runs against these crates)"
 bash benchmark/check.sh

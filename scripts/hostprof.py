@@ -3,7 +3,12 @@
 leaves by caller, inclusive time.
 Usage: hostprof.py EXECUTABLE SAMPLES [--under 'SYM|SYM'] [--callers SYM]
 --under keeps only the samples whose stack has a frame containing one of the
-symbols; --callers adds the top caller chains (three frames) of a function."""
+symbols; --callers adds the top caller chains (three frames) of a function.
+A sample in a stripped library can only be placed after the nearest *exported*
+symbol below it, which is a guess: it prints as `lib:name~+0xLO..0xHI` (the
+offsets the samples fell at — a span far past any plausible function body is
+some unexported neighbour), and as `lib:0xPAGE` (the 4 KB page of the offset)
+when the nearest export is more than 4 KB away, where the name says nothing."""
 import bisect, collections, os, re, subprocess, sys
 
 args = sys.argv[1:]
@@ -57,7 +62,7 @@ out = subprocess.run(["addr2line", "-f", "-C", "-e", exe] + [hex(o) for o in off
                      capture_output=True, text=True).stdout.splitlines()
 # Two lines an address, function then file:line (line tables carry no inlining).
 function = {o: re.sub(r"::h[0-9a-f]{16}$", "", f)[:96] for o, f in zip(offs, out[::2])}
-syms = {}
+syms, guessed = {}, {}  # file -> exported symbols; guessed name -> offsets past its symbol
 
 
 def name(addr, leaf):
@@ -70,7 +75,19 @@ def name(addr, leaf):
         return named[i][1]
     table = syms.setdefault(file, dynsyms(file) if os.path.exists(file) else [])
     i = bisect.bisect(table, (off, "~")) - 1
-    return os.path.basename(file) + ":" + (table[i][1] + "~" if i >= 0 else hex(off))
+    if i < 0 or off - table[i][0] > 0x1000:
+        return f"{os.path.basename(file)}:{off & ~0xfff:#x}"
+    guess = f"{os.path.basename(file)}:{table[i][1]}~"
+    guessed.setdefault(guess, set()).add(off - table[i][0])
+    return guess
+
+
+def shown(row):
+    """A table row with every guessed name followed by where its samples fell."""
+    def span(m):
+        at = guessed.get(m.group(0))
+        return m.group(0) + (f"+{min(at):#x}..{max(at):#x}" if at else "")
+    return re.sub(r"[^\s:]+:[^\s~]+~", span, row)
 
 
 self_time, inclusive, callers, chains = (collections.Counter() for _ in range(4))
@@ -99,4 +116,4 @@ tables = [("self time by function", self_time), ("libc leaves by caller", caller
 for title, table in tables:
     print(f"\n== {title} ({kept} of {len(samples)} samples{' under ' + under if under else ''}, % of kept) ==")
     for name, n in table.most_common(25):
-        print(f"{100.0 * n / max(kept, 1):6.1f}%  {name}")
+        print(f"{100.0 * n / max(kept, 1):6.1f}%  {shown(name)}")

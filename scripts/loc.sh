@@ -2,8 +2,9 @@
 # Non-test Rust lines: every file under a `src/` directory, counted up to
 # its first top-level `#[cfg(test)]`. Prints a total per crate, the grand
 # total and the five largest files — for the working tree, or for a git
-# revision when REV is given. The line-count gates of ROADMAP items 2, 3
-# and 7 are all read off this one script.
+# revision when REV is given. Every line-count gate in ROADMAP.md (the
+# size of `world.rs`, of `crates/oracle`, "net negative") is read off this
+# one script.
 #
 #   scripts/loc.sh [REV]
 set -euo pipefail
