@@ -17,15 +17,22 @@
 //! --features profile --test alloc_count`.
 #![cfg(feature = "profile")]
 
+use renofs::proto::{build, results};
 use renofs::syscalls::Loopback;
-use renofs::{NfsServer, ServerConfig, TopologyKind, TransportKind, World, WorldConfig};
+use renofs::{
+    NfsProc, NfsServer, NfsStatus, ServerConfig, TopologyKind, TransportKind, World, WorldConfig,
+};
 use renofs_bench::experiments::world_for;
 use renofs_mbuf::{pool, CopyMeter, MbufChain};
 use renofs_netsim::topology::presets::Background;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use renofs_sim::{profile, EventQueue, SimDuration, SimTime};
+use renofs_sunrpc::{
+    AcceptStat, AuthUnix, CallHeader, ReplyHeader, RpcError, NFS_PROGRAM, NFS_VERSION,
+};
 use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig};
+use renofs_xdr::{XdrDecoder, XdrError};
 
 #[global_allocator]
 static ALLOC: profile::CountingAlloc = profile::CountingAlloc;
@@ -265,21 +272,18 @@ fn steady_state_read_rpcs_at_16_clients_allocate_next_to_nothing() {
 #[test]
 fn steady_state_crowd_mix_at_16_clients_stays_within_its_op_costs() {
     let _alone = measuring();
-    // The full crowd mix carries allocations the ops themselves own,
-    // identical at N=1 and so not scale-out costs: every lookup decodes
-    // its name into a fresh `String` on the server, and every setattr
-    // (non-idempotent) clones its reply into the duplicate-request
-    // cache. With 40% lookups and 10% setattrs that budgets ~1 extra
-    // alloc/RPC on top of the read-path bound above; hold the line there
-    // so the transport/pool side cannot silently regress underneath.
-    // Measured 0.63, and 0.63 at the parent of the change that re-read
-    // it (each cached SETATTR reply keeps a spine — a box and its buffer —
-    // out of circulation while the ring fills); the 0.91 recorded here
-    // before had gone stale, so the bound comes down from 1.5 to twice
-    // the reading.
+    // The full crowd mix carries an allocation the op itself owns,
+    // identical at N=1 and so not a scale-out cost: every setattr
+    // (non-idempotent) clones its reply into the duplicate-request cache,
+    // and each cached reply keeps a spine — a box and its buffer — out of
+    // circulation while the ring fills. With 10% setattrs that budgets
+    // ~0.2 allocs/RPC on top of the read-path bound above; hold the line
+    // there so the transport/pool side cannot silently regress underneath.
+    // Measured 0.16 (0.63 while every server-side LOOKUP, 40% of the mix,
+    // decoded its name into a fresh `String`); the bound is twice that.
     let marginal = marginal_crowd(LoadMix::crowd());
     assert!(
-        marginal < 1.3,
+        marginal < 0.32,
         "crowd-mix RPCs at 16 clients allocate too much: \
          {marginal:.2} allocs/RPC"
     );
@@ -320,11 +324,11 @@ fn a_short_crowd_run_allocates_a_bounded_amount_per_client() {
     world.run();
     let per_client = (profile::allocs() - a0) as f64 / CLIENTS as f64;
     eprintln!("allocs per client over a short crowd run: {per_client:.1}");
-    // Measured 33.3 (135.3 while every generator proc rendered its 100
+    // Measured 30.2 (135.3 while every generator proc rendered its 100
     // lookup names and filled an 8 KB write payload before its first
     // RPC); the bound is twice the reading.
     assert!(
-        per_client < 67.0,
+        per_client < 61.0,
         "a short crowd run allocates too much: {per_client:.1} per client"
     );
 }
@@ -370,4 +374,114 @@ fn a_generator_proc_allocates_nothing_per_file() {
     // above. A per-proc table of names made these differ by 990.
     let quietest = |nfiles| (0..3).map(|_| lookup_proc_allocs(nfiles)).min();
     assert_eq!(quietest(10), quietest(1000));
+}
+
+/// A complete call message: header, then `args`.
+fn call(proc: NfsProc, args: impl FnOnce(&mut MbufChain, &mut CopyMeter)) -> MbufChain {
+    let mut meter = CopyMeter::new();
+    let mut chain = MbufChain::with_leading_space(64);
+    CallHeader {
+        xid: 7,
+        prog: NFS_PROGRAM,
+        vers: NFS_VERSION,
+        proc: proc.to_wire(),
+        auth: AuthUnix::root("uvax"),
+    }
+    .encode(&mut chain, &mut meter);
+    args(&mut chain, &mut meter);
+    chain
+}
+
+/// The fewest allocations any of a few rounds of `body` makes (the
+/// harness thread only ever adds to the process-wide count).
+fn quietest(mut body: impl FnMut()) -> u64 {
+    let rounds = (0..5).map(|_| {
+        let a0 = profile::allocs();
+        body();
+        profile::allocs() - a0
+    });
+    rounds.min().expect("five rounds")
+}
+
+#[test]
+fn a_garbled_verifier_length_asks_the_allocator_for_nothing() {
+    let _alone = measuring();
+    let mut meter = CopyMeter::new();
+    // `flat` with the word at `at` — the verifier's length — garbled.
+    let garble = |msg: MbufChain, at: usize, meter: &mut CopyMeter| {
+        let mut flat = msg.to_vec_for_test();
+        flat[at..at + 4].copy_from_slice(&0xFFFF_FFF0u32.to_be_bytes());
+        MbufChain::from_slice(&flat, meter)
+    };
+    // The verifier closes a call header: flavor, then length.
+    let null = call(NfsProc::Null, |_, _| {});
+    let at = null.len() - 4;
+    let bad_call = garble(null, at, &mut meter);
+    let mut reply = MbufChain::new();
+    ReplyHeader {
+        xid: 7,
+        stat: AcceptStat::Success,
+    }
+    .encode(&mut reply, &mut meter);
+    // xid, REPLY, accepted, verifier flavor, verifier length.
+    let bad_reply = garble(reply, 16, &mut meter);
+    let truncated = RpcError::Xdr(XdrError::Truncated);
+    let allocs = quietest(|| {
+        let got = CallHeader::decode(&mut XdrDecoder::new(&bad_call));
+        assert_eq!(got.unwrap_err(), truncated);
+        let got = ReplyHeader::decode(&mut XdrDecoder::new(&bad_reply));
+        assert_eq!(got.unwrap_err(), truncated);
+    });
+    assert_eq!(allocs, 0, "a 4 GiB length word reached the allocator");
+}
+
+#[test]
+fn a_warm_server_services_small_rpcs_and_reads_without_allocating() {
+    let _alone = measuring();
+    let t = SimTime::from_secs(1);
+    let mut server = NfsServer::new(ServerConfig::reno(), t);
+    let root = server.fs().root();
+    // Nhfsstone's long names: past the name cache (whose probe builds a
+    // `String` key), so a LOOKUP scans.
+    let (name, absent) = (nhfsstone::file_name(3, true), nhfsstone::file_name(4, true));
+    let read = server.fs_mut().create(root, &name, 0o644, t).unwrap();
+    let written = server.fs_mut().create(root, "written", 0o644, t).unwrap();
+    for ino in [read, written] {
+        server.fs_mut().write(ino, 0, &[0x5a; 8192], t).unwrap();
+    }
+    let fh = |server: &NfsServer, ino| server.handle_for(ino).unwrap();
+    let (root, read, written) = (fh(&server, root), fh(&server, read), fh(&server, written));
+    let status = |reply: &MbufChain| {
+        let mut dec = XdrDecoder::new(reply);
+        ReplyHeader::decode(&mut dec).unwrap();
+        results::get_stat(&mut dec).unwrap()
+    };
+    let mut serve = |what: &str, msg: &dyn Fn() -> MbufChain, want: NfsStatus, budget: u64| {
+        // The first pass warms the pools, the scratch buffer and the caches.
+        assert_eq!(status(&server.service_from(t, &msg(), 0).0), want, "{what}");
+        let requests: Vec<_> = (0..100).map(|_| msg()).collect();
+        let allocs = quietest(|| {
+            for request in &requests {
+                drop(server.service_from(t, request, 0));
+            }
+        });
+        eprintln!("allocs per 100 warm {what}: {allocs}");
+        assert!(allocs <= budget, "{what}: {allocs} allocations in 100 RPCs");
+    };
+    let dirop = |name: &str| call(NfsProc::Lookup, |c, m| build::dirop_args(c, m, &root, name));
+    serve("LOOKUP", &|| dirop(&name), NfsStatus::Ok, 0);
+    serve("absent LOOKUP", &|| dirop(&absent), NfsStatus::NoEnt, 0);
+    let getattr = || call(NfsProc::Getattr, |c, m| build::handle_args(c, m, &read));
+    serve("GETATTR", &getattr, NfsStatus::Ok, 0);
+    let read = || call(NfsProc::Read, |c, m| build::read_args(c, m, &read, 0, 8192));
+    serve("8 KB READ", &read, NfsStatus::Ok, 0);
+    // A WRITE over what the file already holds: its two disk writes are
+    // a `Vec` in the cost it returns, and that is all.
+    let write = || {
+        let data = MbufChain::from_slice(&[0xa5; 8192], &mut CopyMeter::new());
+        call(NfsProc::Write, |c, m| {
+            build::write_args(c, m, &written, 0, data)
+        })
+    };
+    serve("8 KB WRITE", &write, NfsStatus::Ok, 100);
 }

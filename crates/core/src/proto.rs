@@ -7,7 +7,7 @@
 use renofs_mbuf::{CopyMeter, MbufChain};
 use renofs_sim::{SimDuration, SimTime};
 use renofs_vfs::{FileType, FsError, Vattr, VnodeId};
-use renofs_xdr::{XdrDecoder, XdrEncoder, XdrError};
+use renofs_xdr::{be_word, InlineStr, XdrDecoder, XdrEncoder, XdrError};
 
 /// Maximum NFS v2 read/write transfer size.
 pub const NFS_MAXDATA: usize = 8192;
@@ -305,14 +305,11 @@ impl FileHandle {
 
     /// Decodes the 32-byte opaque handle.
     pub fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        let mut bytes = [0u8; NFS_FHSIZE];
-        dec.get_opaque_fixed_into(&mut bytes)?;
-        let word =
-            |i: usize| u32::from_be_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]);
+        let bytes = dec.get_array::<NFS_FHSIZE>()?;
         Ok(FileHandle {
-            fsid: word(0),
-            ino: word(4),
-            gen: word(8),
+            fsid: be_word(&bytes, 0),
+            ino: be_word(&bytes, 1),
+            gen: be_word(&bytes, 2),
         })
     }
 
@@ -327,10 +324,10 @@ fn put_time(enc: &mut XdrEncoder<'_>, t: SimTime) {
     enc.put_u32(((t.as_nanos() % 1_000_000_000) / 1_000) as u32);
 }
 
-fn get_time(dec: &mut XdrDecoder<'_>) -> Result<SimTime, XdrError> {
-    let s = dec.get_u32()? as u64;
-    let us = dec.get_u32()? as u64;
-    Ok(SimTime::from_nanos(s * 1_000_000_000 + us * 1_000))
+/// The `timeval` at words `i` and `i + 1` of a decoded `fattr`.
+fn time_at(words: &[u8], i: usize) -> SimTime {
+    let (s, us) = (be_word(words, i) as u64, be_word(words, i + 1) as u64);
+    SimTime::from_nanos(s * 1_000_000_000 + us * 1_000)
 }
 
 /// Encodes an NFS v2 `fattr`.
@@ -353,34 +350,22 @@ pub fn put_fattr(enc: &mut XdrEncoder<'_>, a: &Vattr) {
 
 /// Decodes an NFS v2 `fattr`.
 pub fn get_fattr(dec: &mut XdrDecoder<'_>) -> Result<Vattr, XdrError> {
-    let ftype = FileType::from_wire(dec.get_u32()?).ok_or(XdrError::Invalid)?;
-    let mode = dec.get_u32()?;
-    let nlink = dec.get_u32()?;
-    let uid = dec.get_u32()?;
-    let gid = dec.get_u32()?;
-    let size = dec.get_u32()?;
-    let blocksize = dec.get_u32()?;
-    let _rdev = dec.get_u32()?;
-    let blocks = dec.get_u32()?;
-    let fsid = dec.get_u32()?;
-    let fileid = dec.get_u32()?;
-    let atime = get_time(dec)?;
-    let mtime = get_time(dec)?;
-    let ctime = get_time(dec)?;
+    // 17 words; the eighth is rdev.
+    let w = dec.get_array::<68>()?;
     Ok(Vattr {
-        ftype,
-        mode,
-        nlink,
-        uid,
-        gid,
-        size,
-        blocksize,
-        blocks,
-        fsid,
-        fileid,
-        atime,
-        mtime,
-        ctime,
+        ftype: FileType::from_wire(be_word(&w, 0)).ok_or(XdrError::Invalid)?,
+        mode: be_word(&w, 1),
+        nlink: be_word(&w, 2),
+        uid: be_word(&w, 3),
+        gid: be_word(&w, 4),
+        size: be_word(&w, 5),
+        blocksize: be_word(&w, 6),
+        blocks: be_word(&w, 8),
+        fsid: be_word(&w, 9),
+        fileid: be_word(&w, 10),
+        atime: time_at(&w, 11),
+        mtime: time_at(&w, 13),
+        ctime: time_at(&w, 15),
     })
 }
 
@@ -422,22 +407,14 @@ impl Sattr {
 
     /// Decodes the sattr.
     pub fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
-        let get = |dec: &mut XdrDecoder<'_>| -> Result<Option<u32>, XdrError> {
-            let v = dec.get_u32()?;
-            Ok(if v == u32::MAX { None } else { Some(v) })
-        };
-        let mode = get(dec)?;
-        let uid = get(dec)?;
-        let gid = get(dec)?;
-        let size = get(dec)?;
-        for _ in 0..4 {
-            let _ = dec.get_u32()?;
-        }
+        // Eight words; the last four are the times, which are not set.
+        let w = dec.get_array::<32>()?;
+        let get = |i| Some(be_word(&w, i)).filter(|&v| v != u32::MAX);
         Ok(Sattr {
-            mode,
-            uid,
-            gid,
-            size,
+            mode: get(0),
+            uid: get(1),
+            gid: get(2),
+            size: get(3),
         })
     }
 }
@@ -452,13 +429,13 @@ pub enum NfsArgs {
     /// SETATTR.
     Setattr(FileHandle, Sattr),
     /// LOOKUP / REMOVE / RMDIR: directory + name.
-    DirOp(FileHandle, String),
+    DirOp(FileHandle, InlineStr),
     /// READ: handle, offset, count.
     Read(FileHandle, u32, u32),
     /// WRITE: handle, offset, data.
     Write(FileHandle, u32, MbufChain),
     /// CREATE / MKDIR: directory + name + initial attributes.
-    Create(FileHandle, String, Sattr),
+    Create(FileHandle, InlineStr, Sattr),
     /// RENAME: from dir/name, to dir/name.
     Rename(FileHandle, String, FileHandle, String),
     /// LINK: target handle, directory + name.
@@ -652,7 +629,7 @@ pub fn decode_args(proc: NfsProc, dec: &mut XdrDecoder<'_>) -> Result<NfsArgs, X
         }
         NfsProc::Lookup | NfsProc::Remove | NfsProc::Rmdir => {
             let fh = FileHandle::decode(dec)?;
-            let name = dec.get_string(NFS_MAXNAMLEN)?;
+            let name = dec.get_inline_str(NFS_MAXNAMLEN)?;
             NfsArgs::DirOp(fh, name)
         }
         NfsProc::Read => {
@@ -667,15 +644,14 @@ pub fn decode_args(proc: NfsProc, dec: &mut XdrDecoder<'_>) -> Result<NfsArgs, X
             let _begin = dec.get_u32()?;
             let offset = dec.get_u32()?;
             let _total = dec.get_u32()?;
-            let data = dec.get_opaque_var(NFS_MAXDATA as u32)?;
-            let mut meter = CopyMeter::new();
-            let mut chain = MbufChain::new();
-            chain.append_bytes(&data, &mut meter);
-            NfsArgs::Write(fh, offset, chain)
+            // The data stays in the request's clusters; the few bytes in
+            // small mbufs are copied, unpriced as decoding is.
+            let data = dec.get_opaque_chain(NFS_MAXDATA as u32, &mut CopyMeter::new())?;
+            NfsArgs::Write(fh, offset, data)
         }
         NfsProc::Create | NfsProc::Mkdir => {
             let fh = FileHandle::decode(dec)?;
-            let name = dec.get_string(NFS_MAXNAMLEN)?;
+            let name = dec.get_inline_str(NFS_MAXNAMLEN)?;
             let sattr = Sattr::decode(dec)?;
             NfsArgs::Create(fh, name, sattr)
         }

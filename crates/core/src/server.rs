@@ -427,8 +427,9 @@ pub struct NfsServer {
     meter: CopyMeter,
     stats: ServerStats,
     /// Recycled buffer for READ data on its way from the filesystem
-    /// into an mbuf chain, so steady-state reads don't allocate.
-    read_scratch: Vec<u8>,
+    /// into an mbuf chain and WRITE data on its way out of one, so
+    /// steady-state reads and writes don't allocate.
+    io_scratch: Vec<u8>,
     /// Boot epoch, stamped into every issued file handle's `fsid` field
     /// and bumped on reboot: handles minted before a crash come back
     /// `NfsStatus::Stale` (the root is exempt — the MOUNT protocol
@@ -463,7 +464,7 @@ impl NfsServer {
             dup_cache_cap: DUP_CACHE_PER_CLIENT,
             meter: CopyMeter::new(),
             stats: ServerStats::default(),
-            read_scratch: Vec::new(),
+            io_scratch: Vec::new(),
             epoch: 1,
             leases: LeaseTable::default(),
             lease_grace_pending: false,
@@ -974,12 +975,12 @@ impl NfsServer {
                 self.bufcache.insert(v, blk as u64, Buf::new_valid(data));
             }
         }
-        let mut data = std::mem::take(&mut self.read_scratch);
+        let mut data = std::mem::take(&mut self.io_scratch);
         let read = self.fs.read_into(ino, offset, count, now, &mut data);
         let attr = match read.and_then(|_| self.fs.getattr(ino)) {
             Ok(attr) => attr,
             Err(e) => {
-                self.read_scratch = data;
+                self.io_scratch = data;
                 return Err(NfsStatus::from(e));
             }
         };
@@ -992,7 +993,7 @@ impl NfsServer {
             cost.bytes_copied += data.len() as u64;
             MbufChain::from_slice(&data, &mut self.meter)
         };
-        self.read_scratch = data;
+        self.io_scratch = data;
         Ok((attr, chain))
     }
 
@@ -1007,11 +1008,26 @@ impl NfsServer {
         let ino = self.resolve(fh)?;
         // mbuf -> buffer cache copy: charged both to the server's meter and
         // to the service cost (which prices it into simulated CPU time).
-        let bytes = data.to_vec(&mut self.meter);
+        let mut bytes = std::mem::take(&mut self.io_scratch);
+        bytes.resize(data.len(), 0);
+        data.copy_out(0, &mut bytes, &mut self.meter);
         cost.bytes_copied += bytes.len() as u64;
+        let res = self.write_through(ino, offset, &bytes, now, cost);
+        self.io_scratch = bytes;
+        res
+    }
+
+    fn write_through(
+        &mut self,
+        ino: InodeId,
+        offset: u32,
+        bytes: &[u8],
+        now: SimTime,
+        cost: &mut ServiceCost,
+    ) -> Result<renofs_vfs::Vattr, NfsStatus> {
         let attr = self
             .fs
-            .write(ino, offset, &bytes, now)
+            .write(ino, offset, bytes, now)
             .map_err(NfsStatus::from)?;
         // Update the cached block(s).
         let v = VnodeId(ino.0 as u64);

@@ -1,6 +1,7 @@
 //! Sequential read access to a chain.
 
 use crate::chain::MbufChain;
+use crate::meter::CopyMeter;
 
 /// A read cursor over an [`MbufChain`], used by the XDR dissector.
 ///
@@ -94,19 +95,38 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Reads a big-endian `u32` (the XDR unit): in place when its four
-    /// bytes lie in one segment.
-    pub fn read_u32(&mut self) -> Result<u32, ()> {
-        if self.remaining() < 4 {
+    /// Reads `N` bytes (a run of XDR words; `N > 0`) with one segment
+    /// lookup: in place when they lie in one segment, cursor unchanged
+    /// on a short read.
+    pub fn read_array<const N: usize>(&mut self) -> Result<[u8; N], ()> {
+        const { assert!(N > 0) };
+        if self.remaining() < N {
             return Err(());
         }
         if let Some(b) = self.here().first_chunk() {
-            self.pos += 4;
-            return Ok(u32::from_be_bytes(*b));
+            self.pos += N;
+            return Ok(*b);
         }
-        let mut b = [0u8; 4];
+        let mut b = [0u8; N];
         self.read_exact(&mut b)?;
-        Ok(u32::from_be_bytes(b))
+        Ok(b)
+    }
+
+    /// Reads a big-endian `u32` (the XDR unit).
+    pub fn read_u32(&mut self) -> Result<u32, ()> {
+        self.read_array().map(u32::from_be_bytes)
+    }
+
+    /// The next `n` bytes as a chain sharing this one's clusters (small-
+    /// mbuf bytes are copied and metered, as [`MbufChain::share_range`]
+    /// does), advancing past them.
+    pub fn share(&mut self, n: usize, meter: &mut CopyMeter) -> Result<MbufChain, ()> {
+        if n > self.remaining() {
+            return Err(());
+        }
+        let out = self.chain.share_range(self.pos, n, meter);
+        self.pos += n;
+        Ok(out)
     }
 
     /// Skips `n` bytes.
@@ -120,6 +140,10 @@ impl<'a> Cursor<'a> {
 
     /// Reads `n` bytes into a fresh `Vec`.
     pub fn read_vec(&mut self, n: usize) -> Result<Vec<u8>, ()> {
+        // `n` is a length off the wire: bound it before allocating for it.
+        if n > self.remaining() {
+            return Err(());
+        }
         let mut v = vec![0u8; n];
         self.read_exact(&mut v)?;
         Ok(v)
@@ -129,7 +153,6 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meter::CopyMeter;
 
     #[test]
     fn sequential_reads() {

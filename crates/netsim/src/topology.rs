@@ -37,8 +37,18 @@ pub enum NodeKind {
 pub(crate) struct Node {
     pub kind: NodeKind,
     pub name: &'static str,
-    /// `routes[d]` = outgoing link toward node `d` (None for self).
-    pub routes: Vec<Option<LinkId>>,
+    routes: Routes,
+}
+
+/// How a node picks the outgoing link toward a destination.
+enum Routes {
+    /// `table[d]` = first link of a shortest path to node `d` (`None` for
+    /// the node itself and for nodes it cannot reach).
+    Table(Vec<Option<LinkId>>),
+    /// The only outgoing link of a node whose neighbour keeps a table
+    /// (a host on its drop): it leads wherever the neighbour can reach,
+    /// so a thousand such hosts carry no thousand-entry tables.
+    Leaf(LinkId),
 }
 
 /// A static network topology: nodes plus directed links, with shortest-
@@ -62,7 +72,7 @@ impl Topology {
         self.nodes.push(Node {
             kind,
             name,
-            routes: Vec::new(),
+            routes: Routes::Table(Vec::new()),
         });
         NodeId(self.nodes.len() - 1)
     }
@@ -98,7 +108,8 @@ impl Topology {
     }
 
     /// Computes shortest-path (hop count) routes between all node pairs.
-    /// Must be called after all nodes and links are added.
+    /// Must be called after all nodes and links are added. A node with a
+    /// single outgoing link gets no table when its neighbour has one.
     pub fn compute_routes(&mut self) {
         let n = self.nodes.len();
         // adj[u] = (link, v) pairs.
@@ -107,6 +118,12 @@ impl Topology {
             adj[link.from().0].push((LinkId(i), link.to().0));
         }
         for src in 0..n {
+            if let [(link, v)] = adj[src][..] {
+                if adj[v].len() != 1 {
+                    self.nodes[src].routes = Routes::Leaf(link);
+                    continue;
+                }
+            }
             // BFS from src, recording the first hop toward each dest.
             let mut first_hop: Vec<Option<LinkId>> = vec![None; n];
             let mut visited = vec![false; n];
@@ -128,13 +145,19 @@ impl Topology {
                     }
                 }
             }
-            self.nodes[src].routes = first_hop;
+            self.nodes[src].routes = Routes::Table(first_hop);
         }
     }
 
     /// The outgoing link from `at` toward `dst`, if a route exists.
     pub fn route(&self, at: NodeId, dst: NodeId) -> Option<LinkId> {
-        self.nodes[at.0].routes.get(dst.0).copied().flatten()
+        match &self.nodes[at.0].routes {
+            Routes::Table(table) => table.get(dst.0).copied().flatten(),
+            Routes::Leaf(link) => {
+                let next = self.links[link.0].to();
+                (dst != at && (dst == next || self.route(next, dst).is_some())).then_some(*link)
+            }
+        }
     }
 
     /// MTU of the smallest-MTU link on the path from `src` to `dst`
@@ -601,6 +624,167 @@ pub mod presets {
 mod tests {
     use super::presets::{self, Background};
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference leaf routing is held to: `compute_routes` as it
+    /// stood while every node kept a table — one BFS per source, first
+    /// hop recorded per destination, in link order.
+    fn reference_tables(t: &Topology) -> Vec<Vec<Option<LinkId>>> {
+        let n = t.nodes.len();
+        // adj[u] = (link, v) pairs.
+        let mut adj: Vec<Vec<(LinkId, usize)>> = vec![Vec::new(); n];
+        for (i, link) in t.links.iter().enumerate() {
+            adj[link.from().0].push((LinkId(i), link.to().0));
+        }
+        let mut tables = Vec::new();
+        for src in 0..n {
+            // BFS from src, recording the first hop toward each dest.
+            let mut first_hop: Vec<Option<LinkId>> = vec![None; n];
+            let mut visited = vec![false; n];
+            let mut queue = std::collections::VecDeque::new();
+            visited[src] = true;
+            for &(l, v) in &adj[src] {
+                if !visited[v] {
+                    visited[v] = true;
+                    first_hop[v] = Some(l);
+                    queue.push_back(v);
+                }
+            }
+            while let Some(u) = queue.pop_front() {
+                for &(_, v) in &adj[u] {
+                    if !visited[v] {
+                        visited[v] = true;
+                        first_hop[v] = first_hop[u];
+                        queue.push_back(v);
+                    }
+                }
+            }
+            tables.push(first_hop);
+        }
+        tables
+    }
+
+    /// `path_mtu` as it stood, reading the reference tables.
+    fn reference_path_mtu(
+        t: &Topology,
+        tables: &[Vec<Option<LinkId>>],
+        src: NodeId,
+        dst: NodeId,
+    ) -> Option<usize> {
+        let mut mtu = usize::MAX;
+        let mut at = src;
+        let mut hops = 0;
+        while at != dst {
+            let link_id = tables[at.0].get(dst.0).copied().flatten()?;
+            let link = &t.links[link_id.0];
+            mtu = mtu.min(link.params().mtu);
+            at = link.to();
+            hops += 1;
+            if hops > t.nodes.len() {
+                return None;
+            }
+        }
+        if mtu == usize::MAX {
+            None
+        } else {
+            Some(mtu)
+        }
+    }
+
+    /// Every pair, and one destination past the last node, answered as
+    /// the all-pairs tables answer it.
+    fn assert_routes_as_reference(t: &Topology) -> Result<(), TestCaseError> {
+        let tables = reference_tables(t);
+        for at in (0..t.node_count()).map(NodeId) {
+            for dst in (0..=t.node_count()).map(NodeId) {
+                let want = tables[at.0].get(dst.0).copied().flatten();
+                prop_assert_eq!(t.route(at, dst), want, "route {} -> {}", at, dst);
+                if dst.0 < t.node_count() {
+                    let want = reference_path_mtu(t, &tables, at, dst);
+                    prop_assert_eq!(t.path_mtu(at, dst), want, "mtu {} -> {}", at, dst);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn leaves(t: &Topology) -> usize {
+        let leaf = |n: &&Node| matches!(n.routes, Routes::Leaf(_));
+        t.nodes.iter().filter(leaf).count()
+    }
+
+    #[test]
+    fn every_preset_routes_as_the_all_pairs_tables_did() {
+        let bg = Background::quiet();
+        let mut topologies = vec![
+            presets::same_lan(&bg).0,
+            presets::token_ring_path(&bg).0,
+            presets::slow_link_path(&bg).0,
+        ];
+        for (n, m) in [(2, 1), (5, 1), (3, 2), (9, 4)] {
+            topologies.push(presets::same_lan_nm(&bg, n, m).0);
+            topologies.push(presets::token_ring_path_nm(&bg, n, m).0);
+            topologies.push(presets::slow_link_path_nm(&bg, n, m).0);
+        }
+        for t in &topologies {
+            assert_routes_as_reference(t).unwrap();
+        }
+        // Two hosts on one wire each have a single link, so neither is a
+        // leaf of the other; behind a bridge or a router every host is.
+        assert_eq!(leaves(&topologies[0]), 0);
+        assert_eq!(leaves(&topologies[1]), 2);
+        assert_eq!(leaves(topologies.last().unwrap()), 9 + 4);
+    }
+
+    proptest! {
+        /// Random directed graphs — isolated nodes, one-way links, parallel
+        /// links and self-loops, chains of single-link nodes hung off the
+        /// rest, two halves that never meet — route as the all-pairs
+        /// tables did, ties included.
+        #[test]
+        fn random_graphs_route_as_the_all_pairs_tables_did(
+            nodes in 1usize..12,
+            halves in any::<bool>(),
+            links in proptest::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>(), any::<bool>(), 0usize..3), 0..24),
+            chains in proptest::collection::vec((any::<prop::sample::Index>(), 1usize..4, any::<bool>()), 0..4),
+        ) {
+            // Ethernet or token ring, so the MTU along a path varies.
+            let ring = presets::token_ring_path(&Background::quiet()).0;
+            let params = |kind: usize| ring.links[2 * kind.min(1)].params().clone();
+            let mut t = Topology::new();
+            for _ in 0..nodes {
+                t.add_node("n", NodeKind::Host);
+            }
+            // With `halves`, a link stays inside its end's half.
+            let half = |i: usize| if halves { i * 2 / nodes } else { 0 };
+            for (a, b, duplex, kind) in links {
+                let (a, b) = (a.index(nodes), b.index(nodes));
+                if half(a) != half(b) {
+                    continue;
+                }
+                if duplex {
+                    t.add_duplex_link(NodeId(a), NodeId(b), params(kind));
+                } else {
+                    t.links.push(Link::new(NodeId(a), NodeId(b), params(kind)));
+                }
+            }
+            // Chains of nodes with one outgoing link each, toward the
+            // graph; the return links are there or not.
+            for (root, len, back) in chains {
+                let mut next = NodeId(root.index(nodes));
+                for _ in 0..len {
+                    let n = t.add_node("chain", NodeKind::Host);
+                    t.links.push(Link::new(n, next, params(0)));
+                    if back {
+                        t.links.push(Link::new(next, n, params(1)));
+                    }
+                    next = n;
+                }
+            }
+            t.compute_routes();
+            assert_routes_as_reference(&t)?;
+        }
+    }
 
     #[test]
     fn routes_on_chain_topology() {

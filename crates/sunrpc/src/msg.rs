@@ -3,7 +3,7 @@
 use std::fmt;
 
 use renofs_mbuf::{CopyMeter, MbufChain};
-use renofs_xdr::{XdrDecoder, XdrEncoder, XdrError};
+use renofs_xdr::{be_word, InlineStr, XdrDecoder, XdrEncoder, XdrError};
 
 use crate::RPC_VERSION;
 
@@ -47,73 +47,14 @@ impl fmt::Display for RpcError {
 impl std::error::Error for RpcError {}
 
 /// Maximum bytes of an AUTH_UNIX machine name (RFC 1057 §9.2).
-pub const MACHINE_NAME_MAX: usize = 255;
+pub const MACHINE_NAME_MAX: usize = renofs_xdr::INLINE_STR_MAX;
 
 /// Maximum supplementary groups in AUTH_UNIX credentials.
 pub const AUTH_UNIX_MAX_GIDS: usize = 16;
 
-/// A machine name stored inline, so building or decoding credentials —
+/// A machine name, stored inline so building or decoding credentials —
 /// which happens once per RPC on each side — never allocates.
-#[derive(Clone, Copy)]
-pub struct MachineName {
-    len: u8,
-    buf: [u8; MACHINE_NAME_MAX],
-}
-
-impl MachineName {
-    /// Creates a name from `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` exceeds [`MACHINE_NAME_MAX`] bytes.
-    pub fn new(s: &str) -> Self {
-        assert!(s.len() <= MACHINE_NAME_MAX, "machine name too long");
-        let mut buf = [0u8; MACHINE_NAME_MAX];
-        buf[..s.len()].copy_from_slice(s.as_bytes());
-        MachineName {
-            len: s.len() as u8,
-            buf,
-        }
-    }
-
-    /// The name as a string slice.
-    pub fn as_str(&self) -> &str {
-        std::str::from_utf8(&self.buf[..self.len as usize]).expect("constructed from valid UTF-8")
-    }
-}
-
-impl std::ops::Deref for MachineName {
-    type Target = str;
-    fn deref(&self) -> &str {
-        self.as_str()
-    }
-}
-
-impl From<&str> for MachineName {
-    fn from(s: &str) -> Self {
-        MachineName::new(s)
-    }
-}
-
-impl PartialEq for MachineName {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_str() == other.as_str()
-    }
-}
-
-impl Eq for MachineName {}
-
-impl fmt::Debug for MachineName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self.as_str(), f)
-    }
-}
-
-impl fmt::Display for MachineName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
+pub type MachineName = InlineStr;
 
 /// Supplementary group ids stored inline (the wire format caps them at
 /// [`AUTH_UNIX_MAX_GIDS`]), for the same no-allocation reason.
@@ -209,11 +150,12 @@ impl AuthUnix {
 
     fn encode(&self, enc: &mut XdrEncoder<'_>) {
         enc.put_u32(AUTH_UNIX);
-        // Body is an opaque; encode it inline with a computed length.
-        let body_len = 4 + 4 + pad4(self.machine.len()) + 4 + 4 + 4 + 4 * self.gids.len();
+        // Body is an opaque; encode it inline with a computed length:
+        // stamp, machine name, uid, gid, gid count, gids.
+        let body_len = 4 + pad4(self.machine.len()) + 4 + 4 + 4 + 4 * self.gids.len();
         enc.put_u32(body_len as u32);
         enc.put_u32(self.stamp);
-        enc.put_string(&self.machine);
+        enc.put_opaque_var(self.machine.as_bytes());
         enc.put_u32(self.uid);
         enc.put_u32(self.gid);
         enc.put_u32(self.gids.len() as u32);
@@ -223,23 +165,17 @@ impl AuthUnix {
     }
 
     fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, RpcError> {
-        let flavor = dec.get_u32()?;
-        if flavor != AUTH_UNIX {
+        // Flavor and body length.
+        let w = dec.get_array::<8>()?;
+        if be_word(&w, 0) != AUTH_UNIX {
             // Tolerate AUTH_NULL credentials.
-            let len = dec.get_u32()? as usize;
-            dec.skip_opaque_fixed(len)?;
+            dec.skip_opaque_fixed(be_word(&w, 1) as usize)?;
             return Ok(AuthUnix::root("unknown"));
         }
-        let _body_len = dec.get_u32()?;
         let stamp = dec.get_u32()?;
-        let mut name = [0u8; MACHINE_NAME_MAX];
-        let n = dec.get_opaque_var_into(&mut name, MACHINE_NAME_MAX as u32)?;
-        let machine = std::str::from_utf8(&name[..n])
-            .map_err(|_| RpcError::Xdr(XdrError::BadString))?
-            .into();
-        let uid = dec.get_u32()?;
-        let gid = dec.get_u32()?;
-        let n = dec.get_u32()?;
+        let machine = dec.get_inline_str(MACHINE_NAME_MAX as u32)?;
+        let w = dec.get_array::<12>()?;
+        let (uid, gid, n) = (be_word(&w, 0), be_word(&w, 1), be_word(&w, 2));
         if n as usize > AUTH_UNIX_MAX_GIDS {
             return Err(RpcError::Garbled);
         }
@@ -257,6 +193,7 @@ impl AuthUnix {
     }
 }
 
+/// Wire size of a counted string of `n` bytes: length word and padding.
 fn pad4(n: usize) -> usize {
     4 + n.div_ceil(4) * 4
 }
@@ -315,26 +252,26 @@ impl CallHeader {
 
     /// Decodes a call header, leaving the decoder at the arguments.
     pub fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, RpcError> {
-        let xid = dec.get_u32()?;
-        if dec.get_u32()? != MSG_CALL {
+        // xid, message type, RPC version: judged before the rest is read,
+        // so a short message in another version is still a mismatch.
+        let w = dec.get_array::<12>()?;
+        if be_word(&w, 1) != MSG_CALL {
             return Err(RpcError::Garbled);
         }
-        if dec.get_u32()? != RPC_VERSION {
+        if be_word(&w, 2) != RPC_VERSION {
             return Err(RpcError::VersionMismatch);
         }
-        let prog = dec.get_u32()?;
-        let vers = dec.get_u32()?;
-        let proc = dec.get_u32()?;
+        // Program, version, procedure.
+        let p = dec.get_array::<12>()?;
         let auth = AuthUnix::decode(dec)?;
-        // Verifier.
-        let _flavor = dec.get_u32()?;
-        let vlen = dec.get_u32()?;
-        let _ = dec.get_opaque_fixed(vlen as usize)?;
+        // Verifier: flavor and length, then a body nothing reads.
+        let v = dec.get_array::<8>()?;
+        dec.skip_opaque_fixed(be_word(&v, 1) as usize)?;
         Ok(CallHeader {
-            xid,
-            prog,
-            vers,
-            proc,
+            xid: be_word(&w, 0),
+            prog: be_word(&p, 0),
+            vers: be_word(&p, 1),
+            proc: be_word(&p, 2),
             auth,
         })
     }
@@ -403,20 +340,22 @@ impl ReplyHeader {
 
     /// Decodes a reply header, leaving the decoder at the results.
     pub fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, RpcError> {
-        let xid = dec.get_u32()?;
-        if dec.get_u32()? != MSG_REPLY {
+        // xid, message type, reply status; verifier flavor and length.
+        let w = dec.get_array::<20>()?;
+        if be_word(&w, 1) != MSG_REPLY {
             return Err(RpcError::Garbled);
         }
-        match dec.get_u32()? {
+        match be_word(&w, 2) {
             REPLY_ACCEPTED => {}
             REPLY_DENIED => return Err(RpcError::Denied),
             _ => return Err(RpcError::Garbled),
         }
-        let _flavor = dec.get_u32()?;
-        let vlen = dec.get_u32()?;
-        let _ = dec.get_opaque_fixed(vlen as usize)?;
+        dec.skip_opaque_fixed(be_word(&w, 4) as usize)?;
         let stat = AcceptStat::from_wire(dec.get_u32()?)?;
-        Ok(ReplyHeader { xid, stat })
+        Ok(ReplyHeader {
+            xid: be_word(&w, 0),
+            stat,
+        })
     }
 }
 

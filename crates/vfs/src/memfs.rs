@@ -51,8 +51,32 @@ pub type ReaddirPage = (Vec<(u32, String, InodeId)>, bool);
 
 enum Kind {
     File(Vec<u8>),
-    Dir(BTreeMap<String, InodeId>),
+    Dir(Dir),
     Symlink(String),
+}
+
+/// A directory: its entries and the running total of `16 + name.len()`
+/// over them, so its size — which every LOOKUP that scans it asks for —
+/// is not a walk of the map.
+#[derive(Default)]
+struct Dir {
+    entries: BTreeMap<String, InodeId>,
+    entry_bytes: usize,
+}
+
+impl Dir {
+    /// Enters `name`, replacing an entry of that name.
+    fn insert(&mut self, name: &str, id: InodeId) {
+        if self.entries.insert(name.to_string(), id).is_none() {
+            self.entry_bytes += 16 + name.len();
+        }
+    }
+
+    fn remove(&mut self, name: &str) {
+        if self.entries.remove(name).is_some() {
+            self.entry_bytes -= 16 + name.len();
+        }
+    }
 }
 
 struct Inode {
@@ -79,12 +103,9 @@ impl Inode {
     fn size(&self) -> u32 {
         match &self.kind {
             Kind::File(d) => d.len() as u32,
-            Kind::Dir(entries) => {
-                // Approximate on-disk directory size: 16 bytes + name per
-                // entry, in whole 512-byte chunks.
-                let raw: usize = entries.keys().map(|n| 16 + n.len()).sum::<usize>() + 32;
-                (raw.div_ceil(512) * 512) as u32
-            }
+            // Approximate on-disk directory size: 16 bytes + name per
+            // entry, in whole 512-byte chunks.
+            Kind::Dir(d) => ((d.entry_bytes + 32).div_ceil(512) * 512) as u32,
             Kind::Symlink(t) => t.len() as u32,
         }
     }
@@ -109,7 +130,7 @@ impl MemFs {
     /// (the testbed's RD53 held ~71 MB).
     pub fn with_capacity(now: SimTime, capacity_bytes: u64) -> Self {
         let root = Inode {
-            kind: Kind::Dir(BTreeMap::new()),
+            kind: Kind::Dir(Dir::default()),
             mode: 0o755,
             uid: 0,
             gid: 0,
@@ -179,14 +200,14 @@ impl MemFs {
 
     fn dir_entries(&self, dir: InodeId) -> FsResult<&BTreeMap<String, InodeId>> {
         match &self.inode(dir)?.kind {
-            Kind::Dir(entries) => Ok(entries),
+            Kind::Dir(d) => Ok(&d.entries),
             _ => Err(FsError::NotDir),
         }
     }
 
-    fn dir_entries_mut(&mut self, dir: InodeId) -> FsResult<&mut BTreeMap<String, InodeId>> {
+    fn dir_mut(&mut self, dir: InodeId) -> FsResult<&mut Dir> {
         match &mut self.inode_mut(dir)?.kind {
-            Kind::Dir(entries) => Ok(entries),
+            Kind::Dir(d) => Ok(d),
             _ => Err(FsError::NotDir),
         }
     }
@@ -383,7 +404,7 @@ impl MemFs {
             ctime: now,
             gen: 0,
         });
-        self.dir_entries_mut(dir)?.insert(name.to_string(), id);
+        self.dir_mut(dir)?.insert(name, id);
         let d = self.inode_mut(dir)?;
         d.mtime = now;
         d.ctime = now;
@@ -403,7 +424,7 @@ impl MemFs {
             return Err(FsError::Exist);
         }
         let id = self.alloc(Inode {
-            kind: Kind::Dir(BTreeMap::new()),
+            kind: Kind::Dir(Dir::default()),
             mode,
             uid: 0,
             gid: 0,
@@ -413,7 +434,7 @@ impl MemFs {
             ctime: now,
             gen: 0,
         });
-        self.dir_entries_mut(dir)?.insert(name.to_string(), id);
+        self.dir_mut(dir)?.insert(name, id);
         let d = self.inode_mut(dir)?;
         d.nlink += 1;
         d.mtime = now;
@@ -444,7 +465,7 @@ impl MemFs {
             ctime: now,
             gen: 0,
         });
-        self.dir_entries_mut(dir)?.insert(name.to_string(), id);
+        self.dir_mut(dir)?.insert(name, id);
         Ok(id)
     }
 
@@ -471,7 +492,7 @@ impl MemFs {
         if self.lookup(dir, name).is_ok() {
             return Err(FsError::Exist);
         }
-        self.dir_entries_mut(dir)?.insert(name.to_string(), target);
+        self.dir_mut(dir)?.insert(name, target);
         let t = self.inode_mut(target)?;
         t.nlink += 1;
         t.ctime = now;
@@ -487,7 +508,7 @@ impl MemFs {
         if matches!(self.inode(id)?.kind, Kind::Dir(_)) {
             return Err(FsError::IsDir);
         }
-        self.dir_entries_mut(dir)?.remove(name);
+        self.dir_mut(dir)?.remove(name);
         let freed_bytes;
         {
             let ino = self.inode_mut(id)?;
@@ -514,14 +535,14 @@ impl MemFs {
     pub fn rmdir(&mut self, dir: InodeId, name: &str, now: SimTime) -> FsResult<()> {
         let id = self.lookup(dir, name)?;
         match &self.inode(id)?.kind {
-            Kind::Dir(entries) => {
-                if !entries.is_empty() {
+            Kind::Dir(d) => {
+                if !d.entries.is_empty() {
                     return Err(FsError::NotEmpty);
                 }
             }
             _ => return Err(FsError::NotDir),
         }
-        self.dir_entries_mut(dir)?.remove(name);
+        self.dir_mut(dir)?.remove(name);
         self.slots[id.0 as usize] = None;
         let d = self.inode_mut(dir)?;
         d.nlink -= 1;
@@ -547,8 +568,8 @@ impl MemFs {
                 self.remove(tdir, tname, now)?;
             }
         }
-        self.dir_entries_mut(fdir)?.remove(fname);
-        self.dir_entries_mut(tdir)?.insert(tname.to_string(), id);
+        self.dir_mut(fdir)?.remove(fname);
+        self.dir_mut(tdir)?.insert(tname, id);
         for d in [fdir, tdir] {
             let ino = self.inode_mut(d)?;
             ino.mtime = now;

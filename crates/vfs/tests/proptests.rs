@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use renofs_sim::SimTime;
-use renofs_vfs::{FsError, MemFs};
+use renofs_vfs::{FileType, FsError, InodeId, MemFs};
 
 /// Operations the model covers.
 #[derive(Clone, Debug)]
@@ -132,6 +132,101 @@ proptest! {
             let nm = name(n);
             if !model.contains_key(&nm) {
                 prop_assert_eq!(fs.lookup(root, &nm), Err(FsError::NoEnt));
+            }
+        }
+    }
+}
+
+/// Operations that enter, replace or remove directory entries; `u8`s
+/// pick a directory and a name from small pools, so collisions (`Exist`,
+/// `NotEmpty`, renames onto existing names and onto themselves) are common.
+#[derive(Clone, Debug)]
+enum DirOp {
+    Create(u8, u8),
+    Mkdir(u8, u8),
+    Symlink(u8, u8),
+    Link(u8, u8, u8, u8),
+    Rename(u8, u8, u8, u8),
+    Remove(u8, u8),
+    Rmdir(u8, u8),
+    /// Grows a file until the 4 KB volume answers `NoSpace`.
+    Write(u8, u8),
+}
+
+fn dir_op_strategy() -> impl Strategy<Value = DirOp> {
+    let pick = any::<u8>;
+    prop_oneof![
+        3 => (pick(), pick()).prop_map(|(d, n)| DirOp::Create(d, n)),
+        2 => (pick(), pick()).prop_map(|(d, n)| DirOp::Mkdir(d, n)),
+        1 => (pick(), pick()).prop_map(|(d, n)| DirOp::Symlink(d, n)),
+        2 => (pick(), pick(), pick(), pick()).prop_map(|(a, b, c, d)| DirOp::Link(a, b, c, d)),
+        4 => (pick(), pick(), pick(), pick()).prop_map(|(a, b, c, d)| DirOp::Rename(a, b, c, d)),
+        3 => (pick(), pick()).prop_map(|(d, n)| DirOp::Remove(d, n)),
+        2 => (pick(), pick()).prop_map(|(d, n)| DirOp::Rmdir(d, n)),
+        3 => (pick(), pick()).prop_map(|(d, n)| DirOp::Write(d, n)),
+    ]
+}
+
+/// Eight names of eight lengths (1 to 113 bytes), so totals cross the
+/// 512-byte rounding both ways.
+fn entry_name(n: u8) -> String {
+    let n = usize::from(n % 8);
+    format!("{n}{}", "x".repeat(n * 16))
+}
+
+/// Every directory reachable from the root, with its entries' names.
+fn directories(fs: &MemFs) -> Vec<(InodeId, Vec<String>)> {
+    let mut found = Vec::new();
+    let mut todo = vec![fs.root()];
+    while let Some(dir) = todo.pop() {
+        let (entries, eof) = fs.readdir(dir, 0, usize::MAX).unwrap();
+        assert!(eof);
+        let is_dir = |id: &InodeId| fs.getattr(*id).unwrap().ftype == FileType::Directory;
+        todo.extend(entries.iter().map(|e| e.2).filter(is_dir));
+        found.push((dir, entries.into_iter().map(|e| e.1).collect()));
+    }
+    found
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A directory's size is kept as a running total; after every
+    /// operation, failed ones included, it is what summing the entries
+    /// gives: 16 bytes and the name each, 32 for the directory itself,
+    /// in whole 512-byte chunks.
+    #[test]
+    fn directory_sizes_match_their_entries(
+        ops in proptest::collection::vec(dir_op_strategy(), 1..160),
+    ) {
+        let t = SimTime::from_secs(1);
+        let mut fs = MemFs::with_capacity(t, 4096);
+        let mut errors = Vec::new();
+        for op in ops {
+            let dirs = directories(&fs);
+            let dir = |d: u8| dirs[usize::from(d) % dirs.len()].0;
+            let result = match op {
+                DirOp::Create(d, n) => fs.create(dir(d), &entry_name(n), 0o644, t).map(drop),
+                DirOp::Mkdir(d, n) => fs.mkdir(dir(d), &entry_name(n), 0o755, t).map(drop),
+                DirOp::Symlink(d, n) => fs.symlink(dir(d), &entry_name(n), "target", t).map(drop),
+                DirOp::Link(fd, fname, td, tn) => fs
+                    .lookup(dir(fd), &entry_name(fname))
+                    .and_then(|target| fs.link(target, dir(td), &entry_name(tn), t)),
+                DirOp::Rename(fd, fname, td, tn) => {
+                    fs.rename(dir(fd), &entry_name(fname), dir(td), &entry_name(tn), t)
+                }
+                DirOp::Remove(d, n) => fs.remove(dir(d), &entry_name(n), t),
+                DirOp::Rmdir(d, n) => fs.rmdir(dir(d), &entry_name(n), t),
+                DirOp::Write(d, n) => fs
+                    .lookup(dir(d), &entry_name(n))
+                    .and_then(|f| fs.write(f, fs.getattr(f)?.size, &[7; 3000], t))
+                    .map(drop),
+            };
+            errors.extend(result.err());
+            for (dir, names) in directories(&fs) {
+                let raw = names.iter().map(|n| 16 + n.len()).sum::<usize>() + 32;
+                let size = fs.getattr(dir).unwrap().size as usize;
+                prop_assert_eq!(size, raw.div_ceil(512) * 512, "{:?} after {:?}", dir, errors);
             }
         }
     }

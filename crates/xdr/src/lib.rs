@@ -9,11 +9,24 @@
 //! straight onto an [`MbufChain`], the decoder reads them through a
 //! [`Cursor`] without flattening the chain.
 //!
+//! `nfsm_build` takes space in the mbuf once per header and stores the
+//! words in place, where the ported library made a call per item. So
+//! does [`XdrEncoder`]: words and short opaques gather in an [`MLEN`]-byte
+//! stage that is handed to the chain in one append — when it fills,
+//! before a chain is spliced in or an opaque longer than `MLEN` goes
+//! straight through, and when the encoder is dropped. The chain cannot
+//! tell: an append of at most `MLEN` bytes fills the last mbuf's trailing
+//! space and then opens a *small* mbuf whatever it is made of, so the
+//! mbuf layout and the meter's bytes and cluster count are those of
+//! word-at-a-time appends (`tests/proptests.rs` holds the two against
+//! each other); only [`CopyMeter::ops`] falls. The decoder's counterpart
+//! is [`XdrDecoder::get_array`], a run of words for one segment lookup.
+//!
 //! All XDR items occupy a multiple of 4 bytes; integers are big-endian.
 
 use std::fmt;
 
-use renofs_mbuf::{CopyMeter, Cursor, MbufChain};
+use renofs_mbuf::{CopyMeter, Cursor, MbufChain, MLEN};
 
 /// Decoding failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,6 +69,92 @@ fn pad_len(n: usize) -> usize {
     (4 - (n % 4)) % 4
 }
 
+/// The `i`-th big-endian word of `bytes` (as [`XdrDecoder::get_array`]
+/// returns them).
+#[inline]
+pub fn be_word(bytes: &[u8], i: usize) -> u32 {
+    u32::from_be_bytes(*bytes[4 * i..].first_chunk().expect("a whole word"))
+}
+
+/// Longest string an [`InlineStr`] holds: the limit of an NFS file name
+/// and of an AUTH_UNIX machine name alike.
+pub const INLINE_STR_MAX: usize = 255;
+
+/// A counted string of at most [`INLINE_STR_MAX`] bytes stored inline, so
+/// decoding one — credentials and a LOOKUP's name, once per RPC —
+/// never allocates.
+#[derive(Clone, Copy)]
+pub struct InlineStr {
+    len: u8,
+    buf: [u8; INLINE_STR_MAX],
+}
+
+impl InlineStr {
+    /// Creates an inline copy of `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` exceeds [`INLINE_STR_MAX`] bytes.
+    pub fn new(s: &str) -> Self {
+        assert!(s.len() <= INLINE_STR_MAX, "inline string too long");
+        let mut buf = [0u8; INLINE_STR_MAX];
+        buf[..s.len()].copy_from_slice(s.as_bytes());
+        InlineStr {
+            len: s.len() as u8,
+            buf,
+        }
+    }
+
+    /// The string's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf[..self.len as usize]
+    }
+
+    /// The string slice.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("constructed from valid UTF-8")
+    }
+}
+
+impl std::ops::Deref for InlineStr {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for InlineStr {
+    fn from(s: &str) -> Self {
+        InlineStr::new(s)
+    }
+}
+
+impl PartialEq for InlineStr {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for InlineStr {}
+
+impl PartialEq<&str> for InlineStr {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl fmt::Debug for InlineStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for InlineStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 /// Appends XDR items onto an mbuf chain (the `nfsm_build` role).
 ///
 /// # Examples
@@ -69,6 +168,7 @@ fn pad_len(n: usize) -> usize {
 /// let mut enc = XdrEncoder::new(&mut chain, &mut meter);
 /// enc.put_u32(7);
 /// enc.put_string("file.txt");
+/// drop(enc);
 /// let mut dec = XdrDecoder::new(&chain);
 /// assert_eq!(dec.get_u32().unwrap(), 7);
 /// assert_eq!(dec.get_string(255).unwrap(), "file.txt");
@@ -76,17 +176,48 @@ fn pad_len(n: usize) -> usize {
 pub struct XdrEncoder<'a> {
     chain: &'a mut MbufChain,
     meter: &'a mut CopyMeter,
+    /// Items not yet appended to the chain: `buf[..staged]`.
+    buf: [u8; MLEN],
+    staged: usize,
+}
+
+impl Drop for XdrEncoder<'_> {
+    fn drop(&mut self) {
+        self.flush();
+    }
 }
 
 impl<'a> XdrEncoder<'a> {
-    /// Wraps a chain for appending.
+    /// Wraps a chain for appending. The chain holds every item once the
+    /// encoder is dropped.
     pub fn new(chain: &'a mut MbufChain, meter: &'a mut CopyMeter) -> Self {
-        XdrEncoder { chain, meter }
+        XdrEncoder {
+            chain,
+            meter,
+            buf: [0; MLEN],
+            staged: 0,
+        }
+    }
+
+    /// Hands the staged bytes to the chain in one append.
+    fn flush(&mut self) {
+        self.chain
+            .append_bytes(&self.buf[..self.staged], self.meter);
+        self.staged = 0;
+    }
+
+    /// Stages `src`, which is at most `MLEN` bytes.
+    fn stage(&mut self, src: &[u8]) {
+        if self.staged + src.len() > MLEN {
+            self.flush();
+        }
+        self.buf[self.staged..self.staged + src.len()].copy_from_slice(src);
+        self.staged += src.len();
     }
 
     /// Encodes an unsigned 32-bit integer.
     pub fn put_u32(&mut self, v: u32) {
-        self.chain.append_bytes(&v.to_be_bytes(), self.meter);
+        self.stage(&v.to_be_bytes());
     }
 
     /// Encodes a signed 32-bit integer.
@@ -96,7 +227,7 @@ impl<'a> XdrEncoder<'a> {
 
     /// Encodes an unsigned 64-bit integer (XDR hyper).
     pub fn put_u64(&mut self, v: u64) {
-        self.chain.append_bytes(&v.to_be_bytes(), self.meter);
+        self.stage(&v.to_be_bytes());
     }
 
     /// Encodes a boolean as 0/1.
@@ -106,11 +237,15 @@ impl<'a> XdrEncoder<'a> {
 
     /// Encodes fixed-length opaque data, padding to 4 bytes.
     pub fn put_opaque_fixed(&mut self, data: &[u8]) {
-        self.chain.append_bytes(data, self.meter);
-        let pad = pad_len(data.len());
-        if pad > 0 {
-            self.chain.append_bytes(&[0u8; 3][..pad], self.meter);
+        if data.len() > MLEN {
+            // Unstaged, so the chain's cluster-or-small choice sees the
+            // whole length.
+            self.flush();
+            self.chain.append_bytes(data, self.meter);
+        } else {
+            self.stage(data);
         }
+        self.stage(&[0u8; 3][..pad_len(data.len())]);
     }
 
     /// Encodes variable-length opaque data (length prefix + padding).
@@ -131,11 +266,9 @@ impl<'a> XdrEncoder<'a> {
     pub fn put_opaque_chain(&mut self, data: MbufChain) {
         let len = data.len();
         self.put_u32(len as u32);
+        self.flush();
         self.chain.append_chain(data);
-        let pad = pad_len(len);
-        if pad > 0 {
-            self.chain.append_bytes(&[0u8; 3][..pad], self.meter);
-        }
+        self.stage(&[0u8; 3][..pad_len(len)]);
     }
 }
 
@@ -175,6 +308,13 @@ impl<'a> XdrDecoder<'a> {
     /// Decodes an unsigned 32-bit integer.
     pub fn get_u32(&mut self) -> Result<u32> {
         self.cursor.read_u32().map_err(|_| XdrError::Truncated)
+    }
+
+    /// Decodes `N` bytes — a run of `N / 4` words, to be picked apart
+    /// with [`be_word`] — for one segment lookup instead of one per word.
+    pub fn get_array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        const { assert!(N.is_multiple_of(4)) };
+        self.cursor.read_array().map_err(|_| XdrError::Truncated)
     }
 
     /// Decodes a signed 32-bit integer.
@@ -252,6 +392,38 @@ impl<'a> XdrDecoder<'a> {
         Ok(len as usize)
     }
 
+    /// Decodes variable opaque data as a chain sharing the message's
+    /// clusters — [`XdrEncoder::put_opaque_chain`]'s mirror, and how a
+    /// WRITE's data leaves the request without being copied. Small-mbuf
+    /// bytes are copied and charged to `meter`.
+    pub fn get_opaque_chain(&mut self, max: u32, meter: &mut CopyMeter) -> Result<MbufChain> {
+        let len = self.get_u32()?;
+        if len > max {
+            return Err(XdrError::TooLong { got: len, max });
+        }
+        let data = self
+            .cursor
+            .share(len as usize, meter)
+            .map_err(|_| XdrError::Truncated)?;
+        self.cursor
+            .skip(pad_len(len as usize))
+            .map_err(|_| XdrError::Truncated)?;
+        Ok(data)
+    }
+
+    /// Decodes a counted string of at most `max` bytes into inline
+    /// storage (no allocation).
+    pub fn get_inline_str(&mut self, max: u32) -> Result<InlineStr> {
+        let mut s = InlineStr {
+            len: 0,
+            buf: [0; INLINE_STR_MAX],
+        };
+        let n = self.get_opaque_var_into(&mut s.buf, max)?;
+        std::str::from_utf8(&s.buf[..n]).map_err(|_| XdrError::BadString)?;
+        s.len = n as u8;
+        Ok(s)
+    }
+
     /// Decodes a counted string, rejecting lengths above `max`.
     pub fn get_string(&mut self, max: u32) -> Result<String> {
         let bytes = self.get_opaque_var(max)?;
@@ -277,8 +449,7 @@ mod tests {
     fn encode(f: impl FnOnce(&mut XdrEncoder<'_>)) -> MbufChain {
         let mut meter = CopyMeter::new();
         let mut chain = MbufChain::new();
-        let mut enc = XdrEncoder::new(&mut chain, &mut meter);
-        f(&mut enc);
+        f(&mut XdrEncoder::new(&mut chain, &mut meter));
         chain
     }
 
@@ -383,6 +554,7 @@ mod tests {
         let mut enc = XdrEncoder::new(&mut chain, &mut meter);
         enc.put_u32(99);
         enc.put_opaque_chain(data_chain);
+        drop(enc);
         // Only the two u32s were copied; the 8K rode along by reference.
         assert!(meter.bytes() < 16, "metered {} bytes", meter.bytes());
         let mut d = XdrDecoder::new(&chain);
