@@ -22,8 +22,7 @@
 //!   ablation-preload ablation-rsize ablation-readahead
 //!   ablation-readdirplus ablation-lease
 //!   all              everything above
-//!   bench            PDES / lease / shard behaviour gates (see below)
-//!   pdes-smoke       256-client carved-vs-monolithic smoke gate
+//!   bench            lease / shard behaviour gates (see below)
 //!   shard            N-client × M-server sharded-fleet sweep (writes
 //!                    BENCH_pr9.json and holds the LAN scaling gate)
 //!   shard-smoke      32-client M=1/M=2 fleet determinism smoke gate
@@ -42,19 +41,14 @@
 //!
 //! `repro bench` holds the behaviour gates that are not paper figures
 //! (host speed is measured by the package under `benchmark/`, not
-//! here). It runs the PDES crowd section (256- and 1,024-client worlds,
-//! on the single queue and carved into per-machine domains; DESIGN.md
-//! §11) and writes `BENCH_pr6.json` with `nproc`/rustc metadata, the
-//! lease section
-//! (Create-Delete write-RPC recovery vs noconsist plus a lease-soak
-//! certification) into `BENCH_pr8.json`, and the sharded N×M fleet
-//! sweep into `BENCH_pr9.json`. `repro bench --check` writes nothing:
-//! it re-runs the PDES section, the lease section and the shard gate
-//! cells, and exits nonzero if: a carved world costs more than 10% over
-//! the same world on the single queue; the two state hashes diverge;
-//! the lease mount recovers under 60% of the noconsist
-//! write-RPC reduction on any topology; the lease soak reports a
-//! violation; the committed or fresh LAN fleet fails the M=4 ≥ 2× M=1
+//! here). It writes the lease section (Create-Delete write-RPC recovery
+//! vs noconsist plus a lease-soak certification) into `BENCH_pr8.json`
+//! and the sharded N×M fleet sweep into `BENCH_pr9.json`, each with
+//! `nproc`/rustc metadata. `repro bench --check` writes nothing: it
+//! re-runs the lease section and the shard gate cells, and exits nonzero
+//! if: the lease mount recovers under 60% of the noconsist write-RPC
+//! reduction on any topology; the lease soak reports a violation; the
+//! committed or fresh LAN fleet fails the M=4 ≥ 2× M=1
 //! aggregate-throughput floor; or the shard gate cells diverge across
 //! `--jobs` settings. A committed report missing a gated section fails
 //! loudly rather than waiving the gate.
@@ -64,8 +58,8 @@ use std::time::Instant;
 use renofs_bench::experiments::{
     ablations, cd, cpu, crowd, faults, mab, servercmp, shard, soak, trace, transport,
 };
+use renofs_bench::lease;
 use renofs_bench::Scale;
-use renofs_bench::{lease, pdes};
 use renofs_workload::andrew::AndrewSpec;
 
 // With the `profile` feature, count every heap allocation so the
@@ -77,7 +71,7 @@ static ALLOC: renofs_sim::profile::CountingAlloc = renofs_sim::profile::Counting
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <experiment|all|bench|pdes-smoke|shard|shard-smoke> \
+        "usage: repro <experiment|all|bench|shard|shard-smoke> \
          [--quick | --scale quick|paper] \
          [--jobs N] [--profile] [--check] [--seeds N] \
          [--case SPEC] [--duration SECS] [--max-ops N] [--long] [--lease]"
@@ -264,9 +258,6 @@ fn run_soak_mode(opts: &Options, scale: &Scale) {
     }
 }
 
-/// Where the PDES matrix lands.
-const PDES_OUT: &str = "BENCH_pr6.json";
-
 /// Where the lease write-behind section lands.
 const LEASE_OUT: &str = "BENCH_pr8.json";
 
@@ -331,13 +322,8 @@ fn write_report(path: &str, json: String) {
 
 fn run_bench_mode(opts: &Options, scale: &Scale) {
     let scale_name = if opts.quick { "quick" } else { "paper" };
-    let pdes_report = pdes::run_pdes_section(scale, scale_name);
     let lease_report = lease::run_lease_section(scale, scale_name);
     if opts.check {
-        // The PDES gates judge the fresh cells (determinism, carved
-        // overhead), not a committed file: wall-clocks only compare
-        // within one machine and one run.
-        hold_gate("pdes", pdes_report.check());
         // The lease gate holds both the committed BENCH_pr8.json (which
         // must exist, parse, and certify a clean sweep) and the fresh
         // recovery/honesty numbers.
@@ -349,18 +335,15 @@ fn run_bench_mode(opts: &Options, scale: &Scale) {
         let committed = read_committed(SHARD_OUT, "shard", "repro shard");
         hold_gate("shard", shard::check_against(&committed, scale));
     } else {
-        write_report(PDES_OUT, pdes_report.to_json());
         write_report(LEASE_OUT, lease_report.to_json());
         let shard_report = shard::run_shard_section(scale, scale_name);
         write_report(SHARD_OUT, shard_report.to_json());
-        print!("{}", pdes_report.summary());
         print!("{}", lease_report.summary());
         print!("{}", shard_report.summary());
-        hold_gate("pdes", pdes_report.check());
         hold_gate("lease", lease_report.check());
         hold_gate("shard", shard_report.check());
         hold_gate("shard", shard::determinism_probe(scale, &shard_report));
-        eprintln!("[bench] wrote {PDES_OUT}, {LEASE_OUT} and {SHARD_OUT}");
+        eprintln!("[bench] wrote {LEASE_OUT} and {SHARD_OUT}");
     }
 }
 
@@ -462,17 +445,6 @@ fn main() {
         run_bench_mode(&opts, &scale);
         if opts.profile {
             eprint!("{}", renofs_sim::profile::report());
-        }
-        return;
-    }
-
-    if opts.what == "pdes-smoke" {
-        match pdes::pdes_smoke(&scale) {
-            Ok(msg) => eprintln!("[pdes-smoke] {msg}"),
-            Err(msg) => {
-                eprintln!("[pdes-smoke] FAIL: {msg}");
-                std::process::exit(1);
-            }
         }
         return;
     }

@@ -42,7 +42,7 @@ use renofs_sim::SimDuration;
 use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig, NhfsstoneReport};
 
 use crate::fmt::table;
-use crate::pdes::EnvMeta;
+use crate::lease::EnvMeta;
 use crate::runner::{point_seed, run_jobs, workload_seed};
 use crate::Scale;
 
@@ -229,7 +229,7 @@ fn jain(rates: &[f64]) -> f64 {
 }
 
 /// Measurement window per cell: bigger worlds get shorter windows for a
-/// comparable wall-clock budget (the same shape as the PDES matrix).
+/// comparable wall-clock budget.
 fn shard_durations(scale: &Scale, clients: usize) -> (SimDuration, SimDuration) {
     let quick = scale.duration < SimDuration::from_secs(5 * 60);
     let secs = match (quick, clients >= 512) {

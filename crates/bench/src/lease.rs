@@ -25,8 +25,49 @@
 //!    would fail here, not pass with an asterisk.
 
 use crate::experiments::{ablations, soak};
-use crate::pdes::EnvMeta;
 use crate::Scale;
+
+/// Environment metadata stamped into the lease and shard bench JSON, so
+/// committed numbers can be interpreted on a different machine.
+#[derive(Clone, Debug)]
+pub struct EnvMeta {
+    /// Hardware threads available to this process.
+    pub nproc: usize,
+    /// `rustc -V` of the toolchain on `PATH` ("unknown" if unavailable).
+    pub rustc: String,
+    /// Scale label the report was generated at.
+    pub scale: String,
+}
+
+impl EnvMeta {
+    /// Probes the current machine.
+    pub fn detect(scale_name: &str) -> Self {
+        let nproc = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        let rustc = std::process::Command::new("rustc")
+            .arg("-V")
+            .output()
+            .ok()
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_string());
+        EnvMeta {
+            nproc,
+            rustc,
+            scale: scale_name.to_string(),
+        }
+    }
+
+    /// Renders the flat `"env"` object.
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{ \"nproc\": {}, \"rustc\": \"{}\", \"scale\": \"{}\" }}",
+            self.nproc, self.rustc, self.scale
+        )
+    }
+}
 
 /// Extracts the number following `"key":` inside the (flat) object that
 /// follows the first occurrence of `"section"` in `json`. Only parses

@@ -10,7 +10,6 @@
 pub mod experiments;
 pub mod fmt;
 pub mod lease;
-pub mod pdes;
 pub mod runner;
 
 pub use experiments::scale::Scale;

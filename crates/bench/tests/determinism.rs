@@ -4,6 +4,7 @@
 
 use renofs_bench::experiments::{cd, crowd, faults, soak, transport};
 use renofs_bench::Scale;
+use renofs_sim::SimDuration;
 
 fn quick_subset() -> Scale {
     let mut scale = Scale::quick();
@@ -110,4 +111,33 @@ fn table5_is_byte_identical_across_worker_counts() {
     scale.jobs = 4;
     let parallel = cd::table5(&scale).to_string();
     assert_eq!(serial, parallel);
+}
+
+/// Lease worlds across `--jobs`: write-behind and recall servicing add
+/// client-side state (the lease map, the recall queue, retry sleeps)
+/// whose iteration order must stay deterministic for the rendered report
+/// — lease-traffic columns included — to come out the same byte for byte.
+#[test]
+fn lease_soak_output_is_byte_identical_across_the_matrix() {
+    let render = |jobs: usize| {
+        let mut scale = Scale::quick();
+        scale.duration = SimDuration::from_secs(4);
+        scale.warmup = SimDuration::from_secs(1);
+        scale.nfiles = 12;
+        scale.jobs = jobs;
+        soak::soak_profile_with(&scale, 0, 2, soak::Mutation::None, soak::SoakProfile::Lease)
+            .to_string()
+    };
+    let baseline = render(1);
+    assert!(
+        baseline.contains("recall"),
+        "lease report must carry lease columns: {baseline}"
+    );
+    for jobs in [2usize, 4] {
+        assert_eq!(
+            render(jobs),
+            baseline,
+            "lease soak output diverged at jobs={jobs}"
+        );
+    }
 }

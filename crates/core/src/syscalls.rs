@@ -36,7 +36,7 @@ pub type RpcResult = Result<MbufChain, RpcError>;
 /// Primitives the simulated machine provides to the client.
 ///
 /// Under [`World`](crate::world::World) the caller is a *proc*, not a
-/// thread: it runs on the thread that runs its machine's events, sees that
+/// thread: it runs on the thread that runs the world's events, sees that
 /// thread's thread-locals, and while it is suspended in a call other procs
 /// run there. Holding a lock across a call that another proc will want
 /// deadlocks, as it always did under strict hand-off.

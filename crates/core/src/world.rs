@@ -4,8 +4,8 @@
 //! joined by a simulated internetwork, per-client RPC transports
 //! (UDP-fixed, UDP-dynamic or TCP), and the NFS server. Workload code
 //! runs in natural blocking style against the [`Syscalls`] trait, each
-//! proc a stackful coroutine (`crate::coro`) on the thread that runs its
-//! client machine's events: the event loop switches to a proc to resume
+//! proc a stackful coroutine (`crate::coro`) on the thread that runs the
+//! world's events: the event loop switches to a proc to resume
 //! it and the proc switches back when a call must block, so exactly one
 //! of them runs at any instant — strict hand-off, which is what keeps the
 //! run deterministic — and no other thread is involved. A proc crosses to
@@ -18,22 +18,18 @@
 //! retransmission flows through this loop, which is what lets the bench
 //! harnesses reproduce the paper's graphs.
 //!
-//! # One set of handlers, two world shapes
+//! # One event queue, two sides
 //!
-//! What a machine does with an event is written once. `ClientCtx` holds
-//! a client machine's handlers (syscalls, RPC issue and completion,
-//! transport timers, arriving datagrams) and `Hub` the network's and the
-//! server machines' (frames, the nfsd pool, crashes); each touches only
-//! its own side's state, and the two sides meet through `Ev::Send`
-//! frames — a TCP mount included, each end of which lives with the
-//! machine that runs it. A world's shape only decides which queue an
-//! event is pushed on, which scheduler resumes a proc and which network
-//! carries a frame. The single-queue loop (`run_single`, `step`) runs
-//! every machine off `doms[0]` with one proc scheduler, and its hub's
-//! network reaches the client machines, so the hub hands their datagrams
-//! back. A carved world (DESIGN.md §11) gives each client machine a queue,
-//! a scheduler and its access links, and one loop (`run_carved`) runs the
-//! globally earliest event of all the queues. Both produce the same bytes.
+//! Every world, whatever its size, transport or fault plan, runs one
+//! event queue and one proc scheduler (DESIGN.md §11 says why there is
+//! no second loop). `ClientCtx` holds a client machine's handlers
+//! (syscalls, RPC issue and completion, transport timers, arriving
+//! datagrams) and `Hub` the network's and the server machines' (frames,
+//! the nfsd pool, crashes); each touches only its own side's state, and
+//! the two sides meet through `Ev::Send` frames — a TCP mount included,
+//! each end of which lives with the machine that runs it. The hub's
+//! network reaches the client machines too, so it hands back the
+//! datagrams that complete at one.
 //!
 //! # Clients
 //!
@@ -63,9 +59,7 @@
 //! client keeps one transport *per server* — independent XID streams
 //! and RTO state per (client, server) pair — and addresses RPCs with
 //! [`Syscalls::rpc_to`]. An M = 1 world is byte-identical to the
-//! pre-shard single-server world. In a carved world the whole fleet lives
-//! in the hub domain (the servers share the trunk, so they share its
-//! queue), and the carve must be legal toward every server.
+//! pre-shard single-server world.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -74,13 +68,12 @@ use std::rc::Rc;
 use renofs_mbuf::{CopyMeter, MbufChain};
 use renofs_netsim::topology::presets::{self, Background};
 use renofs_netsim::{
-    AccessNet, Datagram, Delivery, FaultPlan, NetEvent, NetOutput, NetStats, Network, NodeId,
-    ProtoHeader, IP_HEADER, TCP_HEADER,
+    Datagram, Delivery, FaultPlan, NetEvent, NetOutput, NetStats, Network, NodeId, ProtoHeader,
+    IP_HEADER, TCP_HEADER,
 };
 use renofs_sim::cpu::CpuCategory;
-use renofs_sim::pdes::{DomainQ, Heads};
 use renofs_sim::stats::Running;
-use renofs_sim::{profile, IntMap, SimDuration, SimTime};
+use renofs_sim::{profile, EventQueue, IntMap, SimDuration, SimTime};
 use renofs_sunrpc::{frame_record, peek_xid_kind, MsgKind, RecordReader, NFS_PORT};
 use renofs_transport::{
     TcpConfig, TcpConn, TcpOut, TcpSegment, UdpAction, UdpRpcClient, UdpRpcConfig, UdpStats,
@@ -226,10 +219,6 @@ pub struct WorldConfig {
     pub faults: FaultPlan,
     /// Hard/soft mount semantics for the UDP transports.
     pub mount: MountOptions,
-    /// Refuses the per-machine domain partition even when it is legal,
-    /// keeping the single global event queue (trace recorders and A/B
-    /// overhead baselines use this).
-    pub force_monolithic: bool,
 }
 
 impl WorldConfig {
@@ -252,7 +241,6 @@ impl WorldConfig {
             seed: 42,
             faults: FaultPlan::new(),
             mount: MountOptions::hard(),
-            force_monolithic: false,
         }
     }
 }
@@ -340,8 +328,8 @@ enum Ev {
         server: usize,
     },
     /// A console note whose time is known at construction (crash/reboot
-    /// observations), pre-scheduled on the queue that runs `client` so the
-    /// hub's crash handler never has to reach into client state.
+    /// observations), pre-scheduled for `client` so the hub's crash handler
+    /// never has to reach into client state.
     Note {
         client: usize,
         kind: ClientEventKind,
@@ -352,8 +340,8 @@ enum Ev {
 const _: () = assert!(size_of::<Ev>() <= 96);
 
 impl Ev {
-    /// Counts this popped event in the `--profile` census (every engine's
-    /// pop calls it; nothing without the `profile` feature).
+    /// Counts this popped event in the `--profile` census (nothing without
+    /// the `profile` feature).
     #[inline]
     fn census(&self) {
         let kind = match self {
@@ -488,7 +476,7 @@ struct ProcCell {
     /// The proc's requests in issue order: posted ones, then the call that
     /// crossed.
     posts: RefCell<VecDeque<Req>>,
-    /// What resumes the proc: the domain clock and the reply to the call
+    /// What resumes the proc: the world clock and the reply to the call
     /// it crossed with.
     reply: Cell<Option<(SimTime, Resp)>>,
 }
@@ -512,7 +500,7 @@ impl ProcPort {
     /// The next request of a suspended proc. While its post box holds
     /// requests the proc stays suspended and `resp` (the `Unit` of a posted
     /// request) is dropped; once the box is empty `resp` resumes the proc,
-    /// stamped with the domain `clock`, and it runs until it crosses again
+    /// stamped with the world `clock`, and it runs until it crosses again
     /// or ends — normally or by a panic, kept for `run` — which queues
     /// `Finished` behind whatever it had posted.
     fn next_req(&mut self, clock: SimTime, resp: Resp) -> Req {
@@ -541,19 +529,15 @@ enum TicketHolder {
     Issuing(usize),
 }
 
-/// A proc scheduler: the ports of the procs it runs, the FIFO of those
-/// ready to resume, and the ticket tables of their asynchronous RPCs. A
-/// single-queue world holds one — proc ids and tickets are world-wide
-/// and procs of every client resume from the one FIFO in wake-up order —
-/// and a carved world holds one per client domain, with domain-local ids.
-/// Workloads treat ids and tickets as opaque either way.
+/// The proc scheduler: the ports of every proc in the world, the FIFO of
+/// those ready to resume (procs of every client, in wake-up order), and
+/// the ticket tables of their asynchronous RPCs. Proc ids and tickets are
+/// world-wide; workloads treat both as opaque.
 struct Sched {
     ports: Vec<ProcPort>,
     ready: VecDeque<(usize, Resp)>,
     /// Procs that have not finished.
     live: usize,
-    /// Event time of the most recent proc finish.
-    last_finish: SimTime,
     tickets_done: HashMap<u64, RpcResult>,
     ticket_waiters: HashMap<u64, TicketHolder>,
     forgotten: HashSet<u64>,
@@ -569,7 +553,6 @@ impl Sched {
             ports: Vec::new(),
             ready: VecDeque::new(),
             live: 0,
-            last_finish: SimTime::ZERO,
             tickets_done: HashMap::new(),
             ticket_waiters: HashMap::new(),
             forgotten: HashSet::new(),
@@ -595,14 +578,14 @@ impl Sched {
 
 /// The syscall endpoint handed to each workload proc.
 ///
-/// A proc is a coroutine on the thread that runs its client machine's
-/// events, not a thread of its own: a call that blocks suspends it there
-/// and the event loop carries on. So a `WorldSys` is `!Send`, a proc sees
-/// that thread's thread-locals (the mbuf free lists among them), and a
-/// lock held across a syscall that another proc then wants deadlocks —
-/// as it always did under strict hand-off.
+/// A proc is a coroutine on the thread that runs the world's events, not
+/// a thread of its own: a call that blocks suspends it there and the event
+/// loop carries on. So a `WorldSys` is `!Send`, a proc sees that thread's
+/// thread-locals (the mbuf free lists among them), and a lock held across
+/// a syscall that another proc then wants deadlocks — as it always did
+/// under strict hand-off.
 ///
-/// [`now`](Syscalls::now) is answered from `clock`, the domain clock
+/// [`now`](Syscalls::now) is answered from `clock`, the world clock
 /// stamped on the reply that last resumed this proc. That value is exact,
 /// not a cache that can go stale: virtual time advances only when the
 /// event loop pops an event, and the loop is inside this proc's resume
@@ -715,7 +698,7 @@ impl Syscalls for WorldSys {
     }
 }
 
-/// Immutable per-client addressing facts the server domain needs to build
+/// Immutable per-client addressing facts the server side needs to build
 /// replies (node, port, per-server path MTU) without touching
 /// client-owned state.
 #[derive(Clone)]
@@ -752,13 +735,10 @@ struct ServerRt {
     conns: Vec<TcpEnd>,
 }
 
-/// The server-side simulation domain: the shared internetwork (minus
-/// any carved client access links) and every server machine of the
-/// fleet. In a carved world this is everything domain 0 owns (the
-/// shards share the trunk, so they share one queue). A
-/// single-queue world runs the same handlers; there the network still
-/// includes the clients' access links, so its final hops toward a client
-/// happen here and the completed datagrams are handed back.
+/// The server side of the world: the internetwork and every server
+/// machine of the fleet. The network reaches the client machines too, so
+/// its final hops toward a client happen here and the completed datagrams
+/// are handed back.
 struct Hub {
     net: Network,
     servers: Vec<ServerRt>,
@@ -768,47 +748,12 @@ struct Hub {
     metas: Vec<ClientMeta>,
     /// nfsd daemon contexts per server (0 = unbounded).
     nfsds: usize,
-    /// Whether the client machines run in domains of their own.
-    carved: bool,
-    /// Carved worlds: network events that land on a client machine's node,
-    /// as `(client, time, key, event)` — keyed here, the creator, and
-    /// queued in that client's domain.
-    frames: Vec<(usize, SimTime, u64, Ev)>,
-    /// Single-queue worlds: datagrams that completed at a client machine,
-    /// for the event loop to hand to that client. Both buffers are drained
-    /// after each hub event by the loop that ran it and keep their capacity.
+    /// Datagrams that completed at a client machine, for the event loop to
+    /// hand to that client: drained after each hub event, capacity kept.
     deliveries: Vec<(usize, Delivery)>,
     /// Reusable network-step output: drained after every absorb, so the
     /// per-hop path allocates nothing once the vectors reach working size.
     net_out: NetOutput,
-}
-
-/// One client machine's simulation domain in a carved world: its access
-/// network, private proc scheduler and a reusable network-step buffer.
-struct ClientDom {
-    access: AccessNet,
-    sched: Sched,
-    net_out: NetOutput,
-}
-
-/// Carved-world state: the per-client domains and the finish clock.
-struct Partition {
-    cdoms: Vec<ClientDom>,
-    /// Event time at which the last workload proc finished — what the
-    /// single-queue loop's clock reads when `run` returns.
-    finish: SimTime,
-}
-
-/// Who schedules the procs and which queues their events ride on. The
-/// handlers ([`ClientCtx`], [`Hub`]) are the same under both.
-// One per world.
-#[allow(clippy::large_enum_variant)]
-enum Engine {
-    /// One queue (`doms[0]`), one scheduler for every client's procs.
-    Single(Sched),
-    /// A queue and a scheduler per client machine, the hub on `doms[0]`;
-    /// the globally earliest event runs next.
-    Carved(Partition),
 }
 
 /// The simulation world.
@@ -822,14 +767,11 @@ enum Engine {
 /// ```
 pub struct World {
     cfg: WorldConfig,
-    /// Per-domain event queues. `doms[0]` is the hub (server) domain; a
-    /// single-queue world has only that entry and its plain-counter keys
-    /// reproduce the historical single-queue order exactly. Carved
-    /// worlds add one domain per client at `1 + client index`.
-    doms: Vec<DomainQ<Ev>>,
+    /// Every machine's pending events.
+    queue: EventQueue<Ev>,
     hub: Hub,
     clients: Vec<ClientRt>,
-    engine: Engine,
+    sched: Sched,
     /// Procs spawned so far.
     spawned: usize,
     started: bool,
@@ -840,8 +782,8 @@ pub struct World {
 /// instead of re-growing them from empty every time.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WorldScratch {
-    /// Peak event-queue depth observed; the next world's hub queue is
-    /// created with room for this many pending events.
+    /// Peak event-queue depth observed; the next world's queue is created
+    /// with room for this many pending events.
     pub queue_cap: usize,
     /// Peak network-output event burst observed.
     pub net_events_cap: usize,
@@ -850,9 +792,7 @@ pub struct WorldScratch {
 impl WorldScratch {
     /// Folds a finished world's high-water marks into the hints.
     pub fn observe(&mut self, world: &World) {
-        for dq in &world.doms {
-            self.queue_cap = self.queue_cap.max(dq.peak_depth());
-        }
+        self.queue_cap = self.queue_cap.max(world.queue.peak_depth());
         self.net_events_cap = self.net_events_cap.max(world.hub.net_out.events.capacity());
     }
 }
@@ -977,41 +917,8 @@ impl World {
                 mtus: c.mtus.clone(),
             })
             .collect();
-        // Per-machine domain partition: legal only when every client's
-        // access network carves cleanly toward every server (draw-free
-        // uplink, corruption-free reply paths) so the hub RNG stream is
-        // untouched, there are at least two clients to separate, and the
-        // transport is UDP (the TCP handshake below is pumped through the
-        // single queue).
-        let carves =
-            if !cfg.force_monolithic && n >= 2 && !matches!(cfg.transport, TransportKind::Tcp) {
-                client_nodes
-                    .iter()
-                    .map(|&c| net.carve_access_multi(c, &server_nodes))
-                    .collect::<Option<Vec<_>>>()
-            } else {
-                None
-            };
-        let mut doms = vec![DomainQ::with_capacity(0, scratch.queue_cap)];
-        let engine = match carves {
-            Some(carves) => Engine::Carved(Partition {
-                cdoms: carves
-                    .into_iter()
-                    .map(|carve| {
-                        doms.push(DomainQ::new(doms.len() as u32));
-                        ClientDom {
-                            access: carve.access,
-                            sched: Sched::new(),
-                            net_out: NetOutput::default(),
-                        }
-                    })
-                    .collect(),
-                finish: SimTime::ZERO,
-            }),
-            None => Engine::Single(Sched::new()),
-        };
-        let carved = matches!(engine, Engine::Carved(_));
         let mut world = World {
+            queue: EventQueue::with_capacity(scratch.queue_cap),
             hub: Hub {
                 net,
                 servers,
@@ -1022,8 +929,6 @@ impl World {
                 node_client,
                 metas,
                 nfsds: cfg.nfsds,
-                carved,
-                frames: Vec::new(),
                 deliveries: Vec::new(),
                 net_out: NetOutput {
                     events: Vec::with_capacity(scratch.net_events_cap),
@@ -1031,19 +936,17 @@ impl World {
                 },
             },
             cfg,
-            doms,
             clients,
-            engine,
+            sched: Sched::new(),
             spawned: 0,
             started: false,
         };
         // Fault-plan crashes hit server 0 (the paper's box; sharded
         // worlds crash their primary shard). What each client's console
         // prints about them has statically known times, so it is scheduled
-        // here, on the queue that runs the client, and the hub's crash
-        // handler stays domain-local.
+        // here and the hub's crash handler stays on the server side.
         for (at, downtime) in world.cfg.faults.server_crashes() {
-            world.doms[0].push(
+            world.queue.push(
                 at,
                 Ev::ServerCrash {
                     server: 0,
@@ -1051,12 +954,11 @@ impl World {
                 },
             );
             for client in 0..n {
-                let dq = &mut world.doms[if carved { 1 + client } else { 0 }];
                 for (when, kind) in [
                     (at, ClientEventKind::ServerCrashed),
                     (at + downtime, ClientEventKind::ServerRebooted),
                 ] {
-                    dq.push(when, Ev::Note { client, kind });
+                    world.queue.push(when, Ev::Note { client, kind });
                 }
             }
         }
@@ -1070,38 +972,21 @@ impl World {
         world
     }
 
-    /// Whether this world runs as per-machine domains (true) or as one
-    /// global event queue (false).
-    pub fn is_partitioned(&self) -> bool {
-        matches!(self.engine, Engine::Carved(_))
-    }
-
-    /// The one scheduler of a single-queue world.
-    fn sched(&mut self) -> &mut Sched {
-        match &mut self.engine {
-            Engine::Single(sched) => sched,
-            Engine::Carved(_) => unreachable!("a carved world schedules procs per client domain"),
-        }
-    }
-
-    /// The handlers of client `ci` over the single queue.
+    /// The handlers of client `ci`.
     fn ctx(&mut self, ci: usize) -> ClientCtx<'_> {
-        let Engine::Single(sched) = &mut self.engine else {
-            unreachable!("a carved world builds its contexts per domain")
-        };
         ClientCtx {
             ci,
             rt: &mut self.clients[ci],
-            sched,
-            dq: &mut self.doms[0],
+            sched: &mut self.sched,
+            queue: &mut self.queue,
             smap: &self.hub.smap,
         }
     }
 
-    /// Opens client `ci`'s connection to server `sj`, pumping the single
-    /// queue until both ends are established.
+    /// Opens client `ci`'s connection to server `sj`, pumping the queue
+    /// until both ends are established.
     fn tcp_connect(&mut self, ci: usize, sj: usize) {
-        let now = self.doms[0].clock();
+        let now = self.queue.now();
         let (conn, out) = TcpConn::client(tcp_config(self.clients[ci].mtus[sj]), 11_000, now);
         self.clients[ci].tcp(sj).expect("a TCP mount").conn = conn;
         self.ctx(ci).tcp_out(sj, out, now);
@@ -1145,28 +1030,19 @@ impl World {
         self.hub.servers.len()
     }
 
-    /// Lifetime queue counters over *every* domain: `(events popped,
-    /// summed; peak pending depth, the deepest single domain)`.
+    /// Lifetime queue counters: `(events popped, peak pending depth)`.
     pub fn queue_stats(&self) -> (u64, usize) {
-        let pops = self.doms.iter().map(|d| d.pops()).sum();
-        let peak = self.doms.iter().map(|d| d.peak_depth()).max().unwrap_or(0);
-        (pops, peak)
+        (self.queue.pops(), self.queue.peak_depth())
     }
 
     /// Starts recording event-queue operations (for replay benchmarks).
-    ///
-    /// Records domain 0 only — the whole queue of a monolithic world, the
-    /// hub's (server-side) queue of a partitioned one, where the client
-    /// domains' operations are not in the stream.
-    /// [`queue_stats`](Self::queue_stats) covers every domain, so on a
-    /// partitioned world its pop count exceeds the trace's.
     pub fn start_queue_trace(&mut self) {
-        self.doms[0].start_trace();
+        self.queue.start_trace();
     }
 
-    /// Stops recording and returns domain 0's queue operation stream.
+    /// Stops recording and returns the queue operation stream.
     pub fn take_queue_trace(&mut self) -> Vec<renofs_sim::queue::QueueOp> {
-        self.doms[0].take_trace()
+        self.queue.take_trace()
     }
 
     /// Read access to server 0.
@@ -1214,16 +1090,9 @@ impl World {
         &self.clients[ci].host
     }
 
-    /// Network statistics. A partitioned world folds each client domain's
-    /// access-network shard into the hub's totals.
+    /// Network statistics.
     pub fn net_stats(&self) -> NetStats {
-        let mut s = self.hub.net.stats();
-        if let Engine::Carved(p) = &self.engine {
-            for cd in &p.cdoms {
-                s.absorb(&cd.access.stats());
-            }
-        }
-        s
+        self.hub.net.stats()
     }
 
     /// Client 0's UDP transport statistics, if the mount uses UDP.
@@ -1288,14 +1157,10 @@ impl World {
         }
     }
 
-    /// Current virtual time. For a carved world after `run`, this is the
-    /// event time of the last workload-proc finish — the same instant the
-    /// single queue's clock stops at.
+    /// Current virtual time: after `run`, the event time of the last
+    /// workload-proc finish.
     pub fn now(&self) -> SimTime {
-        match &self.engine {
-            Engine::Carved(p) => p.finish,
-            Engine::Single(_) => self.doms[0].clock(),
-        }
+        self.queue.now()
     }
 
     /// Client 0's timestamped console-event log (`server not
@@ -1340,13 +1205,7 @@ impl World {
             !self.started,
             "spawn every proc before the world first runs: procs are released once"
         );
-        // A carved world schedules each proc through its client domain's
-        // scheduler under a domain-local id; a single-queue world has one
-        // scheduler and world-wide ids.
-        let sched = match &mut self.engine {
-            Engine::Carved(p) => &mut p.cdoms[client].sched,
-            Engine::Single(sched) => sched,
-        };
+        let sched = &mut self.sched;
         let id = sched.ports.len();
         let cell = Rc::new(ProcCell {
             // Sized once, here: a box never holds more than a full post
@@ -1381,59 +1240,42 @@ impl World {
     /// finishes). Used by harnesses that reset CPU accounting after a
     /// warm-up interval. [`World::run`] must still be called afterwards.
     pub fn run_until(&mut self, t: SimTime) {
-        assert!(
-            !self.is_partitioned(),
-            "run_until requires a monolithic world (warm-up harnesses run single-client worlds)"
-        );
-        self.run_single(Some(t));
+        self.run_to(Some(t));
     }
 
     /// Runs the world until every workload proc has finished.
     pub fn run(&mut self) {
-        if self.is_partitioned() {
-            self.run_carved();
-        } else {
-            self.run_single(None);
-        }
+        self.run_to(None);
         // Re-raise a workload panic (the first in spawn order) so tests
         // fail loudly instead of reporting half a run.
-        let scheds: Vec<&mut Sched> = match &mut self.engine {
-            Engine::Single(sched) => vec![sched],
-            Engine::Carved(p) => p.cdoms.iter_mut().map(|cd| &mut cd.sched).collect(),
-        };
-        let ports = scheds.into_iter().flat_map(|sched| &mut sched.ports);
+        let ports = self.sched.ports.iter_mut();
         let first = ports.filter(|p| p.panic.is_some()).min_by_key(|p| p.seq);
         if let Some(payload) = first.and_then(|p| p.panic.take()) {
             std::panic::resume_unwind(payload);
         }
     }
 
-    // ----- the single-queue engine -----------------------------------------
-
-    /// The single-queue scheduler: strict hand-off between the event loop
-    /// and exactly one running workload proc, the ready FIFO draining
-    /// before each pop, until every proc has finished or the next event
-    /// lies past `until`.
-    fn run_single(&mut self, until: Option<SimTime>) {
+    /// The event loop: strict hand-off between the loop and exactly one
+    /// running workload proc, the ready FIFO draining before each pop,
+    /// until every proc has finished or the next event lies past `until`.
+    /// The run ends the moment the last proc finishes; whatever is still
+    /// queued (stale timers, duplicates at a server) is never run.
+    fn run_to(&mut self, until: Option<SimTime>) {
         if !self.started {
             self.started = true;
-            self.sched().release();
+            self.sched.release();
         }
         loop {
-            let sched = self.sched();
-            if let Some((tid, resp)) = sched.ready.pop_front() {
-                let ci = sched.ports[tid].client;
+            if let Some((tid, resp)) = self.sched.ready.pop_front() {
+                let ci = self.sched.ports[tid].client;
                 self.ctx(ci).resume(tid, resp);
                 continue;
             }
-            if sched.live == 0 {
+            if self.sched.live == 0 {
                 return;
             }
-            if let Some(t) = until {
-                match self.doms[0].peek() {
-                    Some((next, _)) if next <= t => {}
-                    _ => return,
-                }
+            if until.is_some_and(|t| self.queue.peek().is_none_or(|next| next > t)) {
+                return;
             }
             assert!(
                 self.step(),
@@ -1442,17 +1284,16 @@ impl World {
         }
     }
 
-    /// Pops the single queue's next event and hands it to the machine that
-    /// owns it; false when the queue is empty. The hub's network here
-    /// reaches the client machines too, so it hands back the datagrams
-    /// that completed at one.
+    /// Pops the next event and hands it to the machine that owns it; false
+    /// when the queue is empty. The hub's network reaches the client
+    /// machines too, so it hands back the datagrams that completed at one.
     fn step(&mut self) -> bool {
-        let Some((now, _, ev)) = self.doms[0].pop() else {
+        let Some((now, ev)) = self.queue.pop() else {
             return false;
         };
         ev.census();
         let ci = match &ev {
-            Ev::Wake(tid, _) => self.sched().ports[*tid].client,
+            Ev::Wake(tid, _) => self.sched.ports[*tid].client,
             Ev::AsyncDone { client, .. }
             | Ev::UdpTimer { client, .. }
             | Ev::TcpTimer {
@@ -1462,7 +1303,7 @@ impl World {
             }
             | Ev::Note { client, .. } => *client,
             _ => {
-                self.hub.handle_event(&mut self.doms[0], now, ev);
+                self.hub.handle_event(&mut self.queue, now, ev);
                 let mut handed = std::mem::take(&mut self.hub.deliveries);
                 for (ci, d) in handed.drain(..) {
                     self.ctx(ci).deliver(now, d);
@@ -1473,75 +1314,6 @@ impl World {
         };
         self.ctx(ci).handle_event(now, ev);
         true
-    }
-
-    // ----- the carved world's loop -----------------------------------------
-
-    /// Runs a carved world to completion: each turn runs the globally
-    /// earliest event — the least `(time, key)` among the heads of the
-    /// hub's queue and every client machine's — on the machine that owns
-    /// it, and moves what it sent to another machine into that machine's
-    /// queue under the creator's key. One event per turn, however far the
-    /// winner's next head lies below the runner-up's: its own emission can
-    /// reach another machine and come back sooner than that. A crossing
-    /// takes at least a nanosecond (`renofs_sim::pdes`), which is what makes
-    /// this order each machine's own `(time, key)` order and so the
-    /// single-queue loop's bytes.
-    fn run_carved(&mut self) {
-        let Engine::Carved(part) = &mut self.engine else {
-            unreachable!("single-queue worlds run through run_single")
-        };
-        let (hub, cdoms) = (&mut self.hub, &mut part.cdoms);
-        let (hub_dq, dqs) = self.doms.split_first_mut().expect("the hub's queue");
-        if !self.started {
-            self.started = true;
-            // Every proc runs to its first block before the first pop, as
-            // in the single-queue loop.
-            for (ci, cd) in cdoms.iter_mut().enumerate() {
-                cd.sched.release();
-                let ctx = ClientCtx {
-                    ci,
-                    rt: &mut self.clients[ci],
-                    sched: &mut cd.sched,
-                    dq: &mut dqs[ci],
-                    smap: &hub.smap,
-                };
-                ctx.run_ready();
-            }
-        }
-        // Leaf `d` follows the head of `doms[d]`.
-        let mut heads = Heads::new(1 + dqs.len());
-        heads.set(0, hub_dq.peek());
-        for (ci, dq) in dqs.iter().enumerate() {
-            heads.set(1 + ci, dq.peek());
-        }
-        let mut live: usize = cdoms.iter().map(|cd| cd.sched.live).sum();
-        // The run ends the moment the last proc finishes; whatever is still
-        // queued (stale timers, duplicates at a server) is never run.
-        while live > 0 {
-            let d = heads
-                .min()
-                .expect("deadlock: procs blocked with no pending events");
-            if d == 0 {
-                let (now, _, ev) = hub_dq.pop().expect("the head that won");
-                ev.census();
-                hub.handle_event(hub_dq, now, ev);
-                for (ci, t, key, ev) in hub.frames.drain(..) {
-                    dqs[ci].push_incoming(t, key, ev);
-                    heads.set(1 + ci, dqs[ci].peek());
-                }
-            } else {
-                let (ci, cd) = (d - 1, &mut cdoms[d - 1]);
-                let before = cd.sched.live;
-                let rt = &mut self.clients[ci];
-                cd.step(ci, rt, &mut dqs[ci], &hub.smap, hub_dq);
-                live -= before - cd.sched.live;
-                heads.set(d, dqs[ci].peek());
-            }
-            heads.set(0, hub_dq.peek());
-        }
-        let finishes = cdoms.iter().map(|cd| cd.sched.last_finish);
-        part.finish = finishes.max().expect("a carved world has clients");
     }
 }
 
@@ -1563,36 +1335,26 @@ fn tcp_frame(src: (NodeId, u16), dst: (NodeId, u16), seg: TcpSegment) -> Ev {
 }
 
 /// One client machine's handlers — syscalls, RPC issue and completion,
-/// transport timers, arriving datagrams — over the state an engine lends
-/// them: the machine, the scheduler of its procs and the queue its events
-/// ride on. The single-queue loop builds one per event over the world's
-/// one scheduler and `doms[0]`; a carved world builds one per event over
-/// the domain's own. Nothing here touches a server machine: what goes to
-/// one leaves as an `Ev::Send` frame.
+/// transport timers, arriving datagrams — over the state the world lends
+/// them for one event: the machine, the proc scheduler and the event
+/// queue. Nothing here touches a server machine: what goes to one leaves
+/// as an `Ev::Send` frame.
 struct ClientCtx<'a> {
     ci: usize,
     rt: &'a mut ClientRt,
     sched: &'a mut Sched,
-    dq: &'a mut DomainQ<Ev>,
+    queue: &'a mut EventQueue<Ev>,
     smap: &'a ServerMap,
 }
 
 impl ClientCtx<'_> {
-    /// Resumes every ready proc of a carved domain, in wake-up order (each
-    /// runs on this machine).
-    fn run_ready(mut self) {
-        while let Some((tid, resp)) = self.sched.ready.pop_front() {
-            self.resume(tid, resp);
-        }
-    }
-
     /// Services a suspended proc's requests, resuming it with `resp` once
     /// none is left in its post box, until a request blocks it in virtual
     /// time (or it finishes).
     fn resume(&mut self, tid: usize, mut resp: Resp) {
         let _sp = profile::span(profile::Subsystem::Client);
         loop {
-            let req = self.sched.ports[tid].next_req(self.dq.clock(), resp);
+            let req = self.sched.ports[tid].next_req(self.queue.now(), resp);
             resp = match req {
                 Req::Flush => Resp::Unit,
                 Req::PollTicket(t) => Resp::MaybeChain(self.sched.tickets_done.remove(&t)),
@@ -1603,8 +1365,8 @@ impl ClientCtx<'_> {
                     Resp::Unit
                 }
                 Req::Sleep(d) => {
-                    let at = self.dq.clock() + d;
-                    self.dq.push(at, Ev::Wake(tid, Resp::Unit));
+                    let at = self.queue.now() + d;
+                    self.queue.push(at, Ev::Wake(tid, Resp::Unit));
                     return;
                 }
                 Req::ChargeCpu(d) => {
@@ -1612,13 +1374,13 @@ impl ClientCtx<'_> {
                         .rt
                         .host
                         .cpu
-                        .charge(self.dq.clock(), d, CpuCategory::User);
-                    self.dq.push(done, Ev::Wake(tid, Resp::Unit));
+                        .charge(self.queue.now(), d, CpuCategory::User);
+                    self.queue.push(done, Ev::Wake(tid, Resp::Unit));
                     return;
                 }
                 Req::LocalDisk { bytes, write, seq } => {
-                    let done = self.rt.host.disk_io(self.dq.clock(), bytes, write, seq);
-                    self.dq.push(done, Ev::Wake(tid, Resp::Unit));
+                    let done = self.rt.host.disk_io(self.queue.now(), bytes, write, seq);
+                    self.queue.push(done, Ev::Wake(tid, Resp::Unit));
                     return;
                 }
                 Req::Rpc(sj, proc, msg) => {
@@ -1665,7 +1427,6 @@ impl ClientCtx<'_> {
                 }
                 Req::Finished => {
                     self.sched.live -= 1;
-                    self.sched.last_finish = self.sched.last_finish.max(self.dq.clock());
                     return;
                 }
             };
@@ -1684,7 +1445,7 @@ impl ClientCtx<'_> {
             self.ci
         );
         self.rt.pending.insert((sj, xid), waker);
-        let now = self.dq.clock();
+        let now = self.queue.now();
         match &mut self.rt.transports[sj] {
             Transport::Udp(u) => {
                 let mut actions = std::mem::take(&mut self.sched.udp_actions);
@@ -1703,13 +1464,13 @@ impl ClientCtx<'_> {
     }
 
     fn apply_udp_actions(&mut self, sj: usize, actions: &mut Vec<UdpAction>) {
-        let now = self.dq.clock();
+        let now = self.queue.now();
         for action in actions.drain(..) {
             match action {
                 UdpAction::Send { payload, .. } => {
                     let frags = udp_fragments(payload.len(), self.rt.mtus[sj]);
                     let done = self.rt.host.charge_tx(now, &payload, frags, false);
-                    self.dq.push(
+                    self.queue.push(
                         done,
                         Ev::Send {
                             src: self.rt.node,
@@ -1723,7 +1484,7 @@ impl ClientCtx<'_> {
                     );
                 }
                 UdpAction::ArmTimer { xid, gen, deadline } => {
-                    self.dq.push(
+                    self.queue.push(
                         deadline,
                         Ev::UdpTimer {
                             client: self.ci,
@@ -1757,7 +1518,7 @@ impl ClientCtx<'_> {
             }
         }
         if let Some((deadline, gen)) = out.arm_timer {
-            self.dq.push(
+            self.queue.push(
                 deadline,
                 Ev::TcpTimer {
                     client: self.ci,
@@ -1770,7 +1531,7 @@ impl ClientCtx<'_> {
         for seg in out.segments {
             let done = self.rt.host.charge_tcp_tx(at, &seg.payload);
             let src = (self.rt.node, self.rt.sport);
-            self.dq
+            self.queue
                 .push(done, tcp_frame(src, (self.smap.nodes[sj], NFS_PORT), seg));
         }
     }
@@ -1803,10 +1564,10 @@ impl ClientCtx<'_> {
         };
         match waker {
             Waker::Sync(tid) => {
-                self.dq.push(at, Ev::Wake(tid, Resp::Chain(result)));
+                self.queue.push(at, Ev::Wake(tid, Resp::Chain(result)));
             }
             Waker::Async(ticket) => {
-                self.dq.push(
+                self.queue.push(
                     at,
                     Ev::AsyncDone {
                         client: self.ci,
@@ -1857,9 +1618,9 @@ impl ClientCtx<'_> {
 
     // ----- event handling -------------------------------------------------
 
-    /// Every event a client machine owns under either engine. Frames
-    /// (`Send`, `Net`) belong to whichever network carries them, so the
-    /// engines handle those and call [`deliver`](Self::deliver).
+    /// Every event a client machine owns. Frames (`Send`, `Net`) belong to
+    /// the network, which hands completed datagrams to
+    /// [`deliver`](Self::deliver).
     fn handle_event(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::Wake(tid, resp) => self.sched.ready.push_back((tid, resp)),
@@ -1922,79 +1683,10 @@ impl ClientCtx<'_> {
     }
 }
 
-impl ClientDom {
-    /// Runs this domain's earliest event in a carved world, then every
-    /// proc it readied, as the single-queue loop drains its ready FIFO
-    /// before the next pop. The access network carries the frames: what
-    /// the uplink emits lands in the hub's queue under this domain's keys,
-    /// the final hop of a reply ends in [`ClientCtx::deliver`].
-    fn step(
-        &mut self,
-        ci: usize,
-        rt: &mut ClientRt,
-        dq: &mut DomainQ<Ev>,
-        smap: &ServerMap,
-        hub_dq: &mut DomainQ<Ev>,
-    ) {
-        let (now, _, ev) = dq.pop().expect("the head that won");
-        ev.census();
-        let (access, out) = (&mut self.access, &mut self.net_out);
-        let mut ctx = ClientCtx {
-            ci,
-            rt,
-            sched: &mut self.sched,
-            dq,
-            smap,
-        };
-        match ev {
-            Ev::Send {
-                src,
-                dst,
-                proto,
-                payload,
-            } => {
-                let _sp = profile::span(profile::Subsystem::Links);
-                let id = access.alloc_dgram_id();
-                access.send_into(
-                    now,
-                    Datagram {
-                        id,
-                        src,
-                        dst,
-                        proto,
-                        payload,
-                    },
-                    out,
-                );
-                profile::count(profile::Subsystem::Links, out.events.len() as u64);
-                for (t, nev) in out.events.drain(..) {
-                    hub_dq.push_incoming(t, ctx.dq.alloc_key(), Ev::Net(nev));
-                }
-                debug_assert!(out.delivered.is_empty(), "uplink send cannot deliver");
-            }
-            Ev::Net(nev) => {
-                let _sp = profile::span(profile::Subsystem::Links);
-                access.handle_into(now, nev, out);
-                profile::count(profile::Subsystem::Links, out.events.len() as u64);
-                // Reassembly timers are domain-local.
-                for (t, nev) in out.events.drain(..) {
-                    ctx.dq.push(t, Ev::Net(nev));
-                }
-                for d in out.delivered.drain(..) {
-                    ctx.deliver(now, d);
-                }
-            }
-            ev => ctx.handle_event(now, ev),
-        }
-        ctx.run_ready();
-    }
-}
-
 impl Hub {
-    /// Every event the network and the server machines own under either
-    /// engine; `dq` is the queue they ride on. What reaches a client
-    /// machine leaves through `frames` or `deliveries`.
-    fn handle_event(&mut self, dq: &mut DomainQ<Ev>, now: SimTime, ev: Ev) {
+    /// Every event the network and the server machines own. What reaches a
+    /// client machine leaves through `deliveries`.
+    fn handle_event(&mut self, queue: &mut EventQueue<Ev>, now: SimTime, ev: Ev) {
         match ev {
             Ev::Send {
                 src,
@@ -2016,21 +1708,21 @@ impl Hub {
                     },
                     &mut out,
                 );
-                self.absorb_net(dq, now, &mut out);
+                self.absorb_net(queue, now, &mut out);
                 self.net_out = out;
             }
             Ev::Net(nev) => {
                 let _sp = profile::span(profile::Subsystem::Links);
                 let mut out = std::mem::take(&mut self.net_out);
                 self.net.handle_into(now, nev, &mut out);
-                self.absorb_net(dq, now, &mut out);
+                self.absorb_net(queue, now, &mut out);
                 self.net_out = out;
             }
             Ev::NfsdDone { server } => {
                 let srv = &mut self.servers[server];
                 srv.nfsd_busy = srv.nfsd_busy.saturating_sub(1);
                 if srv.up {
-                    self.start_queued(dq, server, now);
+                    self.start_queued(queue, server, now);
                 }
             }
             Ev::TcpTimer {
@@ -2040,7 +1732,7 @@ impl Hub {
                 gen,
             } => {
                 let out = self.servers[server].conns[client].conn.on_timer(gen, now);
-                self.tcp_out(dq, client, server, out, now);
+                self.tcp_out(queue, client, server, out, now);
             }
             Ev::ServerCrash { server, downtime } => {
                 let srv = &mut self.servers[server];
@@ -2055,7 +1747,7 @@ impl Hub {
                 if srv.conns.is_empty() {
                     srv.nfsd_queue.clear();
                 }
-                dq.push(now + downtime, Ev::ServerReboot { server });
+                queue.push(now + downtime, Ev::ServerReboot { server });
             }
             Ev::ServerReboot { server } => {
                 // Volatile state (name cache, buffer cache, dup cache)
@@ -2065,7 +1757,7 @@ impl Hub {
                 srv.up = true;
                 // Calls a TCP mount left queued across the crash: with
                 // every client blocked on one, nothing else kicks the queue.
-                self.start_queued(dq, server, now);
+                self.start_queued(queue, server, now);
             }
             Ev::Wake(..)
             | Ev::AsyncDone { .. }
@@ -2075,36 +1767,19 @@ impl Hub {
         }
     }
 
-    fn absorb_net(&mut self, dq: &mut DomainQ<Ev>, now: SimTime, out: &mut NetOutput) {
+    fn absorb_net(&mut self, queue: &mut EventQueue<Ev>, now: SimTime, out: &mut NetOutput) {
         profile::count(profile::Subsystem::Links, out.events.len() as u64);
         for (t, ev) in out.events.drain(..) {
-            // A carved world's access links belong to the client domains.
-            let owner = if self.carved {
-                self.node_client[self.net.event_node(&ev).0]
-            } else {
-                None
-            };
-            match owner {
-                Some(ci) => {
-                    self.frames.push((ci, t, dq.alloc_key(), Ev::Net(ev)));
-                }
-                None => {
-                    dq.push(t, Ev::Net(ev));
-                }
-            }
+            queue.push(t, Ev::Net(ev));
         }
         // A network step completes at most one datagram.
         for d in out.delivered.drain(..) {
-            self.on_delivery(dq, now, d);
+            self.on_delivery(queue, now, d);
         }
     }
 
-    fn on_delivery(&mut self, dq: &mut DomainQ<Ev>, now: SimTime, d: Delivery) {
+    fn on_delivery(&mut self, queue: &mut EventQueue<Ev>, now: SimTime, d: Delivery) {
         let Some(sj) = self.smap.of_node[d.host.0] else {
-            debug_assert!(
-                !self.carved,
-                "client-bound fragments cross domains before reassembly"
-            );
             if let Some(ci) = self.node_client[d.host.0] {
                 self.deliveries.push((ci, d));
             }
@@ -2123,7 +1798,7 @@ impl Hub {
         match d.dgram.proto {
             ProtoHeader::Udp { .. } => {
                 let t = srv.host.charge_rx(now, len, d.frags.max(1), false);
-                self.serve_request(dq, d.dgram.payload, ci, sj, t);
+                self.serve_request(queue, d.dgram.payload, ci, sj, t);
             }
             ProtoHeader::Tcp {
                 seq,
@@ -2139,7 +1814,7 @@ impl Hub {
                 let out = end
                     .conn
                     .on_segment(seq, ack, window, flags, d.dgram.payload, now);
-                self.tcp_out(dq, ci, sj, out, t);
+                self.tcp_out(queue, ci, sj, out, t);
             }
         }
     }
@@ -2147,17 +1822,24 @@ impl Hub {
     /// Applies one step of server `sj`'s end of its connection to client
     /// `ci`: received stream data goes through the record reader into the
     /// nfsd pool, then the timer is armed and the segments leave.
-    fn tcp_out(&mut self, dq: &mut DomainQ<Ev>, ci: usize, sj: usize, out: TcpOut, at: SimTime) {
+    fn tcp_out(
+        &mut self,
+        queue: &mut EventQueue<Ev>,
+        ci: usize,
+        sj: usize,
+        out: TcpOut,
+        at: SimTime,
+    ) {
         for chunk in out.received {
             self.servers[sj].conns[ci].reader.push(chunk);
             while let Some(rec) = self.servers[sj].conns[ci].next_record() {
                 // Once-per-record socket/codec work on the receiving side.
                 let t = self.servers[sj].host.charge_record(at);
-                self.serve_request(dq, rec, ci, sj, t);
+                self.serve_request(queue, rec, ci, sj, t);
             }
         }
         if let Some((deadline, gen)) = out.arm_timer {
-            dq.push(
+            queue.push(
                 deadline,
                 Ev::TcpTimer {
                     client: ci,
@@ -2170,7 +1852,7 @@ impl Hub {
         let (m, srv) = (&self.metas[ci], &mut self.servers[sj]);
         for seg in out.segments {
             let done = srv.host.charge_tcp_tx(at, &seg.payload);
-            dq.push(
+            queue.push(
                 done,
                 tcp_frame((srv.node, NFS_PORT), (m.node, m.sport), seg),
             );
@@ -2178,14 +1860,14 @@ impl Hub {
     }
 
     /// Starts queued requests, FIFO, on whatever daemon contexts are free.
-    fn start_queued(&mut self, dq: &mut DomainQ<Ev>, sj: usize, now: SimTime) {
+    fn start_queued(&mut self, queue: &mut EventQueue<Ev>, sj: usize, now: SimTime) {
         while self.servers[sj].nfsd_busy < self.nfsds {
             let srv = &mut self.servers[sj];
             let Some(q) = srv.nfsd_queue.pop_front() else {
                 break;
             };
             srv.nfsd_busy += 1;
-            self.nfsd_serve(dq, q.request, q.client, sj, q.arrival, now);
+            self.nfsd_serve(queue, q.request, q.client, sj, q.arrival, now);
         }
     }
 
@@ -2193,7 +1875,7 @@ impl Hub {
     /// daemon context is free, otherwise the request queues FIFO.
     fn serve_request(
         &mut self,
-        dq: &mut DomainQ<Ev>,
+        queue: &mut EventQueue<Ev>,
         request: MbufChain,
         client: usize,
         sj: usize,
@@ -2213,14 +1895,14 @@ impl Hub {
             }
             srv.nfsd_busy += 1;
         }
-        self.nfsd_serve(dq, request, client, sj, at, at);
+        self.nfsd_serve(queue, request, client, sj, at, at);
     }
 
     /// One nfsd daemon services a request: runs the server code, charges
     /// CPU and disk, and schedules the reply transmission.
     fn nfsd_serve(
         &mut self,
-        dq: &mut DomainQ<Ev>,
+        queue: &mut EventQueue<Ev>,
         request: MbufChain,
         client: usize,
         sj: usize,
@@ -2237,7 +1919,7 @@ impl Hub {
         if reply.is_empty() {
             // Unparseable request: the daemon is immediately free again.
             if self.nfsds > 0 {
-                dq.push(start, Ev::NfsdDone { server: sj });
+                queue.push(start, Ev::NfsdDone { server: sj });
             }
             return;
         }
@@ -2271,13 +1953,13 @@ impl Hub {
             let t = srv.host.charge_record(t);
             let framed = frame_record(reply, &mut CopyMeter::new());
             let out = end.conn.send(framed, t);
-            self.tcp_out(dq, client, sj, out, t);
+            self.tcp_out(queue, client, sj, out, t);
             t
         } else {
             let m = &self.metas[client];
             let frags = udp_fragments(reply.len(), m.mtus[sj]);
             let done = srv.host.charge_tx(t, &reply, frags, false);
-            dq.push(
+            queue.push(
                 done,
                 Ev::Send {
                     src: srv.node,
@@ -2295,7 +1977,7 @@ impl Hub {
         stats.served += 1;
         stats.service_ms.add(done.since(start).as_millis_f64());
         if self.nfsds > 0 {
-            dq.push(done, Ev::NfsdDone { server: sj });
+            queue.push(done, Ev::NfsdDone { server: sj });
         }
     }
 }

@@ -17,9 +17,8 @@
 //! runs each world twice — as written and with the inserted calls — and
 //! requires every shared observation to match: each `now()`, each reply
 //! length, the final clock, client CPU busy time and the server's
-//! counters. One-client and TCP worlds run the monolithic engine, the
-//! two-client UDP world is carved, so both copies of `resume` are
-//! covered. It is the check for any change to the proc↔world protocol.
+//! counters, over a one-client world and two-client UDP and TCP worlds.
+//! It is the check for any change to the proc↔world protocol.
 
 use proptest::prelude::*;
 use renofs::proto::{build, FileHandle, NfsProc};
@@ -151,8 +150,7 @@ struct Outcome {
 }
 
 fn run(kind: usize, biods: usize, procs: &[ProcScript], flush_each: bool) -> Outcome {
-    // One client, two clients over UDP (the only world that is carved),
-    // two clients over TCP.
+    // One client, two clients over UDP, two clients over TCP.
     let (clients, tcp) = [(1, false), (2, false), (2, true)][kind];
     let mut cfg = WorldConfig::baseline();
     cfg.biods = biods;
@@ -161,7 +159,6 @@ fn run(kind: usize, biods: usize, procs: &[ProcScript], flush_each: bool) -> Out
         cfg.transport = TransportKind::Tcp;
     }
     let mut world = World::new(cfg);
-    assert_eq!(world.is_partitioned(), kind == 1);
     let root_ino = world.server().fs().root();
     let ino = world
         .server_mut()

@@ -18,7 +18,6 @@
 //! queue plus any datagrams that completed reassembly at their
 //! destination.
 
-pub mod access;
 pub mod checksum;
 pub mod faults;
 pub mod link;
@@ -27,7 +26,6 @@ pub mod nic;
 pub mod packet;
 pub mod topology;
 
-pub use access::{AccessCarve, AccessNet};
 pub use checksum::internet_checksum;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultWindows};
 pub use link::{LinkParams, LinkStats, TxResult};

@@ -162,28 +162,6 @@ impl Link {
         self.params.loss_prob = loss_prob;
     }
 
-    /// Whether transmits on this link never consume RNG draws: no random
-    /// loss, no background cross-traffic, no fault windows. `chance(0)`
-    /// and a zero-utilization background wait short-circuit without
-    /// drawing, so such a link can move into a client domain without
-    /// perturbing the hub's shared RNG stream.
-    pub(crate) fn is_draw_free(&self) -> bool {
-        self.params.loss_prob <= 0.0 && self.params.bg_util <= 0.0 && self.faults.is_empty()
-    }
-
-    /// Whether this link has no installed fault windows.
-    pub(crate) fn faults_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// A fresh, stateless copy of this link direction: same endpoints and
-    /// parameters, empty statistics, idle wire. A partitioned world hands
-    /// the copy to the client domain as its private uplink while the
-    /// original stays in the hub topology for route lookups.
-    pub(crate) fn fresh_copy(&self) -> Link {
-        Link::new(self.from, self.to, self.params.clone())
-    }
-
     /// Offers a frame of `ip_bytes` to the link at `now`.
     ///
     /// With no fault windows active the code path (and in particular the

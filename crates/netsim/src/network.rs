@@ -114,11 +114,7 @@ struct ReasmState {
 /// The per-host IP reassembly machinery: in-progress datagrams keyed by
 /// `(host, src, dgram id)`, the part-list recycling pool, and the
 /// reassembly timeout.
-///
-/// Factored out of [`Network`] so a partitioned world's client domains
-/// ([`crate::AccessNet`]) run the identical reassembly code on their own
-/// state instead of sharing the hub's map.
-pub(crate) struct Reassembler {
+struct Reassembler {
     reasm: IntMap<(NodeId, NodeId, u64), ReasmState>,
     timeout: SimDuration,
     /// Cleared part-lists recycled between reassembly states.
@@ -126,7 +122,7 @@ pub(crate) struct Reassembler {
 }
 
 impl Reassembler {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Reassembler {
             reasm: IntMap::default(),
             timeout: SimDuration::from_secs(20),
@@ -136,7 +132,7 @@ impl Reassembler {
 
     /// Whether no datagrams are mid-reassembly.
     #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.reasm.is_empty()
     }
 
@@ -146,7 +142,7 @@ impl Reassembler {
     /// datagrams assembled from damaged fragments are returned instead so
     /// the caller can apply its checksum policy (which may draw from an
     /// RNG this struct deliberately does not own).
-    pub(crate) fn offer(
+    fn offer(
         &mut self,
         now: SimTime,
         host: NodeId,
@@ -233,13 +229,7 @@ impl Reassembler {
 
     /// Fires the reassembly timer for `(host, src, dgram_id)`, discarding
     /// any incomplete datagram.
-    pub(crate) fn expire(
-        &mut self,
-        host: NodeId,
-        src: NodeId,
-        dgram_id: u64,
-        stats: &mut NetStats,
-    ) {
+    fn expire(&mut self, host: NodeId, src: NodeId, dgram_id: u64, stats: &mut NetStats) {
         if let Some(state) = self.reasm.remove(&(host, src, dgram_id)) {
             stats.reasm_failures += 1;
             self.recycle_parts(state.parts);
@@ -260,9 +250,8 @@ impl Reassembler {
 /// Splits a datagram into MTU-sized fragments appended to `frags`.
 /// Fragment payload chains share the original's clusters, so this copies
 /// (almost) nothing — exactly like the BSD `ip_output` fragmentation
-/// path. Shared by the hub [`Network`] and the per-client
-/// [`crate::AccessNet`].
-pub(crate) fn fragment_into(
+/// path.
+fn fragment_into(
     dgram: Datagram,
     mtu: usize,
     frags: &mut Vec<Fragment>,

@@ -901,7 +901,7 @@ mod tests {
                 let path = t.path_links(c, s);
                 assert_eq!(path.len(), 2, "client -> bridge -> server");
                 // Every client's first hop toward every server is its own
-                // access drop (the multi-server carve depends on this).
+                // access drop.
                 assert_eq!(t.route(c, s), t.route(c, servers[0]));
             }
         }

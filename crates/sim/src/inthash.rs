@@ -15,8 +15,8 @@ pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
 
 /// Per word: xor into the state, multiply by an odd constant to 128 bits and
 /// fold the halves together — low input bits reach the high output bits
-/// (`hashbrown`'s 7-bit tags) and high input bits, a domain id at bit 40 of
-/// a key, reach the low ones (its bucket index).
+/// (`hashbrown`'s 7-bit tags) and high input bits reach the low ones (its
+/// bucket index).
 #[derive(Clone, Copy, Default)]
 pub struct IntHasher(u64);
 

@@ -23,7 +23,6 @@
 pub mod cpu;
 pub mod disk;
 pub mod inthash;
-pub mod pdes;
 pub mod profile;
 pub mod queue;
 pub mod rng;
@@ -33,7 +32,6 @@ pub mod time;
 pub use cpu::{Cpu, CpuProfile};
 pub use disk::{Disk, DiskProfile};
 pub use inthash::{IntHasher, IntMap};
-pub use pdes::{DomainQ, Heads};
 pub use queue::EventQueue;
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};

@@ -157,21 +157,6 @@ impl<E> EventQueue<E> {
     /// Events scheduled in the past are clamped to the current time, so a
     /// zero-delay "immediate" event is always safe to post.
     pub fn push(&mut self, at: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.push_keyed(at, seq, event);
-    }
-
-    /// Schedules `event` at time `at` under a caller-supplied tie-break
-    /// key instead of the internal counter.
-    ///
-    /// This is the PDES entry point: per-domain queues order simultaneous
-    /// events by a globally unique `(creator domain, creator seq)` key so
-    /// the merge order is identical whether domains run interleaved on one
-    /// thread or concurrently on many. A queue must be fed *either* keyed
-    /// or unkeyed pushes, never a mix — the internal counter does not
-    /// advance past caller keys.
-    pub fn push_keyed(&mut self, at: SimTime, key: u64, event: E) {
         if let Some(t) = self.trace.as_mut() {
             t.push(QueueOp::Push(at));
         }
@@ -192,9 +177,10 @@ impl<E> EventQueue<E> {
         };
         let key = Key {
             time: at.max(self.now),
-            seq: key,
+            seq: self.seq,
             slot,
         };
+        self.seq += 1;
         // Strictly earlier than everything pending takes the front slot;
         // the displaced occupant is no later than the heap, so it may join it.
         if self.head().is_none_or(|head| key.rank() < head.rank()) {
@@ -209,14 +195,7 @@ impl<E> EventQueue<E> {
 
     /// Removes and returns the earliest event, advancing the clock to it.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_keyed().map(|(t, _, e)| (t, e))
-    }
-
-    /// Like [`pop`](Self::pop), but also returns the event's tie-break key
-    /// (the internal counter, or the caller key under
-    /// [`push_keyed`](Self::push_keyed)).
-    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        let Key { time, seq, slot } = self.front.take().or_else(|| self.heap.pop())?;
+        let Key { time, slot, .. } = self.front.take().or_else(|| self.heap.pop())?;
         debug_assert!(time >= self.now, "time ran backwards");
         self.now = time;
         self.pops += 1;
@@ -226,15 +205,14 @@ impl<E> EventQueue<E> {
         crate::profile::count_event();
         let next_free = std::mem::replace(&mut self.free, slot);
         match std::mem::replace(&mut self.slab[slot as usize], Slot::Free(next_free)) {
-            Slot::Full(event) => Some((time, seq, event)),
+            Slot::Full(event) => Some((time, event)),
             Slot::Free(_) => unreachable!("heap key points at a free slot"),
         }
     }
 
-    /// The `(time, key)` of the earliest pending event, if any, without
-    /// removing it.
-    pub fn peek_keyed(&self) -> Option<(SimTime, u64)> {
-        self.head().map(|k| (k.time, k.seq))
+    /// The time of the earliest pending event, if any, without removing it.
+    pub fn peek(&self) -> Option<SimTime> {
+        self.head().map(|k| k.time)
     }
 
     /// The earliest pending key: the front slot's, else the heap's.
@@ -347,11 +325,11 @@ mod tests {
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_keyed(), None);
+        assert_eq!(q.peek(), None);
         q.push(SimTime::from_secs(1), ());
         q.push(SimTime::from_secs(2), ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_keyed(), Some((SimTime::from_secs(1), 0)));
+        assert_eq!(q.peek(), Some(SimTime::from_secs(1)));
     }
 
     #[test]

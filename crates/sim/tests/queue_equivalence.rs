@@ -1,42 +1,38 @@
 //! Property test: [`EventQueue`] against the model its contract
-//! describes — a list kept sorted by `(time, seq)`, equal keys in arrival
+//! describes — a list kept sorted by `(time, seq)`, equal times in arrival
 //! order, popped from the front.
 //!
 //! Random interleavings of pushes and pops, with simultaneous events,
 //! past-time pushes (which clamp to `now`), bursts that take the pending
-//! set from empty to a few thousand deep, and drains back to empty. A case
-//! feeds the queue either `push` or `push_keyed` throughout: the contract
-//! forbids mixing them.
+//! set from empty to a few thousand deep, and drains back to empty.
 //!
 //! The queue keeps its earliest entry in a front slot beside the heap, so
 //! everything a caller can observe — the head, the depth, the clock, the
 //! high-water mark — is compared with the model after *every* operation,
 //! and two schedule shapes live in the slot: the hop chain (each pop
-//! schedules the next-earliest event) and the displacement (a push beats
-//! the slot's occupant, by time or by key alone).
+//! schedules the next-earliest event) and the displacement (a push earlier
+//! than the slot's occupant).
 
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
 use renofs_sim::{EventQueue, SimTime};
 
-/// The reference: `(time, seq, id)` sorted by `(time, seq)`.
+/// The reference: `(time, id)` sorted by time, ties in arrival order.
 #[derive(Default)]
 struct Model {
     now: SimTime,
-    pending: VecDeque<(SimTime, u64, u32)>,
+    pending: VecDeque<(SimTime, u32)>,
 }
 
 impl Model {
-    fn push(&mut self, at: SimTime, seq: u64, id: u32) {
+    fn push(&mut self, at: SimTime, id: u32) {
         let time = at.max(self.now);
-        let after = self
-            .pending
-            .partition_point(|&(t, s, _)| (t, s) <= (time, seq));
-        self.pending.insert(after, (time, seq, id));
+        let after = self.pending.partition_point(|&(t, _)| t <= time);
+        self.pending.insert(after, (time, id));
     }
 
-    fn pop(&mut self) -> Option<(SimTime, u64, u32)> {
+    fn pop(&mut self) -> Option<(SimTime, u32)> {
         let head = self.pending.pop_front()?;
         self.now = head.0;
         Some(head)
@@ -44,8 +40,8 @@ impl Model {
 }
 
 /// Queue and model fed the same schedule.
+#[derive(Default)]
 struct Pair {
-    keyed: bool,
     q: EventQueue<u32>,
     model: Model,
     pushed: u32,
@@ -54,51 +50,23 @@ struct Pair {
 }
 
 impl Pair {
-    fn new(keyed: bool) -> Self {
-        Pair {
-            keyed,
-            q: EventQueue::new(),
-            model: Model::default(),
-            pushed: 0,
-            peak: 0,
-        }
-    }
-
-    /// Pushes under a key the schedule chose (keyed) or the queue's own
-    /// counter (unkeyed, where `key` is ignored).
-    fn push_with_key(&mut self, at: SimTime, key: u64) -> Result<(), TestCaseError> {
+    fn push(&mut self, at: SimTime) -> Result<(), TestCaseError> {
         let id = self.pushed;
         self.pushed += 1;
-        if self.keyed {
-            self.q.push_keyed(at, key, id);
-            self.model.push(at, key, id);
-        } else {
-            self.q.push(at, id);
-            self.model.push(at, u64::from(id), id);
-        }
+        self.q.push(at, id);
+        self.model.push(at, id);
         self.check()
     }
 
-    fn push(&mut self, at: SimTime, raw: u64) -> Result<(), TestCaseError> {
-        // Caller keys are unique but unrelated to arrival order, like the
-        // PDES `(creator domain, creator seq)` keys.
-        self.push_with_key(at, ((raw % 8) << 40) | u64::from(self.pushed))
-    }
-
     fn pop(&mut self) -> Result<(), TestCaseError> {
-        let expect = self.model.pop();
-        if self.keyed {
-            prop_assert_eq!(self.q.pop_keyed(), expect);
-        } else {
-            prop_assert_eq!(self.q.pop(), expect.map(|(t, _, id)| (t, id)));
-        }
+        prop_assert_eq!(self.q.pop(), self.model.pop());
         self.check()
     }
 
     /// Everything observable, after every operation.
     fn check(&mut self) -> Result<(), TestCaseError> {
-        let head = self.model.pending.front().map(|&(t, s, _)| (t, s));
-        prop_assert_eq!(self.q.peek_keyed(), head);
+        let head = self.model.pending.front().map(|&(t, _)| t);
+        prop_assert_eq!(self.q.peek(), head);
         prop_assert_eq!(self.q.len(), self.model.pending.len());
         prop_assert_eq!(self.q.is_empty(), self.model.pending.is_empty());
         prop_assert_eq!(self.q.now(), self.model.now);
@@ -117,32 +85,32 @@ impl Pair {
     }
 }
 
-fn run_schedule(keyed: bool, ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
-    let mut p = Pair::new(keyed);
+fn run_schedule(ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
+    let mut p = Pair::default();
     let mut last_push = SimTime::ZERO;
     for &(kind, raw) in ops {
         match kind % 16 {
             // Ahead of the clock: microseconds to tens of seconds.
             0..=2 => {
                 last_push = SimTime::from_nanos(p.q.now().as_nanos() + raw % 66_000);
-                p.push(last_push, raw)?;
+                p.push(last_push)?;
             }
             3 | 4 => {
                 last_push = SimTime::from_nanos(p.q.now().as_nanos() + raw % 30_000_000_000);
-                p.push(last_push, raw)?;
+                p.push(last_push)?;
             }
             // A tie with the previous push.
-            5 | 6 => p.push(last_push, raw)?,
+            5 | 6 => p.push(last_push)?,
             // An absolute time, often in the past.
             7 | 8 => {
                 last_push = SimTime::from_nanos(raw % 2_000_000_000);
-                p.push(last_push, raw)?;
+                p.push(last_push)?;
             }
             // A burst, a few of them at one instant.
             9 => {
                 for i in 0..raw % 600 {
                     let at = p.q.now().as_nanos() + (raw >> 16).wrapping_mul(i / 3) % 268_000_000;
-                    p.push(SimTime::from_nanos(at), raw.wrapping_add(i))?;
+                    p.push(SimTime::from_nanos(at))?;
                 }
             }
             // A drain to empty, and one pop beyond it.
@@ -161,66 +129,50 @@ fn run_schedule(keyed: bool, ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
 /// The frame path's shape: over a backlog of far-off timers, each pop
 /// schedules one event a little after `now` and before everything pending —
 /// it belongs in the front slot — and now and then one that does not.
-fn run_hop_chain(keyed: bool, backlog: usize, hops: &[(u16, u8)]) -> Result<(), TestCaseError> {
-    let mut p = Pair::new(keyed);
+fn run_hop_chain(backlog: usize, hops: &[(u16, u8)]) -> Result<(), TestCaseError> {
+    let mut p = Pair::default();
     for i in 0..backlog as u64 {
-        p.push(SimTime::from_nanos(20_000_000_000 + i * 7), i)?;
+        p.push(SimTime::from_nanos(20_000_000_000 + i * 7))?;
     }
-    p.push(SimTime::from_nanos(1), 0)?;
+    p.push(SimTime::from_nanos(1))?;
     for &(gap, kind) in hops {
         p.pop()?;
         let next = SimTime::from_nanos(p.q.now().as_nanos() + u64::from(gap));
-        p.push(next, u64::from(kind))?;
+        p.push(next)?;
         match kind % 8 {
             // A second event behind the first: the slot is taken.
-            0 => p.push(next, u64::from(kind) + 1)?,
+            0 => p.push(next)?,
             // One ahead of it: the occupant is displaced into the heap.
-            1 => p.push(p.q.now(), u64::from(kind) + 2)?,
+            1 => p.push(p.q.now())?,
             // A timer, far behind everything.
-            2 => p.push(SimTime::from_nanos(next.as_nanos() + 40_000_000_000), 3)?,
+            2 => p.push(SimTime::from_nanos(next.as_nanos() + 40_000_000_000))?,
             _ => {}
         }
     }
     p.finish()
 }
 
-/// Pushes that beat the slot's occupant: by an earlier time, and at the
-/// occupant's own time under a smaller key (displaces) or a larger one
-/// (queues behind it). Unkeyed, the key is arrival order and an equal time
-/// never displaces.
-fn run_displacement(keyed: bool, steps: &[(u8, u16)]) -> Result<(), TestCaseError> {
-    let mut p = Pair::new(keyed);
-    // Distinct keys around a midpoint: step `i` may go `delta` below or above.
-    let key = |i: usize, up: bool, delta: u16| {
-        let mid = 1u64 << 32;
-        let off = ((i as u64) << 17) | (u64::from(delta) + 1);
-        if up {
-            mid + off
-        } else {
-            mid - off
-        }
-    };
+/// Pushes around the slot's occupant: earlier (displaces it), at its own
+/// time (queues behind it: an equal time never displaces) and just after.
+fn run_displacement(steps: &[(u8, u16)]) -> Result<(), TestCaseError> {
+    let mut p = Pair::default();
     let mut head = SimTime::from_nanos(1_000_000);
-    p.push_with_key(head, 1 << 32)?;
-    for (i, &(kind, delta)) in steps.iter().enumerate() {
+    p.push(head)?;
+    for &(kind, delta) in steps {
         match kind % 6 {
             0 => {
                 head = SimTime::from_nanos(head.as_nanos().saturating_sub(u64::from(delta)));
-                p.push_with_key(head, key(i, kind & 8 == 0, delta))?;
+                p.push(head)?;
             }
-            1 => p.push_with_key(head, key(i, false, delta))?,
-            2 => p.push_with_key(head, key(i, true, delta))?,
-            3 => p.push_with_key(
-                SimTime::from_nanos(head.as_nanos() + 1),
-                key(i, false, delta),
-            )?,
+            1 | 2 => p.push(head)?,
+            3 => p.push(SimTime::from_nanos(head.as_nanos() + 1))?,
             _ => {
                 p.pop()?;
-                if let Some(&(t, _, _)) = p.model.pending.front() {
+                if let Some(&(t, _)) = p.model.pending.front() {
                     head = t;
                 } else {
                     head = SimTime::from_nanos(p.q.now().as_nanos() + 1_000_000);
-                    p.push_with_key(head, key(i, true, delta))?;
+                    p.push(head)?;
                 }
             }
         }
@@ -232,29 +184,26 @@ proptest! {
     /// The queue pops the model's stream under arbitrary interleavings.
     #[test]
     fn queue_matches_sorted_list_model(
-        keyed in any::<bool>(),
         ops in proptest::collection::vec((any::<u8>(), any::<u64>()), 1..500),
     ) {
-        run_schedule(keyed, &ops)?;
+        run_schedule(&ops)?;
     }
 
     /// Hop chains: most pushes land in the front slot.
     #[test]
     fn hop_chain_matches_model(
-        keyed in any::<bool>(),
         backlog in 0usize..150,
         hops in proptest::collection::vec((1u16..2_000, any::<u8>()), 100..600),
     ) {
-        run_hop_chain(keyed, backlog, &hops)?;
+        run_hop_chain(backlog, &hops)?;
     }
 
-    /// Displacements: pushes that beat the slot's occupant by time or by key.
+    /// Displacements: pushes that beat the slot's occupant, or tie with it.
     #[test]
     fn displacement_matches_model(
-        keyed in any::<bool>(),
         steps in proptest::collection::vec((any::<u8>(), any::<u16>()), 1..300),
     ) {
-        run_displacement(keyed, &steps)?;
+        run_displacement(&steps)?;
     }
 
     /// A recorded trace holds every logical push and pop, slot or heap:

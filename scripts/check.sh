@@ -11,9 +11,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> one engine loop per world shape (no unsafe impl outside coro.rs, no sim-thread knob)"
+echo "==> one event loop (no unsafe impl outside coro.rs, no sim-thread knob, no second loop)"
 grep -rn 'unsafe impl' crates/core/src --exclude=coro.rs && exit 1
 grep -rn 'sim[_-]threads' crates scripts README.md DESIGN.md EXPERIMENTS.md && exit 1
+grep -rnE 'force_monolithic|is_partitioned|run_carved|carve_access|DomainQ' crates && exit 1
 
 echo "==> IntMap is for keys the simulator mints (a key with wire bytes in it keeps SipHash)"
 grep -rnE 'IntMap<(\([^)]*)?(String|Vec<u8>)' crates --include='*.rs' && exit 1
@@ -27,22 +28,12 @@ cargo run -q --release -p renofs-bench --bin repro -- faults --scale quick >/dev
 echo "==> repro crowd --scale quick (smoke)"
 cargo run -q --release -p renofs-bench --bin repro -- crowd --scale quick >/dev/null
 
-echo "==> repro pdes-smoke --scale quick (256 clients: carved and monolithic events/s, one hash)"
-cargo run -q --release -p renofs-bench --bin repro -- pdes-smoke --scale quick
-
-echo "==> carved worlds across --jobs (the carve guard, lease soak byte-identical)"
-cargo test -q -p renofs-bench --release --test pdes_determinism
-
-echo "==> handoff differential (posted syscalls == one crossing per call, both engines)"
+echo "==> handoff differential (posted syscalls == one crossing per call)"
 # The debug run above draws 24 cases; release draws the full 192.
 cargo test -q -p renofs --release --test handoff_differential
 
 echo "==> no proc is an OS thread (64 procs, thread count unchanged)"
 cargo test -q -p renofs --release --test no_proc_threads
-
-echo "==> pdes equivalence (single queue == carved, random shapes and fault plans)"
-# Likewise 8 cases in the debug run above, 64 in release.
-cargo test -q -p renofs --release --test pdes_equivalence
 
 echo "==> repro shard-smoke --scale quick (N x M fleet + router determinism gate)"
 # Runs a small sharded-fleet cell, checks every shard served traffic,
@@ -73,9 +64,8 @@ cargo run -q --release -p renofs-bench --bin repro -- soak --duration 30 --seeds
 echo "==> cargo test -p renofs-bench --features profile (alloc discipline + profiler)"
 cargo test -q -p renofs-bench --features profile --release
 
-echo "==> repro bench --scale quick --check (PDES + lease + shard behaviour gates)"
-# The PDES gates (carved and monolithic state hashes agree, carved
-# overhead), the BENCH_pr8.json lease gate (>=60% write-RPC recovery vs
+echo "==> repro bench --scale quick --check (lease + shard behaviour gates)"
+# The BENCH_pr8.json lease gate (>=60% write-RPC recovery vs
 # noconsist at zero soak violations), and the BENCH_pr9.json shard gate
 # (LAN aggregate op/s at M=4 >= 2x M=1, all shards routed, fairness >=
 # 0.8, byte-identical across a fresh --jobs 1 x 2 pair).
