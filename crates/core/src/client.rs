@@ -861,16 +861,14 @@ impl<S: Syscalls> ClientFs<S> {
         Ok(at)
     }
 
-    fn resolve_parent(&mut self, path: &str) -> CResult<(FileHandle, String)> {
-        let comps: Vec<&str> = path.split('/').filter(|c| !c.is_empty()).collect();
-        let Some((last, parents)) = comps.split_last() else {
+    /// Resolves every component of `path` but the last, which it returns.
+    fn resolve_parent<'p>(&mut self, path: &'p str) -> CResult<(FileHandle, &'p str)> {
+        let path = path.trim_end_matches('/');
+        let (parent, last) = path.rsplit_once('/').unwrap_or(("", path));
+        if last.is_empty() {
             return Err(ClientError::Nfs(NfsStatus::Acces));
-        };
-        let mut at = self.root;
-        for comp in parents {
-            at = self.lookup_component(at, comp)?;
         }
-        Ok((at, last.to_string()))
+        Ok((self.lookup_path(parent)?, last))
     }
 
     fn drop_vnode(&mut self, token: VnodeId) {
@@ -952,7 +950,7 @@ impl<S: Syscalls> ClientFs<S> {
                         c,
                         m,
                         &dir,
-                        &name,
+                        name,
                         &Sattr {
                             mode: Some(0o644),
                             size: Some(0),
@@ -965,7 +963,7 @@ impl<S: Syscalls> ClientFs<S> {
                 self.receive_attrs(fh, &attr, false);
                 self.vnode(fh);
                 self.namecache
-                    .enter(dir.vnode_token(), &name, fh.vnode_token());
+                    .enter(dir.vnode_token(), name, fh.vnode_token());
                 if self.cfg.lease {
                     // A freshly created file is about to be written:
                     // take the write lease up front so those writes can
@@ -1569,14 +1567,14 @@ impl<S: Syscalls> ClientFs<S> {
     fn mkdir_inner(&mut self, path: &str) -> CResult<FileHandle> {
         let (dir, name) = self.resolve_parent(path)?;
         let reply = self.call(NfsProc::Mkdir, |c, m| {
-            proto::build::create_args(c, m, &dir, &name, &Sattr::default())
+            proto::build::create_args(c, m, &dir, name, &Sattr::default())
         })?;
         let mut dec = self.open_reply(&reply)?;
         let (fh, attr) = results::get_diropres(&mut dec)??;
         self.receive_attrs(fh, &attr, false);
         self.vnode(fh);
         self.namecache
-            .enter(dir.vnode_token(), &name, fh.vnode_token());
+            .enter(dir.vnode_token(), name, fh.vnode_token());
         self.attrcache.invalidate(dir.vnode_token());
         self.readdir_cache.remove(&dir.vnode_token());
         Ok(fh)
@@ -1591,16 +1589,16 @@ impl<S: Syscalls> ClientFs<S> {
 
     fn remove_inner(&mut self, path: &str) -> CResult<()> {
         let (dir, name) = self.resolve_parent(path)?;
-        let target = self.namecache.lookup(dir.vnode_token(), &name);
+        let target = self.namecache.lookup(dir.vnode_token(), name);
         let reply = self.call(NfsProc::Remove, |c, m| {
-            proto::build::dirop_args(c, m, &dir, &name)
+            proto::build::dirop_args(c, m, &dir, name)
         })?;
         let mut dec = self.open_reply(&reply)?;
         match results::get_stat(&mut dec)? {
             NfsStatus::Ok => {}
             s => return Err(ClientError::Nfs(s)),
         }
-        self.namecache.invalidate(dir.vnode_token(), &name);
+        self.namecache.invalidate(dir.vnode_token(), name);
         if let Some(token) = target {
             // Remove-discard: dirty write-behind blocks of a deleted
             // file are dropped unwritten (the server purges its lease
@@ -1624,16 +1622,16 @@ impl<S: Syscalls> ClientFs<S> {
 
     fn rmdir_inner(&mut self, path: &str) -> CResult<()> {
         let (dir, name) = self.resolve_parent(path)?;
-        let target = self.namecache.lookup(dir.vnode_token(), &name);
+        let target = self.namecache.lookup(dir.vnode_token(), name);
         let reply = self.call(NfsProc::Rmdir, |c, m| {
-            proto::build::dirop_args(c, m, &dir, &name)
+            proto::build::dirop_args(c, m, &dir, name)
         })?;
         let mut dec = self.open_reply(&reply)?;
         match results::get_stat(&mut dec)? {
             NfsStatus::Ok => {}
             s => return Err(ClientError::Nfs(s)),
         }
-        self.namecache.invalidate(dir.vnode_token(), &name);
+        self.namecache.invalidate(dir.vnode_token(), name);
         if let Some(token) = target {
             self.drop_vnode(token);
         }
@@ -1652,15 +1650,15 @@ impl<S: Syscalls> ClientFs<S> {
         let (fdir, fname) = self.resolve_parent(from)?;
         let (tdir, tname) = self.resolve_parent(to)?;
         let reply = self.call(NfsProc::Rename, |c, m| {
-            proto::build::rename_args(c, m, &fdir, &fname, &tdir, &tname)
+            proto::build::rename_args(c, m, &fdir, fname, &tdir, tname)
         })?;
         let mut dec = self.open_reply(&reply)?;
         match results::get_stat(&mut dec)? {
             NfsStatus::Ok => {}
             s => return Err(ClientError::Nfs(s)),
         }
-        self.namecache.invalidate(fdir.vnode_token(), &fname);
-        self.namecache.invalidate(tdir.vnode_token(), &tname);
+        self.namecache.invalidate(fdir.vnode_token(), fname);
+        self.namecache.invalidate(tdir.vnode_token(), tname);
         for d in [fdir, tdir] {
             self.attrcache.invalidate(d.vnode_token());
             self.readdir_cache.remove(&d.vnode_token());
@@ -1677,7 +1675,7 @@ impl<S: Syscalls> ClientFs<S> {
     fn symlink_inner(&mut self, path: &str, target: &str) -> CResult<()> {
         let (dir, name) = self.resolve_parent(path)?;
         let reply = self.call(NfsProc::Symlink, |c, m| {
-            proto::build::symlink_args(c, m, &dir, &name, target)
+            proto::build::symlink_args(c, m, &dir, name, target)
         })?;
         let mut dec = self.open_reply(&reply)?;
         match results::get_stat(&mut dec)? {
@@ -1850,6 +1848,53 @@ mod tests {
             with_lookups * 2 <= without_lookups,
             "name cache should halve lookups: {with_lookups} vs {without_lookups}"
         );
+    }
+
+    #[test]
+    fn resolve_parent_matches_the_collecting_body_it_replaced() {
+        /// `resolve_parent` as it was, collecting the components and
+        /// copying the last.
+        fn old(c: &mut ClientFs<Loopback>, path: &str) -> CResult<(FileHandle, String)> {
+            let comps: Vec<&str> = path.split('/').filter(|c| !c.is_empty()).collect();
+            let Some((last, parents)) = comps.split_last() else {
+                return Err(ClientError::Nfs(NfsStatus::Acces));
+            };
+            let mut at = c.root;
+            for comp in parents {
+                at = c.lookup_component(at, comp)?;
+            }
+            Ok((at, last.to_string()))
+        }
+        let paths = [
+            "",
+            "/",
+            "//",
+            "a",
+            "/a",
+            "/a/b/",
+            "//a//b",
+            "src",
+            "/src/",
+            "/src/x",
+            "src//x//",
+            "/src/file1.c/x",
+            "/nope/x",
+            "/src/nope/x",
+            "/src/file2.c",
+        ];
+        for path in paths {
+            let (mut was, mut now) = (
+                client_with_tree(ClientConfig::reno()),
+                client_with_tree(ClientConfig::reno()),
+            );
+            let want = old(&mut was, path);
+            let got = now
+                .resolve_parent(path)
+                .map(|(fh, name)| (fh, name.to_string()));
+            assert_eq!(got, want, "{path:?}");
+            let lookups = |c: &ClientFs<Loopback>| c.counts().count(NfsProc::Lookup);
+            assert_eq!(lookups(&now), lookups(&was), "{path:?}");
+        }
     }
 
     #[test]

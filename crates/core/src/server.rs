@@ -105,12 +105,69 @@ pub struct ServiceCost {
     /// Bytes copied between the buffer cache and mbufs.
     pub bytes_copied: u64,
     /// Disk reads issued, in bytes each.
-    pub disk_reads: Vec<usize>,
+    pub disk_reads: DiskOps,
     /// Disk writes issued, in bytes each (write-through: they complete
     /// before the reply leaves).
-    pub disk_writes: Vec<usize>,
+    pub disk_writes: DiskOps,
     /// The request hit the duplicate-request cache.
     pub dup_hit: bool,
+}
+
+/// The disk transfers of one request, in issue order, each its size in
+/// bytes: held inline as runs of one size, so recording them allocates
+/// nothing. A request issues at most three writes (data, inode, and an
+/// indirect block past block 12), and its reads — one per uncached block
+/// of the file or directory it touches — are all one size, so three runs
+/// always suffice. A fourth is a server bug, and panics.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct DiskOps {
+    runs: [(usize, usize); 3],
+    n: usize,
+}
+
+impl DiskOps {
+    /// Records one transfer of `bytes`.
+    pub fn push(&mut self, bytes: usize) {
+        match self.runs[..self.n].last_mut() {
+            Some((b, k)) if *b == bytes => *k += 1,
+            _ => {
+                self.runs[self.n] = (bytes, 1);
+                self.n += 1;
+            }
+        }
+    }
+
+    /// Transfers recorded.
+    pub fn len(&self) -> usize {
+        self.runs[..self.n].iter().map(|&(_, k)| k).sum()
+    }
+
+    /// Whether none were.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// Each transfer's size, in issue order.
+    pub fn iter(&self) -> DiskOpsIter<'_> {
+        self.into_iter()
+    }
+}
+
+/// The sizes of a [`DiskOps`], one per transfer.
+pub type DiskOpsIter<'a> = std::iter::FlatMap<
+    std::slice::Iter<'a, (usize, usize)>,
+    std::iter::RepeatN<usize>,
+    fn(&(usize, usize)) -> std::iter::RepeatN<usize>,
+>;
+
+impl<'a> IntoIterator for &'a DiskOps {
+    type Item = usize;
+    type IntoIter = DiskOpsIter<'a>;
+
+    fn into_iter(self) -> DiskOpsIter<'a> {
+        let expand: fn(&(usize, usize)) -> _ = |&(bytes, k)| std::iter::repeat_n(bytes, k);
+        self.runs[..self.n].iter().flat_map(expand)
+    }
 }
 
 /// Per-procedure service counters.
@@ -1291,6 +1348,71 @@ mod tests {
         assert_eq!(cost1.disk_reads.len(), 1, "cold read hits disk");
         let (_, cost2) = s.service(t(2), &read_req(11));
         assert!(cost2.disk_reads.is_empty(), "warm read served from cache");
+    }
+
+    /// A regular file of `blocks` full blocks under the root.
+    fn file_of(s: &mut NfsServer, blocks: usize) -> FileHandle {
+        let ino = s.fs_mut().create(InodeId(0), "f", 0o644, t(0)).unwrap();
+        s.fs_mut()
+            .write(ino, 0, &vec![9u8; blocks * BLOCK_SIZE], t(0))
+            .unwrap();
+        s.handle_for(ino).unwrap()
+    }
+
+    #[test]
+    fn a_write_past_block_12_records_data_inode_and_indirect_writes() {
+        let mut s = server();
+        let fh = file_of(&mut s, 12);
+        let data = MbufChain::from_slice(&[5; 8192], &mut CopyMeter::new());
+        let req = call(1, NfsProc::Write, |c, m| {
+            proto::build::write_args(c, m, &fh, 12 * BLOCK_SIZE as u32, data)
+        });
+        let (_, cost) = s.service(t(1), &req);
+        let writes: Vec<usize> = cost.disk_writes.iter().collect();
+        assert_eq!(writes, [8192, 512, 512], "data, inode, indirect");
+        assert_eq!(cost.disk_writes.len(), 3);
+        assert!(cost.disk_reads.is_empty());
+    }
+
+    #[test]
+    fn an_unaligned_cold_read_records_two_block_reads() {
+        let mut s = server();
+        let fh = file_of(&mut s, 2);
+        let req = call(1, NfsProc::Read, |c, m| {
+            proto::build::read_args(c, m, &fh, 100, 8192)
+        });
+        let (_, cost) = s.service(t(1), &req);
+        let reads: Vec<usize> = cost.disk_reads.iter().collect();
+        assert_eq!(reads, [BLOCK_SIZE, BLOCK_SIZE]);
+        assert!(cost.disk_writes.is_empty());
+    }
+
+    #[test]
+    fn a_cold_lookup_reads_every_block_of_a_large_directory() {
+        // 1,000 entries of 26 bytes: a directory of four blocks, each a
+        // read of one size, however many there are.
+        let mut s = server();
+        for i in 0..1000 {
+            s.fs_mut()
+                .create(InodeId(0), &format!("entry-{i:04}"), 0o644, t(0))
+                .unwrap();
+        }
+        let root = s.root_handle();
+        let req = call(1, NfsProc::Lookup, |c, m| {
+            proto::build::dirop_args(c, m, &root, "entry-0500")
+        });
+        let (_, cost) = s.service(t(1), &req);
+        let reads: Vec<usize> = cost.disk_reads.iter().collect();
+        assert_eq!(reads, [BLOCK_SIZE; 4]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_fourth_run_of_disk_ops_is_a_server_bug() {
+        let mut ops = DiskOps::default();
+        for bytes in [1, 2, 2, 3, 4] {
+            ops.push(bytes);
+        }
     }
 
     #[test]

@@ -545,6 +545,8 @@ struct Sched {
     /// Reusable UDP-transport action buffer, drained after every
     /// transport step.
     udp_actions: Vec<UdpAction>,
+    /// Spare TCP step outputs for client ends, drained after every step.
+    tcp_spare: Vec<TcpOut>,
 }
 
 impl Sched {
@@ -558,6 +560,7 @@ impl Sched {
             forgotten: HashSet::new(),
             next_ticket: 1,
             udp_actions: Vec::new(),
+            tcp_spare: Vec::new(),
         }
     }
 
@@ -754,6 +757,10 @@ struct Hub {
     /// Reusable network-step output: drained after every absorb, so the
     /// per-hop path allocates nothing once the vectors reach working size.
     net_out: NetOutput,
+    /// Spare TCP step outputs for server ends, drained after every step.
+    /// A step's received records run the nfsd, whose reply is a nested
+    /// step, so two are in use at once.
+    tcp_spare: Vec<TcpOut>,
 }
 
 /// The simulation world.
@@ -934,6 +941,7 @@ impl World {
                     events: Vec::with_capacity(scratch.net_events_cap),
                     delivered: Vec::new(),
                 },
+                tcp_spare: Vec::new(),
             },
             cfg,
             clients,
@@ -987,9 +995,9 @@ impl World {
     /// until both ends are established.
     fn tcp_connect(&mut self, ci: usize, sj: usize) {
         let now = self.queue.now();
-        let (conn, out) = TcpConn::client(tcp_config(self.clients[ci].mtus[sj]), 11_000, now);
+        let (conn, mut out) = TcpConn::client(tcp_config(self.clients[ci].mtus[sj]), 11_000, now);
         self.clients[ci].tcp(sj).expect("a TCP mount").conn = conn;
-        self.ctx(ci).tcp_out(sj, out, now);
+        self.ctx(ci).tcp_out(sj, &mut out, now);
         for _ in 0..10_000 {
             let ends = [
                 self.clients[ci].tcp(sj).expect("a TCP mount"),
@@ -1453,12 +1461,11 @@ impl ClientCtx<'_> {
                 self.apply_udp_actions(sj, &mut actions);
                 self.sched.udp_actions = actions;
             }
-            Transport::Tcp(end) => {
+            Transport::Tcp(_) => {
                 // Once-per-record socket/codec work.
                 let t = self.rt.host.charge_record(now);
                 let framed = frame_record(msg, &mut CopyMeter::new());
-                let out = end.conn.send(framed, t);
-                self.tcp_out(sj, out, t);
+                self.tcp_step(sj, t, |conn, out| conn.send_into(framed, t, out));
             }
         }
     }
@@ -1504,11 +1511,22 @@ impl ClientCtx<'_> {
         }
     }
 
-    /// Applies one step of this machine's end of its connection to server
-    /// `sj`: received stream data goes through the record reader to the
-    /// RPCs it answers, then the timer is armed and the segments leave.
-    fn tcp_out(&mut self, sj: usize, out: TcpOut, at: SimTime) {
-        for chunk in out.received {
+    /// Runs `step` on this machine's end of its connection to server `sj`
+    /// (none: nothing happens) into a spare output, then applies it.
+    fn tcp_step(&mut self, sj: usize, at: SimTime, step: impl FnOnce(&mut TcpConn, &mut TcpOut)) {
+        let Some(end) = self.rt.tcp(sj) else { return };
+        let mut out = self.sched.tcp_spare.pop().unwrap_or_default();
+        step(&mut end.conn, &mut out);
+        self.tcp_out(sj, &mut out, at);
+        self.sched.tcp_spare.push(out);
+    }
+
+    /// Applies (and drains) one step of this machine's end of its
+    /// connection to server `sj`: received stream data goes through the
+    /// record reader to the RPCs it answers, then the timer is armed and
+    /// the segments leave.
+    fn tcp_out(&mut self, sj: usize, out: &mut TcpOut, at: SimTime) {
+        for chunk in out.received.drain(..) {
             let Some(end) = self.rt.tcp(sj) else { break };
             end.reader.push(chunk);
             while let Some(rec) = self.rt.tcp(sj).and_then(TcpEnd::next_record) {
@@ -1517,7 +1535,7 @@ impl ClientCtx<'_> {
                 self.client_rpc_reply(sj, rec, t);
             }
         }
-        if let Some((deadline, gen)) = out.arm_timer {
+        if let Some((deadline, gen)) = out.arm_timer.take() {
             self.queue.push(
                 deadline,
                 Ev::TcpTimer {
@@ -1528,7 +1546,7 @@ impl ClientCtx<'_> {
                 },
             );
         }
-        for seg in out.segments {
+        for seg in out.segments.drain(..) {
             let done = self.rt.host.charge_tcp_tx(at, &seg.payload);
             let src = (self.rt.node, self.rt.sport);
             self.queue
@@ -1636,10 +1654,7 @@ impl ClientCtx<'_> {
                 }
             }
             Ev::TcpTimer { server, gen, .. } => {
-                if let Some(end) = self.rt.tcp(server) {
-                    let out = end.conn.on_timer(gen, now);
-                    self.tcp_out(server, out, now);
-                }
+                self.tcp_step(server, now, |conn, out| conn.on_timer_into(gen, now, out));
             }
             Ev::Note { kind, .. } => self.note(now, kind),
             Ev::Send { .. }
@@ -1673,11 +1688,10 @@ impl ClientCtx<'_> {
                 ..
             } => {
                 let t = self.rt.host.charge_tcp_rx(now, len);
-                let Some(end) = self.rt.tcp(sj) else { return };
-                let out = end
-                    .conn
-                    .on_segment(seq, ack, window, flags, d.dgram.payload, now);
-                self.tcp_out(sj, out, t);
+                let payload = d.dgram.payload;
+                self.tcp_step(sj, t, |conn, out| {
+                    conn.on_segment_into(seq, ack, window, flags, payload, now, out);
+                });
             }
         }
     }
@@ -1731,8 +1745,9 @@ impl Hub {
                 server_side: true,
                 gen,
             } => {
-                let out = self.servers[server].conns[client].conn.on_timer(gen, now);
-                self.tcp_out(queue, client, server, out, now);
+                self.tcp_step(queue, client, server, now, |conn, out| {
+                    conn.on_timer_into(gen, now, out);
+                });
             }
             Ev::ServerCrash { server, downtime } => {
                 let srv = &mut self.servers[server];
@@ -1808,29 +1823,46 @@ impl Hub {
                 ..
             } => {
                 let t = srv.host.charge_tcp_rx(now, len);
-                let Some(end) = srv.conns.get_mut(ci) else {
-                    return;
-                };
-                let out = end
-                    .conn
-                    .on_segment(seq, ack, window, flags, d.dgram.payload, now);
-                self.tcp_out(queue, ci, sj, out, t);
+                let payload = d.dgram.payload;
+                self.tcp_step(queue, ci, sj, t, |conn, out| {
+                    conn.on_segment_into(seq, ack, window, flags, payload, now, out);
+                });
             }
         }
     }
 
-    /// Applies one step of server `sj`'s end of its connection to client
-    /// `ci`: received stream data goes through the record reader into the
-    /// nfsd pool, then the timer is armed and the segments leave.
+    /// Runs `step` on server `sj`'s end of its connection to client `ci`
+    /// (none: nothing happens) into a spare output, then applies it.
+    fn tcp_step(
+        &mut self,
+        queue: &mut EventQueue<Ev>,
+        ci: usize,
+        sj: usize,
+        at: SimTime,
+        step: impl FnOnce(&mut TcpConn, &mut TcpOut),
+    ) {
+        let Some(end) = self.servers[sj].conns.get_mut(ci) else {
+            return;
+        };
+        let mut out = self.tcp_spare.pop().unwrap_or_default();
+        step(&mut end.conn, &mut out);
+        self.tcp_out(queue, ci, sj, &mut out, at);
+        self.tcp_spare.push(out);
+    }
+
+    /// Applies (and drains) one step of server `sj`'s end of its
+    /// connection to client `ci`: received stream data goes through the
+    /// record reader into the nfsd pool, then the timer is armed and the
+    /// segments leave.
     fn tcp_out(
         &mut self,
         queue: &mut EventQueue<Ev>,
         ci: usize,
         sj: usize,
-        out: TcpOut,
+        out: &mut TcpOut,
         at: SimTime,
     ) {
-        for chunk in out.received {
+        for chunk in out.received.drain(..) {
             self.servers[sj].conns[ci].reader.push(chunk);
             while let Some(rec) = self.servers[sj].conns[ci].next_record() {
                 // Once-per-record socket/codec work on the receiving side.
@@ -1838,7 +1870,7 @@ impl Hub {
                 self.serve_request(queue, rec, ci, sj, t);
             }
         }
-        if let Some((deadline, gen)) = out.arm_timer {
+        if let Some((deadline, gen)) = out.arm_timer.take() {
             queue.push(
                 deadline,
                 Ev::TcpTimer {
@@ -1850,7 +1882,7 @@ impl Hub {
             );
         }
         let (m, srv) = (&self.metas[ci], &mut self.servers[sj]);
-        for seg in out.segments {
+        for seg in out.segments.drain(..) {
             let done = srv.host.charge_tcp_tx(at, &seg.payload);
             queue.push(
                 done,
@@ -1939,21 +1971,22 @@ impl Hub {
             );
         }
         for bytes in &cost.disk_reads {
-            t = host.disk_io(t, *bytes, false, false);
+            t = host.disk_io(t, bytes, false, false);
         }
         let mut seq = false;
         for bytes in &cost.disk_writes {
             // Data blocks stream sequentially; metadata seeks.
-            t = host.disk_io(t, *bytes, true, seq && *bytes > 512);
+            t = host.disk_io(t, bytes, true, seq && bytes > 512);
             seq = true;
         }
         // A TCP mount has a connection to answer on; UDP replies are
         // addressed from the client's metadata.
-        let done = if let Some(end) = srv.conns.get_mut(client) {
+        let done = if client < srv.conns.len() {
             let t = srv.host.charge_record(t);
             let framed = frame_record(reply, &mut CopyMeter::new());
-            let out = end.conn.send(framed, t);
-            self.tcp_out(queue, client, sj, out, t);
+            self.tcp_step(queue, client, sj, t, |conn, out| {
+                conn.send_into(framed, t, out);
+            });
             t
         } else {
             let m = &self.metas[client];

@@ -12,6 +12,12 @@
 //! them in [`renofs_netsim::Datagram`]s. One retransmit timer per
 //! connection is managed through `(deadline, generation)` pairs so stale
 //! timer events can be recognized and ignored.
+//!
+//! A protocol step appends what it produces to a caller-owned
+//! [`TcpOut`] (`send_into`, `on_segment_into`, `on_timer_into`), so a
+//! caller that drains and reuses one allocates nothing per segment. The
+//! by-value `send`, `on_segment` and `on_timer` wrap them with a fresh
+//! one.
 
 use renofs_mbuf::{CopyMeter, MbufChain};
 use renofs_netsim::TcpFlags;
@@ -72,7 +78,8 @@ pub struct TcpSegment {
     pub payload: MbufChain,
 }
 
-/// Output of one protocol step.
+/// Output of protocol steps: each appends its segments and data, and a
+/// timer it arms replaces any armed before.
 #[derive(Debug, Default)]
 pub struct TcpOut {
     /// Segments to transmit, in order.
@@ -82,18 +89,14 @@ pub struct TcpOut {
     pub arm_timer: Option<(SimTime, u64)>,
     /// In-order application data.
     pub received: Vec<MbufChain>,
-    /// The connection became established during this step.
-    pub established: bool,
 }
 
 impl TcpOut {
-    fn merge(&mut self, mut other: TcpOut) {
-        self.segments.append(&mut other.segments);
-        if other.arm_timer.is_some() {
-            self.arm_timer = other.arm_timer;
-        }
-        self.received.append(&mut other.received);
-        self.established |= other.established;
+    /// Empties the output, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.segments.clear();
+        self.arm_timer = None;
+        self.received.clear();
     }
 }
 
@@ -107,7 +110,7 @@ enum State {
 }
 
 /// Cumulative per-connection statistics.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TcpStats {
     /// Data segments sent (excluding pure ACKs).
     pub data_segments_sent: u64,
@@ -251,12 +254,17 @@ impl TcpConn {
 
     /// Queues application data and transmits whatever the windows allow.
     pub fn send(&mut self, data: MbufChain, now: SimTime) -> TcpOut {
-        self.snd_buf.append_chain(data);
         let mut out = TcpOut::default();
-        if self.state == State::Established {
-            self.try_send(now, &mut out);
-        }
+        self.send_into(data, now, &mut out);
         out
+    }
+
+    /// [`send`](Self::send), appending to `out`.
+    pub fn send_into(&mut self, data: MbufChain, now: SimTime, out: &mut TcpOut) {
+        self.snd_buf.append_chain(data);
+        if self.state == State::Established {
+            self.try_send(now, out);
+        }
     }
 
     /// Transmits new data within `min(cwnd, peer_wnd)`.
@@ -308,8 +316,24 @@ impl TcpConn {
         payload: MbufChain,
         now: SimTime,
     ) -> TcpOut {
-        self.stats.segments_received += 1;
         let mut out = TcpOut::default();
+        self.on_segment_into(seq, ack, window, flags, payload, now, &mut out);
+        out
+    }
+
+    /// [`on_segment`](Self::on_segment), appending to `out`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn on_segment_into(
+        &mut self,
+        seq: u32,
+        ack: u32,
+        window: u32,
+        flags: TcpFlags,
+        payload: MbufChain,
+        now: SimTime,
+        out: &mut TcpOut,
+    ) {
+        self.stats.segments_received += 1;
         match self.state {
             State::Listen => {
                 if flags.syn {
@@ -339,7 +363,6 @@ impl TcpConn {
                     self.state = State::Established;
                     self.timer_armed = false;
                     self.backoff = 0;
-                    out.established = true;
                     // ACK the SYN-ACK; piggyback nothing.
                     out.segments.push(TcpSegment {
                         seq: self.snd_nxt,
@@ -349,7 +372,7 @@ impl TcpConn {
                         payload: MbufChain::new(),
                     });
                     self.stats.acks_sent += 1;
-                    self.try_send(now, &mut out);
+                    self.try_send(now, out);
                 }
             }
             State::SynRcvd => {
@@ -359,20 +382,17 @@ impl TcpConn {
                     self.state = State::Established;
                     self.timer_armed = false;
                     self.backoff = 0;
-                    out.established = true;
                     // The ACK may carry data already.
                     if !payload.is_empty() {
-                        let sub = self.on_segment(seq, ack, window, flags, payload, now);
-                        out.merge(sub);
+                        self.on_segment_into(seq, ack, window, flags, payload, now, out);
                     }
-                    self.try_send(now, &mut out);
+                    self.try_send(now, out);
                 }
             }
             State::Established => {
-                self.established_segment(seq, ack, window, flags, payload, now, &mut out);
+                self.established_segment(seq, ack, window, flags, payload, now, out);
             }
         }
-        out
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -533,9 +553,15 @@ impl TcpConn {
     /// Handles a retransmit-timer event. Stale generations are ignored.
     pub fn on_timer(&mut self, gen: u64, now: SimTime) -> TcpOut {
         let mut out = TcpOut::default();
+        self.on_timer_into(gen, now, &mut out);
+        out
+    }
+
+    /// [`on_timer`](Self::on_timer), appending to `out`.
+    pub fn on_timer_into(&mut self, gen: u64, now: SimTime, out: &mut TcpOut) {
         if !self.timer_armed || gen != self.timer_gen {
             renofs_sim::profile::census("TcpTimer", true);
-            return out;
+            return;
         }
         match self.state {
             State::SynSent | State::SynRcvd => {
@@ -562,7 +588,7 @@ impl TcpConn {
             State::Established => {
                 if self.snd_una == self.snd_max {
                     self.timer_armed = false;
-                    return out;
+                    return;
                 }
                 self.stats.timeouts += 1;
                 self.backoff += 1;
@@ -573,11 +599,10 @@ impl TcpConn {
                 self.snd_nxt = self.snd_una;
                 self.timing = None;
                 self.dup_acks = 0;
-                self.retransmit_first(now, &mut out);
+                self.retransmit_first(now, out);
             }
             State::Listen => {}
         }
-        out
     }
 }
 

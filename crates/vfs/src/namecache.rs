@@ -15,7 +15,7 @@ use crate::types::VnodeId;
 pub const NC_NAMEMAX: usize = 31;
 
 /// Cumulative cache statistics.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NameCacheStats {
     /// Lookups that hit.
     pub hits: u64,
@@ -25,6 +25,27 @@ pub struct NameCacheStats {
     pub too_long: u64,
     /// Entries evicted by capacity.
     pub evictions: u64,
+}
+
+/// A cacheable component name, held inline as 4.3BSD holds it
+/// (`nc_name[NCHNAMLEN]`), so building a key allocates nothing.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct NcName {
+    len: u8,
+    bytes: [u8; NC_NAMEMAX],
+}
+
+impl NcName {
+    /// The key for `name`, or `None` past [`NC_NAMEMAX`] bytes.
+    fn new(name: &str) -> Option<Self> {
+        let src = name.as_bytes();
+        let mut bytes = [0; NC_NAMEMAX];
+        bytes.get_mut(..src.len())?.copy_from_slice(src);
+        Some(NcName {
+            len: src.len() as u8,
+            bytes,
+        })
+    }
 }
 
 /// An LRU name-lookup cache.
@@ -42,7 +63,8 @@ pub struct NameCacheStats {
 pub struct NameCache {
     enabled: bool,
     capacity: usize,
-    map: HashMap<(VnodeId, String), (VnodeId, u64)>,
+    /// SipHash, not `IntMap`: the names come off the wire.
+    map: HashMap<(VnodeId, NcName), (VnodeId, u64)>,
     clock: u64,
     stats: NameCacheStats,
 }
@@ -94,13 +116,13 @@ impl NameCache {
             self.stats.misses += 1;
             return None;
         }
-        if name.len() > NC_NAMEMAX {
+        let Some(name) = NcName::new(name) else {
             self.stats.too_long += 1;
             return None;
-        }
+        };
         self.clock += 1;
         let clock = self.clock;
-        match self.map.get_mut(&(dir, name.to_string())) {
+        match self.map.get_mut(&(dir, name)) {
             Some((v, stamp)) => {
                 *stamp = clock;
                 self.stats.hits += 1;
@@ -115,29 +137,33 @@ impl NameCache {
 
     /// Enters a translation. Over-long names are not cached.
     pub fn enter(&mut self, dir: VnodeId, name: &str, target: VnodeId) {
-        if !self.enabled || name.len() > NC_NAMEMAX {
+        if !self.enabled {
             return;
         }
+        let Some(name) = NcName::new(name) else {
+            return;
+        };
         self.clock += 1;
-        if self.map.len() >= self.capacity && !self.map.contains_key(&(dir, name.to_string())) {
+        if self.map.len() >= self.capacity && !self.map.contains_key(&(dir, name)) {
             // Evict the least recently used entry.
             if let Some(key) = self
                 .map
                 .iter()
                 .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| k.clone())
+                .map(|(k, _)| *k)
             {
                 self.map.remove(&key);
                 self.stats.evictions += 1;
             }
         }
-        self.map
-            .insert((dir, name.to_string()), (target, self.clock));
+        self.map.insert((dir, name), (target, self.clock));
     }
 
     /// Removes one translation (on remove/rename/create collisions).
     pub fn invalidate(&mut self, dir: VnodeId, name: &str) {
-        self.map.remove(&(dir, name.to_string()));
+        if let Some(name) = NcName::new(name) {
+            self.map.remove(&(dir, name));
+        }
     }
 
     /// Purges every entry that maps to or from `vnode` (vnode recycled,

@@ -17,7 +17,9 @@ grep -rn 'sim[_-]threads' crates scripts README.md DESIGN.md EXPERIMENTS.md && e
 grep -rnE 'force_monolithic|is_partitioned|run_carved|carve_access|DomainQ' crates && exit 1
 
 echo "==> IntMap is for keys the simulator mints (a key with wire bytes in it keeps SipHash)"
-grep -rnE 'IntMap<(\([^)]*)?(String|Vec<u8>)' crates --include='*.rs' && exit 1
+# Names off the wire come as `String`s, byte vectors, or inline as the name
+# cache's `NcName` and the XDR decoder's `InlineStr`.
+grep -rnE 'IntMap<(\([^)]*)?(String|Vec<u8>|NcName|InlineStr)' crates --include='*.rs' && exit 1
 
 echo "==> cargo test -q"
 cargo test -q --workspace

@@ -8,8 +8,11 @@ A sample in a stripped library can only be placed after the nearest *exported*
 symbol below it, which is a guess: it prints as `lib:name~+0xLO..0xHI` (the
 offsets the samples fell at — a span far past any plausible function body is
 some unexported neighbour), and as `lib:0xPAGE` (the 4 KB page of the offset)
-when the nearest export is more than 4 KB away, where the name says nothing."""
-import bisect, collections, os, re, subprocess, sys
+when the nearest export is more than 4 KB away, where the name says nothing.
+A file from scripts/allocprof.c (it has an `A` line) holds one sample per
+sampled allocation instead, and adds a table of allocation sites: the first
+frame outside the allocator and std."""
+import bisect, collections, functools, os, re, subprocess, sys
 
 args = sys.argv[1:]
 
@@ -23,6 +26,7 @@ def option(flag):
 under, callers_of = option("--under"), option("--callers")
 exe, path = os.path.realpath(args[0]), args[1]
 maps, named, samples = [], [], []  # (start, end, file), (addr, name), [addr..]
+allocations = None  # how many allocations an allocprof.c file sampled from
 for line in open(path):
     kind, *f = line.split()
     if kind == "M" and len(f) >= 6:
@@ -30,18 +34,24 @@ for line in open(path):
         maps.append((lo, hi, f[5]))
     elif kind == "F":
         named.append((int(f[1], 16), f[0]))
+    elif kind == "A":
+        allocations = int(f[0])
     elif kind == "S":
         samples.append([int(x, 16) for x in f])
 named.sort()
+maps.sort()
+starts = [lo for lo, _, _ in maps]
 base = {}  # file -> load address (its lowest mapping)
 for lo, _, file in maps:
     base[file] = min(lo, base.get(file, lo))
 
 
+@functools.cache
 def locate(addr):
-    for lo, hi, file in maps:
-        if lo <= addr < hi:
-            return file, addr - base[file]
+    i = bisect.bisect(starts, addr) - 1
+    if i >= 0 and addr < maps[i][1]:
+        file = maps[i][2]
+        return file, addr - base[file]
     return "?", addr
 
 
@@ -65,6 +75,7 @@ function = {o: re.sub(r"::h[0-9a-f]{16}$", "", f)[:96] for o, f in zip(offs, out
 syms, guessed = {}, {}  # file -> exported symbols; guessed name -> offsets past its symbol
 
 
+@functools.cache
 def name(addr, leaf):
     """The function containing addr; `~` marks a guess from exported symbols."""
     file, off = locate(key(addr, leaf))
@@ -90,7 +101,9 @@ def shown(row):
     return re.sub(r"[^\s:]+:[^\s~]+~", span, row)
 
 
-self_time, inclusive, callers, chains = (collections.Counter() for _ in range(4))
+# What allocates on behalf of its caller: the allocator, std and its maps.
+plumbing = re.compile(r"^<?(alloc|core|std|hashbrown)::|^__r|GlobalAlloc>|^(malloc|calloc|realloc)$")
+self_time, inclusive, callers, chains, sites = (collections.Counter() for _ in range(5))
 kept = 0
 for s in samples:
     fn = name(s[0], True)
@@ -111,9 +124,17 @@ for s in samples:
     at = next((i for i, f in enumerate(stack) if callers_of and callers_of in f), None)
     if at is not None:
         chains[" <- ".join(stack[at + 1:at + 4])] += 1
-tables = [("self time by function", self_time), ("libc leaves by caller", callers),
-          ("inclusive time", inclusive)] + ([(f"callers of {callers_of}", chains)] * bool(callers_of))
+    sites[next((f for f in stack if not plumbing.search(f)), "?")] += 1
+if allocations is None:
+    tables = [("self time by function", self_time), ("libc leaves by caller", callers),
+              ("inclusive time", inclusive)]
+    unit = "samples"
+else:
+    tables = [("allocation sites", sites), ("allocations by routine and caller", callers),
+              ("inclusive allocations", inclusive)]
+    unit = f"sampled allocations of {allocations}"
+tables += [(f"callers of {callers_of}", chains)] * bool(callers_of)
 for title, table in tables:
-    print(f"\n== {title} ({kept} of {len(samples)} samples{' under ' + under if under else ''}, % of kept) ==")
+    print(f"\n== {title} ({kept} of {len(samples)} {unit}{' under ' + under if under else ''}, % of kept) ==")
     for name, n in table.most_common(25):
         print(f"{100.0 * n / max(kept, 1):6.1f}%  {shown(name)}")
