@@ -5,10 +5,10 @@
 # SIGPROF sampler (scripts/hostprof.c, 250 Hz of CPU time) and prints
 # self time by function, libc leaves by caller and inclusive time
 # (scripts/hostprof.py). The whole process is sampled. On every workload
-# but the crowd, set-up is well under a percent of it; on the crowd the run
-# phase is two thirds (building and dropping 1,024 clients is the rest), a
-# proc's stack ends at `coro::entry` rather than `World::run`, and the run
-# phase is the samples under either:
+# but the crowd, set-up is well under a percent of it; on the crowd,
+# building and dropping 1,024 clients is about 7 % of it (`cells::build`
+# 2.6 %, `cells::finish` 4.1 %), a proc's stack ends at `coro::entry`
+# rather than `World::run`, and the run phase is the samples under either:
 #
 #   scripts/hostprof.sh [WORKLOAD [SECONDS [SEED [hostprof.py options]]]]
 #   scripts/hostprof.sh                                (read_56k, 12 s, 1)
