@@ -27,9 +27,10 @@
 //! Every case's seeds derive from its position, so output is
 //! byte-identical at any `--jobs` level.
 
+use std::cell::RefCell;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::mpsc::channel;
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use renofs::{
@@ -756,7 +757,7 @@ struct Tally {
 /// feeds each observation the moment it happens, and forwards watermark
 /// heartbeats so idle clients never stall the merge.
 struct ObsSink {
-    oracle: Arc<Mutex<StreamingOracle>>,
+    oracle: Rc<RefCell<StreamingOracle>>,
     ci: usize,
     tally: Tally,
 }
@@ -779,21 +780,15 @@ impl ObsSink {
             ObsKind::Observed { .. } | ObsKind::Listed { .. } => self.tally.ok += 1,
             ObsKind::ReadFailed { .. } => {}
         }
-        self.oracle.lock().expect("oracle poisoned").feed(obs);
+        self.oracle.borrow_mut().feed(obs);
     }
 
     fn heartbeat(&self, t_ns: u64) {
-        self.oracle
-            .lock()
-            .expect("oracle poisoned")
-            .heartbeat(self.ci, t_ns);
+        self.oracle.borrow_mut().heartbeat(self.ci, t_ns);
     }
 
     fn finish(self) -> Tally {
-        self.oracle
-            .lock()
-            .expect("oracle poisoned")
-            .finish_client(self.ci);
+        self.oracle.borrow_mut().finish_client(self.ci);
         self.tally
     }
 }
@@ -991,10 +986,10 @@ pub fn run_case_opts(case: &SoakCase, mutation: Mutation, opts: &RunOpts) -> Cas
     if opts.capture {
         checker = checker.with_capture();
     }
-    let oracle = Arc::new(Mutex::new(checker));
+    let oracle = Rc::new(RefCell::new(checker));
     for ci in 0..nclients {
         let tx = tx.clone();
-        let oracle = Arc::clone(&oracle);
+        let oracle = Rc::clone(&oracle);
         let roots = roots.clone();
         let map = map.clone();
         world.spawn_on(ci, move |sys| {
@@ -1370,11 +1365,8 @@ pub fn run_case_opts(case: &SoakCase, mutation: Mutation, opts: &RunOpts) -> Cas
         ok_ops += tally.ok;
         taints += tally.taints;
     }
-    let Ok(mutex) = Arc::try_unwrap(oracle) else {
-        panic!("client feeds still hold the oracle");
-    };
-    let checker = mutex.into_inner().expect("oracle poisoned");
-    let stream_out = checker.finish();
+    let checker = Rc::into_inner(oracle).expect("every client feed finished");
+    let stream_out = checker.into_inner().finish();
     let mut violations = stream_out.violations;
     filter_crash_replays(&kept, &mut violations);
 

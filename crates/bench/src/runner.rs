@@ -38,44 +38,7 @@ where
     R: Send,
     F: Fn(&J) -> R + Sync,
 {
-    let workers = workers.clamp(1, jobs.len().max(1));
-    if workers == 1 {
-        // Sequential fast path: identical job order, no threads.
-        return jobs.iter().map(work).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(jobs.len()).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs.len() {
-                            break;
-                        }
-                        done.push((i, work(&jobs[i])));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(chunk) => {
-                    for (i, r) in chunk {
-                        slots[i] = Some(r);
-                    }
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|r| r.expect("index queue covered every job"))
-        .collect()
+    run_jobs_with(jobs, workers, |_: &mut (), job| work(job))
 }
 
 /// Like [`run_jobs`], but each worker thread carries a mutable scratch

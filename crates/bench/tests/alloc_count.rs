@@ -23,7 +23,7 @@ use renofs::{
     NfsProc, NfsServer, NfsStatus, ServerConfig, TopologyKind, TransportKind, World, WorldConfig,
 };
 use renofs_bench::experiments::world_for;
-use renofs_mbuf::{pool, CopyMeter, MbufChain};
+use renofs_mbuf::{CopyMeter, MbufChain};
 use renofs_netsim::topology::presets::Background;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -98,40 +98,22 @@ fn warm_pools_build_8k_reply_chains_without_allocating() {
 }
 
 #[test]
-fn spines_dropped_on_a_second_thread_come_back_to_the_builder() {
+fn a_crowds_live_set_of_8k_reply_chains_is_rebuilt_without_allocating() {
     let _alone = measuring();
-    // This thread only builds chains and another only drops them, as
-    // happens to anything a `--jobs` worker hands to the thread that
-    // renders its result. The dropper is a pure producer, so its frees
-    // must reach the shared tier and this thread must refill from there;
-    // a stranded spine shows as `fresh` growing by a batch every round.
-    // The rounds compared build more chains than the shared tier can
-    // hold, so nothing an earlier test left there can stand in for them.
-    const BATCH: usize = 256;
-    let (to_dropper, chains) = std::sync::mpsc::channel::<Vec<MbufChain>>();
-    let (dropped, acks) = std::sync::mpsc::channel::<()>();
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            for batch in chains {
-                drop(batch);
-                dropped.send(()).unwrap();
-            }
-        });
-        let mut meter = CopyMeter::new();
-        let mut fresh_after = Vec::new();
-        for _ in 0..40 {
-            let batch: Vec<_> = (0..BATCH).map(|_| read_reply_chain(&mut meter)).collect();
-            fresh_after.push(pool::spine_stats().fresh);
-            to_dropper.send(batch).unwrap();
-            // The next round builds only once this one has been freed.
-            acks.recv().unwrap();
-        }
-        drop(to_dropper);
-        assert_eq!(
-            fresh_after[7], fresh_after[39],
-            "spines freed on the other thread never came back: {fresh_after:?}"
-        );
-    });
+    // A crowd holds many chains at once, not one at a time: the free
+    // lists must park a whole live set when it is dropped and hand it
+    // back to the next one. 288 8 KB replies hold 1,152 clusters, all the
+    // cluster list parks (and 288 of the spines and small areas).
+    const LIVE: usize = 288;
+    let mut meter = CopyMeter::new();
+    let mut live = Vec::with_capacity(LIVE);
+    let mut round = || {
+        live.extend((0..LIVE).map(|_| read_reply_chain(&mut meter)));
+        live.clear();
+    };
+    // The first round fills the lists.
+    round();
+    assert_eq!(quietest(round), 0, "a rebuilt live set allocated");
 }
 
 /// The LAN read-RPC mount every single-client budget here uses.

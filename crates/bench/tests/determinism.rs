@@ -65,9 +65,9 @@ fn faults_is_byte_identical_across_worker_counts() {
 
 #[test]
 fn crowd_is_byte_identical_across_worker_counts() {
-    // The crowd sweep spawns N generator threads per cell (not one), so
-    // seed-splitting per client — not thread scheduling — must be the
-    // only source of randomness for the output to survive any fan-out.
+    // The crowd sweep spawns N generator procs per cell (not one), so
+    // seed-splitting per client — not which worker runs a cell — must be
+    // the only source of randomness for the output to survive any fan-out.
     let mut scale = Scale::quick();
     scale.jobs = 1;
     let serial = crowd::crowd(&scale).to_string();

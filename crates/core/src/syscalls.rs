@@ -40,24 +40,8 @@ pub type RpcResult = Result<MbufChain, RpcError>;
 /// thread's thread-locals, and while it is suspended in a call other procs
 /// run there. Holding a lock across a call that another proc will want
 /// deadlocks, as it always did under strict hand-off.
-///
-/// # Posted calls
-///
-/// The four calls that return nothing — [`charge_cpu`](Self::charge_cpu),
-/// [`sleep`](Self::sleep), [`local_disk`](Self::local_disk) and
-/// [`forget_ticket`](Self::forget_ticket) — may be *posted*: recorded and
-/// returned from at once. Posted calls take effect in issue order, at the
-/// virtual times they would have had, before the next call that returns a
-/// value (`now`, `rpc*`, `await_ticket`, `poll_ticket`, `wait_all_async`)
-/// and before the proc exits; in virtual time nothing distinguishes them
-/// from blocking calls. The one difference is on the host: code between a
-/// posted call and the next value-returning call runs *before* the machine
-/// performs the posted call, so a harness that polls a host channel
-/// between [`World::run_until`](crate::world::World::run_until) quanta may
-/// see a proc's message one quantum earlier. World state at any virtual
-/// time is unchanged.
 pub trait Syscalls {
-    /// Current virtual time, after everything posted has taken effect.
+    /// Current virtual time.
     fn now(&mut self) -> SimTime;
 
     /// Consumes CPU on the client machine (blocks the caller while other

@@ -8,11 +8,9 @@
 //! world's events: the event loop switches to a proc to resume
 //! it and the proc switches back when a call must block, so exactly one
 //! of them runs at any instant — strict hand-off, which is what keeps the
-//! run deterministic — and no other thread is involved. A proc crosses to
-//! the loop only for an answer it does not hold: `now()` reads the clock
-//! stamped on its last resume, and calls that return nothing are posted
-//! to travel with the next call that returns a value (see [`Syscalls`]
-//! and DESIGN.md §8).
+//! run deterministic — and no other thread is involved. Every call but
+//! `now()` crosses to the loop once; `now()` reads the clock stamped on
+//! the proc's last resume (DESIGN.md §8).
 //!
 //! Every CPU microsecond, disk seek, wire serialization, IP fragment and
 //! retransmission flows through this loop, which is what lets the bench
@@ -61,7 +59,7 @@
 //! [`Syscalls::rpc_to`]. An M = 1 world is byte-identical to the
 //! pre-shard single-server world.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
@@ -245,12 +243,8 @@ impl WorldConfig {
     }
 }
 
-/// Requests from workload procs. `Sleep`, `ChargeCpu`, `LocalDisk` and
-/// `ForgetTicket` answer with nothing, so [`WorldSys`] posts them; the
-/// rest return a value and cross to the world.
+/// Requests from workload procs, one per crossing.
 enum Req {
-    /// Replies in place: the crossing that empties a proc's post box.
-    Flush,
     Sleep(SimDuration),
     ChargeCpu(SimDuration),
     Rpc(usize, NfsProc, MbufChain),
@@ -469,20 +463,14 @@ impl NfsdStats {
 
 /// What a proc and the world tell each other, one heap cell per proc. The
 /// switch between them carries no values, and exactly one side runs at a
-/// time: the proc fills `posts` and takes `reply` only while it runs, the
-/// world the reverse only while the proc is suspended, and neither holds a
-/// borrow across a switch.
+/// time: the proc sets `req` and takes `reply` only while it runs, the
+/// world the reverse only while the proc is suspended.
 struct ProcCell {
-    /// The proc's requests in issue order: posted ones, then the call that
-    /// crossed.
-    posts: RefCell<VecDeque<Req>>,
-    /// What resumes the proc: the world clock and the reply to the call
-    /// it crossed with.
+    /// The call the proc suspended with.
+    req: Cell<Option<Req>>,
+    /// What resumes the proc: the world clock and the reply to its call.
     reply: Cell<Option<(SimTime, Resp)>>,
 }
-
-/// Posted requests a proc may accumulate before it crosses regardless.
-const POST_CAP: usize = 8;
 
 /// The world's end of one proc's boundary.
 struct ProcPort {
@@ -497,25 +485,19 @@ struct ProcPort {
 }
 
 impl ProcPort {
-    /// The next request of a suspended proc. While its post box holds
-    /// requests the proc stays suspended and `resp` (the `Unit` of a posted
-    /// request) is dropped; once the box is empty `resp` resumes the proc,
-    /// stamped with the world `clock`, and it runs until it crosses again
-    /// or ends — normally or by a panic, kept for `run` — which queues
-    /// `Finished` behind whatever it had posted.
+    /// Resumes a suspended proc with `resp`, stamped with the world
+    /// `clock`, and returns the call it crosses with next — or `Finished`
+    /// once its body ends, normally or by a panic kept for `run`.
     fn next_req(&mut self, clock: SimTime, resp: Resp) -> Req {
-        if self.cell.posts.borrow().is_empty() {
-            self.cell.reply.set(Some((clock, resp)));
-            let finished = self.coro.resume().unwrap_or_else(|payload| {
-                self.panic = Some(payload);
-                true
-            });
-            if finished {
-                self.cell.posts.borrow_mut().push_back(Req::Finished);
-            }
+        self.cell.reply.set(Some((clock, resp)));
+        let finished = self.coro.resume().unwrap_or_else(|payload| {
+            self.panic = Some(payload);
+            true
+        });
+        if finished {
+            return Req::Finished;
         }
-        let req = self.cell.posts.borrow_mut().pop_front();
-        req.expect("a proc suspends only with a request in its box")
+        self.cell.req.take().expect("suspended with a call")
     }
 }
 
@@ -596,18 +578,15 @@ impl Sched {
 pub struct WorldSys {
     cell: Rc<ProcCell>,
     clock: SimTime,
-    /// Requests posted since the last crossing.
-    posted: usize,
     #[cfg(test)]
     crossings: u64,
 }
 
 impl WorldSys {
-    /// Crosses to the world: everything posted, then `req`, and suspends
-    /// until `req`'s reply (unwinding instead if the world is dropped).
+    /// Crosses to the world with `req` and suspends until its reply
+    /// (unwinding instead if the world is dropped).
     fn ask(&mut self, req: Req) -> Resp {
-        self.cell.posts.borrow_mut().push_back(req);
-        self.posted = 0;
+        self.cell.req.set(Some(req));
         #[cfg(test)]
         {
             self.crossings += 1;
@@ -617,32 +596,19 @@ impl WorldSys {
         self.clock = clock;
         resp
     }
-
-    /// Records a request that answers with nothing; it travels with the
-    /// next crossing.
-    fn post(&mut self, req: Req) {
-        self.cell.posts.borrow_mut().push_back(req);
-        self.posted += 1;
-        if self.posted == POST_CAP {
-            self.ask(Req::Flush);
-        }
-    }
 }
 
 impl Syscalls for WorldSys {
     fn now(&mut self) -> SimTime {
-        if self.posted > 0 {
-            self.ask(Req::Flush);
-        }
         self.clock
     }
 
     fn charge_cpu(&mut self, d: SimDuration) {
-        self.post(Req::ChargeCpu(d));
+        self.ask(Req::ChargeCpu(d));
     }
 
     fn sleep(&mut self, d: SimDuration) {
-        self.post(Req::Sleep(d));
+        self.ask(Req::Sleep(d));
     }
 
     fn rpc(&mut self, proc: NfsProc, msg: MbufChain) -> RpcResult {
@@ -682,18 +648,15 @@ impl Syscalls for WorldSys {
     }
 
     fn forget_ticket(&mut self, t: Ticket) {
-        self.post(Req::ForgetTicket(t.0));
+        self.ask(Req::ForgetTicket(t.0));
     }
 
     fn wait_all_async(&mut self) {
-        match self.ask(Req::WaitAllAsync) {
-            Resp::Unit => {}
-            _ => unreachable!(),
-        }
+        self.ask(Req::WaitAllAsync);
     }
 
     fn local_disk(&mut self, bytes: usize, write: bool, sequential: bool) {
-        self.post(Req::LocalDisk {
+        self.ask(Req::LocalDisk {
             bytes,
             write,
             seq: sequential,
@@ -1197,16 +1160,17 @@ impl World {
     /// [`World::run`] schedules it.
     pub fn spawn<F>(&mut self, f: F) -> usize
     where
-        F: FnOnce(&mut WorldSys) + Send + 'static,
+        F: FnOnce(&mut WorldSys) + 'static,
     {
         self.spawn_on(0, f)
     }
 
     /// Spawns a workload proc on the given client machine. It starts
-    /// suspended; [`World::run`] schedules it.
+    /// suspended; [`World::run`] schedules it. The proc never leaves the
+    /// thread that runs the world, so `f` need not be `Send`.
     pub fn spawn_on<F>(&mut self, client: usize, f: F) -> usize
     where
-        F: FnOnce(&mut WorldSys) + Send + 'static,
+        F: FnOnce(&mut WorldSys) + 'static,
     {
         assert!(client < self.clients.len(), "no such client machine");
         assert!(
@@ -1216,9 +1180,7 @@ impl World {
         let sched = &mut self.sched;
         let id = sched.ports.len();
         let cell = Rc::new(ProcCell {
-            // Sized once, here: a box never holds more than a full post
-            // buffer and the request that flushes it.
-            posts: RefCell::new(VecDeque::with_capacity(POST_CAP + 1)),
+            req: Cell::new(None),
             reply: Cell::new(None),
         });
         let theirs = cell.clone();
@@ -1227,7 +1189,6 @@ impl World {
             f(&mut WorldSys {
                 cell: theirs,
                 clock,
-                posted: 0,
                 #[cfg(test)]
                 crossings: 0,
             });
@@ -1356,15 +1317,14 @@ struct ClientCtx<'a> {
 }
 
 impl ClientCtx<'_> {
-    /// Services a suspended proc's requests, resuming it with `resp` once
-    /// none is left in its post box, until a request blocks it in virtual
-    /// time (or it finishes).
+    /// Resumes a suspended proc with `resp` and services its calls, each
+    /// answered in place by resuming it again, until one blocks it in
+    /// virtual time (or it finishes).
     fn resume(&mut self, tid: usize, mut resp: Resp) {
         let _sp = profile::span(profile::Subsystem::Client);
         loop {
             let req = self.sched.ports[tid].next_req(self.queue.now(), resp);
             resp = match req {
-                Req::Flush => Resp::Unit,
                 Req::PollTicket(t) => Resp::MaybeChain(self.sched.tickets_done.remove(&t)),
                 Req::ForgetTicket(t) => {
                     if self.sched.tickets_done.remove(&t).is_none() {
@@ -2022,7 +1982,6 @@ mod tests {
     use crate::proto::NfsStatus;
     use renofs_vfs::InodeId;
     use std::sync::mpsc::channel as result_channel;
-    use std::sync::Arc;
 
     fn preload(world: &mut World, name: &str, bytes: &[u8]) {
         let root = world.server().fs().root();
@@ -2390,9 +2349,9 @@ mod tests {
 
     /// Runs `f` as the only proc of a world; returns its result and the
     /// finished world.
-    fn run_one<T: Send + 'static>(
+    fn run_one<T: 'static>(
         cfg: WorldConfig,
-        f: impl FnOnce(&mut WorldSys) -> T + Send + 'static,
+        f: impl FnOnce(&mut WorldSys) -> T + 'static,
     ) -> (T, World) {
         let mut world = World::new(cfg);
         let (tx, rx) = result_channel();
@@ -2416,11 +2375,11 @@ mod tests {
             }
             sys.crossings
         });
-        assert_eq!(crossings, 20, "sleep+now share one crossing, rpc is one");
+        assert_eq!(crossings, 20, "sleep and rpc cross, now() does not");
     }
 
     #[test]
-    fn charge_then_rpc_is_one_crossing() {
+    fn charge_then_rpc_is_two_crossings() {
         let (crossings, _) = run_one(WorldConfig::baseline(), |sys| {
             for xid in 0..10 {
                 sys.charge_cpu(SimDuration::from_micros(50));
@@ -2428,11 +2387,11 @@ mod tests {
             }
             sys.crossings
         });
-        assert_eq!(crossings, 10);
+        assert_eq!(crossings, 20);
     }
 
     #[test]
-    fn now_after_a_posted_charge_reads_the_post_charge_time() {
+    fn now_after_a_charge_reads_the_post_charge_time() {
         let d = SimDuration::from_micros(700);
         let ((t0, t1, crossings), _) = run_one(WorldConfig::baseline(), move |sys| {
             let t0 = sys.now();
@@ -2440,30 +2399,11 @@ mod tests {
             (t0, sys.now(), sys.crossings)
         });
         assert_eq!(t1, t0 + d, "idle CPU: the charge ends d later");
-        assert_eq!(crossings, 1, "the first now() had nothing to flush");
+        assert_eq!(crossings, 1, "only the charge crossed");
     }
 
     #[test]
-    fn a_full_post_buffer_crosses_by_itself() {
-        let d = SimDuration::from_micros(10);
-        let n = 3 * POST_CAP as u64 + 2;
-        let ((t0, t1, crossings), _) = run_one(WorldConfig::baseline(), move |sys| {
-            let t0 = sys.now();
-            for _ in 0..n {
-                sys.charge_cpu(d);
-            }
-            (t0, sys.now(), sys.crossings)
-        });
-        assert_eq!(t1, t0 + d * n, "every charge ran, in order");
-        assert_eq!(
-            crossings,
-            3 + 1,
-            "three full buffers, then now() for the rest"
-        );
-    }
-
-    #[test]
-    fn a_trailing_posted_charge_still_moves_the_finish_clock() {
+    fn a_trailing_charge_still_moves_the_finish_clock() {
         let d = SimDuration::from_millis(9);
         let (t0, world) = run_one(WorldConfig::baseline(), move |sys| {
             let t0 = sys.now();
@@ -2475,13 +2415,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "boom with posts pending")]
-    fn a_panic_with_posts_pending_is_reraised_by_run() {
+    #[should_panic(expected = "boom after a charge and a sleep")]
+    fn a_panic_after_a_charge_and_a_sleep_is_reraised_by_run() {
         let mut world = World::new(WorldConfig::baseline());
         world.spawn(|sys| {
             sys.charge_cpu(SimDuration::from_millis(1));
             sys.sleep(SimDuration::from_millis(1));
-            panic!("boom with posts pending");
+            panic!("boom after a charge and a sleep");
         });
         world.run();
     }
@@ -2503,7 +2443,7 @@ mod tests {
             assert!(!sys.await_ticket(second).unwrap().is_empty());
             sys.crossings
         });
-        assert_eq!(crossings, 4, "rpc_async, charge+rpc_async, poll, await");
+        assert_eq!(crossings, 5, "rpc_async, charge, rpc_async, poll, await");
         assert_eq!(world.client_host().cpu.busy_in(CpuCategory::User), d);
     }
 
@@ -2518,7 +2458,7 @@ mod tests {
 
     #[test]
     fn dropping_a_started_world_unwinds_its_procs() {
-        let held = Arc::new(());
+        let held = Rc::new(());
         let mut world = World::new(WorldConfig::baseline());
         for _ in 0..3 {
             let mine = held.clone();
@@ -2529,9 +2469,9 @@ mod tests {
             });
         }
         world.run_until(SimTime::from_secs(1));
-        assert_eq!(Arc::strong_count(&held), 4, "three procs asleep");
+        assert_eq!(Rc::strong_count(&held), 4, "three procs asleep");
         drop(world);
-        assert_eq!(Arc::strong_count(&held), 1);
+        assert_eq!(Rc::strong_count(&held), 1);
     }
 
     #[test]

@@ -1,24 +1,18 @@
-//! Posted syscalls ⇔ one crossing per call.
+//! An inserted crossing is invisible to the world.
 //!
-//! [`WorldSys`](renofs::world::WorldSys) answers `now()` from the clock
-//! stamped on the proc's last resume and *posts* the calls that return
-//! nothing (`charge_cpu`, `sleep`, `local_disk`, `forget_ticket`) until
-//! the next call that returns a value. The promise is that the world
-//! cannot tell: it performs the same operations in the same order at the
-//! same virtual times as if every call had crossed on its own.
-//!
-//! There is no switch to turn posting off, and none is needed: a call that
-//! returns a value carries everything posted with it, so a script with
-//! such a call inserted after every step *is* the one-crossing-per-call
-//! protocol. The inserted call is `poll_ticket` on a ticket that was
-//! never issued — it replies in place and touches nothing — rather than
-//! `now()`, so that the reference run never relies on `now()` flushing.
-//! This test draws random per-proc scripts over every `Syscalls` method,
-//! runs each world twice — as written and with the inserted calls — and
-//! requires every shared observation to match: each `now()`, each reply
-//! length, the final clock, client CPU busy time and the server's
-//! counters, over a one-client world and two-client UDP and TCP worlds.
-//! It is the check for any change to the proc↔world protocol.
+//! Every [`WorldSys`](renofs::world::WorldSys) call but `now()` crosses to
+//! the world once, and `now()` reads the clock stamped on the proc's last
+//! resume. The promise is that a crossing carries nothing the world can
+//! see beyond its call: a script with an extra crossing inserted after
+//! every step performs the same operations in the same order at the same
+//! virtual times. The inserted call is `poll_ticket` on a ticket that was
+//! never issued — it replies in place and touches nothing. This test
+//! draws random per-proc scripts over every `Syscalls` method, runs each
+//! world twice — as written and with the inserted calls — and requires
+//! every shared observation to match: each `now()`, each reply length, the
+//! final clock, client CPU busy time and the server's counters, over a
+//! one-client world and two-client UDP and TCP worlds. It is the check for
+//! any change to the proc↔world protocol.
 
 use proptest::prelude::*;
 use renofs::proto::{build, FileHandle, NfsProc};
@@ -49,8 +43,8 @@ fn reply_len(r: RpcResult) -> Obs {
 
 struct Proc<'a, S: Syscalls> {
     sys: &'a mut S,
-    /// Follows every step with a crossing, so nothing stays posted.
-    flush_each: bool,
+    /// Follows every step with an extra crossing.
+    cross_each: bool,
     xid: u32,
     root: FileHandle,
     big: FileHandle,
@@ -134,7 +128,7 @@ impl<S: Syscalls> Proc<'_, S> {
             }
             _ => self.sys.wait_all_async(),
         }
-        if self.flush_each {
+        if self.cross_each {
             assert!(self.sys.poll_ticket(Ticket(u64::MAX)).is_none());
         }
     }
@@ -149,7 +143,7 @@ struct Outcome {
     server: String,
 }
 
-fn run(kind: usize, biods: usize, procs: &[ProcScript], flush_each: bool) -> Outcome {
+fn run(kind: usize, biods: usize, procs: &[ProcScript], cross_each: bool) -> Outcome {
     // One client, two clients over UDP, two clients over TCP.
     let (clients, tcp) = [(1, false), (2, false), (2, true)][kind];
     let mut cfg = WorldConfig::baseline();
@@ -179,7 +173,7 @@ fn run(kind: usize, biods: usize, procs: &[ProcScript], flush_each: bool) -> Out
         world.spawn_on(*client as usize % clients, move |sys| {
             let mut proc = Proc {
                 sys,
-                flush_each,
+                cross_each,
                 // Procs of one machine share its XID space.
                 xid: (p as u32 + 1) << 24,
                 root,
@@ -211,7 +205,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 24 } else { 192 }))]
 
     #[test]
-    fn posting_is_invisible_to_the_world(
+    fn an_inserted_crossing_is_invisible_to_the_world(
         kind in 0usize..3,
         biods in 0usize..3,
         procs in proptest::collection::vec(
@@ -222,8 +216,8 @@ proptest! {
         // Zero biods turn every async call into a blocking one; with one
         // or four, the call after the last free slot parks.
         let biods = [0, 1, 4][biods];
-        let posted = run(kind, biods, &procs, false);
+        let written = run(kind, biods, &procs, false);
         let crossed = run(kind, biods, &procs, true);
-        prop_assert_eq!(posted, crossed, "kind {} biods {}", kind, biods);
+        prop_assert_eq!(written, crossed, "kind {} biods {}", kind, biods);
     }
 }

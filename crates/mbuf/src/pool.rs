@@ -5,8 +5,8 @@
 //! reproduces that for every heap block a chain owns: the 2 KB clusters,
 //! the `MLEN`-byte data areas of small mbufs, and the *spine* — the
 //! segment list a chain points to. Dropped buffers return here and are
-//! handed back out, as new, on the next allocation; one two-tier list
-//! ([`take`]/[`give`]) serves all three kinds through [`Pooled`].
+//! handed back out, as new, on the next allocation; one list per kind
+//! ([`take`]/[`give`]) serves all three through [`Pooled`].
 //!
 //! The cluster list parks the whole `Arc<ClusterBuf>`, not just the byte
 //! buffer: `Arc::new` is itself a heap allocation, and an 8 KB read
@@ -15,39 +15,18 @@
 //! its strong count has dropped to one — no other mbuf window
 //! references the cluster.
 //!
-//! The fast path is a thread-local list, matching how the experiment
-//! runner parallelizes (`--jobs`: whole simulations per worker thread,
-//! procs included), so the common allocate/free pair never locks.
-//! Underneath it sits a shared overflow tier, the second level behind
-//! every worker's small local list. A world whose live set outgrows the
-//! list — a crowd holds thousands of chains at once, against 128 or 256
-//! local slots — spills a batch to the tier as it frees and refills a
-//! batch as it takes, instead of discarding at capacity and allocating
-//! fresh a moment later. The same mechanism serves buffers that change
-//! threads (a result built on a worker and dropped by the thread that
-//! renders it): a list that sees only one side of such a flow would starve
-//! or overflow, so frees circulate back through the tier to whoever
-//! takes, and the lock is amortized over [`XFER_BATCH`] operations.
+//! Each thread keeps one list per kind, as 4.3BSD keeps one `mclfree`:
+//! a world runs on one thread, procs included, and so does every chain it
+//! builds and drops, so the allocate/free pair never locks. A list is
+//! sized for a crowd, which keeps over a thousand chains live at once;
+//! a buffer returned to a full list is freed.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::thread::LocalKey;
 
 use crate::chain::{Mbuf, MCLBYTES, MLEN};
-
-/// Free-list capacity before returned buffers spill to the shared tier.
-const DEFAULT_CAPACITY: usize = 128;
-
-/// Free-list capacity for small mbuf data areas.
-const SMALL_DEFAULT_CAPACITY: usize = 256;
-
-/// Free-list capacity for chain spines: every chain in flight holds one,
-/// as most hold one small mbuf.
-const SPINE_DEFAULT_CAPACITY: usize = 256;
-
-/// Buffers moved per spill or refill of the shared tier.
-const XFER_BATCH: usize = 32;
 
 /// One thread's free list of one pooled kind.
 pub(crate) struct FreeList<T> {
@@ -68,15 +47,13 @@ impl<T> FreeList<T> {
     }
 }
 
-/// A kind of buffer the pool recycles: where its two tiers live, and what
-/// leaving and joining a free list mean for it.
+/// A kind of buffer the pool recycles: where its list lives, how many it
+/// parks, and what leaving and joining the list mean for it.
 pub(crate) trait Pooled: Sized + 'static {
-    /// Shared-tier capacity (all threads combined).
-    const SHARED_CAPACITY: usize;
+    /// Buffers the list parks before it lets a returned one go.
+    const CAPACITY: usize;
     /// This thread's free list.
     fn local() -> &'static LocalKey<RefCell<FreeList<Self>>>;
-    /// The cross-thread overflow tier.
-    fn shared() -> &'static Mutex<Vec<Self>>;
     /// A new buffer from the heap.
     fn fresh() -> Self;
     /// Called on give: whether the buffer may be parked at all. No list
@@ -89,40 +66,24 @@ pub(crate) trait Pooled: Sized + 'static {
     fn reset(&mut self) {}
 }
 
-/// Defines `Pooled::local` and `Pooled::shared` for one kind (statics
-/// cannot be generic, so each kind declares its own pair).
-macro_rules! tiers {
-    ($kind:ty, $capacity:expr) => {
+/// Defines `Pooled::local` for one kind (statics cannot be generic, so
+/// each kind declares its own).
+macro_rules! free_list {
+    ($kind:ty) => {
         fn local() -> &'static LocalKey<RefCell<FreeList<Self>>> {
             thread_local! {
                 static LOCAL: RefCell<FreeList<$kind>> =
-                    const { RefCell::new(FreeList::new($capacity)) };
+                    const { RefCell::new(FreeList::new(<$kind as Pooled>::CAPACITY)) };
             }
             &LOCAL
         }
-        fn shared() -> &'static Mutex<Vec<Self>> {
-            static SHARED: Mutex<Vec<$kind>> = Mutex::new(Vec::new());
-            &SHARED
-        }
     };
-}
-
-fn shared<T: Pooled>() -> MutexGuard<'static, Vec<T>> {
-    // The tier holds plain buffers, so a panic while the lock was held
-    // cannot leave them inconsistent; recover instead of poisoning every
-    // later test in the process.
-    T::shared().lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A buffer of kind `T` from the free list, or fresh if it is empty.
 pub(crate) fn take<T: Pooled>() -> T {
     T::local().with(|p| {
         let mut p = p.borrow_mut();
-        if p.free.is_empty() && p.capacity > 0 {
-            let mut sh = shared::<T>();
-            let at = sh.len() - sh.len().min(XFER_BATCH);
-            p.free.extend(sh.drain(at..));
-        }
         match p.free.pop() {
             Some(mut item) => {
                 p.reused += 1;
@@ -144,26 +105,7 @@ pub(crate) fn give<T: Pooled>(mut item: T) {
     }
     T::local().with(|p| {
         let mut p = p.borrow_mut();
-        // A thread that has never *taken* a buffer of this kind is a pure
-        // producer: it only drops chains shipped over from another
-        // thread. Letting it fill a full-size local free list strands
-        // (threads × capacity) buffers where no allocation will ever
-        // reuse them, and the consumer side re-allocates fresh for the
-        // entire fill window. Producers stage only one transfer batch
-        // locally and spill it to the shared tier, where the allocating
-        // thread refills from.
-        let cap = if p.fresh + p.reused == 0 {
-            XFER_BATCH.min(p.capacity)
-        } else {
-            p.capacity
-        };
-        if cap > 0 && p.free.len() >= cap {
-            let mut sh = shared::<T>();
-            let room = T::SHARED_CAPACITY - sh.len();
-            let at = p.free.len() - XFER_BATCH.min(room).min(p.free.len());
-            sh.extend(p.free.drain(at..));
-        }
-        if p.free.len() < cap {
+        if p.free.len() < p.capacity {
             p.free.push(item);
         }
     });
@@ -200,10 +142,7 @@ fn set_capacity_of<T: Pooled>(capacity: usize) {
 }
 
 fn reset_of<T: Pooled>() {
-    T::local().with(|p| {
-        let mut p = p.borrow_mut();
-        *p = FreeList::new(p.capacity);
-    });
+    T::local().with(|p| *p.borrow_mut() = FreeList::new(T::CAPACITY));
 }
 
 /// Returns this thread's cluster pool counters.
@@ -236,8 +175,8 @@ pub fn set_small_capacity(capacity: usize) {
     set_capacity_of::<SmallArea>(capacity);
 }
 
-/// Empties the free lists (cluster, small and spine) and zeroes the
-/// counters for this thread.
+/// Empties the free lists (cluster, small and spine), zeroes the counters
+/// and restores the default capacities for this thread.
 pub fn reset() {
     reset_of::<Arc<ClusterBuf>>();
     reset_of::<SmallArea>();
@@ -250,9 +189,9 @@ pub fn reset() {
 pub(crate) struct ClusterBuf(Vec<u8>);
 
 impl Pooled for Arc<ClusterBuf> {
-    const SHARED_CAPACITY: usize = 1024;
+    const CAPACITY: usize = 1152;
 
-    tiers!(Arc<ClusterBuf>, DEFAULT_CAPACITY);
+    free_list!(Arc<ClusterBuf>);
     fn fresh() -> Self {
         Arc::new(ClusterBuf(Vec::with_capacity(MCLBYTES)))
     }
@@ -330,9 +269,9 @@ impl Drop for ClusterRef {
 type SmallArea = Box<[u8; MLEN]>;
 
 impl Pooled for SmallArea {
-    const SHARED_CAPACITY: usize = 4096;
+    const CAPACITY: usize = 4352;
 
-    tiers!(SmallArea, SMALL_DEFAULT_CAPACITY);
+    free_list!(SmallArea);
     fn fresh() -> Self {
         Box::new([0u8; MLEN])
     }
@@ -389,9 +328,10 @@ impl Drop for SmallBuf {
 pub(crate) type Spine = Box<VecDeque<Mbuf>>;
 
 impl Pooled for Spine {
-    const SHARED_CAPACITY: usize = 4096;
+    /// Every chain in flight holds one, as most hold one small mbuf.
+    const CAPACITY: usize = 4352;
 
-    tiers!(Spine, SPINE_DEFAULT_CAPACITY);
+    free_list!(Spine);
     /// Room for the header mbuf plus the four clusters of an 8 KB
     /// read/write, so the common shapes never grow it.
     fn fresh() -> Self {
@@ -411,21 +351,8 @@ impl Pooled for Spine {
 mod tests {
     use super::*;
 
-    /// Serializes the tests below and empties the shared tier, so one
-    /// test's spills don't batch-refill into another's local list and
-    /// skew its counters.
-    fn isolated() -> MutexGuard<'static, ()> {
-        static TEST_LOCK: Mutex<()> = Mutex::new(());
-        let guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        shared::<Arc<ClusterBuf>>().clear();
-        shared::<SmallArea>().clear();
-        shared::<Spine>().clear();
-        guard
-    }
-
     #[test]
     fn buffers_recycle_through_the_free_list() {
-        let _g = isolated();
         reset();
         let before = stats();
         {
@@ -441,7 +368,6 @@ mod tests {
 
     #[test]
     fn shared_clusters_are_not_recycled_until_the_last_drop() {
-        let _g = isolated();
         reset();
         let a = ClusterRef::alloc();
         let b = a.clone();
@@ -452,32 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn buffers_circulate_across_threads() {
-        let _g = isolated();
-        // A thread that frees more than its local capacity spills to the
-        // shared tier; a different thread with an empty local list must
-        // then reuse those buffers instead of allocating fresh.
-        std::thread::spawn(|| {
-            let held: Vec<ClusterRef> = (0..2 * DEFAULT_CAPACITY)
-                .map(|_| ClusterRef::alloc())
-                .collect();
-            drop(held);
-        })
-        .join()
-        .unwrap();
-        std::thread::spawn(|| {
-            let _c = ClusterRef::alloc();
-            let s = stats();
-            assert_eq!(s.fresh, 0, "must come from the shared tier");
-            assert_eq!(s.reused, 1);
-        })
-        .join()
-        .unwrap();
-    }
-
-    #[test]
     fn capacity_zero_disables_pooling() {
-        let _g = isolated();
         reset();
         set_capacity(0);
         {
@@ -488,7 +389,8 @@ mod tests {
         assert_eq!(s.free, 0, "nothing parked when disabled");
         drop(ClusterRef::alloc());
         assert_eq!(stats().reused, 0);
-        set_capacity(DEFAULT_CAPACITY);
         reset();
+        drop(ClusterRef::alloc());
+        assert_eq!(stats().free, 1, "reset restored the default capacity");
     }
 }

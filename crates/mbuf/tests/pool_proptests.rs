@@ -62,11 +62,10 @@ proptest! {
         at_frac in 0.0f64..=1.0,
         share_frac in 0.0f64..=1.0,
     ) {
-        pool::set_capacity(0);
         pool::reset();
+        pool::set_capacity(0);
         let unpooled = run_ops(&data, &chunks, at_frac, share_frac);
 
-        pool::set_capacity(128);
         pool::reset();
         churn_pool();
         let pooled = run_ops(&data, &chunks, at_frac, share_frac);
@@ -81,7 +80,6 @@ proptest! {
         fill in any::<u8>(),
         len in (MLEN + 1)..5000usize,
     ) {
-        pool::set_capacity(128);
         pool::reset();
         churn_pool();
         let before = pool::stats();

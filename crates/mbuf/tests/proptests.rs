@@ -143,14 +143,13 @@ proptest! {
         junk_segs in 9usize..40,
     ) {
         // The reference build, on spines straight from the heap.
-        pool::set_capacity(0);
         pool::reset();
+        pool::set_capacity(0);
         let fresh = chain_from(&data, &chunks);
         let expect = (fresh.seg_count(), fresh.len(), fresh.to_vec_for_test());
         drop(fresh);
 
         // Churn the pool with chains longer than a spine's first capacity.
-        pool::set_capacity(128);
         pool::reset();
         let mut meter = CopyMeter::new();
         for _ in 0..4 {

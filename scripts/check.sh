@@ -11,10 +11,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> one event loop (no unsafe impl outside coro.rs, no sim-thread knob, no second loop)"
+echo "==> one event loop (no unsafe impl outside coro.rs, no sim-thread knob, no second loop, no post box, one free list)"
 grep -rn 'unsafe impl' crates/core/src --exclude=coro.rs && exit 1
 grep -rn 'sim[_-]threads' crates scripts README.md DESIGN.md EXPERIMENTS.md && exit 1
 grep -rnE 'force_monolithic|is_partitioned|run_carved|carve_access|DomainQ' crates && exit 1
+grep -rnE 'POST_CAP|Req::Flush|SHARED_CAPACITY|XFER_BATCH' crates && exit 1
 
 echo "==> IntMap is for keys the simulator mints (a key with wire bytes in it keeps SipHash)"
 # Names off the wire come as `String`s, byte vectors, or inline as the name
@@ -30,7 +31,7 @@ cargo run -q --release -p renofs-bench --bin repro -- faults --scale quick >/dev
 echo "==> repro crowd --scale quick (smoke)"
 cargo run -q --release -p renofs-bench --bin repro -- crowd --scale quick >/dev/null
 
-echo "==> handoff differential (posted syscalls == one crossing per call)"
+echo "==> handoff differential (an inserted crossing is invisible to the world)"
 # The debug run above draws 24 cases; release draws the full 192.
 cargo test -q -p renofs --release --test handoff_differential
 
