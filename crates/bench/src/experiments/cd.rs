@@ -3,6 +3,7 @@
 use std::fmt;
 
 use renofs::client::{ClientConfig, ClientFs, WritePolicy};
+use renofs::server::LeaseCounts;
 use renofs::{NfsProc, TransportKind, World, WorldConfig};
 use renofs_sim::SimDuration;
 use renofs_workload::createdelete::{create_delete_local, create_delete_nfs};
@@ -25,10 +26,8 @@ pub struct Table5Row {
     /// behind the latency — lease write-behind wins by never sending
     /// the data of a file that is deleted before its lease lapses.
     pub write_rpcs: u64,
-    /// Server lease grants across the row's cells (lease row only).
-    pub leases_issued: u64,
-    /// Server lease recalls across the row's cells (lease row only).
-    pub lease_recalls: u64,
+    /// Server lease traffic across the row's cells (lease row only).
+    pub leases: LeaseCounts,
 }
 
 /// Table 5 results.
@@ -78,10 +77,10 @@ impl fmt::Display for Table5 {
                     } else {
                         format!("{}", r.write_rpcs)
                     },
-                    if r.leases_issued == 0 {
+                    if r.leases.issued == 0 {
                         String::new()
                     } else {
-                        format!("{}/{}", r.leases_issued, r.lease_recalls)
+                        format!("{}/{}", r.leases.issued, r.leases.recalls)
                     },
                     reference
                         .map(|(_, p)| format!("{:.0}/{:.0}/{:.0}", p[0], p[1], p[2]))
@@ -127,8 +126,7 @@ enum RowKind {
 struct Cell {
     ms: f64,
     write_rpcs: u64,
-    leases_issued: u64,
-    lease_recalls: u64,
+    leases: LeaseCounts,
 }
 
 /// One (row, size) cell: a single independent simulation.
@@ -173,8 +171,7 @@ fn run_cell(kind: &RowKind, size_idx: usize, bytes: usize, iters: usize) -> Cell
             Cell {
                 ms: r.per_iter.as_millis_f64(),
                 write_rpcs,
-                leases_issued: sstats.leases_issued,
-                lease_recalls: sstats.lease_recalls,
+                leases: sstats.leases,
             }
         }
     }
@@ -264,21 +261,18 @@ pub fn table5(scale: &Scale) -> Table5 {
         .map(|(row, (label, _))| {
             let mut ms = [0.0f64; 3];
             let mut write_rpcs = 0;
-            let mut leases_issued = 0;
-            let mut lease_recalls = 0;
+            let mut leases = LeaseCounts::default();
             for (si, slot) in ms.iter_mut().enumerate() {
                 let cell = &cells[row * SIZES.len() + si];
                 *slot = cell.ms;
                 write_rpcs += cell.write_rpcs;
-                leases_issued += cell.leases_issued;
-                lease_recalls += cell.lease_recalls;
+                leases += cell.leases;
             }
             Table5Row {
                 label: label.to_string(),
                 ms,
                 write_rpcs,
-                leases_issued,
-                lease_recalls,
+                leases,
             }
         })
         .collect();
@@ -339,9 +333,9 @@ mod tests {
         // deleted files' data never crossed the wire at all.
         let lrow = t.rows.iter().find(|r| r.label == "lease").unwrap();
         assert_eq!(lrow.write_rpcs, 0, "lease CD must issue zero WRITE RPCs");
-        assert!(lrow.leases_issued > 0, "lease CD must actually use leases");
+        assert!(lrow.leases.issued > 0, "lease CD must actually use leases");
         let wrow = t.rows.iter().find(|r| r.label == "write thru").unwrap();
         assert!(wrow.write_rpcs > 0);
-        assert_eq!(wrow.leases_issued, 0);
+        assert_eq!(wrow.leases.issued, 0);
     }
 }

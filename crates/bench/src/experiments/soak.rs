@@ -9,10 +9,12 @@
 //! its own files (single-writer discipline), exercises non-idempotent
 //! CREATE/REMOVE pairs, and reads its neighbours' files. Every
 //! client-visible outcome is recorded as a [`renofs_oracle::Obs`] and
-//! the merged log is replayed against the sequential model filesystem
-//! in [`renofs_oracle::Oracle`], which encodes close-to-open
-//! consistency, content integrity, synchronous-write durability, and
-//! exactly-once semantics for non-idempotent RPCs (DESIGN.md §10).
+//! fed, as the world runs, to a [`StreamingOracle`], which checks it
+//! against the sequential model filesystem in bounded memory: close-to-
+//! open consistency, content integrity, synchronous-write durability,
+//! and exactly-once semantics for non-idempotent RPCs (DESIGN.md §10,
+//! §12). The buffered [`renofs_oracle::Oracle`] only serves as the
+//! reference in `tests/soak_differential.rs`.
 //!
 //! A violating seed **auto-shrinks**: the harness re-runs the case with
 //! fewer clients, then greedily drops fault windows, then trims rounds,
@@ -33,6 +35,7 @@ use std::rc::Rc;
 use std::sync::mpsc::channel;
 use std::time::{Duration, Instant};
 
+use renofs::server::LeaseCounts;
 use renofs::{
     ClientConfig, ClientError, ExportMap, MountOptions, RouterFs, Syscalls, TopologyKind,
     TransportKind, World, WorldConfig,
@@ -704,17 +707,8 @@ pub struct CaseOutcome {
     pub garbage: u64,
     /// Server duplicate-cache hits.
     pub dup_hits: u64,
-    /// Lease grants the server issued (lease worlds; else 0).
-    pub leases_issued: u64,
-    /// Lease terms extended (explicit + piggybacked renewals).
-    pub leases_renewed: u64,
-    /// Recall callbacks queued to conflicting holders.
-    pub lease_recalls: u64,
-    /// Calls deferred with `try later` while a recall or the reboot
-    /// grace was pending.
-    pub lease_vacate_waits: u64,
-    /// Leases the server reaped unreleased at term end.
-    pub lease_expiries: u64,
+    /// The servers' lease counters, summed (lease worlds; else 0).
+    pub leases: LeaseCounts,
     /// High-water mark of streaming-checker retained state (versions +
     /// pending reads): the memory bound, O(open window) not O(ops).
     pub peak_retained: usize,
@@ -1374,16 +1368,12 @@ pub fn run_case_opts(case: &SoakCase, mutation: Mutation, opts: &RunOpts) -> Cas
     // Fleet-wide server counters: every shard contributes.
     let mut garbage = 0u64;
     let mut dup_hits = 0u64;
-    let mut lease_sums = [0u64; 5];
+    let mut leases = LeaseCounts::default();
     for sj in 0..world.server_count() {
         let s = world.server_of(sj).stats();
         garbage += s.garbage;
         dup_hits += s.dup_hits;
-        lease_sums[0] += s.leases_issued;
-        lease_sums[1] += s.leases_renewed;
-        lease_sums[2] += s.lease_recalls;
-        lease_sums[3] += s.lease_vacate_waits;
-        lease_sums[4] += s.lease_expiries;
+        leases += s.leases;
     }
     CaseOutcome {
         violations,
@@ -1394,11 +1384,7 @@ pub fn run_case_opts(case: &SoakCase, mutation: Mutation, opts: &RunOpts) -> Cas
         checksum_drops: net.checksum_drops,
         garbage,
         dup_hits,
-        leases_issued: lease_sums[0],
-        leases_renewed: lease_sums[1],
-        lease_recalls: lease_sums[2],
-        lease_vacate_waits: lease_sums[3],
-        lease_expiries: lease_sums[4],
+        leases,
         peak_retained: stream_out.stats.peak_retained,
         retired: stream_out.stats.retired,
         full_log: stream_out.log,
@@ -1513,9 +1499,8 @@ pub struct SoakRow {
     pub garbage: u64,
     /// Oracle violations.
     pub violations: usize,
-    /// Server lease counters (issued, renewed, recalls, vacate waits,
-    /// expiries) — all zero outside lease worlds.
-    pub lease: [u64; 5],
+    /// Server lease counters — all zero outside lease worlds.
+    pub lease: LeaseCounts,
 }
 
 /// The soak report: one row per seed, plus the shrunk repro for the
@@ -1569,7 +1554,9 @@ impl SoakReport {
                     format!("{}", r.ops),
                     format!("{}", r.taints),
                 ];
-                v.extend(r.lease.iter().map(|c| format!("{c}")));
+                let l = r.lease;
+                let counts = [l.issued, l.renewed, l.recalls, l.vacate_waits, l.expiries];
+                v.extend(counts.map(|c| format!("{c}")));
                 v.push(format!("{}", r.violations));
                 v
             })
@@ -1694,6 +1681,28 @@ impl fmt::Display for SoakReport {
     }
 }
 
+/// One seed's row: its world's shape and the outcome of running it.
+fn soak_row(seed: u64, d: &DerivedWorld, outcome: &CaseOutcome) -> SoakRow {
+    SoakRow {
+        seed,
+        clients: d.clients,
+        nfsds: d.nfsds,
+        servers: d.servers,
+        topo: d.topo.0.to_string(),
+        transport: d.transport.0.to_string(),
+        mount: if d.soft { "soft" } else { "hard" },
+        rounds: d.rounds,
+        faults: fault_kinds(d),
+        ops: outcome.ok_ops,
+        taints: outcome.taints,
+        corrupted: outcome.corrupted_frames,
+        checksum_drops: outcome.checksum_drops,
+        garbage: outcome.garbage,
+        violations: outcome.violations.len(),
+        lease: outcome.leases,
+    }
+}
+
 /// Runs seeds `first..first + count` through [`run_case`], in parallel,
 /// then shrinks the first violating seed (if any) sequentially.
 pub fn soak_with(scale: &Scale, first: u64, count: usize, mutation: Mutation) -> SoakReport {
@@ -1714,30 +1723,7 @@ pub fn soak_profile_with(
         let case = SoakCase::from_seed_profile(seed, profile);
         let d = derive_world_for(seed, profile);
         let outcome = run_case(&case, mutation);
-        SoakRow {
-            seed,
-            clients: d.clients,
-            nfsds: d.nfsds,
-            servers: d.servers,
-            topo: d.topo.0.to_string(),
-            transport: d.transport.0.to_string(),
-            mount: if d.soft { "soft" } else { "hard" },
-            rounds: d.rounds,
-            faults: fault_kinds(&d),
-            ops: outcome.ok_ops,
-            taints: outcome.taints,
-            corrupted: outcome.corrupted_frames,
-            checksum_drops: outcome.checksum_drops,
-            garbage: outcome.garbage,
-            violations: outcome.violations.len(),
-            lease: [
-                outcome.leases_issued,
-                outcome.leases_renewed,
-                outcome.lease_recalls,
-                outcome.lease_vacate_waits,
-                outcome.lease_expiries,
-            ],
-        }
+        soak_row(seed, &d, &outcome)
     });
     let first_bad = rows.iter().find(|r| r.violations > 0).map(|r| r.seed);
     let (first_violations, shrunk) = match first_bad {
@@ -2019,30 +2005,7 @@ pub fn soak_budget(scale: &Scale, opts: &BudgetOpts) -> BudgetReport {
             };
             let bad = !out.violations.is_empty();
             rows.push(BudgetRow {
-                row: SoakRow {
-                    seed,
-                    clients: d.clients,
-                    nfsds: d.nfsds,
-                    servers: d.servers,
-                    topo: d.topo.0.to_string(),
-                    transport: d.transport.0.to_string(),
-                    mount: if d.soft { "soft" } else { "hard" },
-                    rounds: d.rounds,
-                    faults: fault_kinds(&d),
-                    ops: out.ok_ops,
-                    taints: out.taints,
-                    corrupted: out.corrupted_frames,
-                    checksum_drops: out.checksum_drops,
-                    garbage: out.garbage,
-                    violations: out.violations.len(),
-                    lease: [
-                        out.leases_issued,
-                        out.leases_renewed,
-                        out.lease_recalls,
-                        out.lease_vacate_waits,
-                        out.lease_expiries,
-                    ],
-                },
+                row: soak_row(seed, &d, &out),
                 peak_retained: out.peak_retained,
                 wall,
                 obs_per_sec,
@@ -2165,14 +2128,14 @@ mod tests {
         for row in &r.rows {
             assert!(row.ops > 0, "{row:?}");
             assert_eq!(row.mount, "hard", "lease worlds are hard mounts only");
-            assert!(row.lease[0] > 0, "no leases issued: {row:?}");
+            assert!(row.lease.issued > 0, "no leases issued: {row:?}");
         }
         // The sweep hits lease contention somewhere: recalls, deferred
         // grants, or server-side expiry of unreleased terms.
         assert!(
-            r.rows
-                .iter()
-                .any(|row| row.lease[2] > 0 || row.lease[3] > 0 || row.lease[4] > 0),
+            r.rows.iter().any(|row| row.lease.recalls > 0
+                || row.lease.vacate_waits > 0
+                || row.lease.expiries > 0),
             "no lease contention anywhere in the sweep: {r}"
         );
         // The lease render carries the lease-traffic columns.

@@ -204,9 +204,9 @@ pub fn run_lease_section(scale: &Scale, scale_name: &str) -> LeaseReport {
         topos,
         soak_seeds: SOAK_SEEDS,
         soak_violations: sweep.total_violations(),
-        soak_leases_issued: sweep.rows.iter().map(|r| r.lease[0]).sum(),
-        soak_recalls: sweep.rows.iter().map(|r| r.lease[2]).sum(),
-        soak_vacate_waits: sweep.rows.iter().map(|r| r.lease[3]).sum(),
+        soak_leases_issued: sweep.rows.iter().map(|r| r.lease.issued).sum(),
+        soak_recalls: sweep.rows.iter().map(|r| r.lease.recalls).sum(),
+        soak_vacate_waits: sweep.rows.iter().map(|r| r.lease.vacate_waits).sum(),
     }
 }
 

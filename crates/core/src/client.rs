@@ -21,7 +21,7 @@
 //!
 //! Every RPC is counted per procedure — the instrument behind Table 3.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use renofs_mbuf::{CopyMeter, MbufChain};
 use renofs_sim::{SimDuration, SimTime};
@@ -32,6 +32,7 @@ use renofs_vfs::{AttrCache, Buf, BufCache, CacheOrg, NameCache, Vattr, VnodeId, 
 use renofs_xdr::XdrDecoder;
 
 use crate::costs;
+use crate::lease::{ClientLease, ClientLeases};
 use crate::proto::{
     self, results, DirEntry, FileHandle, NfsProc, NfsStatus, Sattr, LEASE_MODE_READ,
     LEASE_MODE_RELEASE, LEASE_MODE_WRITE,
@@ -274,17 +275,15 @@ struct VnodeState {
     path: Option<String>,
 }
 
-/// One NQNFS lease held from the server, keyed by inode number (the
-/// unit the server's lease table uses). `expiry` is conservative: the
-/// grant's send time plus the term, never extended by the renewals the
-/// server applies to our normal RPCs — the client may only ever
-/// under-estimate how long it holds a lease, so a lapse on our side is
-/// always at or before the server's.
-#[derive(Clone, Copy, Debug)]
-struct ClientLease {
-    fh: FileHandle,
-    write: bool,
-    expiry: SimTime,
+/// How [`ClientFs::vacate`] gives a lease up.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Vacate {
+    /// Push the write-behind data only; keep the lease (the idle flush).
+    Flush,
+    /// Flush, then drop the lease and invalidate (it lapsed).
+    Drop,
+    /// Flush, RELEASE it to the server, drop and invalidate (recalled).
+    Release,
 }
 
 /// One asynchronous WRITE in flight. The pushed byte range is recorded
@@ -311,12 +310,8 @@ pub struct ClientFs<S: Syscalls> {
     readdir_cache: HashMap<VnodeId, Vec<DirEntry>>,
     pending_reads: HashMap<(VnodeId, u64), Ticket>,
     pending_writes: HashMap<VnodeId, Vec<PendingWrite>>,
-    /// Leases held, by inode number. A BTreeMap so the expiry sweep and
-    /// idle flush iterate in a deterministic order.
-    leases: BTreeMap<u32, ClientLease>,
-    /// Recall notices harvested from NQNFS reply trailers, processed at
-    /// the next syscall entry.
-    recall_queue: VecDeque<u32>,
+    /// NQNFS leases held and recalls pending (empty unless `cfg.lease`).
+    leases: ClientLeases,
     counts: RpcCounts,
     meter: CopyMeter,
 }
@@ -339,8 +334,7 @@ impl<S: Syscalls> ClientFs<S> {
             readdir_cache: HashMap::new(),
             pending_reads: HashMap::new(),
             pending_writes: HashMap::new(),
-            leases: BTreeMap::new(),
-            recall_queue: VecDeque::new(),
+            leases: ClientLeases::default(),
             counts: RpcCounts::default(),
             meter: CopyMeter::new(),
         }
@@ -436,9 +430,7 @@ impl<S: Syscalls> ClientFs<S> {
         }
         if self.cfg.lease {
             let recall = dec.get_u32().map_err(|_| ClientError::Protocol)?;
-            if recall != 0 && !self.recall_queue.contains(&recall) {
-                self.recall_queue.push_back(recall);
-            }
+            self.leases.on_trailer(recall);
         }
         Ok(dec)
     }
@@ -650,20 +642,40 @@ impl<S: Syscalls> ClientFs<S> {
         }
     }
 
+    /// Runs `f` on `fh`, recovering a stale handle once (the rerun gets
+    /// the fresh one) and pacing out up to [`LEASE_RETRY_MAX`] `TryLater`
+    /// deferrals while the server waits out a conflicting lease or its
+    /// post-reboot grace.
+    fn with_fh_retry<T>(
+        &mut self,
+        fh: FileHandle,
+        mut f: impl FnMut(&mut Self, FileHandle) -> CResult<T>,
+    ) -> CResult<T> {
+        let mut tries = 0;
+        loop {
+            match f(self, fh) {
+                Err(ClientError::Stale) => {
+                    let fh = self.recover_stale_fh(fh)?;
+                    return f(self, fh);
+                }
+                Err(ClientError::Nfs(NfsStatus::TryLater)) if tries < LEASE_RETRY_MAX => {
+                    tries += 1;
+                    self.sys.sleep(LEASE_RETRY_STEP);
+                }
+                r => return r,
+            }
+        }
+    }
+
     // ----- NQNFS leases -------------------------------------------------
 
     /// Whether a held lease on `ino` still covers `write`-strength
-    /// access. Under the planted `lease_ignore_expiry` mutant the expiry
-    /// check is skipped — exactly the bug the soak oracle must catch.
+    /// access (see [`ClientLeases::covers`]).
     fn lease_valid(&mut self, ino: u32, write: bool) -> bool {
-        if !self.cfg.lease {
-            return false;
-        }
-        let now = self.sys.now();
-        match self.leases.get(&ino) {
-            Some(l) if l.write || !write => self.cfg.lease_ignore_expiry || now < l.expiry,
-            _ => false,
-        }
+        self.cfg.lease
+            && self
+                .leases
+                .covers(ino, write, self.sys.now(), self.cfg.lease_ignore_expiry)
     }
 
     /// One GETLEASE RPC. A grant doubles as a GETATTR: the reply carries
@@ -705,14 +717,7 @@ impl<S: Syscalls> ClientFs<S> {
                     if let Some(a) = attr {
                         self.receive_attrs(fh, &a, false);
                     }
-                    self.leases.insert(
-                        fh.ino,
-                        ClientLease {
-                            fh,
-                            write,
-                            expiry: sent + SimDuration::from_millis(term_ms as u64),
-                        },
-                    );
+                    self.leases.record_grant(fh, write, sent, term_ms);
                     return Ok(true);
                 }
                 Err(ClientError::Nfs(NfsStatus::TryLater)) => {
@@ -726,56 +731,45 @@ impl<S: Syscalls> ClientFs<S> {
         Ok(false)
     }
 
-    /// Lease housekeeping, run at syscall entry: delivers queued recall
-    /// notices (flush dirty write-behind data, release, invalidate) and
-    /// sweeps lapsed leases (flush, drop, invalidate) so the next access
-    /// revalidates classically.
+    /// Lease housekeeping, run at syscall entry: vacates each recalled
+    /// lease, one at a time (a reply inside a vacate can carry the next
+    /// recall), then each lapsed one, so the next access revalidates
+    /// classically.
     fn lease_service(&mut self) -> CResult<()> {
         if !self.cfg.lease {
             return Ok(());
         }
-        while let Some(ino) = self.recall_queue.pop_front() {
-            let Some(l) = self.leases.get(&ino).copied() else {
-                // Already released (or a duplicate-cache replay of an
-                // old trailer): nothing to vacate.
-                continue;
-            };
-            if l.write {
-                self.push_dirty(l.fh, true)?;
-                self.drain_writes(l.fh)?;
-            }
-            self.getlease_rpc(l.fh, LEASE_MODE_RELEASE)?;
-            self.leases.remove(&ino);
-            self.lease_invalidate(l.fh);
-        }
-        if self.cfg.lease_ignore_expiry {
-            return Ok(());
+        while let Some(l) = self.leases.next_recalled() {
+            self.vacate(l, Vacate::Release)?;
         }
         let now = self.sys.now();
-        let lapsed: Vec<ClientLease> = self
-            .leases
-            .values()
-            .filter(|l| now >= l.expiry)
-            .copied()
-            .collect();
-        for l in lapsed {
-            if l.write {
-                self.push_dirty(l.fh, true)?;
-                self.drain_writes(l.fh)?;
-            }
-            self.leases.remove(&l.fh.ino);
-            self.lease_invalidate(l.fh);
+        for l in self.leases.lapsed(now, self.cfg.lease_ignore_expiry) {
+            self.vacate(l, Vacate::Drop)?;
         }
         Ok(())
     }
 
-    /// After losing a lease the cache contents are only as good as
-    /// classic NFS: drop the attributes and clean blocks so the next
-    /// access goes back to the wire.
-    fn lease_invalidate(&mut self, fh: FileHandle) {
-        let token = fh.vnode_token();
+    /// Gives up what a lease let this client keep: the write-behind data
+    /// of a write lease is pushed and drained, then — unless `how` only
+    /// flushes — the lease is released (on a recall) or dropped, and the
+    /// cache is only as good as classic NFS: attributes and clean blocks
+    /// go, so the next access goes back to the wire.
+    fn vacate(&mut self, l: ClientLease, how: Vacate) -> CResult<()> {
+        if l.write {
+            self.push_dirty(l.fh, true)?;
+            self.drain_writes(l.fh)?;
+        }
+        if how == Vacate::Flush {
+            return Ok(());
+        }
+        if how == Vacate::Release {
+            self.getlease_rpc(l.fh, LEASE_MODE_RELEASE)?;
+        }
+        self.leases.forget(l.fh.ino);
+        let token = l.fh.vnode_token();
         self.attrcache.invalidate(token);
         self.purge_clean_blocks(token);
+        Ok(())
     }
 
     /// Pushes the write-behind data of every write-leased file (the
@@ -787,15 +781,8 @@ impl<S: Syscalls> ClientFs<S> {
             return Ok(());
         }
         self.lease_service()?;
-        let targets: Vec<FileHandle> = self
-            .leases
-            .values()
-            .filter(|l| l.write)
-            .map(|l| l.fh)
-            .collect();
-        for fh in targets {
-            self.push_dirty(fh, true)?;
-            self.drain_writes(fh)?;
+        for l in self.leases.write_held() {
+            self.vacate(l, Vacate::Flush)?;
         }
         Ok(())
     }
@@ -1076,22 +1063,7 @@ impl<S: Syscalls> ClientFs<S> {
     /// rebooted and the handle (or a read-ahead issued under it) went
     /// stale.
     fn fill_block(&mut self, fh: FileHandle, blk: u64) -> CResult<()> {
-        let mut tries = 0;
-        loop {
-            match self.fill_block_inner(fh, blk) {
-                Err(ClientError::Stale) => {
-                    let fh = self.recover_stale_fh(fh)?;
-                    return self.fill_block_inner(fh, blk);
-                }
-                Err(ClientError::Nfs(NfsStatus::TryLater)) if tries < LEASE_RETRY_MAX => {
-                    // The server is waiting out a conflicting lease (or
-                    // its post-reboot grace period): pace and retry.
-                    tries += 1;
-                    self.sys.sleep(LEASE_RETRY_STEP);
-                }
-                r => return r,
-            }
-        }
+        self.with_fh_retry(fh, |c, fh| c.fill_block_inner(fh, blk))
     }
 
     fn fill_block_inner(&mut self, fh: FileHandle, blk: u64) -> CResult<()> {
@@ -1314,7 +1286,7 @@ impl<S: Syscalls> ClientFs<S> {
         // dirty region may extend past EOF only when bs > size; keep
         // what was written).
         if sync {
-            self.write_rpc_recovering(fh, woff, &payload)?;
+            self.with_fh_retry(fh, |c, fh| c.write_rpc(fh, woff, &payload))?;
         } else {
             let data_chain = MbufChain::from_slice(&payload, &mut self.meter);
             let ticket = self.call_async(NfsProc::Write, |c, m| {
@@ -1431,7 +1403,7 @@ impl<S: Syscalls> ClientFs<S> {
         }
         if !deferred.is_empty() && first_err.is_none() {
             for (woff, payload) in deferred {
-                if let Err(e) = self.write_rpc_recovering(fh, woff, &payload) {
+                if let Err(e) = self.with_fh_retry(fh, |c, fh| c.write_rpc(fh, woff, &payload)) {
                     first_err = Some(e);
                     break;
                 }
@@ -1467,31 +1439,6 @@ impl<S: Syscalls> ClientFs<S> {
         Ok(attr)
     }
 
-    /// [`ClientFs::write_rpc`] with transparent ESTALE recovery.
-    fn write_rpc_recovering(
-        &mut self,
-        fh: FileHandle,
-        woff: u32,
-        payload: &[u8],
-    ) -> CResult<Vattr> {
-        let mut tries = 0;
-        loop {
-            match self.write_rpc(fh, woff, payload) {
-                Err(ClientError::Stale) => {
-                    let fh = self.recover_stale_fh(fh)?;
-                    return self.write_rpc(fh, woff, payload);
-                }
-                Err(ClientError::Nfs(NfsStatus::TryLater)) if tries < LEASE_RETRY_MAX => {
-                    // Conflicting read leases are being recalled: wait
-                    // for the vacate rather than dropping the data.
-                    tries += 1;
-                    self.sys.sleep(LEASE_RETRY_STEP);
-                }
-                r => return r,
-            }
-        }
-    }
-
     fn flush_writebacks(&mut self, writebacks: Vec<(VnodeId, u64, Buf)>) -> CResult<()> {
         for (token, blk, buf) in writebacks {
             let Some((d0, d1)) = buf.dirty_range() else {
@@ -1503,7 +1450,7 @@ impl<S: Syscalls> ClientFs<S> {
             let fh = vn.fh;
             let payload = buf.data()[d0..d1].to_vec();
             let woff = blk as u32 * BLOCK_SIZE as u32 + d0 as u32;
-            self.write_rpc_recovering(fh, woff, &payload)?;
+            self.with_fh_retry(fh, |c, fh| c.write_rpc(fh, woff, &payload))?;
         }
         Ok(())
     }
@@ -1523,20 +1470,7 @@ impl<S: Syscalls> ClientFs<S> {
     /// from a stale handle.
     pub fn setattr_fh(&mut self, fh: FileHandle, sattr: Sattr) -> CResult<Vattr> {
         let fh = self.current_fh(fh);
-        let mut tries = 0;
-        loop {
-            match self.setattr_inner(fh, sattr) {
-                Err(ClientError::Stale) => {
-                    let fh = self.recover_stale_fh(fh)?;
-                    return self.setattr_inner(fh, sattr);
-                }
-                Err(ClientError::Nfs(NfsStatus::TryLater)) if tries < LEASE_RETRY_MAX => {
-                    tries += 1;
-                    self.sys.sleep(LEASE_RETRY_STEP);
-                }
-                r => return r,
-            }
-        }
+        self.with_fh_retry(fh, |c, fh| c.setattr_inner(fh, sattr))
     }
 
     fn setattr_inner(&mut self, fh: FileHandle, sattr: Sattr) -> CResult<Vattr> {
@@ -1604,8 +1538,7 @@ impl<S: Syscalls> ClientFs<S> {
             // file are dropped unwritten (the server purges its lease
             // entry along with the inode) — the Create-Delete win.
             if let Some(v) = self.vnodes.get(&token) {
-                let ino = v.fh.ino;
-                self.leases.remove(&ino);
+                self.leases.forget(v.fh.ino);
             }
             self.drop_vnode(token);
         }
@@ -2371,7 +2304,7 @@ mod tests {
         .encode(&mut msg, &mut meter);
         proto::build::getlease_args(&mut msg, &mut meter, &fh, proto::LEASE_MODE_READ);
         let (_reply, _) = c.sys().server.service_from(now, &msg, 9);
-        assert_eq!(c.sys().server.stats().lease_recalls, 1);
+        assert_eq!(c.sys().server.stats().leases.recalls, 1);
         // Our next RPC piggybacks the recall notice; the syscall after
         // that vacates: flush, then release.
         let _ = c.open("/other.bin", true, false).unwrap();

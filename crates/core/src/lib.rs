@@ -27,6 +27,7 @@ pub mod client;
 mod coro;
 pub mod costs;
 pub mod host;
+mod lease;
 pub mod presets;
 pub mod proto;
 pub mod router;

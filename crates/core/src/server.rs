@@ -24,9 +24,11 @@ use renofs_vfs::{
 };
 use renofs_xdr::{XdrDecoder, XdrEncoder};
 
+pub use crate::lease::LeaseCounts;
+use crate::lease::ServerLeases;
 use crate::proto::{
     self, decode_args, results, DirEntry, DirEntryPlus, FileHandle, NfsArgs, NfsProc, NfsStatus,
-    LEASE_MODE_RELEASE, LEASE_MODE_WRITE, LEASE_TERM,
+    LEASE_MODE_RELEASE, LEASE_MODE_WRITE,
 };
 
 /// Server configuration.
@@ -171,7 +173,7 @@ impl<'a> IntoIterator for &'a DiskOps {
 }
 
 /// Per-procedure service counters.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ServerStats {
     /// Calls served, indexed by procedure wire number.
     pub calls: [u64; 20],
@@ -179,18 +181,8 @@ pub struct ServerStats {
     pub garbage: u64,
     /// Duplicate-cache hits.
     pub dup_hits: u64,
-    /// Leases granted to a client that did not already hold one.
-    pub leases_issued: u64,
-    /// Lease terms extended — explicit GETLEASE renewals plus renewals
-    /// piggybacked on normal RPCs from the holder.
-    pub leases_renewed: u64,
-    /// Recall callbacks queued to conflicting holders.
-    pub lease_recalls: u64,
-    /// `TryLater` replies sent while waiting for a holder to vacate
-    /// (includes reads/grants deferred by the post-reboot grace).
-    pub lease_vacate_waits: u64,
-    /// Leases that lapsed unrenewed and were purged from the table.
-    pub lease_expiries: u64,
+    /// NQNFS lease traffic (all zero unless `ServerConfig::leases`).
+    pub leases: LeaseCounts,
 }
 
 impl ServerStats {
@@ -254,222 +246,6 @@ impl DupCache {
 /// clients cannot flush each other's entries before the retry arrives.
 const DUP_CACHE_PER_CLIENT: usize = 128;
 
-/// One read-lease hold on a file.
-#[derive(Debug)]
-struct ReadHold {
-    client: u32,
-    expiry: SimTime,
-    /// A recall callback has already been queued to this holder.
-    recalled: bool,
-}
-
-/// The lease state of one file: shared readers or one exclusive writer.
-#[derive(Debug)]
-enum Lease {
-    Read(Vec<ReadHold>),
-    Write {
-        holder: u32,
-        expiry: SimTime,
-        recalled: bool,
-    },
-}
-
-/// The NQNFS lease table (volatile — lost on reboot, which is exactly
-/// why the reboot grace period exists).
-///
-/// Entries are only ever touched by inode-keyed lookups, never by map
-/// iteration, so the table adds no hash-order nondeterminism to the
-/// simulation. Recall callbacks queue per holder and drain one per
-/// reply trailer the next time that client talks to the server — the
-/// protocol is strictly request/response, so there is no push channel.
-#[derive(Debug, Default)]
-struct LeaseTable {
-    entries: std::collections::HashMap<u32, Lease>,
-    recalls: std::collections::HashMap<u32, VecDeque<u32>>,
-}
-
-impl LeaseTable {
-    /// Purges lapsed holds on one file, counting them.
-    fn purge_expired(&mut self, ino: u32, now: SimTime, stats: &mut ServerStats) {
-        let Some(lease) = self.entries.get_mut(&ino) else {
-            return;
-        };
-        let empty = match lease {
-            Lease::Write { expiry, .. } => {
-                if *expiry <= now {
-                    stats.lease_expiries += 1;
-                    true
-                } else {
-                    false
-                }
-            }
-            Lease::Read(holds) => {
-                let before = holds.len();
-                holds.retain(|h| h.expiry > now);
-                stats.lease_expiries += (before - holds.len()) as u64;
-                holds.is_empty()
-            }
-        };
-        if empty {
-            self.entries.remove(&ino);
-        }
-    }
-
-    /// Admission gate for an access to `ino`. Renews the caller's own
-    /// hold (renewal piggybacked on normal RPCs); a conflicting hold by
-    /// another client gets one recall callback queued and the caller a
-    /// `TryLater` — the bounded vacate wait.
-    fn gate(
-        &mut self,
-        ino: u32,
-        client: u32,
-        write: bool,
-        now: SimTime,
-        stats: &mut ServerStats,
-    ) -> Result<(), NfsStatus> {
-        self.purge_expired(ino, now, stats);
-        let mut queue: Vec<u32> = Vec::new();
-        let mut verdict = Ok(());
-        if let Some(lease) = self.entries.get_mut(&ino) {
-            match lease {
-                Lease::Write {
-                    holder,
-                    expiry,
-                    recalled,
-                } => {
-                    if *holder == client {
-                        *expiry = now + LEASE_TERM;
-                        stats.leases_renewed += 1;
-                    } else {
-                        if !*recalled {
-                            *recalled = true;
-                            queue.push(*holder);
-                        }
-                        verdict = Err(NfsStatus::TryLater);
-                    }
-                }
-                Lease::Read(holds) => {
-                    if write {
-                        let mut conflict = false;
-                        for h in holds.iter_mut() {
-                            if h.client == client {
-                                continue;
-                            }
-                            conflict = true;
-                            if !h.recalled {
-                                h.recalled = true;
-                                queue.push(h.client);
-                            }
-                        }
-                        if conflict {
-                            verdict = Err(NfsStatus::TryLater);
-                        }
-                    } else if let Some(h) = holds.iter_mut().find(|h| h.client == client) {
-                        h.expiry = now + LEASE_TERM;
-                        stats.leases_renewed += 1;
-                    }
-                }
-            }
-        }
-        for holder in queue {
-            stats.lease_recalls += 1;
-            self.recalls.entry(holder).or_default().push_back(ino);
-        }
-        if verdict.is_err() {
-            stats.lease_vacate_waits += 1;
-        }
-        verdict
-    }
-
-    /// Records a grant after [`LeaseTable::gate`] admitted the caller.
-    fn grant(&mut self, ino: u32, client: u32, write: bool, now: SimTime, stats: &mut ServerStats) {
-        let expiry = now + LEASE_TERM;
-        let next = match self.entries.remove(&ino) {
-            Some(Lease::Write { holder, .. }) if holder == client => {
-                stats.leases_renewed += 1;
-                // A write lease covers reads too; keep the stronger kind.
-                Lease::Write {
-                    holder,
-                    expiry,
-                    recalled: false,
-                }
-            }
-            Some(Lease::Read(mut holds)) => {
-                if write {
-                    // The gate admitted the writer, so every remaining
-                    // hold is its own: a sole-reader upgrade.
-                    stats.leases_issued += 1;
-                    Lease::Write {
-                        holder: client,
-                        expiry,
-                        recalled: false,
-                    }
-                } else {
-                    match holds.iter_mut().find(|h| h.client == client) {
-                        Some(h) => {
-                            h.expiry = expiry;
-                            stats.leases_renewed += 1;
-                        }
-                        None => {
-                            stats.leases_issued += 1;
-                            holds.push(ReadHold {
-                                client,
-                                expiry,
-                                recalled: false,
-                            });
-                        }
-                    }
-                    Lease::Read(holds)
-                }
-            }
-            // No lease held (a conflicting write hold cannot reach here —
-            // the gate rejected it; overwriting would still be safe).
-            _ => {
-                stats.leases_issued += 1;
-                if write {
-                    Lease::Write {
-                        holder: client,
-                        expiry,
-                        recalled: false,
-                    }
-                } else {
-                    Lease::Read(vec![ReadHold {
-                        client,
-                        expiry,
-                        recalled: false,
-                    }])
-                }
-            }
-        };
-        self.entries.insert(ino, next);
-    }
-
-    /// Drops `client`'s hold on `ino` (voluntary vacate after a recall,
-    /// or teardown on remove).
-    fn release(&mut self, ino: u32, client: u32) {
-        let empty = match self.entries.get_mut(&ino) {
-            Some(Lease::Write { holder, .. }) => *holder == client,
-            Some(Lease::Read(holds)) => {
-                holds.retain(|h| h.client != client);
-                holds.is_empty()
-            }
-            None => return,
-        };
-        if empty {
-            self.entries.remove(&ino);
-        }
-    }
-
-    /// The next recall callback to piggyback on a reply to `client`
-    /// (0 = none).
-    fn next_recall(&mut self, client: u32) -> u32 {
-        self.recalls
-            .get_mut(&client)
-            .and_then(|q| q.pop_front())
-            .unwrap_or(0)
-    }
-}
-
 /// The NFS server instance.
 pub struct NfsServer {
     cfg: ServerConfig,
@@ -492,17 +268,9 @@ pub struct NfsServer {
     /// `NfsStatus::Stale` (the root is exempt — the MOUNT protocol
     /// re-derives it), forcing clients to re-lookup their paths.
     epoch: u32,
-    /// NQNFS lease state (empty and inert unless `cfg.leases`).
-    leases: LeaseTable,
-    /// Set by [`NfsServer::reboot`]; the first request afterwards arms
-    /// `lease_grace_until` (reboot happens outside virtual time, so the
-    /// grace clock starts when the server first hears a client).
-    lease_grace_pending: bool,
-    /// Until this instant the rebooted server defers reads and lease
-    /// grants with `TryLater`: pre-crash leases it no longer remembers
-    /// must lapse (and their holders' write-behind data land) before it
-    /// serves state — the reboot-wait rule.
-    lease_grace_until: SimTime,
+    /// NQNFS lease state and counters (empty and inert unless
+    /// `cfg.leases`).
+    leases: ServerLeases,
 }
 
 impl NfsServer {
@@ -523,9 +291,7 @@ impl NfsServer {
             stats: ServerStats::default(),
             io_scratch: Vec::new(),
             epoch: 1,
-            leases: LeaseTable::default(),
-            lease_grace_pending: false,
-            lease_grace_until: SimTime::ZERO,
+            leases: ServerLeases::default(),
         }
     }
 
@@ -545,9 +311,13 @@ impl NfsServer {
         &mut self.fs
     }
 
-    /// Service statistics.
-    pub fn stats(&self) -> &ServerStats {
-        &self.stats
+    /// Service statistics. The lease counters live with the lease
+    /// state and are filled in here.
+    pub fn stats(&self) -> ServerStats {
+        ServerStats {
+            leases: self.leases.counts,
+            ..self.stats
+        }
     }
 
     /// Simulates a server crash and reboot: every volatile structure
@@ -567,15 +337,8 @@ impl NfsServer {
         if self.cfg.dup_cache {
             self.dupcache = Some(DupCache::new(self.dup_cache_cap));
         }
-        // The lease table is volatile: all grants and queued recalls are
-        // forgotten. Clients out there may still hold unexpired leases,
-        // so the rebooted server must wait out the maximum term before
-        // serving reads or granting new leases (armed lazily — reboot
-        // happens outside virtual time).
-        self.leases = LeaseTable::default();
-        if self.cfg.leases && !self.cfg.lease_no_reboot_grace {
-            self.lease_grace_pending = true;
-        }
+        self.leases
+            .reboot(self.cfg.leases && !self.cfg.lease_no_reboot_grace);
     }
 
     /// Sizes the duplicate-request cache for a community of `clients`
@@ -663,10 +426,7 @@ impl NfsServer {
         // NQNFS callers get a one-word recall trailer on every success
         // reply; classic-version traffic stays byte-identical.
         let nq = header.vers == NQNFS_VERSION;
-        if self.lease_grace_pending {
-            self.lease_grace_pending = false;
-            self.lease_grace_until = now + LEASE_TERM;
-        }
+        self.leases.heard(now);
         let proc_supported = |p: NfsProc| match p {
             NfsProc::ReaddirLookup => self.cfg.readdir_lookup,
             NfsProc::Getlease => nq,
@@ -730,15 +490,8 @@ impl NfsServer {
         (reply, cost)
     }
 
-    /// Whether the post-reboot lease grace period is still in force.
-    fn in_grace(&self, now: SimTime) -> bool {
-        self.cfg.leases && now < self.lease_grace_until
-    }
-
-    /// Lease admission for a data access: during the reboot grace every
-    /// read defers; otherwise the lease table arbitrates. Inert unless
-    /// leases are enabled. Resolution failures pass — the handler will
-    /// report the real error.
+    /// Lease admission for a data access (see [`ServerLeases::admit`]);
+    /// skipped, handle resolution included, unless leases are enabled.
     fn lease_admit(
         &mut self,
         fh: &FileHandle,
@@ -749,14 +502,8 @@ impl NfsServer {
         if !self.cfg.leases {
             return Ok(());
         }
-        if !write && self.in_grace(now) {
-            self.stats.lease_vacate_waits += 1;
-            return Err(NfsStatus::TryLater);
-        }
-        let Ok(ino) = self.resolve(fh) else {
-            return Ok(());
-        };
-        self.leases.gate(ino.0, client, write, now, &mut self.stats)
+        let ino = self.resolve(fh).ok().map(|i| i.0);
+        self.leases.admit(ino, client, write, now)
     }
 
     fn do_getlease(
@@ -771,19 +518,13 @@ impl NfsServer {
             self.leases.release(ino.0, client);
             return Ok((0, None));
         }
-        if self.in_grace(now) {
-            self.stats.lease_vacate_waits += 1;
-            return Err(NfsStatus::TryLater);
-        }
-        let write = mode == LEASE_MODE_WRITE;
-        self.leases
-            .gate(ino.0, client, write, now, &mut self.stats)?;
-        self.leases
-            .grant(ino.0, client, write, now, &mut self.stats);
+        let term = self
+            .leases
+            .getlease(ino.0, client, mode == LEASE_MODE_WRITE, now)?;
         // The grant doubles as a GETATTR so acquisition never costs a
         // separate revalidation RPC.
         let attr = self.fs.getattr(ino).map_err(NfsStatus::from)?;
-        Ok((proto::LEASE_TERM_MS, Some(attr)))
+        Ok((term, Some(attr)))
     }
 
     fn dispatch(
@@ -864,18 +605,15 @@ impl NfsServer {
                     let target = self.fs.lookup(dir, &name).ok();
                     // Removing a leased file needs the same write
                     // admission as writing it; a conflicting holder is
-                    // recalled and the remover told to retry.
-                    if let Some(t) = target {
-                        if self.cfg.leases {
-                            self.leases.gate(t.0, client, true, now, &mut self.stats)?;
-                        }
-                    }
+                    // recalled and the remover told to retry. (Inert
+                    // without leases: the table is empty.)
+                    self.leases.admit(target.map(|t| t.0), client, true, now)?;
                     self.fs.remove(dir, &name, now).map_err(NfsStatus::from)?;
                     self.namecache.invalidate(VnodeId(dir.0 as u64), &name);
                     if let Some(t) = target {
                         self.namecache.purge_vnode(VnodeId(t.0 as u64));
                         self.bufcache.purge_vnode(VnodeId(t.0 as u64));
-                        self.leases.entries.remove(&t.0);
+                        self.leases.forget(t.0);
                     }
                     cost.disk_writes.push(512); // dir block
                     cost.disk_writes.push(512); // inode free
@@ -1826,7 +1564,7 @@ mod tests {
         let (term, attr) = results::get_leaseres(&mut dec).unwrap().unwrap();
         assert_eq!(term, proto::LEASE_TERM_MS);
         assert!(attr.is_some(), "the grant doubles as a GETATTR");
-        assert_eq!(s.stats().leases_issued, 1);
+        assert_eq!(s.stats().leases.issued, 1);
         // Client 1 wants to read: recalled + TryLater.
         let req = nq_call(2, NfsProc::Getlease, |c, m| {
             proto::build::getlease_args(c, m, &fh, proto::LEASE_MODE_READ)
@@ -1837,8 +1575,8 @@ mod tests {
             results::get_leaseres(&mut dec).unwrap(),
             Err(NfsStatus::TryLater)
         );
-        assert_eq!(s.stats().lease_recalls, 1);
-        assert_eq!(s.stats().lease_vacate_waits, 1);
+        assert_eq!(s.stats().leases.recalls, 1);
+        assert_eq!(s.stats().leases.vacate_waits, 1);
         // The recall rides the trailer of client 0's next reply.
         let req = nq_call(3, NfsProc::Getattr, |c, m| {
             proto::build::handle_args(c, m, &fh)
@@ -1857,7 +1595,7 @@ mod tests {
         let (reply, _) = s.service_from(t(1), &req, 1);
         let (_, mut dec) = nq_reply_body(&reply);
         assert!(results::get_leaseres(&mut dec).unwrap().is_ok());
-        assert_eq!(s.stats().leases_issued, 2);
+        assert_eq!(s.stats().leases.issued, 2);
     }
 
     #[test]
@@ -1879,7 +1617,7 @@ mod tests {
             proto::build::write_args(c, m, &fh, 0, data)
         });
         s.service_from(t(3), &req, 0);
-        assert_eq!(s.stats().leases_renewed, 1, "piggybacked renewal");
+        assert_eq!(s.stats().leases.renewed, 1, "piggybacked renewal");
         // …so at t=5 (within the renewed term) another client still
         // conflicts, but at t=7 the lease has lapsed and access is free.
         let read_req = |xid| {
@@ -1896,7 +1634,7 @@ mod tests {
         let (reply, _) = s.service_from(t(7), &read_req(4), 1);
         let (_, mut dec) = nq_reply_body(&reply);
         assert!(results::get_readres(&mut dec).unwrap().is_ok());
-        assert_eq!(s.stats().lease_expiries, 1);
+        assert_eq!(s.stats().leases.expiries, 1);
     }
 
     #[test]

@@ -2593,6 +2593,6 @@ mod tests {
             (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
         });
         assert!(world.nfsd_stats().queued > 0, "requests queued behind TCP");
-        assert_eq!(hash, 0x8231_e9c1_a8fc_929e, "{seen}");
+        assert_eq!(hash, 0x2393_0ed5_8b80_8fb6, "{seen}");
     }
 }

@@ -583,7 +583,7 @@ mod tests {
             let mut cfg = quick_cfg(LoadMix::pure_lookup(), 20.0);
             cfg.long_names = long;
             let _ = run(&mut world, &cfg);
-            let stats = world.server().stats().clone();
+            let stats = world.server().stats();
             let nc = world.server().config().name_cache;
             let _ = nc;
             stats

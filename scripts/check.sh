@@ -22,6 +22,12 @@ echo "==> IntMap is for keys the simulator mints (a key with wire bytes in it ke
 # cache's `NcName` and the XDR decoder's `InlineStr`.
 grep -rnE 'IntMap<(\([^)]*)?(String|Vec<u8>|NcName|InlineStr)' crates --include='*.rs' && exit 1
 
+echo "==> the lease rules live in lease.rs (no lease table, term, recall queue or grace elsewhere)"
+# client.rs and server.rs keep only the lease I/O: RPCs, flushes and cache
+# invalidation. proto.rs defines the term and its wire form.
+grep -rnE 'LEASE_TERM\b|LeaseTable|ReadHold|recall_queue|lease_grace' crates/core/src \
+    --exclude=lease.rs --exclude=proto.rs && exit 1
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 
@@ -60,6 +66,18 @@ echo "==> repro soak --lease --seeds 12 --scale quick (NQNFS lease oracle gate)"
 # any violation.
 cargo run -q --release -p renofs-bench --bin repro -- soak --lease --seeds 12 \
     --scale quick >/dev/null
+
+echo "==> repro soak --case seed=51 (the lease soak's fault-free repro still violates)"
+# ROADMAP item 1's shrunk world with no fault window: a stale read under
+# leases. It must exit 1 (a violation), not 0 (clean) or 2 (bad spec). The
+# change that fixes it flips this step on purpose, and says so.
+status=0
+cargo run -q --release -p renofs-bench --bin repro -- soak \
+    --case "seed=51,clients=2,rounds=5,windows=,profile=lease,salt=11" >/dev/null || status=$?
+[ "$status" -eq 1 ] || {
+    echo "seed-51 lease case exited $status, not 1 with its violation" >&2
+    exit 1
+}
 
 echo "==> repro soak --duration 30 --seeds 8 (streaming budget-mode smoke)"
 # Time-boxed streaming-oracle run: exits 1 on the first violation
