@@ -354,7 +354,7 @@ pub fn ablation_readdirplus(scale: &Scale) -> Ablation {
             let mut fs = ClientFs::mount(sys, cfg, root, "client");
             let t0 = fs.sys().now();
             // ls -l: list, then stat every entry.
-            let entries = fs.readdir("/pub").unwrap();
+            let entries = fs.readdir("/pub").unwrap().to_vec();
             for e in &entries {
                 let _ = fs.stat(&format!("/pub/{}", e.name)).unwrap();
             }

@@ -21,10 +21,8 @@
 //!
 //! Every RPC is counted per procedure — the instrument behind Table 3.
 
-use std::collections::{HashMap, HashSet};
-
 use renofs_mbuf::{CopyMeter, MbufChain};
-use renofs_sim::{SimDuration, SimTime};
+use renofs_sim::{IntMap, SimDuration, SimTime};
 use renofs_sunrpc::{
     AcceptStat, AuthUnix, CallHeader, ReplyHeader, NFS_PROGRAM, NFS_VERSION, NQNFS_VERSION,
 };
@@ -289,7 +287,9 @@ enum Vacate {
 /// One asynchronous WRITE in flight. The pushed byte range is recorded
 /// so a reply of `NFSERR_STALE` (server rebooted under the write) can be
 /// re-sent from the still-cached block under a fresh handle.
+#[derive(Clone, Copy)]
 struct PendingWrite {
+    token: VnodeId,
     ticket: Ticket,
     blk: u64,
     d0: usize,
@@ -303,13 +303,20 @@ pub struct ClientFs<S: Syscalls> {
     root: FileHandle,
     machine: &'static str,
     next_xid: u32,
-    vnodes: HashMap<VnodeId, VnodeState>,
+    vnodes: IntMap<VnodeId, VnodeState>,
     namecache: NameCache,
     attrcache: AttrCache,
     bufcache: BufCache,
-    readdir_cache: HashMap<VnodeId, Vec<DirEntry>>,
-    pending_reads: HashMap<(VnodeId, u64), Ticket>,
-    pending_writes: HashMap<VnodeId, Vec<PendingWrite>>,
+    readdir_cache: IntMap<VnodeId, Vec<DirEntry>>,
+    pending_reads: IntMap<(VnodeId, u64), Ticket>,
+    /// Asynchronous WRITEs in flight, every file's, in the order sent.
+    pending_writes: Vec<PendingWrite>,
+    /// Recycled scratch: the writes a drain takes out of
+    /// `pending_writes` with their payload snapshots, the block list a
+    /// push walks, and the payload a synchronous WRITE stages.
+    spare_drain: Vec<(PendingWrite, Option<(u32, MbufChain)>)>,
+    spare_blocks: Vec<u64>,
+    spare_payload: Vec<u8>,
     /// NQNFS leases held and recalls pending (empty unless `cfg.lease`).
     leases: ClientLeases,
     counts: RpcCounts,
@@ -327,13 +334,16 @@ impl<S: Syscalls> ClientFs<S> {
             root,
             machine,
             next_xid: 1,
-            vnodes: HashMap::new(),
+            vnodes: IntMap::default(),
             namecache,
             attrcache: AttrCache::new(cfg.attr_timeout),
             bufcache: BufCache::new(CacheOrg::PerVnodeChains, cfg.bufcache_blocks),
-            readdir_cache: HashMap::new(),
-            pending_reads: HashMap::new(),
-            pending_writes: HashMap::new(),
+            readdir_cache: IntMap::default(),
+            pending_reads: IntMap::default(),
+            pending_writes: Vec::new(),
+            spare_drain: Vec::new(),
+            spare_blocks: Vec::new(),
+            spare_payload: Vec::new(),
             leases: ClientLeases::default(),
             counts: RpcCounts::default(),
             meter: CopyMeter::new(),
@@ -489,11 +499,7 @@ impl<S: Syscalls> ClientFs<S> {
         let leased = self.lease_valid(fh.ino, false);
         let consistency = self.cfg.consistency && !leased;
         let assume_own = self.cfg.assume_own_writes;
-        let has_pending = self
-            .pending_writes
-            .get(&token)
-            .map(|v| !v.is_empty())
-            .unwrap_or(false);
+        let has_pending = self.pending_writes.iter().any(|pw| pw.token == token);
         let vn = self.vnode(fh);
         let mut flush = false;
         if consistency {
@@ -509,7 +515,7 @@ impl<S: Syscalls> ClientFs<S> {
             // The Ultrix model keeps trusting files it has written.
             vn.wrote = false;
         }
-        let dirty = !self.bufcache.dirty_blocks(token).is_empty();
+        let dirty = self.bufcache.has_dirty(token);
         let vn = self.vnode(fh);
         // Server attributes may lag our own writes (in-flight biods,
         // delayed blocks, replies arriving out of order), so the size is
@@ -535,25 +541,21 @@ impl<S: Syscalls> ClientFs<S> {
     }
 
     fn purge_clean_blocks(&mut self, token: VnodeId) {
-        let dirty: HashSet<u64> = self.bufcache.dirty_blocks(token).into_iter().collect();
-        for blk in self.bufcache.cached_blocks(token) {
-            if !dirty.contains(&blk) {
-                self.bufcache.remove(token, blk);
-            }
-        }
+        self.bufcache.purge_clean(token);
         // Discard read-aheads in flight for this vnode: their data
         // predates the flush.
-        let stale: Vec<(VnodeId, u64)> = self
-            .pending_reads
-            .keys()
-            .filter(|(t, _)| *t == token)
-            .copied()
-            .collect();
-        for key in stale {
-            if let Some(t) = self.pending_reads.remove(&key) {
-                self.sys.forget_ticket(t);
+        self.forget_reads(token);
+    }
+
+    /// Forgets the read-aheads in flight for `token`.
+    fn forget_reads(&mut self, token: VnodeId) {
+        let sys = &mut self.sys;
+        self.pending_reads.retain(|&(t, _), &mut ticket| {
+            if t == token {
+                sys.forget_ticket(ticket);
             }
-        }
+            t != token
+        });
     }
 
     /// Attributes, from cache or via GETATTR, recovering transparently
@@ -864,22 +866,14 @@ impl<S: Syscalls> ClientFs<S> {
         self.namecache.purge_vnode(token);
         self.bufcache.purge_vnode(token);
         self.readdir_cache.remove(&token);
-        if let Some(pending) = self.pending_writes.remove(&token) {
-            for pw in pending {
-                self.sys.forget_ticket(pw.ticket);
+        let sys = &mut self.sys;
+        self.pending_writes.retain(|pw| {
+            if pw.token == token {
+                sys.forget_ticket(pw.ticket);
             }
-        }
-        let stale: Vec<(VnodeId, u64)> = self
-            .pending_reads
-            .keys()
-            .filter(|(t, _)| *t == token)
-            .copied()
-            .collect();
-        for key in stale {
-            if let Some(t) = self.pending_reads.remove(&key) {
-                self.sys.forget_ticket(t);
-            }
-        }
+            pw.token != token
+        });
+        self.forget_reads(token);
     }
 
     // ----- file operations ----------------------------------------------
@@ -986,6 +980,20 @@ impl<S: Syscalls> ClientFs<S> {
 
     /// Reads up to `len` bytes at `off`.
     pub fn read(&mut self, fh: FileHandle, off: u32, len: u32) -> CResult<Vec<u8>> {
+        let mut out = Vec::new();
+        self.read_into(fh, off, len, &mut out).map(|_| out)
+    }
+
+    /// Reads up to `len` bytes at `off`, appending them to `out` — the
+    /// caller's own buffer, as read(2) fills user memory — and returns
+    /// how many. On an error `out` may hold part of the data.
+    pub fn read_into(
+        &mut self,
+        fh: FileHandle,
+        off: u32,
+        len: u32,
+        out: &mut Vec<u8>,
+    ) -> CResult<usize> {
         self.sys.charge_cpu(costs::SYSCALL_FIXED);
         self.lease_service()?;
         let fh = self.current_fh(fh);
@@ -996,41 +1004,38 @@ impl<S: Syscalls> ClientFs<S> {
         let fh = self.current_fh(fh);
         let size = self.file_size(fh)?;
         if off >= size {
-            return Ok(Vec::new());
+            return Ok(0);
         }
         let len = len.min(size - off);
         let token = fh.vnode_token();
-        let mut out = Vec::with_capacity(len as usize);
+        out.reserve(len as usize);
         let mut pos = off as usize;
         let end = (off + len) as usize;
         while pos < end {
             let blk = (pos / BLOCK_SIZE) as u64;
             let bs = pos % BLOCK_SIZE;
             let be = (end - (blk as usize * BLOCK_SIZE)).min(BLOCK_SIZE);
-            let served = {
-                let (buf, _) = self.bufcache.lookup(token, blk);
-                match buf {
-                    Some(b) => b.read(bs, be - bs).map(|s| s.to_vec()),
-                    None => None,
-                }
-            };
-            let chunk = match served {
-                Some(c) => c,
+            match self
+                .bufcache
+                .lookup(token, blk)
+                .0
+                .and_then(|b| b.read(bs, be - bs))
+            {
+                Some(chunk) => out.extend_from_slice(chunk),
                 None => {
                     self.fill_block(fh, blk)?;
                     let (buf, _) = self.bufcache.lookup(token, blk);
-                    buf.and_then(|b| b.read(bs, be - bs).map(|s| s.to_vec()))
-                        .ok_or(ClientError::Protocol)?
+                    let chunk = buf.and_then(|b| b.read(bs, be - bs));
+                    out.extend_from_slice(chunk.ok_or(ClientError::Protocol)?);
                 }
-            };
+            }
             self.sys
-                .charge_cpu(costs::USER_COPY_PER_BYTE * chunk.len() as u64);
-            out.extend_from_slice(&chunk);
+                .charge_cpu(costs::USER_COPY_PER_BYTE * (be - bs) as u64);
             pos = blk as usize * BLOCK_SIZE + be;
             // Read-ahead the following blocks.
             self.issue_readahead(fh, blk, size);
         }
-        Ok(out)
+        Ok(len as usize)
     }
 
     fn issue_readahead(&mut self, fh: FileHandle, blk: u64, size: u32) {
@@ -1078,28 +1083,22 @@ impl<S: Syscalls> ClientFs<S> {
             }
         };
         let mut dec = self.open_reply(&reply)?;
-        let (attr, data) = results::get_readres(&mut dec)??;
+        // The data lands straight in a recycled block.
+        let (fresh, (attr, n)) = Buf::fill_valid(|block| {
+            block.resize(BLOCK_SIZE, 0);
+            let (attr, n) = results::get_readres_into(&mut dec, block)??;
+            block.truncate(n);
+            Ok::<_, ClientError>((attr, n))
+        })?;
         self.receive_attrs(fh, &attr, false);
-        self.sys
-            .charge_cpu(costs::COPY_PER_BYTE * data.len() as u64);
+        self.sys.charge_cpu(costs::COPY_PER_BYTE * n as u64);
         // Merge under any dirty region, else install a valid block.
-        let dirty_exists = {
-            let (buf, _) = self.bufcache.lookup(token, blk);
-            match buf {
-                Some(b) if b.is_dirty() => {
-                    b.merge_read(&{
-                        let mut full = data.clone();
-                        full.resize(BLOCK_SIZE, 0);
-                        full
-                    });
-                    true
-                }
-                _ => false,
+        match self.bufcache.lookup(token, blk) {
+            (Some(b), _) if b.is_dirty() => b.merge_read(fresh.data()),
+            _ => {
+                let writeback = self.bufcache.insert(token, blk, fresh);
+                self.flush_writeback(writeback)?;
             }
-        };
-        if !dirty_exists {
-            let writebacks = self.bufcache.insert(token, blk, Buf::new_valid(data));
-            self.flush_writebacks(writebacks)?;
         }
         Ok(())
     }
@@ -1136,7 +1135,7 @@ impl<S: Syscalls> ClientFs<S> {
             return Ok(());
         }
         let token = fh.vnode_token();
-        let has_dirty = !self.bufcache.dirty_blocks(token).is_empty();
+        let has_dirty = self.bufcache.has_dirty(token);
         let wrote = self.vnodes.get(&token).map(|v| v.wrote).unwrap_or(false);
         if !self.cfg.assume_own_writes && (has_dirty || wrote) {
             self.push_dirty(fh, true)?;
@@ -1158,7 +1157,7 @@ impl<S: Syscalls> ClientFs<S> {
         if !owed {
             return;
         }
-        if !self.bufcache.dirty_blocks(token).is_empty() {
+        if self.bufcache.has_dirty(token) {
             return;
         }
         self.purge_clean_blocks(token);
@@ -1252,8 +1251,8 @@ impl<S: Syscalls> ClientFs<S> {
                 buf.is_some()
             };
             if !present {
-                let writebacks = self.bufcache.insert(token, blk, Buf::new_empty());
-                self.flush_writebacks(writebacks)?;
+                let writeback = self.bufcache.insert(token, blk, Buf::new_empty());
+                self.flush_writeback(writeback)?;
             }
             let outcome = {
                 let (buf, _) = self.bufcache.lookup(token, blk);
@@ -1273,34 +1272,37 @@ impl<S: Syscalls> ClientFs<S> {
     /// reply, otherwise a biod carries it.
     fn push_block(&mut self, fh: FileHandle, blk: u64, sync: bool) -> CResult<()> {
         let token = fh.vnode_token();
-        let (d0, d1, payload) = {
-            let (buf, _) = self.bufcache.lookup(token, blk);
-            let Some(buf) = buf else { return Ok(()) };
-            let Some((d0, d1)) = buf.dirty_range() else {
-                return Ok(());
-            };
-            (d0, d1, buf.data()[d0..d1].to_vec())
+        let (buf, _) = self.bufcache.lookup(token, blk);
+        let Some(buf) = buf else { return Ok(()) };
+        let Some((d0, d1)) = buf.dirty_range() else {
+            return Ok(());
         };
+        let dirty = &buf.data()[d0..d1];
         let woff = blk as u32 * BLOCK_SIZE as u32 + d0 as u32;
         // Clamp to the file's logical size (a trailing partial block's
         // dirty region may extend past EOF only when bs > size; keep
         // what was written).
         if sync {
-            self.with_fh_retry(fh, |c, fh| c.write_rpc(fh, woff, &payload))?;
+            // Staged in recycled scratch: a retry re-sends these bytes
+            // after the block may have been purged.
+            let mut payload = std::mem::take(&mut self.spare_payload);
+            payload.clear();
+            payload.extend_from_slice(dirty);
+            let sent = self.with_fh_retry(fh, |c, fh| c.write_rpc(fh, woff, &payload));
+            self.spare_payload = payload;
+            sent?;
         } else {
-            let data_chain = MbufChain::from_slice(&payload, &mut self.meter);
+            let data_chain = MbufChain::from_slice(dirty, &mut self.meter);
             let ticket = self.call_async(NfsProc::Write, |c, m| {
                 proto::build::write_args(c, m, &fh, woff, data_chain)
             });
-            self.pending_writes
-                .entry(token)
-                .or_default()
-                .push(PendingWrite {
-                    ticket,
-                    blk,
-                    d0,
-                    d1,
-                });
+            self.pending_writes.push(PendingWrite {
+                token,
+                ticket,
+                blk,
+                d0,
+                d1,
+            });
         }
         // After the push the written range is known-good: when it covers
         // the block from its start through EOF (or the whole block), the
@@ -1320,10 +1322,16 @@ impl<S: Syscalls> ClientFs<S> {
     /// Pushes every dirty block of a file.
     pub fn push_dirty(&mut self, fh: FileHandle, sync: bool) -> CResult<()> {
         let token = fh.vnode_token();
-        for blk in self.bufcache.dirty_blocks(token) {
-            self.push_block(fh, blk, sync)?;
-        }
-        Ok(())
+        // The list is taken before the first push, as a push can purge
+        // the file's other blocks (a stale handle's recovery).
+        let mut blks = std::mem::take(&mut self.spare_blocks);
+        blks.clear();
+        self.bufcache.dirty_blocks_into(token, &mut blks);
+        let pushed = blks
+            .iter()
+            .try_for_each(|&blk| self.push_block(fh, blk, sync));
+        self.spare_blocks = blks;
+        pushed
     }
 
     /// Awaits outstanding asynchronous writes of a file and folds their
@@ -1333,31 +1341,39 @@ impl<S: Syscalls> ClientFs<S> {
     /// the synchronous-write durability contract (DESIGN.md §6a).
     fn drain_writes(&mut self, fh: FileHandle) -> CResult<()> {
         let token = fh.vnode_token();
-        let pending = self.pending_writes.remove(&token).unwrap_or_default();
-        if pending.is_empty() {
+        let mut drain = std::mem::take(&mut self.spare_drain);
+        self.pending_writes.retain(|&pw| {
+            if pw.token == token {
+                drain.push((pw, None));
+            }
+            pw.token != token
+        });
+        if drain.is_empty() {
+            self.spare_drain = drain;
             return Ok(());
         }
         // Snapshot every in-flight payload before folding any reply in:
         // Reno's mtime-change flush purges clean blocks as reply
         // attributes land, and a write the server answers with
         // `NFSERR_STALE` (it rebooted under the flush) must be re-sent
-        // from these bytes afterwards.
-        let snaps: Vec<Option<(u32, Vec<u8>)>> = pending
-            .iter()
-            .map(|pw| {
-                let (buf, _) = self.bufcache.lookup(token, pw.blk);
-                buf.map(|b| {
-                    let woff = pw.blk as u32 * BLOCK_SIZE as u32 + pw.d0 as u32;
-                    (woff, b.data()[pw.d0..pw.d1].to_vec())
-                })
-            })
-            .collect();
+        // from these bytes afterwards. The snapshots are pooled mbufs on
+        // a scratch meter: the kernel copied nothing here.
+        let mut staging = CopyMeter::new();
+        for (pw, snap) in &mut drain {
+            if let (Some(b), _) = self.bufcache.lookup(token, pw.blk) {
+                let woff = pw.blk as u32 * BLOCK_SIZE as u32 + pw.d0 as u32;
+                *snap = Some((
+                    woff,
+                    MbufChain::from_slice(&b.data()[pw.d0..pw.d1], &mut staging),
+                ));
+            }
+        }
         // Await every ticket even if one timed out (a soft mount), so no
         // completion is leaked; the first error is reported after.
         let mut first_err: Option<ClientError> = None;
-        let mut stale: Vec<(u32, Vec<u8>)> = Vec::new();
-        let mut deferred: Vec<(u32, Vec<u8>)> = Vec::new();
-        for (pw, snap) in pending.iter().zip(snaps) {
+        let mut stale: Vec<(u32, MbufChain)> = Vec::new();
+        let mut deferred: Vec<(u32, MbufChain)> = Vec::new();
+        for (pw, snap) in drain.drain(..) {
             match self.sys.await_ticket(pw.ticket) {
                 Ok(reply) => {
                     if let Ok(mut dec) = self.open_reply(&reply) {
@@ -1396,6 +1412,7 @@ impl<S: Syscalls> ClientFs<S> {
                 }
             }
         }
+        self.spare_drain = drain;
         if !stale.is_empty() && first_err.is_none() {
             if let Err(e) = self.redo_stale_writes(fh, stale) {
                 first_err = Some(e);
@@ -1403,6 +1420,7 @@ impl<S: Syscalls> ClientFs<S> {
         }
         if !deferred.is_empty() && first_err.is_none() {
             for (woff, payload) in deferred {
+                let payload = payload.to_vec(&mut staging);
                 if let Err(e) = self.with_fh_retry(fh, |c, fh| c.write_rpc(fh, woff, &payload)) {
                     first_err = Some(e);
                     break;
@@ -1419,9 +1437,10 @@ impl<S: Syscalls> ClientFs<S> {
     /// server rebooted under them) under a freshly looked-up handle,
     /// from payloads snapshotted at drain entry, preserving the
     /// synchronous-write durability contract (DESIGN.md §6a).
-    fn redo_stale_writes(&mut self, fh: FileHandle, stale: Vec<(u32, Vec<u8>)>) -> CResult<()> {
+    fn redo_stale_writes(&mut self, fh: FileHandle, stale: Vec<(u32, MbufChain)>) -> CResult<()> {
         let fh = self.recover_stale_fh(fh)?;
         for (woff, payload) in stale {
+            let payload = payload.to_vec(&mut CopyMeter::new());
             self.write_rpc(fh, woff, &payload)?;
         }
         Ok(())
@@ -1439,19 +1458,17 @@ impl<S: Syscalls> ClientFs<S> {
         Ok(attr)
     }
 
-    fn flush_writebacks(&mut self, writebacks: Vec<(VnodeId, u64, Buf)>) -> CResult<()> {
-        for (token, blk, buf) in writebacks {
-            let Some((d0, d1)) = buf.dirty_range() else {
-                continue;
-            };
-            let Some(vn) = self.vnodes.get(&token) else {
-                continue;
-            };
-            let fh = vn.fh;
-            let payload = buf.data()[d0..d1].to_vec();
-            let woff = blk as u32 * BLOCK_SIZE as u32 + d0 as u32;
-            self.with_fh_retry(fh, |c, fh| c.write_rpc(fh, woff, &payload))?;
-        }
+    /// Writes back a dirty block the cache evicted.
+    fn flush_writeback(&mut self, writeback: Option<(VnodeId, u64, Buf)>) -> CResult<()> {
+        let Some((token, blk, buf)) = writeback else {
+            return Ok(());
+        };
+        let (Some((d0, d1)), Some(vn)) = (buf.dirty_range(), self.vnodes.get(&token)) else {
+            return Ok(());
+        };
+        let fh = vn.fh;
+        let woff = blk as u32 * BLOCK_SIZE as u32 + d0 as u32;
+        self.with_fh_retry(fh, |c, fh| c.write_rpc(fh, woff, &buf.data()[d0..d1]))?;
         Ok(())
     }
 
@@ -1634,20 +1651,23 @@ impl<S: Syscalls> ClientFs<S> {
     /// READDIRLOOKUP extension enabled, one RPC also primes the name and
     /// attribute caches for every entry, so the stats that follow an
     /// `ls -l` need no further lookups — the paper's "many name lookups
-    /// per RPC" future direction.
-    pub fn readdir(&mut self, path: &str) -> CResult<Vec<DirEntry>> {
+    /// per RPC" future direction. The listing is the cached one itself.
+    pub fn readdir(&mut self, path: &str) -> CResult<&[DirEntry]> {
         self.sys.charge_cpu(costs::SYSCALL_FIXED);
-        self.with_stale_retry(|c| c.readdir_inner(path))
+        let token = self.with_stale_retry(|c| c.readdir_inner(path))?;
+        Ok(&self.readdir_cache[&token])
     }
 
-    fn readdir_inner(&mut self, path: &str) -> CResult<Vec<DirEntry>> {
+    /// Brings the directory's listing into `readdir_cache` and returns
+    /// its key.
+    fn readdir_inner(&mut self, path: &str) -> CResult<VnodeId> {
         let fh = self.lookup_path(path)?;
         let token = fh.vnode_token();
         if self.cfg.consistency {
             self.getattr_validated(fh)?;
         }
-        if let Some(entries) = self.readdir_cache.get(&token) {
-            return Ok(entries.clone());
+        if self.readdir_cache.contains_key(&token) {
+            return Ok(token);
         }
         let mut all = Vec::new();
         let mut cookie = 0u32;
@@ -1688,8 +1708,8 @@ impl<S: Syscalls> ClientFs<S> {
                 }
             }
         }
-        self.readdir_cache.insert(token, all.clone());
-        Ok(all)
+        self.readdir_cache.insert(token, all);
+        Ok(token)
     }
 
     /// Filesystem statistics.

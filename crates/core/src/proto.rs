@@ -786,11 +786,26 @@ pub mod results {
     pub fn get_readres(
         dec: &mut XdrDecoder<'_>,
     ) -> Result<Result<(Vattr, Vec<u8>), NfsStatus>, XdrError> {
+        let mut data = vec![0; NFS_MAXDATA];
+        let res = get_readres_into(dec, &mut data)?;
+        Ok(res.map(|(attr, n)| {
+            data.truncate(n);
+            (attr, data)
+        }))
+    }
+
+    /// Decodes a READ result with the data landing at the front of `dst`
+    /// (no allocation); returns the attributes and the data's length.
+    /// Data longer than `dst` is rejected like data past `NFS_MAXDATA`.
+    pub fn get_readres_into(
+        dec: &mut XdrDecoder<'_>,
+        dst: &mut [u8],
+    ) -> Result<Result<(Vattr, usize), NfsStatus>, XdrError> {
         match NfsStatus::from_wire(dec.get_u32()?)? {
             NfsStatus::Ok => {
                 let attr = get_fattr(dec)?;
-                let data = dec.get_opaque_var(NFS_MAXDATA as u32)?;
-                Ok(Ok((attr, data)))
+                let n = dec.get_opaque_var_into(dst, NFS_MAXDATA as u32)?;
+                Ok(Ok((attr, n)))
             }
             s => Ok(Err(s)),
         }

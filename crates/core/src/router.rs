@@ -517,11 +517,11 @@ impl<S: Syscalls> RouterFs<S> {
     pub fn readdir(&mut self, path: &str) -> CResult<Vec<DirEntry>> {
         let (idx, rel) = self.route(path);
         let rel = rel.to_string();
-        match self.mounts[idx].fs.readdir(&rel) {
+        match self.mounts[idx].fs.readdir(&rel).map(<[DirEntry]>::to_vec) {
             Err(e) if Self::failable(e) => {
                 let mut last = Err(e);
                 for r in &mut self.mounts[idx].replicas {
-                    last = r.readdir(&rel);
+                    last = r.readdir(&rel).map(<[DirEntry]>::to_vec);
                     if last.is_ok() {
                         break;
                     }

@@ -723,8 +723,7 @@ impl NfsServer {
                     cost.cache_steps += steps;
                     if !hit {
                         cost.disk_reads.push(BLOCK_SIZE.min(dir_attr.size as usize));
-                        self.bufcache
-                            .insert(dv, blk, Buf::new_valid(vec![0; BLOCK_SIZE]));
+                        self.fill_dir_block(dv, blk);
                     }
                 }
                 let id = self.fs.lookup(dir, name).map_err(NfsStatus::from)?;
@@ -735,6 +734,14 @@ impl NfsServer {
         let h = self.handle_for(id).map_err(NfsStatus::from)?;
         let a = self.fs.getattr(id).map_err(NfsStatus::from)?;
         Ok((h, a))
+    }
+
+    /// Caches a directory block, modelled as zeros: its entries live in
+    /// `MemFs`.
+    fn fill_dir_block(&mut self, dv: VnodeId, blk: u64) {
+        let mut block = Buf::new_empty();
+        block.mark_valid();
+        self.bufcache.insert(dv, blk, block);
     }
 
     fn do_read(
@@ -763,11 +770,12 @@ impl NfsServer {
             cost.cache_steps += steps;
             if !hit {
                 cost.disk_reads.push(BLOCK_SIZE);
-                let data = self
-                    .fs
-                    .read(ino, (blk * BLOCK_SIZE) as u32, BLOCK_SIZE as u32, now)
-                    .map_err(NfsStatus::from)?;
-                self.bufcache.insert(v, blk as u64, Buf::new_valid(data));
+                let off = (blk * BLOCK_SIZE) as u32;
+                let (block, _) = Buf::fill_valid(|data| {
+                    self.fs.read_into(ino, off, BLOCK_SIZE as u32, now, data)
+                })
+                .map_err(NfsStatus::from)?;
+                self.bufcache.insert(v, blk as u64, block);
             }
         }
         let mut data = std::mem::take(&mut self.io_scratch);
@@ -835,12 +843,13 @@ impl NfsServer {
             };
             cost.cache_steps += steps;
             if found {
-                let fresh = self
-                    .fs
-                    .read(ino, (blk * BLOCK_SIZE) as u32, BLOCK_SIZE as u32, now)
-                    .map_err(NfsStatus::from)?;
+                let off = (blk * BLOCK_SIZE) as u32;
+                let (fresh, n) = Buf::fill_valid(|data| {
+                    self.fs.read_into(ino, off, BLOCK_SIZE as u32, now, data)
+                })
+                .map_err(NfsStatus::from)?;
                 if let (Some(buf), _) = self.bufcache.lookup(v, blk as u64) {
-                    buf.merge_read(&fresh);
+                    buf.merge_read(&fresh.data()[..n]);
                     buf.clear_dirty();
                 }
             }
@@ -904,8 +913,7 @@ impl NfsServer {
             cost.cache_steps += steps;
             if !hit {
                 cost.disk_reads.push(BLOCK_SIZE.min(attr.size as usize));
-                self.bufcache
-                    .insert(dv, blk, Buf::new_valid(vec![0; BLOCK_SIZE]));
+                self.fill_dir_block(dv, blk);
             }
         }
         let (raw, eof) = self

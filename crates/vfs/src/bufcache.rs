@@ -11,6 +11,21 @@
 //!    the paper conjectures Ultrix's remaining lookup-performance gap
 //!    comes from costlier buffer-cache searches. [`CacheOrg`] prices both
 //!    organizations in *search steps* for the CPU model.
+//!
+//! The per-vnode chains are the structure as well as the price. Buffers
+//! live in a slab, each on its vnode's chain (ascending block number, so
+//! a file's dirty or cached blocks are listed by walking it) and on one
+//! LRU list; a hash of (vnode, block) finds a buffer the way `incore()`
+//! does through `bufhash`. A chain's length is the Reno price of a
+//! search. Block storage comes off a free list: a buffer that is evicted,
+//! removed or purged gives its `BLOCK_SIZE` bytes back when it drops and
+//! the next new buffer takes them, as 4.3BSD's `getnewbuf` takes a
+//! buffer, memory and all, off its LRU free list. The list is the
+//! thread's, as the mbuf free lists are: a world's caches live and die on
+//! one thread, so the next world's caches fill from the last one's
+//! storage. A warm cache allocates nothing.
+
+use std::cell::RefCell;
 
 use renofs_sim::IntMap;
 
@@ -26,7 +41,17 @@ pub enum CacheOrg {
     GlobalList,
 }
 
-/// One cached block.
+/// Most block storage a thread keeps for reuse: a client's 128 blocks
+/// and a server's 256 several times over.
+const FREE_BLOCKS: usize = 1024;
+
+thread_local! {
+    /// Storage of the buffers dropped on this thread, for its next new ones.
+    static FREE: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One cached block. Its storage returns to the thread's free list when
+/// it drops.
 #[derive(Clone, Debug)]
 pub struct Buf {
     data: Vec<u8>,
@@ -34,14 +59,61 @@ pub struct Buf {
     dirty: Option<(usize, usize)>,
 }
 
+impl Drop for Buf {
+    fn drop(&mut self) {
+        let data = std::mem::take(&mut self.data);
+        if data.capacity() >= BLOCK_SIZE {
+            // Past the thread's teardown the storage is simply freed.
+            let _ = FREE.try_with(|free| {
+                let mut free = free.borrow_mut();
+                if free.len() < FREE_BLOCKS {
+                    free.push(data);
+                }
+            });
+        }
+    }
+}
+
 impl Buf {
+    /// Empty storage for one block, off the thread's free list when it
+    /// has any.
+    fn storage() -> Vec<u8> {
+        let mut data = FREE
+            .try_with(|free| free.borrow_mut().pop())
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        data.clear();
+        data.reserve_exact(BLOCK_SIZE);
+        data
+    }
+
     /// An empty, invalid block (allocated for a fresh partial write).
     pub fn new_empty() -> Self {
+        let mut data = Self::storage();
+        data.resize(BLOCK_SIZE, 0);
         Buf {
-            data: vec![0; BLOCK_SIZE],
+            data,
             valid: false,
             dirty: None,
         }
+    }
+
+    /// A valid block whose contents `fill` appends to the empty vector it
+    /// is handed (the rest of the block reads as zeros) — a block read
+    /// from the server or the disk straight into recycled storage. On an
+    /// error the storage goes back to the free list.
+    pub fn fill_valid<T, E>(
+        fill: impl FnOnce(&mut Vec<u8>) -> Result<T, E>,
+    ) -> Result<(Self, T), E> {
+        let mut buf = Buf {
+            data: Self::storage(),
+            valid: true,
+            dirty: None,
+        };
+        let t = fill(&mut buf.data)?;
+        buf.data.resize(BLOCK_SIZE, 0);
+        Ok((buf, t))
     }
 
     /// A block whose full contents were read from the server/disk.
@@ -135,24 +207,28 @@ impl Buf {
     }
 
     /// Overlays freshly read block contents *under* the dirty region:
-    /// bytes inside the dirty region keep the local modifications.
+    /// bytes inside the dirty region keep the local modifications. Bytes
+    /// past the end of `fresh` are left as they were.
     pub fn merge_read(&mut self, fresh: &[u8]) {
-        let dirty = self.dirty;
-        for (i, b) in fresh.iter().enumerate().take(BLOCK_SIZE) {
-            let in_dirty = match dirty {
-                Some((d0, d1)) => i >= d0 && i < d1,
-                None => false,
-            };
-            if !in_dirty {
-                self.data[i] = *b;
-            }
-        }
+        let n = fresh.len().min(BLOCK_SIZE);
+        let (d0, d1) = self.dirty.map_or((n, n), |(d0, d1)| (d0.min(n), d1.min(n)));
+        self.data[..d0].copy_from_slice(&fresh[..d0]);
+        self.data[d1..n].copy_from_slice(&fresh[d1..n]);
         self.valid = true;
+    }
+
+    /// A slab slot's placeholder: no storage.
+    fn vacant() -> Self {
+        Buf {
+            data: Vec::new(),
+            valid: false,
+            dirty: None,
+        }
     }
 }
 
 /// Cumulative statistics.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BufCacheStats {
     /// Block lookups that hit.
     pub hits: u64,
@@ -162,6 +238,94 @@ pub struct BufCacheStats {
     pub evictions: u64,
     /// Total search steps performed (the CPU-cost proxy).
     pub search_steps: u64,
+}
+
+/// The end of a list threaded through the slab.
+const NIL: u32 = u32::MAX;
+
+/// A slot's neighbours on one list.
+#[derive(Clone, Copy)]
+struct Links {
+    prev: u32,
+    next: u32,
+}
+
+const UNLINKED: Links = Links {
+    prev: NIL,
+    next: NIL,
+};
+
+/// The two ends of a list threaded through the slab.
+#[derive(Clone, Copy)]
+struct Ends {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: Ends = Ends {
+    head: NIL,
+    tail: NIL,
+};
+
+/// One vnode's buffers, ascending by block number.
+struct Chain {
+    ends: Ends,
+    len: u64,
+}
+
+/// A slab entry: a cached block and its place on its vnode's chain and
+/// on the LRU list. A vacant slot's buffer holds no storage.
+struct Slot {
+    v: VnodeId,
+    blk: u64,
+    buf: Buf,
+    chain: Links,
+    lru: Links,
+}
+
+fn chain_links(s: &mut Slot) -> &mut Links {
+    &mut s.chain
+}
+
+fn lru_links(s: &mut Slot) -> &mut Links {
+    &mut s.lru
+}
+
+/// Links slot `i` into the list `ends` after slot `at` (at the head when
+/// `at` is [`NIL`]).
+fn link_after(
+    slots: &mut [Slot],
+    ends: &mut Ends,
+    on: fn(&mut Slot) -> &mut Links,
+    at: u32,
+    i: u32,
+) {
+    let next = match at {
+        NIL => ends.head,
+        at => on(&mut slots[at as usize]).next,
+    };
+    *on(&mut slots[i as usize]) = Links { prev: at, next };
+    match at {
+        NIL => ends.head = i,
+        at => on(&mut slots[at as usize]).next = i,
+    }
+    match next {
+        NIL => ends.tail = i,
+        next => on(&mut slots[next as usize]).prev = i,
+    }
+}
+
+/// Takes slot `i` off the list `ends`.
+fn unlink(slots: &mut [Slot], ends: &mut Ends, on: fn(&mut Slot) -> &mut Links, i: u32) {
+    let Links { prev, next } = *on(&mut slots[i as usize]);
+    match prev {
+        NIL => ends.head = next,
+        prev => on(&mut slots[prev as usize]).next = next,
+    }
+    match next {
+        NIL => ends.tail = prev,
+        next => on(&mut slots[next as usize]).prev = prev,
+    }
 }
 
 /// The buffer cache.
@@ -179,20 +343,34 @@ pub struct BufCacheStats {
 pub struct BufCache {
     org: CacheOrg,
     capacity: usize,
-    map: IntMap<(VnodeId, u64), (Buf, u64)>,
-    clock: u64,
+    slots: Vec<Slot>,
+    /// Slab indices holding no buffer.
+    vacant: Vec<u32>,
+    /// Finds a block's slot.
+    index: IntMap<(VnodeId, u64), u32>,
+    chains: IntMap<VnodeId, Chain>,
+    /// Least recently used first.
+    lru: Ends,
     ambient: u64,
     stats: BufCacheStats,
 }
 
 impl BufCache {
-    /// Creates a cache of `capacity` blocks.
+    /// Creates a cache of `capacity` blocks. Its slab, index and lists
+    /// are sized for them now, as a kernel sizes its buffer headers at
+    /// boot; block storage comes with the buffers inserted.
     pub fn new(org: CacheOrg, capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        // An insert holds one block over capacity until it evicts.
+        let most = capacity + 1;
         BufCache {
             org,
-            capacity: capacity.max(1),
-            map: IntMap::default(),
-            clock: 0,
+            capacity,
+            slots: Vec::with_capacity(most),
+            vacant: Vec::with_capacity(most),
+            index: IntMap::with_capacity_and_hasher(most, Default::default()),
+            chains: IntMap::with_capacity_and_hasher(most, Default::default()),
+            lru: EMPTY,
             ambient: 0,
             stats: BufCacheStats::default(),
         }
@@ -219,34 +397,33 @@ impl BufCache {
 
     /// Blocks currently cached.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.index.is_empty()
     }
 
     fn search_steps(&self, v: VnodeId) -> u64 {
         match self.org {
-            CacheOrg::PerVnodeChains => self.map.keys().filter(|(kv, _)| *kv == v).count() as u64,
-            CacheOrg::GlobalList => self.map.len() as u64 + self.ambient,
+            CacheOrg::PerVnodeChains => self.chains.get(&v).map_or(0, |c| c.len),
+            CacheOrg::GlobalList => self.index.len() as u64 + self.ambient,
         }
         .max(1)
     }
 
     /// Looks up a block; returns the buffer (if cached) and the number of
-    /// search steps the organization would have cost.
+    /// search steps the organization would have cost. A hit makes the
+    /// block the most recently used.
     pub fn lookup(&mut self, v: VnodeId, blk: u64) -> (Option<&mut Buf>, u64) {
         let steps = self.search_steps(v);
         self.stats.search_steps += steps;
-        self.clock += 1;
-        let clock = self.clock;
-        match self.map.get_mut(&(v, blk)) {
-            Some((buf, stamp)) => {
-                *stamp = clock;
+        match self.index.get(&(v, blk)) {
+            Some(&i) => {
                 self.stats.hits += 1;
-                (Some(buf), steps)
+                self.touch(i);
+                (Some(&mut self.slots[i as usize].buf), steps)
             }
             None => {
                 self.stats.misses += 1;
@@ -255,96 +432,176 @@ impl BufCache {
         }
     }
 
+    /// Moves slot `i` to the most recently used end.
+    fn touch(&mut self, i: u32) {
+        unlink(&mut self.slots, &mut self.lru, lru_links, i);
+        let tail = self.lru.tail;
+        link_after(&mut self.slots, &mut self.lru, lru_links, tail, i);
+    }
+
     /// Inserts (or replaces) a block. If the cache is over capacity the
-    /// least-recently-used block is evicted — clean blocks silently,
-    /// dirty blocks returned so the caller can write them back.
-    pub fn insert(&mut self, v: VnodeId, blk: u64, buf: Buf) -> Vec<(VnodeId, u64, Buf)> {
-        self.clock += 1;
-        self.map.insert((v, blk), (buf, self.clock));
-        let mut writebacks = Vec::new();
-        while self.map.len() > self.capacity {
-            // Prefer the LRU clean block; fall back to the LRU dirty one.
-            let victim = self
-                .map
-                .iter()
-                .filter(|(k, (b, _))| !b.is_dirty() && **k != (v, blk))
-                .min_by_key(|(_, (_, stamp))| *stamp)
-                .map(|(k, _)| *k)
-                .or_else(|| {
-                    self.map
-                        .iter()
-                        .filter(|(k, _)| **k != (v, blk))
-                        .min_by_key(|(_, (_, stamp))| *stamp)
-                        .map(|(k, _)| *k)
-                });
-            match victim {
-                Some(k) => {
-                    let (b, _) = self.map.remove(&k).expect("victim exists");
-                    self.stats.evictions += 1;
-                    if b.is_dirty() {
-                        writebacks.push((k.0, k.1, b));
-                    }
-                }
-                None => break,
-            }
+    /// least-recently-used block is evicted — a clean one silently, its
+    /// storage freed for the next new block; a dirty one (only when every
+    /// other block is dirty) returned so the caller can write it back.
+    /// The victim is found from the LRU end, stepping past dirty buffers
+    /// as `getnewbuf` does.
+    ///
+    /// Replacing a block that holds unwritten changes would lose them: the
+    /// caller pushes or merges into it instead.
+    pub fn insert(&mut self, v: VnodeId, blk: u64, buf: Buf) -> Option<(VnodeId, u64, Buf)> {
+        if let Some(&i) = self.index.get(&(v, blk)) {
+            let old = std::mem::replace(&mut self.slots[i as usize].buf, buf);
+            debug_assert!(
+                !old.is_dirty(),
+                "insert over dirty block {blk} of {v:?} drops its data"
+            );
+            self.touch(i);
+            return None;
         }
-        writebacks
+        let i = self.hook(v, blk, buf);
+        if self.index.len() <= self.capacity {
+            return None;
+        }
+        // The newcomer sits at the MRU end and the cache holds at least
+        // one other block, so the LRU end is never the newcomer.
+        let mut victim = self.lru.head;
+        let mut at = victim;
+        while at != NIL {
+            let slot = &self.slots[at as usize];
+            if at != i && !slot.buf.is_dirty() {
+                victim = at;
+                break;
+            }
+            at = slot.lru.next;
+        }
+        self.stats.evictions += 1;
+        let evicted = self.unhook(victim);
+        evicted.2.is_dirty().then_some(evicted)
+    }
+
+    /// Puts `buf` in a slot on `v`'s chain and at the MRU end.
+    fn hook(&mut self, v: VnodeId, blk: u64, buf: Buf) -> u32 {
+        let slot = Slot {
+            v,
+            blk,
+            buf,
+            chain: UNLINKED,
+            lru: UNLINKED,
+        };
+        let i = match self.vacant.pop() {
+            Some(i) => {
+                self.slots[i as usize] = slot;
+                i
+            }
+            None => {
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert((v, blk), i);
+        let chain = self.chains.entry(v).or_insert(Chain {
+            ends: EMPTY,
+            len: 0,
+        });
+        // From the top of the chain: a file read or written in order
+        // appends.
+        let mut at = chain.ends.tail;
+        while at != NIL && self.slots[at as usize].blk > blk {
+            at = self.slots[at as usize].chain.prev;
+        }
+        link_after(&mut self.slots, &mut chain.ends, chain_links, at, i);
+        chain.len += 1;
+        let tail = self.lru.tail;
+        link_after(&mut self.slots, &mut self.lru, lru_links, tail, i);
+        i
+    }
+
+    /// Takes slot `i` off its chain, the LRU list and the index, and
+    /// hands back what it held.
+    fn unhook(&mut self, i: u32) -> (VnodeId, u64, Buf) {
+        let slot = &mut self.slots[i as usize];
+        let (v, blk) = (slot.v, slot.blk);
+        let buf = std::mem::replace(&mut slot.buf, Buf::vacant());
+        unlink(&mut self.slots, &mut self.lru, lru_links, i);
+        let chain = self.chains.get_mut(&v).expect("a cached block has a chain");
+        unlink(&mut self.slots, &mut chain.ends, chain_links, i);
+        chain.len -= 1;
+        if chain.len == 0 {
+            self.chains.remove(&v);
+        }
+        self.index.remove(&(v, blk));
+        self.vacant.push(i);
+        (v, blk, buf)
     }
 
     /// Removes one block.
     pub fn remove(&mut self, v: VnodeId, blk: u64) -> Option<Buf> {
-        self.map.remove(&(v, blk)).map(|(b, _)| b)
+        let i = *self.index.get(&(v, blk))?;
+        Some(self.unhook(i).2)
     }
 
-    /// Drops every block of `v`, returning the dirty ones.
-    pub fn purge_vnode(&mut self, v: VnodeId) -> Vec<(u64, Buf)> {
-        let keys: Vec<(VnodeId, u64)> = self
-            .map
-            .keys()
-            .filter(|(kv, _)| *kv == v)
-            .copied()
-            .collect();
-        let mut dirty = Vec::new();
-        for k in keys {
-            let (b, _) = self.map.remove(&k).expect("key listed");
-            if b.is_dirty() {
-                dirty.push((k.1, b));
+    /// Drops the blocks of `v` that `keep` does not hold on to.
+    fn purge(&mut self, v: VnodeId, keep: fn(&Buf) -> bool) {
+        let mut at = self.chains.get(&v).map_or(NIL, |c| c.ends.head);
+        while at != NIL {
+            let slot = &self.slots[at as usize];
+            let next = slot.chain.next;
+            if !keep(&slot.buf) {
+                self.unhook(at);
             }
+            at = next;
         }
-        dirty
     }
 
-    /// Block numbers of `v` currently dirty, ascending.
-    pub fn dirty_blocks(&self, v: VnodeId) -> Vec<u64> {
-        let mut blks: Vec<u64> = self
-            .map
-            .iter()
-            .filter(|((kv, _), (b, _))| *kv == v && b.is_dirty())
-            .map(|((_, blk), _)| *blk)
-            .collect();
-        blks.sort_unstable();
-        blks
+    /// Drops every block of `v`, dirty ones unwritten (the file is gone
+    /// or truncated).
+    pub fn purge_vnode(&mut self, v: VnodeId) {
+        self.purge(v, |_| false);
     }
 
-    /// Block numbers of `v` currently cached, ascending.
-    pub fn cached_blocks(&self, v: VnodeId) -> Vec<u64> {
-        let mut blks: Vec<u64> = self
-            .map
-            .keys()
-            .filter(|(kv, _)| *kv == v)
-            .map(|(_, blk)| *blk)
-            .collect();
-        blks.sort_unstable();
-        blks
+    /// Drops the clean blocks of `v` (its data changed on the server);
+    /// the dirty ones stay to be pushed.
+    pub fn purge_clean(&mut self, v: VnodeId) {
+        self.purge(v, Buf::is_dirty);
+    }
+
+    /// The cached blocks of `v`, ascending, walked in place.
+    pub fn blocks(&self, v: VnodeId) -> impl Iterator<Item = (u64, &Buf)> + '_ {
+        let mut at = self.chains.get(&v).map_or(NIL, |c| c.ends.head);
+        std::iter::from_fn(move || {
+            let slot = self.slots.get(at as usize)?;
+            at = slot.chain.next;
+            Some((slot.blk, &slot.buf))
+        })
+    }
+
+    /// Whether any block of `v` holds unwritten changes.
+    pub fn has_dirty(&self, v: VnodeId) -> bool {
+        self.blocks(v).any(|(_, b)| b.is_dirty())
+    }
+
+    /// Appends the dirty blocks of `v` to `out`, ascending.
+    pub fn dirty_blocks_into(&self, v: VnodeId, out: &mut Vec<u64>) {
+        out.extend(
+            self.blocks(v)
+                .filter(|(_, b)| b.is_dirty())
+                .map(|(blk, _)| blk),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn v(n: u64) -> VnodeId {
         VnodeId(n)
+    }
+
+    fn cached_blocks(bc: &BufCache, v: VnodeId) -> Vec<u64> {
+        bc.blocks(v).map(|(blk, _)| blk).collect()
     }
 
     #[test]
@@ -408,7 +665,7 @@ mod tests {
         assert!(bc.lookup(v(1), 0).0.is_some());
         // Insert a third block: LRU (blk 1) is evicted.
         let wb = bc.insert(v(1), 2, Buf::new_valid(vec![2; 8]));
-        assert!(wb.is_empty(), "clean eviction needs no writeback");
+        assert!(wb.is_none(), "clean eviction needs no writeback");
         assert!(bc.lookup(v(1), 1).0.is_none());
         assert!(bc.lookup(v(1), 0).0.is_some());
     }
@@ -423,8 +680,9 @@ mod tests {
         dirty2.write(0, &[6; 100]).unwrap();
         bc.insert(v(1), 1, dirty2);
         let wb = bc.insert(v(1), 2, Buf::new_valid(vec![0; 8]));
-        assert_eq!(wb.len(), 1, "a dirty block had to be written back");
-        assert_eq!(wb[0].0, v(1));
+        let (wv, wblk, wbuf) = wb.expect("a dirty block had to be written back");
+        assert_eq!((wv, wblk), (v(1), 0), "the least recently used one");
+        assert_eq!(wbuf.dirty_range(), Some((0, 100)));
     }
 
     #[test]
@@ -445,18 +703,82 @@ mod tests {
     }
 
     #[test]
-    fn purge_vnode_returns_dirty() {
+    fn purges_drop_a_vnodes_blocks_and_keep_their_storage() {
         let mut bc = BufCache::new(CacheOrg::PerVnodeChains, 100);
         bc.insert(v(1), 0, Buf::new_valid(vec![0; 8]));
         let mut d = Buf::new_empty();
         d.write(0, &[1; 10]).unwrap();
         bc.insert(v(1), 1, d);
         bc.insert(v(2), 0, Buf::new_valid(vec![0; 8]));
-        let dirty = bc.purge_vnode(v(1));
-        assert_eq!(dirty.len(), 1);
-        assert_eq!(dirty[0].0, 1);
-        assert_eq!(bc.cached_blocks(v(1)), Vec::<u64>::new());
-        assert_eq!(bc.cached_blocks(v(2)), vec![0]);
+        bc.purge_clean(v(1));
+        assert_eq!(cached_blocks(&bc, v(1)), vec![1], "the dirty block stays");
+        bc.purge_vnode(v(1));
+        assert_eq!(cached_blocks(&bc, v(1)), Vec::<u64>::new());
+        assert_eq!(cached_blocks(&bc, v(2)), vec![0]);
+        let free = || FREE.with(|f| f.borrow().len());
+        assert_eq!(free(), 2, "both blocks' storage kept");
+        let reused = Buf::new_empty();
+        assert_eq!(reused.data(), &[0; BLOCK_SIZE][..], "handed out zeroed");
+        assert_eq!(free(), 1);
+        let (refilled, ()) = Buf::fill_valid(|d| {
+            d.extend_from_slice(&[7; 10]);
+            Ok::<_, ()>(())
+        })
+        .unwrap();
+        assert_eq!(free(), 0);
+        assert_eq!(
+            &refilled.data()[..12],
+            &[7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 0, 0]
+        );
+        drop((reused, refilled));
+        assert_eq!(free(), 2);
+    }
+
+    /// `merge_read` as it was: a branch per byte.
+    fn merge_byte_loop(data: &mut [u8], dirty: Option<(usize, usize)>, fresh: &[u8]) {
+        for (i, b) in fresh.iter().enumerate().take(BLOCK_SIZE) {
+            let in_dirty = match dirty {
+                Some((d0, d1)) => i >= d0 && i < d1,
+                None => false,
+            };
+            if !in_dirty {
+                data[i] = *b;
+            }
+        }
+    }
+
+    /// An offset into a block, often at either end.
+    fn edge() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            1 => Just(0),
+            1 => Just(BLOCK_SIZE),
+            4 => 0..=BLOCK_SIZE,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn merge_read_matches_the_byte_loop(
+            (a, b, n) in (edge(), edge(), edge()),
+            dirty in any::<bool>(),
+        ) {
+            let dirty = dirty.then_some((a.min(b), a.max(b)));
+            let old: Vec<u8> = (0..BLOCK_SIZE).map(|i| (i % 251) as u8).collect();
+            let fresh: Vec<u8> = (0..n).map(|i| (i % 13) as u8 + 100).collect();
+            let mut want = old.clone();
+            merge_byte_loop(&mut want, dirty, &fresh);
+            let mut got = Buf {
+                data: old,
+                valid: false,
+                dirty,
+            };
+            got.merge_read(&fresh);
+            prop_assert!(got.is_valid());
+            prop_assert_eq!(got.dirty_range(), dirty);
+            prop_assert!(got.data == want, "dirty {:?}, {} fresh bytes", dirty, n);
+        }
     }
 
     #[test]
@@ -468,7 +790,10 @@ mod tests {
             bc.insert(v(1), blk, b);
         }
         bc.insert(v(1), 2, Buf::new_valid(vec![0; 8]));
-        assert_eq!(bc.dirty_blocks(v(1)), vec![1, 3, 5]);
+        let mut dirty = vec![9];
+        bc.dirty_blocks_into(v(1), &mut dirty);
+        assert_eq!(dirty, vec![9, 1, 3, 5], "appended, ascending");
+        assert_eq!(cached_blocks(&bc, v(1)), vec![1, 2, 3, 5]);
     }
 
     #[test]

@@ -146,28 +146,55 @@ pub fn preload_andrew_source(fs: &mut MemFs, spec: &AndrewSpec) {
     }
 }
 
+/// `prefix` then `rel`, rendered into `buf` — one reused path buffer
+/// for the whole run.
+fn path<'a>(buf: &'a mut String, prefix: &str, rel: &str) -> &'a str {
+    buf.clear();
+    buf.push_str(prefix);
+    buf.push_str(rel);
+    buf
+}
+
+/// The object file `cc -c` makes of the source `rel`: `rel` with every
+/// `.c` turned into `.o`, under `/andrew/`, rendered into `buf`.
+fn object_path<'a>(buf: &'a mut String, rel: &str) -> &'a str {
+    buf.clear();
+    buf.push_str("/andrew/");
+    for (i, part) in rel.split(".c").enumerate() {
+        if i > 0 {
+            buf.push_str(".o");
+        }
+        buf.push_str(part);
+    }
+    buf
+}
+
 /// Runs the five phases against a mounted client whose server exports
 /// the preloaded `/src` tree. Returns timings and RPC counts.
+///
+/// Paths are rendered into one reused string and file data read into one
+/// reused buffer, the way `cp` and `grep` use a stack buffer.
 pub fn run_andrew<S: Syscalls>(fs: &mut ClientFs<S>, spec: &AndrewSpec) -> CResult<AndrewReport> {
     let mut phases = [SimDuration::ZERO; 5];
     let t0 = fs.sys().now();
+    let mut p = String::new();
+    let mut data = Vec::new();
 
     // Phase I: make the directory tree under /andrew.
     fs.mkdir("/andrew")?;
     for d in &spec.dirs {
-        fs.mkdir(&format!("/andrew/{d}"))?;
+        fs.mkdir(path(&mut p, "/andrew/", d))?;
     }
     let t1 = fs.sys().now();
     phases[0] = t1.since(t0);
 
     // Phase II: copy every file from /src to /andrew.
-    for (path, size, _) in &spec.files {
-        let src = format!("/src/{path}");
-        let dst = format!("/andrew/{path}");
-        let sfh = fs.open(&src, false, false)?;
-        let data = fs.read(sfh, 0, *size as u32)?;
+    for (rel, size, _) in &spec.files {
+        let sfh = fs.open(path(&mut p, "/src/", rel), false, false)?;
+        data.clear();
+        fs.read_into(sfh, 0, *size as u32, &mut data)?;
         fs.close(sfh)?;
-        let dfh = fs.open(&dst, true, false)?;
+        let dfh = fs.open(path(&mut p, "/andrew/", rel), true, false)?;
         // Copy in stdio-sized chunks, as cp(1) would.
         for (i, chunk) in data.chunks(4096).enumerate() {
             fs.write(dfh, (i * 4096) as u32, chunk)?;
@@ -184,12 +211,12 @@ pub fn run_andrew<S: Syscalls>(fs: &mut ClientFs<S>, spec: &AndrewSpec) -> CResu
         if pass > 0 {
             fs.sys().sleep(SimDuration::from_secs(6));
         }
-        let _ = fs.readdir("/andrew")?;
+        fs.readdir("/andrew")?;
         for d in &spec.dirs {
-            let _ = fs.readdir(&format!("/andrew/{d}"))?;
+            fs.readdir(path(&mut p, "/andrew/", d))?;
         }
-        for (path, _, _) in &spec.files {
-            let _ = fs.stat(&format!("/andrew/{path}"))?;
+        for (rel, _, _) in &spec.files {
+            fs.stat(path(&mut p, "/andrew/", rel))?;
         }
     }
     let t3 = fs.sys().now();
@@ -201,9 +228,10 @@ pub fn run_andrew<S: Syscalls>(fs: &mut ClientFs<S>, spec: &AndrewSpec) -> CResu
         if pass > 0 {
             fs.sys().sleep(SimDuration::from_secs(6));
         }
-        for (path, size, _) in &spec.files {
-            let fh = fs.open(&format!("/andrew/{path}"), false, false)?;
-            let _ = fs.read(fh, 0, *size as u32)?;
+        for (rel, size, _) in &spec.files {
+            let fh = fs.open(path(&mut p, "/andrew/", rel), false, false)?;
+            data.clear();
+            fs.read_into(fh, 0, *size as u32, &mut data)?;
             fs.close(fh)?;
         }
     }
@@ -217,41 +245,42 @@ pub fn run_andrew<S: Syscalls>(fs: &mut ClientFs<S>, spec: &AndrewSpec) -> CResu
         .iter()
         .filter(|(p, _, _)| p.ends_with(".h"))
         .collect();
-    let mut objects = Vec::new();
-    for (path, size, is_c) in &spec.files {
+    for (rel, size, is_c) in &spec.files {
         if !is_c {
             continue;
         }
-        let fh = fs.open(&format!("/andrew/{path}"), false, false)?;
-        let _ = fs.read(fh, 0, *size as u32)?;
+        let fh = fs.open(path(&mut p, "/andrew/", rel), false, false)?;
+        data.clear();
+        fs.read_into(fh, 0, *size as u32, &mut data)?;
         fs.close(fh)?;
         // Each compile re-reads a few headers.
         for h in headers.iter().take(6) {
-            let hfh = fs.open(&format!("/andrew/{}", h.0), false, false)?;
-            let _ = fs.read(hfh, 0, h.1 as u32)?;
+            let hfh = fs.open(path(&mut p, "/andrew/", &h.0), false, false)?;
+            data.clear();
+            fs.read_into(hfh, 0, h.1 as u32, &mut data)?;
             fs.close(hfh)?;
         }
         fs.sys()
             .charge_cpu(spec.compile_cpu_per_byte.mul_f64(*size as f64));
-        let obj = format!("/andrew/{}", path.replace(".c", ".o"));
-        let ofh = fs.open(&obj, true, true)?;
-        let obj_data: Vec<u8> = vec![0x7F; *size];
-        fs.write(ofh, 0, &obj_data)?;
+        let ofh = fs.open(object_path(&mut p, rel), true, true)?;
+        data.clear();
+        data.resize(*size, 0x7F);
+        fs.write(ofh, 0, &data)?;
         fs.close(ofh)?;
         // The object header is patched after assembly (symbol table
         // offsets), re-dirtying the first block. With close/open
         // consistency each close pushes again; a noconsist mount
         // coalesces both generations into one eventual write.
-        let ofh = fs.open(&obj, false, false)?;
+        let ofh = fs.open(object_path(&mut p, rel), false, false)?;
         fs.write(ofh, 0, &[0x7Eu8; 32])?;
         fs.close(ofh)?;
-        objects.push((obj, *size));
     }
     // Link: read every object, write the program image.
     let mut image = 0usize;
-    for (obj, size) in &objects {
-        let fh = fs.open(obj, false, false)?;
-        let _ = fs.read(fh, 0, *size as u32)?;
+    for (rel, size, _) in spec.files.iter().filter(|(_, _, is_c)| *is_c) {
+        let fh = fs.open(object_path(&mut p, rel), false, false)?;
+        data.clear();
+        fs.read_into(fh, 0, *size as u32, &mut data)?;
         fs.close(fh)?;
         image += size;
     }
@@ -259,8 +288,9 @@ pub fn run_andrew<S: Syscalls>(fs: &mut ClientFs<S>, spec: &AndrewSpec) -> CResu
         fs.sys()
             .charge_cpu(spec.compile_cpu_per_byte.mul_f64(image as f64 * 0.15));
         let out = fs.open("/andrew/a.out", true, true)?;
-        let img: Vec<u8> = vec![0x42; image];
-        fs.write(out, 0, &img)?;
+        data.clear();
+        data.resize(image, 0x42);
+        fs.write(out, 0, &data)?;
         fs.close(out)?;
     }
     // The benchmark ends with sync(1), which is also what finally

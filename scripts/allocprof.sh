@@ -5,9 +5,10 @@
 # malloc/calloc/realloc sampler (scripts/allocprof.c: a frame-pointer walk
 # per allocation, a uniform reservoir of 131,072 of them) and prints, through
 # scripts/hostprof.py, allocations by allocation site (the first frame
-# outside the allocator and std), by routine and caller, and inclusive. The
-# run phase is the samples under `World::run` (and `coro::entry`, where a
-# proc's stack ends):
+# outside the allocator and std), by routine and caller, and inclusive, each
+# row with its share and its allocations per RPC (the share times the run's
+# host_allocs_per_rpc). The run phase is the samples under `World::run` (and
+# `coro::entry`, where a proc's stack ends):
 #
 #   scripts/allocprof.sh [WORKLOAD [SEED [hostprof.py options]]]
 #   scripts/allocprof.sh                                (andrew_tcp_ring, 1)
@@ -30,4 +31,5 @@ bench="$dir/target/release/bench"
 HOSTPROF_OUT="$dir/allocs.txt" LD_PRELOAD="$dir/allocprof.so" \
     "$bench" --workload "$workload" --seed "$seed" --seconds 5 --trace 0 >"$dir/bench.out"
 grep -m1 host_allocs_per_rpc "$dir/bench.out" || true
-python3 scripts/hostprof.py "$bench" "$dir/allocs.txt" "${@:3}"
+per_rpc=$(sed -n 's/^ *host_allocs_per_rpc *\([0-9.e+-]*\) .*/\1/p' "$dir/bench.out" | head -n1)
+python3 scripts/hostprof.py "$bench" "$dir/allocs.txt" ${per_rpc:+--per-rpc "$per_rpc"} "${@:3}"

@@ -2,6 +2,7 @@
 """Symbolises scripts/hostprof.c's samples: self time by function, libc
 leaves by caller, inclusive time.
 Usage: hostprof.py EXECUTABLE SAMPLES [--under 'SYM|SYM'] [--callers SYM]
+                   [--per-rpc ALLOCS]
 --under keeps only the samples whose stack has a frame containing one of the
 symbols; --callers adds the top caller chains (three frames) of a function.
 A sample in a stripped library can only be placed after the nearest *exported*
@@ -11,7 +12,9 @@ some unexported neighbour), and as `lib:0xPAGE` (the 4 KB page of the offset)
 when the nearest export is more than 4 KB away, where the name says nothing.
 A file from scripts/allocprof.c (it has an `A` line) holds one sample per
 sampled allocation instead, and adds a table of allocation sites: the first
-frame outside the allocator and std."""
+frame outside the allocator and std. Given the run's host_allocs_per_rpc
+(--per-rpc; scripts/allocprof.sh passes it), each allocation row also shows
+its share times that figure: the row's allocations per RPC."""
 import bisect, collections, functools, os, re, subprocess, sys
 
 args = sys.argv[1:]
@@ -23,7 +26,7 @@ def option(flag):
         return args.pop(i) and args.pop(i)
 
 
-under, callers_of = option("--under"), option("--callers")
+under, callers_of, per_rpc = option("--under"), option("--callers"), option("--per-rpc")
 exe, path = os.path.realpath(args[0]), args[1]
 maps, named, samples = [], [], []  # (start, end, file), (addr, name), [addr..]
 allocations = None  # how many allocations an allocprof.c file sampled from
@@ -134,7 +137,11 @@ else:
               ("inclusive allocations", inclusive)]
     unit = f"sampled allocations of {allocations}"
 tables += [(f"callers of {callers_of}", chains)] * bool(callers_of)
+rpc = float(per_rpc) if per_rpc and allocations is not None else None
 for title, table in tables:
-    print(f"\n== {title} ({kept} of {len(samples)} {unit}{' under ' + under if under else ''}, % of kept) ==")
+    per = f", then allocations per RPC of {rpc:g} in all" if rpc is not None else ""
+    print(f"\n== {title} ({kept} of {len(samples)} {unit}{' under ' + under if under else ''}, % of kept{per}) ==")
     for name, n in table.most_common(25):
-        print(f"{100.0 * n / max(kept, 1):6.1f}%  {shown(name)}")
+        share = n / max(kept, 1)
+        figure = f"  {share * rpc:6.3f}" if rpc is not None else ""
+        print(f"{100.0 * share:6.1f}%{figure}  {shown(name)}")
