@@ -204,6 +204,10 @@ fn parse_args() -> Options {
 /// when the oracle reports a violation, so CI can gate on a bounded
 /// soak run.
 fn run_soak_mode(opts: &Options, scale: &Scale) {
+    if opts.lease && opts.long {
+        eprintln!("--lease and --long name two different world recipes; pick one");
+        std::process::exit(2);
+    }
     if let Some(spec) = &opts.case {
         let case = match soak::SoakCase::parse(spec) {
             Ok(c) => c,

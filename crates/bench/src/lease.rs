@@ -204,9 +204,13 @@ pub fn run_lease_section(scale: &Scale, scale_name: &str) -> LeaseReport {
         topos,
         soak_seeds: SOAK_SEEDS,
         soak_violations: sweep.total_violations(),
-        soak_leases_issued: sweep.rows.iter().map(|r| r.lease.issued).sum(),
-        soak_recalls: sweep.rows.iter().map(|r| r.lease.recalls).sum(),
-        soak_vacate_waits: sweep.rows.iter().map(|r| r.lease.vacate_waits).sum(),
+        soak_leases_issued: sweep.rows.iter().map(|r| r.outcome.leases.issued).sum(),
+        soak_recalls: sweep.rows.iter().map(|r| r.outcome.leases.recalls).sum(),
+        soak_vacate_waits: sweep
+            .rows
+            .iter()
+            .map(|r| r.outcome.leases.vacate_waits)
+            .sum(),
     }
 }
 

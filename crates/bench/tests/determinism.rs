@@ -87,12 +87,16 @@ fn soak_is_byte_identical_across_worker_counts() {
     // thread returns its observation log through a per-client slot, so
     // the merged oracle verdict — and the rendered report — must not
     // depend on thread scheduling or worker count.
+    let render = |scale: &Scale| {
+        soak::soak_profile_with(scale, 0, 8, soak::Mutation::None, soak::SoakProfile::Quick)
+            .to_string()
+    };
     let mut scale = Scale::quick();
     scale.jobs = 1;
-    let serial = soak::soak_with(&scale, 0, 8, soak::Mutation::None).to_string();
+    let serial = render(&scale);
     for jobs in [2, 4, 8] {
         scale.jobs = jobs;
-        let parallel = soak::soak_with(&scale, 0, 8, soak::Mutation::None).to_string();
+        let parallel = render(&scale);
         assert_eq!(
             serial, parallel,
             "soak output diverged between jobs=1 and jobs={jobs}"

@@ -12,8 +12,8 @@
 
 use renofs::TransportKind;
 use renofs_bench::experiments::soak::{
-    derive_world, filter_crash_replays, kept_windows, run_case_opts, Mutation, RunOpts, SoakCase,
-    WindowKind, GRACE_NS,
+    derive_world_for, filter_crash_replays, kept_windows, run_case_opts, Mutation, RunOpts,
+    SoakCase, SoakProfile, WindowKind, GRACE_NS,
 };
 use renofs_oracle::Oracle;
 
@@ -60,7 +60,7 @@ fn quick_sweep_is_equivalent_and_clean() {
 fn dup_cache_candidates() -> Vec<u64> {
     (0..400)
         .filter(|&seed| {
-            let d = derive_world(seed);
+            let d = derive_world_for(seed, SoakProfile::Quick);
             let udp = !matches!(d.transport.1, TransportKind::Tcp);
             let risky = d.windows.iter().any(|w| {
                 matches!(w.kind, WindowKind::Loss | WindowKind::Corrupt) && w.prob >= 0.15

@@ -5,7 +5,7 @@
 
 use renofs::TransportKind;
 use renofs_bench::experiments::soak::{
-    derive_world, derive_world_for, run_case, shrink, Mutation, SoakCase, SoakProfile, WindowKind,
+    derive_world_for, run_case, shrink, Mutation, SoakCase, SoakProfile, WindowKind,
 };
 
 /// Seeds whose derived worlds can expose a disabled duplicate-request
@@ -21,7 +21,7 @@ use renofs_bench::experiments::soak::{
 fn candidate_seeds() -> Vec<u64> {
     (0..400)
         .filter(|&seed| {
-            let d = derive_world(seed);
+            let d = derive_world_for(seed, SoakProfile::Quick);
             let udp = !matches!(d.transport.1, TransportKind::Tcp);
             let risky = d.windows.iter().any(|w| {
                 matches!(w.kind, WindowKind::Loss | WindowKind::Corrupt) && w.prob >= 0.15
@@ -113,7 +113,7 @@ fn planted_consistency_bugs_are_caught() {
 #[test]
 fn planted_wrong_shard_route_is_caught_and_shrunk() {
     let seeds: Vec<u64> = (0..100)
-        .filter(|&seed| derive_world(seed).servers >= 2)
+        .filter(|&seed| derive_world_for(seed, SoakProfile::Quick).servers >= 2)
         .collect();
     assert!(
         seeds.len() >= 10,

@@ -67,6 +67,13 @@ echo "==> repro soak --lease --seeds 12 --scale quick (NQNFS lease oracle gate)"
 cargo run -q --release -p renofs-bench --bin repro -- soak --lease --seeds 12 \
     --scale quick >/dev/null
 
+echo "==> repro soak --long --seeds 64 --scale quick (certification-recipe gate)"
+# The long recipe's worlds (up to 16 clients, 8-16 rounds, flapping
+# servers) through the streaming oracle, in about a second; exits nonzero
+# on any violation. scripts/digests.sh pins this sweep's rows too.
+cargo run -q --release -p renofs-bench --bin repro -- soak --long --seeds 64 \
+    --scale quick >/dev/null
+
 echo "==> repro soak --case seed=51 (the lease soak's fault-free repro still violates)"
 # ROADMAP item 1's shrunk world with no fault window: a stale read under
 # leases. It must exit 1 (a violation), not 0 (clean) or 2 (bad spec). The

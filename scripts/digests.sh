@@ -3,7 +3,10 @@
 # crates and compares the five workload digests of a fixed-size run (seed 1,
 # `--smoke`: two cells, two passes, no wall-clock budget) with
 # scripts/digests.expected. A digest folds every simulated result of the
-# run, so a host-speed change that moves one has changed behaviour.
+# run, so a host-speed change that moves one has changed behaviour. The
+# same file holds the stdout md5 of three chaos-soak sweeps (quick, lease
+# and long worlds), so a change to the soak harness that moves one world,
+# row or verdict shows here too.
 #
 # usage: scripts/digests.sh            compare, exit 1 on any difference
 #        scripts/digests.sh --write    re-record scripts/digests.expected
@@ -20,6 +23,31 @@ got=$(for w in lookup_lan read_56k write_56k crowd_1024x4 andrew_tcp_ring; do
         --workload "$w" --seed 1 --smoke --trace 0 2>&1 |
         sed -n 's/^bench: workload=\([^ ]*\) .* digest=\([0-9a-f]*\).*/\1 digest=\2/p'
 done)
+
+# The soak sweeps. The long sweep runs in budget mode, whose rows end in
+# two wall-clock fields (`wall(s)`, `obs/s`) and whose summary says how
+# long the run took ("in N.Ns"); those are dropped, and the table rule,
+# whose width follows them, is shortened to one dash. A sweep that finds
+# violations exits 1 (the lease sweep does); anything else is a failure.
+out=$(mktemp)
+trap 'rm -f "$out"' EXIT
+soak_md5() { # NAME SED-SCRIPT REPRO-SOAK-ARGS...
+    local name=$1 strip=$2 status=0
+    shift 2
+    cargo run --release --offline --quiet -p renofs-bench --bin repro -- \
+        soak "$@" --scale quick >"$out" 2>/dev/null || status=$?
+    if ((status > 1)); then
+        echo "repro soak $* exited $status" >&2
+        exit 1
+    fi
+    printf '%s md5=%s\n' "$name" "$(sed -E "$strip" "$out" | md5sum | cut -d' ' -f1)"
+}
+wall='/^( *[0-9]+|seed) /s/ +[^ ]+ +[^ ]+$//; s/^-+$/-/; s/ in [0-9.]+s:/:/'
+got+=$'\n'$(
+    soak_md5 soak_quick_400 '' --seeds 400
+    soak_md5 soak_lease_200 '' --lease --seeds 200
+    soak_md5 soak_long_64 "$wall" --long --seeds 64
+)
 
 if [[ "${1:-}" == "--write" ]]; then
     printf '%s\n' "$got" >"$expected"
