@@ -81,7 +81,7 @@ fn udp_run(
     cfg.warmup = scale.warmup;
     cfg.nfiles = scale.nfiles;
     let report = nhfsstone::run(&mut world, &cfg);
-    let stats = world.udp_stats().expect("udp transport");
+    let stats = world.udp_stats_to(0, 0).expect("udp transport");
     (
         report.rtt_ms.mean(),
         report.achieved_rate,
@@ -177,7 +177,8 @@ pub fn ablation_namelen(scale: &Scale) -> Ablation {
         cfg.nfiles = scale.nfiles;
         cfg.long_names = long;
         let report = nhfsstone::run(&mut world, &cfg);
-        let cpu_ms = world.server_host().cpu.busy_time().as_millis_f64() / report.ops.max(1) as f64;
+        let cpu_ms =
+            world.server_host_of(0).cpu.busy_time().as_millis_f64() / report.ops.max(1) as f64;
         (label.to_string(), vec![report.rtt_ms.mean(), cpu_ms])
     });
     Ablation {
@@ -266,7 +267,7 @@ pub fn ablation_readahead(scale: &Scale) -> Ablation {
         wcfg.seed = 0xAB60 + depth as u64;
         let mut world = World::new(wcfg);
         // A 400K file to stream.
-        let root_ino = world.server().fs().root();
+        let root_ino = world.server_of(0).fs().root();
         let data: Vec<u8> = (0..400 * 1024).map(|i| (i % 251) as u8).collect();
         let ino = world
             .server_mut()
@@ -326,7 +327,7 @@ pub fn ablation_readdirplus(scale: &Scale) -> Ablation {
         wcfg.seed = 0xAB70 + enabled as u64;
         let mut world = World::new(wcfg);
         // A directory of 80 files to scan.
-        let root_ino = world.server().fs().root();
+        let root_ino = world.server_of(0).fs().root();
         let dir = world
             .server_mut()
             .fs_mut()

@@ -167,7 +167,7 @@ fn run_cell(kind: &RowKind, size_idx: usize, bytes: usize, iters: usize) -> Cell
             });
             world.run();
             let (r, write_rpcs) = rx.recv().unwrap();
-            let sstats = world.server().stats();
+            let sstats = world.server_of(0).stats();
             Cell {
                 ms: r.per_iter.as_millis_f64(),
                 write_rpcs,

@@ -85,11 +85,11 @@ fn measure_cpu(world: &mut World, cfg: &NhfsstoneConfig) -> CpuPoint {
     // Reset CPU accounting once the warm-up has elapsed.
     world.run_until(measure_from);
     let t0 = world.now();
-    world.server_host_mut().cpu.reset_accounting(t0);
+    world.server_host_mut(0).cpu.reset_accounting(t0);
     world.run();
-    let busy = world.server_host().cpu.busy_time();
+    let busy = world.server_host_of(0).cpu.busy_time();
     let util = world
-        .server_host()
+        .server_host_of(0)
         .cpu
         .utilization(world.now().min(end).max(t0));
     let mut all = Vec::new();
@@ -230,8 +230,8 @@ pub fn section3(scale: &Scale) -> Section3 {
         ncfg.warmup = scale.warmup;
         ncfg.nfiles = scale.nfiles;
         let point = measure_cpu(&mut world, &ncfg);
-        let netif = world.server_host().cpu.busy_in(CpuCategory::NetIf);
-        let busy = world.server_host().cpu.busy_time();
+        let netif = world.server_host_of(0).cpu.busy_in(CpuCategory::NetIf);
+        let busy = world.server_host_of(0).cpu.busy_time();
         let share = if !busy.is_zero() {
             netif.as_secs_f64() / busy.as_secs_f64()
         } else {

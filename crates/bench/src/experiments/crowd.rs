@@ -237,15 +237,15 @@ fn run_cell(cell: &Cell, duration: SimDuration, warmup: SimDuration, nfiles: usi
     let retrans: u64 = (0..world.client_count())
         .map(|ci| {
             world
-                .udp_stats_of(ci)
+                .udp_stats_to(ci, 0)
                 .map(|s| s.retransmits)
-                .or_else(|| world.tcp_stats_of(ci).map(|s| s.retransmits))
+                .or_else(|| world.tcp_stats_to(ci, 0).map(|s| s.retransmits))
                 .unwrap_or(0)
         })
         .sum();
-    let server_stats = world.server().stats();
+    let server_stats = world.server_of(0).stats();
     let served = server_stats.total();
-    let nfsd = world.nfsd_stats();
+    let nfsd = world.nfsd_stats_of(0);
     CrowdRow {
         topo: cell.topo_label.to_string(),
         transport: cell.transport_label.to_string(),

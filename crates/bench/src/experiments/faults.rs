@@ -314,12 +314,12 @@ fn run_cell(cell: &Cell, iters: usize) -> FaultRow {
         .find(|&&t| t >= heal)
         .map(|&t| t.since(heal).as_secs_f64() * 1e3);
     let retrans = world
-        .udp_stats()
+        .udp_stats_to(0, 0)
         .map(|s| s.retransmits)
-        .or_else(|| world.tcp_stats().map(|s| s.retransmits))
+        .or_else(|| world.tcp_stats_to(0, 0).map(|s| s.retransmits))
         .unwrap_or(0);
     let ops = completions.len() as u64;
-    let events = world.client_events();
+    let events = world.client_events_of(0);
     let count = |k: ClientEventKind| events.iter().filter(|e| e.kind == k).count() as u64;
     let net = world.net_stats();
     FaultRow {
@@ -329,7 +329,7 @@ fn run_cell(cell: &Cell, iters: usize) -> FaultRow {
         ops,
         recovery_ms,
         retrans_per_op: retrans as f64 / ops.max(1) as f64,
-        dup_hits: world.server().stats().dup_hits,
+        dup_hits: world.server_of(0).stats().dup_hits,
         anomalies,
         not_responding: count(ClientEventKind::NotResponding),
         server_ok: count(ClientEventKind::ServerOk),

@@ -462,7 +462,7 @@ pub fn run_case_opts(case: &SoakCase, mutation: Mutation, opts: &RunOpts) -> Cas
 
     let mut world = World::new(cfg);
     let roots: Vec<_> = (0..derived.servers)
-        .map(|sj| world.root_handle_of(sj))
+        .map(|sj| world.server_of(sj).root_handle())
         .collect();
     let map = ExportMap::fleet(derived.servers);
     let mut oracle = StreamingOracle::new(case.clients, case.profile.stream(opts.stream));

@@ -118,9 +118,9 @@ fn measure_point(
     let report = nhfsstone::run(&mut world, &cfg);
     scratch.observe(&world);
     let retrans = world
-        .udp_stats()
+        .udp_stats_to(0, 0)
         .map(|s| s.retransmits)
-        .or_else(|| world.tcp_stats().map(|s| s.retransmits))
+        .or_else(|| world.tcp_stats_to(0, 0).map(|s| s.retransmits))
         .unwrap_or(0);
     let reads = report.read_ms.count();
     GraphPoint {

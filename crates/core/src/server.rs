@@ -342,7 +342,7 @@ impl NfsServer {
     }
 
     /// Sizes the duplicate-request cache for a community of `clients`
-    /// mounts ([`DUP_CACHE_PER_CLIENT`] ring slots each). Existing cached
+    /// mounts (`DUP_CACHE_PER_CLIENT` ring slots each). Existing cached
     /// replies are discarded — call this while wiring up a world, before
     /// traffic flows.
     pub fn set_client_count(&mut self, clients: usize) {

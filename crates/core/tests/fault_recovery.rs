@@ -26,12 +26,12 @@ use std::sync::mpsc::channel;
 /// Digest of the server filesystem: every root entry's name, type
 /// marker, size and full content, in readdir order.
 fn server_fs_digest(world: &mut World) -> Vec<(String, Vec<u8>)> {
-    let root = world.server().fs().root();
-    let (entries, eof) = world.server().fs().readdir(root, 0, 1024).unwrap();
+    let root = world.server_of(0).fs().root();
+    let (entries, eof) = world.server_of(0).fs().readdir(root, 0, 1024).unwrap();
     assert!(eof, "digest walks the whole directory");
     let mut out = Vec::new();
     for (_cookie, name, ino) in entries {
-        let attr = world.server().fs().getattr(ino).unwrap();
+        let attr = world.server_of(0).fs().getattr(ino).unwrap();
         let data = world
             .server_mut()
             .fs_mut()
@@ -72,7 +72,7 @@ fn run_workload(faults: FaultPlan) -> (Vec<(String, Vec<u8>)>, Option<SimDuratio
     });
     world.run();
     rx.recv().expect("hard-mount workload completed every op");
-    let backoff = world.udp_stats().map(|s| s.max_backoff);
+    let backoff = world.udp_stats_to(0, 0).map(|s| s.max_backoff);
     (server_fs_digest(&mut world), backoff)
 }
 
@@ -171,12 +171,12 @@ fn server_crash_mid_flush_preserves_acknowledged_writes() {
         closed_at >= SimTime::from_secs(6),
         "the flush must have straddled the 3s..6s outage, finished {closed_at:?}"
     );
-    let kinds: Vec<_> = world.client_events().iter().map(|e| e.kind).collect();
+    let kinds: Vec<_> = world.client_events_of(0).iter().map(|e| e.kind).collect();
     assert!(kinds.contains(&ClientEventKind::ServerCrashed));
     assert!(kinds.contains(&ClientEventKind::ServerRebooted));
     // The acknowledged bytes are all on the post-reboot disk.
-    let root_ino = world.server().fs().root();
-    let ino = world.server().fs().lookup(root_ino, "big.bin").unwrap();
+    let root_ino = world.server_of(0).fs().root();
+    let ino = world.server_of(0).fs().lookup(root_ino, "big.bin").unwrap();
     let got = world
         .server_mut()
         .fs_mut()
@@ -215,6 +215,6 @@ fn stale_handles_after_reboot_recover_by_relookup() {
     world.run();
     let back = rx.recv().expect("client finished");
     assert_eq!(back, b"survives the reboot", "recovered read sees the file");
-    let kinds: Vec<_> = world.client_events().iter().map(|e| e.kind).collect();
+    let kinds: Vec<_> = world.client_events_of(0).iter().map(|e| e.kind).collect();
     assert!(kinds.contains(&ClientEventKind::ServerRebooted));
 }

@@ -153,7 +153,7 @@ fn run(kind: usize, biods: usize, procs: &[ProcScript], cross_each: bool) -> Out
         cfg.transport = TransportKind::Tcp;
     }
     let mut world = World::new(cfg);
-    let root_ino = world.server().fs().root();
+    let root_ino = world.server_of(0).fs().root();
     let ino = world
         .server_mut()
         .fs_mut()
@@ -165,7 +165,7 @@ fn run(kind: usize, biods: usize, procs: &[ProcScript], cross_each: bool) -> Out
         .write(ino, 0, &[0x5Au8; 8192], SimTime::ZERO)
         .unwrap();
     let root = world.root_handle();
-    let big = world.server().handle_for(ino).unwrap();
+    let big = world.server_of(0).handle_for(ino).unwrap();
     let (tx, rx) = channel();
     for (p, (client, script)) in procs.iter().enumerate() {
         let tx = tx.clone();
@@ -197,7 +197,7 @@ fn run(kind: usize, biods: usize, procs: &[ProcScript], cross_each: bool) -> Out
         client_busy: (0..clients)
             .map(|ci| world.client_host_of(ci).cpu.busy_time())
             .collect(),
-        server: format!("{:?}", world.server().stats()),
+        server: format!("{:?}", world.server_of(0).stats()),
     }
 }
 

@@ -50,14 +50,14 @@ fn digest(world: &World) -> String {
     let mut out = format!(
         "now={:?}\nserver={:?}\nnfsd={:?}\n",
         world.now(),
-        world.server().stats(),
-        world.nfsd_stats()
+        world.server_of(0).stats(),
+        world.nfsd_stats_of(0)
     );
     for ci in 0..world.client_count() {
         out.push_str(&format!(
             "client{ci}: udp={:?} tcp={:?} events={:?}\n",
-            world.udp_stats_of(ci),
-            world.tcp_stats_of(ci),
+            world.udp_stats_to(ci, 0),
+            world.tcp_stats_to(ci, 0),
             world.client_events_of(ci)
         ));
     }

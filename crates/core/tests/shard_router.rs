@@ -41,7 +41,7 @@ fn two_shard_world_routes_by_prefix() {
     assert_eq!(world.server_count(), 2);
     preload_on(&mut world, 0, "zero.bin", &[0xAAu8; 4_000]);
     preload_on(&mut world, 1, "one.bin", &[0xBBu8; 4_000]);
-    let roots = vec![world.root_handle_of(0), world.root_handle_of(1)];
+    let roots: Vec<_> = (0..2).map(|sj| world.server_of(sj).root_handle()).collect();
     let (tx, rx) = channel();
     world.spawn(move |sys| {
         let mut r = RouterFs::mount(
@@ -91,7 +91,7 @@ fn colliding_xids_toward_different_servers_do_not_cross_dup_caches() {
     cfg.servers = 2;
     cfg.server.dup_cache = true;
     let mut world = World::new(cfg);
-    let roots = [world.root_handle_of(0), world.root_handle_of(1)];
+    let roots = [0, 1].map(|sj| world.server_of(sj).root_handle());
     let (tx, rx) = channel();
     world.spawn(move |sys| {
         let sys = Rc::new(RefCell::new(sys));
@@ -149,7 +149,7 @@ fn replica_serves_reads_after_primary_crash() {
     // The replica carries the same (read-only) content as the primary.
     preload_on(&mut world, 0, "repl.bin", b"replicated contents");
     preload_on(&mut world, 1, "repl.bin", b"replicated contents");
-    let roots = vec![world.root_handle_of(0), world.root_handle_of(1)];
+    let roots: Vec<_> = (0..2).map(|sj| world.server_of(sj).root_handle()).collect();
     let map = ExportMap::new(vec![Export {
         prefix: "/".into(),
         primary: 0,

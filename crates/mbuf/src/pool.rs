@@ -6,7 +6,7 @@
 //! the `MLEN`-byte data areas of small mbufs, and the *spine* — the
 //! segment list a chain points to. Dropped buffers return here and are
 //! handed back out, as new, on the next allocation; one list per kind
-//! ([`take`]/[`give`]) serves all three through [`Pooled`].
+//! (`take`/`give`) serves all three through `Pooled`.
 //!
 //! The cluster list parks the whole `Arc<ClusterBuf>`, not just the byte
 //! buffer: `Arc::new` is itself a heap allocation, and an 8 KB read

@@ -13,8 +13,8 @@
 //! - **events**: discrete work items (queue pops, frames on links, RPCs).
 //! - **allocations**: heap allocations attributed to the subsystem whose
 //!   span was open when they happened. Counting requires the binary to
-//!   install [`CountingAlloc`] as its global allocator; without it the
-//!   allocation columns read zero.
+//!   install `CountingAlloc` (a `profile`-feature build) as its global
+//!   allocator; without it the allocation columns read zero.
 //! - **wall-clock**: real time inside [`span`] guards.
 //!
 //! Spans must not nest (the simulator's dispatch loop enters exactly one

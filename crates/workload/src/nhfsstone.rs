@@ -559,7 +559,7 @@ mod tests {
         assert!(report.rtt_ms.mean() < 100.0, "LAN lookups are fast");
         assert_eq!(report.read_ms.count(), 0);
         // Every measured op was a lookup served by the server.
-        assert!(world.server().stats().count(NfsProc::Lookup) >= report.ops);
+        assert!(world.server_of(0).stats().count(NfsProc::Lookup) >= report.ops);
     }
 
     #[test]
@@ -583,8 +583,8 @@ mod tests {
             let mut cfg = quick_cfg(LoadMix::pure_lookup(), 20.0);
             cfg.long_names = long;
             let _ = run(&mut world, &cfg);
-            let stats = world.server().stats();
-            let nc = world.server().config().name_cache;
+            let stats = world.server_of(0).stats();
+            let nc = world.server_of(0).config().name_cache;
             let _ = nc;
             stats
         };
@@ -615,7 +615,7 @@ mod tests {
             );
         }
         // The mix's SETATTRs hit the server as non-idempotent ops.
-        assert!(world.server().stats().count(NfsProc::Setattr) > 20);
+        assert!(world.server_of(0).stats().count(NfsProc::Setattr) > 20);
         // Clients are decorrelated: their op counts are not all equal.
         let rates: Vec<u64> = reports.iter().map(|r| r.ops).collect();
         assert!(

@@ -61,9 +61,9 @@ fn main() {
 
         let report = nhfsstone::run(&mut world, &ncfg);
         let retrans = world
-            .udp_stats()
+            .udp_stats_to(0, 0)
             .map(|s| s.retransmits)
-            .or_else(|| world.tcp_stats().map(|s| s.retransmits))
+            .or_else(|| world.tcp_stats_to(0, 0).map(|s| s.retransmits))
             .unwrap_or(0);
         let lost = world.net_stats().reasm_failures;
         println!(

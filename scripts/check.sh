@@ -28,6 +28,17 @@ echo "==> the lease rules live in lease.rs (no lease table, term, recall queue o
 grep -rnE 'LEASE_TERM\b|LeaseTable|ReadHold|recall_queue|lease_grace' crates/core/src \
     --exclude=lease.rs --exclude=proto.rs && exit 1
 
+echo "==> no split file over 700 non-test lines (crates/core/src/world/, experiments/soak/)"
+scripts/loc.sh --files | awk -F'\t' '
+    $2 ~ /^crates\/(core\/src\/world|bench\/src\/experiments\/soak)\// && $1 > 700 { print; bad = 1 }
+    END { exit bad }' || {
+    echo "a file above is over 700 non-test lines: split it along its seams" >&2
+    exit 1
+}
+
+echo "==> cargo doc --no-deps --workspace (warnings are errors: every intra-doc link resolves)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 

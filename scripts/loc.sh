@@ -2,14 +2,21 @@
 # Non-test Rust lines: every file under a `src/` directory, counted up to
 # its first top-level `#[cfg(test)]`. Prints a total per crate, the grand
 # total and the five largest files — for the working tree, or for a git
-# revision when REV is given. Every line-count gate in ROADMAP.md (the
-# size of `world.rs`, of `crates/oracle`, "net negative") is read off this
-# one script.
+# revision when REV is given. With --files it prints one "lines<TAB>file"
+# row per file instead, for gates on single files. Every line-count gate
+# in ROADMAP.md and scripts/check.sh (the size of `crates/core/src/world/`,
+# of `crates/oracle`, no split file over 700 lines, "net negative") is
+# read off this one script.
 #
-#   scripts/loc.sh [REV]
+#   scripts/loc.sh [--files] [REV]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+files=
+if [ "${1:-}" = --files ]; then
+    files=1
+    shift
+fi
 rev="${1:-}"
 
 if [ -n "$rev" ]; then
@@ -26,6 +33,11 @@ rows=$(list | grep -E '(^|/)src/.*\.rs$' | while read -r f; do
     crate=$(echo "$f" | sed -E 's#/?src/.*##')
     printf '%s\t%s\t%s\n' "$n" "${crate:-.}" "$f"
 done)
+
+if [ -n "$files" ]; then
+    echo "$rows" | cut -f1,3
+    exit 0
+fi
 
 echo "$rows" | awk -F'\t' '
     { crate[$2] += $1; total += $1 }

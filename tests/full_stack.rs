@@ -98,7 +98,7 @@ fn udp_survives_heavy_loss() {
         bg,
         4,
     ));
-    let stats = w.udp_stats().unwrap();
+    let stats = w.udp_stats_to(0, 0).unwrap();
     assert!(stats.retransmits > 0, "loss must have forced retransmits");
     assert!(w.net_stats().frags_dropped > 0);
 }
@@ -112,7 +112,7 @@ fn tcp_survives_heavy_loss() {
         serial_loss: 0.0,
     };
     let w = exercise(world(TopologyKind::TokenRing, TransportKind::Tcp, bg, 5));
-    assert!(w.tcp_stats().unwrap().retransmits > 0);
+    assert!(w.tcp_stats_to(0, 0).unwrap().retransmits > 0);
 }
 
 #[test]
@@ -129,7 +129,7 @@ fn identical_seeds_identical_worlds() {
         (
             w.now(),
             w.net_stats().frags_sent,
-            w.server().stats().total(),
+            w.server_of(0).stats().total(),
         )
     };
     assert_eq!(run(77), run(77), "bit-identical replay");
@@ -156,10 +156,10 @@ fn server_utilization_reported() {
     w.run();
     let now = w.now();
     assert!(now > SimTime::ZERO);
-    let util = w.server_host().cpu.utilization(now);
+    let util = w.server_host_of(0).cpu.utilization(now);
     assert!(util > 0.0 && util <= 1.0, "utilization {util}");
     assert!(
-        w.server_host().disk.stats().writes > 0,
+        w.server_host_of(0).disk.stats().writes > 0,
         "write-through reached the simulated disk"
     );
 }
