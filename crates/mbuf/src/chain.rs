@@ -12,14 +12,16 @@ pub const MLEN: usize = 112;
 /// Capacity of an mbuf cluster (4.3BSD's `MCLBYTES`).
 pub const MCLBYTES: usize = 2048;
 
-/// The segment list of a chain that owns no spine.
-static NO_SEGS: VecDeque<Mbuf> = VecDeque::new();
+/// The segment list of a chain that owns no spine. A `const`, not a
+/// `static`: mbufs hold non-atomic counts, so a list of them is not `Sync`.
+const NO_SEGS: &VecDeque<Mbuf> = &VecDeque::new();
 
 enum Storage {
-    /// Unique inline storage, recycled through the small-mbuf free list.
+    /// Inline storage, shared by clones and copied on the first write
+    /// while shared; recycled through the small-mbuf free list.
     Small(SmallBuf),
     /// Reference-counted cluster; immutable once the handle is shared.
-    /// The whole `Arc` comes from (and returns to) the cluster free list.
+    /// The whole `Rc` comes from (and returns to) the cluster free list.
     Cluster(ClusterRef),
 }
 
@@ -83,7 +85,7 @@ impl Mbuf {
     }
 
     /// Whether this mbuf's storage is a shared cluster (as opposed to
-    /// unique inline or unshared cluster storage).
+    /// small storage, shared or not, or an unshared cluster).
     pub fn is_shared_cluster(&self) -> bool {
         match &self.storage {
             Storage::Small(_) => false,
@@ -151,8 +153,9 @@ impl Mbuf {
     }
 
     /// A new mbuf sharing this one's storage, windowed to
-    /// `[self.off + rel, self.off + rel + len)`. For clusters this is a
-    /// reference share; for small mbufs the caller should copy instead.
+    /// `[self.off + rel, self.off + rel + len)`. Callers share only
+    /// clusters this way: `m_copym` and `m_split` copy (and meter) the
+    /// bytes of a small mbuf instead.
     fn share_window(&self, rel: usize, len: usize) -> Mbuf {
         debug_assert!(rel + len <= self.len);
         Mbuf {
@@ -215,6 +218,13 @@ impl fmt::Debug for Mbuf {
 /// assert_eq!(chain.to_vec_for_test(), b"hello world");
 /// assert_eq!(meter.bytes(), 11);
 /// ```
+///
+/// A chain never leaves its thread: its storage counts are not atomic.
+///
+/// ```compile_fail,E0277
+/// fn must_be_send<T: Send>() {}
+/// must_be_send::<renofs_mbuf::MbufChain>();
+/// ```
 #[derive(Default)]
 pub struct MbufChain {
     spine: Option<Spine>,
@@ -233,9 +243,11 @@ impl Drop for MbufChain {
 }
 
 impl Clone for MbufChain {
-    /// Clones the chain, sharing cluster storage (like `m_copym` of the
-    /// whole chain). Small-mbuf bytes are duplicated but not metered;
-    /// use [`MbufChain::share_range`] when accounting matters.
+    /// Clones the chain by reference: every mbuf, small or cluster, shares
+    /// its storage with the original, and a small mbuf is copied only when
+    /// either side first writes to it. Nothing is metered; use
+    /// [`MbufChain::share_range`] for the kernel's `m_copym`, which copies
+    /// and charges small-mbuf bytes.
     fn clone(&self) -> Self {
         let mut c = MbufChain::new();
         if !self.segs().is_empty() {
@@ -253,7 +265,7 @@ impl MbufChain {
     }
 
     pub(crate) fn segs(&self) -> &VecDeque<Mbuf> {
-        self.spine.as_deref().unwrap_or(&NO_SEGS)
+        self.spine.as_deref().unwrap_or(NO_SEGS)
     }
 
     /// The segment list for pushing onto, taking a spine from the pool
@@ -617,6 +629,9 @@ impl fmt::Debug for MbufChain {
         write!(f, "MbufChain[len={} segs={}]", self.len, self.seg_count())
     }
 }
+
+#[cfg(test)]
+mod clone_differential;
 
 #[cfg(test)]
 mod tests {

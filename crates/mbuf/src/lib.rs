@@ -10,7 +10,14 @@
 //! - Clusters are reference-counted, so [`MbufChain::share_range`] (the
 //!   analog of `m_copym`) duplicates a chain without copying cluster bytes
 //!   — this is what lets TCP keep retransmission data, and what the
-//!   "page loaning" future-work extension builds on.
+//!   "page loaning" future-work extension builds on. `share_range` still
+//!   copies and meters small-mbuf bytes, as `m_copym` does.
+//! - Small-mbuf storage is reference-counted too, for the host's own
+//!   unmetered `Clone` of a chain: a clone shares every mbuf, and a small
+//!   one is copied only on its first write while shared (copy-on-write).
+//!   This is how UDP keeps a request for retransmission and a server keeps
+//!   a reply in its duplicate cache without copying either. The counts are
+//!   not atomic, so a chain is `!Send`.
 //! - A chain is a pointer, as in 4.3BSD: its segment list (the *spine*)
 //!   lives on the heap and is recycled through [`pool`] like the clusters
 //!   and small data areas, so the structs and events that carry a chain

@@ -8,22 +8,25 @@
 //! handed back out, as new, on the next allocation; one list per kind
 //! (`take`/`give`) serves all three through `Pooled`.
 //!
-//! The cluster list parks the whole `Arc<ClusterBuf>`, not just the byte
-//! buffer: `Arc::new` is itself a heap allocation, and an 8 KB read
-//! reply takes four clusters, so recycling only the `Vec` would still
-//! cost four allocations per RPC. An `Arc` is recyclable exactly when
-//! its strong count has dropped to one — no other mbuf window
-//! references the cluster.
+//! Clusters and small areas follow one sharing rule: storage sits behind
+//! an `Rc`, a host-side clone of a chain shares it, and the list parks the
+//! whole `Rc`, not just the bytes inside it (`Rc::new` is itself a heap
+//! allocation, and an 8 KB read reply takes four clusters). A buffer is
+//! parked only when its last handle drops. A cluster is immutable while
+//! shared; a small area is copied into one from the list on its first
+//! write while shared (copy-on-write), which is what lets a transport keep
+//! a request for retransmission without copying it.
 //!
-//! Each thread keeps one list per kind, as 4.3BSD keeps one `mclfree`:
-//! a world runs on one thread, procs included, and so does every chain it
-//! builds and drops, so the allocate/free pair never locks. A list is
-//! sized for a crowd, which keeps over a thousand chains live at once;
-//! a buffer returned to a full list is freed.
+//! The count is not atomic: a world runs on one thread, procs included,
+//! and so does every chain it builds and drops, so a chain is `!Send`.
+//! Each thread keeps one list per kind, as 4.3BSD keeps one `mclfree`, so
+//! the allocate/free pair never locks. A list is sized for a crowd, which
+//! keeps over a thousand chains live at once; a buffer returned to a full
+//! list is freed.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::thread::LocalKey;
 
 use crate::chain::{Mbuf, MCLBYTES, MLEN};
@@ -147,7 +150,7 @@ fn reset_of<T: Pooled>() {
 
 /// Returns this thread's cluster pool counters.
 pub fn stats() -> PoolStats {
-    stats_of::<Arc<ClusterBuf>>()
+    stats_of::<Rc<ClusterBuf>>()
 }
 
 /// Returns this thread's small-mbuf pool counters.
@@ -165,7 +168,7 @@ pub fn spine_stats() -> PoolStats {
 /// fresh and every drop is final — useful for comparing pooled and
 /// unpooled behavior.
 pub fn set_capacity(capacity: usize) {
-    set_capacity_of::<Arc<ClusterBuf>>(capacity);
+    set_capacity_of::<Rc<ClusterBuf>>(capacity);
     set_capacity_of::<Spine>(capacity);
 }
 
@@ -178,31 +181,31 @@ pub fn set_small_capacity(capacity: usize) {
 /// Empties the free lists (cluster, small and spine), zeroes the counters
 /// and restores the default capacities for this thread.
 pub fn reset() {
-    reset_of::<Arc<ClusterBuf>>();
+    reset_of::<Rc<ClusterBuf>>();
     reset_of::<SmallArea>();
     reset_of::<Spine>();
 }
 
 /// The bytes of one cluster. Only reachable through [`ClusterRef`]; the
-/// free list stores the whole `Arc<ClusterBuf>` so neither the buffer
-/// nor the `Arc` allocation is repaid on the hot path.
+/// free list stores the whole `Rc<ClusterBuf>` so neither the buffer
+/// nor the `Rc` allocation is repaid on the hot path.
 pub(crate) struct ClusterBuf(Vec<u8>);
 
-impl Pooled for Arc<ClusterBuf> {
+impl Pooled for Rc<ClusterBuf> {
     const CAPACITY: usize = 1152;
 
-    free_list!(Arc<ClusterBuf>);
+    free_list!(Rc<ClusterBuf>);
     fn fresh() -> Self {
-        Arc::new(ClusterBuf(Vec::with_capacity(MCLBYTES)))
+        Rc::new(ClusterBuf(Vec::with_capacity(MCLBYTES)))
     }
 
     /// Recyclable only once no other window references the cluster.
     fn admit(&mut self) -> bool {
-        Arc::strong_count(self) == 1 && self.0.capacity() >= MCLBYTES
+        Rc::strong_count(self) == 1 && self.0.capacity() >= MCLBYTES
     }
 
     fn reset(&mut self) {
-        Arc::get_mut(self)
+        Rc::get_mut(self)
             .expect("pooled clusters are unshared")
             .0
             .clear();
@@ -211,8 +214,8 @@ impl Pooled for Arc<ClusterBuf> {
 
 /// A reference-counted handle to pooled cluster storage: cloning shares
 /// the cluster (`m_copym`), and dropping the last handle parks the
-/// `Arc` on the free list instead of freeing it.
-pub(crate) struct ClusterRef(Option<Arc<ClusterBuf>>);
+/// `Rc` on the free list instead of freeing it.
+pub(crate) struct ClusterRef(Option<Rc<ClusterBuf>>);
 
 impl ClusterRef {
     /// Allocates from the free list, or fresh if it is empty. The
@@ -221,29 +224,29 @@ impl ClusterRef {
         ClusterRef(Some(take()))
     }
 
-    fn rc(&self) -> &Arc<ClusterBuf> {
+    fn rc(&self) -> &Rc<ClusterBuf> {
         self.0.as_ref().expect("cluster present until drop")
     }
 
     /// Whether any other handle references this cluster.
     pub(crate) fn is_shared(&self) -> bool {
-        Arc::strong_count(self.rc()) > 1
+        Rc::strong_count(self.rc()) > 1
     }
 
     /// Mutable access to the bytes, only while unshared.
     pub(crate) fn get_mut(&mut self) -> Option<&mut Vec<u8>> {
-        Arc::get_mut(self.0.as_mut().expect("cluster present until drop")).map(|c| &mut c.0)
+        Rc::get_mut(self.0.as_mut().expect("cluster present until drop")).map(|c| &mut c.0)
     }
 
     /// Whether two handles share the same underlying cluster.
     pub(crate) fn same_storage(a: &ClusterRef, b: &ClusterRef) -> bool {
-        Arc::ptr_eq(a.rc(), b.rc())
+        Rc::ptr_eq(a.rc(), b.rc())
     }
 }
 
 impl Clone for ClusterRef {
     fn clone(&self) -> Self {
-        ClusterRef(Some(Arc::clone(self.rc())))
+        ClusterRef(Some(Rc::clone(self.rc())))
     }
 }
 
@@ -264,39 +267,44 @@ impl Drop for ClusterRef {
 
 /// The `MLEN`-byte data area of a small mbuf: every RPC header and XDR
 /// fragment lives in one, so a busy simulation churns through them even
-/// faster than clusters. The `Box` is what is pooled: [`SmallBuf`] hands
-/// the same heap block back out.
-type SmallArea = Box<[u8; MLEN]>;
+/// faster than clusters. The `Rc` is what is pooled: [`SmallBuf`] hands
+/// the same heap block back out, and its clones share it.
+type SmallArea = Rc<[u8; MLEN]>;
 
 impl Pooled for SmallArea {
+    /// `crowd_1024x4` peaks at 4,132 live areas (seed 1), so its cells
+    /// after the first take every area from here. That holds only while
+    /// a request kept for retransmission shares its areas: copies would
+    /// take the peak to about 7,800.
     const CAPACITY: usize = 4352;
 
     free_list!(SmallArea);
     fn fresh() -> Self {
-        Box::new([0u8; MLEN])
+        Rc::new([0u8; MLEN])
+    }
+
+    /// Recyclable only once no other small mbuf references the area.
+    fn admit(&mut self) -> bool {
+        Rc::strong_count(self) == 1
     }
 }
 
-/// Owned small-mbuf storage whose data area returns to the free list on
-/// drop.
+/// A counted handle to small-mbuf storage whose data area returns to the
+/// free list when the last handle drops.
 ///
-/// Recycled areas are *not* re-zeroed: an mbuf only ever exposes the
-/// `(off, len)` window its owner wrote via `append`/`prepend`, so stale
-/// bytes outside the window are unobservable.
+/// Cloning shares the area; the first write through a shared handle
+/// copies it into an area from the free list, so no write shows through
+/// another handle. Recycled areas are *not* re-zeroed: an mbuf only ever
+/// exposes the `(off, len)` window its owner wrote via
+/// `append`/`prepend`, so stale bytes outside the window are
+/// unobservable.
+#[derive(Clone)]
 pub(crate) struct SmallBuf(Option<SmallArea>);
 
 impl SmallBuf {
     /// Allocates from the free list, or zero-filled fresh storage.
     pub(crate) fn alloc() -> Self {
         SmallBuf(Some(take()))
-    }
-}
-
-impl Clone for SmallBuf {
-    fn clone(&self) -> Self {
-        let mut b: SmallArea = take();
-        b.copy_from_slice(&**self);
-        SmallBuf(Some(b))
     }
 }
 
@@ -308,8 +316,15 @@ impl std::ops::Deref for SmallBuf {
 }
 
 impl std::ops::DerefMut for SmallBuf {
+    /// Copy-on-write: a shared area is first copied into an unshared one.
     fn deref_mut(&mut self) -> &mut [u8; MLEN] {
-        self.0.as_mut().expect("buffer present until drop")
+        let rc = self.0.as_mut().expect("buffer present until drop");
+        if Rc::strong_count(rc) > 1 {
+            let mut own: SmallArea = take();
+            *Rc::get_mut(&mut own).expect("pooled areas are unshared") = **rc;
+            *rc = own;
+        }
+        Rc::get_mut(rc).expect("unshared after the copy")
     }
 }
 
@@ -328,7 +343,8 @@ impl Drop for SmallBuf {
 pub(crate) type Spine = Box<VecDeque<Mbuf>>;
 
 impl Pooled for Spine {
-    /// Every chain in flight holds one, as most hold one small mbuf.
+    /// Every chain in flight holds one, however many mbufs it lists (a
+    /// crowd request lists two): `crowd_1024x4` peaks at 4,037 (seed 1).
     const CAPACITY: usize = 4352;
 
     free_list!(Spine);
@@ -375,6 +391,27 @@ mod tests {
         assert_eq!(stats().free, 0, "still referenced by the clone");
         drop(b);
         assert_eq!(stats().free, 1, "last handle parks the cluster");
+    }
+
+    #[test]
+    fn shared_small_areas_copy_on_write_and_park_on_the_last_drop() {
+        reset();
+        let mut a = SmallBuf::alloc();
+        a[0] = 1;
+        let b = a.clone();
+        assert_eq!(small_stats().fresh, 1, "a clone takes no area");
+        a[0] = 2;
+        assert_eq!(
+            (a[0], b[0], small_stats().fresh),
+            (2, 1, 2),
+            "copied on write"
+        );
+        drop(a);
+        let c = b.clone();
+        drop(b);
+        assert_eq!(small_stats().free, 1, "only the written copy is parked");
+        drop(c);
+        assert_eq!(small_stats().free, 2, "the last handle parks the original");
     }
 
     #[test]

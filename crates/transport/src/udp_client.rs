@@ -15,6 +15,8 @@
 //! cache can suppress re-execution) and Karn's rule excludes
 //! retransmitted calls from RTT sampling.
 
+use std::collections::VecDeque;
+
 use renofs_mbuf::MbufChain;
 use renofs_sim::{profile, IntMap, SimDuration, SimTime};
 
@@ -173,7 +175,7 @@ pub struct UdpRpcClient {
     next_xid: u32,
     pending: IntMap<u32, Pending>,
     /// Calls admitted but deferred by the congestion window.
-    queue: Vec<(u32, RpcClass, MbufChain)>,
+    queue: VecDeque<(u32, RpcClass, MbufChain)>,
     stats: UdpStats,
     /// Whether `NotResponding` has been reported and not yet cleared by
     /// a reply (one console line per outage, as in the BSD client).
@@ -200,7 +202,7 @@ impl UdpRpcClient {
             cwnd,
             next_xid: xid_seed,
             pending: IntMap::default(),
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             stats: UdpStats::default(),
             down_reported: false,
         }
@@ -260,7 +262,7 @@ impl UdpRpcClient {
         if let Some(w) = &self.cwnd {
             if !w.allows(self.pending.len()) {
                 self.stats.window_deferrals += 1;
-                self.queue.push((xid, class, msg));
+                self.queue.push_back((xid, class, msg));
                 return;
             }
         }
@@ -338,7 +340,7 @@ impl UdpRpcClient {
                     break;
                 }
             }
-            let (xid, class, msg) = self.queue.remove(0);
+            let (xid, class, msg) = self.queue.pop_front().expect("checked non-empty");
             self.transmit(now, xid, class, msg, actions);
         }
     }

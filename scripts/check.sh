@@ -11,11 +11,15 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> one event loop (no unsafe impl outside coro.rs, no sim-thread knob, no second loop, no post box, one free list)"
+echo "==> one event loop (no unsafe impl outside coro.rs, no sim-thread knob, no second loop, no post box, one free list, no Arc under crates/mbuf)"
 grep -rn 'unsafe impl' crates/core/src --exclude=coro.rs && exit 1
 grep -rn 'sim[_-]threads' crates scripts README.md DESIGN.md EXPERIMENTS.md && exit 1
 grep -rnE 'force_monolithic|is_partitioned|run_carved|carve_access|DomainQ' crates && exit 1
 grep -rnE 'POST_CAP|Req::Flush|SHARED_CAPACITY|XFER_BATCH' crates && exit 1
+# Mbuf storage counts are `Rc`s, so a chain is `!Send` (a compile_fail
+# doctest on `MbufChain` says so): chains crossing threads again is a
+# decision, not a drift.
+grep -rnE 'std::sync::(Arc\b|\{[^}]*\bArc\b)|\bArc(<|::)' crates/mbuf/src && exit 1
 
 echo "==> IntMap is for keys the simulator mints (a key with wire bytes in it keeps SipHash)"
 # Names off the wire come as `String`s, byte vectors, or inline as the name
