@@ -35,10 +35,10 @@ pub mod server;
 pub mod syscalls;
 pub mod world;
 
-pub use client::{ClientConfig, ClientError, ClientFs, RpcCounts, WritePolicy};
+pub use client::{ClientConfig, ClientError, ClientFs, WritePolicy};
 pub use host::{Host, HostProfile};
 pub use presets::{ClientPreset, ServerPreset};
-pub use proto::{FileHandle, NfsProc, NfsStatus};
+pub use proto::{FileHandle, NfsProc, NfsStatus, RpcCounts};
 pub use router::{Export, ExportMap, RouterFs, RouterHandle, ServerPort};
 pub use server::{NfsServer, ServerConfig};
 pub use syscalls::{PinTo, Syscalls};

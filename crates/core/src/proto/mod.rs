@@ -9,6 +9,9 @@ use renofs_sim::{SimDuration, SimTime};
 use renofs_vfs::{FileType, FsError, Vattr, VnodeId};
 use renofs_xdr::{be_word, InlineStr, XdrDecoder, XdrEncoder, XdrError};
 
+pub mod build;
+pub mod results;
+
 /// Maximum NFS v2 read/write transfer size.
 pub const NFS_MAXDATA: usize = 8192;
 
@@ -43,54 +46,55 @@ pub const LEASE_MODE_WRITE: u32 = 1;
 /// GETLEASE mode: voluntary release (vacate after a recall).
 pub const LEASE_MODE_RELEASE: u32 = 2;
 
-/// NFS v2 procedure numbers.
+/// NFS v2 procedure numbers; each discriminant is the wire value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[repr(u32)]
 pub enum NfsProc {
     /// Do nothing (ping).
-    Null,
+    Null = 0,
     /// Get file attributes.
-    Getattr,
+    Getattr = 1,
     /// Set file attributes.
-    Setattr,
+    Setattr = 2,
     /// Obsolete (ROOT).
-    Root,
+    Root = 3,
     /// Look up a name in a directory.
-    Lookup,
+    Lookup = 4,
     /// Read a symbolic link.
-    Readlink,
+    Readlink = 5,
     /// Read from a file.
-    Read,
+    Read = 6,
     /// Obsolete (WRITECACHE).
-    Writecache,
+    Writecache = 7,
     /// Write to a file.
-    Write,
+    Write = 8,
     /// Create a file.
-    Create,
+    Create = 9,
     /// Remove a file.
-    Remove,
+    Remove = 10,
     /// Rename a file.
-    Rename,
+    Rename = 11,
     /// Create a hard link.
-    Link,
+    Link = 12,
     /// Create a symbolic link.
-    Symlink,
+    Symlink = 13,
     /// Create a directory.
-    Mkdir,
+    Mkdir = 14,
     /// Remove a directory.
-    Rmdir,
+    Rmdir = 15,
     /// Read directory entries.
-    Readdir,
+    Readdir = 16,
     /// Get filesystem statistics.
-    Statfs,
+    Statfs = 17,
     /// Extension (paper's Future Directions): read directory entries
     /// *and* look up each one — "a way of doing many name lookups per
     /// RPC, possibly by adding a readdir_and_lookup_files RPC to the
     /// protocol". (NFSv3 later standardized this as READDIRPLUS.)
-    ReaddirLookup,
+    ReaddirLookup = 18,
     /// Extension (NQNFS, Macklem's lease-based follow-up): acquire,
     /// renew, or release a read/write lease on a file. Only served
     /// when the caller speaks `NQNFS_VERSION`.
-    Getlease,
+    Getlease = 19,
 }
 
 impl NfsProc {
@@ -114,57 +118,38 @@ impl NfsProc {
         NfsProc::Statfs,
     ];
 
+    /// Every procedure, indexed by its wire number.
+    const WIRE: [NfsProc; 20] = [
+        NfsProc::Null,
+        NfsProc::Getattr,
+        NfsProc::Setattr,
+        NfsProc::Root,
+        NfsProc::Lookup,
+        NfsProc::Readlink,
+        NfsProc::Read,
+        NfsProc::Writecache,
+        NfsProc::Write,
+        NfsProc::Create,
+        NfsProc::Remove,
+        NfsProc::Rename,
+        NfsProc::Link,
+        NfsProc::Symlink,
+        NfsProc::Mkdir,
+        NfsProc::Rmdir,
+        NfsProc::Readdir,
+        NfsProc::Statfs,
+        NfsProc::ReaddirLookup,
+        NfsProc::Getlease,
+    ];
+
     /// Wire procedure number.
     pub fn to_wire(self) -> u32 {
-        match self {
-            NfsProc::Null => 0,
-            NfsProc::Getattr => 1,
-            NfsProc::Setattr => 2,
-            NfsProc::Root => 3,
-            NfsProc::Lookup => 4,
-            NfsProc::Readlink => 5,
-            NfsProc::Read => 6,
-            NfsProc::Writecache => 7,
-            NfsProc::Write => 8,
-            NfsProc::Create => 9,
-            NfsProc::Remove => 10,
-            NfsProc::Rename => 11,
-            NfsProc::Link => 12,
-            NfsProc::Symlink => 13,
-            NfsProc::Mkdir => 14,
-            NfsProc::Rmdir => 15,
-            NfsProc::Readdir => 16,
-            NfsProc::Statfs => 17,
-            NfsProc::ReaddirLookup => 18,
-            NfsProc::Getlease => 19,
-        }
+        self as u32
     }
 
     /// Parses a wire procedure number.
     pub fn from_wire(v: u32) -> Option<Self> {
-        Some(match v {
-            0 => NfsProc::Null,
-            1 => NfsProc::Getattr,
-            2 => NfsProc::Setattr,
-            3 => NfsProc::Root,
-            4 => NfsProc::Lookup,
-            5 => NfsProc::Readlink,
-            6 => NfsProc::Read,
-            7 => NfsProc::Writecache,
-            8 => NfsProc::Write,
-            9 => NfsProc::Create,
-            10 => NfsProc::Remove,
-            11 => NfsProc::Rename,
-            12 => NfsProc::Link,
-            13 => NfsProc::Symlink,
-            14 => NfsProc::Mkdir,
-            15 => NfsProc::Rmdir,
-            16 => NfsProc::Readdir,
-            17 => NfsProc::Statfs,
-            18 => NfsProc::ReaddirLookup,
-            19 => NfsProc::Getlease,
-            _ => return None,
-        })
+        Self::WIRE.get(v as usize).copied()
     }
 
     /// The transport RTO class of this procedure.
@@ -194,6 +179,67 @@ impl NfsProc {
                 | NfsProc::Rmdir
                 | NfsProc::Setattr
         )
+    }
+}
+
+// `NfsProc::WIRE` is in discriminant order, so `from_wire` inverts
+// `to_wire`.
+const _: () = {
+    let mut i = 0;
+    while i < NfsProc::WIRE.len() {
+        assert!(NfsProc::WIRE[i] as usize == i);
+        i += 1;
+    }
+};
+
+/// Calls counted per procedure: a client's RPCs (Table 3's instrument)
+/// or a server's services.
+#[derive(Clone, Copy, Default)]
+pub struct RpcCounts {
+    counts: [u64; NfsProc::WIRE.len()],
+}
+
+/// Shown as the bare array indexed by wire number: pinned tests hash
+/// `ServerStats`' `Debug` text.
+impl std::fmt::Debug for RpcCounts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.counts.fmt(f)
+    }
+}
+
+impl RpcCounts {
+    pub(crate) fn inc(&mut self, proc: NfsProc) {
+        self.counts[proc as usize] += 1;
+    }
+
+    /// Calls of one procedure.
+    pub fn count(&self, proc: NfsProc) -> u64 {
+        self.counts[proc as usize]
+    }
+
+    /// Total calls.
+    pub fn total(&self) -> u64 {
+        self.counts.iter().sum()
+    }
+
+    /// Adds another counter set into this one (aggregating the mounts
+    /// of a sharded fleet into one Table 3 view).
+    pub fn absorb(&mut self, other: &RpcCounts) {
+        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+            *a += b;
+        }
+    }
+
+    /// The "Other" row of Table 3: everything except the six listed
+    /// procedures.
+    pub fn other(&self) -> u64 {
+        self.total()
+            - self.count(NfsProc::Getattr)
+            - self.count(NfsProc::Setattr)
+            - self.count(NfsProc::Read)
+            - self.count(NfsProc::Write)
+            - self.count(NfsProc::Lookup)
+            - self.count(NfsProc::Readdir)
     }
 }
 
@@ -474,147 +520,6 @@ pub struct DirEntryPlus {
     pub attr: Vattr,
 }
 
-/// Builders for the argument side of each call (client use).
-pub mod build {
-    use super::*;
-
-    /// GETATTR / READLINK / STATFS arguments.
-    pub fn handle_args(chain: &mut MbufChain, meter: &mut CopyMeter, fh: &FileHandle) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        fh.encode(&mut enc);
-    }
-
-    /// SETATTR arguments.
-    pub fn setattr_args(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        fh: &FileHandle,
-        sattr: &Sattr,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        fh.encode(&mut enc);
-        sattr.encode(&mut enc);
-    }
-
-    /// LOOKUP / REMOVE / RMDIR arguments.
-    pub fn dirop_args(chain: &mut MbufChain, meter: &mut CopyMeter, dir: &FileHandle, name: &str) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        dir.encode(&mut enc);
-        enc.put_string(name);
-    }
-
-    /// READ arguments.
-    pub fn read_args(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        fh: &FileHandle,
-        offset: u32,
-        count: u32,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        fh.encode(&mut enc);
-        enc.put_u32(offset);
-        enc.put_u32(count);
-        enc.put_u32(count); // totalcount (unused)
-    }
-
-    /// WRITE arguments; `data` is appended without copying clusters.
-    pub fn write_args(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        fh: &FileHandle,
-        offset: u32,
-        data: MbufChain,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        fh.encode(&mut enc);
-        enc.put_u32(offset); // beginoffset (unused)
-        enc.put_u32(offset);
-        enc.put_u32(data.len() as u32); // totalcount
-        enc.put_opaque_chain(data);
-    }
-
-    /// CREATE / MKDIR arguments.
-    pub fn create_args(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        dir: &FileHandle,
-        name: &str,
-        sattr: &Sattr,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        dir.encode(&mut enc);
-        enc.put_string(name);
-        sattr.encode(&mut enc);
-    }
-
-    /// RENAME arguments.
-    pub fn rename_args(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        fdir: &FileHandle,
-        fname: &str,
-        tdir: &FileHandle,
-        tname: &str,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        fdir.encode(&mut enc);
-        enc.put_string(fname);
-        tdir.encode(&mut enc);
-        enc.put_string(tname);
-    }
-
-    /// LINK arguments.
-    pub fn link_args(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        target: &FileHandle,
-        dir: &FileHandle,
-        name: &str,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        target.encode(&mut enc);
-        dir.encode(&mut enc);
-        enc.put_string(name);
-    }
-
-    /// SYMLINK arguments.
-    pub fn symlink_args(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        dir: &FileHandle,
-        name: &str,
-        path: &str,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        dir.encode(&mut enc);
-        enc.put_string(name);
-        enc.put_string(path);
-        Sattr::default().encode(&mut enc);
-    }
-
-    /// GETLEASE arguments.
-    pub fn getlease_args(chain: &mut MbufChain, meter: &mut CopyMeter, fh: &FileHandle, mode: u32) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        fh.encode(&mut enc);
-        enc.put_u32(mode);
-    }
-
-    /// READDIR arguments.
-    pub fn readdir_args(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        fh: &FileHandle,
-        cookie: u32,
-        count: u32,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        fh.encode(&mut enc);
-        enc.put_u32(cookie);
-        enc.put_u32(count);
-    }
-}
-
 /// Decodes the argument side of a call (server use).
 pub fn decode_args(proc: NfsProc, dec: &mut XdrDecoder<'_>) -> Result<NfsArgs, XdrError> {
     Ok(match proc {
@@ -693,335 +598,6 @@ pub fn decode_args(proc: NfsProc, dec: &mut XdrDecoder<'_>) -> Result<NfsArgs, X
             NfsArgs::Getlease(fh, mode)
         }
     })
-}
-
-/// Result encoders (server use) and decoders (client use).
-pub mod results {
-    use super::*;
-
-    /// Encodes an `attrstat` (GETATTR, SETATTR, WRITE).
-    pub fn put_attrstat(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        res: &Result<Vattr, NfsStatus>,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        match res {
-            Ok(attr) => {
-                enc.put_u32(NfsStatus::Ok.to_wire());
-                put_fattr(&mut enc, attr);
-            }
-            Err(s) => enc.put_u32(s.to_wire()),
-        }
-    }
-
-    /// Decodes an `attrstat`.
-    pub fn get_attrstat(dec: &mut XdrDecoder<'_>) -> Result<Result<Vattr, NfsStatus>, XdrError> {
-        match NfsStatus::from_wire(dec.get_u32()?)? {
-            NfsStatus::Ok => Ok(Ok(get_fattr(dec)?)),
-            s => Ok(Err(s)),
-        }
-    }
-
-    /// Encodes a `diropres` (LOOKUP, CREATE, MKDIR).
-    pub fn put_diropres(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        res: &Result<(FileHandle, Vattr), NfsStatus>,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        match res {
-            Ok((fh, attr)) => {
-                enc.put_u32(NfsStatus::Ok.to_wire());
-                fh.encode(&mut enc);
-                put_fattr(&mut enc, attr);
-            }
-            Err(s) => enc.put_u32(s.to_wire()),
-        }
-    }
-
-    /// Decodes a `diropres`.
-    pub fn get_diropres(
-        dec: &mut XdrDecoder<'_>,
-    ) -> Result<Result<(FileHandle, Vattr), NfsStatus>, XdrError> {
-        match NfsStatus::from_wire(dec.get_u32()?)? {
-            NfsStatus::Ok => {
-                let fh = FileHandle::decode(dec)?;
-                let attr = get_fattr(dec)?;
-                Ok(Ok((fh, attr)))
-            }
-            s => Ok(Err(s)),
-        }
-    }
-
-    /// Encodes a bare status (REMOVE, RENAME, LINK, SYMLINK, RMDIR).
-    pub fn put_stat(chain: &mut MbufChain, meter: &mut CopyMeter, s: NfsStatus) {
-        XdrEncoder::new(chain, meter).put_u32(s.to_wire());
-    }
-
-    /// Decodes a bare status.
-    pub fn get_stat(dec: &mut XdrDecoder<'_>) -> Result<NfsStatus, XdrError> {
-        NfsStatus::from_wire(dec.get_u32()?)
-    }
-
-    /// Encodes a READ result; `data` rides as a shared chain (this is
-    /// the path where loaned buffer-cache pages would avoid a copy).
-    pub fn put_readres(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        res: Result<(Vattr, MbufChain), NfsStatus>,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        match res {
-            Ok((attr, data)) => {
-                enc.put_u32(NfsStatus::Ok.to_wire());
-                put_fattr(&mut enc, &attr);
-                enc.put_opaque_chain(data);
-            }
-            Err(s) => enc.put_u32(s.to_wire()),
-        }
-    }
-
-    /// Decodes a READ result.
-    pub fn get_readres(
-        dec: &mut XdrDecoder<'_>,
-    ) -> Result<Result<(Vattr, Vec<u8>), NfsStatus>, XdrError> {
-        let mut data = vec![0; NFS_MAXDATA];
-        let res = get_readres_into(dec, &mut data)?;
-        Ok(res.map(|(attr, n)| {
-            data.truncate(n);
-            (attr, data)
-        }))
-    }
-
-    /// Decodes a READ result with the data landing at the front of `dst`
-    /// (no allocation); returns the attributes and the data's length.
-    /// Data longer than `dst` is rejected like data past `NFS_MAXDATA`.
-    pub fn get_readres_into(
-        dec: &mut XdrDecoder<'_>,
-        dst: &mut [u8],
-    ) -> Result<Result<(Vattr, usize), NfsStatus>, XdrError> {
-        match NfsStatus::from_wire(dec.get_u32()?)? {
-            NfsStatus::Ok => {
-                let attr = get_fattr(dec)?;
-                let n = dec.get_opaque_var_into(dst, NFS_MAXDATA as u32)?;
-                Ok(Ok((attr, n)))
-            }
-            s => Ok(Err(s)),
-        }
-    }
-
-    /// Encodes a READLINK result.
-    pub fn put_readlinkres(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        res: &Result<String, NfsStatus>,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        match res {
-            Ok(path) => {
-                enc.put_u32(NfsStatus::Ok.to_wire());
-                enc.put_string(path);
-            }
-            Err(s) => enc.put_u32(s.to_wire()),
-        }
-    }
-
-    /// Decodes a READLINK result.
-    pub fn get_readlinkres(
-        dec: &mut XdrDecoder<'_>,
-    ) -> Result<Result<String, NfsStatus>, XdrError> {
-        match NfsStatus::from_wire(dec.get_u32()?)? {
-            NfsStatus::Ok => Ok(Ok(dec.get_string(NFS_MAXPATHLEN)?)),
-            s => Ok(Err(s)),
-        }
-    }
-
-    /// Encodes a READDIR result.
-    pub fn put_readdirres(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        res: &Result<(Vec<DirEntry>, bool), NfsStatus>,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        match res {
-            Ok((entries, eof)) => {
-                enc.put_u32(NfsStatus::Ok.to_wire());
-                for e in entries {
-                    enc.put_bool(true); // another entry follows
-                    enc.put_u32(e.fileid);
-                    enc.put_string(&e.name);
-                    enc.put_u32(e.cookie);
-                }
-                enc.put_bool(false);
-                enc.put_bool(*eof);
-            }
-            Err(s) => enc.put_u32(s.to_wire()),
-        }
-    }
-
-    /// Decoded READDIR result: entries + eof, or an NFS error.
-    pub type ReaddirRes = Result<(Vec<DirEntry>, bool), NfsStatus>;
-
-    /// Decoded STATFS result: `(tsize, bsize, blocks, bfree, bavail)` or
-    /// an NFS error.
-    pub type StatfsRes = Result<(u32, u32, u32, u32, u32), NfsStatus>;
-
-    /// Decodes a READDIR result.
-    pub fn get_readdirres(dec: &mut XdrDecoder<'_>) -> Result<ReaddirRes, XdrError> {
-        match NfsStatus::from_wire(dec.get_u32()?)? {
-            NfsStatus::Ok => {
-                let mut entries = Vec::new();
-                while dec.get_bool()? {
-                    let fileid = dec.get_u32()?;
-                    let name = dec.get_string(NFS_MAXNAMLEN)?;
-                    let cookie = dec.get_u32()?;
-                    entries.push(DirEntry {
-                        fileid,
-                        name,
-                        cookie,
-                    });
-                }
-                let eof = dec.get_bool()?;
-                Ok(Ok((entries, eof)))
-            }
-            s => Ok(Err(s)),
-        }
-    }
-
-    /// Encodes a READDIRLOOKUP result.
-    pub fn put_readdirplusres(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        res: &Result<(Vec<DirEntryPlus>, bool), NfsStatus>,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        match res {
-            Ok((entries, eof)) => {
-                enc.put_u32(NfsStatus::Ok.to_wire());
-                for e in entries {
-                    enc.put_bool(true);
-                    enc.put_u32(e.entry.fileid);
-                    enc.put_string(&e.entry.name);
-                    enc.put_u32(e.entry.cookie);
-                    e.fh.encode(&mut enc);
-                    put_fattr(&mut enc, &e.attr);
-                }
-                enc.put_bool(false);
-                enc.put_bool(*eof);
-            }
-            Err(s) => enc.put_u32(s.to_wire()),
-        }
-    }
-
-    /// Decoded READDIRLOOKUP result.
-    pub type ReaddirPlusRes = Result<(Vec<DirEntryPlus>, bool), NfsStatus>;
-
-    /// Decodes a READDIRLOOKUP result.
-    pub fn get_readdirplusres(dec: &mut XdrDecoder<'_>) -> Result<ReaddirPlusRes, XdrError> {
-        match NfsStatus::from_wire(dec.get_u32()?)? {
-            NfsStatus::Ok => {
-                let mut entries = Vec::new();
-                while dec.get_bool()? {
-                    let fileid = dec.get_u32()?;
-                    let name = dec.get_string(NFS_MAXNAMLEN)?;
-                    let cookie = dec.get_u32()?;
-                    let fh = FileHandle::decode(dec)?;
-                    let attr = get_fattr(dec)?;
-                    entries.push(DirEntryPlus {
-                        entry: DirEntry {
-                            fileid,
-                            name,
-                            cookie,
-                        },
-                        fh,
-                        attr,
-                    });
-                }
-                let eof = dec.get_bool()?;
-                Ok(Ok((entries, eof)))
-            }
-            s => Ok(Err(s)),
-        }
-    }
-
-    /// Encodes a GETLEASE result: on success, the granted term in
-    /// milliseconds of virtual time plus (for acquire/renew grants) the
-    /// file's current attributes — the grant doubles as a GETATTR, so
-    /// lease acquisition never costs an extra revalidation RPC.
-    /// Release acks carry `term == 0` and no attributes.
-    pub fn put_leaseres(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        res: &Result<(u32, Option<Vattr>), NfsStatus>,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        match res {
-            Ok((term_ms, attr)) => {
-                enc.put_u32(NfsStatus::Ok.to_wire());
-                enc.put_u32(*term_ms);
-                match attr {
-                    Some(a) => {
-                        enc.put_bool(true);
-                        put_fattr(&mut enc, a);
-                    }
-                    None => enc.put_bool(false),
-                }
-            }
-            Err(s) => enc.put_u32(s.to_wire()),
-        }
-    }
-
-    /// Decoded GETLEASE result: `(term_ms, attrs)` or an NFS error.
-    pub type LeaseRes = Result<(u32, Option<Vattr>), NfsStatus>;
-
-    /// Decodes a GETLEASE result.
-    pub fn get_leaseres(dec: &mut XdrDecoder<'_>) -> Result<LeaseRes, XdrError> {
-        match NfsStatus::from_wire(dec.get_u32()?)? {
-            NfsStatus::Ok => {
-                let term_ms = dec.get_u32()?;
-                let attr = if dec.get_bool()? {
-                    Some(get_fattr(dec)?)
-                } else {
-                    None
-                };
-                Ok(Ok((term_ms, attr)))
-            }
-            s => Ok(Err(s)),
-        }
-    }
-
-    /// Encodes a STATFS result: `(tsize, bsize, blocks, bfree, bavail)`.
-    pub fn put_statfsres(
-        chain: &mut MbufChain,
-        meter: &mut CopyMeter,
-        res: &Result<(u32, u32, u32, u32, u32), NfsStatus>,
-    ) {
-        let mut enc = XdrEncoder::new(chain, meter);
-        match res {
-            Ok((tsize, bsize, blocks, bfree, bavail)) => {
-                enc.put_u32(NfsStatus::Ok.to_wire());
-                for v in [tsize, bsize, blocks, bfree, bavail] {
-                    enc.put_u32(*v);
-                }
-            }
-            Err(s) => enc.put_u32(s.to_wire()),
-        }
-    }
-
-    /// Decodes a STATFS result.
-    pub fn get_statfsres(dec: &mut XdrDecoder<'_>) -> Result<StatfsRes, XdrError> {
-        match NfsStatus::from_wire(dec.get_u32()?)? {
-            NfsStatus::Ok => {
-                let mut v = [0u32; 5];
-                for slot in &mut v {
-                    *slot = dec.get_u32()?;
-                }
-                Ok(Ok((v[0], v[1], v[2], v[3], v[4])))
-            }
-            s => Ok(Err(s)),
-        }
-    }
 }
 
 #[cfg(test)]

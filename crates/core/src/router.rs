@@ -39,8 +39,8 @@ use renofs_mbuf::MbufChain;
 use renofs_sim::{SimDuration, SimTime};
 use renofs_vfs::{FileType, Vattr};
 
-use crate::client::{CResult, ClientConfig, ClientError, ClientFs, RpcCounts};
-use crate::proto::{DirEntry, FileHandle, NfsProc};
+use crate::client::{CResult, ClientConfig, ClientError, ClientFs};
+use crate::proto::{DirEntry, FileHandle, NfsProc, RpcCounts};
 use crate::syscalls::{RpcResult, Syscalls, Ticket};
 
 /// One export of the fleet: the subtree `prefix` is owned by server

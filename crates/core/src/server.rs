@@ -28,7 +28,7 @@ pub use crate::lease::LeaseCounts;
 use crate::lease::ServerLeases;
 use crate::proto::{
     self, decode_args, results, DirEntry, DirEntryPlus, FileHandle, NfsArgs, NfsProc, NfsStatus,
-    LEASE_MODE_RELEASE, LEASE_MODE_WRITE,
+    RpcCounts, LEASE_MODE_RELEASE, LEASE_MODE_WRITE,
 };
 
 /// Server configuration.
@@ -175,8 +175,8 @@ impl<'a> IntoIterator for &'a DiskOps {
 /// Per-procedure service counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServerStats {
-    /// Calls served, indexed by procedure wire number.
-    pub calls: [u64; 20],
+    /// Calls served, per procedure.
+    pub calls: RpcCounts,
     /// Garbled requests.
     pub garbage: u64,
     /// Duplicate-cache hits.
@@ -186,14 +186,10 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Calls served for one procedure.
-    pub fn count(&self, proc: NfsProc) -> u64 {
-        self.calls[proc.to_wire() as usize]
-    }
-
-    /// Total calls served.
+    /// Total calls served: `calls.total()`, under the name the frozen
+    /// benchmark package reads.
     pub fn total(&self) -> u64 {
-        self.calls.iter().sum()
+        self.calls.total()
     }
 }
 
@@ -466,7 +462,7 @@ impl NfsServer {
                 return (reply, cost);
             }
         };
-        self.stats.calls[proc.to_wire() as usize] += 1;
+        self.stats.calls.inc(proc);
         let mut reply = MbufChain::new();
         ReplyHeader {
             xid,
@@ -1283,7 +1279,7 @@ mod tests {
             r2.to_vec_for_test(),
             "cached reply is byte-identical"
         );
-        assert_eq!(s.stats().count(NfsProc::Create), 1, "executed once");
+        assert_eq!(s.stats().calls.count(NfsProc::Create), 1, "executed once");
     }
 
     #[test]
@@ -1310,7 +1306,7 @@ mod tests {
             NfsStatus::Ok,
             "the remove really ran"
         );
-        assert_eq!(s.stats().count(NfsProc::Remove), 1);
+        assert_eq!(s.stats().calls.count(NfsProc::Remove), 1);
     }
 
     #[test]
@@ -1332,7 +1328,7 @@ mod tests {
         let (r2, c2) = s.service(t(2), &rm());
         assert!(c2.dup_hit);
         assert_eq!(r1.to_vec_for_test(), r2.to_vec_for_test());
-        assert_eq!(s.stats().count(NfsProc::Remove), 1, "executed once");
+        assert_eq!(s.stats().calls.count(NfsProc::Remove), 1, "executed once");
         assert_eq!(
             results::get_stat(&mut reply_body(&r2)).unwrap(),
             NfsStatus::Ok,
@@ -1348,7 +1344,7 @@ mod tests {
         let (m2, c4) = s.service(t(4), &mv());
         assert!(c4.dup_hit);
         assert_eq!(m1.to_vec_for_test(), m2.to_vec_for_test());
-        assert_eq!(s.stats().count(NfsProc::Rename), 1, "executed once");
+        assert_eq!(s.stats().calls.count(NfsProc::Rename), 1, "executed once");
         assert_eq!(
             results::get_stat(&mut reply_body(&m2)).unwrap(),
             NfsStatus::Ok
@@ -1395,7 +1391,7 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(attr.ftype, renofs_vfs::FileType::Regular);
-        assert_eq!(s.stats().count(NfsProc::Create), 2, "both executed");
+        assert_eq!(s.stats().calls.count(NfsProc::Create), 2, "both executed");
         // And each client's own retransmission still replays from cache.
         let (_, c3) = s.service_from(t(3), &creq("from-c0"), 0);
         let (_, c4) = s.service_from(t(4), &creq("from-c1"), 1);

@@ -131,8 +131,8 @@ fn colliding_xids_toward_different_servers_do_not_cross_dup_caches() {
     // XIDs never register as duplicates anywhere.
     assert_eq!(world.server_of(0).stats().dup_hits, 0);
     assert_eq!(world.server_of(1).stats().dup_hits, 0);
-    assert!(world.server_of(0).stats().count(NfsProc::Write) > 0);
-    assert!(world.server_of(1).stats().count(NfsProc::Write) > 0);
+    assert!(world.server_of(0).stats().calls.count(NfsProc::Write) > 0);
+    assert!(world.server_of(1).stats().calls.count(NfsProc::Write) > 0);
 }
 
 /// Router failover: the primary shard crashes; a soft-mounted read
@@ -169,7 +169,7 @@ fn replica_serves_reads_after_primary_crash() {
     assert!(!world.server_is_up_of(0), "primary is down");
     assert!(world.server_is_up_of(1), "replica is up");
     assert!(
-        world.server_of(1).stats().count(NfsProc::Read) > 0,
+        world.server_of(1).stats().calls.count(NfsProc::Read) > 0,
         "the replica served the read"
     );
 }
@@ -408,7 +408,7 @@ fn single_server_router_world_matches_direct_mount() {
         world.run();
         let calls: Vec<u64> = (0..18)
             .filter_map(NfsProc::from_wire)
-            .map(|p| world.server_of(0).stats().count(p))
+            .map(|p| world.server_of(0).stats().calls.count(p))
             .collect();
         (world.now(), calls)
     };

@@ -559,7 +559,7 @@ mod tests {
         assert!(report.rtt_ms.mean() < 100.0, "LAN lookups are fast");
         assert_eq!(report.read_ms.count(), 0);
         // Every measured op was a lookup served by the server.
-        assert!(world.server_of(0).stats().count(NfsProc::Lookup) >= report.ops);
+        assert!(world.server_of(0).stats().calls.count(NfsProc::Lookup) >= report.ops);
     }
 
     #[test]
@@ -593,8 +593,8 @@ mod tests {
         // higher CPU; here we simply check both runs completed.
         let long = run_with(true);
         let short = run_with(false);
-        assert!(long.count(NfsProc::Lookup) > 100);
-        assert!(short.count(NfsProc::Lookup) > 100);
+        assert!(long.calls.count(NfsProc::Lookup) > 100);
+        assert!(short.calls.count(NfsProc::Lookup) > 100);
     }
 
     #[test]
@@ -615,7 +615,7 @@ mod tests {
             );
         }
         // The mix's SETATTRs hit the server as non-idempotent ops.
-        assert!(world.server_of(0).stats().count(NfsProc::Setattr) > 20);
+        assert!(world.server_of(0).stats().calls.count(NfsProc::Setattr) > 20);
         // Clients are decorrelated: their op counts are not all equal.
         let rates: Vec<u64> = reports.iter().map(|r| r.ops).collect();
         assert!(

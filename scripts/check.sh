@@ -27,14 +27,17 @@ echo "==> IntMap is for keys the simulator mints (a key with wire bytes in it ke
 grep -rnE 'IntMap<(\([^)]*)?(String|Vec<u8>|NcName|InlineStr)' crates --include='*.rs' && exit 1
 
 echo "==> the lease rules live in lease.rs (no lease table, term, recall queue or grace elsewhere)"
-# client.rs and server.rs keep only the lease I/O: RPCs, flushes and cache
-# invalidation. proto.rs defines the term and its wire form.
+# client/ and server.rs keep only the lease I/O: RPCs, flushes and cache
+# invalidation. proto/ defines the term and its wire form.
 grep -rnE 'LEASE_TERM\b|LeaseTable|ReadHold|recall_queue|lease_grace' crates/core/src \
-    --exclude=lease.rs --exclude=proto.rs && exit 1
+    --exclude=lease.rs --exclude-dir=proto && exit 1
 
-echo "==> no split file over 700 non-test lines (crates/core/src/world/, experiments/soak/)"
+echo "==> no file over 700 non-test lines (crates/core/src/, experiments/soak/)"
+# server.rs is the one exception until it splits (ROADMAP item 3); take it
+# off this list when it does.
 scripts/loc.sh --files | awk -F'\t' '
-    $2 ~ /^crates\/(core\/src\/world|bench\/src\/experiments\/soak)\// && $1 > 700 { print; bad = 1 }
+    $2 ~ /^crates\/(core\/src|bench\/src\/experiments\/soak)\// && $1 > 700 &&
+        $2 != "crates/core/src/server.rs" { print; bad = 1 }
     END { exit bad }' || {
     echo "a file above is over 700 non-test lines: split it along its seams" >&2
     exit 1
