@@ -268,31 +268,17 @@ const LEASE_OUT: &str = "BENCH_pr8.json";
 /// Where the sharded N×M fleet sweep lands.
 const SHARD_OUT: &str = "BENCH_pr9.json";
 
-/// The `repro shard` subcommand: runs the full N×M fleet sweep, writes
-/// `BENCH_pr9.json`, and holds the scaling, fairness, routing and
-/// determinism gates on the fresh numbers.
+/// The `repro shard` subcommand, and the shard half of `repro bench`:
+/// runs the full N×M fleet sweep, writes `BENCH_pr9.json`, and holds
+/// the scaling, fairness, routing and determinism gates on the fresh
+/// numbers.
 fn run_shard_mode(scale: &Scale) {
-    let report = shard::shard(scale);
-    if let Err(e) = std::fs::write(SHARD_OUT, report.to_json()) {
-        eprintln!("[shard] cannot write {SHARD_OUT}: {e}");
-        std::process::exit(1);
-    }
+    let report = shard::run_shard_section(scale);
+    write_report(SHARD_OUT, report.to_json());
     print!("{}", report.summary());
-    match report.check() {
-        Ok(msg) => eprintln!("[shard] {msg}"),
-        Err(msg) => {
-            eprintln!("[shard] FAIL: {msg}");
-            std::process::exit(1);
-        }
-    }
-    match shard::determinism_probe(scale, &report) {
-        Ok(msg) => eprintln!("[shard] {msg}"),
-        Err(msg) => {
-            eprintln!("[shard] FAIL: {msg}");
-            std::process::exit(1);
-        }
-    }
-    eprintln!("[shard] wrote {SHARD_OUT}");
+    hold_gate("shard", report.check());
+    hold_gate("shard", shard::determinism_probe(scale, &report));
+    eprintln!("[bench] wrote {SHARD_OUT}");
 }
 
 /// Prints a passed gate's verdict, or reports the failure and exits 1.
@@ -340,14 +326,10 @@ fn run_bench_mode(opts: &Options, scale: &Scale) {
         hold_gate("shard", shard::check_against(&committed, scale));
     } else {
         write_report(LEASE_OUT, lease_report.to_json());
-        let shard_report = shard::run_shard_section(scale, scale_name);
-        write_report(SHARD_OUT, shard_report.to_json());
         print!("{}", lease_report.summary());
-        print!("{}", shard_report.summary());
         hold_gate("lease", lease_report.check());
-        hold_gate("shard", shard_report.check());
-        hold_gate("shard", shard::determinism_probe(scale, &shard_report));
-        eprintln!("[bench] wrote {LEASE_OUT} and {SHARD_OUT}");
+        eprintln!("[bench] wrote {LEASE_OUT}");
+        run_shard_mode(scale);
     }
 }
 

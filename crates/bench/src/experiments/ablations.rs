@@ -11,7 +11,7 @@ use renofs_transport::{RtoPolicy, UdpRpcConfig};
 use renofs_workload::createdelete::create_delete_nfs;
 use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig};
 
-use super::world_for;
+use super::{paper_topologies, world_for};
 use crate::fmt::table;
 use crate::runner::run_jobs;
 use crate::Scale;
@@ -405,11 +405,7 @@ pub fn lease_grid(scale: &Scale) -> Vec<LeaseCell> {
         ("lease", ClientConfig::reno_lease(), true),
         ("no consist", ClientConfig::reno_noconsist(), false),
     ];
-    let topos: [(&'static str, TopologyKind); 3] = [
-        ("same LAN", TopologyKind::SameLan),
-        ("token ring", TopologyKind::TokenRing),
-        ("56Kbps", TopologyKind::SlowLink),
-    ];
+    let topos = paper_topologies();
     let mut jobs = Vec::new();
     for (mi, mode) in modes.iter().enumerate() {
         for (ti, topo) in topos.iter().enumerate() {

@@ -38,7 +38,7 @@ use renofs_netsim::topology::presets::Background;
 use renofs_sim::SimDuration;
 use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig};
 
-use super::paper_transports;
+use super::{paper_topologies, paper_transports};
 use crate::fmt::table;
 use crate::runner::{point_seed, run_jobs, workload_seed};
 use crate::Scale;
@@ -185,8 +185,7 @@ fn client_counts(quick: bool) -> Vec<usize> {
 /// matrix stays affordable: the `min` keeps deliberately tiny test
 /// scales honored.
 fn durations(scale: &Scale) -> (SimDuration, SimDuration) {
-    let quick = scale.duration < SimDuration::from_secs(5 * 60);
-    if quick {
+    if scale.is_quick() {
         (
             scale.duration.min(SimDuration::from_secs(20)),
             scale.warmup.min(SimDuration::from_secs(4)),
@@ -265,14 +264,9 @@ fn run_cell(cell: &Cell, duration: SimDuration, warmup: SimDuration, nfiles: usi
 /// Builds the cell matrix: the full sweep, then the nfsd A/B pair on the
 /// LAN with dynamic-RTO UDP at the largest sweep client count.
 fn cells(counts: &[usize]) -> Vec<Cell> {
-    let topologies = [
-        ("same LAN", TopologyKind::SameLan),
-        ("token ring", TopologyKind::TokenRing),
-        ("56Kbps", TopologyKind::SlowLink),
-    ];
     let mut cells = Vec::new();
     let mut idx = 0usize;
-    for (topo_label, topo) in topologies {
+    for (topo_label, topo) in paper_topologies() {
         for (transport_label, transport) in paper_transports() {
             for &n in counts {
                 cells.push(Cell {
@@ -323,8 +317,7 @@ pub fn crowd_with_counts(scale: &Scale, counts: &[usize]) -> CrowdReport {
 
 /// The `repro crowd` entry point.
 pub fn crowd(scale: &Scale) -> CrowdReport {
-    let quick = scale.duration < SimDuration::from_secs(5 * 60);
-    crowd_with_counts(scale, &client_counts(quick))
+    crowd_with_counts(scale, &client_counts(scale.is_quick()))
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ use renofs_netsim::topology::presets::Background;
 use renofs_netsim::FaultPlan;
 use renofs_sim::{SimDuration, SimTime};
 
-use super::paper_transports;
+use super::{paper_topologies, paper_transports};
 use crate::fmt::table;
 use crate::runner::{point_seed, run_jobs};
 use crate::Scale;
@@ -348,14 +348,9 @@ pub fn faults(scale: &Scale) -> FaultReport {
     // stays fast. Hard-mount stalls stretch the run past the heal
     // regardless.
     let iters = (scale.duration.as_secs_f64() / 2.0).clamp(30.0, 120.0) as usize;
-    let topologies = [
-        ("same LAN", TopologyKind::SameLan),
-        ("token ring", TopologyKind::TokenRing),
-        ("56Kbps", TopologyKind::SlowLink),
-    ];
     let mut cells = Vec::new();
     let mut idx = 0usize;
-    for (topo_label, topo) in topologies {
+    for (topo_label, topo) in paper_topologies() {
         // The full scenario roster on the LAN; the cross-router core
         // set elsewhere.
         let core_only = topo != TopologyKind::SameLan;

@@ -17,9 +17,18 @@ use renofs::{TopologyKind, TransportKind, World, WorldConfig, WorldScratch};
 use renofs_netsim::topology::presets::Background;
 use renofs_sim::SimDuration;
 
+/// The three topologies the paper measures, with their table labels.
+pub fn paper_topologies() -> [(&'static str, TopologyKind); 3] {
+    [
+        ("same LAN", TopologyKind::SameLan),
+        ("token ring", TopologyKind::TokenRing),
+        ("56Kbps", TopologyKind::SlowLink),
+    ]
+}
+
 /// The three transports the paper compares, with their plot labels.
-pub fn paper_transports() -> Vec<(&'static str, TransportKind)> {
-    vec![
+pub fn paper_transports() -> [(&'static str, TransportKind); 3] {
+    [
         (
             "UDP rto=1s",
             TransportKind::UdpFixed {

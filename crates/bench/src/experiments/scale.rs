@@ -40,6 +40,13 @@ impl Scale {
         }
     }
 
+    /// Whether this is a quick run (a measured interval under five
+    /// minutes): the sweeps that scale their matrices and windows apart
+    /// from `duration` pick their small ones.
+    pub fn is_quick(&self) -> bool {
+        self.duration < SimDuration::from_secs(5 * 60)
+    }
+
     /// Shortened runs for tests and fast iteration.
     pub fn quick() -> Self {
         Scale {

@@ -41,6 +41,7 @@ use renofs_oracle::fnv1a;
 use renofs_sim::SimDuration;
 use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig, NhfsstoneReport};
 
+use super::{paper_topologies, paper_transports};
 use crate::fmt::table;
 use crate::lease::EnvMeta;
 use crate::runner::{point_seed, run_jobs, workload_seed};
@@ -71,7 +72,7 @@ pub const SHARD_SCALING_FLOOR: f64 = 2.0;
 /// committed number before `--check` fails.
 pub const CHECK_TOLERANCE: f64 = 0.30;
 
-/// Transport label of the gate cells.
+/// Transport label of the gate cells: dynamic-RTO UDP.
 const GATE_TRANSPORT: &str = "UDP rto=A+4D";
 
 /// Seed base of the shard sweep (worlds and workloads derive from it
@@ -95,10 +96,8 @@ fn shard_mix() -> LoadMix {
 /// One cell of the N×M matrix, as pure data for the parallel runner.
 #[derive(Clone)]
 struct Cell {
-    topo_label: &'static str,
-    topo: TopologyKind,
-    transport_label: &'static str,
-    transport: TransportKind,
+    topo: (&'static str, TopologyKind),
+    transport: (&'static str, TransportKind),
     clients: usize,
     servers: usize,
     rate_per_client: f64,
@@ -159,6 +158,46 @@ impl ShardGate {
     pub fn ratio(&self) -> f64 {
         self.m4_ops_per_sec / self.m1_ops_per_sec.max(1e-9)
     }
+
+    /// The gate over `rows`' two gate cells, or why one is missing.
+    fn of(rows: &[ShardRow]) -> Result<Self, String> {
+        Ok(ShardGate {
+            clients: GATE_CLIENTS,
+            m1_ops_per_sec: gate_row(rows, 1)?.agg_ops_per_sec,
+            m4_ops_per_sec: gate_row(rows, 4)?.agg_ops_per_sec,
+        })
+    }
+
+    /// Holds [`SHARD_SCALING_FLOOR`].
+    fn hold_floor(&self) -> Result<(), String> {
+        if self.ratio() < SHARD_SCALING_FLOOR {
+            return Err(format!(
+                "LAN fleet scaling at N={}: M=4 reached {:.1} op/s vs M=1 {:.1} \
+                 ({:.2}x < {SHARD_SCALING_FLOOR:.1}x floor)",
+                self.clients,
+                self.m4_ops_per_sec,
+                self.m1_ops_per_sec,
+                self.ratio()
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The one gate-cell rule: the LAN cells at the gate's client count and
+/// transport, one server against four.
+fn is_gate(topo: &str, transport: &str, clients: usize, servers: usize) -> bool {
+    topo == "same LAN"
+        && transport == GATE_TRANSPORT
+        && clients == GATE_CLIENTS
+        && (servers == 1 || servers == 4)
+}
+
+/// The gate cell with `servers` servers among `rows`.
+fn gate_row(rows: &[ShardRow], servers: usize) -> Result<&ShardRow, String> {
+    rows.iter()
+        .find(|r| r.servers == servers && is_gate(&r.topo, &r.transport, r.clients, r.servers))
+        .ok_or_else(|| format!("no LAN M={servers} gate cell in the shard report"))
 }
 
 /// The experiment result; serialized to `BENCH_pr9.json`.
@@ -231,14 +270,22 @@ fn jain(rates: &[f64]) -> f64 {
 /// Measurement window per cell: bigger worlds get shorter windows for a
 /// comparable wall-clock budget.
 fn shard_durations(scale: &Scale, clients: usize) -> (SimDuration, SimDuration) {
-    let quick = scale.duration < SimDuration::from_secs(5 * 60);
-    let secs = match (quick, clients >= 512) {
+    let secs = match (scale.is_quick(), clients >= 512) {
         (true, true) => 1,
         (true, false) => 2,
         (false, true) => 4,
         (false, false) => 8,
     };
     (SimDuration::from_secs(secs), SimDuration::from_secs(1))
+}
+
+/// Retransmissions on client `ci`'s transport to server `sj`, UDP or TCP.
+fn retransmits(world: &World, ci: usize, sj: usize) -> u64 {
+    world
+        .udp_stats_to(ci, sj)
+        .map(|s| s.retransmits)
+        .or_else(|| world.tcp_stats_to(ci, sj).map(|s| s.retransmits))
+        .unwrap_or(0)
 }
 
 /// Digest of everything one cell computed: per-shard sample streams,
@@ -259,12 +306,7 @@ fn state_hash(world: &World, reports: &[NhfsstoneReport]) -> u64 {
     }
     for ci in 0..world.client_count() {
         for sj in 0..world.server_count() {
-            let rex = world
-                .udp_stats_to(ci, sj)
-                .map(|s| s.retransmits)
-                .or_else(|| world.tcp_stats_to(ci, sj).map(|s| s.retransmits))
-                .unwrap_or(0);
-            push(rex, &mut bytes);
+            push(retransmits(world, ci, sj), &mut bytes);
         }
     }
     for sj in 0..world.server_count() {
@@ -280,8 +322,8 @@ fn state_hash(world: &World, reports: &[NhfsstoneReport]) -> u64 {
 /// generator processes pinned round-robin over the shards.
 fn run_cell(cell: &Cell, duration: SimDuration, warmup: SimDuration, nfiles: usize) -> ShardRow {
     let mut cfg = WorldConfig::baseline();
-    cfg.topology = cell.topo;
-    cfg.transport = cell.transport.clone();
+    cfg.topology = cell.topo.1;
+    cfg.transport = cell.transport.1.clone();
     cfg.background = Background::quiet();
     cfg.clients = cell.clients;
     cfg.servers = cell.servers;
@@ -302,17 +344,8 @@ fn run_cell(cell: &Cell, duration: SimDuration, warmup: SimDuration, nfiles: usi
     let total_ops: u64 = reports.iter().map(|r| r.ops).sum();
     let shard_rates: Vec<f64> = reports.iter().map(|r| r.achieved_rate).collect();
     let retrans: u64 = (0..world.client_count())
-        .map(|ci| {
-            (0..world.server_count())
-                .map(|sj| {
-                    world
-                        .udp_stats_to(ci, sj)
-                        .map(|s| s.retransmits)
-                        .or_else(|| world.tcp_stats_to(ci, sj).map(|s| s.retransmits))
-                        .unwrap_or(0)
-                })
-                .sum::<u64>()
-        })
+        .flat_map(|ci| (0..world.server_count()).map(move |sj| (ci, sj)))
+        .map(|(ci, sj)| retransmits(&world, ci, sj))
         .sum();
     let (mut served, mut dup_hits, mut queued) = (0u64, 0u64, 0u64);
     let mut queue_p95_ms = Vec::with_capacity(world.server_count());
@@ -325,8 +358,8 @@ fn run_cell(cell: &Cell, duration: SimDuration, warmup: SimDuration, nfiles: usi
         queue_p95_ms.push(nfsd.queue_delay_quantile(0.95));
     }
     ShardRow {
-        topo: cell.topo_label.to_string(),
-        transport: cell.transport_label.to_string(),
+        topo: cell.topo.0.to_string(),
+        transport: cell.transport.0.to_string(),
         clients: cell.clients,
         servers: cell.servers,
         agg_ops_per_sec: shard_rates.iter().sum(),
@@ -340,10 +373,17 @@ fn run_cell(cell: &Cell, duration: SimDuration, warmup: SimDuration, nfiles: usi
     }
 }
 
-/// The dynamic-RTO UDP transport every non-comparison cell mounts.
-fn udp_dynamic() -> TransportKind {
-    TransportKind::UdpDynamic {
-        timeo: SimDuration::from_secs(1),
+/// A same-LAN cell on the gate's transport.
+fn lan_cell(clients: usize, servers: usize, rate_per_client: f64, idx: usize) -> Cell {
+    let [lan, ..] = paper_topologies();
+    let [_, dynamic, _] = paper_transports();
+    Cell {
+        topo: lan,
+        transport: dynamic,
+        clients,
+        servers,
+        rate_per_client,
+        idx,
     }
 }
 
@@ -353,150 +393,84 @@ fn udp_dynamic() -> TransportKind {
 /// shared-trunk control on record (where the wire, not the nfsd pool,
 /// is the bottleneck, more servers buy nothing).
 fn cells(quick: bool) -> Vec<Cell> {
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut idx = 0usize;
-    let mut push = |cells: &mut Vec<Cell>,
-                    topo_label: &'static str,
-                    topo: TopologyKind,
-                    transport_label: &'static str,
-                    transport: TransportKind,
-                    clients: usize,
-                    servers: usize,
-                    rate: f64| {
-        cells.push(Cell {
-            topo_label,
-            topo,
-            transport_label,
-            transport,
-            clients,
-            servers,
-            rate_per_client: rate,
-            idx,
-        });
-        idx += 1;
-    };
-    let lan_counts: &[usize] = if quick {
-        &[GATE_CLIENTS, 512]
+    let [lan, ring, slow] = paper_topologies();
+    let [fixed, dynamic, tcp] = paper_transports();
+    let (lan_counts, lan_servers): (&[usize], &[usize]) = if quick {
+        (&[GATE_CLIENTS, 512], &[1, 2, 4])
     } else {
-        &[GATE_CLIENTS, 512, 1024]
+        (&[GATE_CLIENTS, 512, 1024], &[1, 2, 4, 8])
     };
-    let lan_servers: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
+    let widest = *lan_servers.last().unwrap();
+    // (topology, transport, N, M, per-client rate), in seed order.
+    let mut rows = Vec::new();
     for &n in lan_counts {
         for &m in lan_servers {
             // The full fleet sweep runs at the gate client count; bigger
             // crowds keep the endpoints to bound the matrix cost.
-            if n > GATE_CLIENTS && m != 1 && m != *lan_servers.last().unwrap() {
-                continue;
+            if n <= GATE_CLIENTS || m == 1 || m == widest {
+                rows.push((lan, &dynamic, n, m, SHARD_RATE_LAN));
             }
-            push(
-                &mut cells,
-                "same LAN",
-                TopologyKind::SameLan,
-                GATE_TRANSPORT,
-                udp_dynamic(),
-                n,
-                m,
-                SHARD_RATE_LAN,
-            );
         }
     }
-    let widest = *lan_servers.last().unwrap();
-    push(
-        &mut cells,
-        "same LAN",
-        TopologyKind::SameLan,
-        "UDP rto=1s",
-        TransportKind::UdpFixed {
-            timeo: SimDuration::from_secs(1),
-        },
-        GATE_CLIENTS,
-        widest,
-        SHARD_RATE_LAN,
-    );
-    push(
-        &mut cells,
-        "same LAN",
-        TopologyKind::SameLan,
-        "TCP",
-        TransportKind::Tcp,
-        GATE_CLIENTS,
-        widest,
-        SHARD_RATE_LAN,
-    );
-    for &m in &[1usize, 4] {
-        push(
-            &mut cells,
-            "token ring",
-            TopologyKind::TokenRing,
-            GATE_TRANSPORT,
-            udp_dynamic(),
-            GATE_CLIENTS,
-            m,
-            SHARD_RATE_LAN,
-        );
+    rows.push((lan, &fixed, GATE_CLIENTS, widest, SHARD_RATE_LAN));
+    rows.push((lan, &tcp, GATE_CLIENTS, widest, SHARD_RATE_LAN));
+    for m in [1, 4] {
+        rows.push((ring, &dynamic, GATE_CLIENTS, m, SHARD_RATE_LAN));
     }
-    for &m in &[1usize, 2] {
-        push(
-            &mut cells,
-            "56Kbps",
-            TopologyKind::SlowLink,
-            GATE_TRANSPORT,
-            udp_dynamic(),
-            64,
-            m,
-            SHARD_RATE_SLOW,
-        );
+    for m in [1, 2] {
+        rows.push((slow, &dynamic, 64, m, SHARD_RATE_SLOW));
     }
-    cells
+    rows.into_iter()
+        .enumerate()
+        .map(|(idx, (topo, transport, clients, servers, rate))| Cell {
+            topo,
+            transport: transport.clone(),
+            clients,
+            servers,
+            rate_per_client: rate,
+            idx,
+        })
+        .collect()
 }
 
-/// Whether a cell is one of the two LAN scaling-gate cells.
-fn is_gate_cell(c: &Cell) -> bool {
-    c.topo == TopologyKind::SameLan
-        && c.transport_label == GATE_TRANSPORT
-        && c.clients == GATE_CLIENTS
-        && (c.servers == 1 || c.servers == 4)
-}
-
-/// Runs the full N×M sweep under the parallel job runner.
-pub fn run_shard_section(scale: &Scale, scale_name: &str) -> ShardReport {
-    let quick = scale.duration < SimDuration::from_secs(5 * 60);
-    let cells = cells(quick);
-    let nfiles = scale.nfiles;
-    let rows = run_jobs(&cells, scale.jobs, |cell| {
+/// Runs `cells` under the parallel job runner at `jobs`.
+fn run_cells(cells: &[Cell], scale: &Scale, jobs: usize) -> Vec<ShardRow> {
+    run_jobs(cells, jobs, |cell| {
         let (duration, warmup) = shard_durations(scale, cell.clients);
-        run_cell(cell, duration, warmup, nfiles)
-    });
-    ShardReport {
-        env: EnvMeta::detect(scale_name),
-        rows,
+        run_cell(cell, duration, warmup, scale.nfiles)
+    })
+}
+
+/// The fleet's determinism contract: one cell list, run at two `--jobs`
+/// settings, hashes the same row for row.
+fn same_hashes(a: &[ShardRow], b: &[ShardRow]) -> Result<(), String> {
+    if a.len() != b.len() {
+        return Err(format!("determinism: {} cells vs {}", a.len(), b.len()));
+    }
+    match a.iter().zip(b).find(|(x, y)| x.state_hash != y.state_hash) {
+        Some((x, y)) => Err(format!(
+            "determinism: N={} M={} hashes diverge across jobs settings: \
+             {:#018x} vs {:#018x}",
+            x.clients, x.servers, x.state_hash, y.state_hash
+        )),
+        None => Ok(()),
     }
 }
 
-/// The `repro shard` entry point.
-pub fn shard(scale: &Scale) -> ShardReport {
-    let quick = scale.duration < SimDuration::from_secs(5 * 60);
-    run_shard_section(scale, if quick { "quick" } else { "paper" })
+/// Runs the full N×M sweep under the parallel job runner: the `repro
+/// shard` sweep, and the shard half of `repro bench`.
+pub fn run_shard_section(scale: &Scale) -> ShardReport {
+    let quick = scale.is_quick();
+    ShardReport {
+        env: EnvMeta::detect(if quick { "quick" } else { "paper" }),
+        rows: run_cells(&cells(quick), scale, scale.jobs),
+    }
 }
 
 impl ShardReport {
     /// The LAN scaling gate's two cells, or why they are missing.
     pub fn gate(&self) -> Result<ShardGate, String> {
-        let find = |m: usize| {
-            self.rows.iter().find(|r| {
-                r.topo == "same LAN"
-                    && r.transport == GATE_TRANSPORT
-                    && r.clients == GATE_CLIENTS
-                    && r.servers == m
-            })
-        };
-        let m1 = find(1).ok_or("no LAN M=1 gate cell in the shard report")?;
-        let m4 = find(4).ok_or("no LAN M=4 gate cell in the shard report")?;
-        Ok(ShardGate {
-            clients: GATE_CLIENTS,
-            m1_ops_per_sec: m1.agg_ops_per_sec,
-            m4_ops_per_sec: m4.agg_ops_per_sec,
-        })
+        ShardGate::of(&self.rows)
     }
 
     /// Applies the shard gates to this (freshly measured) report:
@@ -517,26 +491,8 @@ impl ShardReport {
             }
         }
         let gate = self.gate()?;
-        if gate.ratio() < SHARD_SCALING_FLOOR {
-            return Err(format!(
-                "LAN fleet scaling at N={}: M=4 reached {:.1} op/s vs M=1 {:.1} \
-                 ({:.2}x < {SHARD_SCALING_FLOOR:.1}x floor)",
-                gate.clients,
-                gate.m4_ops_per_sec,
-                gate.m1_ops_per_sec,
-                gate.ratio()
-            ));
-        }
-        let m4 = self
-            .rows
-            .iter()
-            .find(|r| {
-                r.topo == "same LAN"
-                    && r.transport == GATE_TRANSPORT
-                    && r.clients == GATE_CLIENTS
-                    && r.servers == 4
-            })
-            .expect("gate() found it");
+        gate.hold_floor()?;
+        let m4 = gate_row(&self.rows, 4)?;
         if m4.fairness < 0.8 {
             return Err(format!(
                 "gate fleet unfair: Jain {:.3} < 0.8 across {} shards",
@@ -641,41 +597,22 @@ pub(crate) fn committed_gate(json: &str) -> Result<(f64, f64), String> {
 /// and durations match the committed sweep exactly) at an explicit
 /// `--jobs` setting.
 fn run_gate_cells(scale: &Scale, jobs: usize) -> Vec<ShardRow> {
-    let quick = scale.duration < SimDuration::from_secs(5 * 60);
-    let gate_cells: Vec<Cell> = cells(quick).into_iter().filter(is_gate_cell).collect();
-    let nfiles = scale.nfiles;
-    run_jobs(&gate_cells, jobs, |cell| {
-        let (duration, warmup) = shard_durations(scale, cell.clients);
-        run_cell(cell, duration, warmup, nfiles)
-    })
+    let gate_cells: Vec<Cell> = cells(scale.is_quick())
+        .into_iter()
+        .filter(|c| is_gate(c.topo.0, c.transport.0, c.clients, c.servers))
+        .collect();
+    run_cells(&gate_cells, scale, jobs)
 }
 
 /// Re-runs the gate cells at `--jobs 2` and insists their state hashes
 /// match the sweep's rows: the fleet's determinism contract, held on
 /// every bench run.
 pub fn determinism_probe(scale: &Scale, report: &ShardReport) -> Result<String, String> {
-    let probe = run_gate_cells(scale, 2);
-    for p in &probe {
-        let swept = report
-            .rows
-            .iter()
-            .find(|r| {
-                r.topo == p.topo
-                    && r.transport == p.transport
-                    && r.clients == p.clients
-                    && r.servers == p.servers
-            })
-            .ok_or(format!(
-                "probe cell N={} M={} missing from the sweep",
-                p.clients, p.servers
-            ))?;
-        if p.state_hash != swept.state_hash {
-            return Err(format!(
-                "determinism: N={} M={} hash {:#018x} at jobs=2 != sweep's {:#018x}",
-                p.clients, p.servers, p.state_hash, swept.state_hash
-            ));
-        }
-    }
+    let swept: Vec<ShardRow> = [1, 4]
+        .into_iter()
+        .map(|m| gate_row(&report.rows, m).cloned())
+        .collect::<Result<_, _>>()?;
+    same_hashes(&swept, &run_gate_cells(scale, 2))?;
     Ok("gate cells byte-identical across jobs 1×2".to_string())
 }
 
@@ -693,46 +630,24 @@ pub fn check_against(committed: &str, scale: &Scale) -> Result<String, String> {
              (< {SHARD_SCALING_FLOOR:.1}x floor)"
         ));
     }
-    let rows1 = run_gate_cells(scale, 1);
-    let rows2 = run_gate_cells(scale, 2);
-    for (a, b) in rows1.iter().zip(&rows2) {
-        if a.state_hash != b.state_hash {
-            return Err(format!(
-                "determinism: N={} M={} hashes diverge across jobs \
-                 settings: {:#018x} vs {:#018x}",
-                a.clients, a.servers, a.state_hash, b.state_hash
-            ));
-        }
-    }
-    let m1 = rows1
-        .iter()
-        .find(|r| r.servers == 1)
-        .ok_or("gate slice lost its M=1 cell")?;
-    let m4 = rows1
-        .iter()
-        .find(|r| r.servers == 4)
-        .ok_or("gate slice lost its M=4 cell")?;
-    let ratio = m4.agg_ops_per_sec / m1.agg_ops_per_sec.max(1e-9);
-    if ratio < SHARD_SCALING_FLOOR {
-        return Err(format!(
-            "fresh LAN fleet scaling is {ratio:.2}x (M=4 {:.1} vs M=1 {:.1} op/s, \
-             floor {SHARD_SCALING_FLOOR:.1}x)",
-            m4.agg_ops_per_sec, m1.agg_ops_per_sec
-        ));
-    }
+    let rows = run_gate_cells(scale, 1);
+    same_hashes(&rows, &run_gate_cells(scale, 2))?;
+    let gate = ShardGate::of(&rows)?;
+    gate.hold_floor().map_err(|e| format!("fresh {e}"))?;
     let floor = c_m4 * (1.0 - CHECK_TOLERANCE);
-    if m4.agg_ops_per_sec < floor {
+    if gate.m4_ops_per_sec < floor {
         return Err(format!(
             "M=4 aggregate throughput regressed: {:.1} op/s vs committed {c_m4:.1} \
              (floor {floor:.1})",
-            m4.agg_ops_per_sec
+            gate.m4_ops_per_sec
         ));
     }
     Ok(format!(
-        "fresh LAN fleet scaling {ratio:.2}x (committed {c_ratio:.2}x), M=4 at \
+        "fresh LAN fleet scaling {:.2}x (committed {c_ratio:.2}x), M=4 at \
          {:.1} op/s vs committed {c_m4:.1}, gate cells byte-identical across \
          jobs 1×2",
-        m4.agg_ops_per_sec
+        gate.ratio(),
+        gate.m4_ops_per_sec
     ))
 }
 
@@ -744,36 +659,13 @@ pub fn check_against(committed: &str, scale: &Scale) -> Result<String, String> {
 pub fn shard_smoke(scale: &Scale) -> Result<String, String> {
     let duration = SimDuration::from_secs(2).min(scale.duration);
     let warmup = SimDuration::from_secs(1);
-    let smoke_cells: Vec<Cell> = [1usize, 2]
-        .iter()
-        .enumerate()
-        .map(|(i, &m)| Cell {
-            topo_label: "same LAN",
-            topo: TopologyKind::SameLan,
-            transport_label: GATE_TRANSPORT,
-            transport: udp_dynamic(),
-            clients: 32,
-            servers: m,
-            rate_per_client: SHARD_RATE_LAN,
-            idx: 9_000 + i,
-        })
-        .collect();
-    let run = |jobs: usize| {
-        run_jobs(&smoke_cells, jobs, |cell| {
-            run_cell(cell, duration, warmup, 20)
-        })
-    };
+    let smoke_cells = [
+        lan_cell(32, 1, SHARD_RATE_LAN, 9_000),
+        lan_cell(32, 2, SHARD_RATE_LAN, 9_001),
+    ];
+    let run = |jobs| run_jobs(&smoke_cells, jobs, |c| run_cell(c, duration, warmup, 20));
     let a = run(1);
-    let b = run(2);
-    for (x, y) in a.iter().zip(&b) {
-        if x.state_hash != y.state_hash {
-            return Err(format!(
-                "smoke hashes diverge at M={}: {:#018x} (jobs=1) vs \
-                 {:#018x} (jobs=2)",
-                x.servers, x.state_hash, y.state_hash
-            ));
-        }
-    }
+    same_hashes(&a, &run(2))?;
     let fleet = &a[1];
     if fleet.shard_rates.iter().any(|&r| r <= 0.0) {
         return Err("smoke M=2 fleet left a shard idle".to_string());
@@ -863,16 +755,7 @@ mod tests {
     /// balanced, and a second run of the cell hashes the same.
     #[test]
     fn small_fleet_cell_routes_shards_deterministically() {
-        let cell = Cell {
-            topo_label: "same LAN",
-            topo: TopologyKind::SameLan,
-            transport_label: GATE_TRANSPORT,
-            transport: udp_dynamic(),
-            clients: 8,
-            servers: 2,
-            rate_per_client: 8.0,
-            idx: 7_700,
-        };
+        let cell = lan_cell(8, 2, 8.0, 7_700);
         let d = SimDuration::from_secs(8);
         let w = SimDuration::from_secs(2);
         let one = run_cell(&cell, d, w, 20);
@@ -894,16 +777,7 @@ mod tests {
     /// a wider fleet multiplies aggregate throughput on the LAN.
     #[test]
     fn fleet_width_scales_lan_aggregate_throughput() {
-        let mk = |servers: usize, idx: usize| Cell {
-            topo_label: "same LAN",
-            topo: TopologyKind::SameLan,
-            transport_label: GATE_TRANSPORT,
-            transport: udp_dynamic(),
-            clients: 48,
-            servers,
-            rate_per_client: SHARD_RATE_LAN,
-            idx,
-        };
+        let mk = |servers: usize, idx: usize| lan_cell(48, servers, SHARD_RATE_LAN, idx);
         let d = SimDuration::from_secs(8);
         let w = SimDuration::from_secs(2);
         let m1 = run_cell(&mk(1, 7_800), d, w, 20);

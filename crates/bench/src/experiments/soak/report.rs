@@ -4,8 +4,6 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use renofs_sim::SimDuration;
-
 use super::run::{run_case, shrink, CaseOutcome, RunOpts};
 use super::world::{derive_world_for, kept_windows, DerivedWorld, SoakCase, SoakProfile};
 use super::{Mutation, PAPER_SEEDS, QUICK_SEEDS};
@@ -257,8 +255,11 @@ pub fn replay_report(case: &SoakCase) -> (String, bool) {
 
 /// The `repro soak` entry point: the default seed range for the scale.
 pub fn soak(scale: &Scale) -> SoakReport {
-    let quick = scale.duration < SimDuration::from_secs(5 * 60);
-    let count = if quick { QUICK_SEEDS } else { PAPER_SEEDS };
+    let count = if scale.is_quick() {
+        QUICK_SEEDS
+    } else {
+        PAPER_SEEDS
+    };
     soak_profile_with(scale, 0, count, Mutation::None, SoakProfile::Quick)
 }
 

@@ -13,23 +13,29 @@
 //! cache, global buffer search) for the Graph 8–9 comparison. Service
 //! returns the reply *plus* a [`ServiceCost`] that the host model turns
 //! into CPU and disk time.
+//!
+//! The server is three files: this one holds the configuration, the
+//! volatile caches a reboot loses, the handle epoch and the RPC envelope
+//! ([`NfsServer::service_from`]: program and version checks, the
+//! procedure filter, the NQNFS recall trailer and the duplicate-request
+//! cache); `procs.rs` holds the per-procedure handlers; `cost.rs` holds
+//! [`ServiceCost`], what a request charges the host model.
+
+mod cost;
+mod procs;
 
 use std::collections::VecDeque;
 
 use renofs_mbuf::{CopyMeter, MbufChain};
 use renofs_sim::SimTime;
 use renofs_sunrpc::{AcceptStat, CallHeader, ReplyHeader, NFS_PROGRAM, NFS_VERSION, NQNFS_VERSION};
-use renofs_vfs::{
-    Buf, BufCache, CacheOrg, FsError, InodeId, MemFs, NameCache, VnodeId, BLOCK_SIZE,
-};
+use renofs_vfs::{BufCache, CacheOrg, FsError, InodeId, MemFs, NameCache};
 use renofs_xdr::{XdrDecoder, XdrEncoder};
 
+pub use self::cost::{DiskOps, DiskOpsIter, ServiceCost};
 pub use crate::lease::LeaseCounts;
 use crate::lease::ServerLeases;
-use crate::proto::{
-    self, decode_args, results, DirEntry, DirEntryPlus, FileHandle, NfsArgs, NfsProc, NfsStatus,
-    RpcCounts, LEASE_MODE_RELEASE, LEASE_MODE_WRITE,
-};
+use crate::proto::{decode_args, FileHandle, NfsProc, NfsStatus, RpcCounts};
 
 /// Server configuration.
 #[derive(Clone, Copy, Debug)]
@@ -84,91 +90,8 @@ impl ServerConfig {
         ServerConfig {
             name_cache: false,
             cache_org: CacheOrg::GlobalList,
-            bufcache_blocks: 256,
-            dup_cache: false,
-            loan_read_pages: false,
-            ambient_blocks: 192,
-            readdir_lookup: false,
-            leases: false,
-            lease_no_reboot_grace: false,
+            ..Self::reno()
         }
-    }
-}
-
-/// Physical work a request incurred, priced by the host model.
-#[derive(Debug, Default)]
-pub struct ServiceCost {
-    /// Which procedure ran (None for garbled requests).
-    pub proc: Option<NfsProc>,
-    /// Buffer-cache search steps.
-    pub cache_steps: u64,
-    /// Directory entries scanned on uncached lookups.
-    pub dir_scan_entries: u64,
-    /// Bytes copied between the buffer cache and mbufs.
-    pub bytes_copied: u64,
-    /// Disk reads issued, in bytes each.
-    pub disk_reads: DiskOps,
-    /// Disk writes issued, in bytes each (write-through: they complete
-    /// before the reply leaves).
-    pub disk_writes: DiskOps,
-    /// The request hit the duplicate-request cache.
-    pub dup_hit: bool,
-}
-
-/// The disk transfers of one request, in issue order, each its size in
-/// bytes: held inline as runs of one size, so recording them allocates
-/// nothing. A request issues at most three writes (data, inode, and an
-/// indirect block past block 12), and its reads — one per uncached block
-/// of the file or directory it touches — are all one size, so three runs
-/// always suffice. A fourth is a server bug, and panics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DiskOps {
-    runs: [(usize, usize); 3],
-    n: usize,
-}
-
-impl DiskOps {
-    /// Records one transfer of `bytes`.
-    pub fn push(&mut self, bytes: usize) {
-        match self.runs[..self.n].last_mut() {
-            Some((b, k)) if *b == bytes => *k += 1,
-            _ => {
-                self.runs[self.n] = (bytes, 1);
-                self.n += 1;
-            }
-        }
-    }
-
-    /// Transfers recorded.
-    pub fn len(&self) -> usize {
-        self.runs[..self.n].iter().map(|&(_, k)| k).sum()
-    }
-
-    /// Whether none were.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Each transfer's size, in issue order.
-    pub fn iter(&self) -> DiskOpsIter<'_> {
-        self.into_iter()
-    }
-}
-
-/// The sizes of a [`DiskOps`], one per transfer.
-pub type DiskOpsIter<'a> = std::iter::FlatMap<
-    std::slice::Iter<'a, (usize, usize)>,
-    std::iter::RepeatN<usize>,
-    fn(&(usize, usize)) -> std::iter::RepeatN<usize>,
->;
-
-impl<'a> IntoIterator for &'a DiskOps {
-    type Item = usize;
-    type IntoIter = DiskOpsIter<'a>;
-
-    fn into_iter(self) -> DiskOpsIter<'a> {
-        let expand: fn(&(usize, usize)) -> _ = |&(bytes, k)| std::iter::repeat_n(bytes, k);
-        self.runs[..self.n].iter().flat_map(expand)
     }
 }
 
@@ -242,13 +165,33 @@ impl DupCache {
 /// clients cannot flush each other's entries before the retry arrives.
 const DUP_CACHE_PER_CLIENT: usize = 128;
 
+/// What a crash loses: the name cache, the buffer cache and the
+/// duplicate-request cache, built empty at boot.
+struct Volatile {
+    namecache: NameCache,
+    bufcache: BufCache,
+    dupcache: Option<DupCache>,
+}
+
+impl Volatile {
+    fn boot(cfg: &ServerConfig, dup_cache_cap: usize) -> Self {
+        let mut namecache = NameCache::new(512);
+        namecache.set_enabled(cfg.name_cache);
+        let mut bufcache = BufCache::new(cfg.cache_org, cfg.bufcache_blocks);
+        bufcache.set_ambient(cfg.ambient_blocks);
+        Volatile {
+            namecache,
+            bufcache,
+            dupcache: cfg.dup_cache.then(|| DupCache::new(dup_cache_cap)),
+        }
+    }
+}
+
 /// The NFS server instance.
 pub struct NfsServer {
     cfg: ServerConfig,
     fs: MemFs,
-    namecache: NameCache,
-    bufcache: BufCache,
-    dupcache: Option<DupCache>,
+    vol: Volatile,
     /// Duplicate-cache capacity in force ([`DUP_CACHE_PER_CLIENT`] ×
     /// client count); survives [`NfsServer::reboot`] because it models
     /// the compiled-in table size, not volatile state.
@@ -272,16 +215,11 @@ pub struct NfsServer {
 impl NfsServer {
     /// Creates a server exporting a fresh filesystem.
     pub fn new(cfg: ServerConfig, now: SimTime) -> Self {
-        let mut namecache = NameCache::new(512);
-        namecache.set_enabled(cfg.name_cache);
-        let mut bufcache = BufCache::new(cfg.cache_org, cfg.bufcache_blocks);
-        bufcache.set_ambient(cfg.ambient_blocks);
+        let vol = Volatile::boot(&cfg, DUP_CACHE_PER_CLIENT);
         NfsServer {
             cfg,
             fs: MemFs::new(now),
-            namecache,
-            bufcache,
-            dupcache: cfg.dup_cache.then(|| DupCache::new(DUP_CACHE_PER_CLIENT)),
+            vol,
             dup_cache_cap: DUP_CACHE_PER_CLIENT,
             meter: CopyMeter::new(),
             stats: ServerStats::default(),
@@ -324,15 +262,7 @@ impl NfsServer {
     /// the root (which the MOUNT protocol re-derives, so it stays valid).
     pub fn reboot(&mut self) {
         self.epoch += 1;
-        let mut namecache = NameCache::new(512);
-        namecache.set_enabled(self.cfg.name_cache);
-        self.namecache = namecache;
-        let mut bufcache = BufCache::new(self.cfg.cache_org, self.cfg.bufcache_blocks);
-        bufcache.set_ambient(self.cfg.ambient_blocks);
-        self.bufcache = bufcache;
-        if self.cfg.dup_cache {
-            self.dupcache = Some(DupCache::new(self.dup_cache_cap));
-        }
+        self.vol = Volatile::boot(&self.cfg, self.dup_cache_cap);
         self.leases
             .reboot(self.cfg.leases && !self.cfg.lease_no_reboot_grace);
     }
@@ -343,8 +273,8 @@ impl NfsServer {
     /// traffic flows.
     pub fn set_client_count(&mut self, clients: usize) {
         self.dup_cache_cap = DUP_CACHE_PER_CLIENT * clients.max(1);
-        if self.cfg.dup_cache {
-            self.dupcache = Some(DupCache::new(self.dup_cache_cap));
+        if let Some(dc) = &mut self.vol.dupcache {
+            *dc = DupCache::new(self.dup_cache_cap);
         }
     }
 
@@ -398,26 +328,17 @@ impl NfsServer {
     ) -> (MbufChain, ServiceCost) {
         let mut cost = ServiceCost::default();
         let mut dec = XdrDecoder::new(request);
-        let header = match CallHeader::decode(&mut dec) {
-            Ok(h) => h,
-            Err(_) => {
-                self.stats.garbage += 1;
-                // Unparseable header: no reply possible (no xid). Return
-                // an empty chain the caller drops.
-                return (MbufChain::new(), cost);
-            }
+        let Ok(header) = CallHeader::decode(&mut dec) else {
+            self.stats.garbage += 1;
+            // Unparseable header: no reply possible (no xid). Return an
+            // empty chain the caller drops.
+            return (MbufChain::new(), cost);
         };
         let xid = header.xid;
         let vers_ok =
             header.vers == NFS_VERSION || (header.vers == NQNFS_VERSION && self.cfg.leases);
         if header.prog != NFS_PROGRAM || !vers_ok {
-            let mut reply = MbufChain::new();
-            ReplyHeader {
-                xid,
-                stat: AcceptStat::ProgUnavail,
-            }
-            .encode(&mut reply, &mut self.meter);
-            return (reply, cost);
+            return (self.reply(xid, AcceptStat::ProgUnavail), cost);
         }
         // NQNFS callers get a one-word recall trailer on every success
         // reply; classic-version traffic stays byte-identical.
@@ -429,46 +350,25 @@ impl NfsServer {
             _ => true,
         };
         let Some(proc) = NfsProc::from_wire(header.proc).filter(|p| proc_supported(*p)) else {
-            let mut reply = MbufChain::new();
-            ReplyHeader {
-                xid,
-                stat: AcceptStat::ProcUnavail,
-            }
-            .encode(&mut reply, &mut self.meter);
-            return (reply, cost);
+            return (self.reply(xid, AcceptStat::ProcUnavail), cost);
         };
         cost.proc = Some(proc);
         // Duplicate-request cache: protect non-idempotent procedures
         // against retransmitted requests.
-        if !proc.is_idempotent() {
-            if let Some(dc) = &self.dupcache {
-                if let Some(reply) = dc.get(client, xid, proc) {
-                    self.stats.dup_hits += 1;
-                    cost.dup_hit = true;
-                    return (reply, cost);
-                }
-            }
-        }
-        let args = match decode_args(proc, &mut dec) {
-            Ok(a) => a,
-            Err(_) => {
-                self.stats.garbage += 1;
-                let mut reply = MbufChain::new();
-                ReplyHeader {
-                    xid,
-                    stat: AcceptStat::GarbageArgs,
-                }
-                .encode(&mut reply, &mut self.meter);
+        let guarded = !proc.is_idempotent();
+        if let Some(dc) = self.vol.dupcache.as_ref().filter(|_| guarded) {
+            if let Some(reply) = dc.get(client, xid, proc) {
+                self.stats.dup_hits += 1;
+                cost.dup_hit = true;
                 return (reply, cost);
             }
+        }
+        let Ok(args) = decode_args(proc, &mut dec) else {
+            self.stats.garbage += 1;
+            return (self.reply(xid, AcceptStat::GarbageArgs), cost);
         };
         self.stats.calls.inc(proc);
-        let mut reply = MbufChain::new();
-        ReplyHeader {
-            xid,
-            stat: AcceptStat::Success,
-        }
-        .encode(&mut reply, &mut self.meter);
+        let mut reply = self.reply(xid, AcceptStat::Success);
         if nq {
             // Piggybacked eviction callback: the inode of one file whose
             // lease this client must vacate (0 = none). Replayed from the
@@ -478,497 +378,26 @@ impl NfsServer {
             XdrEncoder::new(&mut reply, &mut self.meter).put_u32(recall);
         }
         self.dispatch(now, proc, args, client, &mut reply, &mut cost);
-        if !proc.is_idempotent() {
-            if let Some(dc) = &mut self.dupcache {
-                dc.put(client, xid, proc, reply.clone());
-            }
+        if let Some(dc) = self.vol.dupcache.as_mut().filter(|_| guarded) {
+            dc.put(client, xid, proc, reply.clone());
         }
         (reply, cost)
     }
 
-    /// Lease admission for a data access (see [`ServerLeases::admit`]);
-    /// skipped, handle resolution included, unless leases are enabled.
-    fn lease_admit(
-        &mut self,
-        fh: &FileHandle,
-        client: u32,
-        write: bool,
-        now: SimTime,
-    ) -> Result<(), NfsStatus> {
-        if !self.cfg.leases {
-            return Ok(());
-        }
-        let ino = self.resolve(fh).ok().map(|i| i.0);
-        self.leases.admit(ino, client, write, now)
-    }
-
-    fn do_getlease(
-        &mut self,
-        fh: &FileHandle,
-        mode: u32,
-        client: u32,
-        now: SimTime,
-    ) -> Result<(u32, Option<renofs_vfs::Vattr>), NfsStatus> {
-        let ino = self.resolve(fh)?;
-        if mode == LEASE_MODE_RELEASE {
-            self.leases.release(ino.0, client);
-            return Ok((0, None));
-        }
-        let term = self
-            .leases
-            .getlease(ino.0, client, mode == LEASE_MODE_WRITE, now)?;
-        // The grant doubles as a GETATTR so acquisition never costs a
-        // separate revalidation RPC.
-        let attr = self.fs.getattr(ino).map_err(NfsStatus::from)?;
-        Ok((term, Some(attr)))
-    }
-
-    fn dispatch(
-        &mut self,
-        now: SimTime,
-        proc: NfsProc,
-        args: NfsArgs,
-        client: u32,
-        reply: &mut MbufChain,
-        cost: &mut ServiceCost,
-    ) {
-        match (proc, args) {
-            (NfsProc::Null, _) => {}
-            (NfsProc::Getattr, NfsArgs::Handle(fh)) => {
-                let res = self
-                    .resolve(&fh)
-                    .and_then(|ino| self.fs.getattr(ino).map_err(NfsStatus::from));
-                cost.cache_steps += 1;
-                results::put_attrstat(reply, &mut self.meter, &res);
-            }
-            (NfsProc::Setattr, NfsArgs::Setattr(fh, sattr)) => {
-                let res = self.lease_admit(&fh, client, true, now).and_then(|()| {
-                    let ino = self.resolve(&fh)?;
-                    self.fs
-                        .setattr(ino, sattr.size, sattr.mode, sattr.uid, sattr.gid, now)
-                        .map_err(NfsStatus::from)
-                });
-                if res.is_ok() {
-                    cost.disk_writes.push(512); // inode
-                }
-                results::put_attrstat(reply, &mut self.meter, &res);
-            }
-            (NfsProc::Lookup, NfsArgs::DirOp(fh, name)) => {
-                let res = self.do_lookup(&fh, &name, cost);
-                results::put_diropres(reply, &mut self.meter, &res);
-            }
-            (NfsProc::Readlink, NfsArgs::Handle(fh)) => {
-                let res = self
-                    .resolve(&fh)
-                    .and_then(|ino| self.fs.readlink(ino).map_err(NfsStatus::from));
-                results::put_readlinkres(reply, &mut self.meter, &res);
-            }
-            (NfsProc::Read, NfsArgs::Read(fh, offset, count)) => {
-                let res = match self.lease_admit(&fh, client, false, now) {
-                    Ok(()) => self.do_read(&fh, offset, count, now, cost),
-                    Err(s) => Err(s),
-                };
-                results::put_readres(reply, &mut self.meter, res);
-            }
-            (NfsProc::Write, NfsArgs::Write(fh, offset, data)) => {
-                let res = self
-                    .lease_admit(&fh, client, true, now)
-                    .and_then(|()| self.do_write(&fh, offset, data, now, cost));
-                results::put_attrstat(reply, &mut self.meter, &res);
-            }
-            (NfsProc::Create, NfsArgs::Create(fh, name, sattr)) => {
-                let res = self.do_create(&fh, &name, &sattr, now, cost);
-                results::put_diropres(reply, &mut self.meter, &res);
-            }
-            (NfsProc::Mkdir, NfsArgs::Create(fh, name, _sattr)) => {
-                let res = self.resolve(&fh).and_then(|dir| {
-                    let id = self
-                        .fs
-                        .mkdir(dir, &name, 0o755, now)
-                        .map_err(NfsStatus::from)?;
-                    cost.disk_writes.push(512); // dir block
-                    cost.disk_writes.push(512); // inode
-                    self.namecache
-                        .enter(VnodeId(dir.0 as u64), &name, VnodeId(id.0 as u64));
-                    let h = self.handle_for(id).map_err(NfsStatus::from)?;
-                    let a = self.fs.getattr(id).map_err(NfsStatus::from)?;
-                    Ok((h, a))
-                });
-                results::put_diropres(reply, &mut self.meter, &res);
-            }
-            (NfsProc::Remove, NfsArgs::DirOp(fh, name)) => {
-                let res = self.resolve(&fh).and_then(|dir| {
-                    let target = self.fs.lookup(dir, &name).ok();
-                    // Removing a leased file needs the same write
-                    // admission as writing it; a conflicting holder is
-                    // recalled and the remover told to retry. (Inert
-                    // without leases: the table is empty.)
-                    self.leases.admit(target.map(|t| t.0), client, true, now)?;
-                    self.fs.remove(dir, &name, now).map_err(NfsStatus::from)?;
-                    self.namecache.invalidate(VnodeId(dir.0 as u64), &name);
-                    if let Some(t) = target {
-                        self.namecache.purge_vnode(VnodeId(t.0 as u64));
-                        self.bufcache.purge_vnode(VnodeId(t.0 as u64));
-                        self.leases.forget(t.0);
-                    }
-                    cost.disk_writes.push(512); // dir block
-                    cost.disk_writes.push(512); // inode free
-                    Ok(())
-                });
-                results::put_stat(reply, &mut self.meter, status_of(res));
-            }
-            (NfsProc::Rmdir, NfsArgs::DirOp(fh, name)) => {
-                let res = self.resolve(&fh).and_then(|dir| {
-                    let target = self.fs.lookup(dir, &name).ok();
-                    self.fs.rmdir(dir, &name, now).map_err(NfsStatus::from)?;
-                    self.namecache.invalidate(VnodeId(dir.0 as u64), &name);
-                    if let Some(t) = target {
-                        self.namecache.purge_vnode(VnodeId(t.0 as u64));
-                    }
-                    cost.disk_writes.push(512);
-                    cost.disk_writes.push(512);
-                    Ok(())
-                });
-                results::put_stat(reply, &mut self.meter, status_of(res));
-            }
-            (NfsProc::Rename, NfsArgs::Rename(ffh, fname, tfh, tname)) => {
-                let res = self.resolve(&ffh).and_then(|fdir| {
-                    let tdir = self.resolve(&tfh)?;
-                    self.fs
-                        .rename(fdir, &fname, tdir, &tname, now)
-                        .map_err(NfsStatus::from)?;
-                    self.namecache.invalidate(VnodeId(fdir.0 as u64), &fname);
-                    self.namecache.invalidate(VnodeId(tdir.0 as u64), &tname);
-                    cost.disk_writes.push(512);
-                    cost.disk_writes.push(512);
-                    Ok(())
-                });
-                results::put_stat(reply, &mut self.meter, status_of(res));
-            }
-            (NfsProc::Link, NfsArgs::Link(target, dirfh, name)) => {
-                let res = self.resolve(&target).and_then(|t| {
-                    let dir = self.resolve(&dirfh)?;
-                    self.fs.link(t, dir, &name, now).map_err(NfsStatus::from)?;
-                    cost.disk_writes.push(512);
-                    cost.disk_writes.push(512);
-                    Ok(())
-                });
-                results::put_stat(reply, &mut self.meter, status_of(res));
-            }
-            (NfsProc::Symlink, NfsArgs::Symlink(dirfh, name, path)) => {
-                let res = self.resolve(&dirfh).and_then(|dir| {
-                    self.fs
-                        .symlink(dir, &name, &path, now)
-                        .map_err(NfsStatus::from)?;
-                    cost.disk_writes.push(512);
-                    cost.disk_writes.push(512);
-                    Ok(())
-                });
-                results::put_stat(reply, &mut self.meter, status_of(res));
-            }
-            (NfsProc::Readdir, NfsArgs::Readdir(fh, cookie, count)) => {
-                let res = self.do_readdir(&fh, cookie, count, cost);
-                results::put_readdirres(reply, &mut self.meter, &res);
-            }
-            (NfsProc::ReaddirLookup, NfsArgs::ReaddirLookup(fh, cookie, count)) => {
-                let res = self.do_readdir_lookup(&fh, cookie, count, cost);
-                results::put_readdirplusres(reply, &mut self.meter, &res);
-            }
-            (NfsProc::Statfs, NfsArgs::Handle(fh)) => {
-                let res = self.resolve(&fh).map(|_| {
-                    let (bsize, blocks, bfree) = self.fs.statfs();
-                    (proto::NFS_MAXDATA as u32, bsize, blocks, bfree, bfree)
-                });
-                results::put_statfsres(reply, &mut self.meter, &res);
-            }
-            (NfsProc::Getlease, NfsArgs::Getlease(fh, mode)) => {
-                let res = self.do_getlease(&fh, mode, client, now);
-                cost.cache_steps += 1;
-                results::put_leaseres(reply, &mut self.meter, &res);
-            }
-            _ => {
-                // Argument/procedure mismatch can't happen via decode_args.
-                results::put_stat(reply, &mut self.meter, NfsStatus::Io);
-            }
-        }
-    }
-
-    fn do_lookup(
-        &mut self,
-        fh: &FileHandle,
-        name: &str,
-        cost: &mut ServiceCost,
-    ) -> Result<(FileHandle, renofs_vfs::Vattr), NfsStatus> {
-        let dir = self.resolve(fh)?;
-        let dv = VnodeId(dir.0 as u64);
-        let cached = self.namecache.lookup(dv, name);
-        let id = match cached {
-            Some(v) => InodeId(v.0 as u32),
-            None => {
-                // Scan the directory: read its blocks through the buffer
-                // cache, comparing entries.
-                let entries = self.fs.dir_len(dir).map_err(NfsStatus::from)?;
-                cost.dir_scan_entries += (entries as u64).div_ceil(2);
-                let dir_attr = self.fs.getattr(dir).map_err(NfsStatus::from)?;
-                let dir_blocks = (dir_attr.size as usize).div_ceil(BLOCK_SIZE).max(1);
-                for blk in 0..dir_blocks as u64 {
-                    let (hit, steps) = {
-                        let (buf, steps) = self.bufcache.lookup(dv, blk);
-                        (buf.is_some(), steps)
-                    };
-                    cost.cache_steps += steps;
-                    if !hit {
-                        cost.disk_reads.push(BLOCK_SIZE.min(dir_attr.size as usize));
-                        self.fill_dir_block(dv, blk);
-                    }
-                }
-                let id = self.fs.lookup(dir, name).map_err(NfsStatus::from)?;
-                self.namecache.enter(dv, name, VnodeId(id.0 as u64));
-                id
-            }
-        };
-        let h = self.handle_for(id).map_err(NfsStatus::from)?;
-        let a = self.fs.getattr(id).map_err(NfsStatus::from)?;
-        Ok((h, a))
-    }
-
-    /// Caches a directory block, modelled as zeros: its entries live in
-    /// `MemFs`.
-    fn fill_dir_block(&mut self, dv: VnodeId, blk: u64) {
-        let mut block = Buf::new_empty();
-        block.mark_valid();
-        self.bufcache.insert(dv, blk, block);
-    }
-
-    fn do_read(
-        &mut self,
-        fh: &FileHandle,
-        offset: u32,
-        count: u32,
-        now: SimTime,
-        cost: &mut ServiceCost,
-    ) -> Result<(renofs_vfs::Vattr, MbufChain), NfsStatus> {
-        let ino = self.resolve(fh)?;
-        let count = count.min(proto::NFS_MAXDATA as u32);
-        let v = VnodeId(ino.0 as u64);
-        // Touch every block the range covers through the buffer cache.
-        let first_blk = (offset as usize) / BLOCK_SIZE;
-        let last_blk = (offset as usize + count as usize).saturating_sub(1) / BLOCK_SIZE;
-        let attr = self.fs.getattr(ino).map_err(NfsStatus::from)?;
-        for blk in first_blk..=last_blk {
-            if blk * BLOCK_SIZE >= attr.size as usize && attr.size > 0 {
-                break;
-            }
-            let (hit, steps) = {
-                let (buf, steps) = self.bufcache.lookup(v, blk as u64);
-                (buf.is_some(), steps)
-            };
-            cost.cache_steps += steps;
-            if !hit {
-                cost.disk_reads.push(BLOCK_SIZE);
-                let off = (blk * BLOCK_SIZE) as u32;
-                let (block, _) = Buf::fill_valid(|data| {
-                    self.fs.read_into(ino, off, BLOCK_SIZE as u32, now, data)
-                })
-                .map_err(NfsStatus::from)?;
-                self.bufcache.insert(v, blk as u64, block);
-            }
-        }
-        let mut data = std::mem::take(&mut self.io_scratch);
-        let read = self.fs.read_into(ino, offset, count, now, &mut data);
-        let attr = match read.and_then(|_| self.fs.getattr(ino)) {
-            Ok(attr) => attr,
-            Err(e) => {
-                self.io_scratch = data;
-                return Err(NfsStatus::from(e));
-            }
-        };
-        // Buffer cache -> mbuf: the paper's remaining third bottleneck,
-        // unless the page-loaning extension is on.
-        let chain = if self.cfg.loan_read_pages {
-            let mut scratch = CopyMeter::new();
-            MbufChain::from_slice(&data, &mut scratch)
-        } else {
-            cost.bytes_copied += data.len() as u64;
-            MbufChain::from_slice(&data, &mut self.meter)
-        };
-        self.io_scratch = data;
-        Ok((attr, chain))
-    }
-
-    fn do_write(
-        &mut self,
-        fh: &FileHandle,
-        offset: u32,
-        data: MbufChain,
-        now: SimTime,
-        cost: &mut ServiceCost,
-    ) -> Result<renofs_vfs::Vattr, NfsStatus> {
-        let ino = self.resolve(fh)?;
-        // mbuf -> buffer cache copy: charged both to the server's meter and
-        // to the service cost (which prices it into simulated CPU time).
-        let mut bytes = std::mem::take(&mut self.io_scratch);
-        bytes.resize(data.len(), 0);
-        data.copy_out(0, &mut bytes, &mut self.meter);
-        cost.bytes_copied += bytes.len() as u64;
-        let res = self.write_through(ino, offset, &bytes, now, cost);
-        self.io_scratch = bytes;
-        res
-    }
-
-    fn write_through(
-        &mut self,
-        ino: InodeId,
-        offset: u32,
-        bytes: &[u8],
-        now: SimTime,
-        cost: &mut ServiceCost,
-    ) -> Result<renofs_vfs::Vattr, NfsStatus> {
-        let attr = self
-            .fs
-            .write(ino, offset, bytes, now)
-            .map_err(NfsStatus::from)?;
-        // Update the cached block(s).
-        let v = VnodeId(ino.0 as u64);
-        let first_blk = (offset as usize) / BLOCK_SIZE;
-        let last_blk = (offset as usize + bytes.len()).saturating_sub(1) / BLOCK_SIZE;
-        for blk in first_blk..=last_blk {
-            let (found, steps) = {
-                let (buf, steps) = self.bufcache.lookup(v, blk as u64);
-                (buf.is_some(), steps)
-            };
-            cost.cache_steps += steps;
-            if found {
-                let off = (blk * BLOCK_SIZE) as u32;
-                let (fresh, n) = Buf::fill_valid(|data| {
-                    self.fs.read_into(ino, off, BLOCK_SIZE as u32, now, data)
-                })
-                .map_err(NfsStatus::from)?;
-                if let (Some(buf), _) = self.bufcache.lookup(v, blk as u64) {
-                    buf.merge_read(&fresh.data()[..n]);
-                    buf.clear_dirty();
-                }
-            }
-        }
-        // The stateless write-through: data (+ inode, + indirect for
-        // large files) must be on disk before the reply — the paper's
-        // "every write RPC requires 1-3 disk writes on the server".
-        cost.disk_writes.push(bytes.len());
-        cost.disk_writes.push(512); // inode
-        if offset as usize >= 12 * BLOCK_SIZE {
-            cost.disk_writes.push(512); // indirect block
-        }
-        Ok(attr)
-    }
-
-    fn do_create(
-        &mut self,
-        fh: &FileHandle,
-        name: &str,
-        sattr: &crate::proto::Sattr,
-        now: SimTime,
-        cost: &mut ServiceCost,
-    ) -> Result<(FileHandle, renofs_vfs::Vattr), NfsStatus> {
-        let dir = self.resolve(fh)?;
-        let id = self
-            .fs
-            .create(dir, name, sattr.mode.unwrap_or(0o644), now)
-            .map_err(NfsStatus::from)?;
-        if let Some(size) = sattr.size {
-            self.fs
-                .setattr(id, Some(size), None, None, None, now)
-                .map_err(NfsStatus::from)?;
-        }
-        self.namecache
-            .enter(VnodeId(dir.0 as u64), name, VnodeId(id.0 as u64));
-        cost.disk_writes.push(512); // dir block
-        cost.disk_writes.push(512); // inode
-        let h = self.handle_for(id).map_err(NfsStatus::from)?;
-        let a = self.fs.getattr(id).map_err(NfsStatus::from)?;
-        Ok((h, a))
-    }
-
-    fn do_readdir(
-        &mut self,
-        fh: &FileHandle,
-        cookie: u32,
-        count: u32,
-        cost: &mut ServiceCost,
-    ) -> Result<(Vec<DirEntry>, bool), NfsStatus> {
-        let dir = self.resolve(fh)?;
-        // Entries that fit the requested byte count (~24 bytes + name).
-        let max_entries = ((count as usize) / 32).clamp(1, 512);
-        let dv = VnodeId(dir.0 as u64);
-        let attr = self.fs.getattr(dir).map_err(NfsStatus::from)?;
-        let dir_blocks = (attr.size as usize).div_ceil(BLOCK_SIZE).max(1);
-        for blk in 0..dir_blocks as u64 {
-            let (hit, steps) = {
-                let (buf, steps) = self.bufcache.lookup(dv, blk);
-                (buf.is_some(), steps)
-            };
-            cost.cache_steps += steps;
-            if !hit {
-                cost.disk_reads.push(BLOCK_SIZE.min(attr.size as usize));
-                self.fill_dir_block(dv, blk);
-            }
-        }
-        let (raw, eof) = self
-            .fs
-            .readdir(dir, cookie, max_entries)
-            .map_err(NfsStatus::from)?;
-        let entries: Vec<DirEntry> = raw
-            .into_iter()
-            .map(|(cookie, name, id)| DirEntry {
-                fileid: id.0,
-                name,
-                cookie,
-            })
-            .collect();
-        cost.bytes_copied += entries
-            .iter()
-            .map(|e| 24 + e.name.len() as u64)
-            .sum::<u64>();
-        Ok((entries, eof))
-    }
-}
-
-impl NfsServer {
-    fn do_readdir_lookup(
-        &mut self,
-        fh: &FileHandle,
-        cookie: u32,
-        count: u32,
-        cost: &mut ServiceCost,
-    ) -> Result<(Vec<DirEntryPlus>, bool), NfsStatus> {
-        let (entries, eof) = self.do_readdir(fh, cookie, count, cost)?;
-        let dir = self.resolve(fh)?;
-        let dv = VnodeId(dir.0 as u64);
-        let mut out = Vec::with_capacity(entries.len());
-        for e in entries {
-            let id = InodeId(e.fileid);
-            let fh = self.handle_for(id).map_err(NfsStatus::from)?;
-            let attr = self.fs.getattr(id).map_err(NfsStatus::from)?;
-            // Each embedded lookup still touches the caches, but the
-            // per-RPC protocol overhead is paid once.
-            self.namecache.enter(dv, &e.name, VnodeId(id.0 as u64));
-            cost.cache_steps += 1;
-            out.push(DirEntryPlus { entry: e, fh, attr });
-        }
-        Ok((out, eof))
-    }
-}
-
-fn status_of(res: Result<(), NfsStatus>) -> NfsStatus {
-    match res {
-        Ok(()) => NfsStatus::Ok,
-        Err(s) => s,
+    /// A reply message holding just its header.
+    fn reply(&mut self, xid: u32, stat: AcceptStat) -> MbufChain {
+        let mut reply = MbufChain::new();
+        ReplyHeader { xid, stat }.encode(&mut reply, &mut self.meter);
+        reply
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{self, results, LEASE_MODE_RELEASE, LEASE_MODE_WRITE};
     use renofs_sunrpc::AuthUnix;
+    use renofs_vfs::BLOCK_SIZE;
 
     fn t(n: u64) -> SimTime {
         SimTime::from_secs(n)
@@ -1413,7 +842,7 @@ mod tests {
             4 * super::DUP_CACHE_PER_CLIENT,
             "table size is compiled in, not volatile"
         );
-        assert!(s.dupcache.is_some());
+        assert!(s.vol.dupcache.is_some());
     }
 
     #[test]
@@ -1705,6 +1134,25 @@ mod tests {
             results::get_readres(&mut dec).unwrap().is_ok(),
             "no-grace mutant serves state immediately"
         );
+    }
+
+    #[test]
+    fn mkdir_honours_the_requested_mode() {
+        let mut s = server();
+        let root = s.root_handle();
+        let sattr = proto::Sattr {
+            mode: Some(0o700),
+            ..proto::Sattr::default()
+        };
+        let req = call(70, NfsProc::Mkdir, |c, m| {
+            proto::build::create_args(c, m, &root, "private", &sattr)
+        });
+        let (reply, _) = s.service(t(1), &req);
+        let (_, attr) = results::get_diropres(&mut reply_body(&reply))
+            .unwrap()
+            .unwrap();
+        assert_eq!(attr.ftype, renofs_vfs::FileType::Directory);
+        assert_eq!(attr.mode, 0o700);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 # revision when REV is given. With --files it prints one "lines<TAB>file"
 # row per file instead, for gates on single files. Every line-count gate
 # in ROADMAP.md and scripts/check.sh (the size of `crates/core/src/world/`,
-# of `crates/oracle`, no split file over 700 lines, "net negative") is
-# read off this one script.
+# of `crates/oracle`, no file under `crates/` over 700 lines, "net
+# negative") is read off this one script.
 #
 #   scripts/loc.sh [--files] [REV]
 set -euo pipefail
