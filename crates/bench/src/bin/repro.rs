@@ -33,6 +33,13 @@
 //! stdout for any `--jobs` value; per-experiment wall-clock timing goes
 //! to stderr so it never perturbs the comparable output.
 //!
+//! A command line that cannot run as written exits 2 with the reason on
+//! stderr before any world runs: a flag the command would not read
+//! (`--check` is `bench`'s; `--seeds`, `--case`, `--duration`,
+//! `--max-ops`, `--long` and `--lease` are `soak`'s, and a `--case`
+//! replay takes none of the others nor a scale), `--quick` with
+//! `--scale paper`, or `--lease` with `--long`.
+//!
 //! `--profile` prints the self-profiler's subsystem table (events,
 //! wall-clock, allocations) and the event census (pops by kind of event,
 //! stale and live) to stderr after the run. It needs the
@@ -60,7 +67,6 @@ use renofs_bench::experiments::{
 };
 use renofs_bench::lease;
 use renofs_bench::Scale;
-use renofs_workload::andrew::AndrewSpec;
 
 // With the `profile` feature, count every heap allocation so the
 // profiler can attribute them to subsystems; without it, this item
@@ -93,9 +99,19 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// Refuses a command line it cannot run as written: the reason on
+/// stderr, exit status 2, before any world runs.
+fn refuse(why: &str) -> ! {
+    eprintln!("{why}");
+    std::process::exit(2);
+}
+
+#[derive(Default)]
 struct Options {
     what: String,
-    quick: bool,
+    /// `Some(true)` for `--quick`/`--scale quick`, `Some(false)` for
+    /// `--scale paper`; paper scale when neither is given.
+    quick: Option<bool>,
     jobs: usize,
     profile: bool,
     check: bool,
@@ -107,94 +123,113 @@ struct Options {
     lease: bool,
 }
 
+impl Options {
+    fn quick(&self) -> bool {
+        self.quick == Some(true)
+    }
+
+    /// Whether `repro soak` runs one of its dedicated modes rather than
+    /// the default sweep table.
+    fn soak_mode(&self) -> bool {
+        self.seeds.is_some() || self.case.is_some() || self.budget() || self.lease
+    }
+
+    /// Whether `repro soak` runs the streaming budget mode.
+    fn budget(&self) -> bool {
+        self.duration.is_some() || self.max_ops.is_some() || self.long
+    }
+
+    /// The flags given that this command would not read.
+    fn ignored(&self) -> Vec<&'static str> {
+        let soak = [
+            ("--seeds", self.seeds.is_some()),
+            ("--case", self.case.is_some()),
+            ("--duration", self.duration.is_some()),
+            ("--max-ops", self.max_ops.is_some()),
+            ("--long", self.long),
+            ("--lease", self.lease),
+        ];
+        let mut ignored = Vec::new();
+        if self.check && self.what != "bench" {
+            ignored.push("--check");
+        }
+        if self.what != "soak" {
+            ignored.extend(soak.iter().filter(|f| f.1).map(|f| f.0));
+        } else if self.case.is_some() {
+            // A replay is one world, fully named by its spec.
+            let others = soak.iter().filter(|f| f.1 && f.0 != "--case");
+            ignored.extend(others.map(|f| f.0));
+            if self.quick.is_some() {
+                ignored.push("--quick/--scale");
+            }
+        }
+        ignored
+    }
+}
+
+/// A flag's value: a count of at least one.
+fn count<T: std::str::FromStr + PartialOrd + From<u8>>(value: Option<String>) -> T {
+    match value.and_then(|v| v.parse().ok()) {
+        Some(n) if n >= T::from(1) => n,
+        _ => usage(),
+    }
+}
+
 fn parse_args() -> Options {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
+    let mut o = Options {
+        jobs: renofs_bench::runner::default_jobs(),
+        ..Options::default()
+    };
     let mut what = None;
-    let mut quick = false;
-    let mut jobs = renofs_bench::runner::default_jobs();
-    let mut profile = false;
-    let mut check = false;
-    let mut seeds = None;
-    let mut case = None;
-    let mut duration = None;
-    let mut max_ops = None;
-    let mut long = false;
-    let mut lease = false;
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
+    while let Some(a) = args.next() {
+        let mut value = || args.next();
+        let quick = match a.as_str() {
+            "--quick" => Some(true),
+            "--scale" => match value().as_deref() {
+                Some("quick") => Some(true),
+                Some("paper") => Some(false),
+                _ => usage(),
+            },
+            _ => None,
+        };
+        if let Some(q) = quick {
+            if o.quick.replace(q).is_some_and(|was| was != q) {
+                refuse("--quick and --scale paper name two scales; pick one");
+            }
+            continue;
+        }
         match a.as_str() {
-            "--quick" => quick = true,
-            "--scale" => {
-                i += 1;
-                match args.get(i).map(String::as_str) {
-                    Some("quick") => quick = true,
-                    Some("paper") => quick = false,
-                    _ => usage(),
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => n,
-                    _ => usage(),
-                };
-            }
-            "--profile" => profile = true,
-            "--check" => check = true,
-            "--seeds" => {
-                i += 1;
-                seeds = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => Some(n),
-                    _ => usage(),
-                };
-            }
-            "--case" => {
-                i += 1;
-                case = match args.get(i) {
-                    Some(s) => Some(s.clone()),
-                    None => usage(),
-                };
-            }
-            "--duration" => {
-                i += 1;
-                duration = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => Some(n),
-                    _ => usage(),
-                };
-            }
-            "--max-ops" => {
-                i += 1;
-                max_ops = match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(n) if n >= 1 => Some(n),
-                    _ => usage(),
-                };
-            }
-            "--long" => long = true,
-            "--lease" => lease = true,
-            "--help" | "-h" => usage(),
-            _ if a.starts_with("--") => usage(),
+            "--jobs" => o.jobs = count(value()),
+            "--seeds" => o.seeds = Some(count(value())),
+            "--case" => o.case = Some(value().unwrap_or_else(|| usage())),
+            "--duration" => o.duration = Some(count(value())),
+            "--max-ops" => o.max_ops = Some(count(value())),
+            "--profile" => o.profile = true,
+            "--check" => o.check = true,
+            "--long" => o.long = true,
+            "--lease" => o.lease = true,
+            _ if a.starts_with('-') => usage(),
             _ => {
-                if what.replace(a.clone()).is_some() {
+                if what.replace(a).is_some() {
                     usage();
                 }
             }
         }
-        i += 1;
     }
-    Options {
-        what: what.unwrap_or_else(|| "all".to_string()),
-        quick,
-        jobs,
-        profile,
-        check,
-        seeds,
-        case,
-        duration,
-        max_ops,
-        long,
-        lease,
+    o.what = what.unwrap_or_else(|| "all".to_string());
+    let ignored = o.ignored();
+    if !ignored.is_empty() {
+        refuse(&format!(
+            "repro {} would ignore {}",
+            o.what,
+            ignored.join(" ")
+        ));
     }
+    if o.lease && o.long {
+        refuse("--lease and --long name two different world recipes; pick one");
+    }
+    o
 }
 
 /// Dedicated `repro soak` modes: `--seeds N` sweeps seeds `0..N`,
@@ -204,24 +239,15 @@ fn parse_args() -> Options {
 /// when the oracle reports a violation, so CI can gate on a bounded
 /// soak run.
 fn run_soak_mode(opts: &Options, scale: &Scale) {
-    if opts.lease && opts.long {
-        eprintln!("--lease and --long name two different world recipes; pick one");
-        std::process::exit(2);
-    }
     if let Some(spec) = &opts.case {
-        let case = match soak::SoakCase::parse(spec) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("bad --case: {e}");
-                std::process::exit(2);
-            }
-        };
+        let case =
+            soak::SoakCase::parse(spec).unwrap_or_else(|e| refuse(&format!("bad --case: {e}")));
         let (report, violated) = soak::replay_report(&case);
         print!("{report}");
         if violated {
             std::process::exit(1);
         }
-    } else if opts.duration.is_some() || opts.max_ops.is_some() || opts.long {
+    } else if opts.budget() {
         let budget = soak::BudgetOpts {
             wall_limit: opts.duration.map(std::time::Duration::from_secs),
             max_ops: opts.max_ops,
@@ -311,7 +337,7 @@ fn write_report(path: &str, json: String) {
 }
 
 fn run_bench_mode(opts: &Options, scale: &Scale) {
-    let scale_name = if opts.quick { "quick" } else { "paper" };
+    let scale_name = if opts.quick() { "quick" } else { "paper" };
     let lease_report = lease::run_lease_section(scale, scale_name);
     if opts.check {
         // The lease gate holds both the committed BENCH_pr8.json (which
@@ -333,157 +359,72 @@ fn run_bench_mode(opts: &Options, scale: &Scale) {
     }
 }
 
-/// One named experiment: its `repro` subcommand and a closure that runs
-/// it and renders the comparable stdout block.
-type NamedExperiment<'a> = (&'static str, Box<dyn Fn() -> String + 'a>);
+/// One experiment: its `repro` subcommand and the run that renders its
+/// comparable stdout block.
+type Experiment = (&'static str, fn(&Scale) -> String);
 
-/// The dispatch table behind `repro <experiment>` and `repro all`:
-/// every experiment renders to a string so the timing line can bracket
-/// exactly the compute, not the printing.
-fn experiment_list<'a>(
-    scale: &'a Scale,
-    spec: &'a AndrewSpec,
-    jobs: usize,
-) -> Vec<NamedExperiment<'a>> {
-    vec![
-        ("graph1", Box::new(|| transport::graph1(scale).to_string())),
-        ("graph2", Box::new(|| transport::graph2(scale).to_string())),
-        ("graph3", Box::new(|| transport::graph3(scale).to_string())),
-        ("graph4", Box::new(|| transport::graph4(scale).to_string())),
-        ("graph5", Box::new(|| transport::graph5(scale).to_string())),
-        ("table1", Box::new(|| transport::table1(scale).to_string())),
-        ("graph6", Box::new(|| cpu::graph6(scale).to_string())),
-        ("graph7", Box::new(|| trace::graph7(scale).to_string())),
-        ("graph8", Box::new(|| servercmp::graph8(scale).to_string())),
-        ("graph9", Box::new(|| servercmp::graph9(scale).to_string())),
-        (
-            "table2",
-            Box::new(move || mab::table2(spec, jobs).to_string()),
-        ),
-        (
-            "table3",
-            Box::new(move || mab::table3(spec, jobs).to_string()),
-        ),
-        (
-            "table4",
-            Box::new(move || mab::table4(spec, jobs).to_string()),
-        ),
-        ("table5", Box::new(|| cd::table5(scale).to_string())),
-        ("faults", Box::new(|| faults::faults(scale).to_string())),
-        ("crowd", Box::new(|| crowd::crowd(scale).to_string())),
-        ("soak", Box::new(|| soak::soak(scale).to_string())),
-        ("section3", Box::new(|| cpu::section3(scale).to_string())),
-        (
-            "ablation-rto",
-            Box::new(|| ablations::ablation_rto(scale).to_string()),
-        ),
-        (
-            "ablation-slowstart",
-            Box::new(|| ablations::ablation_slowstart(scale).to_string()),
-        ),
-        (
-            "ablation-namelen",
-            Box::new(|| ablations::ablation_namelen(scale).to_string()),
-        ),
-        (
-            "ablation-preload",
-            Box::new(|| ablations::ablation_preload(scale).to_string()),
-        ),
-        (
-            "ablation-rsize",
-            Box::new(|| ablations::ablation_rsize(scale).to_string()),
-        ),
-        (
-            "ablation-readahead",
-            Box::new(|| ablations::ablation_readahead(scale).to_string()),
-        ),
-        (
-            "ablation-readdirplus",
-            Box::new(|| ablations::ablation_readdirplus(scale).to_string()),
-        ),
-        (
-            "ablation-lease",
-            Box::new(|| ablations::ablation_lease(scale).to_string()),
-        ),
-    ]
-}
+/// Every experiment behind `repro <experiment>` and `repro all`, in
+/// order. Each renders to a string so the timing line brackets exactly
+/// the compute, not the printing.
+const EXPERIMENTS: [Experiment; 26] = [
+    ("graph1", |s| transport::graph1(s).to_string()),
+    ("graph2", |s| transport::graph2(s).to_string()),
+    ("graph3", |s| transport::graph3(s).to_string()),
+    ("graph4", |s| transport::graph4(s).to_string()),
+    ("graph5", |s| transport::graph5(s).to_string()),
+    ("table1", |s| transport::table1(s).to_string()),
+    ("graph6", |s| cpu::graph6(s).to_string()),
+    ("graph7", |s| trace::graph7(s).to_string()),
+    ("graph8", |s| servercmp::graph8(s).to_string()),
+    ("graph9", |s| servercmp::graph9(s).to_string()),
+    ("table2", |s| mab::table2(s).to_string()),
+    ("table3", |s| mab::table3(s).to_string()),
+    ("table4", |s| mab::table4(s).to_string()),
+    ("table5", |s| cd::table5(s).to_string()),
+    ("faults", |s| faults::faults(s).to_string()),
+    ("crowd", |s| crowd::crowd(s).to_string()),
+    ("soak", |s| soak::soak(s).to_string()),
+    ("section3", |s| cpu::section3(s).to_string()),
+    ("ablation-rto", |s| ablations::ablation_rto(s).to_string()),
+    ("ablation-slowstart", |s| {
+        ablations::ablation_slowstart(s).to_string()
+    }),
+    ("ablation-namelen", |s| {
+        ablations::ablation_namelen(s).to_string()
+    }),
+    ("ablation-preload", |s| {
+        ablations::ablation_preload(s).to_string()
+    }),
+    ("ablation-rsize", |s| {
+        ablations::ablation_rsize(s).to_string()
+    }),
+    ("ablation-readahead", |s| {
+        ablations::ablation_readahead(s).to_string()
+    }),
+    ("ablation-readdirplus", |s| {
+        ablations::ablation_readdirplus(s).to_string()
+    }),
+    ("ablation-lease", |s| {
+        ablations::ablation_lease(s).to_string()
+    }),
+];
 
-fn main() {
-    let opts = parse_args();
-    let mut scale = if opts.quick {
-        Scale::quick()
-    } else {
-        Scale::paper()
-    };
-    scale.jobs = opts.jobs;
-    let spec = if opts.quick {
-        AndrewSpec::small()
-    } else {
-        AndrewSpec::standard()
-    };
-    let jobs = opts.jobs;
-
-    if opts.profile {
-        renofs_sim::profile::set_enabled(true);
-    }
-
-    if opts.what == "bench" {
-        run_bench_mode(&opts, &scale);
-        if opts.profile {
-            eprint!("{}", renofs_sim::profile::report());
-        }
-        return;
-    }
-
-    if opts.what == "shard" {
-        run_shard_mode(&scale);
-        if opts.profile {
-            eprint!("{}", renofs_sim::profile::report());
-        }
-        return;
-    }
-
-    if opts.what == "shard-smoke" {
-        match shard::shard_smoke(&scale) {
-            Ok(msg) => eprintln!("[shard-smoke] {msg}"),
-            Err(msg) => {
-                eprintln!("[shard-smoke] FAIL: {msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    if opts.what == "soak"
-        && (opts.seeds.is_some()
-            || opts.case.is_some()
-            || opts.duration.is_some()
-            || opts.max_ops.is_some()
-            || opts.long
-            || opts.lease)
-    {
-        run_soak_mode(&opts, &scale);
-        if opts.profile {
-            eprint!("{}", renofs_sim::profile::report());
-        }
-        return;
-    }
-
-    let experiments = experiment_list(&scale, &spec, jobs);
-
-    if opts.what != "all" && !experiments.iter().any(|(n, _)| *n == opts.what) {
-        eprintln!("unknown experiment: {}", opts.what);
+/// `repro <experiment>` and `repro all`: the comparable output on
+/// stdout, one timing line per experiment on stderr.
+fn run_experiments(what: &str, scale: &Scale) {
+    if what != "all" && !EXPERIMENTS.iter().any(|(n, _)| *n == what) {
+        eprintln!("unknown experiment: {what}");
         usage();
     }
-
+    let jobs = scale.jobs;
     let total = Instant::now();
     let mut ran = 0;
-    for (name, exp) in &experiments {
-        if opts.what != "all" && *name != opts.what {
+    for (name, exp) in EXPERIMENTS {
+        if what != "all" && name != what {
             continue;
         }
         let t0 = Instant::now();
-        let output = exp();
+        let output = exp(scale);
         eprintln!(
             "[repro] {name}: {:.2}s (jobs={jobs})",
             t0.elapsed().as_secs_f64()
@@ -496,6 +437,32 @@ fn main() {
             "[repro] total: {:.2}s (jobs={jobs})",
             total.elapsed().as_secs_f64()
         );
+    }
+}
+
+fn main() {
+    let opts = parse_args();
+    let mut scale = if opts.quick() {
+        Scale::quick()
+    } else {
+        Scale::paper()
+    };
+    scale.jobs = opts.jobs;
+    if opts.profile {
+        renofs_sim::profile::set_enabled(true);
+    }
+    match opts.what.as_str() {
+        "bench" => run_bench_mode(&opts, &scale),
+        "shard" => run_shard_mode(&scale),
+        "shard-smoke" => match shard::shard_smoke(&scale) {
+            Ok(msg) => eprintln!("[shard-smoke] {msg}"),
+            Err(msg) => {
+                eprintln!("[shard-smoke] FAIL: {msg}");
+                std::process::exit(1);
+            }
+        },
+        "soak" if opts.soak_mode() => run_soak_mode(&opts, &scale),
+        what => run_experiments(what, &scale),
     }
     if opts.profile {
         eprint!("{}", renofs_sim::profile::report());

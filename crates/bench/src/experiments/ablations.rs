@@ -11,7 +11,7 @@ use renofs_transport::{RtoPolicy, UdpRpcConfig};
 use renofs_workload::createdelete::create_delete_nfs;
 use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig};
 
-use super::{paper_topologies, world_for};
+use super::{labelled, paper_topologies, run_proc};
 use crate::fmt::table;
 use crate::runner::run_jobs;
 use crate::Scale;
@@ -34,12 +34,8 @@ impl Ablation {
             .columns
             .iter()
             .position(|c| c == col)
-            .expect("column exists");
-        self.rows
-            .iter()
-            .find(|(l, _)| l == row)
-            .map(|(_, v)| v[ci])
-            .expect("row exists")
+            .unwrap_or_else(|| panic!("no column {col:?}"));
+        labelled(&self.rows, row, |(l, _)| l.as_str())[0].1[ci]
     }
 }
 
@@ -62,25 +58,22 @@ impl fmt::Display for Ablation {
     }
 }
 
+/// One Nhfsstone run over a custom UDP transport on `topology`, off-peak:
+/// `(rtt ms, achieved/s, retransmits, calls)`.
 fn udp_run(
-    topo: TopologyKind,
+    topology: TopologyKind,
     udp: UdpRpcConfig,
-    mix: LoadMix,
-    rate: f64,
-    scale: &Scale,
+    cfg: &NhfsstoneConfig,
     seed: u64,
 ) -> (f64, f64, u64, u64) {
-    let mut world = world_for(
-        topo,
-        TransportKind::UdpCustom(udp),
-        Background::off_peak(),
+    let mut world = World::new(WorldConfig {
+        topology,
+        background: Background::off_peak(),
+        transport: TransportKind::UdpCustom(udp),
         seed,
-    );
-    let mut cfg = NhfsstoneConfig::paper(rate, mix);
-    cfg.duration = scale.duration;
-    cfg.warmup = scale.warmup;
-    cfg.nfiles = scale.nfiles;
-    let report = nhfsstone::run(&mut world, &cfg);
+        ..WorldConfig::baseline()
+    });
+    let report = nhfsstone::run(&mut world, cfg);
     let stats = world.udp_stats_to(0, 0).expect("udp transport");
     (
         report.rtt_ms.mean(),
@@ -107,21 +100,10 @@ pub fn ablation_rto(scale: &Scale) -> Ablation {
                 small_mult: 2.0,
                 recalc_each_tick: recalc,
             },
-            base_rto: SimDuration::from_secs(1),
-            use_cwnd: true,
-            cwnd_cap: 16,
-            slow_start: false,
-            soft: false,
-            retrans: 4,
+            ..UdpRpcConfig::dynamic_paper(SimDuration::from_secs(1))
         };
-        let (rtt, rate, retrans, calls) = udp_run(
-            TopologyKind::TokenRing,
-            udp,
-            LoadMix::lookup_read(),
-            15.0,
-            scale,
-            0xAB10,
-        );
+        let cfg = scale.nhfsstone(15.0, LoadMix::lookup_read());
+        let (rtt, rate, retrans, calls) = udp_run(TopologyKind::TokenRing, udp, &cfg, 0xAB10);
         let retry_rate = retrans as f64 / calls.max(1) as f64;
         (label.to_string(), vec![rtt, rate, retry_rate * 100.0])
     });
@@ -141,14 +123,8 @@ pub fn ablation_slowstart(scale: &Scale) -> Ablation {
             slow_start,
             ..UdpRpcConfig::dynamic_paper(SimDuration::from_secs(1))
         };
-        let (rtt, rate, retrans, _) = udp_run(
-            TopologyKind::SlowLink,
-            udp,
-            LoadMix::pure_lookup(),
-            4.0,
-            scale,
-            0xAB20,
-        );
+        let cfg = scale.nhfsstone(4.0, LoadMix::pure_lookup());
+        let (rtt, rate, retrans, _) = udp_run(TopologyKind::SlowLink, udp, &cfg, 0xAB20);
         (label.to_string(), vec![rtt, rate, retrans as f64])
     });
     Ablation {
@@ -163,19 +139,14 @@ pub fn ablation_slowstart(scale: &Scale) -> Ablation {
 pub fn ablation_namelen(scale: &Scale) -> Ablation {
     let configs = [("short names (<=31)", false), ("long names (>31)", true)];
     let rows = run_jobs(&configs, scale.jobs, |&(label, long)| {
-        let mut world = world_for(
-            TopologyKind::SameLan,
-            TransportKind::UdpDynamic {
-                timeo: SimDuration::from_secs(1),
-            },
-            Background::quiet(),
-            0xAB30,
-        );
-        let mut cfg = NhfsstoneConfig::paper(25.0, LoadMix::pure_lookup());
-        cfg.duration = scale.duration;
-        cfg.warmup = scale.warmup;
-        cfg.nfiles = scale.nfiles;
-        cfg.long_names = long;
+        let mut world = World::new(WorldConfig {
+            seed: 0xAB30,
+            ..WorldConfig::baseline()
+        });
+        let cfg = NhfsstoneConfig {
+            long_names: long,
+            ..scale.nhfsstone(25.0, LoadMix::pure_lookup())
+        };
         let report = nhfsstone::run(&mut world, &cfg);
         let cpu_ms =
             world.server_host_of(0).cpu.busy_time().as_millis_f64() / report.ops.max(1) as f64;
@@ -193,19 +164,14 @@ pub fn ablation_namelen(scale: &Scale) -> Ablation {
 pub fn ablation_preload(scale: &Scale) -> Ablation {
     let configs = [("empty files", 0u32), ("preloaded 16K", 16 * 1024)];
     let rows = run_jobs(&configs, scale.jobs, |&(label, preload)| {
-        let mut world = world_for(
-            TopologyKind::SameLan,
-            TransportKind::UdpDynamic {
-                timeo: SimDuration::from_secs(1),
-            },
-            Background::quiet(),
-            0xAB40,
-        );
-        let mut cfg = NhfsstoneConfig::paper(15.0, LoadMix::read_heavy());
-        cfg.duration = scale.duration;
-        cfg.warmup = scale.warmup;
-        cfg.nfiles = scale.nfiles;
-        cfg.preload_bytes = preload;
+        let mut world = World::new(WorldConfig {
+            seed: 0xAB40,
+            ..WorldConfig::baseline()
+        });
+        let cfg = NhfsstoneConfig {
+            preload_bytes: preload,
+            ..scale.nhfsstone(15.0, LoadMix::read_heavy())
+        };
         let report = nhfsstone::run(&mut world, &cfg);
         (label.to_string(), vec![report.read_ms.mean()])
     });
@@ -221,19 +187,16 @@ pub fn ablation_preload(scale: &Scale) -> Ablation {
 pub fn ablation_rsize(scale: &Scale) -> Ablation {
     let sizes = [1024u32, 2048, 4096, 8192];
     let rows = run_jobs(&sizes, scale.jobs, |&rsize| {
-        let mut world = world_for(
-            TopologyKind::SlowLink,
-            TransportKind::UdpDynamic {
-                timeo: SimDuration::from_secs(1),
-            },
-            Background::off_peak(),
-            0xAB50 + rsize as u64,
-        );
-        let mut cfg = NhfsstoneConfig::paper(1.0, LoadMix::read_heavy());
-        cfg.duration = scale.duration;
-        cfg.warmup = scale.warmup;
-        cfg.nfiles = scale.nfiles;
-        cfg.read_size = rsize;
+        let mut world = World::new(WorldConfig {
+            topology: TopologyKind::SlowLink,
+            background: Background::off_peak(),
+            seed: 0xAB50 + rsize as u64,
+            ..WorldConfig::baseline()
+        });
+        let cfg = NhfsstoneConfig {
+            read_size: rsize,
+            ..scale.nhfsstone(1.0, LoadMix::read_heavy())
+        };
         let report = nhfsstone::run(&mut world, &cfg);
         let net = world.net_stats();
         let loss = net.reasm_failures as f64 / net.datagrams_sent.max(1) as f64;
@@ -260,12 +223,12 @@ pub fn ablation_rsize(scale: &Scale) -> Ablation {
 pub fn ablation_readahead(scale: &Scale) -> Ablation {
     let depths = [0usize, 1, 2, 4];
     let rows = run_jobs(&depths, scale.jobs, |&depth| {
-        let mut wcfg = WorldConfig::baseline();
-        wcfg.topology = TopologyKind::TokenRing;
-        wcfg.background = Background::quiet();
-        wcfg.biods = 8;
-        wcfg.seed = 0xAB60 + depth as u64;
-        let mut world = World::new(wcfg);
+        let mut world = World::new(WorldConfig {
+            topology: TopologyKind::TokenRing,
+            biods: 8,
+            seed: 0xAB60 + depth as u64,
+            ..WorldConfig::baseline()
+        });
         // A 400K file to stream.
         let root_ino = world.server_of(0).fs().root();
         let data: Vec<u8> = (0..400 * 1024).map(|i| (i % 251) as u8).collect();
@@ -280,8 +243,7 @@ pub fn ablation_readahead(scale: &Scale) -> Ablation {
             .write(ino, 0, &data, renofs_sim::SimTime::ZERO)
             .unwrap();
         let root = world.root_handle();
-        let (tx, rx) = std::sync::mpsc::channel();
-        world.spawn(move |sys| {
+        let elapsed = run_proc(&mut world, move |sys| {
             let cfg = ClientConfig {
                 read_ahead: depth,
                 bufcache_blocks: 16,
@@ -300,11 +262,8 @@ pub fn ablation_readahead(scale: &Scale) -> Ablation {
                 // Simulated per-block processing lets read-ahead overlap.
                 fs.sys().charge_cpu(SimDuration::from_millis(5));
             }
-            let elapsed = fs.sys().now().since(t0);
-            let _ = tx.send(elapsed);
+            fs.sys().now().since(t0)
         });
-        world.run();
-        let elapsed = rx.recv().unwrap();
         (
             format!("read-ahead {depth}"),
             vec![elapsed.as_millis_f64() / 1000.0],
@@ -346,8 +305,7 @@ pub fn ablation_readdirplus(scale: &Scale) -> Ablation {
                 .unwrap();
         }
         let root = world.root_handle();
-        let (tx, rx) = std::sync::mpsc::channel();
-        world.spawn(move |sys| {
+        let (elapsed, counts) = run_proc(&mut world, move |sys| {
             let cfg = ClientConfig {
                 use_readdir_lookup: enabled,
                 ..ClientConfig::reno()
@@ -359,11 +317,8 @@ pub fn ablation_readdirplus(scale: &Scale) -> Ablation {
             for e in &entries {
                 let _ = fs.stat(&format!("/pub/{}", e.name)).unwrap();
             }
-            let elapsed = fs.sys().now().since(t0);
-            let _ = tx.send((elapsed, fs.counts()));
+            (fs.sys().now().since(t0), fs.counts())
         });
-        world.run();
-        let (elapsed, counts) = rx.recv().unwrap();
         (
             label.to_string(),
             vec![
@@ -400,10 +355,10 @@ pub struct LeaseCell {
 /// so the bench gate can compute write-RPC recovery without re-parsing
 /// a rendered table.
 pub fn lease_grid(scale: &Scale) -> Vec<LeaseCell> {
-    let modes: [(&'static str, ClientConfig, bool); 3] = [
-        ("default", ClientConfig::reno(), false),
-        ("lease", ClientConfig::reno_lease(), true),
-        ("no consist", ClientConfig::reno_noconsist(), false),
+    let modes: [(&'static str, ClientConfig); 3] = [
+        ("default", ClientConfig::reno()),
+        ("lease", ClientConfig::reno_lease()),
+        ("no consist", ClientConfig::reno_noconsist()),
     ];
     let topos = paper_topologies();
     let mut jobs = Vec::new();
@@ -416,27 +371,21 @@ pub fn lease_grid(scale: &Scale) -> Vec<LeaseCell> {
     run_jobs(
         &jobs,
         scale.jobs,
-        move |&(mi, ti, (mode, cfg, leases), (topo, kind))| {
-            let mut wcfg = WorldConfig::baseline();
-            wcfg.topology = kind;
-            wcfg.background = Background::quiet();
-            wcfg.transport = TransportKind::UdpDynamic {
-                timeo: SimDuration::from_secs(1),
+        move |&(mi, ti, (mode, cfg), (topo, kind))| {
+            let mut wcfg = WorldConfig {
+                topology: kind,
+                seed: 0xAB80 + (mi * 3 + ti) as u64,
+                ..WorldConfig::baseline()
             };
-            wcfg.biods = 4;
-            wcfg.server.leases = leases;
-            wcfg.seed = 0xAB80 + (mi * 3 + ti) as u64;
+            wcfg.server.leases = cfg.lease;
             let mut world = World::new(wcfg);
             let root = world.root_handle();
-            let (tx, rx) = std::sync::mpsc::channel();
-            world.spawn(move |sys| {
+            let (r, write_rpcs, total_rpcs) = run_proc(&mut world, move |sys| {
                 let mut fs = ClientFs::mount(sys, cfg, root, "client");
                 let r = create_delete_nfs(&mut fs, 100 * 1024, iters).expect("cd runs");
                 let counts = fs.counts();
-                let _ = tx.send((r, counts.count(renofs::NfsProc::Write), counts.total()));
+                (r, counts.count(renofs::NfsProc::Write), counts.total())
             });
-            world.run();
-            let (r, write_rpcs, total_rpcs) = rx.recv().unwrap();
             LeaseCell {
                 mode,
                 topo,
@@ -478,6 +427,17 @@ pub fn ablation_lease(scale: &Scale) -> Ablation {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "no row labelled \"rsize=512\"")]
+    fn value_names_a_missing_row() {
+        let a = Ablation {
+            title: String::new(),
+            columns: vec!["KB/s".into()],
+            rows: vec![("rsize=1024".into(), vec![1.0])],
+        };
+        a.value("rsize=512", "KB/s");
+    }
 
     fn quick() -> Scale {
         let mut s = Scale::quick();

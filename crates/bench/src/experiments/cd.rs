@@ -4,10 +4,10 @@ use std::fmt;
 
 use renofs::client::{ClientConfig, ClientFs, WritePolicy};
 use renofs::server::LeaseCounts;
-use renofs::{NfsProc, TransportKind, World, WorldConfig};
-use renofs_sim::SimDuration;
+use renofs::{NfsProc, World, WorldConfig};
 use renofs_workload::createdelete::{create_delete_local, create_delete_nfs};
 
+use super::{labelled, run_proc};
 use crate::fmt::table;
 use crate::runner::run_jobs;
 use crate::Scale;
@@ -40,11 +40,7 @@ pub struct Table5 {
 impl Table5 {
     /// The ms cell for a row label and size index.
     pub fn cell(&self, label: &str, size_idx: usize) -> f64 {
-        self.rows
-            .iter()
-            .find(|r| r.label == label)
-            .map(|r| r.ms[size_idx])
-            .unwrap_or(0.0)
+        labelled(&self.rows, label, |r| r.label.as_str())[0].ms[size_idx]
     }
 }
 
@@ -107,18 +103,10 @@ impl fmt::Display for Table5 {
     }
 }
 
-/// How one Table 5 row runs its Create-Delete iterations.
-enum RowKind {
-    /// The local-disk baseline.
-    Local,
-    /// NFS with a client config, biod count, and (for the lease row)
-    /// server-side leases.
-    Nfs {
-        cfg: ClientConfig,
-        biods: usize,
-        leases: bool,
-    },
-}
+/// How one Table 5 row runs its Create-Delete iterations: on the local
+/// disk (`None`), or over NFS with a client config and biod count (a
+/// lease mount gets a server that grants leases).
+type RowKind = Option<(ClientConfig, usize)>;
 
 /// One (row, size) cell's results: latency plus the RPC mechanism
 /// behind it.
@@ -130,48 +118,39 @@ struct Cell {
 }
 
 /// One (row, size) cell: a single independent simulation.
-fn run_cell(kind: &RowKind, size_idx: usize, bytes: usize, iters: usize) -> Cell {
+fn run_cell(kind: RowKind, size_idx: usize, bytes: usize, iters: usize) -> Cell {
     match kind {
-        RowKind::Local => {
-            let mut wcfg = WorldConfig::baseline();
-            wcfg.seed = 550 + size_idx as u64;
-            let mut world = World::new(wcfg);
-            let (tx, rx) = std::sync::mpsc::channel();
-            world.spawn(move |sys| {
-                let r = create_delete_local(sys, bytes, iters);
-                let _ = tx.send(r);
+        None => {
+            let mut world = World::new(WorldConfig {
+                seed: 550 + size_idx as u64,
+                ..WorldConfig::baseline()
             });
-            world.run();
+            let r = run_proc(&mut world, move |sys| {
+                create_delete_local(sys, bytes, iters)
+            });
             Cell {
-                ms: rx.recv().unwrap().per_iter.as_millis_f64(),
+                ms: r.per_iter.as_millis_f64(),
                 ..Cell::default()
             }
         }
-        RowKind::Nfs { cfg, biods, leases } => {
-            let cfg = *cfg;
-            let mut wcfg = WorldConfig::baseline();
-            wcfg.transport = TransportKind::UdpDynamic {
-                timeo: SimDuration::from_secs(1),
+        Some((cfg, biods)) => {
+            let mut wcfg = WorldConfig {
+                biods,
+                seed: 500 + size_idx as u64,
+                ..WorldConfig::baseline()
             };
-            wcfg.biods = *biods;
-            wcfg.server.leases = *leases;
-            wcfg.seed = 500 + size_idx as u64;
+            wcfg.server.leases = cfg.lease;
             let mut world = World::new(wcfg);
             let root = world.root_handle();
-            let (tx, rx) = std::sync::mpsc::channel();
-            world.spawn(move |sys| {
+            let (r, write_rpcs) = run_proc(&mut world, move |sys| {
                 let mut fs = ClientFs::mount(sys, cfg, root, "client");
                 let r = create_delete_nfs(&mut fs, bytes, iters).expect("bench runs");
-                let writes = fs.counts().count(NfsProc::Write);
-                let _ = tx.send((r, writes));
+                (r, fs.counts().count(NfsProc::Write))
             });
-            world.run();
-            let (r, write_rpcs) = rx.recv().unwrap();
-            let sstats = world.server_of(0).stats();
             Cell {
                 ms: r.per_iter.as_millis_f64(),
                 write_rpcs,
-                leases: sstats.leases,
+                leases: world.server_of(0).stats().leases,
             }
         }
     }
@@ -180,71 +159,21 @@ fn run_cell(kind: &RowKind, size_idx: usize, bytes: usize, iters: usize) -> Cell
 /// Runs Table 5: every (row, file size) cell is one job.
 pub fn table5(scale: &Scale) -> Table5 {
     let iters = scale.cd_iters;
-    let wt = ClientConfig {
-        write_policy: WritePolicy::WriteThrough,
+    let policy = |write_policy| ClientConfig {
+        write_policy,
         ..ClientConfig::reno()
     };
-    let asyncp = ClientConfig {
-        write_policy: WritePolicy::Async,
-        ..ClientConfig::reno()
-    };
-    let delay = ClientConfig {
-        write_policy: WritePolicy::Delayed,
-        ..ClientConfig::reno()
-    };
-    let specs: Vec<(&str, RowKind)> = vec![
-        ("Local", RowKind::Local),
-        (
-            "write thru",
-            RowKind::Nfs {
-                cfg: wt,
-                biods: 0,
-                leases: false,
-            },
-        ),
-        (
-            "async,4biod",
-            RowKind::Nfs {
-                cfg: asyncp,
-                biods: 4,
-                leases: false,
-            },
-        ),
-        (
-            "async,16biod",
-            RowKind::Nfs {
-                cfg: asyncp,
-                biods: 16,
-                leases: false,
-            },
-        ),
-        (
-            "delay wrt.",
-            RowKind::Nfs {
-                cfg: delay,
-                biods: 4,
-                leases: false,
-            },
-        ),
+    let specs: [(&str, RowKind); 7] = [
+        ("Local", None),
+        ("write thru", Some((policy(WritePolicy::WriteThrough), 0))),
+        ("async,4biod", Some((policy(WritePolicy::Async), 4))),
+        ("async,16biod", Some((policy(WritePolicy::Async), 16))),
+        ("delay wrt.", Some((policy(WritePolicy::Delayed), 4))),
         // The NQNFS row: consistency kept by server-issued leases, yet
         // a created-then-deleted file's data never crosses the wire —
         // the honest chase of the noconsist bound below it.
-        (
-            "lease",
-            RowKind::Nfs {
-                cfg: ClientConfig::reno_lease(),
-                biods: 4,
-                leases: true,
-            },
-        ),
-        (
-            "no consist",
-            RowKind::Nfs {
-                cfg: ClientConfig::reno_noconsist(),
-                biods: 4,
-                leases: false,
-            },
-        ),
+        ("lease", Some((ClientConfig::reno_lease(), 4))),
+        ("no consist", Some((ClientConfig::reno_noconsist(), 4))),
     ];
     let mut jobs = Vec::new();
     for row in 0..specs.len() {
@@ -253,7 +182,7 @@ pub fn table5(scale: &Scale) -> Table5 {
         }
     }
     let cells = run_jobs(&jobs, scale.jobs, |&(row, si, bytes)| {
-        run_cell(&specs[row].1, si, bytes, iters)
+        run_cell(specs[row].1, si, bytes, iters)
     });
     let rows = specs
         .iter()
@@ -282,6 +211,18 @@ pub fn table5(scale: &Scale) -> Table5 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "no row labelled \"write through\"")]
+    fn cell_names_a_missing_row() {
+        let row = Table5Row {
+            label: "write thru".into(),
+            ms: [1.0; 3],
+            write_rpcs: 0,
+            leases: LeaseCounts::default(),
+        };
+        Table5 { rows: vec![row] }.cell("write through", 0);
+    }
 
     #[test]
     fn table5_relationships_hold() {

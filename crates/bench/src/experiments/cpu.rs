@@ -3,13 +3,13 @@
 
 use std::fmt;
 
-use renofs::{HostProfile, TopologyKind, TransportKind, World, WorldConfig};
-use renofs_netsim::topology::presets::Background;
+use renofs::{HostProfile, TransportKind, World, WorldConfig};
 use renofs_netsim::{NicConfig, NicProfile, TxCopyMode};
 use renofs_sim::cpu::CpuCategory;
-use renofs_sim::SimDuration;
-use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig};
+use renofs_sim::SimTime;
+use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig, Spread};
 
+use super::UDP_A4D;
 use crate::fmt::table;
 use crate::runner::run_jobs;
 use crate::Scale;
@@ -66,43 +66,23 @@ impl fmt::Display for Graph6 {
     }
 }
 
+/// One Nhfsstone run from client 0, with the server's CPU accounting
+/// reset once the warm-up has elapsed.
 fn measure_cpu(world: &mut World, cfg: &NhfsstoneConfig) -> CpuPoint {
-    let (dir, files) = nhfsstone::preload_subtree(world, cfg);
-    let measure_from = world.now() + cfg.warmup;
-    let end = measure_from + cfg.duration;
-    let (tx, rx) = std::sync::mpsc::channel();
-    for p in 0..cfg.procs {
-        let cfg = cfg.clone();
-        let files = files.clone();
-        let tx = tx.clone();
-        world.spawn(move |sys| {
-            let samples =
-                nhfsstone::generator_proc(sys, p, &cfg, dir, &files, measure_from, end, None);
-            let _ = tx.send(samples);
-        });
-    }
-    drop(tx);
-    // Reset CPU accounting once the warm-up has elapsed.
-    world.run_until(measure_from);
-    let t0 = world.now();
-    world.server_host_mut(0).cpu.reset_accounting(t0);
-    world.run();
-    let busy = world.server_host_of(0).cpu.busy_time();
-    let util = world
-        .server_host_of(0)
-        .cpu
-        .utilization(world.now().min(end).max(t0));
-    let mut all = Vec::new();
-    while let Ok(mut s) = rx.recv() {
-        all.append(&mut s);
-    }
-    let report = nhfsstone::summarize(all, cfg.duration);
+    let end = world.now() + cfg.warmup + cfg.duration;
+    let mut t0 = SimTime::ZERO;
+    let reset = |world: &mut World| {
+        t0 = world.now();
+        world.server_host_mut(0).cpu.reset_accounting(t0);
+    };
+    let report = nhfsstone::run_spread(world, cfg, Spread::OneClient, reset).remove(0);
+    let cpu = &world.server_host_of(0).cpu;
     CpuPoint {
         offered: cfg.rate_per_sec,
         achieved: report.achieved_rate,
-        utilization: util,
+        utilization: cpu.utilization(world.now().min(end).max(t0)),
         cpu_ms_per_rpc: if report.ops > 0 {
-            busy.as_millis_f64() / report.ops as f64
+            cpu.busy_time().as_millis_f64() / report.ops as f64
         } else {
             0.0
         },
@@ -112,15 +92,7 @@ fn measure_cpu(world: &mut World, cfg: &NhfsstoneConfig) -> CpuPoint {
 /// Runs Graph 6: the read mix at increasing rates over UDP and TCP.
 /// Each (transport, rate) point runs as one independent job.
 pub fn graph6(scale: &Scale) -> Graph6 {
-    let transports = [
-        (
-            "UDP",
-            TransportKind::UdpDynamic {
-                timeo: SimDuration::from_secs(1),
-            },
-        ),
-        ("TCP", TransportKind::Tcp),
-    ];
+    let transports = [("UDP", UDP_A4D), ("TCP", TransportKind::Tcp)];
     let mut jobs = Vec::new();
     for (_, transport) in &transports {
         for &rate in &scale.lan_rates {
@@ -128,15 +100,12 @@ pub fn graph6(scale: &Scale) -> Graph6 {
         }
     }
     let points = run_jobs(&jobs, scale.jobs, |(transport, rate)| {
-        let mut cfg = WorldConfig::baseline();
-        cfg.transport = transport.clone();
-        cfg.seed = 600 + *rate as u64;
-        let mut world = World::new(cfg);
-        let mut ncfg = NhfsstoneConfig::paper(*rate, LoadMix::read_heavy());
-        ncfg.duration = scale.duration;
-        ncfg.warmup = scale.warmup;
-        ncfg.nfiles = scale.nfiles;
-        measure_cpu(&mut world, &ncfg)
+        let mut world = World::new(WorldConfig {
+            transport: transport.clone(),
+            seed: 600 + *rate as u64,
+            ..WorldConfig::baseline()
+        });
+        measure_cpu(&mut world, &scale.nhfsstone(*rate, LoadMix::read_heavy()))
     });
     let lines = transports
         .iter()
@@ -214,22 +183,17 @@ pub fn section3(scale: &Scale) -> Section3 {
             copy_mode: *copy_mode,
             tx_interrupts: *tx_interrupts,
         };
-        let mut cfg = WorldConfig::baseline();
-        cfg.topology = TopologyKind::SameLan;
-        cfg.background = Background::quiet();
-        cfg.server_host = HostProfile {
-            nic,
-            ..HostProfile::microvax_stock()
-        };
-        cfg.seed = 300;
-        let mut world = World::new(cfg);
+        let mut world = World::new(WorldConfig {
+            server_host: HostProfile {
+                nic,
+                ..HostProfile::microvax_stock()
+            },
+            seed: 300,
+            ..WorldConfig::baseline()
+        });
         // A moderate read-heavy load, below saturation so per-RPC CPU is
         // clean.
-        let mut ncfg = NhfsstoneConfig::paper(12.0, LoadMix::read_heavy());
-        ncfg.duration = scale.duration;
-        ncfg.warmup = scale.warmup;
-        ncfg.nfiles = scale.nfiles;
-        let point = measure_cpu(&mut world, &ncfg);
+        let point = measure_cpu(&mut world, &scale.nhfsstone(12.0, LoadMix::read_heavy()));
         let netif = world.server_host_of(0).cpu.busy_in(CpuCategory::NetIf);
         let busy = world.server_host_of(0).cpu.busy_time();
         let share = if !busy.is_zero() {

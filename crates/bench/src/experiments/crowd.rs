@@ -34,11 +34,10 @@
 use std::fmt;
 
 use renofs::{TopologyKind, TransportKind, World, WorldConfig};
-use renofs_netsim::topology::presets::Background;
 use renofs_sim::SimDuration;
-use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig};
+use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig, Spread};
 
-use super::{paper_topologies, paper_transports};
+use super::{jain, paper_topologies, paper_transports, retransmits, UDP_A4D};
 use crate::fmt::table;
 use crate::runner::{point_seed, run_jobs, workload_seed};
 use crate::Scale;
@@ -159,17 +158,6 @@ fn quantile(samples: &mut [f64], q: f64) -> f64 {
     samples[idx]
 }
 
-/// Jain's fairness index `(Σx)² / (n·Σx²)` over per-client rates.
-fn jain(rates: &[f64]) -> f64 {
-    let n = rates.len() as f64;
-    let sum: f64 = rates.iter().sum();
-    let sq: f64 = rates.iter().map(|x| x * x).sum();
-    if sq <= 0.0 {
-        return 0.0;
-    }
-    (sum * sum) / (n * sq)
-}
-
 /// The client-count sweep: at least five points; the paper scale pushes
 /// to the 64-client crowd.
 fn client_counts(quick: bool) -> Vec<usize> {
@@ -207,24 +195,27 @@ fn rate_for(topo: TopologyKind) -> f64 {
 
 /// Runs one cell: an N-client world, the crowd mix from every client.
 fn run_cell(cell: &Cell, duration: SimDuration, warmup: SimDuration, nfiles: usize) -> CrowdRow {
-    let mut cfg = WorldConfig::baseline();
-    cfg.topology = cell.topo;
-    cfg.transport = cell.transport.clone();
-    cfg.background = Background::quiet();
-    cfg.clients = cell.clients;
-    cfg.nfsds = cell.nfsds;
+    let mut cfg = WorldConfig {
+        topology: cell.topo,
+        transport: cell.transport.clone(),
+        clients: cell.clients,
+        nfsds: cell.nfsds,
+        seed: point_seed(0xC40D, cell.idx, 0),
+        ..WorldConfig::baseline()
+    };
     // The tuned server: the dup cache is what makes retransmitted
     // SETATTRs safe, and this experiment measures how often it fires.
     cfg.server.dup_cache = true;
-    cfg.seed = point_seed(0xC40D, cell.idx, 0);
     let mut world = World::new(cfg);
-    let mut ncfg = NhfsstoneConfig::paper(cell.rate_per_client, LoadMix::crowd());
-    ncfg.procs = 2;
-    ncfg.duration = duration;
-    ncfg.warmup = warmup;
-    ncfg.nfiles = nfiles;
-    ncfg.seed = workload_seed(0xC40D, cell.idx);
-    let reports = nhfsstone::run_crowd(&mut world, &ncfg);
+    let ncfg = NhfsstoneConfig {
+        procs: 2,
+        duration,
+        warmup,
+        nfiles,
+        seed: workload_seed(0xC40D, cell.idx),
+        ..NhfsstoneConfig::paper(cell.rate_per_client, LoadMix::crowd())
+    };
+    let reports = nhfsstone::run_spread(&mut world, &ncfg, Spread::EveryClient, |_| {});
     let total_ops: u64 = reports.iter().map(|r| r.ops).sum();
     let rates: Vec<f64> = reports.iter().map(|r| r.achieved_rate).collect();
     let mut rtts: Vec<f64> = reports
@@ -234,13 +225,7 @@ fn run_cell(cell: &Cell, duration: SimDuration, warmup: SimDuration, nfiles: usi
     let p50_ms = quantile(&mut rtts, 0.50);
     let p95_ms = quantile(&mut rtts, 0.95);
     let retrans: u64 = (0..world.client_count())
-        .map(|ci| {
-            world
-                .udp_stats_to(ci, 0)
-                .map(|s| s.retransmits)
-                .or_else(|| world.tcp_stats_to(ci, 0).map(|s| s.retransmits))
-                .unwrap_or(0)
-        })
+        .map(|ci| retransmits(&world, ci, 0))
         .sum();
     let server_stats = world.server_of(0).stats();
     let served = server_stats.total();
@@ -291,9 +276,7 @@ fn cells(counts: &[usize]) -> Vec<Cell> {
             topo_label: "same LAN",
             topo: TopologyKind::SameLan,
             transport_label: "UDP rto=A+4D",
-            transport: TransportKind::UdpDynamic {
-                timeo: SimDuration::from_secs(1),
-            },
+            transport: UDP_A4D,
             clients: 32,
             nfsds,
             rate_per_client: rate_for(TopologyKind::SameLan),

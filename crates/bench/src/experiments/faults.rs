@@ -26,18 +26,16 @@
 //! [`FaultPlan`], so output is byte-identical at any `--jobs` level.
 
 use std::fmt;
-use std::sync::mpsc::channel;
 
 use renofs::Syscalls;
 use renofs::{
     ClientConfig, ClientError, ClientEventKind, ClientFs, MountOptions, TopologyKind,
     TransportKind, World, WorldConfig,
 };
-use renofs_netsim::topology::presets::Background;
 use renofs_netsim::FaultPlan;
 use renofs_sim::{SimDuration, SimTime};
 
-use super::{paper_topologies, paper_transports};
+use super::{paper_topologies, paper_transports, retransmits, run_proc};
 use crate::fmt::table;
 use crate::runner::{point_seed, run_jobs};
 use crate::Scale;
@@ -48,45 +46,48 @@ const FAULT_AT: SimTime = SimTime::from_secs(5);
 /// Virtual pacing between workload iterations.
 const PACING: SimDuration = SimDuration::from_millis(500);
 
-/// A named fault scenario.
+/// A named fault scenario: one fault from [`FAULT_AT`] for `lasts`.
 #[derive(Clone, Copy)]
 struct Scenario {
     label: &'static str,
-    /// Builds the plan; `None` duration entries are encoded per-kind.
     kind: ScenarioKind,
-    /// When the network/server is healthy again.
-    heal: SimTime,
-    /// Soft mounts only make sense over UDP; TCP is inherently hard.
-    udp_only: bool,
-    /// Mount semantics for the cell.
+    lasts: SimDuration,
+    /// Mount semantics for the cell. Soft mounts only make sense over
+    /// UDP; TCP is inherently hard.
     mount: MountOptions,
 }
 
 #[derive(Clone, Copy)]
 enum ScenarioKind {
-    Partition(SimDuration),
-    LossBurst(f64, SimDuration),
-    DupReorder(SimDuration),
-    DelaySpike(SimDuration, SimDuration),
-    Crash(SimDuration),
-    Corrupt(f64, SimDuration),
+    Partition,
+    LossBurst(f64),
+    DupReorder,
+    DelaySpike(SimDuration),
+    Crash,
+    Corrupt(f64),
 }
 
 impl Scenario {
     fn plan(&self) -> FaultPlan {
+        let (at, d) = (FAULT_AT, self.lasts);
         match self.kind {
-            ScenarioKind::Partition(d) => FaultPlan::new().partition(FAULT_AT, d),
-            ScenarioKind::LossBurst(p, d) => FaultPlan::new().loss_burst(FAULT_AT, p, d),
-            ScenarioKind::DupReorder(d) => FaultPlan::new().duplicate(FAULT_AT, 0.15, d).reorder(
-                FAULT_AT,
+            ScenarioKind::Partition => FaultPlan::new().partition(at, d),
+            ScenarioKind::LossBurst(p) => FaultPlan::new().loss_burst(at, p, d),
+            ScenarioKind::DupReorder => FaultPlan::new().duplicate(at, 0.15, d).reorder(
+                at,
                 0.15,
                 SimDuration::from_millis(30),
                 d,
             ),
-            ScenarioKind::DelaySpike(extra, d) => FaultPlan::new().delay_spike(FAULT_AT, extra, d),
-            ScenarioKind::Crash(downtime) => FaultPlan::new().server_crash(FAULT_AT, downtime),
-            ScenarioKind::Corrupt(p, d) => FaultPlan::new().corrupt(FAULT_AT, p, d),
+            ScenarioKind::DelaySpike(extra) => FaultPlan::new().delay_spike(at, extra, d),
+            ScenarioKind::Crash => FaultPlan::new().server_crash(at, d),
+            ScenarioKind::Corrupt(p) => FaultPlan::new().corrupt(at, p, d),
         }
+    }
+
+    /// When the network/server is healthy again.
+    fn heal(&self) -> SimTime {
+        FAULT_AT + self.lasts
     }
 }
 
@@ -94,64 +95,33 @@ impl Scenario {
 /// LAN-only extras keep the matrix (and the smoke-test wall clock)
 /// bounded while still exercising every fault kind.
 fn scenarios(core_only: bool) -> Vec<Scenario> {
-    let hard = MountOptions::hard();
+    let ten = SimDuration::from_secs(10);
+    let hard = |label, kind, lasts| Scenario {
+        label,
+        kind,
+        lasts,
+        mount: MountOptions::hard(),
+    };
     let mut v = vec![
-        Scenario {
-            label: "partition 10s",
-            kind: ScenarioKind::Partition(SimDuration::from_secs(10)),
-            heal: FAULT_AT + SimDuration::from_secs(10),
-            udp_only: false,
-            mount: hard,
-        },
-        Scenario {
-            label: "loss burst 35%",
-            kind: ScenarioKind::LossBurst(0.35, SimDuration::from_secs(10)),
-            heal: FAULT_AT + SimDuration::from_secs(10),
-            udp_only: false,
-            mount: hard,
-        },
-        Scenario {
-            label: "server crash 8s",
-            kind: ScenarioKind::Crash(SimDuration::from_secs(8)),
-            heal: FAULT_AT + SimDuration::from_secs(8),
-            udp_only: false,
-            mount: hard,
-        },
+        hard("partition 10s", ScenarioKind::Partition, ten),
+        hard("loss burst 35%", ScenarioKind::LossBurst(0.35), ten),
+        hard(
+            "server crash 8s",
+            ScenarioKind::Crash,
+            SimDuration::from_secs(8),
+        ),
         // Byte corruption runs on every topology: the decode-path
         // hardening (checksum drops, GARBAGE_ARGS, retransmits — never a
         // panic or a wrong answer) must hold regardless of the path.
-        Scenario {
-            label: "corrupt 20%",
-            kind: ScenarioKind::Corrupt(0.20, SimDuration::from_secs(10)),
-            heal: FAULT_AT + SimDuration::from_secs(10),
-            udp_only: false,
-            mount: hard,
-        },
+        hard("corrupt 20%", ScenarioKind::Corrupt(0.20), ten),
     ];
     if !core_only {
+        let spike = ScenarioKind::DelaySpike(SimDuration::from_millis(150));
+        v.push(hard("dup+reorder 15%", ScenarioKind::DupReorder, ten));
+        v.push(hard("delay spike +150ms", spike, ten));
         v.push(Scenario {
-            label: "dup+reorder 15%",
-            kind: ScenarioKind::DupReorder(SimDuration::from_secs(10)),
-            heal: FAULT_AT + SimDuration::from_secs(10),
-            udp_only: false,
-            mount: hard,
-        });
-        v.push(Scenario {
-            label: "delay spike +150ms",
-            kind: ScenarioKind::DelaySpike(
-                SimDuration::from_millis(150),
-                SimDuration::from_secs(10),
-            ),
-            heal: FAULT_AT + SimDuration::from_secs(10),
-            udp_only: false,
-            mount: hard,
-        });
-        v.push(Scenario {
-            label: "soft partition 10s",
-            kind: ScenarioKind::Partition(SimDuration::from_secs(10)),
-            heal: FAULT_AT + SimDuration::from_secs(10),
-            udp_only: true,
             mount: MountOptions::soft(3),
+            ..hard("soft partition 10s", ScenarioKind::Partition, ten)
         });
     }
     v
@@ -266,27 +236,26 @@ impl fmt::Display for FaultReport {
 
 /// Runs one cell: a paced open/write/close/remove loop across the fault.
 fn run_cell(cell: &Cell, iters: usize) -> FaultRow {
-    let mut cfg = WorldConfig::baseline();
-    cfg.topology = cell.topo;
-    cfg.transport = cell.transport.clone();
-    // Quiet background: the injected faults are the only disturbance,
-    // so the recovery numbers are attributable.
-    cfg.background = Background::quiet();
+    let mut cfg = WorldConfig {
+        topology: cell.topo,
+        transport: cell.transport.clone(),
+        faults: cell.scenario.plan(),
+        mount: cell.scenario.mount,
+        seed: point_seed(0xFA175, cell.idx, 0),
+        ..WorldConfig::baseline()
+    };
     // The tuned server: its dup cache is the defense this experiment
     // measures (`dup hits` counts retransmitted non-idempotent RPCs
-    // answered without re-execution).
+    // answered without re-execution). The background stays quiet: the
+    // injected faults are the only disturbance, so the recovery numbers
+    // are attributable.
     cfg.server.dup_cache = true;
-    cfg.faults = cell.scenario.plan();
-    cfg.mount = cell.scenario.mount;
-    cfg.seed = point_seed(0xFA175, cell.idx, 0);
     let mut world = World::new(cfg);
     let root = world.root_handle();
-    let (tx, rx) = channel();
-    world.spawn(move |sys| {
+    let (completions, anomalies) = run_proc(&mut world, move |sys| {
         let mut fs = ClientFs::mount(sys, ClientConfig::reno(), root, "uvax1");
         let mut completions: Vec<SimTime> = Vec::new();
         let mut anomalies = 0u64;
-        let mut soft_failures = 0u64;
         let payload = [0x5Au8; 2048];
         for i in 0..iters {
             let name = format!("/wrk{i}.tmp");
@@ -299,25 +268,20 @@ fn run_cell(cell: &Cell, iters: usize) -> FaultRow {
             })();
             match result {
                 Ok(()) => completions.push(fs.sys().now()),
-                Err(ClientError::TimedOut) => soft_failures += 1,
+                // A soft mount's `ETIMEDOUT` shows in the console column.
+                Err(ClientError::TimedOut) => {}
                 Err(_) => anomalies += 1,
             }
             fs.sys().sleep(PACING);
         }
-        tx.send((completions, anomalies, soft_failures)).unwrap();
+        (completions, anomalies)
     });
-    world.run();
-    let (completions, anomalies, _soft_failures) = rx.recv().unwrap();
-    let heal = cell.scenario.heal;
+    let heal = cell.scenario.heal();
     let recovery_ms = completions
         .iter()
         .find(|&&t| t >= heal)
         .map(|&t| t.since(heal).as_secs_f64() * 1e3);
-    let retrans = world
-        .udp_stats_to(0, 0)
-        .map(|s| s.retransmits)
-        .or_else(|| world.tcp_stats_to(0, 0).map(|s| s.retransmits))
-        .unwrap_or(0);
+    let retrans = retransmits(&world, 0, 0);
     let ops = completions.len() as u64;
     let events = world.client_events_of(0);
     let count = |k: ClientEventKind| events.iter().filter(|e| e.kind == k).count() as u64;
@@ -356,7 +320,7 @@ pub fn faults(scale: &Scale) -> FaultReport {
         let core_only = topo != TopologyKind::SameLan;
         for scenario in scenarios(core_only) {
             for (transport_label, transport) in paper_transports() {
-                if scenario.udp_only && matches!(transport, TransportKind::Tcp) {
+                if scenario.mount.soft && matches!(transport, TransportKind::Tcp) {
                     continue;
                 }
                 cells.push(Cell {

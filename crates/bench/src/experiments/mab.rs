@@ -4,70 +4,101 @@ use std::fmt;
 
 use renofs::client::ClientFs;
 use renofs::{ClientPreset, HostProfile, NfsProc, ServerPreset, TransportKind, World, WorldConfig};
-use renofs_sim::SimDuration;
 use renofs_workload::andrew::{preload_andrew_source, run_andrew, AndrewReport, AndrewSpec};
 
+use super::{labelled, run_proc, UDP_A4D};
 use crate::fmt::table;
 use crate::runner::run_jobs;
+use crate::Scale;
 
-/// Runs the MAB once for a (client preset, server preset, client
-/// machine) cell.
-pub fn run_mab(
-    client: ClientPreset,
-    server: ServerPreset,
-    client_host: HostProfile,
-    spec: &AndrewSpec,
-    seed: u64,
-) -> AndrewReport {
-    let mut cfg = WorldConfig::baseline();
-    cfg.transport = if client.uses_tcp() {
-        TransportKind::Tcp
+/// One MAB cell: `(row label, client preset, server preset, client
+/// machine)`.
+type MabCell = (&'static str, ClientPreset, ServerPreset, HostProfile);
+
+/// Runs the MAB once for every cell, one job each: the standard tree,
+/// or the reduced one at a quick scale.
+fn run_mab(scale: &Scale, cells: &[MabCell], seed: u64) -> Vec<(String, AndrewReport)> {
+    let spec = if scale.is_quick() {
+        AndrewSpec::small()
     } else {
-        TransportKind::UdpDynamic {
-            timeo: SimDuration::from_secs(1),
-        }
+        AndrewSpec::standard()
     };
-    cfg.server = server.server_config();
-    cfg.server_host = server.host_profile();
-    cfg.client_host = client_host;
-    cfg.seed = seed;
-    let mut world = World::new(cfg);
-    preload_andrew_source(world.server_mut().fs_mut(), spec);
-    let root = world.root_handle();
-    let client_cfg = client.client_config();
-    let spec = spec.clone();
-    let (tx, rx) = std::sync::mpsc::channel();
-    world.spawn(move |sys| {
-        let mut fs = ClientFs::mount(sys, client_cfg, root, "client");
-        let report = run_andrew(&mut fs, &spec).expect("benchmark runs");
-        let _ = tx.send(report);
-    });
-    world.run();
-    rx.recv().expect("report produced")
+    run_jobs(
+        cells,
+        scale.jobs,
+        |&(label, client, server, client_host)| {
+            let mut world = World::new(WorldConfig {
+                transport: if client.uses_tcp() {
+                    TransportKind::Tcp
+                } else {
+                    UDP_A4D
+                },
+                server: server.server_config(),
+                server_host: server.host_profile(),
+                client_host,
+                seed,
+                ..WorldConfig::baseline()
+            });
+            preload_andrew_source(world.server_mut().fs_mut(), &spec);
+            let root = world.root_handle();
+            let client_cfg = client.client_config();
+            let spec = spec.clone();
+            let report = run_proc(&mut world, move |sys| {
+                let mut fs = ClientFs::mount(sys, client_cfg, root, "client");
+                run_andrew(&mut fs, &spec).expect("benchmark runs")
+            });
+            (label.to_string(), report)
+        },
+    )
 }
 
-/// Table 2: MAB wall times on a MicroVAXII client (same Reno server for
-/// every row, per the paper's appendix).
+/// Tables 2 and 4: MAB wall times, one row per client or server
+/// configuration.
 #[derive(Clone, Debug)]
-pub struct Table2 {
+pub struct MabTimes {
+    /// Title line.
+    pub title: &'static str,
+    /// Header of the row-label column.
+    pub what: &'static str,
+    /// The paper's `(row label, phases I–IV s, phase V s)`.
+    pub paper: &'static [(&'static str, f64, f64)],
     /// `(row label, phases I–IV seconds, phase V seconds)`.
     pub rows: Vec<(String, f64, f64)>,
 }
 
-impl fmt::Display for Table2 {
+impl MabTimes {
+    fn run(
+        scale: &Scale,
+        title: &'static str,
+        what: &'static str,
+        paper: &'static [(&'static str, f64, f64)],
+        cells: &[MabCell],
+        seed: u64,
+    ) -> Self {
+        let rows = run_mab(scale, cells, seed)
+            .into_iter()
+            .map(|(label, r)| {
+                let (p14, p5) = (r.phases_1_to_4(), r.phase_5());
+                (label, p14.as_secs_f64(), p5.as_secs_f64())
+            })
+            .collect();
+        MabTimes {
+            title,
+            what,
+            paper,
+            rows,
+        }
+    }
+}
+
+impl fmt::Display for MabTimes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Table 2: Mod Andrew Bench, MicroVAXII client (seconds)")?;
-        let paper: &[(&str, f64, f64)] = &[
-            ("Reno", 145.0, 1253.0),
-            ("Reno-TCP", 143.0, 1265.0),
-            ("Reno-nopush", 132.0, 1208.0),
-            ("Ultrix2.2", 184.0, 1183.0),
-        ];
+        writeln!(f, "{}", self.title)?;
         let rows: Vec<Vec<String>> = self
             .rows
             .iter()
             .map(|(l, p14, p5)| {
-                let reference = paper.iter().find(|(pl, _, _)| pl == l);
+                let reference = self.paper.iter().find(|(pl, _, _)| pl == l);
                 vec![
                     l.clone(),
                     format!("{p14:.0}"),
@@ -78,36 +109,36 @@ impl fmt::Display for Table2 {
                 ]
             })
             .collect();
-        write!(
-            f,
-            "{}",
-            table(&["OS", "I-IV (s)", "V (s)", "paper I-IV/V"], &rows)
-        )
+        let headers = [self.what, "I-IV (s)", "V (s)", "paper I-IV/V"];
+        write!(f, "{}", table(&headers, &rows))
     }
 }
 
-/// Runs Table 2, one job per client preset.
-pub fn table2(spec: &AndrewSpec, jobs: usize) -> Table2 {
-    let presets = [
+/// Table 2: MAB wall times on a MicroVAXII client (same Reno server for
+/// every row, per the paper's appendix), one job per client preset.
+pub fn table2(scale: &Scale) -> MabTimes {
+    let cells = [
         ClientPreset::Reno,
         ClientPreset::RenoTcp,
         ClientPreset::RenoNopush,
         ClientPreset::Ultrix,
-    ];
-    let rows = run_jobs(&presets, jobs, |&preset| {
+    ]
+    .map(|preset| {
         let host = if preset == ClientPreset::Ultrix {
             HostProfile::microvax_stock()
         } else {
             HostProfile::microvax_tuned()
         };
-        let r = run_mab(preset, ServerPreset::Reno, host, spec, 200);
-        (
-            preset.label().to_string(),
-            r.phases_1_to_4().as_secs_f64(),
-            r.phase_5().as_secs_f64(),
-        )
+        (preset.label(), preset, ServerPreset::Reno, host)
     });
-    Table2 { rows }
+    let paper = &[
+        ("Reno", 145.0, 1253.0),
+        ("Reno-TCP", 143.0, 1265.0),
+        ("Reno-nopush", 132.0, 1208.0),
+        ("Ultrix2.2", 184.0, 1183.0),
+    ];
+    let title = "Table 2: Mod Andrew Bench, MicroVAXII client (seconds)";
+    MabTimes::run(scale, title, "OS", paper, &cells, 200)
 }
 
 /// Table 3: MAB RPC counts per procedure.
@@ -120,11 +151,10 @@ pub struct Table3 {
 impl Table3 {
     /// Count for one row + procedure.
     pub fn count(&self, label: &str, proc: NfsProc) -> u64 {
-        self.rows
-            .iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, r)| r.counts.count(proc))
-            .unwrap_or(0)
+        labelled(&self.rows, label, |(l, _)| l.as_str())[0]
+            .1
+            .counts
+            .count(proc)
     }
 }
 
@@ -171,71 +201,35 @@ impl fmt::Display for Table3 {
 }
 
 /// Runs Table 3, one job per client preset.
-pub fn table3(spec: &AndrewSpec, jobs: usize) -> Table3 {
-    let presets = [
+pub fn table3(scale: &Scale) -> Table3 {
+    let cells = [
         ClientPreset::Reno,
         ClientPreset::RenoNoconsist,
         ClientPreset::Ultrix,
-    ];
-    let rows = run_jobs(&presets, jobs, |&preset| {
-        let r = run_mab(
-            preset,
-            ServerPreset::Reno,
-            HostProfile::microvax_tuned(),
-            spec,
-            300,
-        );
-        (preset.label().to_string(), r)
+    ]
+    .map(|preset| {
+        let host = HostProfile::microvax_tuned();
+        (preset.label(), preset, ServerPreset::Reno, host)
     });
-    Table3 { rows }
-}
-
-/// Table 4: MAB on a DS3100 client against both servers.
-#[derive(Clone, Debug)]
-pub struct Table4 {
-    /// `(server label, phases I–IV seconds, phase V seconds)`.
-    pub rows: Vec<(String, f64, f64)>,
-}
-
-impl fmt::Display for Table4 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Table 4: Mod Andrew Bench, DS3100 client (seconds)")?;
-        let paper: &[(&str, f64, f64)] = &[("Reno", 88.0, 180.0), ("Ultrix2.2", 123.0, 226.0)];
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|(l, p14, p5)| {
-                let reference = paper.iter().find(|(pl, _, _)| pl == l);
-                vec![
-                    l.clone(),
-                    format!("{p14:.0}"),
-                    format!("{p5:.0}"),
-                    reference
-                        .map(|(_, a, b)| format!("{a:.0} / {b:.0}"))
-                        .unwrap_or_default(),
-                ]
-            })
-            .collect();
-        write!(
-            f,
-            "{}",
-            table(&["server", "I-IV (s)", "V (s)", "paper I-IV/V"], &rows)
-        )
+    Table3 {
+        rows: run_mab(scale, &cells, 300),
     }
 }
 
-/// Runs Table 4, one job per server preset.
-pub fn table4(spec: &AndrewSpec, jobs: usize) -> Table4 {
-    let servers = [ServerPreset::Reno, ServerPreset::Ultrix];
-    let rows = run_jobs(&servers, jobs, |&server| {
-        let r = run_mab(ClientPreset::Reno, server, HostProfile::ds3100(), spec, 400);
+/// Table 4: MAB on a DS3100 client against both servers, one job per
+/// server preset.
+pub fn table4(scale: &Scale) -> MabTimes {
+    let cells = [ServerPreset::Reno, ServerPreset::Ultrix].map(|server| {
         (
-            server.label().to_string(),
-            r.phases_1_to_4().as_secs_f64(),
-            r.phase_5().as_secs_f64(),
+            server.label(),
+            ClientPreset::Reno,
+            server,
+            HostProfile::ds3100(),
         )
     });
-    Table4 { rows }
+    let paper = &[("Reno", 88.0, 180.0), ("Ultrix2.2", 123.0, 226.0)];
+    let title = "Table 4: Mod Andrew Bench, DS3100 client (seconds)";
+    MabTimes::run(scale, title, "server", paper, &cells, 400)
 }
 
 #[cfg(test)]
@@ -243,9 +237,21 @@ mod tests {
     use super::*;
 
     #[test]
+    #[should_panic(expected = "no row labelled \"Reno-noconsist\"")]
+    fn count_names_a_missing_row() {
+        Table3 { rows: Vec::new() }.count("Reno-noconsist", NfsProc::Read);
+    }
+
+    fn quick() -> Scale {
+        Scale {
+            jobs: 2,
+            ..Scale::quick()
+        }
+    }
+
+    #[test]
     fn table3_orderings_over_the_wire() {
-        let spec = AndrewSpec::small();
-        let t = table3(&spec, 2);
+        let t = table3(&quick());
         let reno_lookups = t.count("Reno", NfsProc::Lookup);
         let ultrix_lookups = t.count("Ultrix2.2", NfsProc::Lookup);
         assert!(
@@ -268,8 +274,7 @@ mod tests {
 
     #[test]
     fn table4_reno_server_faster() {
-        let spec = AndrewSpec::small();
-        let t = table4(&spec, 2);
+        let t = table4(&quick());
         let reno = t.rows.iter().find(|(l, _, _)| l == "Reno").unwrap();
         let ultrix = t.rows.iter().find(|(l, _, _)| l == "Ultrix2.2").unwrap();
         assert!(
@@ -282,8 +287,7 @@ mod tests {
 
     #[test]
     fn table2_runs_all_rows() {
-        let spec = AndrewSpec::small();
-        let t = table2(&spec, 2);
+        let t = table2(&quick());
         assert_eq!(t.rows.len(), 4);
         for (label, p14, p5) in &t.rows {
             assert!(*p14 > 0.0 && *p5 > 0.0, "{label}: {p14} {p5}");

@@ -13,9 +13,14 @@ pub mod soak;
 pub mod trace;
 pub mod transport;
 
-use renofs::{TopologyKind, TransportKind, World, WorldConfig, WorldScratch};
-use renofs_netsim::topology::presets::Background;
+use renofs::{TopologyKind, TransportKind, World, WorldSys};
 use renofs_sim::SimDuration;
+
+/// The paper's tuned UDP mount: A+4D dynamic RTOs over a 1 s `timeo`,
+/// the transport of `WorldConfig::baseline()`.
+pub const UDP_A4D: TransportKind = TransportKind::UdpDynamic {
+    timeo: SimDuration::from_secs(1),
+};
 
 /// The three topologies the paper measures, with their table labels.
 pub fn paper_topologies() -> [(&'static str, TopologyKind); 3] {
@@ -35,48 +40,49 @@ pub fn paper_transports() -> [(&'static str, TransportKind); 3] {
                 timeo: SimDuration::from_secs(1),
             },
         ),
-        (
-            "UDP rto=A+4D",
-            TransportKind::UdpDynamic {
-                timeo: SimDuration::from_secs(1),
-            },
-        ),
+        ("UDP rto=A+4D", UDP_A4D),
         ("TCP", TransportKind::Tcp),
     ]
 }
 
-/// Builds a world for one experimental cell.
-pub fn world_for(
-    topology: TopologyKind,
-    transport: TransportKind,
-    background: Background,
-    seed: u64,
-) -> World {
-    world_for_scratch(
-        topology,
-        transport,
-        background,
-        seed,
-        &WorldScratch::default(),
-    )
+/// Runs `f` as the world's one workload proc, on client 0, and returns
+/// what it returns.
+pub fn run_proc<T: 'static>(world: &mut World, f: impl FnOnce(&mut WorldSys) -> T + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    world.spawn(move |sys| {
+        let _ = tx.send(f(sys));
+    });
+    world.run();
+    rx.recv().expect("the proc returned")
 }
 
-/// Like [`world_for`], but pre-sizes the world's internal buffers from
-/// capacity hints observed on earlier cells of the same sweep
-/// ([`WorldScratch::observe`]), so per-worker steady state allocates
-/// nothing as the sweep progresses. Hints never change results — only
-/// initial `Vec` capacities.
-pub fn world_for_scratch(
-    topology: TopologyKind,
-    transport: TransportKind,
-    background: Background,
-    seed: u64,
-    scratch: &WorldScratch,
-) -> World {
-    let mut cfg = WorldConfig::baseline();
-    cfg.topology = topology;
-    cfg.background = background;
-    cfg.transport = transport;
-    cfg.seed = seed;
-    World::with_scratch(cfg, scratch)
+/// Transport retransmissions on client `ci`'s mount of server `sj`,
+/// UDP or TCP.
+pub fn retransmits(world: &World, ci: usize, sj: usize) -> u64 {
+    world
+        .udp_stats_to(ci, sj)
+        .map(|s| s.retransmits)
+        .or_else(|| world.tcp_stats_to(ci, sj).map(|s| s.retransmits))
+        .unwrap_or(0)
+}
+
+/// Jain's fairness index `(Σx)² / (n·Σx²)` over per-client or
+/// per-shard rates: 1.0 is perfectly fair.
+pub fn jain(rates: &[f64]) -> f64 {
+    let n = rates.len() as f64;
+    let sum: f64 = rates.iter().sum();
+    let sq: f64 = rates.iter().map(|x| x * x).sum();
+    if sq <= 0.0 {
+        return 0.0;
+    }
+    (sum * sum) / (n * sq)
+}
+
+/// The rows labelled `label`, in order. Panics naming the label when no
+/// row carries it: a renamed row must fail the assert that reads it, not
+/// turn it into a comparison against zero.
+pub fn labelled<'a, T>(rows: &'a [T], label: &str, label_of: impl Fn(&T) -> &str) -> Vec<&'a T> {
+    let found: Vec<&T> = rows.iter().filter(|r| label_of(r) == label).collect();
+    assert!(!found.is_empty(), "no row labelled {label:?}");
+    found
 }

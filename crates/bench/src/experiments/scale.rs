@@ -1,6 +1,7 @@
 //! Experiment scaling: paper-length runs vs quick CI runs.
 
 use renofs_sim::SimDuration;
+use renofs_workload::nhfsstone::{LoadMix, NhfsstoneConfig};
 
 /// Controls run lengths and sweep densities.
 #[derive(Clone, Debug)]
@@ -45,6 +46,17 @@ impl Scale {
     /// from `duration` pick their small ones.
     pub fn is_quick(&self) -> bool {
         self.duration < SimDuration::from_secs(5 * 60)
+    }
+
+    /// A paper-style Nhfsstone run of `mix` at `rate` ops/s, measured
+    /// over this scale's interval and warm-up against its subtree size.
+    pub fn nhfsstone(&self, rate: f64, mix: LoadMix) -> NhfsstoneConfig {
+        NhfsstoneConfig {
+            duration: self.duration,
+            warmup: self.warmup,
+            nfiles: self.nfiles,
+            ..NhfsstoneConfig::paper(rate, mix)
+        }
     }
 
     /// Shortened runs for tests and fast iteration.

@@ -8,11 +8,10 @@
 
 use std::fmt;
 
-use renofs::{ServerPreset, TopologyKind, TransportKind, World, WorldConfig};
-use renofs_netsim::topology::presets::Background;
-use renofs_sim::SimDuration;
+use renofs::{ServerPreset, World, WorldConfig};
 use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig};
 
+use super::labelled;
 use crate::fmt::table;
 use crate::runner::run_jobs;
 use crate::Scale;
@@ -29,17 +28,8 @@ pub struct ServerGraph {
 impl ServerGraph {
     /// Mean RTT for one server across the sweep.
     pub fn mean_rtt(&self, label: &str) -> f64 {
-        let xs: Vec<f64> = self
-            .rows
-            .iter()
-            .filter(|(l, _, _, _)| l == label)
-            .map(|(_, _, _, r)| *r)
-            .collect();
-        if xs.is_empty() {
-            0.0
-        } else {
-            xs.iter().sum::<f64>() / xs.len() as f64
-        }
+        let rows = labelled(&self.rows, label, |r| r.0.as_str());
+        rows.iter().map(|r| r.3).sum::<f64>() / rows.len() as f64
     }
 }
 
@@ -78,23 +68,18 @@ fn run_sweep(title: &str, mix: LoadMix, scale: &Scale, seed: u64) -> ServerGraph
         }
     }
     let rows = run_jobs(&jobs, scale.jobs, |&(preset, rate)| {
-        let mut cfg = WorldConfig::baseline();
-        cfg.topology = TopologyKind::SameLan;
-        cfg.background = Background::quiet();
-        cfg.transport = TransportKind::UdpDynamic {
-            timeo: SimDuration::from_secs(1),
-        };
-        cfg.server = preset.server_config();
-        cfg.server_host = preset.host_profile();
-        cfg.seed = seed + rate as u64;
-        let mut world = World::new(cfg);
-        let mut ncfg = NhfsstoneConfig::paper(rate, mix);
-        ncfg.duration = scale.duration;
-        ncfg.warmup = scale.warmup;
-        ncfg.nfiles = scale.nfiles;
+        let mut world = World::new(WorldConfig {
+            server: preset.server_config(),
+            server_host: preset.host_profile(),
+            seed: seed + rate as u64,
+            ..WorldConfig::baseline()
+        });
         // Short names so the server name cache is exercised (the
         // appendix notes Nhfsstone's long names would defeat it).
-        ncfg.long_names = false;
+        let ncfg = NhfsstoneConfig {
+            long_names: false,
+            ..scale.nhfsstone(rate, mix)
+        };
         let report = nhfsstone::run(&mut world, &ncfg);
         (
             preset.label().to_string(),
@@ -132,6 +117,16 @@ pub fn graph9(scale: &Scale) -> ServerGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    #[should_panic(expected = "no row labelled \"Ultrix\"")]
+    fn mean_rtt_names_a_missing_server() {
+        let g = ServerGraph {
+            title: String::new(),
+            rows: vec![("Ultrix2.2".into(), 10.0, 10.0, 5.0)],
+        };
+        g.mean_rtt("Ultrix");
+    }
 
     #[test]
     fn reno_beats_ultrix_and_namecache_explains_only_part() {

@@ -36,12 +36,11 @@
 use std::fmt;
 
 use renofs::{TopologyKind, TransportKind, World, WorldConfig};
-use renofs_netsim::topology::presets::Background;
 use renofs_oracle::fnv1a;
 use renofs_sim::SimDuration;
-use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig, NhfsstoneReport};
+use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig, NhfsstoneReport, Spread};
 
-use super::{paper_topologies, paper_transports};
+use super::{jain, paper_topologies, paper_transports, retransmits};
 use crate::fmt::table;
 use crate::lease::EnvMeta;
 use crate::runner::{point_seed, run_jobs, workload_seed};
@@ -256,17 +255,6 @@ impl fmt::Display for ShardReport {
     }
 }
 
-/// Jain's fairness index `(Σx)² / (n·Σx²)` over per-shard rates.
-fn jain(rates: &[f64]) -> f64 {
-    let n = rates.len() as f64;
-    let sum: f64 = rates.iter().sum();
-    let sq: f64 = rates.iter().map(|x| x * x).sum();
-    if sq <= 0.0 {
-        return 0.0;
-    }
-    (sum * sum) / (n * sq)
-}
-
 /// Measurement window per cell: bigger worlds get shorter windows for a
 /// comparable wall-clock budget.
 fn shard_durations(scale: &Scale, clients: usize) -> (SimDuration, SimDuration) {
@@ -277,15 +265,6 @@ fn shard_durations(scale: &Scale, clients: usize) -> (SimDuration, SimDuration) 
         (false, false) => 8,
     };
     (SimDuration::from_secs(secs), SimDuration::from_secs(1))
-}
-
-/// Retransmissions on client `ci`'s transport to server `sj`, UDP or TCP.
-fn retransmits(world: &World, ci: usize, sj: usize) -> u64 {
-    world
-        .udp_stats_to(ci, sj)
-        .map(|s| s.retransmits)
-        .or_else(|| world.tcp_stats_to(ci, sj).map(|s| s.retransmits))
-        .unwrap_or(0)
 }
 
 /// Digest of everything one cell computed: per-shard sample streams,
@@ -321,25 +300,29 @@ fn state_hash(world: &World, reports: &[NhfsstoneReport]) -> u64 {
 /// Runs one cell: an N-client × M-server world, every client's
 /// generator processes pinned round-robin over the shards.
 fn run_cell(cell: &Cell, duration: SimDuration, warmup: SimDuration, nfiles: usize) -> ShardRow {
-    let mut cfg = WorldConfig::baseline();
-    cfg.topology = cell.topo.1;
-    cfg.transport = cell.transport.1.clone();
-    cfg.background = Background::quiet();
-    cfg.clients = cell.clients;
-    cfg.servers = cell.servers;
-    cfg.nfsds = SHARD_NFSDS;
+    let mut cfg = WorldConfig {
+        topology: cell.topo.1,
+        transport: cell.transport.1.clone(),
+        clients: cell.clients,
+        servers: cell.servers,
+        nfsds: SHARD_NFSDS,
+        seed: point_seed(SHARD_BASE, cell.idx, 0),
+        ..WorldConfig::baseline()
+    };
     cfg.server.dup_cache = true;
-    cfg.seed = point_seed(SHARD_BASE, cell.idx, 0);
     let mut world = World::new(cfg);
-    let mut ncfg = NhfsstoneConfig::paper(cell.rate_per_client, shard_mix());
-    ncfg.procs = 2;
-    ncfg.duration = duration;
-    ncfg.warmup = warmup;
-    ncfg.nfiles = nfiles;
-    // Metadata-only mix: no read payloads, so skip preloading file data.
-    ncfg.preload_bytes = 0;
-    ncfg.seed = workload_seed(SHARD_BASE, cell.idx);
-    let reports = nhfsstone::run_crowd_sharded(&mut world, &ncfg);
+    let ncfg = NhfsstoneConfig {
+        procs: 2,
+        duration,
+        warmup,
+        nfiles,
+        // Metadata-only mix: no read payloads, so skip preloading file
+        // data.
+        preload_bytes: 0,
+        seed: workload_seed(SHARD_BASE, cell.idx),
+        ..NhfsstoneConfig::paper(cell.rate_per_client, shard_mix())
+    };
+    let reports = nhfsstone::run_spread(&mut world, &ncfg, Spread::EveryShard, |_| {});
     let hash = state_hash(&world, &reports);
     let total_ops: u64 = reports.iter().map(|r| r.ops).sum();
     let shard_rates: Vec<f64> = reports.iter().map(|r| r.achieved_rate).collect();

@@ -3,13 +3,12 @@
 
 use std::fmt;
 
-use renofs::TopologyKind;
+use renofs::{TopologyKind, World, WorldConfig};
 use renofs_netsim::topology::presets::Background;
 use renofs_sim::{SimDuration, SimTime};
 use renofs_transport::SrttEstimator;
-use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig};
+use renofs_workload::nhfsstone::{self, LoadMix};
 
-use super::world_for;
 use crate::fmt::table;
 use crate::runner::run_jobs;
 use crate::Scale;
@@ -81,18 +80,13 @@ pub fn graph7(scale: &Scale) -> Graph7 {
     // A single trace, but still routed through the runner so every
     // experiment shares one execution path.
     let mut graphs = run_jobs(&[()], scale.jobs, |_| {
-        let mut world = world_for(
-            TopologyKind::TokenRing,
-            renofs::TransportKind::UdpDynamic {
-                timeo: SimDuration::from_secs(1),
-            },
-            Background::off_peak(),
-            707,
-        );
-        let mut cfg = NhfsstoneConfig::paper(12.0, LoadMix::lookup_read());
-        cfg.duration = scale.duration;
-        cfg.warmup = scale.warmup;
-        cfg.nfiles = scale.nfiles;
+        let mut world = World::new(WorldConfig {
+            topology: TopologyKind::TokenRing,
+            background: Background::off_peak(),
+            seed: 707,
+            ..WorldConfig::baseline()
+        });
+        let cfg = scale.nhfsstone(12.0, LoadMix::lookup_read());
         let report = nhfsstone::run(&mut world, &cfg);
         let mut est = SrttEstimator::new();
         let base = SimDuration::from_secs(1);

@@ -3,11 +3,11 @@
 
 use std::fmt;
 
-use renofs::{TopologyKind, TransportKind, WorldScratch};
+use renofs::{TopologyKind, TransportKind, World, WorldConfig, WorldScratch};
 use renofs_netsim::topology::presets::Background;
 use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig};
 
-use super::{paper_transports, world_for_scratch};
+use super::{paper_transports, retransmits};
 use crate::fmt::table;
 use crate::runner::{point_seed, run_jobs_with, workload_seed};
 use crate::Scale;
@@ -90,46 +90,44 @@ struct PointJob {
     rate: f64,
 }
 
-/// Runs one `PointJob` to completion inside the worker thread. The
-/// `World` is constructed here so it never crosses a thread boundary;
-/// `scratch` carries observed buffer capacities from the worker's
-/// earlier points so later worlds start pre-sized.
-fn measure_point(
+/// The background a topology carries in the paper's sweeps. The paper
+/// measured across production networks; only the 56 Kbps line was quiet
+/// after hours.
+fn background_for(topology: TopologyKind) -> Background {
+    match topology {
+        TopologyKind::TokenRing => Background::production(),
+        TopologyKind::SameLan | TopologyKind::SlowLink => Background::off_peak(),
+    }
+}
+
+/// Runs one Nhfsstone cell on `topology` under its background. The
+/// `World` is built here, inside the worker thread, so it never crosses
+/// a thread boundary; `scratch` carries observed buffer capacities from
+/// the worker's earlier cells so later worlds start pre-sized.
+fn measure(
     scratch: &mut WorldScratch,
-    job: &PointJob,
     topology: TopologyKind,
-    mix: LoadMix,
-    background: Background,
-    scale: &Scale,
+    transport: &TransportKind,
     seed: u64,
+    cfg: &NhfsstoneConfig,
 ) -> GraphPoint {
-    let mut world = world_for_scratch(
+    let wcfg = WorldConfig {
         topology,
-        job.transport.clone(),
-        background,
-        point_seed(seed, job.run, job.rate_idx),
-        scratch,
-    );
-    let mut cfg = NhfsstoneConfig::paper(job.rate, mix);
-    cfg.duration = scale.duration;
-    cfg.warmup = scale.warmup;
-    cfg.nfiles = scale.nfiles;
-    cfg.seed = workload_seed(seed, job.run);
-    let report = nhfsstone::run(&mut world, &cfg);
+        background: background_for(topology),
+        transport: transport.clone(),
+        seed,
+        ..WorldConfig::baseline()
+    };
+    let mut world = World::with_scratch(wcfg, scratch);
+    let report = nhfsstone::run(&mut world, cfg);
     scratch.observe(&world);
-    let retrans = world
-        .udp_stats_to(0, 0)
-        .map(|s| s.retransmits)
-        .or_else(|| world.tcp_stats_to(0, 0).map(|s| s.retransmits))
-        .unwrap_or(0);
-    let reads = report.read_ms.count();
     GraphPoint {
-        offered: job.rate,
+        offered: cfg.rate_per_sec,
         achieved: report.achieved_rate,
         rtt_ms: report.rtt_ms.mean(),
         rtt_sd_ms: report.rtt_ms.stddev(),
-        retransmits: retrans,
-        read_rate: reads as f64 / cfg.duration.as_secs_f64(),
+        retransmits: retransmits(&world, 0, 0),
+        read_rate: report.read_ms.count() as f64 / cfg.duration.as_secs_f64(),
     }
 }
 
@@ -178,13 +176,6 @@ pub fn rtt_vs_load(
     scale: &Scale,
     seed: u64,
 ) -> Graph {
-    // The paper measured across production networks; only the 56 Kbps
-    // line was quiet after hours.
-    let background = match topology {
-        TopologyKind::SameLan => Background::off_peak(),
-        TopologyKind::TokenRing => Background::production(),
-        TopologyKind::SlowLink => Background::off_peak(),
-    };
     let transports = paper_transports();
     let mut jobs = Vec::new();
     for (_, transport) in &transports {
@@ -200,7 +191,12 @@ pub fn rtt_vs_load(
         }
     }
     let points = run_jobs_with(&jobs, scale.jobs, |scratch, job| {
-        measure_point(scratch, job, topology, mix, background, scale, seed)
+        let cfg = NhfsstoneConfig {
+            seed: workload_seed(seed, job.run),
+            ..scale.nhfsstone(job.rate, mix)
+        };
+        let world_seed = point_seed(seed, job.run, job.rate_idx);
+        measure(scratch, topology, &job.transport, world_seed, &cfg)
     });
     // Results arrive in job order: transport-major, then run, then rate.
     let mut lines = Vec::new();
@@ -308,73 +304,35 @@ impl fmt::Display for Table1 {
 /// trickle on the 56 Kbps path, where congestion control shows its
 /// three-fold advantage.
 pub fn table1(scale: &Scale) -> Table1 {
-    struct Cell {
-        conf_label: &'static str,
-        topo: TopologyKind,
-        mix: LoadMix,
-        rate: f64,
-        label: &'static str,
-        transport: TransportKind,
-    }
     let lan_rate = *scale.lan_rates.last().unwrap_or(&30.0);
-    let mut jobs = Vec::new();
-    for (conf_label, topo, mix, rate) in [
-        (
-            "same LAN",
-            TopologyKind::SameLan,
-            LoadMix::lookup_read(),
-            lan_rate,
-        ),
+    let lookup_read = LoadMix::lookup_read();
+    // On the 56 Kbps path, a read probe offered above the link's ~0.6
+    // reads/s capacity: congestion control decides who collapses.
+    let read_only = LoadMix {
+        lookup: 0,
+        read: 100,
+        ..lookup_read
+    };
+    let configs = [
+        ("same LAN", TopologyKind::SameLan, lookup_read, lan_rate),
         (
             "token ring (production load)",
             TopologyKind::TokenRing,
-            LoadMix::lookup_read(),
+            lookup_read,
             lan_rate.min(30.0),
         ),
-        (
-            "56Kbps",
-            TopologyKind::SlowLink,
-            LoadMix {
-                lookup: 0,
-                read: 100,
-                getattr: 0,
-                setattr: 0,
-                write: 0,
-            },
-            1.2,
-        ),
-    ] {
-        for (label, transport) in paper_transports() {
-            jobs.push(Cell {
-                conf_label,
-                topo,
-                mix,
-                rate,
-                label,
-                transport,
-            });
-        }
-    }
-    let rows = run_jobs_with(&jobs, scale.jobs, |scratch: &mut WorldScratch, job| {
-        let bg = if job.topo == TopologyKind::TokenRing {
-            Background::production()
-        } else {
-            Background::off_peak()
-        };
-        let mut world = world_for_scratch(job.topo, job.transport.clone(), bg, 0x7AB1E1, scratch);
-        let mut cfg = NhfsstoneConfig::paper(job.rate, job.mix);
-        cfg.duration = scale.duration;
-        cfg.warmup = scale.warmup;
-        cfg.nfiles = scale.nfiles;
-        if job.topo == TopologyKind::SlowLink {
-            // A read probe offered above the link's ~0.6 reads/s
-            // capacity: congestion control decides who collapses.
-            cfg.procs = 4;
-        }
-        let report = nhfsstone::run(&mut world, &cfg);
-        scratch.observe(&world);
-        let read_rate = report.read_ms.count() as f64 / cfg.duration.as_secs_f64();
-        (job.conf_label.to_string(), job.label.to_string(), read_rate)
+        ("56Kbps", TopologyKind::SlowLink, read_only, 1.2),
+    ];
+    let jobs: Vec<_> = configs
+        .iter()
+        .flat_map(|config| paper_transports().map(|transport| (config, transport)))
+        .collect();
+    let rows = run_jobs_with(&jobs, scale.jobs, |scratch, (config, transport)| {
+        let (conf_label, topo, mix, rate) = **config;
+        let (label, transport) = transport;
+        let cfg = scale.nhfsstone(rate, mix);
+        let point = measure(scratch, topo, transport, 0x7AB1E1, &cfg);
+        (conf_label.to_string(), label.to_string(), point.read_rate)
     });
     Table1 { rows }
 }

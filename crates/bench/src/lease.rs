@@ -24,6 +24,8 @@
 //!    mode that recovered the RPCs by quietly serving stale cache
 //!    would fail here, not pass with an asterisk.
 
+use renofs::server::LeaseCounts;
+
 use crate::experiments::{ablations, soak};
 use crate::Scale;
 
@@ -198,19 +200,19 @@ pub fn run_lease_section(scale: &Scale, scale_name: &str) -> LeaseReport {
         soak::Mutation::None,
         soak::SoakProfile::Lease,
     );
+    let mut leases = LeaseCounts::default();
+    for r in &sweep.rows {
+        leases += r.outcome.leases;
+    }
     LeaseReport {
         scale_name: scale_name.to_string(),
         env: EnvMeta::detect(scale_name),
         topos,
         soak_seeds: SOAK_SEEDS,
         soak_violations: sweep.total_violations(),
-        soak_leases_issued: sweep.rows.iter().map(|r| r.outcome.leases.issued).sum(),
-        soak_recalls: sweep.rows.iter().map(|r| r.outcome.leases.recalls).sum(),
-        soak_vacate_waits: sweep
-            .rows
-            .iter()
-            .map(|r| r.outcome.leases.vacate_waits)
-            .sum(),
+        soak_leases_issued: leases.issued,
+        soak_recalls: leases.recalls,
+        soak_vacate_waits: leases.vacate_waits,
     }
 }
 

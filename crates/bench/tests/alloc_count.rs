@@ -23,7 +23,6 @@ use renofs::syscalls::Loopback;
 use renofs::{
     NfsProc, NfsServer, NfsStatus, ServerConfig, TopologyKind, TransportKind, World, WorldConfig,
 };
-use renofs_bench::experiments::world_for;
 use renofs_mbuf::{CopyMeter, MbufChain};
 use renofs_netsim::topology::presets::Background;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -34,7 +33,7 @@ use renofs_sunrpc::{
 };
 use renofs_vfs::{Buf, BufCache, CacheOrg, NameCache, VnodeId};
 use renofs_workload::andrew::{preload_andrew_source, run_andrew, AndrewSpec};
-use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig};
+use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig, Spread};
 use renofs_xdr::{XdrDecoder, XdrError};
 
 #[global_allocator]
@@ -128,12 +127,12 @@ fn udp() -> TransportKind {
 /// Runs a pure-read LAN workload over `transport` for `secs` simulated
 /// seconds and returns (heap allocations during the run, RPCs completed).
 fn run_reads(transport: TransportKind, secs: u64) -> (u64, u64) {
-    let mut world = world_for(
-        TopologyKind::SameLan,
+    let mut world = World::new(WorldConfig {
         transport,
-        Background::off_peak(),
-        0xA11C,
-    );
+        background: Background::off_peak(),
+        seed: 0xA11C,
+        ..WorldConfig::baseline()
+    });
     let mix = LoadMix {
         lookup: 0,
         read: 100,
@@ -225,7 +224,7 @@ fn run_crowd_16(secs: u64, mix: LoadMix) -> (u64, u64) {
     wcfg.nfiles = 20;
     wcfg.seed = 7;
     let a0 = profile::allocs();
-    let reports = nhfsstone::run_crowd(&mut world, &wcfg);
+    let reports = nhfsstone::run_spread(&mut world, &wcfg, Spread::EveryClient, |_| {});
     let allocs = profile::allocs() - a0;
     let rpcs: u64 = reports.iter().map(|r| r.ops).sum();
     assert!(rpcs > 200, "crowd must complete ops, got {rpcs}");
@@ -317,7 +316,7 @@ fn a_short_crowd_run_allocates_a_bounded_amount_per_client() {
     wcfg.duration = SimDuration::from_secs(4);
     wcfg.warmup = SimDuration::ZERO;
     wcfg.seed = 7;
-    let (dir, files) = nhfsstone::preload_subtree(&mut world, &wcfg);
+    let (dir, files) = nhfsstone::preload_subtree_on(&mut world, 0, &wcfg);
     let end = world.now() + wcfg.duration;
     for ci in 0..CLIENTS {
         let (wcfg, files) = (wcfg.clone(), files.clone());

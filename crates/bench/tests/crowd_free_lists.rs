@@ -12,7 +12,7 @@ use renofs::WorldConfig;
 use renofs_mbuf::pool;
 use renofs_netsim::topology::presets::Background;
 use renofs_sim::SimDuration;
-use renofs_workload::nhfsstone::{run_crowd_sharded, LoadMix, NhfsstoneConfig};
+use renofs_workload::nhfsstone::{run_spread, LoadMix, NhfsstoneConfig, Spread};
 
 fn crowd() {
     let mut w = WorldConfig::baseline();
@@ -36,7 +36,7 @@ fn crowd() {
     n.preload_bytes = 0;
     n.procs = 1;
     let mut world = renofs::World::new(w);
-    let shards = run_crowd_sharded(&mut world, &n);
+    let shards = run_spread(&mut world, &n, Spread::EveryShard, |_| {});
     assert!(shards.iter().all(|r| r.ops > 0), "every shard served");
 }
 

@@ -43,7 +43,18 @@ fn multi_run_aggregation_is_byte_identical_across_worker_counts() {
         serial.contains("(mean of 2 runs)"),
         "aggregated labels expected, got:\n{serial}"
     );
+    // The aggregated numbers themselves, not only their agreement across
+    // worker counts: `Scale::quick()` runs once, so no golden covers
+    // `aggregate_runs`.
+    assert_eq!(
+        renofs_oracle::fnv1a(serial.as_bytes()),
+        MULTI_RUN_FNV,
+        "the two-run graph1 moved:\n{serial}"
+    );
 }
+
+/// FNV-1a of the two-run quick-subset graph1 above.
+const MULTI_RUN_FNV: u64 = 0x54d5_016f_1a21_043d;
 
 #[test]
 fn faults_is_byte_identical_across_worker_counts() {

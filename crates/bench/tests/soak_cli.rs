@@ -1,23 +1,49 @@
-//! `repro soak` refuses what it cannot run as written, with exit status
-//! 2 and the reason on stderr, before any world runs: a `--case` that
-//! is not a sub-world of its seed (every such reason is checked in
-//! `case_roundtrips_through_the_cli_encoding`), and two world recipes at
-//! once.
+//! `repro` refuses what it cannot run as written, with exit status 2 and
+//! the reason on stderr, before any world runs: a malformed value, a
+//! flag the command would ignore, two scales or two world recipes at
+//! once, and a `--case` that is not a sub-world of its seed (every such
+//! reason is checked in `case_roundtrips_through_the_cli_encoding`).
 
 use std::process::Command;
 
 #[test]
-fn soak_rejects_cases_outside_their_seed_and_mixed_recipes() {
-    let rejected: [(&[&str], &str); 2] = [
+fn repro_rejects_bad_and_ignored_flags() {
+    let rejected: [(&[&str], &str); 12] = [
+        (&["graph1", "--jobs", "0"], "usage:"),
+        (&["graph1", "--scale", "huge"], "usage:"),
+        (&["soak", "--seeds"], "usage:"),
+        (&["graph1", "--quick", "--scale", "paper"], "two scales"),
+        (&["table5", "--check"], "repro table5 would ignore --check"),
         (
-            &["--case", "seed=3,clients=0"],
+            &[
+                "graph7", "--scale", "quick", "--seeds", "5", "--check", "--lease",
+            ],
+            "repro graph7 would ignore --check --seeds --lease",
+        ),
+        (
+            &["bench", "--duration", "5", "--max-ops", "9", "--long"],
+            "repro bench would ignore --duration --max-ops --long",
+        ),
+        (
+            &["all", "--case", "seed=1"],
+            "repro all would ignore --case",
+        ),
+        (
+            &["soak", "--case", "seed=1", "--seeds", "2", "--quick"],
+            "repro soak would ignore --seeds --quick/--scale",
+        ),
+        (
+            &["soak", "--case", "seed=3,clients=0"],
             "clients=0 is outside 1..=3",
         ),
-        (&["--lease", "--long", "--seeds", "1"], "--lease and --long"),
+        (
+            &["soak", "--lease", "--long", "--seeds", "1"],
+            "--lease and --long",
+        ),
+        (&["graph10", "--quick"], "unknown experiment: graph10"),
     ];
     for (args, why) in rejected {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .arg("soak")
             .args(args)
             .output()
             .expect("repro runs");

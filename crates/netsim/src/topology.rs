@@ -418,8 +418,13 @@ pub mod presets {
         "server1", "server2", "server3", "server4", "server5", "server6", "server7", "server8",
     ];
 
-    fn server_name(j: usize) -> &'static str {
-        SERVER_NAMES.get(j).copied().unwrap_or("server")
+    /// Server `j` of `m`: a lone server keeps the single-client presets'
+    /// name.
+    fn server_name(j: usize, m: usize) -> &'static str {
+        match m {
+            1 => "server",
+            _ => SERVER_NAMES.get(j).copied().unwrap_or("server"),
+        }
     }
 
     /// A multiport bridge joining hosts on one LAN segment: store-and-
@@ -431,91 +436,11 @@ pub mod presets {
         }
     }
 
-    /// Configuration 1 scaled to `n` clients. `n == 1` is exactly
-    /// [`same_lan`]; for larger communities each client gets its own
-    /// drop onto a bridge, and the bridge–server Ethernet carries the
-    /// aggregate — the shared segment every client's traffic contends
-    /// for, just as on a real thickwire LAN.
-    ///
-    /// Returns `(topology, clients, server)`.
-    pub fn same_lan_n(bg: &Background, n: usize) -> (Topology, Vec<NodeId>, NodeId) {
-        assert!(n >= 1, "at least one client");
-        if n == 1 {
-            let (t, c, s) = same_lan(bg);
-            return (t, vec![c], s);
-        }
-        let mut t = Topology::new();
-        let clients: Vec<NodeId> = (0..n)
-            .map(|i| t.add_node(client_name(i), NodeKind::Host))
-            .collect();
-        let hub = t.add_node("hub", bridge());
-        let server = t.add_node("server", NodeKind::Host);
-        for &c in &clients {
-            t.add_duplex_link(c, hub, ethernet(bg));
-        }
-        t.add_duplex_link(hub, server, ethernet(bg));
-        t.compute_routes();
-        (t, clients, server)
-    }
-
-    /// Configuration 2 scaled to `n` clients: every client enters the
-    /// first router on its own Ethernet drop, then shares the token ring
-    /// and the server-side Ethernet. `n == 1` is exactly
-    /// [`token_ring_path`].
-    pub fn token_ring_path_n(bg: &Background, n: usize) -> (Topology, Vec<NodeId>, NodeId) {
-        assert!(n >= 1, "at least one client");
-        if n == 1 {
-            let (t, c, s) = token_ring_path(bg);
-            return (t, vec![c], s);
-        }
-        let mut t = Topology::new();
-        let clients: Vec<NodeId> = (0..n)
-            .map(|i| t.add_node(client_name(i), NodeKind::Host))
-            .collect();
-        let r1 = t.add_node("router1", router());
-        let r2 = t.add_node("router2", router());
-        let server = t.add_node("server", NodeKind::Host);
-        for &c in &clients {
-            t.add_duplex_link(c, r1, ethernet(bg));
-        }
-        t.add_duplex_link(r1, r2, token_ring(bg));
-        t.add_duplex_link(r2, server, ethernet(bg));
-        t.compute_routes();
-        (t, clients, server)
-    }
-
-    /// Configuration 3 scaled to `n` clients: the shared 56 Kbit/s serial
-    /// hop throttles the whole community. `n == 1` is exactly
-    /// [`slow_link_path`].
-    pub fn slow_link_path_n(bg: &Background, n: usize) -> (Topology, Vec<NodeId>, NodeId) {
-        assert!(n >= 1, "at least one client");
-        if n == 1 {
-            let (t, c, s) = slow_link_path(bg);
-            return (t, vec![c], s);
-        }
-        let mut t = Topology::new();
-        let clients: Vec<NodeId> = (0..n)
-            .map(|i| t.add_node(client_name(i), NodeKind::Host))
-            .collect();
-        let r1 = t.add_node("router1", router());
-        let r2 = t.add_node("router2", router());
-        let r3 = t.add_node("router3", router());
-        let server = t.add_node("server", NodeKind::Host);
-        for &c in &clients {
-            t.add_duplex_link(c, r1, ethernet(bg));
-        }
-        t.add_duplex_link(r1, r2, token_ring(bg));
-        t.add_duplex_link(r2, r3, serial_56k(bg));
-        t.add_duplex_link(r3, server, ethernet(bg));
-        t.compute_routes();
-        (t, clients, server)
-    }
-
-    /// Configuration 1 sharded to `m` servers: every client and every
-    /// server gets its own drop onto the bridge, so the shared segment
-    /// carries the whole fleet's aggregate. `m == 1` is exactly
-    /// [`same_lan_n`] (and therefore byte-identical to the pre-shard
-    /// worlds).
+    /// Configuration 1 for `n` clients and `m` servers: every client and
+    /// every server gets its own drop onto a bridge, so the shared
+    /// segment carries the whole fleet's aggregate — the segment every
+    /// client's traffic contends for, just as on a real thickwire LAN.
+    /// `(1, 1)` is exactly [`same_lan`].
     ///
     /// Returns `(topology, clients, servers)`.
     pub fn same_lan_nm(
@@ -523,19 +448,18 @@ pub mod presets {
         n: usize,
         m: usize,
     ) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
-        assert!(m >= 1, "at least one server");
-        if m == 1 {
-            let (t, c, s) = same_lan_n(bg, n);
-            return (t, c, vec![s]);
+        assert!(n >= 1 && m >= 1, "at least one client and one server");
+        if (n, m) == (1, 1) {
+            let (t, c, s) = same_lan(bg);
+            return (t, vec![c], vec![s]);
         }
-        assert!(n >= 1, "at least one client");
         let mut t = Topology::new();
         let clients: Vec<NodeId> = (0..n)
             .map(|i| t.add_node(client_name(i), NodeKind::Host))
             .collect();
         let hub = t.add_node("hub", bridge());
         let servers: Vec<NodeId> = (0..m)
-            .map(|j| t.add_node(server_name(j), NodeKind::Host))
+            .map(|j| t.add_node(server_name(j, m), NodeKind::Host))
             .collect();
         for &c in &clients {
             t.add_duplex_link(c, hub, ethernet(bg));
@@ -547,21 +471,21 @@ pub mod presets {
         (t, clients, servers)
     }
 
-    /// Configuration 2 sharded to `m` servers: the clients share the
-    /// token ring as before, then each server hangs off the far router
-    /// on its own Ethernet drop — the ring stays the common bottleneck.
-    /// `m == 1` is exactly [`token_ring_path_n`].
+    /// Configuration 2 for `n` clients and `m` servers: every client
+    /// enters the first router on its own Ethernet drop and shares the
+    /// token ring, then each server hangs off the far router on its own
+    /// drop — the ring stays the common bottleneck. `(1, 1)` is exactly
+    /// [`token_ring_path`].
     pub fn token_ring_path_nm(
         bg: &Background,
         n: usize,
         m: usize,
     ) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
-        assert!(m >= 1, "at least one server");
-        if m == 1 {
-            let (t, c, s) = token_ring_path_n(bg, n);
-            return (t, c, vec![s]);
+        assert!(n >= 1 && m >= 1, "at least one client and one server");
+        if (n, m) == (1, 1) {
+            let (t, c, s) = token_ring_path(bg);
+            return (t, vec![c], vec![s]);
         }
-        assert!(n >= 1, "at least one client");
         let mut t = Topology::new();
         let clients: Vec<NodeId> = (0..n)
             .map(|i| t.add_node(client_name(i), NodeKind::Host))
@@ -569,7 +493,7 @@ pub mod presets {
         let r1 = t.add_node("router1", router());
         let r2 = t.add_node("router2", router());
         let servers: Vec<NodeId> = (0..m)
-            .map(|j| t.add_node(server_name(j), NodeKind::Host))
+            .map(|j| t.add_node(server_name(j, m), NodeKind::Host))
             .collect();
         for &c in &clients {
             t.add_duplex_link(c, r1, ethernet(bg));
@@ -582,21 +506,20 @@ pub mod presets {
         (t, clients, servers)
     }
 
-    /// Configuration 3 sharded to `m` servers: the whole fleet still
-    /// funnels through the 56 Kbit/s serial hop before fanning out to
-    /// per-server Ethernet drops. `m == 1` is exactly
-    /// [`slow_link_path_n`].
+    /// Configuration 3 for `n` clients and `m` servers: the whole fleet
+    /// funnels through the shared 56 Kbit/s serial hop before fanning out
+    /// to per-server Ethernet drops. `(1, 1)` is exactly
+    /// [`slow_link_path`].
     pub fn slow_link_path_nm(
         bg: &Background,
         n: usize,
         m: usize,
     ) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
-        assert!(m >= 1, "at least one server");
-        if m == 1 {
-            let (t, c, s) = slow_link_path_n(bg, n);
-            return (t, c, vec![s]);
+        assert!(n >= 1 && m >= 1, "at least one client and one server");
+        if (n, m) == (1, 1) {
+            let (t, c, s) = slow_link_path(bg);
+            return (t, vec![c], vec![s]);
         }
-        assert!(n >= 1, "at least one client");
         let mut t = Topology::new();
         let clients: Vec<NodeId> = (0..n)
             .map(|i| t.add_node(client_name(i), NodeKind::Host))
@@ -605,7 +528,7 @@ pub mod presets {
         let r2 = t.add_node("router2", router());
         let r3 = t.add_node("router3", router());
         let servers: Vec<NodeId> = (0..m)
-            .map(|j| t.add_node(server_name(j), NodeKind::Host))
+            .map(|j| t.add_node(server_name(j, m), NodeKind::Host))
             .collect();
         for &c in &clients {
             t.add_duplex_link(c, r1, ethernet(bg));
@@ -835,19 +758,19 @@ mod tests {
     #[test]
     fn n_client_presets_collapse_to_singles() {
         let bg = Background::quiet();
-        // n == 1 must build the identical topology (node and link order)
-        // as the original single-client presets.
+        // One client and one server must build the identical topology
+        // (node and link order) as the original single-client presets.
         let (t1, c1, s1) = presets::same_lan(&bg);
-        let (tn, cn, sn) = presets::same_lan_n(&bg, 1);
+        let (tn, cn, sn) = presets::same_lan_nm(&bg, 1, 1);
         assert_eq!(cn, vec![c1]);
-        assert_eq!(sn, s1);
+        assert_eq!(sn, vec![s1]);
         assert_eq!(tn.node_count(), t1.node_count());
         let (t1, _, _) = presets::token_ring_path(&bg);
-        let (tn, cn, _) = presets::token_ring_path_n(&bg, 1);
+        let (tn, cn, _) = presets::token_ring_path_nm(&bg, 1, 1);
         assert_eq!(tn.node_count(), t1.node_count());
         assert_eq!(cn.len(), 1);
         let (t1, _, _) = presets::slow_link_path(&bg);
-        let (tn, cn, _) = presets::slow_link_path_n(&bg, 1);
+        let (tn, cn, _) = presets::slow_link_path_nm(&bg, 1, 1);
         assert_eq!(tn.node_count(), t1.node_count());
         assert_eq!(cn.len(), 1);
     }
@@ -855,7 +778,8 @@ mod tests {
     #[test]
     fn n_client_lan_routes_through_shared_segment() {
         let bg = Background::quiet();
-        let (t, clients, server) = presets::same_lan_n(&bg, 4);
+        let (t, clients, servers) = presets::same_lan_nm(&bg, 4, 1);
+        let server = servers[0];
         assert_eq!(clients.len(), 4);
         assert_eq!(t.node_count(), 6, "4 clients + hub + server");
         // Every client reaches the server in 2 hops via the bridge, and
@@ -875,20 +799,35 @@ mod tests {
 
     #[test]
     fn nm_presets_with_one_server_collapse_to_n_presets() {
+        // Several clients and one server: the clients are numbered, the
+        // lone server keeps the single-client presets' name, and the
+        // path between them is the preset's hosts and routers in order.
         let bg = Background::quiet();
-        let (tn, cn, sn) = presets::same_lan_n(&bg, 4);
-        let (tm, cm, sm) = presets::same_lan_nm(&bg, 4, 1);
-        assert_eq!(cm, cn);
-        assert_eq!(sm, vec![sn]);
-        assert_eq!(tm.node_count(), tn.node_count());
-        let (tn, _, sn) = presets::token_ring_path_n(&bg, 3);
-        let (tm, _, sm) = presets::token_ring_path_nm(&bg, 3, 1);
-        assert_eq!(sm, vec![sn]);
-        assert_eq!(tm.node_count(), tn.node_count());
-        let (tn, _, sn) = presets::slow_link_path_n(&bg, 2);
-        let (tm, _, sm) = presets::slow_link_path_nm(&bg, 2, 1);
-        assert_eq!(sm, vec![sn]);
-        assert_eq!(tm.node_count(), tn.node_count());
+        let router = |delay_us| NodeKind::Router {
+            forward_delay: SimDuration::from_micros(delay_us),
+        };
+        let lan = ["hub"];
+        let ring = ["router1", "router2"];
+        let slow = ["router1", "router2", "router3"];
+        for ((t, clients, servers), path, delay) in [
+            (presets::same_lan_nm(&bg, 4, 1), &lan[..], 10),
+            (presets::token_ring_path_nm(&bg, 3, 1), &ring[..], 800),
+            (presets::slow_link_path_nm(&bg, 2, 1), &slow[..], 800),
+        ] {
+            assert_eq!(servers.len(), 1);
+            assert_eq!(t.node_count(), clients.len() + path.len() + 1);
+            for (i, &c) in clients.iter().enumerate() {
+                assert_eq!(t.node_name(c), format!("client{}", i + 1));
+                assert_eq!(t.node_kind(c), NodeKind::Host);
+            }
+            for (k, name) in path.iter().enumerate() {
+                let hop = NodeId(clients.len() + k);
+                assert_eq!(t.node_name(hop), *name);
+                assert_eq!(t.node_kind(hop), router(delay));
+            }
+            assert_eq!(t.node_name(servers[0]), "server");
+            assert_eq!(t.node_kind(servers[0]), NodeKind::Host);
+        }
     }
 
     #[test]
@@ -931,7 +870,8 @@ mod tests {
     #[test]
     fn n_client_slow_link_keeps_serial_bottleneck() {
         let bg = Background::quiet();
-        let (t, clients, server) = presets::slow_link_path_n(&bg, 8);
+        let (t, clients, servers) = presets::slow_link_path_nm(&bg, 8, 1);
+        let server = servers[0];
         for &c in &clients {
             assert_eq!(t.path_mtu(c, server), Some(576));
             assert_eq!(t.path_links(c, server).len(), 4);

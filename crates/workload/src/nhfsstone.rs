@@ -12,7 +12,9 @@
 //! 2. `preload_bytes` fills the test files before measuring, so reads
 //!    are not biased toward empty files.
 
+use std::cell::RefCell;
 use std::fmt::{self, Write};
+use std::rc::Rc;
 
 use renofs::proto::{self, NfsProc};
 use renofs::syscalls::Syscalls;
@@ -210,13 +212,8 @@ impl Write for NameBuf {
     }
 }
 
-/// Creates the test subtree directly in the server filesystem (out of
+/// Creates the test subtree directly in shard `sj`'s filesystem (out of
 /// band, as test setup) and returns `(dir_handle, file_handles)`.
-pub fn preload_subtree(world: &mut World, cfg: &NhfsstoneConfig) -> (FileHandle, Vec<FileHandle>) {
-    preload_subtree_on(world, 0, cfg)
-}
-
-/// [`preload_subtree`] on one shard of a multi-server world.
 pub fn preload_subtree_on(
     world: &mut World,
     sj: usize,
@@ -391,122 +388,99 @@ pub fn summarize(mut samples: Vec<OpSample>, measured: SimDuration) -> Nhfsstone
     report
 }
 
+/// Where a run's generator processes live and which report each one's
+/// samples feed. Every layout spawns `cfg.procs` generators per client
+/// it uses, each offering `cfg.rate_per_sec / procs` ops/sec.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Spread {
+    /// Client 0 against server 0: one report.
+    OneClient,
+    /// Every client against server 0, so `rate_per_sec` is the offered
+    /// load *per client*: one report per client, in client order.
+    EveryClient,
+    /// Every client against a sharded fleet: every server exports its
+    /// own preloaded subtree, and generator `p` of client `ci` pins
+    /// itself to shard `(ci + p) % servers` (via [`renofs::PinTo`]), so
+    /// load spreads evenly and a client with several processes talks to
+    /// several servers at once. One report per shard, in server order.
+    EveryShard,
+}
+
 /// Runs a complete Nhfsstone measurement against a freshly preloaded
-/// world, returning the report.
-pub fn run(world: &mut World, cfg: &NhfsstoneConfig) -> NhfsstoneReport {
-    let (dir, files) = preload_subtree(world, cfg);
+/// world, laid out by `spread`, and returns its reports. `at_measure`
+/// runs once the warm-up has elapsed (harnesses reset CPU accounting
+/// there).
+///
+/// Generator RNG streams are salted per client (so clients interleave
+/// realistically; client 0 keeps the unsalted stream), but xid bases
+/// are deliberately **shared** across clients — exactly as real
+/// machines draw xids from their own counters — which makes
+/// cross-client xid collisions routine and keeps the server's
+/// per-client duplicate cache keying honest under load.
+pub fn run_spread(
+    world: &mut World,
+    cfg: &NhfsstoneConfig,
+    spread: Spread,
+    at_measure: impl FnOnce(&mut World),
+) -> Vec<NhfsstoneReport> {
+    let shards = match spread {
+        Spread::EveryShard => world.server_count(),
+        _ => 1,
+    };
+    let trees: Vec<(FileHandle, Vec<FileHandle>)> = (0..shards)
+        .map(|sj| preload_subtree_on(world, sj, cfg))
+        .collect();
+    let clients = match spread {
+        Spread::OneClient => 1,
+        _ => world.client_count(),
+    };
     let measure_from = world.now() + cfg.warmup;
     let end = measure_from + cfg.duration;
-    let (tx, rx) = std::sync::mpsc::channel();
-    for p in 0..cfg.procs {
-        let cfg = cfg.clone();
-        let files = files.clone();
-        let tx = tx.clone();
-        world.spawn(move |sys| {
-            let samples = generator_proc(sys, p, &cfg, dir, &files, measure_from, end, None);
-            let _ = tx.send(samples);
-        });
+    let reports = if spread == Spread::EveryShard {
+        shards
+    } else {
+        clients
+    };
+    let samples = Rc::new(RefCell::new(vec![Vec::new(); reports]));
+    for ci in 0..clients {
+        for p in 0..cfg.procs {
+            let sj = (ci + p) % shards;
+            let feeds = if spread == Spread::EveryShard { sj } else { ci };
+            let (dir, files) = trees[sj].clone();
+            let mut cfg = cfg.clone();
+            cfg.seed ^= crowd_salt(ci);
+            let samples = Rc::clone(&samples);
+            world.spawn_on(ci, move |sys| {
+                // With one shard this is server 0, where an unpinned
+                // proc's RPCs go anyway.
+                let mut pinned = renofs::PinTo::new(sys, sj);
+                let mine =
+                    generator_proc(&mut pinned, p, &cfg, dir, &files, measure_from, end, None);
+                samples.borrow_mut()[feeds].extend(mine);
+            });
+        }
     }
-    drop(tx);
+    // A pause ends where one `run` does (`crates/core/tests/run_until.rs`).
+    world.run_until(measure_from);
+    at_measure(world);
     world.run();
-    let mut all = Vec::new();
-    while let Ok(mut s) = rx.recv() {
-        all.append(&mut s);
-    }
-    summarize(all, cfg.duration)
+    samples
+        .take()
+        .into_iter()
+        .map(|s| summarize(s, cfg.duration))
+        .collect()
+}
+
+/// [`run_spread`] from client 0: the paper's one-machine measurement.
+pub fn run(world: &mut World, cfg: &NhfsstoneConfig) -> NhfsstoneReport {
+    let mut reports = run_spread(world, cfg, Spread::OneClient, |_| {});
+    reports.pop().expect("one client, one report")
 }
 
 /// Stable per-client tweak for the generator RNG streams: clients run
 /// decorrelated op sequences, while client 0 keeps the unsalted stream.
 fn crowd_salt(client: usize) -> u64 {
     (client as u64).wrapping_mul(0xD1B5_4A32_D192_ED03)
-}
-
-/// Runs the load generator from **every client machine of the world** at
-/// once — `cfg.procs` generator processes per client, each offering
-/// `cfg.rate_per_sec / procs` ops/sec, so `rate_per_sec` is the offered
-/// load *per client* and the aggregate offered load is `clients × rate`.
-///
-/// Returns one report per client, in client order. Generator RNG streams
-/// are salted per client (so clients interleave realistically), but xid
-/// bases are deliberately **shared** across clients — exactly as real
-/// machines draw xids from their own counters — which makes cross-client
-/// xid collisions routine and keeps the server's per-client duplicate
-/// cache keying honest under load.
-pub fn run_crowd(world: &mut World, cfg: &NhfsstoneConfig) -> Vec<NhfsstoneReport> {
-    let (dir, files) = preload_subtree(world, cfg);
-    let clients = world.client_count();
-    let measure_from = world.now() + cfg.warmup;
-    let end = measure_from + cfg.duration;
-    let (tx, rx) = std::sync::mpsc::channel();
-    for ci in 0..clients {
-        for p in 0..cfg.procs {
-            let mut cfg = cfg.clone();
-            cfg.seed ^= crowd_salt(ci);
-            let files = files.clone();
-            let tx = tx.clone();
-            world.spawn_on(ci, move |sys| {
-                let samples = generator_proc(sys, p, &cfg, dir, &files, measure_from, end, None);
-                let _ = tx.send((ci, samples));
-            });
-        }
-    }
-    drop(tx);
-    world.run();
-    let mut per_client: Vec<Vec<OpSample>> = vec![Vec::new(); clients];
-    while let Ok((ci, mut s)) = rx.recv() {
-        per_client[ci].append(&mut s);
-    }
-    per_client
-        .into_iter()
-        .map(|samples| summarize(samples, cfg.duration))
-        .collect()
-}
-
-/// [`run_crowd`] against a sharded fleet: every server exports its own
-/// preloaded subtree, and generator process `p` of client `ci` pins
-/// itself to shard `(ci + p) % servers` (via
-/// [`renofs::PinTo`]), so load spreads evenly over the fleet and a
-/// client with several processes talks to several servers at once over
-/// its per-server transports and XID streams.
-///
-/// Returns one report per **shard**, in server order, aggregating the
-/// samples of every process homed on it — the per-shard achieved rates
-/// an N×M sweep compares for fairness and aggregate scaling.
-pub fn run_crowd_sharded(world: &mut World, cfg: &NhfsstoneConfig) -> Vec<NhfsstoneReport> {
-    let servers = world.server_count();
-    let trees: Vec<(FileHandle, Vec<FileHandle>)> = (0..servers)
-        .map(|sj| preload_subtree_on(world, sj, cfg))
-        .collect();
-    let clients = world.client_count();
-    let measure_from = world.now() + cfg.warmup;
-    let end = measure_from + cfg.duration;
-    let (tx, rx) = std::sync::mpsc::channel();
-    for ci in 0..clients {
-        for p in 0..cfg.procs {
-            let sj = (ci + p) % servers;
-            let (dir, files) = trees[sj].clone();
-            let mut cfg = cfg.clone();
-            cfg.seed ^= crowd_salt(ci);
-            let tx = tx.clone();
-            world.spawn_on(ci, move |sys| {
-                let mut pinned = renofs::PinTo::new(sys, sj);
-                let samples =
-                    generator_proc(&mut pinned, p, &cfg, dir, &files, measure_from, end, None);
-                let _ = tx.send((sj, samples));
-            });
-        }
-    }
-    drop(tx);
-    world.run();
-    let mut per_shard: Vec<Vec<OpSample>> = vec![Vec::new(); servers];
-    while let Ok((sj, mut s)) = rx.recv() {
-        per_shard[sj].append(&mut s);
-    }
-    per_shard
-        .into_iter()
-        .map(|samples| summarize(samples, cfg.duration))
-        .collect()
 }
 
 #[cfg(test)]
@@ -604,7 +578,7 @@ mod tests {
         wcfg.server.dup_cache = true;
         let mut world = World::new(wcfg);
         let cfg = quick_cfg(LoadMix::crowd(), 8.0);
-        let reports = run_crowd(&mut world, &cfg);
+        let reports = run_spread(&mut world, &cfg, Spread::EveryClient, |_| {});
         assert_eq!(reports.len(), 4);
         for (ci, r) in reports.iter().enumerate() {
             assert!(r.ops > 40, "client {ci} measured only {} ops", r.ops);
@@ -632,7 +606,7 @@ mod tests {
         wcfg.server.dup_cache = true;
         let mut world = World::new(wcfg);
         let cfg = quick_cfg(LoadMix::crowd(), 8.0);
-        let reports = run_crowd_sharded(&mut world, &cfg);
+        let reports = run_spread(&mut world, &cfg, Spread::EveryShard, |_| {});
         assert_eq!(reports.len(), 2, "one report per shard");
         for (sj, r) in reports.iter().enumerate() {
             assert!(r.ops > 40, "shard {sj} measured only {} ops", r.ops);

@@ -32,6 +32,15 @@ echo "==> the lease rules live in lease.rs (no lease table, term, recall queue o
 grep -rnE 'LEASE_TERM\b|LeaseTable|ReadHold|recall_queue|lease_grace' crates/core/src \
     --exclude=lease.rs --exclude-dir=proto && exit 1
 
+echo "==> one way to run a cell (one single-proc run, one Nhfsstone window, one preset per topology)"
+# `run_proc` in experiments/mod.rs is the one place an experiment hands a
+# proc's value back over a channel, and `Scale::nhfsstone` the one place
+# a scale's window becomes an Nhfsstone config. The `_nm` presets build
+# every multi-machine topology.
+grep -rnE 'mpsc::channel|duration = scale\.duration' crates/bench/src/experiments |
+    grep -vE '^crates/bench/src/experiments/mod\.rs:[0-9]+:.*mpsc::channel' && exit 1
+grep -rnE '\b(same_lan|token_ring_path|slow_link_path)_n\(' crates benchmark examples && exit 1
+
 echo "==> no file over 700 non-test lines (all of crates/)"
 # benchmark/ is frozen and not gated. The oracle's stream.rs is the one
 # exception: ROADMAP item 2 deletes its version-matching scan, and that

@@ -5,8 +5,9 @@
 # scripts/digests.expected. A digest folds every simulated result of the
 # run, so a host-speed change that moves one has changed behaviour. The
 # same file holds the stdout md5 of three chaos-soak sweeps (quick, lease
-# and long worlds), so a change to the soak harness that moves one world,
-# row or verdict shows here too.
+# and long worlds) and of every paper table and figure at quick scale
+# (`repro all`), so a change to the soak or the experiment harness that
+# moves one world, row, cell or verdict shows here too.
 #
 # usage: scripts/digests.sh            compare, exit 1 on any difference
 #        scripts/digests.sh --write    re-record scripts/digests.expected
@@ -24,29 +25,31 @@ got=$(for w in lookup_lan read_56k write_56k crowd_1024x4 andrew_tcp_ring; do
         sed -n 's/^bench: workload=\([^ ]*\) .* digest=\([0-9a-f]*\).*/\1 digest=\2/p'
 done)
 
-# The soak sweeps. The long sweep runs in budget mode, whose rows end in
-# two wall-clock fields (`wall(s)`, `obs/s`) and whose summary says how
-# long the run took ("in N.Ns"); those are dropped, and the table rule,
-# whose width follows them, is shortened to one dash. A sweep that finds
-# violations exits 1 (the lease sweep does); anything else is a failure.
+# The soak sweeps and `repro all`, at quick scale. The long sweep runs in
+# budget mode, whose rows end in two wall-clock fields (`wall(s)`,
+# `obs/s`) and whose summary says how long the run took ("in N.Ns");
+# those are dropped, and the table rule, whose width follows them, is
+# shortened to one dash. A sweep that finds violations exits 1 (the lease
+# sweep does); anything else is a failure.
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
-soak_md5() { # NAME SED-SCRIPT REPRO-SOAK-ARGS...
+repro_md5() { # NAME SED-SCRIPT REPRO-ARGS...
     local name=$1 strip=$2 status=0
     shift 2
     cargo run --release --offline --quiet -p renofs-bench --bin repro -- \
-        soak "$@" --scale quick >"$out" 2>/dev/null || status=$?
+        "$@" --scale quick >"$out" 2>/dev/null || status=$?
     if ((status > 1)); then
-        echo "repro soak $* exited $status" >&2
+        echo "repro $* exited $status" >&2
         exit 1
     fi
     printf '%s md5=%s\n' "$name" "$(sed -E "$strip" "$out" | md5sum | cut -d' ' -f1)"
 }
 wall='/^( *[0-9]+|seed) /s/ +[^ ]+ +[^ ]+$//; s/^-+$/-/; s/ in [0-9.]+s:/:/'
 got+=$'\n'$(
-    soak_md5 soak_quick_400 '' --seeds 400
-    soak_md5 soak_lease_200 '' --lease --seeds 200
-    soak_md5 soak_long_64 "$wall" --long --seeds 64
+    repro_md5 soak_quick_400 '' soak --seeds 400
+    repro_md5 soak_lease_200 '' soak --lease --seeds 200
+    repro_md5 soak_long_64 "$wall" soak --long --seeds 64
+    repro_md5 repro_all_quick '' all --jobs 2
 )
 
 if [[ "${1:-}" == "--write" ]]; then
