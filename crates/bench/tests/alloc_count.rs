@@ -294,47 +294,77 @@ fn steady_state_crowd_mix_at_16_clients_stays_within_its_op_costs() {
     );
 }
 
-#[test]
-fn a_short_crowd_run_allocates_a_bounded_amount_per_client() {
-    let _alone = measuring();
-    // What the marginal budgets above cannot see: allocations a client
-    // makes once. A 64-client world, one generator proc each over the
-    // default 100 files, the whole of a 4 s `World::run` (preload
-    // excluded), divided by clients. A proc that builds a table over its
-    // file set, or a buffer sized per client on first use, lands here in
-    // full.
-    const CLIENTS: usize = 64;
+/// A short crowd cell: `clients` clients, one generator proc each over
+/// the default 100 files, 4 simulated seconds. Returns its allocations
+/// per client in building the world, preloading it and spawning the
+/// procs, and in the whole of `World::run`.
+fn short_crowd_per_client(clients: usize) -> (f64, f64) {
     let mut cfg = WorldConfig::baseline();
     cfg.background = Background::quiet();
-    cfg.clients = CLIENTS;
+    cfg.clients = clients;
     cfg.nfsds = 4;
     cfg.seed = 0xA11C;
     cfg.server.dup_cache = true;
-    let mut world = World::new(cfg);
     let mut wcfg = NhfsstoneConfig::paper(4.0, LoadMix::crowd());
     wcfg.procs = 1;
     wcfg.duration = SimDuration::from_secs(4);
     wcfg.warmup = SimDuration::ZERO;
     wcfg.seed = 7;
+    let a0 = profile::allocs();
+    let mut world = World::new(cfg);
     let (dir, files) = nhfsstone::preload_subtree_on(&mut world, 0, &wcfg);
     let end = world.now() + wcfg.duration;
-    for ci in 0..CLIENTS {
+    for ci in 0..clients {
         let (wcfg, files) = (wcfg.clone(), files.clone());
         world.spawn_on(ci, move |sys| {
             nhfsstone::generator_proc(sys, 0, &wcfg, dir, &files, SimTime::ZERO, end, None);
         });
     }
-    let a0 = profile::allocs();
+    let a1 = profile::allocs();
     world.run();
-    let per_client = (profile::allocs() - a0) as f64 / CLIENTS as f64;
+    let a2 = profile::allocs();
+    let per_client = |n: u64| n as f64 / clients as f64;
+    (per_client(a1 - a0), per_client(a2 - a1))
+}
+
+#[test]
+fn a_short_crowd_run_allocates_a_bounded_amount_per_client() {
+    let _alone = measuring();
+    // What the marginal budgets above cannot see: allocations a client
+    // makes once, in the whole of a 64-client `World::run` (building and
+    // preloading excluded). A proc that builds a table over its file set,
+    // or a buffer sized per client on first use, lands here in full.
+    let (_, per_client) = short_crowd_per_client(64);
     eprintln!("allocs per client over a short crowd run: {per_client:.1}");
-    // Measured 22.8 (30.2 with a queue and an access network per client
-    // machine, 135.3 while every generator proc rendered its 100 lookup
-    // names and filled an 8 KB write payload before its first RPC); the
-    // bound is twice the reading.
+    // Measured 15.9 (17.9 while every client's first call allocated its
+    // two in-flight tables, 22.8 before chain clones shared small mbufs,
+    // 30.2 with a queue and an access network per client machine, 135.3
+    // while every generator proc rendered its 100 lookup names and filled
+    // an 8 KB write payload before its first RPC); the bound is twice the
+    // reading.
     assert!(
-        per_client < 46.0,
+        per_client < 32.0,
         "a short crowd run allocates too much: {per_client:.1} per client"
+    );
+}
+
+#[test]
+fn a_crowd_cell_built_and_run_allocates_a_bounded_amount_per_client() {
+    let _alone = measuring();
+    // The run-only budget above would pass if a client's allocations
+    // only moved into `World::new`: this one counts building, preloading,
+    // spawning and running together, at 256 clients.
+    let (build, run) = short_crowd_per_client(256);
+    let per_client = build + run;
+    eprintln!("allocs per client, crowd cell built and run: {build:.2} + {run:.2}");
+    // Measured 7.53 + 12.67 = 20.20. It was 7.52 + 14.67 = 22.19 while
+    // every client allocated two in-flight tables on its first call; the
+    // world's two, sized to the clients at build, take two allocations in
+    // all. The bound keeps that fall of at least 1.9 per client.
+    const BEFORE: f64 = 22.19;
+    assert!(
+        per_client <= BEFORE - 1.9,
+        "a crowd cell allocates too much: {per_client:.2} per client"
     );
 }
 

@@ -1,6 +1,7 @@
-//! A client machine: its transports, in-flight RPC table, console log and
-//! biods, and the handlers that run them — syscalls, RPC issue and
-//! completion, transport timers and arriving messages.
+//! A client machine: its transports, console log and biods, and the
+//! handlers that run them — syscalls, RPC issue and completion, transport
+//! timers and arriving messages. Its calls in flight are in the world's
+//! two tables, which every client shares.
 
 use std::collections::VecDeque;
 
@@ -8,7 +9,7 @@ use renofs_mbuf::MbufChain;
 use renofs_sim::cpu::CpuCategory;
 use renofs_sim::{profile, EventQueue, IntMap, SimTime};
 use renofs_sunrpc::{peek_xid_kind, MsgKind};
-use renofs_transport::{TcpOut, UdpAction, UdpRpcClient, UdpRpcConfig};
+use renofs_transport::{MountKey, TcpOut, UdpAction, UdpCalls, UdpRpcClient, UdpRpcConfig};
 
 use super::machine::{Addrs, Io, Machine, TcpEnd};
 use super::proc::{Req, Resp, Sched, TicketHolder};
@@ -19,28 +20,25 @@ use crate::syscalls::{RpcError, RpcResult};
 
 /// Who is waiting for an RPC reply.
 #[derive(Clone, Copy, Debug)]
-enum Waker {
+pub(super) enum Waker {
     Sync(usize),
     Async(u64),
 }
 
 /// Everything one client machine owns: its host model, transport
-/// endpoints, in-flight RPC table, console log, and biod accounting. Its
-/// address is the world's (`Addrs`). Index 0 is "the" client of the
-/// single-client experiments.
+/// endpoints, console log, and biod accounting. Its address is the
+/// world's (`Addrs`), and so are its calls in flight. Index 0 is "the"
+/// client of the single-client experiments.
 pub(super) struct ClientRt {
     pub(super) host: Host,
     /// One UDP transport per server (none on a TCP mount): independent
-    /// XID streams and RTO state per (client, server) pair, so two shards
-    /// can never observe — or be confused by — each other's xids.
+    /// XID streams and RTO state per (client, server) pair, each with its
+    /// `MountKey`, so two shards can never observe — or be confused by —
+    /// each other's xids.
     pub(super) udp: Vec<UdpRpcClient>,
     /// This machine's end of its TCP connection to each server, by server
     /// index; empty when the mounts are UDP.
     pub(super) conns: Vec<TcpEnd>,
-    /// In-flight RPCs by (server, xid). Per-client: independent machines
-    /// draw xids from independent counters and routinely collide, and so
-    /// do one machine's per-server streams.
-    pending: IntMap<(usize, u32), Waker>,
     pub(super) events: Vec<ClientEvent>,
     /// biods on this machine (0 = an asynchronous request runs
     /// synchronously in the proc that issues it).
@@ -70,7 +68,8 @@ impl ClientRt {
                     c.retrans = cfg.mount.retrans.max(1);
                     // Per-(client, server) XID stream; server 0 keeps the
                     // historical seed so M = 1 stays byte-identical.
-                    udp.push(UdpRpcClient::new(c, (i + 1) as u32 ^ ((j as u32) << 20)));
+                    let seed = (i + 1) as u32 ^ ((j as u32) << 20);
+                    udp.push(UdpRpcClient::for_mount(MountKey::new(i, j), c, seed));
                 }
                 // A placeholder until `tcp_connect` replaces the
                 // connection with the active opener and pumps the
@@ -82,7 +81,6 @@ impl ClientRt {
             host: Host::new(cfg.client_host, cfg.seed ^ 0xc11e ^ client_salt(i)),
             udp,
             conns,
-            pending: IntMap::default(),
             events: Vec::new(),
             biods: cfg.biods,
             async_outstanding: 0,
@@ -90,6 +88,12 @@ impl ClientRt {
             wait_all: Vec::new(),
         }
     }
+}
+
+/// The key of call `xid` from client `ci` to server `sj` in the world's
+/// in-flight tables.
+fn call_key(ci: usize, sj: usize, xid: u32) -> u64 {
+    MountKey::new(ci, sj).call(xid)
 }
 
 impl World {
@@ -102,15 +106,17 @@ impl World {
             queue: &mut self.queue,
             addrs: &self.addrs,
             spares: &mut self.spares,
+            waiting: &mut self.waiting,
+            udp_calls: &mut self.udp_calls,
         }
     }
 }
 
 /// One client machine's handlers — syscalls, RPC issue and completion,
 /// transport timers, arriving messages — over the state the world lends
-/// them for one event: the machine, the proc scheduler and the event
-/// queue. Nothing here touches a server machine: what goes to one leaves
-/// as an `Ev::Send` frame.
+/// them for one event: the machine, the proc scheduler, the event queue
+/// and the in-flight tables. Nothing here touches a server machine: what
+/// goes to one leaves as an `Ev::Send` frame.
 pub(super) struct ClientCtx<'a> {
     ci: usize,
     rt: &'a mut ClientRt,
@@ -118,6 +124,10 @@ pub(super) struct ClientCtx<'a> {
     queue: &'a mut EventQueue<Ev>,
     addrs: &'a Addrs,
     spares: &'a mut Vec<TcpOut>,
+    /// Who waits for each call in flight, by `MountKey::call` key.
+    waiting: &'a mut IntMap<u64, Waker>,
+    /// What each UDP call in flight needs to be retransmitted.
+    udp_calls: &'a mut UdpCalls,
 }
 
 impl ClientCtx<'_> {
@@ -207,29 +217,39 @@ impl ClientCtx<'_> {
         let Ok((xid, MsgKind::Call)) = peek_xid_kind(&msg) else {
             panic!("workload issued a malformed RPC message");
         };
-        debug_assert!(
-            !self.rt.pending.contains_key(&(sj, xid)),
-            "duplicate xid {xid} in flight on client {} toward server {sj}",
-            self.ci
-        );
-        self.rt.pending.insert((sj, xid), waker);
+        // A reused xid would lose the first caller's waker: its proc
+        // would never wake.
+        if self
+            .waiting
+            .insert(call_key(self.ci, sj, xid), waker)
+            .is_some()
+        {
+            panic!(
+                "duplicate xid {xid} in flight on client {} toward server {sj}",
+                self.ci
+            );
+        }
         let now = self.queue.now();
         if self.rt.conns.is_empty() {
-            self.udp_step(sj, |u, out| u.call(now, xid, proc.rto_class(), msg, out));
+            let class = proc.rto_class();
+            self.udp_step(sj, |u, calls, out| {
+                u.call_in(calls, now, xid, class, msg, out)
+            });
         } else {
             self.send_record(sj, now, msg);
         }
     }
 
     /// Runs `step` on this machine's UDP transport to server `sj` with the
-    /// reusable action buffer, then applies the actions it queued.
+    /// world's table of UDP calls and the reusable action buffer, then
+    /// applies the actions it queued.
     pub(super) fn udp_step<R>(
         &mut self,
         sj: usize,
-        step: impl FnOnce(&mut UdpRpcClient, &mut Vec<UdpAction>) -> R,
+        step: impl FnOnce(&mut UdpRpcClient, &mut UdpCalls, &mut Vec<UdpAction>) -> R,
     ) -> R {
         let mut actions = std::mem::take(&mut self.sched.udp_actions);
-        let r = step(&mut self.rt.udp[sj], &mut actions);
+        let r = step(&mut self.rt.udp[sj], self.udp_calls, &mut actions);
         let now = self.queue.now();
         for action in actions.drain(..) {
             match action {
@@ -258,7 +278,7 @@ impl ClientCtx<'_> {
     }
 
     fn finish_rpc(&mut self, sj: usize, xid: u32, result: RpcResult, at: SimTime) {
-        let Some(waker) = self.rt.pending.remove(&(sj, xid)) else {
+        let Some(waker) = self.waiting.remove(&call_key(self.ci, sj, xid)) else {
             return;
         };
         let done = match waker {
@@ -334,7 +354,9 @@ impl Machine for ClientCtx<'_> {
         // For UDP the transport tracks RTTs itself; over TCP there is no
         // RPC-level bookkeeping to update.
         let reply = if self.rt.conns.is_empty() {
-            match self.udp_step(sj, |u, out| u.on_reply(at, xid, reply, out)) {
+            match self.udp_step(sj, |u, calls, out| {
+                u.on_reply_in(calls, at, xid, reply, out)
+            }) {
                 Some(call) => call.reply,
                 None => return,
             }

@@ -70,15 +70,15 @@ mod server;
 use renofs_mbuf::MbufChain;
 use renofs_netsim::topology::presets;
 use renofs_netsim::{Datagram, NetEvent, NetOutput, NetStats, Network, NodeId, ProtoHeader};
-use renofs_sim::{profile, EventQueue, SimDuration, SimTime};
+use renofs_sim::{profile, EventQueue, IntMap, SimDuration, SimTime};
 use renofs_transport::tcp::TcpStats;
-use renofs_transport::{TcpConn, TcpOut, UdpRpcClient, UdpStats};
+use renofs_transport::{MountKey, TcpConn, TcpOut, UdpCalls, UdpRpcClient, UdpStats};
 
 use crate::host::Host;
 use crate::proto::FileHandle;
 use crate::server::NfsServer;
 use crate::syscalls::RpcResult;
-use client::ClientRt;
+use client::{ClientRt, Waker};
 use machine::{tcp_config, Addrs, Machine};
 use proc::{Resp, Sched};
 use server::ServerRt;
@@ -185,6 +185,12 @@ pub struct World {
     servers: Vec<ServerRt>,
     /// Spare TCP step outputs for every machine's ends.
     spares: Vec<TcpOut>,
+    /// Who waits for each call in flight, every client's, by
+    /// `MountKey::call` key: one table for the world, as Reno keeps one
+    /// `nfsreqh` list per kernel.
+    waiting: IntMap<u64, Waker>,
+    /// What each UDP call in flight needs to be retransmitted, keyed alike.
+    udp_calls: UdpCalls,
     sched: Sched,
     started: bool,
 }
@@ -226,6 +232,10 @@ impl World {
     pub fn with_scratch(cfg: WorldConfig, scratch: &WorldScratch) -> Self {
         let n = cfg.clients.max(1);
         let m = cfg.servers.max(1);
+        assert!(
+            n <= MountKey::MAX_CLIENTS && m <= MountKey::MAX_SERVERS,
+            "{n} clients of {m} servers do not fit an in-flight key"
+        );
         let (mut topo, client_nodes, server_nodes) = match cfg.topology {
             TopologyKind::SameLan => presets::same_lan_nm(&cfg.background, n, m),
             TopologyKind::TokenRing => presets::token_ring_path_nm(&cfg.background, n, m),
@@ -241,6 +251,7 @@ impl World {
         let clients = clients.collect();
         let net = Network::new(topo, cfg.seed ^ 0x6e65_7473);
         let servers = (0..m).map(|j| ServerRt::new(&cfg, j, &addrs)).collect();
+        let udp = !matches!(cfg.transport, TransportKind::Tcp);
         let mut world = World {
             queue: EventQueue::with_capacity(scratch.queue_cap),
             net,
@@ -252,6 +263,10 @@ impl World {
             clients,
             servers,
             spares: Vec::new(),
+            // Room for a call in flight per client, so a run's first calls
+            // do not grow the tables.
+            waiting: IntMap::with_capacity_and_hasher(n, Default::default()),
+            udp_calls: UdpCalls::with_capacity(if udp { n } else { 0 }),
             sched: Sched::default(),
             started: false,
             cfg,
@@ -490,9 +505,9 @@ impl World {
                 server,
                 xid,
                 gen,
-            } => self
-                .client_ctx(client)
-                .udp_step(server, |u, out| u.on_timer(now, xid, gen, out)),
+            } => self.client_ctx(client).udp_step(server, |u, calls, out| {
+                u.on_timer_in(calls, now, xid, gen, out)
+            }),
             Ev::TcpTimer {
                 client,
                 server,
@@ -1038,6 +1053,19 @@ mod tests {
         });
         assert_eq!(crossings, 5, "rpc_async, charge, rpc_async, poll, await");
         assert_eq!(world.client_host_of(0).cpu.busy_in(CpuCategory::User), d);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate xid 1 in flight on client 0 toward server 0")]
+    fn a_duplicate_xid_in_flight_panics() {
+        let mut cfg = WorldConfig::baseline();
+        cfg.biods = 2;
+        let mut world = World::new(cfg);
+        world.spawn(|sys| {
+            sys.rpc_async(NfsProc::Null, null_call(1));
+            sys.rpc_async(NfsProc::Null, null_call(1));
+        });
+        world.run();
     }
 
     #[test]

@@ -24,4 +24,4 @@ pub mod udp_client;
 pub use cwnd::CongWindow;
 pub use rto::{DynRto, RpcClass, RtoPolicy, SrttEstimator};
 pub use tcp::{TcpConfig, TcpConn, TcpOut, TcpSegment};
-pub use udp_client::{UdpAction, UdpRpcClient, UdpRpcConfig, UdpStats};
+pub use udp_client::{MountKey, UdpAction, UdpCalls, UdpRpcClient, UdpRpcConfig, UdpStats};

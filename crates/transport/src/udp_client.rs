@@ -14,6 +14,11 @@
 //! Retransmissions reuse the original XID (so a server duplicate-request
 //! cache can suppress re-execution) and Karn's rule excludes
 //! retransmitted calls from RTT sampling.
+//!
+//! A transport keeps only per-mount state. What a call in flight needs for
+//! its retransmission lives in a [`UdpCalls`] table keyed by the mount and
+//! the xid, so that many mounts can share one — as the Reno kernel keeps its
+//! outstanding requests on one `nfsreqh` list, not one per mount.
 
 use std::collections::VecDeque;
 
@@ -92,7 +97,8 @@ pub enum UdpAction {
         payload: MbufChain,
     },
     /// Arm a retransmit timer and feed it back via
-    /// [`UdpRpcClient::on_timer`] when it fires.
+    /// [`UdpRpcClient::on_timer`] (or [`UdpRpcClient::on_timer_in`], over
+    /// the table the call is in) when it fires.
     ArmTimer {
         /// The request's XID.
         xid: u32,
@@ -137,7 +143,7 @@ pub struct CompletedCall {
 }
 
 /// Cumulative transport statistics.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UdpStats {
     /// Calls issued.
     pub calls: u64,
@@ -155,6 +161,68 @@ pub struct UdpStats {
     pub max_backoff: SimDuration,
 }
 
+/// Which (client, server) pair a mount serves. A call's key in a
+/// [`UdpCalls`] table is one `u64`: the mount in the high 32 bits (client
+/// above server), the xid in the low 32.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MountKey(u32);
+
+impl MountKey {
+    const SERVER_BITS: u32 = 12;
+    /// Clients a key can tell apart.
+    pub const MAX_CLIENTS: usize = 1 << (32 - Self::SERVER_BITS);
+    /// Servers a key can tell apart.
+    pub const MAX_SERVERS: usize = 1 << Self::SERVER_BITS;
+
+    /// Client `client`'s mount of server `server`.
+    pub fn new(client: usize, server: usize) -> Self {
+        assert!(
+            client < Self::MAX_CLIENTS && server < Self::MAX_SERVERS,
+            "mount of server {server} by client {client} does not fit an in-flight key"
+        );
+        MountKey(((client as u32) << Self::SERVER_BITS) | server as u32)
+    }
+
+    /// The client index.
+    pub fn client(self) -> usize {
+        (self.0 >> Self::SERVER_BITS) as usize
+    }
+
+    /// The server index.
+    pub fn server(self) -> usize {
+        (self.0 & ((1 << Self::SERVER_BITS) - 1)) as usize
+    }
+
+    /// The in-flight key of call `xid` on this mount.
+    #[inline]
+    pub fn call(self, xid: u32) -> u64 {
+        (u64::from(self.0) << 32) | u64::from(xid)
+    }
+}
+
+/// Calls in flight, by [`MountKey::call`] key: what each needs to be
+/// retransmitted. One table serves every mount that shares it; nothing
+/// iterates it, so how many mounts share one cannot change what they do.
+#[derive(Default)]
+pub struct UdpCalls(IntMap<u64, Pending>);
+
+impl UdpCalls {
+    /// A table with room for `calls` calls before it grows.
+    pub fn with_capacity(calls: usize) -> Self {
+        UdpCalls(IntMap::with_capacity_and_hasher(calls, Default::default()))
+    }
+
+    /// Calls in flight over every mount in the table.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no call is in flight.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
 struct Pending {
     class: RpcClass,
     msg: MbufChain,
@@ -167,13 +235,20 @@ struct Pending {
     rto_at_send: SimDuration,
 }
 
-/// The per-mount UDP RPC client transport.
+/// The per-mount UDP RPC client transport. Its calls in flight live in a
+/// [`UdpCalls`] table: `call_in`, `on_reply_in` and `on_timer_in` take a
+/// shared one, and `call`, `on_reply` and `on_timer` use one the transport
+/// owns. A mount uses one of the two for its whole life.
 pub struct UdpRpcClient {
     cfg: UdpRpcConfig,
     rto: DynRto,
     cwnd: Option<CongWindow>,
     next_xid: u32,
-    pending: IntMap<u32, Pending>,
+    mount: MountKey,
+    /// This mount's calls in flight, in whichever table holds them.
+    in_flight: usize,
+    /// The table of `call`, `on_reply` and `on_timer`.
+    own: UdpCalls,
     /// Calls admitted but deferred by the congestion window.
     queue: VecDeque<(u32, RpcClass, MbufChain)>,
     stats: UdpStats,
@@ -186,6 +261,12 @@ impl UdpRpcClient {
     /// Creates a transport; `xid_seed` keeps streams from colliding when
     /// several mounts share a simulation.
     pub fn new(cfg: UdpRpcConfig, xid_seed: u32) -> Self {
+        Self::for_mount(MountKey::default(), cfg, xid_seed)
+    }
+
+    /// [`UdpRpcClient::new`] for `mount`, whose key tells its calls from
+    /// other mounts' in a shared [`UdpCalls`] table.
+    pub fn for_mount(mount: MountKey, cfg: UdpRpcConfig, xid_seed: u32) -> Self {
         let rto = DynRto::new(cfg.policy, cfg.base_rto);
         let cwnd = if cfg.use_cwnd {
             Some(if cfg.slow_start {
@@ -201,7 +282,9 @@ impl UdpRpcClient {
             rto,
             cwnd,
             next_xid: xid_seed,
-            pending: IntMap::default(),
+            mount,
+            in_flight: 0,
+            own: UdpCalls::default(),
             queue: VecDeque::new(),
             stats: UdpStats::default(),
             down_reported: false,
@@ -222,7 +305,7 @@ impl UdpRpcClient {
 
     /// Requests currently in flight.
     pub fn outstanding(&self) -> usize {
-        self.pending.len()
+        self.in_flight
     }
 
     /// Requests waiting on the congestion window.
@@ -246,10 +329,10 @@ impl UdpRpcClient {
     }
 
     /// Issues a call whose message (RPC header + args, XID already
-    /// embedded) is `msg`. Appends the actions to perform to `actions`,
-    /// which the caller owns and recycles — an RPC happens every few
-    /// simulated milliseconds, so the transport never allocates a fresh
-    /// action vector.
+    /// embedded) is `msg`, kept in the transport's own table. Appends the
+    /// actions to perform to `actions`, which the caller owns and recycles
+    /// — an RPC happens every few simulated milliseconds, so the transport
+    /// never allocates a fresh action vector.
     pub fn call(
         &mut self,
         now: SimTime,
@@ -258,19 +341,56 @@ impl UdpRpcClient {
         msg: MbufChain,
         actions: &mut Vec<UdpAction>,
     ) {
+        self.with_own(|c, calls| c.call_in(calls, now, xid, class, msg, actions));
+    }
+
+    /// [`UdpRpcClient::on_reply_in`] over the transport's own table.
+    pub fn on_reply(
+        &mut self,
+        now: SimTime,
+        xid: u32,
+        reply: MbufChain,
+        actions: &mut Vec<UdpAction>,
+    ) -> Option<CompletedCall> {
+        self.with_own(|c, calls| c.on_reply_in(calls, now, xid, reply, actions))
+    }
+
+    /// [`UdpRpcClient::on_timer_in`] over the transport's own table.
+    pub fn on_timer(&mut self, now: SimTime, xid: u32, gen: u64, actions: &mut Vec<UdpAction>) {
+        self.with_own(|c, calls| c.on_timer_in(calls, now, xid, gen, actions));
+    }
+
+    fn with_own<R>(&mut self, step: impl FnOnce(&mut Self, &mut UdpCalls) -> R) -> R {
+        let mut own = std::mem::take(&mut self.own);
+        let r = step(self, &mut own);
+        self.own = own;
+        r
+    }
+
+    /// [`UdpRpcClient::call`] with the call kept in `calls`.
+    pub fn call_in(
+        &mut self,
+        calls: &mut UdpCalls,
+        now: SimTime,
+        xid: u32,
+        class: RpcClass,
+        msg: MbufChain,
+        actions: &mut Vec<UdpAction>,
+    ) {
         self.stats.calls += 1;
         if let Some(w) = &self.cwnd {
-            if !w.allows(self.pending.len()) {
+            if !w.allows(self.in_flight) {
                 self.stats.window_deferrals += 1;
                 self.queue.push_back((xid, class, msg));
                 return;
             }
         }
-        self.transmit(now, xid, class, msg, actions);
+        self.transmit(calls, now, xid, class, msg, actions);
     }
 
     fn transmit(
         &mut self,
+        calls: &mut UdpCalls,
         now: SimTime,
         xid: u32,
         class: RpcClass,
@@ -293,23 +413,35 @@ impl UdpRpcClient {
             gen: 1,
             deadline: now + rto,
         });
-        self.pending.insert(xid, pending);
+        // A reused xid would lose the first call's retransmission state
+        // and count one call in flight for two.
+        if calls.0.insert(self.mount.call(xid), pending).is_some() {
+            panic!(
+                "duplicate xid {xid} in flight on client {} toward server {}",
+                self.mount.client(),
+                self.mount.server()
+            );
+        }
+        self.in_flight += 1;
     }
 
     /// Processes an incoming reply whose XID has been peeked by the
-    /// socket layer. Returns the completion (if it matches); any queued
-    /// calls the window now admits are appended to `actions`.
-    pub fn on_reply(
+    /// socket layer, for a call kept in `calls`. Returns the completion
+    /// (if it matches); any queued calls the window now admits are
+    /// appended to `actions`.
+    pub fn on_reply_in(
         &mut self,
+        calls: &mut UdpCalls,
         now: SimTime,
         xid: u32,
         reply: MbufChain,
         actions: &mut Vec<UdpAction>,
     ) -> Option<CompletedCall> {
-        let Some(p) = self.pending.remove(&xid) else {
+        let Some(p) = calls.0.remove(&self.mount.call(xid)) else {
             self.stats.stray_replies += 1;
             return None;
         };
+        self.in_flight -= 1;
         self.stats.completed += 1;
         let rtt = now.since(p.first_sent);
         // Karn's rule: skip samples for retransmitted calls.
@@ -323,7 +455,7 @@ impl UdpRpcClient {
             self.down_reported = false;
             actions.push(UdpAction::ServerOk { xid });
         }
-        self.drain_queue(now, actions);
+        self.drain_queue(calls, now, actions);
         Some(CompletedCall {
             xid,
             class: p.class,
@@ -333,22 +465,30 @@ impl UdpRpcClient {
         })
     }
 
-    fn drain_queue(&mut self, now: SimTime, actions: &mut Vec<UdpAction>) {
+    fn drain_queue(&mut self, calls: &mut UdpCalls, now: SimTime, actions: &mut Vec<UdpAction>) {
         while !self.queue.is_empty() {
             if let Some(w) = &self.cwnd {
-                if !w.allows(self.pending.len()) {
+                if !w.allows(self.in_flight) {
                     break;
                 }
             }
             let (xid, class, msg) = self.queue.pop_front().expect("checked non-empty");
-            self.transmit(now, xid, class, msg, actions);
+            self.transmit(calls, now, xid, class, msg, actions);
         }
     }
 
-    /// Handles a retransmit timer, appending the resulting actions.
-    /// Stale (xid, gen) pairs are no-ops.
-    pub fn on_timer(&mut self, now: SimTime, xid: u32, gen: u64, actions: &mut Vec<UdpAction>) {
-        let Some(p) = self.pending.get_mut(&xid).filter(|p| p.timer_gen == gen) else {
+    /// Handles a retransmit timer for a call kept in `calls`, appending
+    /// the resulting actions. Stale (xid, gen) pairs are no-ops.
+    pub fn on_timer_in(
+        &mut self,
+        calls: &mut UdpCalls,
+        now: SimTime,
+        xid: u32,
+        gen: u64,
+        actions: &mut Vec<UdpAction>,
+    ) {
+        let key = self.mount.call(xid);
+        let Some(p) = calls.0.get_mut(&key).filter(|p| p.timer_gen == gen) else {
             profile::census("UdpTimer", true);
             return;
         };
@@ -356,14 +496,15 @@ impl UdpRpcClient {
         // timed out; the syscall comes back with `ETIMEDOUT`.
         if self.cfg.soft && p.sends >= self.cfg.retrans {
             let class = p.class;
-            self.pending.remove(&xid);
+            calls.0.remove(&key);
+            self.in_flight -= 1;
             self.stats.soft_timeouts += 1;
             if let Some(w) = &mut self.cwnd {
                 w.on_timeout();
             }
             self.rto.on_timeout(class);
             actions.push(UdpAction::GiveUp { xid });
-            self.drain_queue(now, actions);
+            self.drain_queue(calls, now, actions);
             return;
         }
         // Timeout: retransmit with exponential backoff; the class-level
@@ -405,6 +546,9 @@ impl UdpRpcClient {
         self.rto.on_timeout(class);
     }
 }
+
+#[cfg(test)]
+mod shared_differential;
 
 #[cfg(test)]
 mod tests {
@@ -470,6 +614,38 @@ mod tests {
             other => panic!("expected timer, got {other:?}"),
         }
         assert_eq!(c.outstanding(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate xid 7 in flight on client 3 toward server 2")]
+    fn a_duplicate_xid_in_flight_panics() {
+        let cfg = UdpRpcConfig::fixed(SimDuration::from_secs(1));
+        let mut c = UdpRpcClient::for_mount(MountKey::new(3, 2), cfg, 7);
+        call(&mut c, ms(0), 7, RpcClass::Lookup, msg(0));
+        call(&mut c, ms(1), 7, RpcClass::Lookup, msg(1));
+    }
+
+    #[test]
+    fn mount_keys_keep_client_server_and_xid_apart() {
+        let (c, s) = (MountKey::MAX_CLIENTS - 1, MountKey::MAX_SERVERS - 1);
+        let far = MountKey::new(c, s);
+        assert_eq!((far.client(), far.server()), (c, s));
+        assert_eq!(far.call(u32::MAX), u64::MAX);
+        let keys = [
+            MountKey::new(0, 0).call(5),
+            MountKey::new(1, 0).call(5),
+            MountKey::new(0, 1).call(5),
+            MountKey::new(0, 0).call(6),
+        ];
+        for (i, k) in keys.iter().enumerate() {
+            assert!(!keys[i + 1..].contains(k), "{keys:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit an in-flight key")]
+    fn a_mount_past_the_key_width_is_refused() {
+        MountKey::new(MountKey::MAX_CLIENTS, 0);
     }
 
     #[test]

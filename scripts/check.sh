@@ -21,10 +21,14 @@ grep -rnE 'POST_CAP|Req::Flush|SHARED_CAPACITY|XFER_BATCH' crates && exit 1
 # decision, not a drift.
 grep -rnE 'std::sync::(Arc\b|\{[^}]*\bArc\b)|\bArc(<|::)' crates/mbuf/src && exit 1
 
-echo "==> IntMap is for keys the simulator mints (a key with wire bytes in it keeps SipHash)"
+echo "==> IntMap is for keys the simulator mints (a key with wire bytes in it keeps SipHash); one in-flight table per world"
 # Names off the wire come as `String`s, byte vectors, or inline as the name
 # cache's `NcName` and the XDR decoder's `InlineStr`.
 grep -rnE 'IntMap<(\([^)]*)?(String|Vec<u8>|NcName|InlineStr)' crates --include='*.rs' && exit 1
+# Calls in flight are in the world's two tables (`World::waiting`, keyed like
+# `UdpCalls` by `MountKey::call`): a table per client or per mount is back
+# to allocating on every client's first call.
+grep -rnE '\bpending: IntMap' crates/core/src/world crates/transport/src && exit 1
 
 echo "==> the lease rules live in lease.rs (no lease table, term, recall queue or grace elsewhere)"
 # client/ and server/ keep only the lease I/O: RPCs, flushes and cache
