@@ -12,6 +12,7 @@ use renofs::{
 use renofs_netsim::topology::presets::Background;
 use renofs_netsim::FaultPlan;
 use renofs_oracle::{fnv1a, Obs, ObsKind, OpOutcome, StreamConfig, StreamingOracle, Violation};
+use renofs_sim::rng::splitmix64;
 use renofs_sim::{Rng, SimDuration, SimTime};
 
 use super::world::{derive_world_for, filter_crash_replays, home_dir, kept_windows, SoakProfile};
@@ -39,8 +40,8 @@ pub struct CaseOutcome {
     pub dup_hits: u64,
     /// The servers' lease counters, summed (lease worlds; else 0).
     pub leases: LeaseCounts,
-    /// High-water mark of streaming-checker retained state (versions +
-    /// pending reads): the memory bound, O(open window) not O(ops).
+    /// High-water mark of the streaming checker's retained versions:
+    /// the memory bound, O(open window) not O(ops).
     pub peak_retained: usize,
     /// Versions the streaming checker retired during the run.
     pub retired: u64,
@@ -128,23 +129,23 @@ fn read_failed(path: String, e: &ClientError) -> ObsKind {
     ObsKind::ReadFailed { path, status }
 }
 
-/// Deterministic per-(seed, client, file, round) content.
+/// Deterministic per-(seed, client, file, round) content, distinct for
+/// every key: a 16-byte header (magic `soak`, then client u16, file u16,
+/// round u32 and length u32, little-endian) and a splitmix64 body seeded
+/// from all four. The oracle tells versions apart by their bytes alone.
 fn content(seed: u64, ci: usize, file: usize, round: usize, len: usize) -> Vec<u8> {
-    let mut x = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((ci as u64) << 32)
-        .wrapping_add(((file as u64) << 16) | round as u64)
-        | 1;
-    let mut v = Vec::with_capacity(len);
+    let mut v = Vec::with_capacity(len + 8);
+    v.extend_from_slice(b"soak");
+    v.extend_from_slice(&(ci as u16).to_le_bytes());
+    v.extend_from_slice(&(file as u16).to_le_bytes());
+    v.extend_from_slice(&(round as u32).to_le_bytes());
+    v.extend_from_slice(&(len as u32).to_le_bytes());
+    let key = u64::from_le_bytes(v[4..12].try_into().expect("8 header bytes"));
+    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ key;
     while v.len() < len {
-        // xorshift64*
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        let w = x.wrapping_mul(0x2545_F491_4F6C_DD1D).to_le_bytes();
-        let take = w.len().min(len - v.len());
-        v.extend_from_slice(&w[..take]);
+        v.extend_from_slice(&splitmix64(&mut x).to_le_bytes());
     }
+    v.truncate(len);
     v
 }
 
@@ -172,7 +173,7 @@ impl<S: Syscalls> Client<S> {
             ObsKind::Committed { certain: true, .. } => c.ok += 1,
             ObsKind::Committed { .. } => c.taints += 1,
             ObsKind::Observed { .. } | ObsKind::Listed { .. } => c.ok += 1,
-            ObsKind::ReadFailed { .. } => {}
+            ObsKind::Writing { .. } | ObsKind::ReadFailed { .. } => {}
         }
         let client = self.ci;
         c.oracle.feed(Obs {
@@ -218,16 +219,27 @@ impl<S: Syscalls> Client<S> {
         r.ok()
     }
 
-    /// Rewrites an open file from offset 0 and closes it: the
-    /// close-to-open commit point, unless closes are write-behind.
+    /// Announces a whole-file rewrite, writes it from offset 0 and
+    /// closes it: the close-to-open commit point, unless closes are
+    /// write-behind.
     fn write_close(&mut self, fh: RouterHandle, path: &str, data: &[u8]) {
         let t_start = self.now();
+        let (len, fnv) = (data.len(), fnv1a(data));
+        let path = path.to_string();
+        self.record(
+            t_start,
+            ObsKind::Writing {
+                path: path.clone(),
+                len,
+                fnv,
+            },
+        );
         let wrote = self.fs.write(fh, 0, data);
         let closed = self.fs.close(fh);
         let commit = ObsKind::Committed {
-            path: path.to_string(),
-            len: data.len(),
-            fnv: fnv1a(data),
+            path: path.clone(),
+            len,
+            fnv,
             certain: wrote.is_ok() && closed.is_ok(),
         };
         if self.w.lease {
@@ -239,7 +251,7 @@ impl<S: Syscalls> Client<S> {
         // flush hit an error even recovery could not absorb; record it
         // so durable loss is flagged.
         if let Err(e @ (ClientError::Stale | ClientError::Nfs(_))) = &closed {
-            self.record(t_start, read_failed(path.to_string(), e));
+            self.record(t_start, read_failed(path, e));
         }
     }
 
@@ -595,6 +607,107 @@ pub fn shrink(case: &SoakCase, mutation: Mutation) -> SoakCase {
         best = fewer.unwrap_or(best);
         if best == before {
             return best;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use super::*;
+
+    /// Every (seed, client, file, round) a recipe writes, late rewrites
+    /// included, has bytes of its own — across worlds too, not only
+    /// within one file's history.
+    #[test]
+    fn content_differs_across_every_key_the_recipes_derive() {
+        let mut keys = HashSet::new();
+        for profile in [SoakProfile::Quick, SoakProfile::Long, SoakProfile::Lease] {
+            for seed in 0..1024u64 {
+                let d = derive_world_for(seed, profile);
+                let late = match profile {
+                    SoakProfile::Lease => 0x40..0x40 + d.rounds,
+                    _ => 0..0,
+                };
+                for ci in 0..d.clients {
+                    for r in 0..d.rounds {
+                        keys.extend((0..d.files).map(|f| (seed, ci, f, r)));
+                    }
+                    keys.extend(late.clone().map(|r| (seed, ci, 0, r)));
+                }
+            }
+        }
+        let mut versions = HashSet::new();
+        for &(seed, ci, f, r) in &keys {
+            let data = content(seed, ci, f, r, file_len(seed, ci, f));
+            assert!(
+                versions.insert((data.len(), fnv1a(&data))),
+                "seed {seed} client {ci} file {f} round {r:#x} repeats a version"
+            );
+        }
+        assert!(keys.len() > 100_000, "{} keys", keys.len());
+    }
+
+    /// The generator before version headers: its `| 1` put two rounds
+    /// of one file on one xorshift state (1 and 2, 3 and 4, … when the
+    /// seed is odd).
+    fn twin_content(seed: u64, ci: usize, file: usize, round: usize, len: usize) -> Vec<u8> {
+        let mut x = seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add((ci as u64) << 32)
+            .wrapping_add(((file as u64) << 16) | round as u64)
+            | 1;
+        let mut v = Vec::with_capacity(len + 8);
+        while v.len() < len {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            v.extend_from_slice(&x.wrapping_mul(0x2545_F491_4F6C_DD1D).to_le_bytes());
+        }
+        v.truncate(len);
+        v
+    }
+
+    #[test]
+    #[should_panic(expected = "two versions of /c0/f0 carry the same")]
+    fn the_old_generators_twins_trip_the_oracle_guard() {
+        let len = file_len(51, 0, 0);
+        let twins = [1, 2].map(|r| (r, twin_content(51, 0, 0, r, len)));
+        assert_eq!(
+            twins[0].1, twins[1].1,
+            "rounds 1 and 2 wrote one version twice"
+        );
+        let mut oracle = StreamingOracle::new(1, StreamConfig::for_lease_soak());
+        for (r, data) in &twins {
+            let (path, len, fnv) = ("/c0/f0".to_string(), data.len(), fnv1a(data));
+            let t = (SETUP + *r as u64 * ROUND) * 1_000_000_000;
+            for (t_done, kind) in [
+                (
+                    t,
+                    ObsKind::Writing {
+                        path: path.clone(),
+                        len,
+                        fnv,
+                    },
+                ),
+                (
+                    t + 1,
+                    ObsKind::Committed {
+                        path,
+                        len,
+                        fnv,
+                        certain: true,
+                    },
+                ),
+            ] {
+                oracle.feed(Obs {
+                    client: 0,
+                    t_start: t,
+                    t_done,
+                    kind,
+                });
+            }
         }
     }
 }

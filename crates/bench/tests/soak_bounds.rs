@@ -30,7 +30,7 @@ fn run(rounds: usize) -> renofs_bench::experiments::soak::CaseOutcome {
     case.windows.clear();
     case.rounds = rounds;
     let opts = RunOpts {
-        stream: StreamConfig::new(GRACE_NS, 10 * SEC, 30 * SEC),
+        stream: StreamConfig::new(GRACE_NS, 30 * SEC),
         ..RunOpts::default()
     };
     run_case_opts(&case, Mutation::None, &opts)

@@ -6,16 +6,17 @@
 //! comes from the live run, the buffered verdict from replaying the
 //! captured client-major log post-hoc (exactly the PR 5 pipeline,
 //! including the crash-window replay filter). The comparison covers
-//! the full 24-seed quick sweep that `scripts/check.sh` gates on, plus
-//! every planted mutant from `soak_mutation.rs` — the bugs must be
-//! caught by the streaming path with byte-identical reports.
+//! the full 24-seed quick sweep that `scripts/check.sh` gates on, the
+//! first 24 lease worlds at the lease grace, plus every planted mutant
+//! from `soak_mutation.rs` — the bugs must be caught by the streaming
+//! path with byte-identical reports.
 
 use renofs::TransportKind;
 use renofs_bench::experiments::soak::{
     derive_world_for, filter_crash_replays, kept_windows, run_case_opts, Mutation, RunOpts,
     SoakCase, SoakProfile, WindowKind, GRACE_NS,
 };
-use renofs_oracle::Oracle;
+use renofs_oracle::{Oracle, StreamConfig};
 
 /// Runs one case through the streaming checker (capturing the log),
 /// replays the captured log through the buffered checker, and asserts
@@ -32,7 +33,11 @@ fn assert_equivalent(case: &SoakCase, mutation: Mutation) -> usize {
         out.observations,
         "case {case}: captured log and processed count disagree"
     );
-    let mut buffered = Oracle::new(GRACE_NS).check(log);
+    let grace = match case.profile {
+        SoakProfile::Lease => StreamConfig::for_lease_soak().grace,
+        _ => GRACE_NS,
+    };
+    let mut buffered = Oracle::new(grace).check(log);
     filter_crash_replays(&kept_windows(case), &mut buffered);
     let streamed: Vec<String> = out.violations.iter().map(|v| format!("{v:?}")).collect();
     let buffed: Vec<String> = buffered.iter().map(|v| format!("{v:?}")).collect();
@@ -52,6 +57,26 @@ fn quick_sweep_is_equivalent_and_clean() {
         total += assert_equivalent(&SoakCase::from_seed(seed), Mutation::None);
     }
     assert_eq!(total, 0, "the quick sweep must soak clean");
+}
+
+/// Lease worlds at the 500 ms lease grace: the 24-seed sweep, seed
+/// 51's full world and its shrunk fault-free case. Seed 51 is where a
+/// write-behind version read before its flush, with a byte-identical
+/// twin one round older, once made the streaming checker report a stale
+/// read the buffered one did not.
+#[test]
+fn lease_sweep_is_equivalent_and_clean() {
+    let mut cases: Vec<SoakCase> = (0..24u64)
+        .chain([51])
+        .map(|seed| SoakCase::from_seed_profile(seed, SoakProfile::Lease))
+        .collect();
+    let shrunk = "seed=51,clients=2,rounds=5,windows=,profile=lease,salt=11";
+    cases.push(SoakCase::parse(shrunk).expect("seed 51's shrunk case parses"));
+    let total: usize = cases
+        .iter()
+        .map(|case| assert_equivalent(case, Mutation::None))
+        .sum();
+    assert_eq!(total, 0, "these lease worlds must soak clean");
 }
 
 /// Seeds whose derived worlds can expose a disabled duplicate-request

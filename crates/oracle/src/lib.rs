@@ -94,6 +94,18 @@ pub enum ObsKind {
         /// How the create concluded.
         outcome: OpOutcome,
     },
+    /// The client started writing the whole file: the version exists
+    /// from now, and its `Committed` follows. Fed at write start
+    /// (`t_start == t_done`), so the streaming checker knows the version
+    /// before any read could see it; the buffered checker ignores it.
+    Writing {
+        /// Absolute path of the file.
+        path: String,
+        /// Content length in bytes.
+        len: usize,
+        /// Content fingerprint ([`fnv1a`]).
+        fnv: u64,
+    },
     /// The client wrote the whole file and closed it: version committed.
     Committed {
         /// Absolute path of the file.
@@ -142,6 +154,7 @@ impl ObsKind {
     fn path(&self) -> &str {
         match self {
             ObsKind::Created { path, .. }
+            | ObsKind::Writing { path, .. }
             | ObsKind::Committed { path, .. }
             | ObsKind::Observed { path, .. }
             | ObsKind::ReadFailed { path, .. }
@@ -497,6 +510,9 @@ impl Oracle {
                     // A completed close implies the name exists.
                     exists.insert(path, Exists::Yes);
                 }
+                // Pass 1 already holds every version from its close's
+                // issue time.
+                ObsKind::Writing { .. } => {}
                 ObsKind::Observed { len, fnv, .. } => {
                     if exists.get(path) == Some(&Exists::Unknown) {
                         continue;

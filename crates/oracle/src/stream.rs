@@ -25,20 +25,22 @@
 //! retirement counts — is byte-identical at any `--jobs` setting and
 //! any feed interleaving.
 //!
-//! # Eager vs deferred adjudication
+//! # Announced writes: every read adjudicated on release
 //!
-//! The buffered checker quietly uses future knowledge in one place: a
-//! read is matched against versions whose close *starts* before the
-//! read completes, including closes still in flight (`t_done` later
-//! than the read's). Streaming cannot see those yet, so an unmatched
-//! read becomes *pending* for a bounded hold window: it resolves the
-//! moment the matching commit arrives, and only if the window expires
-//! with no match is it adjudicated corrupt (after the same exemptions
-//! the buffered checker applies). Everything else — existence replay
-//! checks, close-to-open floors, per-reader monotonicity, durability,
-//! listings — needs only past state and is adjudicated eagerly at the
-//! merge position. Per-(client, path) pending reads form a FIFO so
-//! `last_seen` monotonicity updates happen in the buffered order.
+//! The buffered checker matches a read against every version whose
+//! close *started* before the read completed, closes still in flight
+//! included, because it holds the whole log. Streaming gets the same
+//! knowledge from the writer: a write feeds [`ObsKind::Writing`] when it
+//! starts (`t_start == t_done`), so the merge releases it before any
+//! read that could have seen its bytes. The announcement opens a
+//! version; the write's `Committed` completes the newest open version
+//! of its path with the same content, setting its `t_done` and
+//! certainty, and a `Committed` nobody announced adds a closed version.
+//! So every read is adjudicated the moment it is released: matched,
+//! held to its close-to-open floor and its reader's last version, or —
+//! matching nothing — reported corrupt. Versions are told apart by
+//! `(len, fnv)` alone, so two retained versions of one path with equal
+//! content are a harness error: the checker panics naming the path.
 //!
 //! # Retirement and the taint horizon
 //!
@@ -47,37 +49,43 @@
 //! versions strictly below it are dropped and a `retired` offset keeps
 //! global version indices stable. The anchor itself survives (it is
 //! the close-to-open floor for any read still in flight), and so does
-//! every *uncertain* version above it — an uncertain version can be
-//! legitimately observed arbitrarily later, so only a newer certain
-//! anchor aging past the cutoff can retire it. That is the taint
-//! horizon: a run of soft-timeout-tainted closes extends retention
-//! until the next certain close ages out, so retained state is
-//! O(window + longest taint run), never O(total ops). Safety demands
-//! `retain ≥ grace + hold` (+ the longest open-to-completion block),
-//! so every version a live pending read could match or floor against
-//! is still retained; the constructor asserts the inequality.
+//! every *uncertain* or still-open version above it — such a version
+//! can be legitimately observed arbitrarily later, so only a newer
+//! certain anchor aging past the cutoff can retire it. That is the
+//! taint horizon: a run of soft-timeout-tainted closes extends
+//! retention until the next certain close ages out, so retained state
+//! is O(window + longest taint run), never O(total ops). Safety demands
+//! `retain ≥ grace` (asserted) plus the longest open-to-completion
+//! block, so every version a read could match or floor against is
+//! still retained.
 //!
 //! # Documented divergences from the buffered checker
 //!
 //! The buffered checker's whole-log knowledge leaks into a few
 //! adjudications that a prefix cannot reproduce. None arise in the
-//! soak workload (quick sweeps never even reach the retention window),
-//! and the differential tests pin exact equivalence there:
+//! soak workload, which announces every write, and the differential
+//! tests pin exact equivalence there:
 //!
+//! * A read of a write that was never announced, finishing before its
+//!   `Committed` is released, is `CorruptRead` here; the buffered
+//!   checker matches it. Announcing is the writer's half of the
+//!   contract.
+//! * A write announced but never committed stays an open, uncertain
+//!   version; the buffered checker never sees it, so later versions of
+//!   that path are numbered one higher here.
 //! * A violation *older than the retain window* may be reported as
 //!   `CorruptRead` where the buffered checker, with the retired
 //!   version list in hand, would have said `StaleRead`.
 //! * `ever_removed` (which downgrades the directory-listing check) is
 //!   prefix knowledge here but whole-log there; the workload never
 //!   removes a committed file, so the two agree.
-//! * The empty-read exemption and the path-never-modelled exemption
-//!   are decided at hold expiry from prefix state; a first commit or
-//!   first create arriving more than `hold` after the read would flip
-//!   them. Reads follow creation in the workload.
+//! * A read of a name no earlier observation created, wrote or removed
+//!   is judged here; the buffered checker skips a name the whole log
+//!   never models. Reads follow creation in the workload.
 //! * Names quiescent longer than `retain` with no versions are garbage
 //!   collected and lose replay armor; soak temp names are used once.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use crate::{violation_total_key, Exists, Obs, ObsKind, OpOutcome, Version, Violation};
 
@@ -86,41 +94,36 @@ use crate::{violation_total_key, Exists, Obs, ObsKind, OpOutcome, Version, Viola
 /// retained-state trajectory is deterministic.
 const SWEEP_NS: u64 = 1_000_000_000;
 
+/// The `t_done` of an announced version whose close has not returned.
+const OPEN: u64 = u64::MAX;
+
 /// The streaming checker's window parameters, all in virtual ns.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
     /// Close-to-open bounded-staleness window (attr-cache lifetime plus
     /// scheduling slack) — same meaning as [`crate::Oracle::new`].
     pub grace: u64,
-    /// How long an unmatched read is held pending before it is
-    /// adjudicated corrupt. Must exceed the longest time a close can
-    /// stay in flight (fault window + hard-mount retry backoff).
-    pub hold: u64,
     /// How long versions are retained before the retirement sweep may
-    /// drop them. Must be at least `grace + hold` (asserted), with
-    /// margin for the longest open-to-completion block.
+    /// drop them. Must be at least `grace` (asserted), with margin for
+    /// the longest open-to-completion block.
     pub retain: u64,
 }
 
 impl StreamConfig {
     /// Builds a config, asserting the retention safety inequality.
-    pub fn new(grace: u64, hold: u64, retain: u64) -> Self {
+    pub fn new(grace: u64, retain: u64) -> Self {
         assert!(
-            retain >= grace + hold,
-            "retain ({retain}) must cover grace ({grace}) + hold ({hold})"
+            retain >= grace,
+            "retain ({retain}) must cover grace ({grace})"
         );
-        StreamConfig {
-            grace,
-            hold,
-            retain,
-        }
+        StreamConfig { grace, retain }
     }
 
-    /// The soak harness profile: 120 virtual seconds of pending-read
-    /// hold (far above the 60 s hard-mount backoff cap plus the widest
-    /// fault window) and 240 s retention (double the safety floor).
+    /// The soak harness profile: 240 virtual seconds of retention, far
+    /// above the 60 s hard-mount backoff cap plus the widest fault
+    /// window a close can block across.
     pub fn for_soak(grace: u64) -> Self {
-        StreamConfig::new(grace, 120_000_000_000, 240_000_000_000)
+        StreamConfig::new(grace, 240_000_000_000)
     }
 
     /// The lease-soak profile: a *tightened* 500 ms staleness grace.
@@ -130,10 +133,10 @@ impl StreamConfig {
     /// window — and crucially the 3 s lease term deliberately *exceeds*
     /// this grace, so a client that keeps serving its cache past expiry
     /// (or a server that skips the reboot wait) produces reads stale by
-    /// more than the grace and is caught, not excused. Hold and retain
-    /// match [`StreamConfig::for_soak`].
+    /// more than the grace and is caught, not excused. Retention
+    /// matches [`StreamConfig::for_soak`].
     pub fn for_lease_soak() -> Self {
-        StreamConfig::new(500_000_000, 120_000_000_000, 240_000_000_000)
+        StreamConfig::new(500_000_000, 240_000_000_000)
     }
 }
 
@@ -144,8 +147,8 @@ pub struct StreamStats {
     pub processed: u64,
     /// Versions permanently retired by the sweep.
     pub retired: u64,
-    /// High-water mark of retained model state (live versions plus
-    /// pending reads) — the memory bound. O(open window), not O(ops).
+    /// High-water mark of retained versions, open ones included — the
+    /// memory bound. O(open window), not O(ops).
     pub peak_retained: usize,
 }
 
@@ -170,18 +173,6 @@ struct Feed {
     wm: u64,
     /// Set once the client will emit nothing further.
     finished: bool,
-}
-
-/// A read awaiting a version still in flight (or corrupt).
-#[derive(Clone, Copy, Debug)]
-struct Pending {
-    client: usize,
-    t_start: u64,
-    t_done: u64,
-    len: usize,
-    fnv: u64,
-    /// `t_done + hold`: past this model time the read is adjudicated.
-    deadline: u64,
 }
 
 /// Per-path retained model state.
@@ -212,8 +203,6 @@ pub struct StreamingOracle {
     paths: HashMap<String, PathState>,
     exists: HashMap<String, Exists>,
     last_seen: HashMap<(usize, String), usize>,
-    pending: HashMap<(usize, String), VecDeque<Pending>>,
-    pending_live: usize,
     versions_live: usize,
     /// The model clock: `t_done` of the last released observation.
     model_now: u64,
@@ -232,8 +221,6 @@ impl StreamingOracle {
             paths: HashMap::new(),
             exists: HashMap::new(),
             last_seen: HashMap::new(),
-            pending: HashMap::new(),
-            pending_live: 0,
             versions_live: 0,
             model_now: 0,
             last_sweep: 0,
@@ -299,27 +286,13 @@ impl StreamingOracle {
         self.stats
     }
 
-    /// Drains every feed and pending read, and returns the verdict.
+    /// Drains every feed and returns the verdict.
     pub fn finish(mut self) -> StreamOutcome {
         for f in &mut self.feeds {
             f.finished = true;
         }
         self.pump();
         debug_assert!(self.feeds.iter().all(|f| f.buf.is_empty()));
-        // Resolve every still-pending read: all versions have arrived,
-        // so a failed match now is adjudicated exactly as at expiry.
-        let keys: Vec<(usize, String)> = self.pending.keys().cloned().collect();
-        for (ci, path) in keys {
-            while let Some(p) = self
-                .pending
-                .get_mut(&(ci, path.clone()))
-                .and_then(|f| f.pop_front())
-            {
-                self.pending_live -= 1;
-                self.settle(&path, p);
-            }
-        }
-        self.pending.clear();
         self.violations.sort_by_cached_key(violation_total_key);
         StreamOutcome {
             violations: self.violations,
@@ -360,21 +333,22 @@ impl StreamingOracle {
     }
 
     /// Advances the model through one released observation. Mirrors
-    /// the buffered checker's replay arm for arm; only the unmatched
-    /// read defers.
+    /// the buffered checker's replay arm for arm, plus the announced
+    /// writes it does not need.
     fn process(&mut self, obs: Obs) {
         debug_assert!(obs.t_done >= self.model_now, "merge released backwards");
         self.model_now = obs.t_done;
         self.stats.processed += 1;
-        self.expire_pending();
         if self.model_now >= self.last_sweep + SWEEP_NS {
             self.sweep();
             self.last_sweep = self.model_now;
         }
         let path = obs.kind.path().to_string();
+        if !matches!(obs.kind, ObsKind::Listed { .. }) {
+            self.touch(&path);
+        }
         match &obs.kind {
             ObsKind::Created { outcome, .. } => {
-                self.touch(&path);
                 let st = self.exists.entry(path.clone()).or_insert(Exists::No);
                 match outcome {
                     OpOutcome::Ok => *st = Exists::Yes,
@@ -403,7 +377,6 @@ impl StreamingOracle {
                 }
             }
             ObsKind::Removed { outcome, .. } => {
-                self.touch(&path);
                 self.paths.entry(path.clone()).or_default().ever_removed = true;
                 let st = self.exists.entry(path.clone()).or_insert(Exists::No);
                 match outcome {
@@ -425,76 +398,35 @@ impl StreamingOracle {
                     }
                 }
             }
+            ObsKind::Writing { len, fnv, .. } => {
+                self.add_version(&path, *len, *fnv, obs.t_start, OPEN, false);
+            }
             ObsKind::Committed {
                 len, fnv, certain, ..
             } => {
-                self.touch(&path);
                 self.exists.insert(path.clone(), Exists::Yes);
-                let ps = self.paths.entry(path.clone()).or_default();
-                let v = Version {
-                    len: *len,
-                    fnv: *fnv,
-                    t_start: obs.t_start,
-                    t_done: obs.t_done,
-                    certain: *certain,
-                };
-                // Single-writer files arrive already ordered; the
-                // back-scan only moves on exact ties.
-                let mut at = ps.versions.len();
-                while at > 0
-                    && (ps.versions[at - 1].t_start, ps.versions[at - 1].t_done)
-                        > (v.t_start, v.t_done)
-                {
-                    at -= 1;
-                }
-                ps.versions.insert(at, v);
+                let ps = self.paths.get_mut(&path).expect("touched");
                 if *certain && ps.first_certain_t_done.is_none() {
                     ps.first_certain_t_done = Some(obs.t_done);
                 }
-                self.versions_live += 1;
-                // A new version may resolve pending reads of this path.
-                for ci in 0..self.feeds.len() {
-                    self.drain_fifo(ci, &path);
+                let open = ps
+                    .versions
+                    .iter_mut()
+                    .rev()
+                    .find(|v| v.t_done == OPEN && v.len == *len && v.fnv == *fnv);
+                if let Some(v) = open {
+                    v.t_done = obs.t_done;
+                    v.certain = *certain;
+                } else {
+                    self.add_version(&path, *len, *fnv, obs.t_start, obs.t_done, *certain);
                 }
             }
             ObsKind::Observed { len, fnv, .. } => {
-                self.touch(&path);
-                if self.exists.get(&path) == Some(&Exists::Unknown) {
-                    self.note_peak();
-                    return;
-                }
-                let p = Pending {
-                    client: obs.client,
-                    t_start: obs.t_start,
-                    t_done: obs.t_done,
-                    len: *len,
-                    fnv: *fnv,
-                    deadline: obs.t_done.saturating_add(self.cfg.hold),
-                };
-                let key = (obs.client, path.clone());
-                let queued = self.pending.get(&key).is_some_and(|f| !f.is_empty());
-                if queued {
-                    // An earlier read of this (client, path) is still
-                    // unresolved: queue behind it so last_seen updates
-                    // keep the buffered order.
-                    self.pending
-                        .get_mut(&key)
-                        .expect("queued fifo")
-                        .push_back(p);
-                    self.pending_live += 1;
-                } else if let Some(seen) = self.try_match(&path, &p) {
-                    self.adjudicate(&path, &p, seen);
-                } else {
-                    self.pending.entry(key).or_default().push_back(p);
-                    self.pending_live += 1;
+                if self.exists.get(&path) != Some(&Exists::Unknown) {
+                    self.read(&obs, &path, *len, *fnv);
                 }
             }
             ObsKind::ReadFailed { status, .. } => {
-                self.touch(&path);
-                if self.exists.get(&path) == Some(&Exists::Unknown) {
-                    self.note_peak();
-                    return;
-                }
                 let vanished = status.contains("NoEnt") || status.contains("Stale");
                 if vanished
                     && self.durable_before(&path, obs.t_start)
@@ -540,7 +472,41 @@ impl StreamingOracle {
                 self.violations.extend(missing);
             }
         }
-        self.note_peak();
+        self.stats.peak_retained = self.stats.peak_retained.max(self.versions_live);
+    }
+
+    /// Adds a version of `path` in `(t_start, t_done)` order. Single-
+    /// writer files arrive already ordered; the back-scan only moves on
+    /// exact ties.
+    fn add_version(
+        &mut self,
+        path: &str,
+        len: usize,
+        fnv: u64,
+        t_start: u64,
+        t_done: u64,
+        certain: bool,
+    ) {
+        let ps = self.paths.get_mut(path).expect("touched");
+        assert!(
+            !ps.versions.iter().any(|v| v.len == len && v.fnv == fnv),
+            "harness error: two versions of {path} carry the same {len} bytes \
+             (fnv {fnv:016x}), so no read can tell them apart"
+        );
+        let at = ps
+            .versions
+            .iter()
+            .rposition(|v| (v.t_start, v.t_done) <= (t_start, t_done))
+            .map_or(0, |k| k + 1);
+        let v = Version {
+            len,
+            fnv,
+            t_start,
+            t_done,
+            certain,
+        };
+        ps.versions.insert(at, v);
+        self.versions_live += 1;
     }
 
     /// Whether a certain version of `path` completed more than `grace`
@@ -561,135 +527,57 @@ impl StreamingOracle {
             .any(|v| v.certain && v.t_done + self.cfg.grace <= t)
     }
 
-    /// Newest retained version matching a read's content and issued
-    /// before the read completed; returns its *global* index.
-    fn try_match(&self, path: &str, p: &Pending) -> Option<usize> {
-        let ps = self.paths.get(path)?;
-        ps.versions
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, v)| v.t_start <= p.t_done && v.len == p.len && v.fnv == p.fnv)
-            .map(|(k, _)| ps.retired + k)
-    }
-
-    /// Adjudicates a matched read: close-to-open floor, then per-reader
-    /// monotonicity. Mirrors the buffered arm verbatim (including the
+    /// Adjudicates a read of `path` that saw `(len, fnv)`: the newest
+    /// version with that content whose write started before the read
+    /// returned, then its close-to-open floor and its reader's last
+    /// version. Mirrors the buffered arm verbatim (including the
     /// `max(prev)` bookkeeping).
-    fn adjudicate(&mut self, path: &str, p: &Pending, seen: usize) {
+    fn read(&mut self, obs: &Obs, path: &str, len: usize, fnv: u64) {
         let ps = &self.paths[path];
+        let seen = ps
+            .versions
+            .iter()
+            .rposition(|v| v.t_start <= obs.t_done && v.len == len && v.fnv == fnv);
+        let Some(seen) = seen.map(|k| ps.retired + k) else {
+            // The created-empty state is the file's version "-1": an
+            // empty read is legitimate, not corruption, while
+            // close-to-open owes the reader nothing newer.
+            if len > 0 || self.durable_before(path, obs.t_start) {
+                self.violations.push(Violation::CorruptRead {
+                    client: obs.client,
+                    path: path.to_string(),
+                    t: obs.t_done,
+                    len,
+                    fnv,
+                });
+            }
+            return;
+        };
         let floor = ps
             .versions
             .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, v)| v.certain && v.t_done + self.cfg.grace <= p.t_start)
-            .map(|(k, _)| ps.retired + k);
-        if let Some(floor) = floor {
-            if seen < floor {
-                self.violations.push(Violation::StaleRead {
-                    client: p.client,
-                    path: path.to_string(),
-                    t: p.t_start,
-                    seen,
-                    floor,
-                });
-            }
+            .rposition(|v| v.certain && v.t_done + self.cfg.grace <= obs.t_start);
+        if let Some(floor) = floor.map(|k| ps.retired + k).filter(|&floor| seen < floor) {
+            self.violations.push(Violation::StaleRead {
+                client: obs.client,
+                path: path.to_string(),
+                t: obs.t_start,
+                seen,
+                floor,
+            });
         }
-        let key = (p.client, path.to_string());
+        let key = (obs.client, path.to_string());
         let prev = self.last_seen.get(&key).copied();
-        if let Some(prev) = prev {
-            if seen < prev {
-                self.violations.push(Violation::TimeTravel {
-                    client: p.client,
-                    path: path.to_string(),
-                    t: p.t_done,
-                    seen,
-                    prev,
-                });
-            }
+        if let Some(prev) = prev.filter(|&prev| seen < prev) {
+            self.violations.push(Violation::TimeTravel {
+                client: obs.client,
+                path: path.to_string(),
+                t: obs.t_done,
+                seen,
+                prev,
+            });
         }
         self.last_seen.insert(key, seen.max(prev.unwrap_or(0)));
-    }
-
-    /// Final adjudication of a pending read that will never resolve
-    /// through a commit: match once more, then apply the buffered
-    /// checker's exemptions, else report corruption.
-    fn settle(&mut self, path: &str, p: Pending) {
-        if let Some(seen) = self.try_match(path, &p) {
-            self.adjudicate(path, &p, seen);
-            return;
-        }
-        // Never-modelled path: the buffered checker skips it too.
-        if !self.paths.contains_key(path) {
-            return;
-        }
-        // The created-empty state is the file's version "-1": an empty
-        // read is legitimate, not corruption, while close-to-open owes
-        // the reader nothing newer.
-        if p.len == 0 && !self.durable_before(path, p.t_start) {
-            return;
-        }
-        self.violations.push(Violation::CorruptRead {
-            client: p.client,
-            path: path.to_string(),
-            t: p.t_done,
-            len: p.len,
-            fnv: p.fnv,
-        });
-    }
-
-    /// Resolves the head of one (client, path) pending FIFO while it
-    /// matches, preserving FIFO order for `last_seen`.
-    fn drain_fifo(&mut self, ci: usize, path: &str) {
-        loop {
-            let key = (ci, path.to_string());
-            let Some(head) = self.pending.get(&key).and_then(|f| f.front().copied()) else {
-                return;
-            };
-            let Some(seen) = self.try_match(path, &head) else {
-                return;
-            };
-            self.pending
-                .get_mut(&key)
-                .expect("drained fifo")
-                .pop_front();
-            self.pending_live -= 1;
-            self.adjudicate(path, &head, seen);
-        }
-    }
-
-    /// Settles every pending read whose hold deadline has passed, then
-    /// lets any newly exposed heads try to match.
-    fn expire_pending(&mut self) {
-        if self.pending_live == 0 {
-            return;
-        }
-        let expired: Vec<(usize, String)> = self
-            .pending
-            .iter()
-            .filter(|(_, f)| f.front().is_some_and(|p| p.deadline < self.model_now))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for (ci, path) in expired {
-            loop {
-                let key = (ci, path.clone());
-                let Some(head) = self.pending.get(&key).and_then(|f| f.front().copied()) else {
-                    break;
-                };
-                if head.deadline >= self.model_now {
-                    break;
-                }
-                self.pending
-                    .get_mut(&key)
-                    .expect("expired fifo")
-                    .pop_front();
-                self.pending_live -= 1;
-                self.settle(&path, head);
-            }
-            self.drain_fifo(ci, &path);
-        }
-        self.pending.retain(|_, f| !f.is_empty());
     }
 
     /// The retirement sweep: drop versions below each path's newest
@@ -703,34 +591,21 @@ impl StreamingOracle {
             let anchor = ps
                 .versions
                 .iter()
-                .enumerate()
-                .rev()
-                .find(|(_, v)| v.certain && v.t_done <= cutoff)
-                .map(|(k, _)| k);
+                .rposition(|v| v.certain && v.t_done <= cutoff);
             if let Some(a) = anchor {
-                for _ in 0..a {
-                    ps.versions.pop_front();
-                }
+                ps.versions.drain(..a);
                 ps.retired += a;
                 dropped += a;
             }
         }
         self.versions_live -= dropped;
         self.stats.retired += dropped as u64;
-        let held: HashSet<&str> = self
-            .pending
-            .iter()
-            .filter(|(_, f)| !f.is_empty())
-            .map(|((_, p), _)| p.as_str())
-            .collect();
+        let (now, retain) = (self.model_now, self.cfg.retain);
         let dead: Vec<String> = self
             .paths
             .iter()
-            .filter(|(p, ps)| {
-                ps.versions.is_empty()
-                    && ps.retired == 0
-                    && self.model_now.saturating_sub(ps.touched) > self.cfg.retain
-                    && !held.contains(p.as_str())
+            .filter(|(_, ps)| {
+                ps.versions.is_empty() && ps.retired == 0 && now.saturating_sub(ps.touched) > retain
             })
             .map(|(p, _)| p.clone())
             .collect();
@@ -746,13 +621,6 @@ impl StreamingOracle {
         } else {
             let now = self.model_now;
             self.paths.entry(path.to_string()).or_default().touched = now;
-        }
-    }
-
-    fn note_peak(&mut self) {
-        let live = self.versions_live + self.pending_live;
-        if live > self.stats.peak_retained {
-            self.stats.peak_retained = live;
         }
     }
 }
@@ -776,6 +644,20 @@ mod tests {
                 len: body.len(),
                 fnv: fnv1a(body.as_bytes()),
                 certain,
+            },
+        }
+    }
+
+    /// The announcement of [`committed`]'s write, fed when it starts.
+    fn writing(client: usize, t: u64, path: &str, body: &str) -> Obs {
+        Obs {
+            client,
+            t_start: t,
+            t_done: t,
+            kind: ObsKind::Writing {
+                path: path.to_string(),
+                len: body.len(),
+                fnv: fnv1a(body.as_bytes()),
             },
         }
     }
@@ -879,11 +761,11 @@ mod tests {
         (buffered, out.violations, out.stats)
     }
 
-    /// Equivalence-test config: a short hold so expiry paths run, but
-    /// a retain window wider than any staleness the scenarios exercise
-    /// (inside the window the checkers must agree exactly).
+    /// Equivalence-test config: a retain window wider than any
+    /// staleness the scenarios exercise (inside the window the checkers
+    /// must agree exactly).
     fn cfg_small() -> StreamConfig {
-        StreamConfig::new(GRACE, 8 * SEC, 60 * SEC)
+        StreamConfig::new(GRACE, 60 * SEC)
     }
 
     #[test]
@@ -941,35 +823,57 @@ mod tests {
         assert_eq!(b, s);
     }
 
-    #[test]
-    fn in_flight_commit_resolves_pending_read() {
-        // Reader completes before the writer's close does: the match
-        // must defer until the commit arrives, then adjudicate clean.
-        let w = Obs {
-            client: 0,
-            t_start: 10 * SEC,
-            t_done: 15 * SEC, // close in flight for 5 s
-            kind: ObsKind::Committed {
-                path: "/d/f".to_string(),
-                len: 2,
-                fnv: fnv1a(b"v9"),
-                certain: true,
-            },
+    /// A write whose close is in flight for 5 s, and a read that returns
+    /// with its bytes before the close does.
+    fn racing_write(announced: bool) -> Vec<Vec<Obs>> {
+        let mut close = committed(0, 10 * SEC, "/d/f", "v9", true);
+        close.t_done = 15 * SEC;
+        let write = if announced {
+            vec![writing(0, 10 * SEC, "/d/f", "v9"), close]
+        } else {
+            vec![close]
         };
-        let r = observed(1, 12 * SEC, "/d/f", "v9");
-        let (b, s, _) = both(cfg_small(), vec![vec![w], vec![r]]);
-        assert!(b.is_empty(), "buffered baseline dirty: {b:?}");
-        assert_eq!(b, s);
+        vec![write, vec![observed(1, 12 * SEC, "/d/f", "v9")]]
     }
 
     #[test]
-    fn unmatched_read_expires_to_corrupt_like_buffered() {
+    fn announced_write_matches_a_read_that_returns_before_its_close() {
+        let (b, s, st) = both(cfg_small(), racing_write(true));
+        assert!(b.is_empty(), "buffered baseline dirty: {b:?}");
+        assert_eq!(b, s);
+        // The announcement is an observation; the close completes the
+        // version it opened rather than adding a second one.
+        assert_eq!((st.processed, st.peak_retained), (3, 1));
+    }
+
+    #[test]
+    fn an_unannounced_in_flight_commit_leaves_its_read_corrupt() {
+        // The contract: a read is judged when the merge releases it, so
+        // a writer that does not announce leaves the read nothing to
+        // match. The buffered checker, holding the whole log, matches it.
+        let (b, s, _) = both(cfg_small(), racing_write(false));
+        assert!(b.is_empty(), "buffered baseline dirty: {b:?}");
+        assert!(
+            matches!(s.as_slice(), [Violation::CorruptRead { client: 1, .. }]),
+            "{s:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "two versions of /d/f carry the same 4 bytes")]
+    fn two_versions_with_equal_content_trip_the_guard() {
+        let log = vec![
+            committed(0, SEC, "/d/f", "twin", true),
+            writing(0, 5 * SEC, "/d/f", "twin"),
+        ];
+        both(cfg_small(), split(&log, 1));
+    }
+
+    #[test]
+    fn unmatched_read_is_corrupt_like_buffered() {
         let log = vec![
             committed(0, SEC, "/d/f", "v1", true),
             observed(1, 5 * SEC, "/d/f", "garbage"),
-            // Keep the world running well past the hold window so expiry
-            // (not the finish drain) adjudicates.
-            observed(1, 40 * SEC, "/d/f", "v1"),
         ];
         let (b, s, _) = both(cfg_small(), split(&log, 2));
         assert!(b.iter().any(|v| matches!(v, Violation::CorruptRead { .. })));
@@ -992,14 +896,12 @@ mod tests {
 
     #[test]
     fn empty_read_is_legal_until_a_certain_close_is_owed() {
-        // Created, one close, an empty read long after it, and a later
-        // observation so that expiry (not the finish drain) settles it.
+        // Created, one close, and an empty read long after it.
         let log = |certain: bool| {
             vec![
                 created(0, SEC, "/d/f", OpOutcome::Ok),
                 committed(0, 2 * SEC, "/d/f", "v1", certain),
                 observed(1, 9 * SEC, "/d/f", ""),
-                listed(1, 40 * SEC, "/d", &["f"]),
             ]
         };
         // An uncertain close may never have landed: the file may still be
@@ -1048,7 +950,7 @@ mod tests {
         // One writer + one reader ping-ponging on one file for a long
         // time: retained state must stay flat while `retired` grows.
         let run = |rounds: u64| {
-            let mut s = StreamingOracle::new(2, StreamConfig::new(GRACE, 8 * SEC, 12 * SEC));
+            let mut s = StreamingOracle::new(2, StreamConfig::new(GRACE, 12 * SEC));
             for r in 0..rounds {
                 let t = SEC + r * 4 * SEC;
                 s.feed(committed(0, t, "/d/f", &format!("v{r}"), true));

@@ -21,7 +21,10 @@ pub struct Rng {
     s: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// One step of splitmix64: advances `state` and returns its mix. Every
+/// output is a bijection of the state, so distinct states give distinct
+/// first outputs.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -45,13 +45,10 @@ grep -rnE 'mpsc::channel|duration = scale\.duration' crates/bench/src/experiment
     grep -vE '^crates/bench/src/experiments/mod\.rs:[0-9]+:.*mpsc::channel' && exit 1
 grep -rnE '\b(same_lan|token_ring_path|slow_link_path)_n\(' crates benchmark examples && exit 1
 
-echo "==> no file over 700 non-test lines (all of crates/)"
-# benchmark/ is frozen and not gated. The oracle's stream.rs is the one
-# exception: ROADMAP item 2 deletes its version-matching scan, and that
-# change takes it off this list.
+echo "==> no file over 700 non-test lines (all of crates/, no exceptions)"
+# benchmark/ is frozen and not gated.
 scripts/loc.sh --files | awk -F'\t' '
-    $2 ~ /^crates\// && $1 > 700 &&
-        $2 != "crates/oracle/src/stream.rs" { print; bad = 1 }
+    $2 ~ /^crates\// && $1 > 700 { print; bad = 1 }
     END { exit bad }' || {
     echo "a file above is over 700 non-test lines: split it along its seams" >&2
     exit 1
@@ -106,15 +103,15 @@ echo "==> repro soak --long --seeds 64 --scale quick (certification-recipe gate)
 cargo run -q --release -p renofs-bench --bin repro -- soak --long --seeds 64 \
     --scale quick >/dev/null
 
-echo "==> repro soak --case seed=51 (the lease soak's fault-free repro still violates)"
-# ROADMAP item 1's shrunk world with no fault window: a stale read under
-# leases. It must exit 1 (a violation), not 0 (clean) or 2 (bad spec). The
-# change that fixes it flips this step on purpose, and says so.
-status=0
+echo "==> repro soak --case seed=51 (the lease soak's fault-free case is clean)"
+# ROADMAP item 1's shrunk world with no fault window, where round 4's
+# write-behind version of /c0/f0 is read before its flush. Every version
+# has bytes of its own and every write is announced when it starts, so
+# that read matches its own version, not an older one with equal bytes:
+# the case must exit 0 (clean), not 1 (a violation) or 2 (bad spec).
 cargo run -q --release -p renofs-bench --bin repro -- soak \
-    --case "seed=51,clients=2,rounds=5,windows=,profile=lease,salt=11" >/dev/null || status=$?
-[ "$status" -eq 1 ] || {
-    echo "seed-51 lease case exited $status, not 1 with its violation" >&2
+    --case "seed=51,clients=2,rounds=5,windows=,profile=lease,salt=11" >/dev/null || {
+    echo "seed-51 lease case is not clean (exit $?)" >&2
     exit 1
 }
 
