@@ -315,7 +315,7 @@ impl<S: Syscalls> Client<S> {
     fn list(&mut self, dir: &str) {
         let t = self.now();
         if let Ok(entries) = self.fs.readdir(dir) {
-            let names = entries.into_iter().map(|e| e.name).collect();
+            let names = entries.iter().map(|e| e.name.to_string()).collect();
             let dir = dir.to_string();
             self.record(t, ObsKind::Listed { dir, names });
         }

@@ -509,8 +509,14 @@ fn a_warm_server_services_small_rpcs_and_reads_without_allocating() {
     for ino in [read, written] {
         server.fs_mut().write(ino, 0, &[0x5a; 8192], t).unwrap();
     }
+    let dir = server.fs_mut().mkdir(root, "dir", 0o755, t).unwrap();
+    for i in 0..40 {
+        let name = format!("entry{i:02}.c");
+        server.fs_mut().create(dir, &name, 0o644, t).unwrap();
+    }
     let fh = |server: &NfsServer, ino| server.handle_for(ino).unwrap();
     let (root, read, written) = (fh(&server, root), fh(&server, read), fh(&server, written));
+    let dir = fh(&server, dir);
     let status = |reply: &MbufChain| {
         let mut dec = XdrDecoder::new(reply);
         ReplyHeader::decode(&mut dec).unwrap();
@@ -545,6 +551,14 @@ fn a_warm_server_services_small_rpcs_and_reads_without_allocating() {
         })
     };
     serve("8 KB WRITE", &write, NfsStatus::Ok, 0);
+    // One page of a 40-entry directory: each entry is encoded as `MemFs`
+    // visits it (a page of owned names was two allocations an entry).
+    let readdir = || {
+        call(NfsProc::Readdir, |c, m| {
+            build::readdir_args(c, m, &dir, 0, 8192)
+        })
+    };
+    serve("READDIR of 40 entries", &readdir, NfsStatus::Ok, 0);
 }
 
 /// One `run_andrew` of the standard tree through a Reno mount on a
@@ -564,13 +578,14 @@ fn andrew_loopback_allocs() -> (u64, u64) {
 #[test]
 fn an_andrew_run_allocates_less_than_once_per_rpc() {
     let _alone = measuring();
-    // What is left is the application's and the file system's own: files
-    // and directories `MemFs` creates and grows, name-cache and attribute
-    // entries, the path each vnode was opened under, READDIR's listings
-    // and the maps' growth. The block buffers, the data `read` hands
-    // back, the paths and the payload snapshots all recycle now. The
-    // first run warms the thread's mbuf and block free lists; quietest of
-    // three after.
+    // What is left is mostly the file system's own: the files and
+    // directories `MemFs` creates and grows. Then each listing's storage
+    // (a fresh client lists every directory once, cold), name-cache and
+    // attribute entries, the path arena's growth and the maps'. Blocks,
+    // the data `read` hands back, payload snapshots, READDIR's names and
+    // pages and the paths files are opened under allocate nothing each
+    // now. The first run warms the thread's mbuf and block free lists;
+    // quietest of three after.
     andrew_loopback_allocs();
     let (allocs, rpcs) = (0..3)
         .map(|_| andrew_loopback_allocs())
@@ -578,13 +593,51 @@ fn an_andrew_run_allocates_less_than_once_per_rpc() {
         .expect("three runs");
     let per_rpc = allocs as f64 / rpcs as f64;
     eprintln!("allocs per RPC over an Andrew run: {per_rpc:.3} ({allocs} in {rpcs} RPCs)");
-    // Measured 0.742 (3.800 while every block, every `read`'s buffer,
-    // every listing handed out and every path was a fresh allocation);
-    // the bound is twice the reading.
+    // Measured 0.258: 0.742 while every READDIR entry's name was two
+    // strings and every path opened one, 3.800 while every block, every
+    // `read`'s buffer and every listing handed out was fresh too. The
+    // bound is twice the reading.
     assert!(
-        per_rpc < 1.5,
+        per_rpc < 0.52,
         "an Andrew run allocates too much: {per_rpc:.3} per RPC"
     );
+}
+
+#[test]
+fn a_warm_client_relists_a_changed_directory_without_allocating() {
+    let _alone = measuring();
+    let t = SimTime::ZERO;
+    let mut server = NfsServer::new(ServerConfig::reno(), t);
+    let root = server.fs().root();
+    let dir = server.fs_mut().mkdir(root, "d", 0o755, t).unwrap();
+    for i in 0..40 {
+        let name = format!("entry{i:02}.c");
+        server.fs_mut().create(dir, &name, 0o644, t).unwrap();
+    }
+    let root = server.root_handle();
+    let mut c = ClientFs::mount(Loopback::new(server), ClientConfig::reno(), root, "uvax1");
+    // The first listing takes its storage (and warms the client's pools).
+    assert_eq!(c.readdir("/d").unwrap().len(), 40);
+    // Each round a CREATE changes the directory; once the attributes
+    // time out the changed mtime drops the cached listing, and the
+    // listing that replaces it is decoded into the dropped one's
+    // storage.
+    let mut relist = |i: usize| {
+        let fh = c.open(&format!("/d/new{i}"), true, false).unwrap();
+        c.close(fh).unwrap();
+        c.sys().advance(SimDuration::from_secs(6));
+        let readdirs = c.counts().count(NfsProc::Readdir);
+        let a0 = profile::allocs();
+        assert_eq!(c.readdir("/d").unwrap().len(), 41 + i);
+        let allocs = profile::allocs() - a0;
+        assert_eq!(c.counts().count(NfsProc::Readdir), readdirs + 1);
+        allocs
+    };
+    // The first relisting warms what a relisting touches.
+    relist(0);
+    let rounds: Vec<u64> = (1..6).map(relist).collect();
+    let allocs = rounds.iter().min().copied();
+    assert_eq!(allocs, Some(0), "a relisting allocated: {rounds:?}");
 }
 
 #[test]

@@ -183,7 +183,9 @@ impl<S: Syscalls> ClientFs<S> {
         if self.readdir_cache.contains_key(&token) {
             return Ok(token);
         }
-        let mut all = Vec::new();
+        // Entries are decoded straight into the listing, which reuses
+        // the storage of the last one dropped.
+        let mut all = std::mem::take(&mut self.spare_listing);
         let mut cookie = 0u32;
         loop {
             let page = all.len();
@@ -201,9 +203,9 @@ impl<S: Syscalls> ClientFs<S> {
                 }
                 eof
             } else {
-                let (entries, eof) = self.rpc(NfsProc::Readdir, build, results::get_readdirres)?;
-                all.extend(entries);
-                eof
+                self.rpc(NfsProc::Readdir, build, |dec| {
+                    results::get_readdirres(dec, &mut all)
+                })?
             };
             match all[page..].last() {
                 Some(last) if !eof => cookie = last.cookie,

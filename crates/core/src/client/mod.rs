@@ -29,6 +29,8 @@
 //! policies; `lease_io` is the client's side of NQNFS leases; `dirops`
 //! holds the directory operations.
 
+use std::ops::Range;
+
 use renofs_mbuf::{CopyMeter, MbufChain};
 use renofs_sim::{IntMap, SimDuration, SimTime};
 use renofs_sunrpc::{
@@ -224,10 +226,11 @@ struct VnodeState {
     /// (in-flight biods, delayed blocks) and must never shrink the file
     /// below this watermark.
     write_high: u32,
-    /// The path this vnode was opened under, kept for ESTALE recovery:
-    /// when the server reboots its handles go stale and the client
-    /// re-derives a fresh one by walking this path from the root.
-    path: Option<String>,
+    /// Where in the client's path arena (`ClientFs::paths`) the path
+    /// this vnode was opened under lies, kept for ESTALE recovery: when
+    /// the server reboots its handles go stale and the client re-derives
+    /// a fresh one by walking this path from the root.
+    path: Option<Range<usize>>,
 }
 
 /// One asynchronous WRITE in flight. The pushed byte range is recorded
@@ -254,6 +257,12 @@ pub struct ClientFs<S: Syscalls> {
     attrcache: AttrCache,
     bufcache: BufCache,
     readdir_cache: IntMap<VnodeId, Vec<DirEntry>>,
+    /// The storage of the last listing dropped from `readdir_cache`,
+    /// cleared, for the next directory listed.
+    spare_listing: Vec<DirEntry>,
+    /// Every vnode's recorded path, end to end; `VnodeState::path` is a
+    /// range into it.
+    paths: String,
     pending_reads: IntMap<(VnodeId, u64), Ticket>,
     /// Asynchronous WRITEs in flight, every file's, in the order sent.
     pending_writes: Vec<PendingWrite>,
@@ -285,6 +294,8 @@ impl<S: Syscalls> ClientFs<S> {
             attrcache: AttrCache::new(cfg.attr_timeout),
             bufcache: BufCache::new(CacheOrg::PerVnodeChains, cfg.bufcache_blocks),
             readdir_cache: IntMap::default(),
+            spare_listing: Vec::new(),
+            paths: String::new(),
             pending_reads: IntMap::default(),
             pending_writes: Vec::new(),
             spare_drain: Vec::new(),
@@ -428,14 +439,43 @@ impl<S: Syscalls> ClientFs<S> {
     }
 
     /// Records the path a handle was resolved under, for ESTALE
-    /// recovery. Skips the store when unchanged so steady-state opens
-    /// stay allocation-free.
+    /// recovery, at the end of the path arena. A re-open under the same
+    /// path stores nothing.
     fn remember_path(&mut self, fh: FileHandle, path: &str) {
-        let vn = self.vnode(fh);
-        match &vn.path {
-            Some(p) if p == path => {}
-            _ => vn.path = Some(path.to_string()),
+        if let Some(r) = self.vnode(fh).path.clone() {
+            if self.paths[r] == *path {
+                return;
+            }
         }
+        if self.paths.len() + path.len() > self.paths.capacity() {
+            self.compact_paths(path.len());
+        }
+        let start = self.paths.len();
+        self.paths.push_str(path);
+        self.vnode(fh).path = Some(start..self.paths.len());
+    }
+
+    /// The path recorded for `token`'s vnode, if any.
+    fn recorded_path(&self, token: VnodeId) -> Option<&str> {
+        let r = self.vnodes.get(&token)?.path.clone()?;
+        Some(&self.paths[r])
+    }
+
+    /// Moves the paths still recorded into a fresh arena with room for
+    /// twice them and `more` bytes: what re-recorded paths and dropped
+    /// vnodes left behind is reclaimed whenever the arena fills, so it
+    /// stays within twice the paths live then.
+    fn compact_paths(&mut self, more: usize) {
+        let live: usize = (self.vnodes.values())
+            .filter_map(|v| v.path.as_ref().map(|r| r.len()))
+            .sum();
+        let mut arena = String::with_capacity(2 * (live + more));
+        for r in self.vnodes.values_mut().filter_map(|v| v.path.as_mut()) {
+            let start = arena.len();
+            arena.push_str(&self.paths[r.clone()]);
+            *r = start..arena.len();
+        }
+        self.paths = arena;
     }
 
     /// Processes freshly arrived attributes: the mtime-based consistency
@@ -499,7 +539,18 @@ impl<S: Syscalls> ClientFs<S> {
     fn purge_clean_blocks(&mut self, token: VnodeId) {
         self.bufcache.purge_clean(token);
         self.forget_reads(token);
-        self.readdir_cache.remove(&token);
+        self.forget_listing(token);
+    }
+
+    /// Drops `token`'s cached listing, parking its storage for the next
+    /// directory listed (the larger of it and what is parked already).
+    fn forget_listing(&mut self, token: VnodeId) {
+        if let Some(mut listing) = self.readdir_cache.remove(&token) {
+            if listing.capacity() > self.spare_listing.capacity() {
+                listing.clear();
+                self.spare_listing = listing;
+            }
+        }
     }
 
     /// Forgets the read-aheads in flight for `token`.
@@ -552,7 +603,7 @@ impl<S: Syscalls> ClientFs<S> {
     /// and its cached listing are no longer good.
     fn dir_changed(&mut self, dir: FileHandle) {
         self.attrcache.invalidate(dir.vnode_token());
-        self.readdir_cache.remove(&dir.vnode_token());
+        self.forget_listing(dir.vnode_token());
     }
 
     /// Syscall entry: the fixed CPU charge, then lease housekeeping.
@@ -928,6 +979,49 @@ mod tests {
         // beyond further look-ahead.
         let _ = c.read(fh, BLOCK_SIZE as u32, 100).unwrap();
         assert!(c.counts().count(NfsProc::Read) <= reads_now + 1);
+    }
+
+    #[test]
+    fn recorded_paths_survive_compaction_and_a_long_one_recovers_a_stale_handle() {
+        let mut c = client(ClientConfig::reno());
+        // Three 100-byte components: a path past any inline name's 255.
+        let mut dir = String::new();
+        for d in ["a", "b", "c"] {
+            dir = format!("{dir}/{}", d.repeat(100));
+            c.mkdir(&dir).unwrap();
+        }
+        let long = format!("{dir}/f");
+        assert!(long.len() > 255);
+        let fh = c.open(&long, true, false).unwrap();
+        c.write(fh, 0, b"deep").unwrap();
+        c.close(fh).unwrap();
+        // Files opened under 60-byte paths, every other one removed: the
+        // arena fills and drops the removed files' paths.
+        let name = |i: usize| format!("/{i:02}{}", "t".repeat(57));
+        for i in 0..40 {
+            let t = c.open(&name(i), true, false).unwrap();
+            c.close(t).unwrap();
+            if i % 2 == 0 {
+                c.remove(&name(i)).unwrap();
+            }
+        }
+        let recorded = 3 * 101 + 3 + 2 * 101 + 2 + 101 + 1 + long.len() + 40 * 60;
+        assert!(c.paths.len() < recorded, "the arena was never compacted");
+        // A re-open under the same path records nothing.
+        let arena = c.paths.len();
+        let again = c.open(&long, false, false).unwrap();
+        assert_eq!(c.paths.len(), arena);
+        assert_eq!(c.recorded_path(again.vnode_token()), Some(long.as_str()));
+        for i in (1..40).step_by(2) {
+            let t = c.lookup_path(&name(i)).unwrap();
+            assert_eq!(c.recorded_path(t.vnode_token()), Some(name(i).as_str()));
+        }
+        // A reboot stales the handle; recovery walks a, b, c and f.
+        c.sys().server.reboot();
+        c.sys().advance(SimDuration::from_secs(6));
+        let lookups = c.counts().count(NfsProc::Lookup);
+        assert_eq!(c.read(again, 0, 16).unwrap(), b"deep");
+        assert_eq!(c.counts().count(NfsProc::Lookup), lookups + 4);
     }
 
     #[test]

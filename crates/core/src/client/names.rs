@@ -29,7 +29,7 @@ impl<S: Syscalls> ClientFs<S> {
     /// was recorded or the path now names a different file.
     pub(super) fn recover_stale_fh(&mut self, fh: FileHandle) -> CResult<FileHandle> {
         let token = fh.vnode_token();
-        let Some(path) = self.vnodes.get(&token).and_then(|v| v.path.clone()) else {
+        let Some(path) = self.recorded_path(token).map(str::to_string) else {
             return Err(ClientError::Stale);
         };
         self.stale_purge();
@@ -162,7 +162,7 @@ impl<S: Syscalls> ClientFs<S> {
         self.attrcache.invalidate(token);
         self.namecache.purge_vnode(token);
         self.bufcache.purge_vnode(token);
-        self.readdir_cache.remove(&token);
+        self.forget_listing(token);
         let sys = &mut self.sys;
         self.pending_writes.retain(|pw| {
             if pw.token == token {

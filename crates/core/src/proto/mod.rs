@@ -498,12 +498,12 @@ pub enum NfsArgs {
 }
 
 /// One READDIR entry on the wire.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DirEntry {
     /// File id.
     pub fileid: u32,
-    /// Name.
-    pub name: String,
+    /// Name, inline: decoding a listing allocates no string per entry.
+    pub name: InlineStr,
     /// Cookie resuming after this entry.
     pub cookie: u32,
 }
@@ -816,9 +816,17 @@ mod tests {
             },
         ];
         let mut chain = MbufChain::new();
-        results::put_readdirres(&mut chain, &mut meter, &Ok((entries.clone(), true)));
+        results::put_readdirres(&mut chain, &mut meter, |entry| {
+            for e in &entries {
+                entry(e.fileid, &e.name, e.cookie);
+            }
+            Ok(true)
+        });
         let mut dec = XdrDecoder::new(&chain);
-        let (got, eof) = results::get_readdirres(&mut dec).unwrap().unwrap();
+        let mut got = Vec::new();
+        let eof = results::get_readdirres(&mut dec, &mut got)
+            .unwrap()
+            .unwrap();
         assert_eq!(got, entries);
         assert!(eof);
     }

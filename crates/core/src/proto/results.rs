@@ -141,53 +141,73 @@ pub fn get_readlinkres(dec: &mut XdrDecoder<'_>) -> Result<Result<String, NfsSta
     }
 }
 
-/// Encodes a READDIR result.
+/// Encodes a READDIR result whose entries `list` hands one at a time,
+/// as `(fileid, name, cookie)`, to the visitor it is given: no listing
+/// is built. `list` raises any error before its first entry, so the `Ok`
+/// status goes out with the first entry, or after an empty page.
 pub fn put_readdirres(
     chain: &mut MbufChain,
     meter: &mut CopyMeter,
-    res: &Result<(Vec<DirEntry>, bool), NfsStatus>,
+    list: impl FnOnce(&mut dyn FnMut(u32, &str, u32)) -> Result<bool, NfsStatus>,
 ) {
     let mut enc = XdrEncoder::new(chain, meter);
-    match res {
-        Ok((entries, eof)) => {
+    let mut started = false;
+    let res = list(&mut |fileid, name, cookie| {
+        if !started {
             enc.put_u32(NfsStatus::Ok.to_wire());
-            for e in entries {
-                enc.put_bool(true); // another entry follows
-                enc.put_u32(e.fileid);
-                enc.put_string(&e.name);
-                enc.put_u32(e.cookie);
+            started = true;
+        }
+        put_entry(&mut enc, fileid, name, cookie);
+    });
+    match res {
+        Ok(eof) => {
+            if !started {
+                enc.put_u32(NfsStatus::Ok.to_wire());
             }
             enc.put_bool(false);
-            enc.put_bool(*eof);
+            enc.put_bool(eof);
         }
-        Err(s) => enc.put_u32(s.to_wire()),
+        Err(s) => {
+            debug_assert!(!started, "a listing failed after its first entry");
+            enc.put_u32(s.to_wire());
+        }
     }
 }
 
-/// Decoded READDIR result: entries + eof, or an NFS error.
-pub type ReaddirRes = Result<(Vec<DirEntry>, bool), NfsStatus>;
+/// One entry of a READDIR or READDIRLOOKUP list: the "another entry
+/// follows" flag, then the entry.
+fn put_entry(enc: &mut XdrEncoder<'_>, fileid: u32, name: &str, cookie: u32) {
+    enc.put_bool(true);
+    enc.put_u32(fileid);
+    enc.put_string(name);
+    enc.put_u32(cookie);
+}
+
+/// Decodes the entry [`put_entry`] writes after its flag.
+fn get_entry(dec: &mut XdrDecoder<'_>) -> Result<DirEntry, XdrError> {
+    Ok(DirEntry {
+        fileid: dec.get_u32()?,
+        name: dec.get_inline_str(NFS_MAXNAMLEN)?,
+        cookie: dec.get_u32()?,
+    })
+}
 
 /// Decoded STATFS result: `(tsize, bsize, blocks, bfree, bavail)` or
 /// an NFS error.
 pub type StatfsRes = Result<(u32, u32, u32, u32, u32), NfsStatus>;
 
-/// Decodes a READDIR result.
-pub fn get_readdirres(dec: &mut XdrDecoder<'_>) -> Result<ReaddirRes, XdrError> {
+/// Decodes a READDIR result, appending its entries to `listing` (no
+/// page of its own is built), and returns its eof flag.
+pub fn get_readdirres(
+    dec: &mut XdrDecoder<'_>,
+    listing: &mut Vec<DirEntry>,
+) -> Result<Result<bool, NfsStatus>, XdrError> {
     match NfsStatus::from_wire(dec.get_u32()?)? {
         NfsStatus::Ok => {
-            let mut entries = Vec::new();
             while dec.get_bool()? {
-                let fileid = dec.get_u32()?;
-                let name = dec.get_string(NFS_MAXNAMLEN)?;
-                let cookie = dec.get_u32()?;
-                entries.push(DirEntry {
-                    fileid,
-                    name,
-                    cookie,
-                });
+                listing.push(get_entry(dec)?);
             }
-            let eof = dec.get_bool()?;
-            Ok(Ok((entries, eof)))
+            Ok(Ok(dec.get_bool()?))
         }
         s => Ok(Err(s)),
     }
@@ -204,10 +224,7 @@ pub fn put_readdirplusres(
         Ok((entries, eof)) => {
             enc.put_u32(NfsStatus::Ok.to_wire());
             for e in entries {
-                enc.put_bool(true);
-                enc.put_u32(e.entry.fileid);
-                enc.put_string(&e.entry.name);
-                enc.put_u32(e.entry.cookie);
+                put_entry(&mut enc, e.entry.fileid, &e.entry.name, e.entry.cookie);
                 e.fh.encode(&mut enc);
                 put_fattr(&mut enc, &e.attr);
             }
@@ -227,19 +244,10 @@ pub fn get_readdirplusres(dec: &mut XdrDecoder<'_>) -> Result<ReaddirPlusRes, Xd
         NfsStatus::Ok => {
             let mut entries = Vec::new();
             while dec.get_bool()? {
-                let fileid = dec.get_u32()?;
-                let name = dec.get_string(NFS_MAXNAMLEN)?;
-                let cookie = dec.get_u32()?;
-                let fh = FileHandle::decode(dec)?;
-                let attr = get_fattr(dec)?;
                 entries.push(DirEntryPlus {
-                    entry: DirEntry {
-                        fileid,
-                        name,
-                        cookie,
-                    },
-                    fh,
-                    attr,
+                    entry: get_entry(dec)?,
+                    fh: FileHandle::decode(dec)?,
+                    attr: get_fattr(dec)?,
                 });
             }
             let eof = dec.get_bool()?;

@@ -513,23 +513,23 @@ impl<S: Syscalls> RouterFs<S> {
         }
     }
 
-    /// Lists a directory on the owning shard, with replica failover.
-    pub fn readdir(&mut self, path: &str) -> CResult<Vec<DirEntry>> {
+    /// Lists a directory on the owning shard, with replica failover. The
+    /// listing is the answering mount's cached one itself.
+    pub fn readdir(&mut self, path: &str) -> CResult<&[DirEntry]> {
         let (idx, rel) = self.route(path);
-        let rel = rel.to_string();
-        match self.mounts[idx].fs.readdir(&rel).map(<[DirEntry]>::to_vec) {
-            Err(e) if Self::failable(e) => {
-                let mut last = Err(e);
-                for r in &mut self.mounts[idx].replicas {
-                    last = r.readdir(&rel).map(<[DirEntry]>::to_vec);
-                    if last.is_ok() {
-                        break;
-                    }
-                }
-                last
+        let mount = &mut self.mounts[idx];
+        let err = match mount.fs.readdir(rel) {
+            Err(e) if Self::failable(e) => e,
+            r => return r,
+        };
+        let mut last = Err(err);
+        for r in &mut mount.replicas {
+            last = r.readdir(rel);
+            if last.is_ok() {
+                break;
             }
-            r => r,
         }
+        last
     }
 
     /// The machine's clock, via mount 0 (every mount shares one

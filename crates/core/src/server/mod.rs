@@ -885,7 +885,8 @@ mod tests {
             proto::build::readdir_args(c, m, &root, 0, 8192)
         });
         let (reply, _) = s.service(t(1), &req);
-        let (entries, eof) = results::get_readdirres(&mut reply_body(&reply))
+        let mut entries = Vec::new();
+        let eof = results::get_readdirres(&mut reply_body(&reply), &mut entries)
             .unwrap()
             .unwrap();
         assert_eq!(entries.len(), 5);

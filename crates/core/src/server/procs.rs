@@ -3,7 +3,7 @@
 
 use renofs_mbuf::{CopyMeter, MbufChain};
 use renofs_sim::SimTime;
-use renofs_vfs::{Buf, InodeId, Vattr, VnodeId, BLOCK_SIZE};
+use renofs_vfs::{Buf, InodeId, MemFs, Vattr, VnodeId, BLOCK_SIZE};
 
 use super::{NfsServer, ServiceCost};
 use crate::proto::{
@@ -14,6 +14,25 @@ use crate::proto::{
 /// The name cache and buffer cache key on the inode number.
 fn vnode(ino: InodeId) -> VnodeId {
     VnodeId(ino.0 as u64)
+}
+
+/// Visits the page of `dir`'s entries after `cookie` that fits the
+/// requested byte `count` (~24 bytes + the name each), charging each
+/// entry's copy, and returns whether the page ends the directory. The
+/// directory's blocks are read first, by the caller.
+fn list_page(
+    fs: &MemFs,
+    dir: InodeId,
+    cookie: u32,
+    count: u32,
+    cost: &mut ServiceCost,
+    mut visit: impl FnMut(u32, &str, InodeId),
+) -> Result<bool, NfsStatus> {
+    let max_entries = ((count as usize) / 32).clamp(1, 512);
+    Ok(fs.readdir(dir, cookie, max_entries, |cookie, name, id| {
+        cost.bytes_copied += 24 + name.len() as u64;
+        visit(cookie, name, id);
+    })?)
 }
 
 impl NfsServer {
@@ -100,10 +119,7 @@ impl NfsServer {
                 results::put_stat(reply, &mut self.meter, stat);
             }
             (NfsProc::Readdir, NfsArgs::Readdir(fh, cookie, count)) => {
-                let res = self
-                    .resolve(&fh)
-                    .and_then(|dir| self.do_readdir(dir, cookie, count, cost));
-                results::put_readdirres(reply, &mut self.meter, &res);
+                self.do_readdir(&fh, cookie, count, reply, cost);
             }
             (NfsProc::ReaddirLookup, NfsArgs::ReaddirLookup(fh, cookie, count)) => {
                 let res = self.do_readdir_lookup(&fh, cookie, count, cost);
@@ -363,30 +379,25 @@ impl NfsServer {
         Ok(())
     }
 
+    /// READDIR: each entry is encoded into `reply` as `MemFs` visits it,
+    /// after the directory's blocks are read.
     fn do_readdir(
         &mut self,
-        dir: InodeId,
+        fh: &FileHandle,
         cookie: u32,
         count: u32,
+        reply: &mut MbufChain,
         cost: &mut ServiceCost,
-    ) -> Result<(Vec<DirEntry>, bool), NfsStatus> {
-        // Entries that fit the requested byte count (~24 bytes + name).
-        let max_entries = ((count as usize) / 32).clamp(1, 512);
-        self.read_dir_blocks(dir, cost)?;
-        let (raw, eof) = self.fs.readdir(dir, cookie, max_entries)?;
-        let entries: Vec<DirEntry> = raw
-            .into_iter()
-            .map(|(cookie, name, id)| DirEntry {
-                fileid: id.0,
-                name,
-                cookie,
+    ) {
+        let dir = self
+            .resolve(fh)
+            .and_then(|dir| self.read_dir_blocks(dir, cost).map(|()| dir));
+        let fs = &self.fs;
+        results::put_readdirres(reply, &mut self.meter, |entry| {
+            list_page(fs, dir?, cookie, count, cost, |cookie, name, id| {
+                entry(id.0, name, cookie)
             })
-            .collect();
-        cost.bytes_copied += entries
-            .iter()
-            .map(|e| 24 + e.name.len() as u64)
-            .sum::<u64>();
-        Ok((entries, eof))
+        });
     }
 
     fn do_readdir_lookup(
@@ -397,7 +408,15 @@ impl NfsServer {
         cost: &mut ServiceCost,
     ) -> Result<(Vec<DirEntryPlus>, bool), NfsStatus> {
         let dir = self.resolve(fh)?;
-        let (entries, eof) = self.do_readdir(dir, cookie, count, cost)?;
+        self.read_dir_blocks(dir, cost)?;
+        let mut entries = Vec::new();
+        let eof = list_page(&self.fs, dir, cookie, count, cost, |cookie, name, id| {
+            entries.push(DirEntry {
+                fileid: id.0,
+                name: name.into(),
+                cookie,
+            })
+        })?;
         let mut out = Vec::with_capacity(entries.len());
         for entry in entries {
             let id = InodeId(entry.fileid);

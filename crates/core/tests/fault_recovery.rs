@@ -27,10 +27,17 @@ use std::sync::mpsc::channel;
 /// marker, size and full content, in readdir order.
 fn server_fs_digest(world: &mut World) -> Vec<(String, Vec<u8>)> {
     let root = world.server_of(0).fs().root();
-    let (entries, eof) = world.server_of(0).fs().readdir(root, 0, 1024).unwrap();
+    let mut entries = Vec::new();
+    let eof = world
+        .server_of(0)
+        .fs()
+        .readdir(root, 0, 1024, |_, name, ino| {
+            entries.push((name.to_string(), ino))
+        })
+        .unwrap();
     assert!(eof, "digest walks the whole directory");
     let mut out = Vec::new();
-    for (_cookie, name, ino) in entries {
+    for (name, ino) in entries {
         let attr = world.server_of(0).fs().getattr(ino).unwrap();
         let data = world
             .server_mut()

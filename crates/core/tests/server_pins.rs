@@ -451,3 +451,109 @@ fn the_script_is_deterministic() {
         assert_eq!(script(cfg), script(cfg));
     }
 }
+
+/// The cookie to resume after and the eof flag of a READDIR (`tail` 0)
+/// or READDIRLOOKUP (`tail` 100: each entry's handle and attributes)
+/// reply, read word by word; `None` for an error status.
+fn page_end(reply: &MbufChain, tail: usize) -> Option<(u32, bool)> {
+    let mut dec = XdrDecoder::new(reply);
+    renofs_sunrpc::ReplyHeader::decode(&mut dec).unwrap();
+    if dec.get_u32().unwrap() != 0 {
+        return None;
+    }
+    let mut cookie = 0;
+    while dec.get_bool().unwrap() {
+        dec.get_u32().unwrap();
+        dec.skip_opaque_var(255).unwrap();
+        cookie = dec.get_u32().unwrap();
+        dec.skip_opaque_fixed(tail).unwrap();
+    }
+    Some((cookie, dec.get_bool().unwrap()))
+}
+
+/// A 600-entry directory listed page by page at `count` 8192, through
+/// READDIR and then READDIRLOOKUP, and a READDIR of a regular file: for
+/// each call the FNV-1a of its reply's bytes, the cookie its last entry
+/// resumes after and its eof (`(0, false)` for an error), and the FNV-1a
+/// of its `ServiceCost`.
+fn listing() -> Vec<(u64, u32, bool, u64)> {
+    let t0 = SimTime::ZERO;
+    let cfg = ServerConfig {
+        readdir_lookup: true,
+        ..ServerConfig::reno()
+    };
+    let mut server = NfsServer::new(cfg, t0);
+    let root_ino = server.fs().root();
+    let big = server.fs_mut().mkdir(root_ino, "big", 0o755, t0).unwrap();
+    // Names of 4 to 43 bytes (every padding), one of 1 and one of 255.
+    let mut names: Vec<String> = (0..598)
+        .map(|i| format!("n{i:03}{}", "-".repeat(i % 40)))
+        .collect();
+    names.push("a".to_string());
+    names.push("z".repeat(255));
+    for name in &names {
+        server.fs_mut().create(big, name, 0o644, t0).unwrap();
+    }
+    let file = server.fs_mut().create(root_ino, "file", 0o644, t0).unwrap();
+    let (bigfh, filefh) = (
+        server.handle_for(big).unwrap(),
+        server.handle_for(file).unwrap(),
+    );
+    let mut now = t0;
+    let mut out = Vec::new();
+    let mut call = |proc: NfsProc, fh: &FileHandle, cookie: u32, tail: usize| {
+        let mut meter = CopyMeter::new();
+        let mut msg = MbufChain::new();
+        CallHeader {
+            xid: out.len() as u32 + 1,
+            prog: NFS_PROGRAM,
+            vers: NFS_VERSION,
+            proc: proc.to_wire(),
+            auth: AuthUnix::root("pinclient"),
+        }
+        .encode(&mut msg, &mut meter);
+        build::readdir_args(&mut msg, &mut meter, fh, cookie, 8192);
+        now += SimDuration::from_millis(250);
+        let (reply, cost) = server.service_from(now, &msg, 0);
+        let (mut bytes, mut price) = (Fnv::new(), Fnv::new());
+        bytes.bytes(&reply.to_vec_for_test());
+        price.cost(&cost);
+        let (next, eof) = page_end(&reply, tail).unwrap_or((0, false));
+        out.push((bytes.0, next, eof, price.0));
+        (next, eof)
+    };
+    for (proc, tail) in [(NfsProc::Readdir, 0), (NfsProc::ReaddirLookup, 100)] {
+        let mut cookie = 0;
+        loop {
+            let (next, eof) = call(proc, &bigfh, cookie, tail);
+            if eof {
+                break;
+            }
+            cookie = next;
+        }
+    }
+    call(NfsProc::Readdir, &filefh, 0, 0);
+    out
+}
+
+/// The listing pins, recorded before READDIR stopped building a page
+/// of entries.
+const LISTING: [(u64, u32, bool, u64); 7] = [
+    (0x98c9b25a854b3d7a, 256, false, 0x9af394737631edbf),
+    (0x7854b89516f5de09, 512, false, 0x37281dd603b09128),
+    (0xd2683144b3a9e7c4, 600, true, 0xbdb94e5388bac9a7),
+    (0x6abbaee090878909, 256, false, 0x2abac7988fc07bd0),
+    (0xcbe0e51a610549b8, 512, false, 0xe53291c0e3795fc1),
+    (0x91c9e03bc39ca623, 600, true, 0x82a7b245771f71a1),
+    (0xf3ad4d0893421b2f, 0, false, 0xaa0414aca2d37194),
+];
+
+#[test]
+fn a_600_entry_listing_answers_the_pinned_pages_at_the_pinned_cost() {
+    let got = listing();
+    let shown: Vec<String> = got
+        .iter()
+        .map(|(b, c, e, p)| format!("    ({b:#x}, {c}, {e}, {p:#x}),"))
+        .collect();
+    assert_eq!(got, LISTING, "actual pins:\n{}", shown.join("\n"));
+}

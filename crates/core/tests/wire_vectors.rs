@@ -10,7 +10,7 @@ use renofs_mbuf::{CopyMeter, MbufChain};
 use renofs_sim::SimTime;
 use renofs_sunrpc::{AcceptStat, AuthUnix, CallHeader, GidList, ReplyHeader};
 use renofs_vfs::{FileType, Vattr};
-use renofs_xdr::{XdrDecoder, XdrEncoder};
+use renofs_xdr::{XdrDecoder, XdrEncoder, XdrError};
 
 /// Big-endian words (RFC 1014 §3.1: an integer is four bytes, most
 /// significant first).
@@ -257,4 +257,34 @@ fn procedure_numbers_are_rfc_1094s() {
     for (number, proc) in in_order.into_iter().enumerate() {
         assert_eq!(proc.to_wire(), number as u32, "{proc:?}");
     }
+}
+
+/// A READDIR `readdirres` (RFC 1094 §2.2.17) with one entry named `len`
+/// bytes of `b'n'`: status, "entry follows", fileid, name, cookie, end
+/// of list, eof.
+fn readdirres_naming(len: usize) -> Vec<u8> {
+    let mut bytes = words(&[0, 1, 42, len as u32]);
+    bytes.extend(std::iter::repeat_n(b'n', len));
+    bytes.resize(bytes.len().next_multiple_of(4), 0);
+    bytes.extend(words(&[7, 0, 1]));
+    bytes
+}
+
+#[test]
+fn a_readdir_entry_name_past_maxnamlen_is_refused_not_truncated() {
+    // `filename` is `string<MAXNAMLEN>`, MAXNAMLEN 255 (RFC 1094 §2.3.5).
+    let decode = |len| {
+        let chain = chain_of(&readdirres_naming(len));
+        let mut listing = Vec::new();
+        let res = proto::results::get_readdirres(&mut XdrDecoder::new(&chain), &mut listing);
+        (res, listing)
+    };
+    let (res, listing) = decode(255);
+    assert_eq!(res, Ok(Ok(true)));
+    assert_eq!(listing.len(), 1);
+    assert_eq!((listing[0].fileid, listing[0].cookie), (42, 7));
+    assert_eq!(*listing[0].name, *"n".repeat(255));
+    let (res, listing) = decode(256);
+    assert_eq!(res, Err(XdrError::TooLong { got: 256, max: 255 }));
+    assert!(listing.is_empty(), "a truncated entry was kept");
 }

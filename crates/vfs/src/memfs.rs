@@ -45,10 +45,6 @@ pub enum FsError {
 /// Result alias.
 pub type FsResult<T> = Result<T, FsError>;
 
-/// One page of directory entries: `(cookie, name, inode)` triples plus
-/// an end-of-directory flag.
-pub type ReaddirPage = (Vec<(u32, String, InodeId)>, bool);
-
 enum Kind {
     File(Vec<u8>),
     Dir(Dir),
@@ -578,24 +574,24 @@ impl MemFs {
         Ok(())
     }
 
-    /// Reads directory entries starting after `cookie` (0 = from start).
-    /// Returns `(entries, eof)`; each entry carries the cookie to resume
-    /// after it.
-    pub fn readdir(&self, dir: InodeId, cookie: u32, max_entries: usize) -> FsResult<ReaddirPage> {
+    /// Visits up to `max_entries` of `dir`'s entries after `cookie` (0 =
+    /// from the start) in place, in name order, as `visit(cookie, name,
+    /// inode)` with the cookie that resumes after that entry, and returns
+    /// whether the page reached the end of the directory. Any error is
+    /// raised before the first visit.
+    pub fn readdir(
+        &self,
+        dir: InodeId,
+        cookie: u32,
+        max_entries: usize,
+        mut visit: impl FnMut(u32, &str, InodeId),
+    ) -> FsResult<bool> {
         let entries = self.dir_entries(dir)?;
-        let mut out = Vec::new();
-        let mut index = 0u32;
-        for (name, id) in entries.iter() {
-            index += 1;
-            if index <= cookie {
-                continue;
-            }
-            if out.len() >= max_entries {
-                return Ok((out, false));
-            }
-            out.push((index, name.clone(), *id));
+        let mut page = entries.iter().zip(1u32..).skip(cookie as usize);
+        for ((name, id), index) in page.by_ref().take(max_entries) {
+            visit(index, name, *id);
         }
-        Ok((out, true))
+        Ok(page.next().is_none())
     }
 
     /// Filesystem statistics: `(block_size, total_blocks, free_blocks)`.
@@ -773,21 +769,37 @@ mod tests {
             fs.create(fs.root(), &format!("f{i:02}"), 0o644, t(1))
                 .unwrap();
         }
-        let (page1, eof1) = fs.readdir(fs.root(), 0, 4).unwrap();
+        let page = |cookie, max| {
+            let mut out = Vec::new();
+            let eof = fs
+                .readdir(fs.root(), cookie, max, |c, name, _| {
+                    out.push((c, name.to_string()))
+                })
+                .unwrap();
+            (out, eof)
+        };
+        let (page1, eof1) = page(0, 4);
         assert_eq!(page1.len(), 4);
         assert!(!eof1);
-        let (page2, _) = fs.readdir(fs.root(), page1.last().unwrap().0, 4).unwrap();
+        let (page2, _) = page(page1.last().unwrap().0, 4);
         assert_eq!(page2[0].1, "f04");
-        let (page3, eof3) = fs.readdir(fs.root(), page2.last().unwrap().0, 10).unwrap();
+        let (page3, eof3) = page(page2.last().unwrap().0, 10);
         assert_eq!(page3.len(), 2);
         assert!(eof3);
+        // A page that ends exactly at the last entry is the end.
+        let (last, eof) = page(6, 4);
+        assert_eq!((last.len(), eof), (4, true));
         let all: Vec<String> = page1
             .iter()
             .chain(&page2)
             .chain(&page3)
-            .map(|(_, n, _)| n.clone())
+            .map(|(_, n)| n.clone())
             .collect();
         assert_eq!(all, (0..10).map(|i| format!("f{i:02}")).collect::<Vec<_>>());
+        // An error comes before any visit.
+        let f = fs.lookup(fs.root(), "f00").unwrap();
+        let visited = fs.readdir(f, 0, 4, |_, _, _| panic!("a file was listed"));
+        assert_eq!(visited, Err(FsError::NotDir));
     }
 
     #[test]

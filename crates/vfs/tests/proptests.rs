@@ -179,11 +179,17 @@ fn directories(fs: &MemFs) -> Vec<(InodeId, Vec<String>)> {
     let mut found = Vec::new();
     let mut todo = vec![fs.root()];
     while let Some(dir) = todo.pop() {
-        let (entries, eof) = fs.readdir(dir, 0, usize::MAX).unwrap();
+        let mut names = Vec::new();
+        let eof = fs
+            .readdir(dir, 0, usize::MAX, |_, name, id| {
+                names.push(name.to_string());
+                if fs.getattr(id).unwrap().ftype == FileType::Directory {
+                    todo.push(id);
+                }
+            })
+            .unwrap();
         assert!(eof);
-        let is_dir = |id: &InodeId| fs.getattr(*id).unwrap().ftype == FileType::Directory;
-        todo.extend(entries.iter().map(|e| e.2).filter(is_dir));
-        found.push((dir, entries.into_iter().map(|e| e.1).collect()));
+        found.push((dir, names));
     }
     found
 }

@@ -30,6 +30,16 @@ grep -rnE 'IntMap<(\([^)]*)?(String|Vec<u8>|NcName|InlineStr)' crates --include=
 # to allocating on every client's first call.
 grep -rnE '\bpending: IntMap' crates/core/src/world crates/transport/src && exit 1
 
+echo "==> a name without a heap string each (READDIR entries inline, pages visited in place, paths in one arena)"
+# A READDIR entry's name is an `InlineStr`, and `MemFs::readdir` visits
+# its page in place: an owned name was two allocations an entry, one in
+# `MemFs` and one in the client's decoder. A vnode's recorded path is a
+# range into its client's path arena: a `String` each was an allocation
+# per file opened.
+grep -nE '\bname: String' crates/core/src/proto/mod.rs && exit 1
+grep -rn 'ReaddirPage' crates && exit 1
+grep -rnE '\bpath: Option<String>' crates/core/src/client && exit 1
+
 echo "==> the lease rules live in lease.rs (no lease table, term, recall queue or grace elsewhere)"
 # client/ and server/ keep only the lease I/O: RPCs, flushes and cache
 # invalidation. proto/ defines the term and its wire form.
