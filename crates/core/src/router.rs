@@ -314,8 +314,12 @@ impl<S: Syscalls> RouterFs<S> {
         (idx, rel)
     }
 
+    /// Records `path` as `h`'s, in the string of the handle's last record
+    /// when it has one.
     fn remember(&mut self, h: RouterHandle, path: &str) {
-        self.paths.insert(h, path.to_string());
+        let recorded = self.paths.entry(h).or_default();
+        recorded.clear();
+        recorded.push_str(path);
     }
 
     /// An error worth retrying on a read-only replica.
@@ -328,12 +332,11 @@ impl<S: Syscalls> RouterFs<S> {
     /// Resolves a path to a handle in the stitched namespace.
     pub fn lookup_path(&mut self, path: &str) -> CResult<RouterHandle> {
         let (idx, rel) = self.route(path);
-        let rel = rel.to_string();
-        let fh = match self.mounts[idx].fs.lookup_path(&rel) {
+        let fh = match self.mounts[idx].fs.lookup_path(rel) {
             Err(e) if Self::failable(e) => {
                 let mut last = Err(e);
                 for r in &mut self.mounts[idx].replicas {
-                    last = r.lookup_path(&rel);
+                    last = r.lookup_path(rel);
                     if last.is_ok() {
                         break;
                     }
@@ -350,12 +353,11 @@ impl<S: Syscalls> RouterFs<S> {
     /// `stat(2)` through the router, with replica failover.
     pub fn stat(&mut self, path: &str) -> CResult<Vattr> {
         let (idx, rel) = self.route(path);
-        let rel = rel.to_string();
-        match self.mounts[idx].fs.stat(&rel) {
+        match self.mounts[idx].fs.stat(rel) {
             Err(e) if Self::failable(e) => {
                 let mut last = Err(e);
                 for r in &mut self.mounts[idx].replicas {
-                    last = r.stat(&rel);
+                    last = r.stat(rel);
                     if last.is_ok() {
                         break;
                     }
@@ -369,8 +371,7 @@ impl<S: Syscalls> RouterFs<S> {
     /// Opens (optionally creating/truncating) a file on its owning shard.
     pub fn open(&mut self, path: &str, create: bool, truncate: bool) -> CResult<RouterHandle> {
         let (idx, rel) = self.route(path);
-        let rel = rel.to_string();
-        let fh = self.mounts[idx].fs.open(&rel, create, truncate)?;
+        let fh = self.mounts[idx].fs.open(rel, create, truncate)?;
         let h = RouterHandle { export: idx, fh };
         self.remember(h, path);
         Ok(h)
@@ -392,9 +393,8 @@ impl<S: Syscalls> RouterFs<S> {
                     return Err(e);
                 };
                 let (_, rel) = self.map.route(&path);
-                let rel = rel.to_string();
                 for r in &mut self.mounts[h.export].replicas {
-                    if let Ok(fh) = r.lookup_path(&rel) {
+                    if let Ok(fh) = r.lookup_path(rel) {
                         if let Ok(data) = r.read(fh, off, len) {
                             return Ok(data);
                         }
@@ -433,8 +433,7 @@ impl<S: Syscalls> RouterFs<S> {
     /// Creates a directory on the owning shard.
     pub fn mkdir(&mut self, path: &str) -> CResult<RouterHandle> {
         let (idx, rel) = self.route(path);
-        let rel = rel.to_string();
-        let fh = self.mounts[idx].fs.mkdir(&rel)?;
+        let fh = self.mounts[idx].fs.mkdir(rel)?;
         let h = RouterHandle { export: idx, fh };
         self.remember(h, path);
         Ok(h)
@@ -443,15 +442,13 @@ impl<S: Syscalls> RouterFs<S> {
     /// Removes a file on the owning shard.
     pub fn remove(&mut self, path: &str) -> CResult<()> {
         let (idx, rel) = self.route(path);
-        let rel = rel.to_string();
-        self.mounts[idx].fs.remove(&rel)
+        self.mounts[idx].fs.remove(rel)
     }
 
     /// Removes a directory on the owning shard.
     pub fn rmdir(&mut self, path: &str) -> CResult<()> {
         let (idx, rel) = self.route(path);
-        let rel = rel.to_string();
-        self.mounts[idx].fs.rmdir(&rel)
+        self.mounts[idx].fs.rmdir(rel)
     }
 
     /// Renames within a shard natively; across shards, the router does
@@ -462,17 +459,16 @@ impl<S: Syscalls> RouterFs<S> {
     pub fn rename(&mut self, from: &str, to: &str) -> CResult<()> {
         let (fi, frel) = self.route(from);
         let (ti, trel) = self.route(to);
-        let (frel, trel) = (frel.to_string(), trel.to_string());
         if fi == ti {
-            return self.mounts[fi].fs.rename(&frel, &trel);
+            return self.mounts[fi].fs.rename(frel, trel);
         }
-        let attr = self.mounts[fi].fs.stat(&frel)?;
+        let attr = self.mounts[fi].fs.stat(frel)?;
         if attr.ftype != FileType::Regular {
             // EXDEV territory: only plain files are copied across.
             return Err(ClientError::Nfs(crate::proto::NfsStatus::IsDir));
         }
-        let src = self.mounts[fi].fs.lookup_path(&frel)?;
-        let dst = self.mounts[ti].fs.open(&trel, true, true)?;
+        let src = self.mounts[fi].fs.lookup_path(frel)?;
+        let dst = self.mounts[ti].fs.open(trel, true, true)?;
         let mut off = 0u32;
         while off < attr.size {
             let want = (attr.size - off).min(renofs_vfs::BLOCK_SIZE as u32);
@@ -484,25 +480,23 @@ impl<S: Syscalls> RouterFs<S> {
             off += data.len() as u32;
         }
         self.mounts[ti].fs.close(dst)?;
-        self.mounts[fi].fs.remove(&frel)
+        self.mounts[fi].fs.remove(frel)
     }
 
     /// Creates a symlink on the owning shard.
     pub fn symlink(&mut self, path: &str, target: &str) -> CResult<()> {
         let (idx, rel) = self.route(path);
-        let rel = rel.to_string();
-        self.mounts[idx].fs.symlink(&rel, target)
+        self.mounts[idx].fs.symlink(rel, target)
     }
 
     /// Reads a symlink on the owning shard, with replica failover.
     pub fn readlink(&mut self, path: &str) -> CResult<String> {
         let (idx, rel) = self.route(path);
-        let rel = rel.to_string();
-        match self.mounts[idx].fs.readlink(&rel) {
+        match self.mounts[idx].fs.readlink(rel) {
             Err(e) if Self::failable(e) => {
                 let mut last = Err(e);
                 for r in &mut self.mounts[idx].replicas {
-                    last = r.readlink(&rel);
+                    last = r.readlink(rel);
                     if last.is_ok() {
                         break;
                     }

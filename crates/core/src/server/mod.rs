@@ -198,9 +198,9 @@ pub struct NfsServer {
     dup_cache_cap: usize,
     meter: CopyMeter,
     stats: ServerStats,
-    /// Recycled buffer for READ data on its way from the filesystem
-    /// into an mbuf chain and WRITE data on its way out of one, so
-    /// steady-state reads and writes don't allocate.
+    /// Recycled buffer for WRITE data on its way out of an mbuf chain
+    /// into the filesystem, so steady-state writes don't allocate (READ
+    /// data goes from the file's bytes straight into its reply chain).
     io_scratch: Vec<u8>,
     /// Boot epoch, stamped into every issued file handle's `fsid` field
     /// and bumped on reboot: handles minted before a crash come back

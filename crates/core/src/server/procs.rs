@@ -223,21 +223,17 @@ impl NfsServer {
                 self.vol.bufcache.insert(vnode(ino), blk as u64, block);
             }
         }
-        let mut data = std::mem::take(&mut self.io_scratch);
-        let res = self.fs.read_into(ino, offset, count, now, &mut data);
-        let res = res.and_then(|_| self.fs.getattr(ino)).map(|attr| {
-            // Buffer cache -> mbuf: the paper's remaining third
-            // bottleneck, unless the page-loaning extension is on.
-            let chain = if self.cfg.loan_read_pages {
-                MbufChain::from_slice(&data, &mut CopyMeter::new())
-            } else {
-                cost.bytes_copied += data.len() as u64;
-                MbufChain::from_slice(&data, &mut self.meter)
-            };
-            (attr, chain)
-        });
-        self.io_scratch = data;
-        Ok(res?)
+        // Buffer cache -> mbuf, straight from the file's bytes: the
+        // paper's remaining third bottleneck, unless the page-loaning
+        // extension is on.
+        let data = self.fs.read_slice(ino, offset, count, now)?;
+        let chain = if self.cfg.loan_read_pages {
+            MbufChain::from_slice(data, &mut CopyMeter::new())
+        } else {
+            cost.bytes_copied += data.len() as u64;
+            MbufChain::from_slice(data, &mut self.meter)
+        };
+        Ok((self.fs.getattr(ino)?, chain))
     }
 
     fn do_write(

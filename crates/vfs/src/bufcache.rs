@@ -17,18 +17,17 @@
 //! a file's dirty or cached blocks are listed by walking it) and on one
 //! LRU list; a hash of (vnode, block) finds a buffer the way `incore()`
 //! does through `bufhash`. A chain's length is the Reno price of a
-//! search. Block storage comes off a free list: a buffer that is evicted,
-//! removed or purged gives its `BLOCK_SIZE` bytes back when it drops and
-//! the next new buffer takes them, as 4.3BSD's `getnewbuf` takes a
-//! buffer, memory and all, off its LRU free list. The list is the
-//! thread's, as the mbuf free lists are: a world's caches live and die on
-//! one thread, so the next world's caches fill from the last one's
-//! storage. A warm cache allocates nothing.
-
-use std::cell::RefCell;
+//! search. Block storage comes off the thread's buffer list
+//! (`buflist.rs`): a buffer that is evicted, removed or purged gives
+//! its `BLOCK_SIZE` bytes back when it drops and the next new buffer takes
+//! them, as 4.3BSD's `getnewbuf` takes a buffer, memory and all, off its
+//! LRU free list. A world's caches live and die on one thread, so the
+//! next world's caches fill from the last one's storage. A warm cache
+//! allocates nothing.
 
 use renofs_sim::IntMap;
 
+use crate::buflist::Storage;
 use crate::types::{VnodeId, BLOCK_SIZE};
 
 /// How the cache is searched, for CPU pricing.
@@ -41,57 +40,20 @@ pub enum CacheOrg {
     GlobalList,
 }
 
-/// Most block storage a thread keeps for reuse: a client's 128 blocks
-/// and a server's 256 several times over.
-const FREE_BLOCKS: usize = 1024;
-
-thread_local! {
-    /// Storage of the buffers dropped on this thread, for its next new ones.
-    static FREE: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// One cached block. Its storage returns to the thread's free list when
-/// it drops.
+/// One cached block. Its storage returns to the thread's buffer list
+/// when it drops.
 #[derive(Clone, Debug)]
 pub struct Buf {
-    data: Vec<u8>,
+    data: Storage,
     valid: bool,
     dirty: Option<(usize, usize)>,
 }
 
-impl Drop for Buf {
-    fn drop(&mut self) {
-        let data = std::mem::take(&mut self.data);
-        if data.capacity() >= BLOCK_SIZE {
-            // Past the thread's teardown the storage is simply freed.
-            let _ = FREE.try_with(|free| {
-                let mut free = free.borrow_mut();
-                if free.len() < FREE_BLOCKS {
-                    free.push(data);
-                }
-            });
-        }
-    }
-}
-
 impl Buf {
-    /// Empty storage for one block, off the thread's free list when it
-    /// has any.
-    fn storage() -> Vec<u8> {
-        let mut data = FREE
-            .try_with(|free| free.borrow_mut().pop())
-            .ok()
-            .flatten()
-            .unwrap_or_default();
-        data.clear();
-        data.reserve_exact(BLOCK_SIZE);
-        data
-    }
-
     /// An empty, invalid block (allocated for a fresh partial write).
     pub fn new_empty() -> Self {
-        let mut data = Self::storage();
-        data.resize(BLOCK_SIZE, 0);
+        let mut data = Storage::with_room(BLOCK_SIZE);
+        data.resize(BLOCK_SIZE);
         Buf {
             data,
             valid: false,
@@ -107,19 +69,20 @@ impl Buf {
         fill: impl FnOnce(&mut Vec<u8>) -> Result<T, E>,
     ) -> Result<(Self, T), E> {
         let mut buf = Buf {
-            data: Self::storage(),
+            data: Storage::with_room(BLOCK_SIZE),
             valid: true,
             dirty: None,
         };
         let t = fill(&mut buf.data)?;
-        buf.data.resize(BLOCK_SIZE, 0);
+        buf.data.resize(BLOCK_SIZE);
         Ok((buf, t))
     }
 
     /// A block whose full contents were read from the server/disk.
     pub fn new_valid(data: Vec<u8>) -> Self {
-        let mut d = data;
-        d.resize(BLOCK_SIZE, 0);
+        let mut d = Storage::with_room(BLOCK_SIZE);
+        d.extend_from_slice(&data[..data.len().min(BLOCK_SIZE)]);
+        d.resize(BLOCK_SIZE);
         Buf {
             data: d,
             valid: true,
@@ -220,7 +183,7 @@ impl Buf {
     /// A slab slot's placeholder: no storage.
     fn vacant() -> Self {
         Buf {
-            data: Vec::new(),
+            data: Storage::default(),
             valid: false,
             dirty: None,
         }
@@ -715,7 +678,7 @@ mod tests {
         bc.purge_vnode(v(1));
         assert_eq!(cached_blocks(&bc, v(1)), Vec::<u64>::new());
         assert_eq!(cached_blocks(&bc, v(2)), vec![0]);
-        let free = || FREE.with(|f| f.borrow().len());
+        let free = || crate::buflist::free_count(BLOCK_SIZE);
         assert_eq!(free(), 2, "both blocks' storage kept");
         let reused = Buf::new_empty();
         assert_eq!(reused.data(), &[0; BLOCK_SIZE][..], "handed out zeroed");
@@ -770,14 +733,14 @@ mod tests {
             let mut want = old.clone();
             merge_byte_loop(&mut want, dirty, &fresh);
             let mut got = Buf {
-                data: old,
+                data: Buf::new_valid(old).data,
                 valid: false,
                 dirty,
             };
             got.merge_read(&fresh);
             prop_assert!(got.is_valid());
             prop_assert_eq!(got.dirty_range(), dirty);
-            prop_assert!(got.data == want, "dirty {:?}, {} fresh bytes", dirty, n);
+            prop_assert!(*got.data == want, "dirty {:?}, {} fresh bytes", dirty, n);
         }
     }
 

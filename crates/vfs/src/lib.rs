@@ -19,7 +19,9 @@
 
 pub mod attrcache;
 pub mod bufcache;
+mod buflist;
 pub mod memfs;
+mod name;
 pub mod namecache;
 pub mod types;
 

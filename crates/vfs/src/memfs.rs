@@ -5,11 +5,21 @@
 //! baseline in the Create-Delete benchmark. Semantics follow what the
 //! NFS v2 procedures need: inode generations for stale-handle detection,
 //! hard links, rename, and cookie-based directory reading.
+//!
+//! Creating, writing, listing and removing files asks the allocator for
+//! nothing once the thread's buffer list is warm. A directory is one
+//! vector of entries sorted by name bytes, each name inline up to 23
+//! bytes. A file's bytes sit in a buffer of whole 1 KB fragments below a
+//! block and whole blocks above, off the thread's buffer list; removing
+//! or truncating the file to nothing, or dropping the file system, puts
+//! the buffer back.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
 use renofs_sim::SimTime;
 
+use crate::buflist::Storage;
+use crate::name::Name;
 use crate::types::{FileType, Vattr, BLOCK_SIZE};
 
 /// Maximum component name length (Unix `MAXNAMLEN`).
@@ -46,30 +56,58 @@ pub enum FsError {
 pub type FsResult<T> = Result<T, FsError>;
 
 enum Kind {
-    File(Vec<u8>),
+    File(Storage),
     Dir(Dir),
     Symlink(String),
 }
 
-/// A directory: its entries and the running total of `16 + name.len()`
-/// over them, so its size — which every LOOKUP that scans it asks for —
-/// is not a walk of the map.
+/// A directory: its entries in name-byte order (a READDIR cookie is an
+/// index into them) and the running total of `16 + name.len()` over
+/// them, so its size — which every LOOKUP that scans it asks for — is not
+/// a walk of the entries.
 #[derive(Default)]
 struct Dir {
-    entries: BTreeMap<String, InodeId>,
+    entries: Vec<(Name, InodeId)>,
     entry_bytes: usize,
 }
 
 impl Dir {
+    /// Where `name` is, or where it would go. A branch per halving
+    /// lets the CPU run ahead into the next probe, where
+    /// `binary_search_by`'s branch-free steps each wait for a comparison:
+    /// twice as slow on Nhfsstone's 100 long names, which share their
+    /// first 42 bytes.
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.entries.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.entries[mid].0.as_bytes().cmp(name.as_bytes()) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Equal => return Ok(mid),
+                Ordering::Greater => hi = mid,
+            }
+        }
+        Err(lo)
+    }
+
+    fn get(&self, name: &str) -> Option<InodeId> {
+        self.find(name).ok().map(|i| self.entries[i].1)
+    }
+
     /// Enters `name`, replacing an entry of that name.
     fn insert(&mut self, name: &str, id: InodeId) {
-        if self.entries.insert(name.to_string(), id).is_none() {
-            self.entry_bytes += 16 + name.len();
+        match self.find(name) {
+            Ok(i) => self.entries[i].1 = id,
+            Err(i) => {
+                self.entries.insert(i, (Name::new(name), id));
+                self.entry_bytes += 16 + name.len();
+            }
         }
     }
 
     fn remove(&mut self, name: &str) {
-        if self.entries.remove(name).is_some() {
+        if let Ok(i) = self.find(name) {
+            self.entries.remove(i);
             self.entry_bytes -= 16 + name.len();
         }
     }
@@ -194,9 +232,9 @@ impl MemFs {
         InodeId((self.slots.len() - 1) as u32)
     }
 
-    fn dir_entries(&self, dir: InodeId) -> FsResult<&BTreeMap<String, InodeId>> {
+    fn dir(&self, dir: InodeId) -> FsResult<&Dir> {
         match &self.inode(dir)?.kind {
-            Kind::Dir(d) => Ok(&d.entries),
+            Kind::Dir(d) => Ok(d),
             _ => Err(FsError::NotDir),
         }
     }
@@ -220,15 +258,12 @@ impl MemFs {
 
     /// Looks up one component under a directory.
     pub fn lookup(&self, dir: InodeId, name: &str) -> FsResult<InodeId> {
-        self.dir_entries(dir)?
-            .get(name)
-            .copied()
-            .ok_or(FsError::NoEnt)
+        self.dir(dir)?.get(name).ok_or(FsError::NoEnt)
     }
 
     /// Number of entries in a directory (for search-cost pricing).
     pub fn dir_len(&self, dir: InodeId) -> FsResult<usize> {
-        Ok(self.dir_entries(dir)?.len())
+        Ok(self.dir(dir)?.entries.len())
     }
 
     /// File attributes.
@@ -282,7 +317,7 @@ impl MemFs {
         let ino = self.inode_mut(id)?;
         if let Some(sz) = size {
             if let Kind::File(data) = &mut ino.kind {
-                data.resize(sz as usize, 0);
+                data.resize(sz as usize);
                 ino.mtime = now;
             }
         }
@@ -326,19 +361,24 @@ impl MemFs {
         out: &mut Vec<u8>,
     ) -> FsResult<usize> {
         out.clear();
-        let ino = self.inode_mut(id)?;
-        let data = match &ino.kind {
+        out.extend_from_slice(self.read_slice(id, off, len, now)?);
+        Ok(out.len())
+    }
+
+    /// [`MemFs::read`] in place: the file's own bytes, up to `len` of
+    /// them at `off`, for a caller that copies them once, where it needs
+    /// them. Sets `atime` as a read does.
+    pub fn read_slice(&mut self, id: InodeId, off: u32, len: u32, now: SimTime) -> FsResult<&[u8]> {
+        let Inode { kind, atime, .. } = self.inode_mut(id)?;
+        let data = match kind {
             Kind::File(d) => d,
             Kind::Dir(_) => return Err(FsError::IsDir),
             Kind::Symlink(_) => return Err(FsError::Access),
         };
-        let off = off as usize;
+        *atime = now;
+        let off = (off as usize).min(data.len());
         let end = (off + len as usize).min(data.len());
-        if off < data.len() {
-            out.extend_from_slice(&data[off..end]);
-        }
-        ino.atime = now;
-        Ok(out.len())
+        Ok(&data[off..end])
     }
 
     /// Writes `src` at `off`, extending (zero-filled) as needed.
@@ -361,7 +401,7 @@ impl MemFs {
         let ino = self.inode_mut(id)?;
         if let Kind::File(data) = &mut ino.kind {
             if end as usize > data.len() {
-                data.resize(end as usize, 0);
+                data.resize(end as usize);
             }
             data[off as usize..end as usize].copy_from_slice(src);
             ino.mtime = now;
@@ -390,7 +430,7 @@ impl MemFs {
             }
         }
         let id = self.alloc(Inode {
-            kind: Kind::File(Vec::new()),
+            kind: Kind::File(Storage::default()),
             mode,
             uid: 0,
             gid: 0,
@@ -586,12 +626,13 @@ impl MemFs {
         max_entries: usize,
         mut visit: impl FnMut(u32, &str, InodeId),
     ) -> FsResult<bool> {
-        let entries = self.dir_entries(dir)?;
-        let mut page = entries.iter().zip(1u32..).skip(cookie as usize);
-        for ((name, id), index) in page.by_ref().take(max_entries) {
-            visit(index, name, *id);
+        let entries = &self.dir(dir)?.entries;
+        let rest = entries.get(cookie as usize..).unwrap_or_default();
+        let page = &rest[..rest.len().min(max_entries)];
+        for (i, (name, id)) in page.iter().enumerate() {
+            visit(cookie + 1 + i as u32, name.as_str(), *id);
         }
-        Ok(page.next().is_none())
+        Ok(page.len() == rest.len())
     }
 
     /// Filesystem statistics: `(block_size, total_blocks, free_blocks)`.

@@ -40,6 +40,16 @@ grep -nE '\bname: String' crates/core/src/proto/mod.rs && exit 1
 grep -rn 'ReaddirPage' crates && exit 1
 grep -rnE '\bpath: Option<String>' crates/core/src/client && exit 1
 
+echo "==> the server's file system allocates nothing per name or per byte (inline names, one buffer list)"
+# A directory is a sorted vector of inline names and a file's bytes are
+# `Storage` off the thread's buffer list (crates/vfs/src/buflist.rs): a
+# `String` per name and a `Vec` per file growing on its own were most of
+# an Andrew run's allocations. The block cache's storage comes off that
+# same list, so it is the one thread-local under crates/vfs/src.
+grep -nE 'BTreeMap<String' crates/vfs/src/memfs.rs && exit 1
+grep -nE 'File\(Vec<u8>\)' crates/vfs/src/memfs.rs && exit 1
+grep -rn 'thread_local!' crates/vfs/src --exclude=buflist.rs && exit 1
+
 echo "==> the lease rules live in lease.rs (no lease table, term, recall queue or grace elsewhere)"
 # client/ and server/ keep only the lease I/O: RPCs, flushes and cache
 # invalidation. proto/ defines the term and its wire form.
