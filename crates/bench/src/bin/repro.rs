@@ -22,10 +22,8 @@
 //!   ablation-preload ablation-rsize ablation-readahead
 //!   ablation-readdirplus ablation-lease
 //!   all              everything above
-//!   bench            lease / shard behaviour gates (see below)
-//!   shard            N-client × M-server sharded-fleet sweep (writes
-//!                    BENCH_pr9.json and holds the LAN scaling gate)
-//!   shard-smoke      32-client M=1/M=2 fleet determinism smoke gate
+//!   shard            N-client × M-server sharded-fleet sweep (not in
+//!                    `all`)
 //! ```
 //!
 //! `--jobs N` sets the worker-thread count for the parallel job runner
@@ -35,37 +33,22 @@
 //!
 //! A command line that cannot run as written exits 2 with the reason on
 //! stderr before any world runs: a flag the command would not read
-//! (`--check` is `bench`'s; `--seeds`, `--case`, `--duration`,
-//! `--max-ops`, `--long` and `--lease` are `soak`'s, and a `--case`
-//! replay takes none of the others nor a scale), `--quick` with
-//! `--scale paper`, or `--lease` with `--long`.
+//! (`--seeds`, `--case`, `--duration`, `--max-ops`, `--long` and
+//! `--lease` are `soak`'s, and a `--case` replay takes none of the
+//! others nor a scale), `--quick` with `--scale paper`, or `--lease`
+//! with `--long`.
 //!
 //! `--profile` prints the self-profiler's subsystem table (events,
 //! wall-clock, allocations) and the event census (pops by kind of event,
 //! stale and live) to stderr after the run. It needs the
 //! `profile` cargo feature to report real numbers:
 //! `cargo run --release --features profile -- graph1 --quick --profile`.
-//!
-//! `repro bench` holds the behaviour gates that are not paper figures
-//! (host speed is measured by the package under `benchmark/`, not
-//! here). It writes the lease section (Create-Delete write-RPC recovery
-//! vs noconsist plus a lease-soak certification) into `BENCH_pr8.json`
-//! and the sharded N×M fleet sweep into `BENCH_pr9.json`, each with
-//! `nproc`/rustc metadata. `repro bench --check` writes nothing: it
-//! re-runs the lease section and the shard gate cells, and exits nonzero
-//! if: the lease mount recovers under 60% of the noconsist write-RPC
-//! reduction on any topology; the lease soak reports a violation; the
-//! committed or fresh LAN fleet fails the M=4 ≥ 2× M=1
-//! aggregate-throughput floor; or the shard gate cells diverge across
-//! `--jobs` settings. A committed report missing a gated section fails
-//! loudly rather than waiving the gate.
 
 use std::time::Instant;
 
 use renofs_bench::experiments::{
     ablations, cd, cpu, crowd, faults, mab, servercmp, shard, soak, trace, transport,
 };
-use renofs_bench::lease;
 use renofs_bench::Scale;
 
 // With the `profile` feature, count every heap allocation so the
@@ -77,9 +60,8 @@ static ALLOC: renofs_sim::profile::CountingAlloc = renofs_sim::profile::Counting
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <experiment|all|bench|shard|shard-smoke> \
-         [--quick | --scale quick|paper] \
-         [--jobs N] [--profile] [--check] [--seeds N] \
+        "usage: repro <experiment|all|shard> [--quick | --scale quick|paper] \
+         [--jobs N] [--profile] [--seeds N] \
          [--case SPEC] [--duration SECS] [--max-ops N] [--long] [--lease]"
     );
     eprintln!(
@@ -114,7 +96,6 @@ struct Options {
     quick: Option<bool>,
     jobs: usize,
     profile: bool,
-    check: bool,
     seeds: Option<usize>,
     case: Option<String>,
     duration: Option<u64>,
@@ -150,9 +131,6 @@ impl Options {
             ("--lease", self.lease),
         ];
         let mut ignored = Vec::new();
-        if self.check && self.what != "bench" {
-            ignored.push("--check");
-        }
         if self.what != "soak" {
             ignored.extend(soak.iter().filter(|f| f.1).map(|f| f.0));
         } else if self.case.is_some() {
@@ -206,7 +184,6 @@ fn parse_args() -> Options {
             "--duration" => o.duration = Some(count(value())),
             "--max-ops" => o.max_ops = Some(count(value())),
             "--profile" => o.profile = true,
-            "--check" => o.check = true,
             "--long" => o.long = true,
             "--lease" => o.lease = true,
             _ if a.starts_with('-') => usage(),
@@ -285,77 +262,6 @@ fn run_soak_mode(opts: &Options, scale: &Scale) {
         if report.total_violations() > 0 {
             std::process::exit(1);
         }
-    }
-}
-
-/// Where the lease write-behind section lands.
-const LEASE_OUT: &str = "BENCH_pr8.json";
-
-/// Where the sharded N×M fleet sweep lands.
-const SHARD_OUT: &str = "BENCH_pr9.json";
-
-/// The `repro shard` subcommand, and the shard half of `repro bench`:
-/// runs the full N×M fleet sweep, writes `BENCH_pr9.json`, and holds
-/// the scaling, fairness, routing and determinism gates on the fresh
-/// numbers.
-fn run_shard_mode(scale: &Scale) {
-    let report = shard::run_shard_section(scale);
-    write_report(SHARD_OUT, report.to_json());
-    print!("{}", report.summary());
-    hold_gate("shard", report.check());
-    hold_gate("shard", shard::determinism_probe(scale, &report));
-    eprintln!("[bench] wrote {SHARD_OUT}");
-}
-
-/// Prints a passed gate's verdict, or reports the failure and exits 1.
-fn hold_gate(section: &str, verdict: Result<String, String>) {
-    match verdict {
-        Ok(msg) => eprintln!("[bench] {section}: {msg}"),
-        Err(msg) => {
-            eprintln!("[bench] FAIL: {section}: {msg}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Reads a committed report a `--check` gate needs.
-fn read_committed(path: &str, section: &str, regenerate: &str) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!(
-            "[bench] FAIL: cannot read {path}: {e} — the {section} gate needs the \
-             committed report; regenerate it with `{regenerate}`"
-        );
-        std::process::exit(1);
-    })
-}
-
-fn write_report(path: &str, json: String) {
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("[bench] cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-}
-
-fn run_bench_mode(opts: &Options, scale: &Scale) {
-    let scale_name = if opts.quick() { "quick" } else { "paper" };
-    let lease_report = lease::run_lease_section(scale, scale_name);
-    if opts.check {
-        // The lease gate holds both the committed BENCH_pr8.json (which
-        // must exist, parse, and certify a clean sweep) and the fresh
-        // recovery/honesty numbers.
-        let committed = read_committed(LEASE_OUT, "lease", "repro bench");
-        hold_gate("lease", lease::check_against(&committed, &lease_report));
-        // The shard gate holds the committed BENCH_pr9.json (which must
-        // exist, parse, and certify the scaling floor) and a fresh run
-        // of the two LAN gate cells at two `--jobs` settings.
-        let committed = read_committed(SHARD_OUT, "shard", "repro shard");
-        hold_gate("shard", shard::check_against(&committed, scale));
-    } else {
-        write_report(LEASE_OUT, lease_report.to_json());
-        print!("{}", lease_report.summary());
-        hold_gate("lease", lease_report.check());
-        eprintln!("[bench] wrote {LEASE_OUT}");
-        run_shard_mode(scale);
     }
 }
 
@@ -452,15 +358,7 @@ fn main() {
         renofs_sim::profile::set_enabled(true);
     }
     match opts.what.as_str() {
-        "bench" => run_bench_mode(&opts, &scale),
-        "shard" => run_shard_mode(&scale),
-        "shard-smoke" => match shard::shard_smoke(&scale) {
-            Ok(msg) => eprintln!("[shard-smoke] {msg}"),
-            Err(msg) => {
-                eprintln!("[shard-smoke] FAIL: {msg}");
-                std::process::exit(1);
-            }
-        },
+        "shard" => print!("{}", shard::shard(&scale)),
         "soak" if opts.soak_mode() => run_soak_mode(&opts, &scale),
         what => run_experiments(what, &scale),
     }

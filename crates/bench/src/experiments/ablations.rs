@@ -335,27 +335,14 @@ pub fn ablation_readdirplus(scale: &Scale) -> Ablation {
     }
 }
 
-/// One cell of the lease headline grid: one Create-Delete run at
-/// 100Kbytes under one mount mode on one topology.
-#[derive(Clone, Copy, Debug)]
-pub struct LeaseCell {
-    /// Mount mode: "default", "lease", or "no consist".
-    pub mode: &'static str,
-    /// Topology label: "same LAN", "token ring", or "56Kbps".
-    pub topo: &'static str,
-    /// Mean per-iteration latency in ms.
-    pub ms: f64,
-    /// WRITE RPCs issued across the run.
-    pub write_rpcs: u64,
-    /// All RPCs issued across the run.
-    pub total_rpcs: u64,
-}
-
-/// The measurement grid behind [`ablation_lease`], exposed structured
-/// so the bench gate can compute write-RPC recovery without re-parsing
-/// a rendered table.
-pub fn lease_grid(scale: &Scale) -> Vec<LeaseCell> {
-    let modes: [(&'static str, ClientConfig); 3] = [
+/// PR 8's headline table: the lease mount mode against the default and
+/// noconsist mounts on the Create-Delete benchmark (100Kbyte files)
+/// across all three topologies. The honest chase of the noconsist upper
+/// bound — leases keep cache consistency, yet a created-then-deleted
+/// file's data never crosses the wire, so the WRITE column collapses to
+/// the noconsist floor while the default mount pays full freight.
+pub fn ablation_lease(scale: &Scale) -> Ablation {
+    let modes = [
         ("default", ClientConfig::reno()),
         ("lease", ClientConfig::reno_lease()),
         ("no consist", ClientConfig::reno_noconsist()),
@@ -368,7 +355,7 @@ pub fn lease_grid(scale: &Scale) -> Vec<LeaseCell> {
         }
     }
     let iters = scale.cd_iters;
-    run_jobs(
+    let rows = run_jobs(
         &jobs,
         scale.jobs,
         move |&(mi, ti, (mode, cfg), (topo, kind))| {
@@ -380,39 +367,21 @@ pub fn lease_grid(scale: &Scale) -> Vec<LeaseCell> {
             wcfg.server.leases = cfg.lease;
             let mut world = World::new(wcfg);
             let root = world.root_handle();
-            let (r, write_rpcs, total_rpcs) = run_proc(&mut world, move |sys| {
+            let (r, counts) = run_proc(&mut world, move |sys| {
                 let mut fs = ClientFs::mount(sys, cfg, root, "client");
                 let r = create_delete_nfs(&mut fs, 100 * 1024, iters).expect("cd runs");
-                let counts = fs.counts();
-                (r, counts.count(renofs::NfsProc::Write), counts.total())
+                (r, fs.counts())
             });
-            LeaseCell {
-                mode,
-                topo,
-                ms: r.per_iter.as_millis_f64(),
-                write_rpcs,
-                total_rpcs,
-            }
-        },
-    )
-}
-
-/// PR 8's headline table: the lease mount mode against the default and
-/// noconsist mounts on the Create-Delete benchmark (100Kbyte files)
-/// across all three topologies. The honest chase of the noconsist upper
-/// bound — leases keep cache consistency, yet a created-then-deleted
-/// file's data never crosses the wire, so the WRITE column collapses to
-/// the noconsist floor while the default mount pays full freight.
-pub fn ablation_lease(scale: &Scale) -> Ablation {
-    let rows = lease_grid(scale)
-        .into_iter()
-        .map(|c| {
             (
-                format!("{}, {}", c.mode, c.topo),
-                vec![c.ms, c.write_rpcs as f64, c.total_rpcs as f64],
+                format!("{mode}, {topo}"),
+                vec![
+                    r.per_iter.as_millis_f64(),
+                    counts.count(renofs::NfsProc::Write) as f64,
+                    counts.total() as f64,
+                ],
             )
-        })
-        .collect();
+        },
+    );
     Ablation {
         title: "Ablation: lease mount vs default and noconsist (Create-Delete, 100Kbytes)".into(),
         columns: vec![

@@ -9,7 +9,6 @@
 
 pub mod experiments;
 pub mod fmt;
-pub mod lease;
 pub mod runner;
 
 pub use experiments::scale::Scale;

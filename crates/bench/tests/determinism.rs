@@ -2,7 +2,7 @@
 //! be byte-identical whatever the worker count, because per-job seeds
 //! derive from sweep position and results are reassembled in job order.
 
-use renofs_bench::experiments::{cd, crowd, faults, soak, transport};
+use renofs_bench::experiments::{cd, crowd, faults, shard, soak, transport};
 use renofs_bench::Scale;
 use renofs_sim::SimDuration;
 
@@ -88,6 +88,25 @@ fn crowd_is_byte_identical_across_worker_counts() {
         assert_eq!(
             serial, parallel,
             "crowd output diverged between jobs=1 and jobs={jobs}"
+        );
+    }
+}
+
+#[test]
+fn shard_is_byte_identical_across_worker_counts() {
+    // Every fleet cell seeds its world and workload from its sweep
+    // position; the rendered table carries each cell's state hash, so a
+    // cell that simulated anything differently at another worker count
+    // shows here even where the rounded columns agree.
+    let mut scale = Scale::quick();
+    scale.jobs = 1;
+    let serial = shard::shard(&scale).to_string();
+    for jobs in [2, 4] {
+        scale.jobs = jobs;
+        let parallel = shard::shard(&scale).to_string();
+        assert_eq!(
+            serial, parallel,
+            "shard output diverged between jobs=1 and jobs={jobs}"
         );
     }
 }

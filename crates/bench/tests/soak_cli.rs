@@ -1,28 +1,27 @@
 //! `repro` refuses what it cannot run as written, with exit status 2 and
-//! the reason on stderr, before any world runs: a malformed value, a
-//! flag the command would ignore, two scales or two world recipes at
-//! once, and a `--case` that is not a sub-world of its seed (every such
-//! reason is checked in `case_roundtrips_through_the_cli_encoding`).
+//! the reason on stderr, before any world runs: a malformed value or an
+//! unknown flag, an unknown experiment, a flag the command would ignore,
+//! two scales or two world recipes at once, and a `--case` that is not a
+//! sub-world of its seed (every such reason is checked in
+//! `case_roundtrips_through_the_cli_encoding`).
 
 use std::process::Command;
 
 #[test]
 fn repro_rejects_bad_and_ignored_flags() {
-    let rejected: [(&[&str], &str); 12] = [
+    let rejected: [(&[&str], &str); 13] = [
         (&["graph1", "--jobs", "0"], "usage:"),
         (&["graph1", "--scale", "huge"], "usage:"),
         (&["soak", "--seeds"], "usage:"),
         (&["graph1", "--quick", "--scale", "paper"], "two scales"),
-        (&["table5", "--check"], "repro table5 would ignore --check"),
+        (&["table5", "--check"], "usage:"),
         (
-            &[
-                "graph7", "--scale", "quick", "--seeds", "5", "--check", "--lease",
-            ],
-            "repro graph7 would ignore --check --seeds --lease",
+            &["graph7", "--scale", "quick", "--seeds", "5", "--lease"],
+            "repro graph7 would ignore --seeds --lease",
         ),
         (
-            &["bench", "--duration", "5", "--max-ops", "9", "--long"],
-            "repro bench would ignore --duration --max-ops --long",
+            &["shard", "--duration", "5", "--max-ops", "9", "--long"],
+            "repro shard would ignore --duration --max-ops --long",
         ),
         (
             &["all", "--case", "seed=1"],
@@ -41,6 +40,7 @@ fn repro_rejects_bad_and_ignored_flags() {
             "--lease and --long",
         ),
         (&["graph10", "--quick"], "unknown experiment: graph10"),
+        (&["bench", "--quick"], "unknown experiment: bench"),
     ];
     for (args, why) in rejected {
         let out = Command::new(env!("CARGO_BIN_EXE_repro"))

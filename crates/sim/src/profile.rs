@@ -150,15 +150,29 @@ mod imp {
         }
     }
 
+    thread_local! {
+        /// This thread's share of [`ALLOCS`].
+        static THREAD_ALLOCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
     /// Called by [`CountingAlloc`] on every allocation.
     #[inline]
     pub fn note_alloc() {
         ALLOCS.fetch_add(1, Relaxed);
+        // A thread may still allocate while its locals are torn down.
+        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
     }
 
     /// Total allocations observed by the counting allocator so far.
     pub fn allocs() -> u64 {
         ALLOCS.load(Relaxed)
+    }
+
+    /// Allocations the counting allocator has observed on the calling
+    /// thread so far: a measured section that runs on one thread counts
+    /// no other thread's.
+    pub fn thread_allocs() -> u64 {
+        THREAD_ALLOCS.with(|n| n.get())
     }
 
     /// Total event-queue pops recorded while enabled.
@@ -330,7 +344,7 @@ mod imp {
 #[cfg(feature = "profile")]
 pub use imp::{
     allocs, census, count, count_event, enabled, events, note_alloc, report, reset, set_enabled,
-    snapshot, span, CountingAlloc, Span,
+    snapshot, span, thread_allocs, CountingAlloc, Span,
 };
 
 /// No-op stubs when the `profile` feature is off: same API surface, zero
@@ -377,6 +391,12 @@ mod stub {
 
     /// Always zero without the `profile` feature.
     #[inline(always)]
+    pub fn thread_allocs() -> u64 {
+        0
+    }
+
+    /// Always zero without the `profile` feature.
+    #[inline(always)]
     pub fn events() -> u64 {
         0
     }
@@ -404,7 +424,7 @@ mod stub {
 #[cfg(not(feature = "profile"))]
 pub use stub::{
     allocs, census, count, count_event, enabled, events, note_alloc, report, reset, set_enabled,
-    snapshot, span, Span,
+    snapshot, span, thread_allocs, Span,
 };
 
 #[cfg(all(test, feature = "profile"))]

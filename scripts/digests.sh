@@ -5,9 +5,10 @@
 # scripts/digests.expected. A digest folds every simulated result of the
 # run, so a host-speed change that moves one has changed behaviour. The
 # same file holds the stdout md5 of three chaos-soak sweeps (quick, lease
-# and long worlds) and of every paper table and figure at quick scale
-# (`repro all`), so a change to the soak or the experiment harness that
-# moves one world, row, cell or verdict shows here too.
+# and long worlds), of every paper table and figure at quick scale
+# (`repro all`) and of the sharded-fleet sweep (`repro shard`, each cell's
+# state hash included), so a change to the soak or the experiment harness
+# that moves one world, row, cell or verdict shows here too.
 #
 # usage: scripts/digests.sh            compare, exit 1 on any difference
 #        scripts/digests.sh --write    re-record scripts/digests.expected
@@ -25,12 +26,12 @@ got=$(for w in lookup_lan read_56k write_56k crowd_1024x4 andrew_tcp_ring; do
         sed -n 's/^bench: workload=\([^ ]*\) .* digest=\([0-9a-f]*\).*/\1 digest=\2/p'
 done)
 
-# The soak sweeps and `repro all`, at quick scale. The long sweep runs in
-# budget mode, whose rows end in two wall-clock fields (`wall(s)`,
-# `obs/s`) and whose summary says how long the run took ("in N.Ns");
-# those are dropped, and the table rule, whose width follows them, is
-# shortened to one dash. A sweep that finds violations exits 1 (the lease
-# sweep does); anything else is a failure.
+# The soak sweeps, `repro all` and `repro shard`, at quick scale. The
+# long sweep runs in budget mode, whose rows end in two wall-clock fields
+# (`wall(s)`, `obs/s`) and whose summary says how long the run took ("in
+# N.Ns"); those are dropped, and the table rule, whose width follows
+# them, is shortened to one dash. A sweep that finds violations exits 1
+# (the lease sweep does); anything else is a failure.
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 repro_md5() { # NAME SED-SCRIPT REPRO-ARGS...
@@ -50,6 +51,7 @@ got+=$'\n'$(
     repro_md5 soak_lease_200 '' soak --lease --seeds 200
     repro_md5 soak_long_64 "$wall" soak --long --seeds 64
     repro_md5 repro_all_quick '' all --jobs 2
+    repro_md5 shard_quick '' shard
 )
 
 if [[ "${1:-}" == "--write" ]]; then
