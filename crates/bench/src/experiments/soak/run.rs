@@ -45,7 +45,7 @@ pub struct CaseOutcome {
     pub peak_retained: usize,
     /// Versions the streaming checker retired during the run.
     pub retired: u64,
-    /// The full client-major observation log, only when
+    /// The full observation log in the order it was fed, only when
     /// [`RunOpts::capture`] was set (differential tests).
     pub full_log: Option<Vec<Obs>>,
 }
@@ -71,11 +71,13 @@ impl Default for RunOpts {
 }
 
 /// What every client of a world feeds: the streaming checker, plus the
-/// world's workload counters, classified as each observation arrives.
+/// world's workload counters, classified as each observation arrives,
+/// and the full log when [`RunOpts::capture`] asks for it.
 struct Checker {
     oracle: StreamingOracle,
     ok: u64,
     taints: u64,
+    log: Option<Vec<Obs>>,
 }
 
 /// The workload of one world, which every client runs on its own
@@ -93,8 +95,7 @@ struct Workload {
 
 /// One client running the workload. Each workload operation is one
 /// method: it makes the calls and records what the client saw, timed
-/// from its first call to its last. [`Client::sleep_until`] heartbeats
-/// the checker, so a sleeping client never stalls its merge.
+/// from its first call to its last.
 struct Client<S: Syscalls> {
     fs: RouterFs<S>,
     checker: Rc<RefCell<Checker>>,
@@ -175,13 +176,16 @@ impl<S: Syscalls> Client<S> {
             ObsKind::Observed { .. } | ObsKind::Listed { .. } => c.ok += 1,
             ObsKind::Writing { .. } | ObsKind::ReadFailed { .. } => {}
         }
-        let client = self.ci;
-        c.oracle.feed(Obs {
-            client,
+        let obs = Obs {
+            client: self.ci,
             t_start,
             t_done,
             kind,
-        });
+        };
+        if let Some(log) = &mut c.log {
+            log.push(obs.clone());
+        }
+        c.oracle.feed(obs);
     }
 
     /// Records that `path` was created (or, if not `created`, removed).
@@ -195,13 +199,11 @@ impl<S: Syscalls> Client<S> {
         self.record(t, kind);
     }
 
-    /// Sleeps until `at` unless it has passed, then heartbeats.
+    /// Sleeps until `at` unless it has passed.
     fn sleep_until(&mut self, at: SimTime) {
         let now = self.fs.now();
         if at > now {
             self.fs.sleep(at.since(now));
-            let t = self.now();
-            self.checker.borrow_mut().oracle.heartbeat(self.ci, t);
         }
     }
 
@@ -477,12 +479,12 @@ pub fn run_case_opts(case: &SoakCase, mutation: Mutation, opts: &RunOpts) -> Cas
         .map(|sj| world.server_of(sj).root_handle())
         .collect();
     let map = ExportMap::fleet(derived.servers);
-    let mut oracle = StreamingOracle::new(case.clients, case.profile.stream(opts.stream));
-    if opts.capture {
-        oracle = oracle.with_capture();
-    }
-    let (ok, taints) = (0, 0);
-    let checker = Rc::new(RefCell::new(Checker { oracle, ok, taints }));
+    let checker = Rc::new(RefCell::new(Checker {
+        oracle: StreamingOracle::new(case.clients, case.profile.stream(opts.stream)),
+        ok: 0,
+        taints: 0,
+        log: opts.capture.then(Vec::new),
+    }));
     let workload = Workload {
         seed: case.seed,
         clients: case.clients,
@@ -512,13 +514,12 @@ pub fn run_case_opts(case: &SoakCase, mutation: Mutation, opts: &RunOpts) -> Cas
                 behind: Vec::new(),
             };
             c.run();
-            c.checker.borrow_mut().oracle.finish_client(ci);
         });
     }
     world.run();
 
     let checker = Rc::into_inner(checker)
-        .expect("every client feed finished")
+        .expect("every client finished")
         .into_inner();
     let stream_out = checker.oracle.finish();
     let mut violations = stream_out.violations;
@@ -545,7 +546,7 @@ pub fn run_case_opts(case: &SoakCase, mutation: Mutation, opts: &RunOpts) -> Cas
         leases,
         peak_retained: stream_out.stats.peak_retained,
         retired: stream_out.stats.retired,
-        full_log: stream_out.log,
+        full_log: checker.log,
     }
 }
 

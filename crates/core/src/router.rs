@@ -258,11 +258,6 @@ impl<S: Syscalls> RouterFs<S> {
         }
     }
 
-    /// The export table in force.
-    pub fn export_map(&self) -> &ExportMap {
-        &self.map
-    }
-
     /// Replaces the routing table without disturbing the mounts (the
     /// re-export case: a subtree moves to another shard that already
     /// carries the data). Only the prefix -> export mapping changes;
@@ -295,11 +290,6 @@ impl<S: Syscalls> RouterFs<S> {
             }
         }
         total
-    }
-
-    /// Counters of one mount (primary only), for per-shard fairness.
-    pub fn counts_of(&self, export: usize) -> RpcCounts {
-        self.mounts[export].fs.counts()
     }
 
     /// Routes a path, honouring the misroute fault.

@@ -172,12 +172,6 @@ pub fn set_capacity(capacity: usize) {
     set_capacity_of::<Spine>(capacity);
 }
 
-/// Sets the small-mbuf free-list capacity for this thread; `0` disables
-/// pooling.
-pub fn set_small_capacity(capacity: usize) {
-    set_capacity_of::<SmallArea>(capacity);
-}
-
 /// Empties the free lists (cluster, small and spine), zeroes the counters
 /// and restores the default capacities for this thread.
 pub fn reset() {

@@ -228,21 +228,6 @@ impl Topology {
     pub(crate) fn link_mut(&mut self, id: LinkId) -> &mut Link {
         &mut self.links[id.0]
     }
-
-    /// Read-only statistics for every directed link, with endpoint names.
-    pub fn link_stats(&self) -> Vec<(String, crate::link::LinkStats)> {
-        self.links
-            .iter()
-            .map(|l| {
-                let label = format!(
-                    "{}->{}",
-                    self.nodes[l.from().0].name,
-                    self.nodes[l.to().0].name
-                );
-                (label, l.stats())
-            })
-            .collect()
-    }
 }
 
 impl Default for Topology {

@@ -3,27 +3,23 @@
 //! [`crate::Oracle::check`] buffers the full observation log and replays
 //! it post-hoc: O(total ops) memory, which caps soak length at minutes.
 //! [`StreamingOracle`] checks the same contract *as the world runs*:
-//! per-client feeds are merged online with a watermark protocol, the
-//! sequential model advances eagerly, and state is retired permanently
-//! once its staleness window closes. Memory is O(open window), proven
-//! at runtime by the [`StreamStats::peak_retained`] high-water mark.
+//! the sequential model advances as observations arrive, and state is
+//! retired permanently once its staleness window closes. Memory is
+//! O(open window), proven at runtime by the
+//! [`StreamStats::peak_retained`] high-water mark.
 //!
-//! # Merge determinism
+//! # Release in world time order
 //!
-//! Each client feeds its observations in completion (`t_done`) order.
-//! A feed's *watermark* is the latest virtual time it has reported
-//! (observation completion or explicit [`StreamingOracle::heartbeat`]);
-//! an observation is released to the model only once it is strictly
-//! below the minimum watermark over unfinished feeds — a peer may still
-//! emit at exactly its watermark, so strictness is required. Released
-//! observations are processed in `(t_done, client)` order with FIFO
-//! tie-breaking within a client, which reproduces exactly the
-//! `(t_done, client, index)` sort the buffered checker applies to the
-//! flattened log. Because the release *sequence* is a pure function of
-//! the observations themselves (watermarks only gate progress, never
-//! reorder it), every derived quantity — violations, `peak_retained`,
-//! retirement counts — is byte-identical at any `--jobs` setting and
-//! any feed interleaving.
+//! A world runs its clients on one virtual clock, so every observation
+//! is fed at the world's current time: `t_done` never goes backwards
+//! across the whole feed, and [`StreamingOracle::feed`] asserts it. The
+//! checker holds only the observations of the current instant; when
+//! time moves on (or at [`finish`](StreamingOracle::finish)) it
+//! releases them stable-sorted by client. That is the
+//! `(t_done, client, index)` order the buffered checker sorts its log
+//! into, so both see one sequence and every derived quantity —
+//! violations, `peak_retained`, retirement counts — is a pure function
+//! of the observations, whichever client fed first within an instant.
 //!
 //! # Announced writes: every read adjudicated on release
 //!
@@ -31,8 +27,8 @@
 //! close *started* before the read completed, closes still in flight
 //! included, because it holds the whole log. Streaming gets the same
 //! knowledge from the writer: a write feeds [`ObsKind::Writing`] when it
-//! starts (`t_start == t_done`), so the merge releases it before any
-//! read that could have seen its bytes. The announcement opens a
+//! starts (`t_start == t_done`), so it is released before any read
+//! that could have seen its bytes. The announcement opens a
 //! version; the write's `Committed` completes the newest open version
 //! of its path with the same content, setting its `t_done` and
 //! certainty, and a `Committed` nobody announced adds a closed version.
@@ -90,8 +86,8 @@ use std::collections::{HashMap, VecDeque};
 use crate::{violation_total_key, Exists, Obs, ObsKind, OpOutcome, Version, Violation};
 
 /// How often (in virtual time) the retirement sweep runs. Keyed to the
-/// model clock — never to wall-clock or watermark arrival — so the
-/// retained-state trajectory is deterministic.
+/// model clock — never to wall-clock — so the retained-state trajectory
+/// is deterministic.
 const SWEEP_NS: u64 = 1_000_000_000;
 
 /// The `t_done` of an announced version whose close has not returned.
@@ -143,7 +139,7 @@ impl StreamConfig {
 /// Counters proving the bounded-memory claim and sizing the run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamStats {
-    /// Observations released through the merge and processed.
+    /// Observations released and processed.
     pub processed: u64,
     /// Versions permanently retired by the sweep.
     pub retired: u64,
@@ -159,20 +155,6 @@ pub struct StreamOutcome {
     pub violations: Vec<Violation>,
     /// Final counters.
     pub stats: StreamStats,
-    /// The full client-major observation log, only if capture was
-    /// enabled — feed it to [`crate::Oracle::check`] for differential
-    /// comparison.
-    pub log: Option<Vec<Obs>>,
-}
-
-/// One client's ingress queue.
-#[derive(Debug, Default)]
-struct Feed {
-    buf: VecDeque<Obs>,
-    /// Latest virtual time this client has reported.
-    wm: u64,
-    /// Set once the client will emit nothing further.
-    finished: bool,
 }
 
 /// Per-path retained model state.
@@ -195,29 +177,31 @@ struct PathState {
     touched: u64,
 }
 
-/// The incremental checker. Feed per-client observations as they
-/// happen, heartbeat idle clients, then [`finish`](Self::finish).
+/// The incremental checker. Feed observations as they happen, then
+/// [`finish`](Self::finish).
 pub struct StreamingOracle {
     cfg: StreamConfig,
-    feeds: Vec<Feed>,
+    clients: usize,
+    /// The observations fed at the current instant, not yet released.
+    instant: Vec<Obs>,
     paths: HashMap<String, PathState>,
     exists: HashMap<String, Exists>,
     last_seen: HashMap<(usize, String), usize>,
     versions_live: usize,
-    /// The model clock: `t_done` of the last released observation.
+    /// The model clock: `t_done` of the current instant.
     model_now: u64,
     last_sweep: u64,
     violations: Vec<Violation>,
     stats: StreamStats,
-    capture: Option<Vec<Vec<Obs>>>,
 }
 
 impl StreamingOracle {
-    /// Builds a checker for `clients` feeds.
+    /// Builds a checker for observations of clients `0..clients`.
     pub fn new(clients: usize, cfg: StreamConfig) -> Self {
         StreamingOracle {
             cfg,
-            feeds: (0..clients).map(|_| Feed::default()).collect(),
+            clients,
+            instant: Vec::new(),
             paths: HashMap::new(),
             exists: HashMap::new(),
             last_seen: HashMap::new(),
@@ -226,59 +210,25 @@ impl StreamingOracle {
             last_sweep: 0,
             violations: Vec::new(),
             stats: StreamStats::default(),
-            capture: None,
         }
     }
 
-    /// Also record the full per-client log, for differential testing
-    /// against the buffered checker. Defeats the memory bound, so only
-    /// tests use it.
-    pub fn with_capture(mut self) -> Self {
-        self.capture = Some(vec![Vec::new(); self.feeds.len()]);
-        self
-    }
-
-    /// Feeds one observation from its client. Observations from one
-    /// client must arrive in nondecreasing `t_done` order.
+    /// Feeds one observation. Observations must arrive in nondecreasing
+    /// `t_done` order across all clients: the world's own time order.
     pub fn feed(&mut self, obs: Obs) {
         let ci = obs.client;
-        debug_assert!(ci < self.feeds.len(), "unknown client {ci}");
-        debug_assert!(!self.feeds[ci].finished, "feed after finish_client");
-        debug_assert!(
-            obs.t_done >= self.feeds[ci].wm,
-            "client {ci} fed out of order"
+        assert!(ci < self.clients, "unknown client {ci}");
+        assert!(
+            obs.t_done >= self.model_now,
+            "client {ci} fed t_done {} after an observation done at {}",
+            obs.t_done,
+            self.model_now
         );
-        if let Some(cap) = &mut self.capture {
-            cap[ci].push(obs.clone());
+        if obs.t_done > self.model_now {
+            self.release();
+            self.model_now = obs.t_done;
         }
-        self.feeds[ci].wm = self.feeds[ci].wm.max(obs.t_done);
-        self.feeds[ci].buf.push_back(obs);
-        self.pump();
-    }
-
-    /// Advances a client's watermark without an observation: the client
-    /// promises to emit nothing with `t_done < t`. Idle clients must
-    /// heartbeat or they stall the merge.
-    pub fn heartbeat(&mut self, client: usize, t: u64) {
-        debug_assert!(client < self.feeds.len(), "unknown client {client}");
-        let f = &mut self.feeds[client];
-        if !f.finished && t > f.wm {
-            f.wm = t;
-            self.pump();
-        }
-    }
-
-    /// Marks a client's feed complete; its watermark no longer gates
-    /// the merge.
-    pub fn finish_client(&mut self, client: usize) {
-        debug_assert!(client < self.feeds.len(), "unknown client {client}");
-        self.feeds[client].finished = true;
-        self.pump();
-    }
-
-    /// Violations found so far (released observations only).
-    pub fn violation_count(&self) -> usize {
-        self.violations.len()
+        self.instant.push(obs);
     }
 
     /// Current counters (mid-run snapshot).
@@ -286,58 +236,31 @@ impl StreamingOracle {
         self.stats
     }
 
-    /// Drains every feed and returns the verdict.
+    /// Releases the last instant and returns the verdict.
     pub fn finish(mut self) -> StreamOutcome {
-        for f in &mut self.feeds {
-            f.finished = true;
-        }
-        self.pump();
-        debug_assert!(self.feeds.iter().all(|f| f.buf.is_empty()));
+        self.release();
         self.violations.sort_by_cached_key(violation_total_key);
         StreamOutcome {
             violations: self.violations,
             stats: self.stats,
-            log: self
-                .capture
-                .map(|per_client| per_client.into_iter().flatten().collect::<Vec<Obs>>()),
         }
     }
 
-    /// Releases every observation strictly below the global watermark,
-    /// smallest `(t_done, client)` first.
-    fn pump(&mut self) {
-        loop {
-            let gw = self
-                .feeds
-                .iter()
-                .filter(|f| !f.finished)
-                .map(|f| f.wm)
-                .min()
-                .unwrap_or(u64::MAX);
-            let mut best: Option<(u64, usize)> = None;
-            for (ci, f) in self.feeds.iter().enumerate() {
-                if let Some(o) = f.buf.front() {
-                    let key = (o.t_done, ci);
-                    if best.is_none_or(|b| key < b) {
-                        best = Some(key);
-                    }
-                }
-            }
-            let Some((t, ci)) = best else { return };
-            if t >= gw {
-                return;
-            }
-            let obs = self.feeds[ci].buf.pop_front().expect("head vanished");
+    /// Processes the current instant's observations, smallest client
+    /// first, each client's in the order they were fed.
+    fn release(&mut self) {
+        let mut instant = std::mem::take(&mut self.instant);
+        instant.sort_by_key(|o| o.client);
+        for obs in instant.drain(..) {
             self.process(obs);
         }
+        self.instant = instant;
     }
 
     /// Advances the model through one released observation. Mirrors
     /// the buffered checker's replay arm for arm, plus the announced
     /// writes it does not need.
     fn process(&mut self, obs: Obs) {
-        debug_assert!(obs.t_done >= self.model_now, "merge released backwards");
-        self.model_now = obs.t_done;
         self.stats.processed += 1;
         if self.model_now >= self.last_sweep + SWEEP_NS {
             self.sweep();
@@ -723,41 +646,23 @@ mod tests {
         }
     }
 
-    /// Splits a flat log into per-client feeds (preserving order).
-    fn split(log: &[Obs], clients: usize) -> Vec<Vec<Obs>> {
-        let mut per: Vec<Vec<Obs>> = vec![Vec::new(); clients];
+    /// Feeds `log` to a three-client streaming checker in the order
+    /// given and returns its outcome.
+    fn stream(cfg: StreamConfig, log: impl IntoIterator<Item = Obs>) -> StreamOutcome {
+        let mut s = StreamingOracle::new(3, cfg);
         for o in log {
-            per[o.client].push(o.clone());
+            s.feed(o);
         }
-        per
+        s.finish()
     }
 
-    /// Runs the streaming checker over per-client feeds, interleaving
-    /// one observation per client round-robin, and the buffered checker
-    /// over the client-major flatten; returns both verdicts.
-    fn both(
-        cfg: StreamConfig,
-        per_client: Vec<Vec<Obs>>,
-    ) -> (Vec<Violation>, Vec<Violation>, StreamStats) {
-        let flat: Vec<Obs> = per_client.iter().flatten().cloned().collect();
-        let buffered = Oracle::new(cfg.grace).check(&flat);
-        let clients = per_client.len();
-        let mut s = StreamingOracle::new(clients, cfg);
-        let mut feeds: Vec<VecDeque<Obs>> = per_client.into_iter().map(VecDeque::from).collect();
-        let mut any = true;
-        while any {
-            any = false;
-            for f in feeds.iter_mut() {
-                if let Some(o) = f.pop_front() {
-                    s.feed(o);
-                    any = true;
-                }
-            }
-        }
-        for ci in 0..clients {
-            s.finish_client(ci);
-        }
-        let out = s.finish();
+    /// Runs the buffered checker over `log` as written and the
+    /// streaming checker over it in time order (stable, so each
+    /// client's observations keep their order); returns both verdicts.
+    fn both(cfg: StreamConfig, mut log: Vec<Obs>) -> (Vec<Violation>, Vec<Violation>, StreamStats) {
+        let buffered = Oracle::new(cfg.grace).check(&log);
+        log.sort_by_key(|o| o.t_done);
+        let out = stream(cfg, log);
         (buffered, out.violations, out.stats)
     }
 
@@ -778,7 +683,7 @@ mod tests {
             observed(1, 13 * SEC, "/d/f", "v2"),
             listed(1, 14 * SEC, "/d", &["f"]),
         ];
-        let (b, s, _) = both(cfg_small(), split(&log, 2));
+        let (b, s, _) = both(cfg_small(), log);
         assert!(b.is_empty(), "buffered baseline dirty: {b:?}");
         assert_eq!(b, s);
     }
@@ -794,7 +699,7 @@ mod tests {
             observed(1, 21 * SEC, "/d/f", "v2"),
             observed(1, 22 * SEC, "/d/f", "v1"),
         ];
-        let (b, s, _) = both(cfg_small(), split(&log, 2));
+        let (b, s, _) = both(cfg_small(), log);
         assert!(b.iter().any(|v| matches!(v, Violation::StaleRead { .. })));
         assert!(b.iter().any(|v| matches!(v, Violation::TimeTravel { .. })));
         assert_eq!(b, s);
@@ -814,7 +719,7 @@ mod tests {
             // Missing entry: durable never-removed file absent from listing.
             listed(1, 31 * SEC, "/d", &["a", "b"]),
         ];
-        let (b, s, _) = both(cfg_small(), split(&log, 2));
+        let (b, s, _) = both(cfg_small(), log);
         assert!(b.iter().any(|v| matches!(v, Violation::Replay { .. })));
         assert!(b.iter().any(|v| matches!(v, Violation::LostFile { .. })));
         assert!(b
@@ -825,15 +730,14 @@ mod tests {
 
     /// A write whose close is in flight for 5 s, and a read that returns
     /// with its bytes before the close does.
-    fn racing_write(announced: bool) -> Vec<Vec<Obs>> {
+    fn racing_write(announced: bool) -> Vec<Obs> {
         let mut close = committed(0, 10 * SEC, "/d/f", "v9", true);
         close.t_done = 15 * SEC;
-        let write = if announced {
-            vec![writing(0, 10 * SEC, "/d/f", "v9"), close]
-        } else {
-            vec![close]
-        };
-        vec![write, vec![observed(1, 12 * SEC, "/d/f", "v9")]]
+        let mut log = vec![close, observed(1, 12 * SEC, "/d/f", "v9")];
+        if announced {
+            log.insert(0, writing(0, 10 * SEC, "/d/f", "v9"));
+        }
+        log
     }
 
     #[test]
@@ -848,7 +752,7 @@ mod tests {
 
     #[test]
     fn an_unannounced_in_flight_commit_leaves_its_read_corrupt() {
-        // The contract: a read is judged when the merge releases it, so
+        // The contract: a read is judged when it is released, so
         // a writer that does not announce leaves the read nothing to
         // match. The buffered checker, holding the whole log, matches it.
         let (b, s, _) = both(cfg_small(), racing_write(false));
@@ -866,7 +770,7 @@ mod tests {
             committed(0, SEC, "/d/f", "twin", true),
             writing(0, 5 * SEC, "/d/f", "twin"),
         ];
-        both(cfg_small(), split(&log, 1));
+        both(cfg_small(), log);
     }
 
     #[test]
@@ -875,7 +779,7 @@ mod tests {
             committed(0, SEC, "/d/f", "v1", true),
             observed(1, 5 * SEC, "/d/f", "garbage"),
         ];
-        let (b, s, _) = both(cfg_small(), split(&log, 2));
+        let (b, s, _) = both(cfg_small(), log);
         assert!(b.iter().any(|v| matches!(v, Violation::CorruptRead { .. })));
         assert_eq!(b, s);
     }
@@ -889,7 +793,7 @@ mod tests {
             created(0, 21 * SEC, "/d/t", OpOutcome::Indeterminate),
             observed(1, 22 * SEC, "/d/t", "??"), // unknown name: skipped
         ];
-        let (b, s, _) = both(cfg_small(), split(&log, 2));
+        let (b, s, _) = both(cfg_small(), log);
         assert!(b.is_empty(), "buffered baseline dirty: {b:?}");
         assert_eq!(b, s);
     }
@@ -906,11 +810,11 @@ mod tests {
         };
         // An uncertain close may never have landed: the file may still be
         // as it was created.
-        let (b, s, _) = both(cfg_small(), split(&log(false), 2));
+        let (b, s, _) = both(cfg_small(), log(false));
         assert!(b.is_empty(), "buffered baseline dirty: {b:?}");
         assert_eq!(b, s);
         // A certain one older than grace is owed to the reader.
-        let (b, s, _) = both(cfg_small(), split(&log(true), 2));
+        let (b, s, _) = both(cfg_small(), log(true));
         assert!(
             matches!(b.as_slice(), [Violation::CorruptRead { len: 0, .. }]),
             "{b:?}"
@@ -919,30 +823,54 @@ mod tests {
     }
 
     #[test]
-    fn feed_interleaving_does_not_change_verdict_or_stats() {
+    fn client_order_within_an_instant_does_not_change_verdict_or_stats() {
+        // Each round's unannounced close and two reads complete at one
+        // instant: client 1's read matches only if the close goes first,
+        // and client 2 reads two versions back, stale once a certain
+        // close is owed to it.
         let mut log = Vec::new();
         for r in 0..6u64 {
             let t = SEC + r * 3 * SEC;
             log.push(committed(0, t, "/d/f", &format!("v{r}"), r % 3 != 2));
-            log.push(observed(1, t + SEC, "/d/f", &format!("v{r}")));
-            log.push(observed(2, t + 2 * SEC, "/d/f", &format!("v{r}")));
+            log.push(observed(1, t, "/d/f", &format!("v{r}")));
+            log.push(observed(2, t, "/d/f", &format!("v{}", r.saturating_sub(2))));
         }
-        let per = split(&log, 3);
-        let (b, s1, st1) = both(cfg_small(), per.clone());
-        // Same feeds, whole clients in sequence instead of round-robin.
-        let mut s = StreamingOracle::new(3, cfg_small());
-        for feed in &per {
-            for o in feed {
-                s.feed(o.clone());
-            }
+        let buffered = Oracle::new(GRACE).check(&log);
+        assert!(!buffered.is_empty(), "no stale read to order");
+        let orders = [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        let outs: Vec<StreamOutcome> = orders
+            .iter()
+            .map(|order| {
+                let mut fed = log.clone();
+                fed.sort_by_key(|o| (o.t_done, order.iter().position(|&c| c == o.client)));
+                stream(cfg_small(), fed)
+            })
+            .collect();
+        for out in &outs {
+            assert_eq!(out.violations, buffered);
+            assert_eq!(out.stats, outs[0].stats);
         }
-        for ci in 0..3 {
-            s.finish_client(ci);
-        }
-        let out = s.finish();
-        assert_eq!(b, s1);
-        assert_eq!(s1, out.violations);
-        assert_eq!(st1, out.stats);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "client 0 fed t_done 2001000000 after an observation done at 5001000000"
+    )]
+    fn an_observation_fed_backwards_panics() {
+        stream(
+            cfg_small(),
+            [
+                observed(1, 5 * SEC, "/d/f", "v1"),
+                committed(0, 2 * SEC, "/d/f", "v1", true),
+            ],
+        );
     }
 
     #[test]
@@ -950,18 +878,14 @@ mod tests {
         // One writer + one reader ping-ponging on one file for a long
         // time: retained state must stay flat while `retired` grows.
         let run = |rounds: u64| {
-            let mut s = StreamingOracle::new(2, StreamConfig::new(GRACE, 12 * SEC));
-            for r in 0..rounds {
+            let log = (0..rounds).flat_map(|r| {
                 let t = SEC + r * 4 * SEC;
-                s.feed(committed(0, t, "/d/f", &format!("v{r}"), true));
-                s.heartbeat(1, t + MS);
-                s.feed(observed(1, t + SEC, "/d/f", &format!("v{r}")));
-                s.heartbeat(0, t + SEC + MS);
-            }
-            for ci in 0..2 {
-                s.finish_client(ci);
-            }
-            s.finish()
+                [
+                    committed(0, t, "/d/f", &format!("v{r}"), true),
+                    observed(1, t + SEC, "/d/f", &format!("v{r}")),
+                ]
+            });
+            stream(StreamConfig::new(GRACE, 12 * SEC), log)
         };
         let short = run(40);
         let long = run(400);
@@ -976,29 +900,5 @@ mod tests {
             long.stats.peak_retained
         );
         assert_eq!(short.stats.peak_retained, long.stats.peak_retained);
-    }
-
-    #[test]
-    fn capture_reproduces_buffered_input_order() {
-        let log = vec![
-            committed(0, SEC, "/d/f", "v1", true),
-            observed(1, 5 * SEC, "/d/f", "v1"),
-        ];
-        let per = split(&log, 2);
-        let flat: Vec<Obs> = per.iter().flatten().cloned().collect();
-        let mut s = StreamingOracle::new(2, cfg_small()).with_capture();
-        for o in &flat {
-            s.feed(o.clone());
-        }
-        for ci in 0..2 {
-            s.finish_client(ci);
-        }
-        let out = s.finish();
-        let cap = out.log.expect("capture enabled");
-        assert_eq!(cap.len(), flat.len());
-        for (a, b) in cap.iter().zip(flat.iter()) {
-            assert_eq!(a.client, b.client);
-            assert_eq!(a.t_done, b.t_done);
-        }
     }
 }

@@ -175,11 +175,6 @@ impl Cpu {
         self.busy_until
     }
 
-    /// Whether the CPU is busy at `now`.
-    pub fn is_busy(&self, now: SimTime) -> bool {
-        self.busy_until > now
-    }
-
     /// Total busy time since the last accounting reset.
     pub fn busy_time(&self) -> SimDuration {
         self.busy

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Running mean/deviation/min/max over a stream of samples (Welford's
 /// algorithm).
@@ -52,11 +52,6 @@ impl Running {
         if x > self.max {
             self.max = x;
         }
-    }
-
-    /// Adds a duration sample in milliseconds.
-    pub fn add_duration_ms(&mut self, d: SimDuration) {
-        self.add(d.as_millis_f64());
     }
 
     /// Number of samples.

@@ -300,11 +300,6 @@ impl<'a> XdrDecoder<'a> {
         self.cursor.position()
     }
 
-    /// Consumes the decoder, returning the underlying cursor.
-    pub fn into_cursor(self) -> Cursor<'a> {
-        self.cursor
-    }
-
     /// Decodes an unsigned 32-bit integer.
     pub fn get_u32(&mut self) -> Result<u32> {
         self.cursor.read_u32().map_err(|_| XdrError::Truncated)

@@ -64,6 +64,14 @@ echo "==> no committed behaviour file (the gates run on fresh numbers in the tes
 # number they read is in an md5 in scripts/digests.expected.
 grep -rnE 'find_number|BENCH_pr|shard-smoke' crates README.md EXPERIMENTS.md DESIGN.md && exit 1
 
+echo "==> the streaming oracle takes the world's time order (no per-client feeds, watermarks or heartbeats)"
+# Every observation is fed at the world's current virtual time, so the
+# checker holds one instant and releases it sorted by client: the
+# watermark merge of per-client feeds, with its heartbeats, was built for
+# worlds whose clients ran on threads of their own.
+grep -rnE 'fn heartbeat|finish_client|with_capture|struct Feed' crates/oracle/src && exit 1
+grep -rnF '.heartbeat(' crates/bench && exit 1
+
 echo "==> one way to run a cell (one single-proc run, one Nhfsstone window, one preset per topology)"
 # `run_proc` in experiments/mod.rs is the one place an experiment hands a
 # proc's value back over a channel, and `Scale::nhfsstone` the one place

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Non-test Rust lines: every file under a `src/` directory, counted up to
-# its first top-level `#[cfg(test)]`. Prints a total per crate, the grand
-# total and the five largest files — for the working tree, or for a git
-# revision when REV is given. With --files it prints one "lines<TAB>file"
-# row per file instead, for gates on single files. Every line-count gate
-# in ROADMAP.md and scripts/check.sh (the size of `crates/core/src/world/`,
-# of `crates/oracle`, no file under `crates/` over 700 lines, "net
-# negative") is read off this one script.
+# its first top-level `#[cfg(test)]`; a file compiled only as a
+# `#[cfg(test)] mod name;` of its parent is test code and counts 0. Prints
+# a total per crate, the grand total and the five largest files — for the
+# working tree, or for a git revision when REV is given. With --files it
+# prints one "lines<TAB>file" row per file instead, for gates on single
+# files. Every line-count gate in ROADMAP.md and scripts/check.sh (the
+# size of `crates/core/src/world/`, of `crates/oracle`, no file under
+# `crates/` over 700 lines, "net negative") is read off this one script.
 #
 #   scripts/loc.sh [--files] [REV]
 set -euo pipefail
@@ -27,9 +28,28 @@ else
     show() { cat "$1" 2>/dev/null || true; } # listed but deleted: 0 lines
 fi
 
+sources=$(list | grep -E '(^|/)src/.*\.rs$')
+
+# The files that `#[cfg(test)] mod name;` lines declare: name.rs or
+# name/mod.rs beside a mod.rs, lib.rs or main.rs, else in a directory
+# named after the declaring file.
+testonly=$(echo "$sources" | while read -r f; do
+    case "${f##*/}" in
+        mod.rs | lib.rs | main.rs) dir=${f%/*} ;;
+        *) dir=${f%.rs} ;;
+    esac
+    show "$f" | { grep -A1 -E '^\s*#\[cfg\(test\)\]\s*$' || true; } |
+        sed -nE 's/^\s*(pub(\([^)]*\))? )?mod ([A-Za-z0-9_]+);.*/\3/p' |
+        while read -r m; do printf '%s\n%s\n' "$dir/$m.rs" "$dir/$m/mod.rs"; done
+done)
+
 # One "lines<TAB>crate<TAB>file" row per source file.
-rows=$(list | grep -E '(^|/)src/.*\.rs$' | while read -r f; do
-    n=$(show "$f" | awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }')
+rows=$(echo "$sources" | while read -r f; do
+    if grep -qxF "$f" <<<"$testonly"; then
+        n=0
+    else
+        n=$(show "$f" | awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }')
+    fi
     crate=$(echo "$f" | sed -E 's#/?src/.*##')
     printf '%s\t%s\t%s\n' "$n" "${crate:-.}" "$f"
 done)
