@@ -28,18 +28,19 @@
 //! holding everything else fixed.
 //!
 //! Every cell's seeds derive from its position in the matrix
-//! ([`point_seed`]/[`workload_seed`]), so output is byte-identical at
-//! any `--jobs` level.
+//! ([`crate::runner::point_seed`]/[`crate::runner::workload_seed`]), so
+//! output is byte-identical at any `--jobs` level.
 
 use std::fmt;
 
-use renofs::{TopologyKind, TransportKind, World, WorldConfig};
+use renofs::TopologyKind;
 use renofs_sim::SimDuration;
-use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig, Spread};
+use renofs_workload::nhfsstone::{LoadMix, Spread};
 
-use super::{jain, paper_topologies, paper_transports, retransmits, UDP_A4D};
+use super::fleet::{self, Cell};
+use super::{jain, paper_topologies, paper_transports, UDP_A4D};
 use crate::fmt::table;
-use crate::runner::{point_seed, run_jobs, workload_seed};
+use crate::runner::run_jobs;
 use crate::Scale;
 
 /// Daemon-pool width for the sweep cells (the 4.3BSD default was a
@@ -48,18 +49,6 @@ pub const SWEEP_NFSDS: usize = 4;
 
 /// The two pool widths of the A/B comparison cells.
 pub const AB_NFSDS: [usize; 2] = [2, 8];
-
-/// One cell of the matrix, as pure data for the parallel runner.
-struct Cell {
-    topo_label: &'static str,
-    topo: TopologyKind,
-    transport_label: &'static str,
-    transport: TransportKind,
-    clients: usize,
-    nfsds: usize,
-    rate_per_client: f64,
-    idx: usize,
-}
 
 /// One measured row.
 #[derive(Clone, Debug)]
@@ -194,55 +183,27 @@ fn rate_for(topo: TopologyKind) -> f64 {
 }
 
 /// Runs one cell: an N-client world, the crowd mix from every client.
-fn run_cell(cell: &Cell, duration: SimDuration, warmup: SimDuration, nfiles: usize) -> CrowdRow {
-    let mut cfg = WorldConfig {
-        topology: cell.topo,
-        transport: cell.transport.clone(),
-        clients: cell.clients,
-        nfsds: cell.nfsds,
-        seed: point_seed(0xC40D, cell.idx, 0),
-        ..WorldConfig::baseline()
-    };
-    // The tuned server: the dup cache is what makes retransmitted
-    // SETATTRs safe, and this experiment measures how often it fires.
-    cfg.server.dup_cache = true;
-    let mut world = World::new(cfg);
-    let ncfg = NhfsstoneConfig {
-        procs: 2,
-        duration,
-        warmup,
-        nfiles,
-        seed: workload_seed(0xC40D, cell.idx),
-        ..NhfsstoneConfig::paper(cell.rate_per_client, LoadMix::crowd())
-    };
-    let reports = nhfsstone::run_spread(&mut world, &ncfg, Spread::EveryClient, |_| {});
-    let total_ops: u64 = reports.iter().map(|r| r.ops).sum();
-    let rates: Vec<f64> = reports.iter().map(|r| r.achieved_rate).collect();
-    let mut rtts: Vec<f64> = reports
+fn run_cell(cell: &Cell, window: (SimDuration, SimDuration), nfiles: usize) -> CrowdRow {
+    let spread = Spread::EveryClient;
+    let run = fleet::run(cell, 0xC40D, LoadMix::crowd(), spread, window, nfiles);
+    let mut rtts: Vec<f64> = run
+        .reports
         .iter()
         .flat_map(|r| r.samples.iter().map(|s| s.rtt.as_millis_f64()))
         .collect();
-    let p50_ms = quantile(&mut rtts, 0.50);
-    let p95_ms = quantile(&mut rtts, 0.95);
-    let retrans: u64 = (0..world.client_count())
-        .map(|ci| retransmits(&world, ci, 0))
-        .sum();
-    let server_stats = world.server_of(0).stats();
-    let served = server_stats.total();
-    let nfsd = world.nfsd_stats_of(0);
     CrowdRow {
-        topo: cell.topo_label.to_string(),
-        transport: cell.transport_label.to_string(),
+        topo: cell.topo.0.to_string(),
+        transport: cell.transport.0.to_string(),
         clients: cell.clients,
         nfsds: cell.nfsds,
-        agg_ops_per_sec: rates.iter().sum(),
-        p50_ms,
-        p95_ms,
-        retrans_per_op: retrans as f64 / total_ops.max(1) as f64,
-        dup_hit_pct: 100.0 * server_stats.dup_hits as f64 / served.max(1) as f64,
-        fairness: jain(&rates),
-        queue_p95_ms: nfsd.queue_delay_quantile(0.95),
-        queued: nfsd.queued,
+        agg_ops_per_sec: run.rates.iter().sum(),
+        p50_ms: quantile(&mut rtts, 0.50),
+        p95_ms: quantile(&mut rtts, 0.95),
+        retrans_per_op: run.retrans_per_op,
+        dup_hit_pct: run.dup_hit_pct,
+        fairness: jain(&run.rates),
+        queue_p95_ms: run.queue_p95_ms[0],
+        queued: run.queued,
     }
 }
 
@@ -251,17 +212,16 @@ fn run_cell(cell: &Cell, duration: SimDuration, warmup: SimDuration, nfiles: usi
 fn cells(counts: &[usize]) -> Vec<Cell> {
     let mut cells = Vec::new();
     let mut idx = 0usize;
-    for (topo_label, topo) in paper_topologies() {
-        for (transport_label, transport) in paper_transports() {
+    for topo in paper_topologies() {
+        for transport in paper_transports() {
             for &n in counts {
                 cells.push(Cell {
-                    topo_label,
                     topo,
-                    transport_label,
                     transport: transport.clone(),
                     clients: n,
+                    servers: 1,
                     nfsds: SWEEP_NFSDS,
-                    rate_per_client: rate_for(topo),
+                    rate_per_client: rate_for(topo.1),
                     idx,
                 });
                 idx += 1;
@@ -273,11 +233,10 @@ fn cells(counts: &[usize]) -> Vec<Cell> {
     // rows always describe the same saturated operating point.
     for nfsds in AB_NFSDS {
         cells.push(Cell {
-            topo_label: "same LAN",
-            topo: TopologyKind::SameLan,
-            transport_label: "UDP rto=A+4D",
-            transport: UDP_A4D,
+            topo: ("same LAN", TopologyKind::SameLan),
+            transport: ("UDP rto=A+4D", UDP_A4D),
             clients: 32,
+            servers: 1,
             nfsds,
             rate_per_client: rate_for(TopologyKind::SameLan),
             idx,
@@ -289,11 +248,9 @@ fn cells(counts: &[usize]) -> Vec<Cell> {
 
 /// [`crowd`] over an explicit client-count sweep (tests use a subset).
 pub fn crowd_with_counts(scale: &Scale, counts: &[usize]) -> CrowdReport {
-    let (duration, warmup) = durations(scale);
-    let nfiles = scale.nfiles;
-    let cells = cells(counts);
-    let rows = run_jobs(&cells, scale.jobs, |cell| {
-        run_cell(cell, duration, warmup, nfiles)
+    let window = durations(scale);
+    let rows = run_jobs(&cells(counts), scale.jobs, |cell| {
+        run_cell(cell, window, scale.nfiles)
     });
     CrowdReport { rows }
 }

@@ -5,6 +5,7 @@ pub mod cd;
 pub mod cpu;
 pub mod crowd;
 pub mod faults;
+mod fleet;
 pub mod mab;
 pub mod scale;
 pub mod servercmp;

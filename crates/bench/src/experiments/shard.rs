@@ -1,8 +1,9 @@
 //! The `repro shard` sweep: N-client × M-server sharded fleets.
 //!
-//! PR 8 gave one server a crowd; this experiment gives the crowd a
-//! *fleet*. Each server machine exports its own subtree behind its own
-//! nfsd pool, duplicate-request cache and boot epoch, and every client
+//! The crowd sweep gives one server many clients; this one gives the
+//! crowd a *fleet*, through the same cell (`fleet.rs`). Each server
+//! machine exports its own subtree behind its own nfsd pool,
+//! duplicate-request cache and boot epoch, and every client
 //! pins each of its generator processes to a home shard (`(client +
 //! proc) % servers`), talking to it over the per-(client, server)
 //! transport and XID stream the multi-server world provides. The sweep
@@ -24,7 +25,7 @@
 //!   final clock), which must be byte-identical at any `--jobs` level.
 //!
 //! The mix is metadata-only (lookup/getattr plus non-idempotent
-//! SETATTRs) so the shared LAN segment stays below saturation and the
+//! SETATTRs) so the servers' Ethernet drops stay below saturation and the
 //! per-server nfsd pools — [`SHARD_NFSDS`] daemons each, deliberately
 //! starved — are the bottleneck sharding relieves. The 56 Kbps rows are
 //! the control: there the *trunk* is the bottleneck and a wider fleet
@@ -38,14 +39,15 @@
 
 use std::fmt;
 
-use renofs::{TopologyKind, TransportKind, World, WorldConfig};
+use renofs::World;
 use renofs_oracle::fnv1a;
 use renofs_sim::SimDuration;
-use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig, NhfsstoneReport, Spread};
+use renofs_workload::nhfsstone::{LoadMix, NhfsstoneReport, Spread};
 
+use super::fleet::{self, Cell};
 use super::{jain, paper_topologies, paper_transports, retransmits};
 use crate::fmt::table;
-use crate::runner::{point_seed, run_jobs, workload_seed};
+use crate::runner::run_jobs;
 use crate::Scale;
 
 /// Daemon-pool width *per server*. Two daemons saturate early, so the
@@ -76,8 +78,8 @@ const GATE_TRANSPORT: &str = "UDP rto=A+4D";
 /// via the canonical helpers, so cells are position-seeded).
 const SHARD_BASE: u64 = 0x54A8D;
 
-/// The metadata-only crowd mix: no bulk reads, so the shared segment
-/// carries small packets and the nfsd pools are the contended resource.
+/// The metadata-only crowd mix: no bulk reads, so the servers' drops
+/// carry small packets and the nfsd pools are the contended resource.
 /// The SETATTR slice keeps the per-server dup caches honest under
 /// saturation retransmits.
 fn shard_mix() -> LoadMix {
@@ -88,17 +90,6 @@ fn shard_mix() -> LoadMix {
         setattr: 15,
         write: 0,
     }
-}
-
-/// One cell of the N×M matrix, as pure data for the parallel runner.
-#[derive(Clone)]
-struct Cell {
-    topo: (&'static str, TopologyKind),
-    transport: (&'static str, TransportKind),
-    clients: usize,
-    servers: usize,
-    rate_per_client: f64,
-    idx: usize,
 }
 
 /// One measured row.
@@ -252,60 +243,22 @@ fn state_hash(world: &World, reports: &[NhfsstoneReport]) -> u64 {
 
 /// Runs one cell: an N-client × M-server world, every client's
 /// generator processes pinned round-robin over the shards.
-fn run_cell(cell: &Cell, duration: SimDuration, warmup: SimDuration, nfiles: usize) -> ShardRow {
-    let mut cfg = WorldConfig {
-        topology: cell.topo.1,
-        transport: cell.transport.1.clone(),
-        clients: cell.clients,
-        servers: cell.servers,
-        nfsds: SHARD_NFSDS,
-        seed: point_seed(SHARD_BASE, cell.idx, 0),
-        ..WorldConfig::baseline()
-    };
-    cfg.server.dup_cache = true;
-    let mut world = World::new(cfg);
-    let ncfg = NhfsstoneConfig {
-        procs: 2,
-        duration,
-        warmup,
-        nfiles,
-        // Metadata-only mix: no read payloads, so skip preloading file
-        // data.
-        preload_bytes: 0,
-        seed: workload_seed(SHARD_BASE, cell.idx),
-        ..NhfsstoneConfig::paper(cell.rate_per_client, shard_mix())
-    };
-    let reports = nhfsstone::run_spread(&mut world, &ncfg, Spread::EveryShard, |_| {});
-    let hash = state_hash(&world, &reports);
-    let total_ops: u64 = reports.iter().map(|r| r.ops).sum();
-    let shard_rates: Vec<f64> = reports.iter().map(|r| r.achieved_rate).collect();
-    let retrans: u64 = (0..world.client_count())
-        .flat_map(|ci| (0..world.server_count()).map(move |sj| (ci, sj)))
-        .map(|(ci, sj)| retransmits(&world, ci, sj))
-        .sum();
-    let (mut served, mut dup_hits, mut queued) = (0u64, 0u64, 0u64);
-    let mut queue_p95_ms = Vec::with_capacity(world.server_count());
-    for sj in 0..world.server_count() {
-        let stats = world.server_of(sj).stats();
-        served += stats.total();
-        dup_hits += stats.dup_hits;
-        let nfsd = world.nfsd_stats_of(sj);
-        queued += nfsd.queued;
-        queue_p95_ms.push(nfsd.queue_delay_quantile(0.95));
-    }
+fn run_cell(cell: &Cell, window: (SimDuration, SimDuration), nfiles: usize) -> ShardRow {
+    let spread = Spread::EveryShard;
+    let run = fleet::run(cell, SHARD_BASE, shard_mix(), spread, window, nfiles);
     ShardRow {
         topo: cell.topo.0.to_string(),
         transport: cell.transport.0.to_string(),
         clients: cell.clients,
         servers: cell.servers,
-        agg_ops_per_sec: shard_rates.iter().sum(),
-        fairness: jain(&shard_rates),
-        shard_rates,
-        retrans_per_op: retrans as f64 / total_ops.max(1) as f64,
-        dup_hit_pct: 100.0 * dup_hits as f64 / served.max(1) as f64,
-        queue_p95_ms,
-        queued,
-        state_hash: hash,
+        agg_ops_per_sec: run.rates.iter().sum(),
+        fairness: jain(&run.rates),
+        state_hash: state_hash(&run.world, &run.reports),
+        shard_rates: run.rates,
+        retrans_per_op: run.retrans_per_op,
+        dup_hit_pct: run.dup_hit_pct,
+        queue_p95_ms: run.queue_p95_ms,
+        queued: run.queued,
     }
 }
 
@@ -349,6 +302,7 @@ fn cells(quick: bool) -> Vec<Cell> {
             transport: transport.clone(),
             clients,
             servers,
+            nfsds: SHARD_NFSDS,
             rate_per_client: rate,
             idx,
         })
@@ -359,8 +313,7 @@ fn cells(quick: bool) -> Vec<Cell> {
 /// shard`.
 pub fn shard(scale: &Scale) -> ShardReport {
     let rows = run_jobs(&cells(scale.is_quick()), scale.jobs, |cell| {
-        let (duration, warmup) = shard_durations(scale, cell.clients);
-        run_cell(cell, duration, warmup, scale.nfiles)
+        run_cell(cell, shard_durations(scale, cell.clients), scale.nfiles)
     });
     ShardReport { rows }
 }
@@ -477,6 +430,7 @@ mod tests {
             transport: dynamic,
             clients,
             servers,
+            nfsds: SHARD_NFSDS,
             rate_per_client,
             idx,
         }
@@ -487,9 +441,8 @@ mod tests {
     #[test]
     fn small_fleet_cell_routes_shards_deterministically() {
         let cell = lan_cell(8, 2, 8.0, 7_700);
-        let d = SimDuration::from_secs(8);
-        let w = SimDuration::from_secs(2);
-        let one = run_cell(&cell, d, w, 20);
+        let window = (SimDuration::from_secs(8), SimDuration::from_secs(2));
+        let one = run_cell(&cell, window, 20);
         assert_eq!(one.shard_rates.len(), 2);
         assert!(
             one.shard_rates.iter().all(|&r| r > 0.0),
@@ -497,7 +450,7 @@ mod tests {
         );
         assert!(one.fairness > 0.7, "balanced pinning: {one:?}");
         assert!(one.agg_ops_per_sec > 8.0, "{one:?}");
-        let two = run_cell(&cell, d, w, 20);
+        let two = run_cell(&cell, window, 20);
         assert_eq!(
             one.state_hash, two.state_hash,
             "a fleet cell must be a pure function of its seeds"
@@ -509,10 +462,9 @@ mod tests {
     #[test]
     fn fleet_width_scales_lan_aggregate_throughput() {
         let mk = |servers: usize, idx: usize| lan_cell(48, servers, SHARD_RATE_LAN, idx);
-        let d = SimDuration::from_secs(8);
-        let w = SimDuration::from_secs(2);
-        let m1 = run_cell(&mk(1, 7_800), d, w, 20);
-        let m4 = run_cell(&mk(4, 7_801), d, w, 20);
+        let window = (SimDuration::from_secs(8), SimDuration::from_secs(2));
+        let m1 = run_cell(&mk(1, 7_800), window, 20);
+        let m4 = run_cell(&mk(4, 7_801), window, 20);
         assert!(
             m4.agg_ops_per_sec > 1.5 * m1.agg_ops_per_sec,
             "4 servers must outrun 1 saturated pool: {:.1} vs {:.1}",

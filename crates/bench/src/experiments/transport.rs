@@ -3,13 +3,13 @@
 
 use std::fmt;
 
-use renofs::{TopologyKind, TransportKind, World, WorldConfig, WorldScratch};
+use renofs::{TopologyKind, TransportKind, World, WorldConfig};
 use renofs_netsim::topology::presets::Background;
 use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig};
 
 use super::{paper_transports, retransmits};
 use crate::fmt::table;
-use crate::runner::{point_seed, run_jobs_with, workload_seed};
+use crate::runner::{point_seed, run_jobs, workload_seed};
 use crate::Scale;
 
 /// One measured point.
@@ -102,10 +102,8 @@ fn background_for(topology: TopologyKind) -> Background {
 
 /// Runs one Nhfsstone cell on `topology` under its background. The
 /// `World` is built here, inside the worker thread, so it never crosses
-/// a thread boundary; `scratch` carries observed buffer capacities from
-/// the worker's earlier cells so later worlds start pre-sized.
+/// a thread boundary.
 fn measure(
-    scratch: &mut WorldScratch,
     topology: TopologyKind,
     transport: &TransportKind,
     seed: u64,
@@ -118,9 +116,8 @@ fn measure(
         seed,
         ..WorldConfig::baseline()
     };
-    let mut world = World::with_scratch(wcfg, scratch);
+    let mut world = World::new(wcfg);
     let report = nhfsstone::run(&mut world, cfg);
-    scratch.observe(&world);
     GraphPoint {
         offered: cfg.rate_per_sec,
         achieved: report.achieved_rate,
@@ -190,13 +187,13 @@ pub fn rtt_vs_load(
             }
         }
     }
-    let points = run_jobs_with(&jobs, scale.jobs, |scratch, job| {
+    let points = run_jobs(&jobs, scale.jobs, |job| {
         let cfg = NhfsstoneConfig {
             seed: workload_seed(seed, job.run),
             ..scale.nhfsstone(job.rate, mix)
         };
         let world_seed = point_seed(seed, job.run, job.rate_idx);
-        measure(scratch, topology, &job.transport, world_seed, &cfg)
+        measure(topology, &job.transport, world_seed, &cfg)
     });
     // Results arrive in job order: transport-major, then run, then rate.
     let mut lines = Vec::new();
@@ -327,11 +324,11 @@ pub fn table1(scale: &Scale) -> Table1 {
         .iter()
         .flat_map(|config| paper_transports().map(|transport| (config, transport)))
         .collect();
-    let rows = run_jobs_with(&jobs, scale.jobs, |scratch, (config, transport)| {
+    let rows = run_jobs(&jobs, scale.jobs, |(config, transport)| {
         let (conf_label, topo, mix, rate) = **config;
         let (label, transport) = transport;
         let cfg = scale.nhfsstone(rate, mix);
-        let point = measure(scratch, topo, transport, 0x7AB1E1, &cfg);
+        let point = measure(topo, transport, 0x7AB1E1, &cfg);
         (conf_label.to_string(), label.to_string(), point.read_rate)
     });
     Table1 { rows }

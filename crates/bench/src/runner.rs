@@ -38,29 +38,9 @@ where
     R: Send,
     F: Fn(&J) -> R + Sync,
 {
-    run_jobs_with(jobs, workers, |_: &mut (), job| work(job))
-}
-
-/// Like [`run_jobs`], but each worker thread carries a mutable scratch
-/// state `S` across the jobs it claims.
-///
-/// The state is for *capacity recycling only* (e.g. a
-/// [`renofs::WorldScratch`] of observed buffer sizes): because which
-/// worker runs which job depends on scheduling, any state that changed
-/// a job's *result* would break the determinism contract. Results must
-/// be a pure function of the job.
-pub fn run_jobs_with<J, R, S, F>(jobs: &[J], workers: usize, work: F) -> Vec<R>
-where
-    J: Sync,
-    R: Send,
-    S: Default,
-    F: Fn(&mut S, &J) -> R + Sync,
-{
     let workers = workers.clamp(1, jobs.len().max(1));
     if workers == 1 {
-        // Sequential fast path: one state threaded through every job.
-        let mut state = S::default();
-        return jobs.iter().map(|j| work(&mut state, j)).collect();
+        return jobs.iter().map(work).collect();
     }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(jobs.len()).collect();
@@ -68,14 +48,13 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
-                    let mut state = S::default();
                     let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= jobs.len() {
                             break;
                         }
-                        done.push((i, work(&mut state, &jobs[i])));
+                        done.push((i, work(&jobs[i])));
                     }
                     done
                 })
@@ -174,20 +153,6 @@ mod tests {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(msg.contains("job 11 exploded"), "got: {msg}");
-    }
-
-    #[test]
-    fn stateful_runner_matches_stateless_results() {
-        let jobs: Vec<u64> = (0..50).collect();
-        let expect: Vec<u64> = jobs.iter().map(|j| j * j).collect();
-        for workers in [1, 3, 8] {
-            // State counts jobs per worker; results must not depend on it.
-            let out = run_jobs_with(&jobs, workers, |seen: &mut u64, &j| {
-                *seen += 1;
-                j * j
-            });
-            assert_eq!(out, expect);
-        }
     }
 
     #[test]

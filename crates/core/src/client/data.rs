@@ -96,9 +96,9 @@ impl<S: Syscalls> ClientFs<S> {
             {
                 continue;
             }
-            let rsize = self.cfg.rsize as u32;
             let ticket = self.call_async(NfsProc::Read, |c, m| {
-                proto::build::read_args(c, m, &fh, target as u32 * BLOCK_SIZE as u32, rsize)
+                let off = target as u32 * BLOCK_SIZE as u32;
+                proto::build::read_args(c, m, &fh, off, proto::NFS_MAXDATA as u32)
             });
             self.pending_reads.insert((token, target), ticket);
         }
@@ -116,12 +116,10 @@ impl<S: Syscalls> ClientFs<S> {
         let token = fh.vnode_token();
         let reply = match self.pending_reads.remove(&(token, blk)) {
             Some(t) => self.sys.await_ticket(t)?,
-            None => {
-                let rsize = self.cfg.rsize as u32;
-                self.call(NfsProc::Read, |c, m| {
-                    proto::build::read_args(c, m, &fh, blk as u32 * BLOCK_SIZE as u32, rsize)
-                })?
-            }
+            None => self.call(NfsProc::Read, |c, m| {
+                let off = blk as u32 * BLOCK_SIZE as u32;
+                proto::build::read_args(c, m, &fh, off, proto::NFS_MAXDATA as u32)
+            })?,
         };
         let mut dec = self.open_reply(&reply)?;
         // The data lands straight in a recycled block.

@@ -89,10 +89,6 @@ pub struct ClientConfig {
     pub use_readdir_lookup: bool,
     /// Client buffer cache capacity in blocks.
     pub bufcache_blocks: usize,
-    /// Read transfer size.
-    pub rsize: usize,
-    /// Write transfer size.
-    pub wsize: usize,
     /// NQNFS lease mount mode: RPCs go out under [`NQNFS_VERSION`], the
     /// client acquires read/write leases from the server and, under a
     /// valid write lease, holds dirty blocks past `close()`
@@ -118,8 +114,6 @@ impl ClientConfig {
             read_ahead: 1,
             use_readdir_lookup: false,
             bufcache_blocks: 128,
-            rsize: proto::NFS_MAXDATA,
-            wsize: proto::NFS_MAXDATA,
             lease: false,
             lease_ignore_expiry: false,
         }

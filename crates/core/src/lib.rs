@@ -44,5 +44,5 @@ pub use server::{NfsServer, ServerConfig};
 pub use syscalls::{PinTo, Syscalls};
 pub use world::{
     ClientEvent, ClientEventKind, MountOptions, NfsdStats, TopologyKind, TransportKind, World,
-    WorldConfig, WorldScratch, WorldSys,
+    WorldConfig, WorldSys,
 };

@@ -52,9 +52,6 @@ pub struct ServerConfig {
     /// Future-work extension from Section 3: loan buffer-cache pages to
     /// the network as mbuf clusters instead of copying read data.
     pub loan_read_pages: bool,
-    /// Ambient resident buffers a long-running server's cache holds
-    /// (they cost search steps under the global-search organization).
-    pub ambient_blocks: usize,
     /// Serve the READDIRLOOKUP extension (the paper's Future Directions
     /// "readdir_and_lookup_files" RPC).
     pub readdir_lookup: bool,
@@ -78,7 +75,6 @@ impl ServerConfig {
             bufcache_blocks: 256,
             dup_cache: false,
             loan_read_pages: false,
-            ambient_blocks: 192,
             readdir_lookup: false,
             leases: false,
             lease_no_reboot_grace: false,
@@ -165,6 +161,10 @@ impl DupCache {
 /// clients cannot flush each other's entries before the retry arrives.
 const DUP_CACHE_PER_CLIENT: usize = 128;
 
+/// Ambient resident buffers a long-running server's cache holds (they
+/// cost search steps under the global-search organization).
+const AMBIENT_BLOCKS: usize = 192;
+
 /// What a crash loses: the name cache, the buffer cache and the
 /// duplicate-request cache, built empty at boot.
 struct Volatile {
@@ -178,7 +178,7 @@ impl Volatile {
         let mut namecache = NameCache::new(512);
         namecache.set_enabled(cfg.name_cache);
         let mut bufcache = BufCache::new(cfg.cache_org, cfg.bufcache_blocks);
-        bufcache.set_ambient(cfg.ambient_blocks);
+        bufcache.set_ambient(AMBIENT_BLOCKS);
         Volatile {
             namecache,
             bufcache,

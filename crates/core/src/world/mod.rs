@@ -195,26 +195,6 @@ pub struct World {
     started: bool,
 }
 
-/// Capacity hints carried across the `World`s of a parameter sweep, so
-/// repeated cells start with buffers already sized to the workload
-/// instead of re-growing them from empty every time.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WorldScratch {
-    /// Peak event-queue depth observed; the next world's queue is created
-    /// with room for this many pending events.
-    pub queue_cap: usize,
-    /// Peak network-output event burst observed.
-    pub net_events_cap: usize,
-}
-
-impl WorldScratch {
-    /// Folds a finished world's high-water marks into the hints.
-    pub fn observe(&mut self, world: &World) {
-        self.queue_cap = self.queue_cap.max(world.queue.peak_depth());
-        self.net_events_cap = self.net_events_cap.max(world.net_out.events.capacity());
-    }
-}
-
 /// Stable per-client split of the world seed; client 0 keeps the
 /// unsalted stream so single-client worlds stay byte-identical.
 fn client_salt(i: usize) -> u64 {
@@ -225,22 +205,20 @@ impl World {
     /// Builds a world; for TCP every client's connection is established
     /// before returning.
     pub fn new(cfg: WorldConfig) -> Self {
-        Self::with_scratch(cfg, &WorldScratch::default())
-    }
-
-    /// [`World::new`] with buffer capacity hints from earlier runs.
-    pub fn with_scratch(cfg: WorldConfig, scratch: &WorldScratch) -> Self {
         let n = cfg.clients.max(1);
         let m = cfg.servers.max(1);
         assert!(
             n <= MountKey::MAX_CLIENTS && m <= MountKey::MAX_SERVERS,
             "{n} clients of {m} servers do not fit an in-flight key"
         );
-        let (mut topo, client_nodes, server_nodes) = match cfg.topology {
-            TopologyKind::SameLan => presets::same_lan_nm(&cfg.background, n, m),
-            TopologyKind::TokenRing => presets::token_ring_path_nm(&cfg.background, n, m),
-            TopologyKind::SlowLink => presets::slow_link_path_nm(&cfg.background, n, m),
+        let bg = &cfg.background;
+        let ring = presets::token_ring(bg);
+        let trunk = match cfg.topology {
+            TopologyKind::SameLan => &[][..],
+            TopologyKind::TokenRing => &[ring][..],
+            TopologyKind::SlowLink => &[ring, presets::serial_56k(bg)][..],
         };
+        let (mut topo, client_nodes, server_nodes) = presets::fleet(bg, trunk, n, m);
         for &c in &client_nodes {
             for &s in &server_nodes {
                 topo.apply_faults(&cfg.faults, c, s);
@@ -253,12 +231,9 @@ impl World {
         let servers = (0..m).map(|j| ServerRt::new(&cfg, j, &addrs)).collect();
         let udp = !matches!(cfg.transport, TransportKind::Tcp);
         let mut world = World {
-            queue: EventQueue::with_capacity(scratch.queue_cap),
+            queue: EventQueue::new(),
             net,
-            net_out: NetOutput {
-                events: Vec::with_capacity(scratch.net_events_cap),
-                delivered: Vec::new(),
-            },
+            net_out: NetOutput::default(),
             addrs,
             clients,
             servers,

@@ -36,7 +36,6 @@ pub enum NodeKind {
 
 pub(crate) struct Node {
     pub kind: NodeKind,
-    pub name: &'static str,
     routes: Routes,
 }
 
@@ -68,10 +67,9 @@ impl Topology {
     }
 
     /// Adds a node.
-    pub fn add_node(&mut self, name: &'static str, kind: NodeKind) -> NodeId {
+    pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
         self.nodes.push(Node {
             kind,
-            name,
             routes: Routes::Table(Vec::new()),
         });
         NodeId(self.nodes.len() - 1)
@@ -100,11 +98,6 @@ impl Topology {
     /// The kind of a node.
     pub fn node_kind(&self, n: NodeId) -> NodeKind {
         self.nodes[n.0].kind
-    }
-
-    /// The node's name.
-    pub fn node_name(&self, n: NodeId) -> &'static str {
-        self.nodes[n.0].name
     }
 
     /// Computes shortest-path (hop count) routes between all node pairs.
@@ -305,7 +298,8 @@ pub mod presets {
         }
     }
 
-    fn token_ring(bg: &Background) -> LinkParams {
+    /// The 80 Mbit/s token ring joining configuration 2's routers.
+    pub fn token_ring(bg: &Background) -> LinkParams {
         LinkParams {
             bandwidth_bps: 80_000_000,
             prop_delay: SimDuration::from_micros(200),
@@ -317,7 +311,8 @@ pub mod presets {
         }
     }
 
-    fn serial_56k(bg: &Background) -> LinkParams {
+    /// The 56 Kbit/s point-to-point line configuration 3 adds.
+    pub fn serial_56k(bg: &Background) -> LinkParams {
         LinkParams {
             bandwidth_bps: 56_000,
             prop_delay: SimDuration::from_millis(4),
@@ -329,202 +324,84 @@ pub mod presets {
         }
     }
 
+    /// `n` client hosts and `m` server hosts on either side of `trunk`.
+    ///
+    /// Each host has its own full-duplex 10 Mbit/s Ethernet drop. An
+    /// empty trunk is configuration 1: the drops meet at a multiport
+    /// bridge (10 µs store-and-forward, 1991-era learning-bridge
+    /// latency), or a lone client and server share one wire. Otherwise
+    /// `trunk.len() + 1` IP routers (800 µs each) are joined by the
+    /// trunk's links in order, the clients' drops on the first and the
+    /// servers' on the last: `[token_ring]` is configuration 2 and
+    /// `[token_ring, serial_56k]` configuration 3. Only a server's drop
+    /// and the trunk carry more than one host's traffic; no segment is
+    /// shared the way a 1991 thickwire Ethernet was (EXPERIMENTS.md,
+    /// deviations).
+    ///
+    /// Nodes are numbered clients, bridge or routers, servers; links are
+    /// added client drops, trunk, server drops.
+    ///
+    /// Returns `(topology, clients, servers)`.
+    pub fn fleet(
+        bg: &Background,
+        trunk: &[LinkParams],
+        n: usize,
+        m: usize,
+    ) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
+        assert!(n >= 1 && m >= 1, "at least one client and one server");
+        let (hops, delay_us) = match trunk.len() {
+            0 if n * m == 1 => (0, 0),
+            0 => (1, 10),
+            k => (k + 1, 800),
+        };
+        let mut t = Topology::new();
+        let clients: Vec<NodeId> = (0..n).map(|_| t.add_node(NodeKind::Host)).collect();
+        for _ in 0..hops {
+            t.add_node(NodeKind::Router {
+                forward_delay: SimDuration::from_micros(delay_us),
+            });
+        }
+        let servers: Vec<NodeId> = (0..m).map(|_| t.add_node(NodeKind::Host)).collect();
+        let hop = |k: usize| NodeId(n + k);
+        let entry = if hops == 0 { servers[0] } else { hop(0) };
+        for &c in &clients {
+            t.add_duplex_link(c, entry, ethernet(bg));
+        }
+        for (k, params) in trunk.iter().enumerate() {
+            t.add_duplex_link(hop(k), hop(k + 1), params.clone());
+        }
+        if hops > 0 {
+            for &s in &servers {
+                t.add_duplex_link(hop(hops - 1), s, ethernet(bg));
+            }
+        }
+        t.compute_routes();
+        (t, clients, servers)
+    }
+
+    fn single(
+        (t, clients, servers): (Topology, Vec<NodeId>, Vec<NodeId>),
+    ) -> (Topology, NodeId, NodeId) {
+        (t, clients[0], servers[0])
+    }
+
     /// Configuration 1: client and server on one uncongested Ethernet.
     ///
     /// Returns `(topology, client, server)`.
     pub fn same_lan(bg: &Background) -> (Topology, NodeId, NodeId) {
-        let mut t = Topology::new();
-        let client = t.add_node("client", NodeKind::Host);
-        let server = t.add_node("server", NodeKind::Host);
-        t.add_duplex_link(client, server, ethernet(bg));
-        t.compute_routes();
-        (t, client, server)
-    }
-
-    fn router() -> NodeKind {
-        NodeKind::Router {
-            forward_delay: SimDuration::from_micros(800),
-        }
+        single(fleet(bg, &[], 1, 1))
     }
 
     /// Configuration 2: two Ethernets joined by an 80 Mbit/s token ring
     /// and two IP routers.
     pub fn token_ring_path(bg: &Background) -> (Topology, NodeId, NodeId) {
-        let mut t = Topology::new();
-        let client = t.add_node("client", NodeKind::Host);
-        let r1 = t.add_node("router1", router());
-        let r2 = t.add_node("router2", router());
-        let server = t.add_node("server", NodeKind::Host);
-        t.add_duplex_link(client, r1, ethernet(bg));
-        t.add_duplex_link(r1, r2, token_ring(bg));
-        t.add_duplex_link(r2, server, ethernet(bg));
-        t.compute_routes();
-        (t, client, server)
+        single(fleet(bg, &[token_ring(bg)], 1, 1))
     }
 
     /// Configuration 3: the token ring path plus a 56 Kbit/s point-to-
     /// point link and a third router.
     pub fn slow_link_path(bg: &Background) -> (Topology, NodeId, NodeId) {
-        let mut t = Topology::new();
-        let client = t.add_node("client", NodeKind::Host);
-        let r1 = t.add_node("router1", router());
-        let r2 = t.add_node("router2", router());
-        let r3 = t.add_node("router3", router());
-        let server = t.add_node("server", NodeKind::Host);
-        t.add_duplex_link(client, r1, ethernet(bg));
-        t.add_duplex_link(r1, r2, token_ring(bg));
-        t.add_duplex_link(r2, r3, serial_56k(bg));
-        t.add_duplex_link(r3, server, ethernet(bg));
-        t.compute_routes();
-        (t, client, server)
-    }
-
-    /// Stable display names for the crowd's client machines (node names
-    /// are `&'static str`; 64 covers the largest sweep point).
-    const CLIENT_NAMES: [&str; 64] = [
-        "client1", "client2", "client3", "client4", "client5", "client6", "client7", "client8",
-        "client9", "client10", "client11", "client12", "client13", "client14", "client15",
-        "client16", "client17", "client18", "client19", "client20", "client21", "client22",
-        "client23", "client24", "client25", "client26", "client27", "client28", "client29",
-        "client30", "client31", "client32", "client33", "client34", "client35", "client36",
-        "client37", "client38", "client39", "client40", "client41", "client42", "client43",
-        "client44", "client45", "client46", "client47", "client48", "client49", "client50",
-        "client51", "client52", "client53", "client54", "client55", "client56", "client57",
-        "client58", "client59", "client60", "client61", "client62", "client63", "client64",
-    ];
-
-    fn client_name(i: usize) -> &'static str {
-        CLIENT_NAMES.get(i).copied().unwrap_or("client")
-    }
-
-    /// Stable display names for a sharded fleet's server machines (8
-    /// covers the largest `repro shard` sweep point).
-    const SERVER_NAMES: [&str; 8] = [
-        "server1", "server2", "server3", "server4", "server5", "server6", "server7", "server8",
-    ];
-
-    /// Server `j` of `m`: a lone server keeps the single-client presets'
-    /// name.
-    fn server_name(j: usize, m: usize) -> &'static str {
-        match m {
-            1 => "server",
-            _ => SERVER_NAMES.get(j).copied().unwrap_or("server"),
-        }
-    }
-
-    /// A multiport bridge joining hosts on one LAN segment: store-and-
-    /// forward like a router, but with 1991-era learning-bridge latency
-    /// rather than an IP forwarding path.
-    fn bridge() -> NodeKind {
-        NodeKind::Router {
-            forward_delay: SimDuration::from_micros(10),
-        }
-    }
-
-    /// Configuration 1 for `n` clients and `m` servers: every client and
-    /// every server gets its own drop onto a bridge, so the shared
-    /// segment carries the whole fleet's aggregate — the segment every
-    /// client's traffic contends for, just as on a real thickwire LAN.
-    /// `(1, 1)` is exactly [`same_lan`].
-    ///
-    /// Returns `(topology, clients, servers)`.
-    pub fn same_lan_nm(
-        bg: &Background,
-        n: usize,
-        m: usize,
-    ) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
-        assert!(n >= 1 && m >= 1, "at least one client and one server");
-        if (n, m) == (1, 1) {
-            let (t, c, s) = same_lan(bg);
-            return (t, vec![c], vec![s]);
-        }
-        let mut t = Topology::new();
-        let clients: Vec<NodeId> = (0..n)
-            .map(|i| t.add_node(client_name(i), NodeKind::Host))
-            .collect();
-        let hub = t.add_node("hub", bridge());
-        let servers: Vec<NodeId> = (0..m)
-            .map(|j| t.add_node(server_name(j, m), NodeKind::Host))
-            .collect();
-        for &c in &clients {
-            t.add_duplex_link(c, hub, ethernet(bg));
-        }
-        for &s in &servers {
-            t.add_duplex_link(hub, s, ethernet(bg));
-        }
-        t.compute_routes();
-        (t, clients, servers)
-    }
-
-    /// Configuration 2 for `n` clients and `m` servers: every client
-    /// enters the first router on its own Ethernet drop and shares the
-    /// token ring, then each server hangs off the far router on its own
-    /// drop — the ring stays the common bottleneck. `(1, 1)` is exactly
-    /// [`token_ring_path`].
-    pub fn token_ring_path_nm(
-        bg: &Background,
-        n: usize,
-        m: usize,
-    ) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
-        assert!(n >= 1 && m >= 1, "at least one client and one server");
-        if (n, m) == (1, 1) {
-            let (t, c, s) = token_ring_path(bg);
-            return (t, vec![c], vec![s]);
-        }
-        let mut t = Topology::new();
-        let clients: Vec<NodeId> = (0..n)
-            .map(|i| t.add_node(client_name(i), NodeKind::Host))
-            .collect();
-        let r1 = t.add_node("router1", router());
-        let r2 = t.add_node("router2", router());
-        let servers: Vec<NodeId> = (0..m)
-            .map(|j| t.add_node(server_name(j, m), NodeKind::Host))
-            .collect();
-        for &c in &clients {
-            t.add_duplex_link(c, r1, ethernet(bg));
-        }
-        t.add_duplex_link(r1, r2, token_ring(bg));
-        for &s in &servers {
-            t.add_duplex_link(r2, s, ethernet(bg));
-        }
-        t.compute_routes();
-        (t, clients, servers)
-    }
-
-    /// Configuration 3 for `n` clients and `m` servers: the whole fleet
-    /// funnels through the shared 56 Kbit/s serial hop before fanning out
-    /// to per-server Ethernet drops. `(1, 1)` is exactly
-    /// [`slow_link_path`].
-    pub fn slow_link_path_nm(
-        bg: &Background,
-        n: usize,
-        m: usize,
-    ) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
-        assert!(n >= 1 && m >= 1, "at least one client and one server");
-        if (n, m) == (1, 1) {
-            let (t, c, s) = slow_link_path(bg);
-            return (t, vec![c], vec![s]);
-        }
-        let mut t = Topology::new();
-        let clients: Vec<NodeId> = (0..n)
-            .map(|i| t.add_node(client_name(i), NodeKind::Host))
-            .collect();
-        let r1 = t.add_node("router1", router());
-        let r2 = t.add_node("router2", router());
-        let r3 = t.add_node("router3", router());
-        let servers: Vec<NodeId> = (0..m)
-            .map(|j| t.add_node(server_name(j, m), NodeKind::Host))
-            .collect();
-        for &c in &clients {
-            t.add_duplex_link(c, r1, ethernet(bg));
-        }
-        t.add_duplex_link(r1, r2, token_ring(bg));
-        t.add_duplex_link(r2, r3, serial_56k(bg));
-        for &s in &servers {
-            t.add_duplex_link(r3, s, ethernet(bg));
-        }
-        t.compute_routes();
-        (t, clients, servers)
+        single(fleet(bg, &[token_ring(bg), serial_56k(bg)], 1, 1))
     }
 }
 
@@ -616,6 +493,15 @@ mod tests {
         Ok(())
     }
 
+    /// The paper's three trunks under `bg`: configurations 1, 2 and 3.
+    fn trunks(bg: &Background) -> [Vec<LinkParams>; 3] {
+        [
+            vec![],
+            vec![presets::token_ring(bg)],
+            vec![presets::token_ring(bg), presets::serial_56k(bg)],
+        ]
+    }
+
     fn leaves(t: &Topology) -> usize {
         let leaf = |n: &&Node| matches!(n.routes, Routes::Leaf(_));
         t.nodes.iter().filter(leaf).count()
@@ -630,9 +516,9 @@ mod tests {
             presets::slow_link_path(&bg).0,
         ];
         for (n, m) in [(2, 1), (5, 1), (3, 2), (9, 4)] {
-            topologies.push(presets::same_lan_nm(&bg, n, m).0);
-            topologies.push(presets::token_ring_path_nm(&bg, n, m).0);
-            topologies.push(presets::slow_link_path_nm(&bg, n, m).0);
+            for trunk in trunks(&bg) {
+                topologies.push(presets::fleet(&bg, &trunk, n, m).0);
+            }
         }
         for t in &topologies {
             assert_routes_as_reference(t).unwrap();
@@ -661,7 +547,7 @@ mod tests {
             let params = |kind: usize| ring.links[2 * kind.min(1)].params().clone();
             let mut t = Topology::new();
             for _ in 0..nodes {
-                t.add_node("n", NodeKind::Host);
+                t.add_node(NodeKind::Host);
             }
             // With `halves`, a link stays inside its end's half.
             let half = |i: usize| if halves { i * 2 / nodes } else { 0 };
@@ -681,7 +567,7 @@ mod tests {
             for (root, len, back) in chains {
                 let mut next = NodeId(root.index(nodes));
                 for _ in 0..len {
-                    let n = t.add_node("chain", NodeKind::Host);
+                    let n = t.add_node(NodeKind::Host);
                     t.links.push(Link::new(n, next, params(0)));
                     if back {
                         t.links.push(Link::new(next, n, params(1)));
@@ -729,7 +615,7 @@ mod tests {
     fn node_metadata() {
         let (t, c, s) = presets::token_ring_path(&Background::quiet());
         assert_eq!(t.node_kind(c), NodeKind::Host);
-        assert_eq!(t.node_name(s), "server");
+        assert_eq!(t.node_kind(s), NodeKind::Host);
         assert!(matches!(t.node_kind(NodeId(1)), NodeKind::Router { .. }));
         assert_eq!(t.node_count(), 4);
     }
@@ -740,30 +626,103 @@ mod tests {
         assert_eq!(t.route(c, c), None);
     }
 
+    /// `t` in one line: each node's kind in order (`H` a host, `R` and
+    /// the forwarding delay in µs a router or bridge), then each duplex
+    /// link as `a-b` and its parameters (`e` Ethernet, `r` token ring,
+    /// `s` serial) under `Background::off_peak()`.
+    fn layout(t: &Topology) -> String {
+        let params = |p: &LinkParams| {
+            let key = (
+                p.bandwidth_bps,
+                p.prop_delay.as_nanos(),
+                p.mtu,
+                p.frame_overhead,
+                p.queue_capacity_bytes,
+                p.loss_prob,
+                p.bg_util,
+            );
+            match key {
+                (10_000_000, 50_000, 1500, 26, 60_000, 0.0005, 0.08) => 'e',
+                (80_000_000, 200_000, 4464, 32, 120_000, 0.0005, 0.05) => 'r',
+                (56_000, 4_000_000, 576, 8, 48_000, 0.001, 0.0) => 's',
+                _ => panic!("unpinned link parameters {p:?}"),
+            }
+        };
+        let mut out: Vec<String> = (0..t.node_count())
+            .map(|i| match t.node_kind(NodeId(i)) {
+                NodeKind::Host => "H".to_string(),
+                NodeKind::Router { forward_delay } => {
+                    format!("R{}", forward_delay.as_nanos() / 1000)
+                }
+            })
+            .collect();
+        out.push("|".to_string());
+        for pair in t.links.chunks(2) {
+            let [ab, ba] = pair else {
+                panic!("a link without its reverse")
+            };
+            assert_eq!((ab.from(), ab.to()), (ba.to(), ba.from()));
+            assert_eq!(params(ab.params()), params(ba.params()));
+            let (a, b) = (ab.from().0, ab.to().0);
+            out.push(format!("{a}-{b}{}", params(ab.params())));
+        }
+        out.join(" ")
+    }
+
+    /// Every trunk at four fleet shapes builds the nodes and links the
+    /// six hand-written builders it replaced built, in their order
+    /// (recorded from them), and each one-client wrapper is its
+    /// `fleet(.., 1, 1)`.
     #[test]
-    fn n_client_presets_collapse_to_singles() {
-        let bg = Background::quiet();
-        // One client and one server must build the identical topology
-        // (node and link order) as the original single-client presets.
-        let (t1, c1, s1) = presets::same_lan(&bg);
-        let (tn, cn, sn) = presets::same_lan_nm(&bg, 1, 1);
-        assert_eq!(cn, vec![c1]);
-        assert_eq!(sn, vec![s1]);
-        assert_eq!(tn.node_count(), t1.node_count());
-        let (t1, _, _) = presets::token_ring_path(&bg);
-        let (tn, cn, _) = presets::token_ring_path_nm(&bg, 1, 1);
-        assert_eq!(tn.node_count(), t1.node_count());
-        assert_eq!(cn.len(), 1);
-        let (t1, _, _) = presets::slow_link_path(&bg);
-        let (tn, cn, _) = presets::slow_link_path_nm(&bg, 1, 1);
-        assert_eq!(tn.node_count(), t1.node_count());
-        assert_eq!(cn.len(), 1);
+    fn fleet_builds_the_pinned_nodes_and_links_in_order() {
+        const PINNED: [[&str; 3]; 4] = [
+            [
+                "H H | 0-1e",
+                "H R800 R800 H | 0-1e 1-2r 2-3e",
+                "H R800 R800 R800 H | 0-1e 1-2r 2-3s 3-4e",
+            ],
+            [
+                "H R10 H H H | 0-1e 1-2e 1-3e 1-4e",
+                "H R800 R800 H H H | 0-1e 1-2r 2-3e 2-4e 2-5e",
+                "H R800 R800 R800 H H H | 0-1e 1-2r 2-3s 3-4e 3-5e 3-6e",
+            ],
+            [
+                "H H H H R10 H | 0-4e 1-4e 2-4e 3-4e 4-5e",
+                "H H H H R800 R800 H | 0-4e 1-4e 2-4e 3-4e 4-5r 5-6e",
+                "H H H H R800 R800 R800 H | 0-4e 1-4e 2-4e 3-4e 4-5r 5-6s 6-7e",
+            ],
+            [
+                "H H H R10 H H | 0-3e 1-3e 2-3e 3-4e 3-5e",
+                "H H H R800 R800 H H | 0-3e 1-3e 2-3e 3-4r 4-5e 4-6e",
+                "H H H R800 R800 R800 H H | 0-3e 1-3e 2-3e 3-4r 4-5s 5-6e 5-7e",
+            ],
+        ];
+        let bg = Background::off_peak();
+        for ((n, m), pinned) in [(1, 1), (1, 3), (4, 1), (3, 2)].into_iter().zip(PINNED) {
+            for (trunk, want) in trunks(&bg).iter().zip(pinned) {
+                let (t, clients, servers) = presets::fleet(&bg, trunk, n, m);
+                assert_eq!(layout(&t), want, "{n} clients, {m} servers");
+                assert_eq!(clients, (0..n).map(NodeId).collect::<Vec<_>>());
+                let first = t.node_count() - m;
+                assert_eq!(servers, (first..first + m).map(NodeId).collect::<Vec<_>>());
+            }
+        }
+        let wrappers = [
+            presets::same_lan(&bg),
+            presets::token_ring_path(&bg),
+            presets::slow_link_path(&bg),
+        ];
+        for ((t, c, s), trunk) in wrappers.into_iter().zip(trunks(&bg)) {
+            let (tf, clients, servers) = presets::fleet(&bg, &trunk, 1, 1);
+            assert_eq!(layout(&t), layout(&tf));
+            assert_eq!((c, s), (clients[0], servers[0]));
+        }
     }
 
     #[test]
     fn n_client_lan_routes_through_shared_segment() {
         let bg = Background::quiet();
-        let (t, clients, servers) = presets::same_lan_nm(&bg, 4, 1);
+        let (t, clients, servers) = presets::fleet(&bg, &[], 4, 1);
         let server = servers[0];
         assert_eq!(clients.len(), 4);
         assert_eq!(t.node_count(), 6, "4 clients + hub + server");
@@ -784,33 +743,27 @@ mod tests {
 
     #[test]
     fn nm_presets_with_one_server_collapse_to_n_presets() {
-        // Several clients and one server: the clients are numbered, the
-        // lone server keeps the single-client presets' name, and the
-        // path between them is the preset's hosts and routers in order.
+        // Several clients and one server: the path between them is the
+        // preset's hosts and routers in order.
         let bg = Background::quiet();
         let router = |delay_us| NodeKind::Router {
             forward_delay: SimDuration::from_micros(delay_us),
         };
-        let lan = ["hub"];
-        let ring = ["router1", "router2"];
-        let slow = ["router1", "router2", "router3"];
-        for ((t, clients, servers), path, delay) in [
-            (presets::same_lan_nm(&bg, 4, 1), &lan[..], 10),
-            (presets::token_ring_path_nm(&bg, 3, 1), &ring[..], 800),
-            (presets::slow_link_path_nm(&bg, 2, 1), &slow[..], 800),
+        let [lan, ring, slow] = trunks(&bg);
+        for ((t, clients, servers), hops, delay) in [
+            (presets::fleet(&bg, &lan, 4, 1), 1, 10),
+            (presets::fleet(&bg, &ring, 3, 1), 2, 800),
+            (presets::fleet(&bg, &slow, 2, 1), 3, 800),
         ] {
             assert_eq!(servers.len(), 1);
-            assert_eq!(t.node_count(), clients.len() + path.len() + 1);
-            for (i, &c) in clients.iter().enumerate() {
-                assert_eq!(t.node_name(c), format!("client{}", i + 1));
+            assert_eq!(t.node_count(), clients.len() + hops + 1);
+            for &c in &clients {
                 assert_eq!(t.node_kind(c), NodeKind::Host);
             }
-            for (k, name) in path.iter().enumerate() {
+            for k in 0..hops {
                 let hop = NodeId(clients.len() + k);
-                assert_eq!(t.node_name(hop), *name);
                 assert_eq!(t.node_kind(hop), router(delay));
             }
-            assert_eq!(t.node_name(servers[0]), "server");
             assert_eq!(t.node_kind(servers[0]), NodeKind::Host);
         }
     }
@@ -818,7 +771,7 @@ mod tests {
     #[test]
     fn nm_lan_servers_share_the_bridge_segmentwise() {
         let bg = Background::quiet();
-        let (t, clients, servers) = presets::same_lan_nm(&bg, 4, 3);
+        let (t, clients, servers) = presets::fleet(&bg, &[], 4, 3);
         assert_eq!(t.node_count(), 4 + 1 + 3, "clients + bridge + servers");
         for &c in &clients {
             for &s in &servers {
@@ -838,7 +791,8 @@ mod tests {
     #[test]
     fn nm_slow_link_shares_serial_hop_across_servers() {
         let bg = Background::quiet();
-        let (t, clients, servers) = presets::slow_link_path_nm(&bg, 2, 2);
+        let [_, _, slow] = trunks(&bg);
+        let (t, clients, servers) = presets::fleet(&bg, &slow, 2, 2);
         for &c in &clients {
             for &s in &servers {
                 assert_eq!(t.path_mtu(c, s), Some(576), "serial is the bottleneck");
@@ -855,7 +809,8 @@ mod tests {
     #[test]
     fn n_client_slow_link_keeps_serial_bottleneck() {
         let bg = Background::quiet();
-        let (t, clients, servers) = presets::slow_link_path_nm(&bg, 8, 1);
+        let [_, _, slow] = trunks(&bg);
+        let (t, clients, servers) = presets::fleet(&bg, &slow, 8, 1);
         let server = servers[0];
         for &c in &clients {
             assert_eq!(t.path_mtu(c, server), Some(576));

@@ -72,14 +72,16 @@ echo "==> the streaming oracle takes the world's time order (no per-client feeds
 grep -rnE 'fn heartbeat|finish_client|with_capture|struct Feed' crates/oracle/src && exit 1
 grep -rnF '.heartbeat(' crates/bench && exit 1
 
-echo "==> one way to run a cell (one single-proc run, one Nhfsstone window, one preset per topology)"
+echo "==> one way to run a cell (one single-proc run, one Nhfsstone window, one topology recipe, one World constructor)"
 # `run_proc` in experiments/mod.rs is the one place an experiment hands a
 # proc's value back over a channel, and `Scale::nhfsstone` the one place
-# a scale's window becomes an Nhfsstone config. The `_nm` presets build
-# every multi-machine topology.
+# a scale's window becomes an Nhfsstone config. `presets::fleet` builds
+# every topology, `World::new` is the only constructor, and a client's
+# transfer size is NFS_MAXDATA, not a config field.
 grep -rnE 'mpsc::channel|duration = scale\.duration' crates/bench/src/experiments |
     grep -vE '^crates/bench/src/experiments/mod\.rs:[0-9]+:.*mpsc::channel' && exit 1
 grep -rnE '\b(same_lan|token_ring_path|slow_link_path)_n\(' crates benchmark examples && exit 1
+grep -rnE '_nm\(|WorldScratch|with_scratch|run_jobs_with|CLIENT_NAMES|wsize' crates && exit 1
 
 echo "==> no file over 700 non-test lines (all of crates/, no exceptions)"
 # benchmark/ is frozen and not gated.
