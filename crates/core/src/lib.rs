@@ -14,8 +14,8 @@
 //!   write policies, push-on-close, the `noconsist` experimental mount
 //!   flag, and per-procedure RPC counters (Table 3's instrument).
 //! - [`router::RouterFs`]: the automount-style client router stitching
-//!   an M-server sharded fleet into one namespace, with read-only
-//!   replica failover.
+//!   an M-server sharded fleet ("/" on server 0, "/s{j}" on server j)
+//!   into one namespace.
 //! - [`world::World`]: the deterministic event loop tying client hosts,
 //!   transports, network and servers together, with blocking-style
 //!   workload procs.
@@ -39,7 +39,7 @@ pub use client::{ClientConfig, ClientError, ClientFs, WritePolicy};
 pub use host::{Host, HostProfile};
 pub use presets::{ClientPreset, ServerPreset};
 pub use proto::{FileHandle, NfsProc, NfsStatus, RpcCounts};
-pub use router::{Export, ExportMap, RouterFs, RouterHandle, ServerPort};
+pub use router::{ExportMap, RouterFs, RouterHandle, ServerPort};
 pub use server::{NfsServer, ServerConfig};
 pub use syscalls::{PinTo, Syscalls};
 pub use world::{

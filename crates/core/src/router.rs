@@ -2,16 +2,15 @@
 //!
 //! The paper's testbed is one export on one server; a sharded fleet of
 //! servers is the generalization. [`RouterFs`] plays the automounter's
-//! role: it holds one [`ClientFs`] mount per export, routes each
-//! path-based operation to the owning shard by longest-prefix match on
-//! component boundaries, and stitches the shards back into one
-//! namespace, the way `/net`-style automount maps did on period BSD
-//! systems.
+//! role: it holds one [`ClientFs`] mount per server, routes each
+//! path-based operation to the owning shard and stitches the shards
+//! back into one namespace, the way `/net`-style automount maps did on
+//! period BSD systems.
 //!
 //! Layering:
 //!
-//! - [`ExportMap`] — the fleet's export table, `prefix -> primary
-//!   server (+ optional read-only replicas)`.
+//! - [`ExportMap`] — the fleet layout: server 0 exports "/", server j
+//!   (j >= 1) exports "/s{j}".
 //! - [`ServerPort`] — a [`Syscalls`] adapter that pins every RPC of one
 //!   mount to one server of the fleet via
 //!   [`Syscalls::rpc_to`]/[`Syscalls::rpc_async_to`]. Each mount gets
@@ -23,13 +22,9 @@
 //!   built by the same deterministic recipe, can legitimately hand out
 //!   bit-identical `FileHandle`s.
 //!
-//! Failure handling mirrors the soft-mount and crash-recovery semantics
-//! of the single-server client: a read-only operation that dies with
-//! [`ClientError::TimedOut`] or [`ClientError::Stale`] on its primary
-//! is retried on each read-only replica in table order; a stale handle
-//! whose mount-local recovery failed is re-walked through the export
-//! map from the path, which lets recovery cross shards after the
-//! namespace is re-exported.
+//! A read that dies with [`ClientError::TimedOut`] or
+//! [`ClientError::Stale`] after the mount's own recovery is retried
+//! once through a fresh walk of the path its handle was produced under.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -37,92 +32,43 @@ use std::rc::Rc;
 
 use renofs_mbuf::MbufChain;
 use renofs_sim::{SimDuration, SimTime};
-use renofs_vfs::{FileType, Vattr};
+use renofs_vfs::FileType;
 
 use crate::client::{CResult, ClientConfig, ClientError, ClientFs};
 use crate::proto::{DirEntry, FileHandle, NfsProc, RpcCounts};
 use crate::syscalls::{RpcResult, Syscalls, Ticket};
 
-/// One export of the fleet: the subtree `prefix` is owned by server
-/// `primary`; `replicas` name servers carrying a read-only copy.
-#[derive(Clone, Debug)]
-pub struct Export {
-    /// Mount point ("/" or "/name"), matched on component boundaries.
-    pub prefix: String,
-    /// Server index owning the subtree (all writes go here).
-    pub primary: usize,
-    /// Read-only replica servers, tried in order on primary failure.
-    pub replicas: Vec<usize>,
-}
-
-/// The export table of an M-server fleet.
+/// The layout of an M-server fleet.
 #[derive(Clone, Debug)]
 pub struct ExportMap {
-    exports: Vec<Export>,
+    servers: usize,
 }
 
 impl ExportMap {
-    /// Builds a table from explicit exports. Exactly one export must
-    /// cover "/" so every path routes somewhere.
-    pub fn new(exports: Vec<Export>) -> Self {
-        assert!(
-            exports.iter().any(|e| e.prefix == "/"),
-            "an export must cover the root"
-        );
-        ExportMap { exports }
-    }
-
-    /// The conventional M-shard fleet layout: server 0 exports "/",
-    /// server j (j >= 1) exports "/s{j}". With m == 1 this is exactly
-    /// the legacy single-server namespace.
+    /// The M-shard fleet layout: server 0 exports "/", server j
+    /// (j >= 1) exports "/s{j}". With m <= 1 this is exactly the legacy
+    /// single-server namespace.
     pub fn fleet(m: usize) -> Self {
-        let mut exports = vec![Export {
-            prefix: "/".to_string(),
-            primary: 0,
-            replicas: Vec::new(),
-        }];
-        for j in 1..m.max(1) {
-            exports.push(Export {
-                prefix: format!("/s{j}"),
-                primary: j,
-                replicas: Vec::new(),
-            });
-        }
-        ExportMap { exports }
+        ExportMap { servers: m.max(1) }
     }
 
-    /// The exports, in table order (mount index == table index).
-    pub fn exports(&self) -> &[Export] {
-        &self.exports
-    }
-
-    /// Longest-prefix route on component boundaries: returns the export
-    /// index and the path relative to that export's root.
+    /// Routes an absolute path: a first component `s{j}`, with j in
+    /// canonical decimal and 1 <= j < M, goes to server j with the rest
+    /// of the path ("/" if none); any other path goes to server 0
+    /// unchanged.
     pub fn route<'p>(&self, path: &'p str) -> (usize, &'p str) {
-        let mut best: Option<(usize, usize)> = None; // (len, idx)
-        for (idx, e) in self.exports.iter().enumerate() {
-            let p = e.prefix.as_str();
-            let hit = if p == "/" {
-                path.starts_with('/')
-            } else {
-                path == p || (path.starts_with(p) && path.as_bytes().get(p.len()) == Some(&b'/'))
-            };
-            if hit && best.is_none_or(|(l, _)| p.len() > l) {
-                best = Some((p.len(), idx));
-            }
+        assert!(path.starts_with('/'), "a route needs an absolute path");
+        let end = path[1..].find('/').map_or(path.len(), |i| i + 1);
+        let shard = path[..end]
+            .strip_prefix("/s")
+            .filter(|d| !d.starts_with('0') && d.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|d| d.parse::<usize>().ok())
+            .filter(|&j| j < self.servers);
+        match (shard, &path[end..]) {
+            (Some(j), "") => (j, "/"),
+            (Some(j), rel) => (j, rel),
+            (None, _) => (0, path),
         }
-        let (plen, idx) = best.expect("the root export matches every absolute path");
-        let rel = if self.exports[idx].prefix == "/" {
-            path
-        } else {
-            let r = &path[plen..];
-            if r.is_empty() {
-                "/"
-            } else {
-                r
-            }
-        };
-        (idx, rel)
     }
 }
 
@@ -188,32 +134,26 @@ impl<S: Syscalls> Syscalls for ServerPort<S> {
 /// [`FileHandle`]s, so the mount index is part of the identity.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RouterHandle {
-    /// Index into the export table (== mount index).
+    /// The server, and mount, that produced the handle.
     pub export: usize,
     /// The shard-local NFS handle.
     pub fh: FileHandle,
 }
 
 /// Disjoint XID space per mount: the router's mount k issues XIDs
-/// `k << 24 | 1 ..`, so no two mounts of one machine — even two mounts
-/// reaching the *same* server (a replica next to a primary) — can
-/// collide in a server's `(client, xid, proc)` duplicate cache.
+/// `k << 24 | 1 ..`, so no two mounts of one machine can collide in a
+/// server's `(client, xid, proc)` duplicate cache.
 fn xid_base(mount: usize) -> u32 {
     ((mount as u32) << 24) | 1
-}
-
-struct MountPoint<S: Syscalls> {
-    fs: ClientFs<ServerPort<S>>,
-    /// Read-only replica mounts, same order as the export's `replicas`.
-    replicas: Vec<ClientFs<ServerPort<S>>>,
 }
 
 /// The automount-style namespace facade over an M-server fleet.
 pub struct RouterFs<S: Syscalls> {
     map: ExportMap,
-    mounts: Vec<MountPoint<S>>,
-    /// Path each handle was produced under, for cross-shard `ESTALE`
-    /// re-walks (mount-local recovery already lives in [`ClientFs`]).
+    /// Mount j is server j's.
+    mounts: Vec<ClientFs<ServerPort<S>>>,
+    /// Path each handle was produced under, for the read re-walk
+    /// (mount-local recovery already lives in [`ClientFs`]).
     paths: HashMap<RouterHandle, String>,
     /// Fault-injection hook for the soak `WrongShardRoute` mutant: when
     /// set, every non-root export's subtree is misrouted to export 0
@@ -222,9 +162,9 @@ pub struct RouterFs<S: Syscalls> {
 }
 
 impl<S: Syscalls> RouterFs<S> {
-    /// Mounts the fleet: one [`ClientFs`] per export (plus one per
-    /// replica), all multiplexed over the machine `sys`. `roots[j]`
-    /// must be server j's export root handle.
+    /// Mounts the fleet: one [`ClientFs`] per server, all multiplexed
+    /// over the machine `sys`. `roots[j]` must be server j's export
+    /// root handle.
     pub fn mount(
         sys: S,
         cfg: ClientConfig,
@@ -233,42 +173,20 @@ impl<S: Syscalls> RouterFs<S> {
         machine: &'static str,
     ) -> Self {
         let sys = Rc::new(RefCell::new(sys));
-        let mut mounts = Vec::with_capacity(map.exports.len());
-        let mut next_mount = 0usize;
-        for e in &map.exports {
-            let mut mk = |server: usize| {
-                let port = ServerPort {
-                    sys: Rc::clone(&sys),
-                    server,
-                };
+        let mounts = (0..map.servers)
+            .map(|server| {
+                let port = ServerPort::new(Rc::clone(&sys), server);
                 let mut fs = ClientFs::mount(port, cfg, roots[server], machine);
-                fs.set_xid_base(xid_base(next_mount));
-                next_mount += 1;
+                fs.set_xid_base(xid_base(server));
                 fs
-            };
-            let fs = mk(e.primary);
-            let replicas = e.replicas.iter().map(|&r| mk(r)).collect();
-            mounts.push(MountPoint { fs, replicas });
-        }
+            })
+            .collect();
         RouterFs {
             map,
             mounts,
             paths: HashMap::new(),
             misroute: false,
         }
-    }
-
-    /// Replaces the routing table without disturbing the mounts (the
-    /// re-export case: a subtree moves to another shard that already
-    /// carries the data). Only the prefix -> export mapping changes;
-    /// the mount list must be the same length.
-    pub fn set_export_map(&mut self, map: ExportMap) {
-        assert_eq!(
-            map.exports.len(),
-            self.mounts.len(),
-            "re-export cannot add or remove mounts"
-        );
-        self.map = map;
     }
 
     /// Soak-mutant hook: alias every non-root export's subtree onto
@@ -284,10 +202,7 @@ impl<S: Syscalls> RouterFs<S> {
     pub fn counts(&self) -> RpcCounts {
         let mut total = RpcCounts::default();
         for m in &self.mounts {
-            total.absorb(&m.fs.counts());
-            for r in &m.replicas {
-                total.absorb(&r.counts());
-            }
+            total.absorb(&m.counts());
         }
         total
     }
@@ -312,56 +227,21 @@ impl<S: Syscalls> RouterFs<S> {
         recorded.push_str(path);
     }
 
-    /// An error worth retrying on a read-only replica.
-    fn failable(e: ClientError) -> bool {
-        matches!(e, ClientError::TimedOut | ClientError::Stale)
-    }
-
     // ----- path operations ----------------------------------------------
 
     /// Resolves a path to a handle in the stitched namespace.
     pub fn lookup_path(&mut self, path: &str) -> CResult<RouterHandle> {
         let (idx, rel) = self.route(path);
-        let fh = match self.mounts[idx].fs.lookup_path(rel) {
-            Err(e) if Self::failable(e) => {
-                let mut last = Err(e);
-                for r in &mut self.mounts[idx].replicas {
-                    last = r.lookup_path(rel);
-                    if last.is_ok() {
-                        break;
-                    }
-                }
-                last?
-            }
-            r => r?,
-        };
+        let fh = self.mounts[idx].lookup_path(rel)?;
         let h = RouterHandle { export: idx, fh };
         self.remember(h, path);
         Ok(h)
     }
 
-    /// `stat(2)` through the router, with replica failover.
-    pub fn stat(&mut self, path: &str) -> CResult<Vattr> {
-        let (idx, rel) = self.route(path);
-        match self.mounts[idx].fs.stat(rel) {
-            Err(e) if Self::failable(e) => {
-                let mut last = Err(e);
-                for r in &mut self.mounts[idx].replicas {
-                    last = r.stat(rel);
-                    if last.is_ok() {
-                        break;
-                    }
-                }
-                last
-            }
-            r => r,
-        }
-    }
-
     /// Opens (optionally creating/truncating) a file on its owning shard.
     pub fn open(&mut self, path: &str, create: bool, truncate: bool) -> CResult<RouterHandle> {
         let (idx, rel) = self.route(path);
-        let fh = self.mounts[idx].fs.open(rel, create, truncate)?;
+        let fh = self.mounts[idx].open(rel, create, truncate)?;
         let h = RouterHandle { export: idx, fh };
         self.remember(h, path);
         Ok(h)
@@ -369,61 +249,38 @@ impl<S: Syscalls> RouterFs<S> {
 
     /// Closes a handle (pushing dirty blocks on its owning shard).
     pub fn close(&mut self, h: RouterHandle) -> CResult<()> {
-        self.mounts[h.export].fs.close(h.fh)
+        self.mounts[h.export].close(h.fh)
     }
 
-    /// Reads through the owning mount. On a failed primary
-    /// (timeout/stale after mount-local recovery), replicas serve the
-    /// read by path re-walk; a stale survivor is re-routed through the
-    /// export map, which may cross shards after a re-export.
+    /// Reads through the owning mount. A read that still times out or
+    /// finds its handle stale after the mount's own recovery walks its
+    /// recorded path again, and reads through the handle found there if
+    /// that is a different one.
     pub fn read(&mut self, h: RouterHandle, off: u32, len: u32) -> CResult<Vec<u8>> {
-        match self.mounts[h.export].fs.read(h.fh, off, len) {
-            Err(e) if Self::failable(e) => {
+        match self.mounts[h.export].read(h.fh, off, len) {
+            Err(e @ (ClientError::TimedOut | ClientError::Stale)) => {
                 let Some(path) = self.paths.get(&h).cloned() else {
                     return Err(e);
                 };
-                let (_, rel) = self.map.route(&path);
-                for r in &mut self.mounts[h.export].replicas {
-                    if let Ok(fh) = r.lookup_path(rel) {
-                        if let Ok(data) = r.read(fh, off, len) {
-                            return Ok(data);
-                        }
-                    }
-                }
-                // Cross-shard re-walk: the export map may route the
-                // path to a different (healthy) shard by now.
                 let h2 = self.lookup_path(&path)?;
                 if h2 == h {
                     return Err(e);
                 }
-                self.mounts[h2.export].fs.read(h2.fh, off, len)
+                self.mounts[h2.export].read(h2.fh, off, len)
             }
             r => r,
         }
     }
 
-    /// Writes through the owning mount (writes never fail over).
+    /// Writes through the owning mount.
     pub fn write(&mut self, h: RouterHandle, off: u32, data: &[u8]) -> CResult<()> {
-        self.mounts[h.export].fs.write(h.fh, off, data)
-    }
-
-    /// Pushes a handle's dirty blocks on its owning shard.
-    pub fn push_dirty(&mut self, h: RouterHandle, sync: bool) -> CResult<()> {
-        self.mounts[h.export].fs.push_dirty(h.fh, sync)
-    }
-
-    /// `sync(2)`: pushes every mount's dirty state.
-    pub fn sync(&mut self) -> CResult<()> {
-        for m in &mut self.mounts {
-            m.fs.sync()?;
-        }
-        Ok(())
+        self.mounts[h.export].write(h.fh, off, data)
     }
 
     /// Creates a directory on the owning shard.
     pub fn mkdir(&mut self, path: &str) -> CResult<RouterHandle> {
         let (idx, rel) = self.route(path);
-        let fh = self.mounts[idx].fs.mkdir(rel)?;
+        let fh = self.mounts[idx].mkdir(rel)?;
         let h = RouterHandle { export: idx, fh };
         self.remember(h, path);
         Ok(h)
@@ -432,13 +289,13 @@ impl<S: Syscalls> RouterFs<S> {
     /// Removes a file on the owning shard.
     pub fn remove(&mut self, path: &str) -> CResult<()> {
         let (idx, rel) = self.route(path);
-        self.mounts[idx].fs.remove(rel)
+        self.mounts[idx].remove(rel)
     }
 
     /// Removes a directory on the owning shard.
     pub fn rmdir(&mut self, path: &str) -> CResult<()> {
         let (idx, rel) = self.route(path);
-        self.mounts[idx].fs.rmdir(rel)
+        self.mounts[idx].rmdir(rel)
     }
 
     /// Renames within a shard natively; across shards, the router does
@@ -450,102 +307,140 @@ impl<S: Syscalls> RouterFs<S> {
         let (fi, frel) = self.route(from);
         let (ti, trel) = self.route(to);
         if fi == ti {
-            return self.mounts[fi].fs.rename(frel, trel);
+            return self.mounts[fi].rename(frel, trel);
         }
-        let attr = self.mounts[fi].fs.stat(frel)?;
+        let attr = self.mounts[fi].stat(frel)?;
         if attr.ftype != FileType::Regular {
             // EXDEV territory: only plain files are copied across.
             return Err(ClientError::Nfs(crate::proto::NfsStatus::IsDir));
         }
-        let src = self.mounts[fi].fs.lookup_path(frel)?;
-        let dst = self.mounts[ti].fs.open(trel, true, true)?;
+        let src = self.mounts[fi].lookup_path(frel)?;
+        let dst = self.mounts[ti].open(trel, true, true)?;
         let mut off = 0u32;
         while off < attr.size {
             let want = (attr.size - off).min(renofs_vfs::BLOCK_SIZE as u32);
-            let data = self.mounts[fi].fs.read(src, off, want)?;
+            let data = self.mounts[fi].read(src, off, want)?;
             if data.is_empty() {
                 break;
             }
-            self.mounts[ti].fs.write(dst, off, &data)?;
+            self.mounts[ti].write(dst, off, &data)?;
             off += data.len() as u32;
         }
-        self.mounts[ti].fs.close(dst)?;
-        self.mounts[fi].fs.remove(frel)
+        self.mounts[ti].close(dst)?;
+        self.mounts[fi].remove(frel)
     }
 
     /// Creates a symlink on the owning shard.
     pub fn symlink(&mut self, path: &str, target: &str) -> CResult<()> {
         let (idx, rel) = self.route(path);
-        self.mounts[idx].fs.symlink(rel, target)
+        self.mounts[idx].symlink(rel, target)
     }
 
-    /// Reads a symlink on the owning shard, with replica failover.
+    /// Reads a symlink on the owning shard.
     pub fn readlink(&mut self, path: &str) -> CResult<String> {
         let (idx, rel) = self.route(path);
-        match self.mounts[idx].fs.readlink(rel) {
-            Err(e) if Self::failable(e) => {
-                let mut last = Err(e);
-                for r in &mut self.mounts[idx].replicas {
-                    last = r.readlink(rel);
-                    if last.is_ok() {
-                        break;
-                    }
-                }
-                last
-            }
-            r => r,
-        }
+        self.mounts[idx].readlink(rel)
     }
 
-    /// Lists a directory on the owning shard, with replica failover. The
-    /// listing is the answering mount's cached one itself.
+    /// Lists a directory on the owning shard: the mount's cached listing
+    /// itself.
     pub fn readdir(&mut self, path: &str) -> CResult<&[DirEntry]> {
         let (idx, rel) = self.route(path);
-        let mount = &mut self.mounts[idx];
-        let err = match mount.fs.readdir(rel) {
-            Err(e) if Self::failable(e) => e,
-            r => return r,
-        };
-        let mut last = Err(err);
-        for r in &mut mount.replicas {
-            last = r.readdir(rel);
-            if last.is_ok() {
-                break;
-            }
-        }
-        last
+        self.mounts[idx].readdir(rel)
     }
 
     /// The machine's clock, via mount 0 (every mount shares one
     /// machine, so any port answers identically).
     pub fn now(&mut self) -> SimTime {
-        self.mounts[0].fs.sys().now()
+        self.mounts[0].sys().now()
     }
 
     /// Sleeps the machine's workload proc.
     pub fn sleep(&mut self, d: SimDuration) {
-        self.mounts[0].fs.sys().sleep(d)
+        self.mounts[0].sys().sleep(d)
     }
 
     /// Pushes write-behind data whose leases are idle, on every mount
     /// (a no-op outside lease worlds).
     pub fn flush_idle(&mut self) -> CResult<()> {
         for m in &mut self.mounts {
-            m.fs.flush_idle()?;
+            m.flush_idle()?;
         }
         Ok(())
-    }
-
-    /// Direct access to one export's primary [`ClientFs`] (tests,
-    /// instrumentation).
-    pub fn mount_of(&mut self, export: usize) -> &mut ClientFs<ServerPort<S>> {
-        &mut self.mounts[export].fs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The table-driven router `ExportMap` once was, kept as the
+    /// reference: a list of `(prefix, server)` exports matched by
+    /// longest prefix on component boundaries.
+    fn table_route<'p>(exports: &[(String, usize)], path: &'p str) -> (usize, &'p str) {
+        let mut best: Option<(usize, usize)> = None; // (len, idx)
+        for (idx, (p, _)) in exports.iter().enumerate() {
+            let hit = if p == "/" {
+                path.starts_with('/')
+            } else {
+                path == p || (path.starts_with(p) && path.as_bytes().get(p.len()) == Some(&b'/'))
+            };
+            if hit && best.is_none_or(|(l, _)| p.len() > l) {
+                best = Some((p.len(), idx));
+            }
+        }
+        let (plen, idx) = best.expect("the root export matches every absolute path");
+        let (prefix, server) = &exports[idx];
+        let rel = match &path[plen..] {
+            _ if prefix == "/" => path,
+            "" => "/",
+            r => r,
+        };
+        (*server, rel)
+    }
+
+    /// The fleet layout as a table: "/" on server 0, "/s{j}" on server j.
+    fn fleet_table(m: usize) -> Vec<(String, usize)> {
+        let mut exports = vec![("/".to_string(), 0)];
+        exports.extend((1..m.max(1)).map(|j| (format!("/s{j}"), j)));
+        exports
+    }
+
+    /// A path component near the shard names: `s` with a number, with a
+    /// leading zero, an `s`-and-digit soup (empty included) or a plain
+    /// name.
+    fn component() -> impl Strategy<Value = String> {
+        prop_oneof![
+            (0usize..=12).prop_map(|j| format!("s{j}")),
+            (0usize..=12).prop_map(|j| format!("s0{j}")),
+            "[s0-9]{0,4}",
+            "[a-z0-9]{1,3}",
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn route_matches_the_longest_prefix_table(
+            m in 1usize..=8,
+            comps in proptest::collection::vec(component(), 0..4),
+            trailing in any::<bool>(),
+        ) {
+            let mut path = format!("/{}", comps.join("/"));
+            if trailing && path.len() > 1 {
+                path.push('/');
+            }
+            prop_assert_eq!(
+                ExportMap::fleet(m).route(&path),
+                table_route(&fleet_table(m), &path),
+                "m={} path={:?}",
+                m,
+                path
+            );
+        }
+    }
 
     #[test]
     fn fleet_map_routes_longest_prefix_on_component_boundaries() {
@@ -556,47 +451,18 @@ mod tests {
         assert_eq!(map.route("/s3/x/y"), (3, "/x/y"));
         // "/s10" is NOT under "/s1": component boundary matters.
         assert_eq!(map.route("/s10/a"), (0, "/s10/a"));
+        // Neither a non-canonical nor an out-of-range shard name routes.
+        assert_eq!(map.route("/s0/a"), (0, "/s0/a"));
+        assert_eq!(map.route("/s01/a"), (0, "/s01/a"));
+        assert_eq!(map.route("/s+1/a"), (0, "/s+1/a"));
+        assert_eq!(map.route("/s4/a"), (0, "/s4/a"));
     }
 
     #[test]
     fn fleet_map_of_one_server_is_the_legacy_namespace() {
         let map = ExportMap::fleet(1);
-        assert_eq!(map.exports().len(), 1);
         assert_eq!(map.route("/anything/at/all"), (0, "/anything/at/all"));
-    }
-
-    #[test]
-    fn custom_map_picks_longest_prefix() {
-        let map = ExportMap::new(vec![
-            Export {
-                prefix: "/".into(),
-                primary: 0,
-                replicas: vec![],
-            },
-            Export {
-                prefix: "/proj".into(),
-                primary: 1,
-                replicas: vec![],
-            },
-            Export {
-                prefix: "/proj/deep".into(),
-                primary: 2,
-                replicas: vec![],
-            },
-        ]);
-        assert_eq!(map.route("/proj/deep/f"), (2, "/f"));
-        assert_eq!(map.route("/proj/shallow"), (1, "/shallow"));
-        assert_eq!(map.route("/other"), (0, "/other"));
-    }
-
-    #[test]
-    #[should_panic(expected = "root")]
-    fn map_without_root_export_is_rejected() {
-        ExportMap::new(vec![Export {
-            prefix: "/only".into(),
-            primary: 0,
-            replicas: vec![],
-        }]);
+        assert_eq!(map.route("/s1/x"), (0, "/s1/x"));
     }
 
     #[test]

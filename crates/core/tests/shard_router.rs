@@ -1,21 +1,20 @@
 //! Sharded-fleet integration: multi-server worlds, the client-side
-//! mount router, per-server XID/dup-cache isolation, replica failover
-//! and cross-shard stale-handle recovery.
+//! mount router, per-server XID/dup-cache isolation and the read
+//! re-walk after a stale handle or a timeout.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::mpsc::channel;
 
-use renofs::client::{ClientConfig, ClientFs};
+use renofs::client::{ClientConfig, ClientError, ClientFs};
 use renofs::proto::NfsProc;
-use renofs::router::{Export, ExportMap, RouterFs, ServerPort};
+use renofs::router::{ExportMap, RouterFs, ServerPort};
 use renofs::server::{NfsServer, ServerConfig};
 use renofs::syscalls::{RpcError, RpcResult, Syscalls, Ticket};
 use renofs::world::{World, WorldConfig};
 use renofs::FileHandle;
 use renofs_mbuf::MbufChain;
-use renofs_netsim::FaultPlan;
 use renofs_sim::{SimDuration, SimTime};
 
 /// Creates `name` with `bytes` on shard `sj` before the world starts.
@@ -135,46 +134,7 @@ fn colliding_xids_toward_different_servers_do_not_cross_dup_caches() {
     assert!(world.server_of(1).stats().calls.count(NfsProc::Write) > 0);
 }
 
-/// Router failover: the primary shard crashes; a soft-mounted read
-/// times out on it and the read-only replica serves the bytes.
-#[test]
-fn replica_serves_reads_after_primary_crash() {
-    let mut cfg = WorldConfig::baseline();
-    cfg.servers = 2;
-    cfg.mount.soft = true;
-    cfg.mount.retrans = 2;
-    cfg.faults =
-        FaultPlan::new().server_crash(SimTime::from_millis(500), SimDuration::from_secs(300));
-    let mut world = World::new(cfg);
-    // The replica carries the same (read-only) content as the primary.
-    preload_on(&mut world, 0, "repl.bin", b"replicated contents");
-    preload_on(&mut world, 1, "repl.bin", b"replicated contents");
-    let roots: Vec<_> = (0..2).map(|sj| world.server_of(sj).root_handle()).collect();
-    let map = ExportMap::new(vec![Export {
-        prefix: "/".into(),
-        primary: 0,
-        replicas: vec![1],
-    }]);
-    let (tx, rx) = channel();
-    world.spawn(move |sys| {
-        let mut r = RouterFs::mount(sys, ClientConfig::reno(), map, &roots, "uvax1");
-        // Wait out the crash; server 0 stays down for the whole test.
-        r.mount_of(0).sys().sleep(SimDuration::from_secs(2));
-        let h = r.lookup_path("/repl.bin").unwrap();
-        let got = r.read(h, 0, 100).unwrap();
-        tx.send(got).unwrap();
-    });
-    world.run();
-    assert_eq!(rx.recv().unwrap(), b"replicated contents");
-    assert!(!world.server_is_up_of(0), "primary is down");
-    assert!(world.server_is_up_of(1), "replica is up");
-    assert!(
-        world.server_of(1).stats().calls.count(NfsProc::Read) > 0,
-        "the replica served the read"
-    );
-}
-
-// ----- loopback fleet: stale re-walks crossing shards -----------------
+// ----- loopback fleet: the read re-walk --------------------------------
 
 struct FleetState {
     servers: Vec<NfsServer>,
@@ -186,7 +146,7 @@ struct FleetState {
 
 /// In-process multi-server loopback: every shard is serviced
 /// synchronously, and the test keeps a handle to mutate shard state
-/// mid-run (crashes, re-exports, recreated files).
+/// mid-run (dead servers, recreated files).
 #[derive(Clone)]
 struct FleetLoopback(Rc<RefCell<FleetState>>);
 
@@ -289,88 +249,39 @@ impl Syscalls for FleetLoopback {
     }
 }
 
-/// A handle whose mount-local recovery fails (the name now binds to a
-/// different inode on its shard) is re-routed through the export map —
-/// after a re-export, the re-walk crosses to the shard that owns the
-/// subtree now.
+/// A read whose handle went stale because its file was replaced on the
+/// server (a new inode under the same name, so the mount's own recovery
+/// refuses it) walks its recorded path again and reads the new file.
 #[test]
-fn stale_rewalk_crosses_shards_after_reexport() {
-    let fleet = FleetLoopback::new(3);
-    fleet.put(1, "f", b"shard one original");
-    fleet.put(2, "f", b"shard two takeover");
+fn a_stale_read_rewalks_its_path_to_the_replaced_file() {
+    let fleet = FleetLoopback::new(2);
+    fleet.put(1, "f", b"the original");
     let roots = fleet.roots();
-    let map = ExportMap::new(vec![
-        Export {
-            prefix: "/".into(),
-            primary: 0,
-            replicas: vec![],
-        },
-        Export {
-            prefix: "/data".into(),
-            primary: 1,
-            replicas: vec![],
-        },
-        Export {
-            prefix: "/spare".into(),
-            primary: 2,
-            replicas: vec![],
-        },
-    ]);
+    let map = ExportMap::fleet(2);
     let mut r = RouterFs::mount(fleet.clone(), ClientConfig::reno(), map, &roots, "uvax1");
-    let h = r.lookup_path("/data/f").unwrap();
+    let h = r.open("/s1/f", false, false).unwrap();
     assert_eq!(h.export, 1);
-    assert_eq!(r.read(h, 0, 100).unwrap(), b"shard one original");
-    // The subtree moves to shard 2 and shard 1's file is replaced by a
-    // different inode under the same name: the held handle goes stale
-    // and mount-local recovery cannot resolve it.
+    assert_eq!(r.read(h, 0, 100).unwrap(), b"the original");
     fleet.unlink(1, "f");
-    fleet.put(1, "f", b"recreated as a different inode");
+    fleet.put(1, "f", b"its replacement");
     fleet.advance(SimDuration::from_secs(120)); // expire cached attributes
-    r.set_export_map(ExportMap::new(vec![
-        Export {
-            prefix: "/".into(),
-            primary: 0,
-            replicas: vec![],
-        },
-        Export {
-            prefix: "/old".into(),
-            primary: 1,
-            replicas: vec![],
-        },
-        Export {
-            prefix: "/data".into(),
-            primary: 2,
-            replicas: vec![],
-        },
-    ]));
-    let got = r.read(h, 0, 100).unwrap();
-    assert_eq!(got, b"shard two takeover", "re-walk crossed to shard 2");
+    assert_eq!(r.read(h, 0, 100).unwrap(), b"its replacement");
 }
 
-/// Replica failover at the loopback level: reads (lookup, stat, read)
-/// survive a dead primary; writes do not fail over.
+/// A read that times out while its path still names the same file
+/// returns the timeout: the re-walk finds the same handle and sends no
+/// second READ.
 #[test]
-fn loopback_replica_failover_is_read_only() {
+fn a_timed_out_read_whose_path_finds_the_same_handle_returns_the_error() {
     let fleet = FleetLoopback::new(2);
-    fleet.put(0, "f", b"primary copy");
-    fleet.put(1, "f", b"primary copy");
+    fleet.put(1, "f", b"the original");
     let roots = fleet.roots();
-    let map = ExportMap::new(vec![Export {
-        prefix: "/".into(),
-        primary: 0,
-        replicas: vec![1],
-    }]);
+    let map = ExportMap::fleet(2);
     let mut r = RouterFs::mount(fleet.clone(), ClientConfig::reno(), map, &roots, "uvax1");
-    fleet.0.borrow_mut().down[0] = true;
-    assert_eq!(r.stat("/f").unwrap().size, 12);
-    let h = r.lookup_path("/f").unwrap();
-    assert_eq!(r.read(h, 0, 100).unwrap(), b"primary copy");
-    // Writes must reach the primary or fail: no silent divergence.
-    let w = r.open("/w", true, false);
-    assert!(
-        w.is_err(),
-        "creates cannot fail over to a read-only replica"
-    );
+    let h = r.open("/s1/f", false, false).unwrap();
+    fleet.0.borrow_mut().down[1] = true;
+    assert_eq!(r.read(h, 0, 100), Err(ClientError::TimedOut));
+    assert_eq!(r.counts().count(NfsProc::Read), 1, "one READ, no retry");
 }
 
 /// An M=1 router world is byte-identical to the legacy direct-mount

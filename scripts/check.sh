@@ -83,6 +83,13 @@ grep -rnE 'mpsc::channel|duration = scale\.duration' crates/bench/src/experiment
 grep -rnE '\b(same_lan|token_ring_path|slow_link_path)_n\(' crates benchmark examples && exit 1
 grep -rnE '_nm\(|WorldScratch|with_scratch|run_jobs_with|CLIENT_NAMES|wsize' crates && exit 1
 
+echo "==> one fleet layout (no read-only replicas, re-export or hand-built export tables)"
+# `ExportMap` is the fleet layout every caller builds ("/" on server 0,
+# "/s{j}" on server j) and `RouterFs` holds one mount per server: the
+# replica failover and the re-export path never ran outside their own
+# tests.
+grep -rnE 'replicas|MountPoint|set_export_map|ExportMap::new' crates && exit 1
+
 echo "==> no file over 700 non-test lines (all of crates/, no exceptions)"
 # benchmark/ is frozen and not gated.
 scripts/loc.sh --files | awk -F'\t' '
