@@ -5,7 +5,7 @@
 
 use renofs_mbuf::{CopyMeter, MbufChain};
 use renofs_netsim::{Delivery, NodeId, ProtoHeader, Topology, IP_HEADER, TCP_HEADER};
-use renofs_sim::{EventQueue, SimTime};
+use renofs_sim::{EventQueue, SimTime, Token};
 use renofs_sunrpc::{frame_record, RecordReader, NFS_PORT};
 use renofs_transport::{TcpConfig, TcpConn, TcpOut, TcpSegment};
 
@@ -70,11 +70,13 @@ pub(super) fn tcp_config(mtu: usize) -> TcpConfig {
 }
 
 /// One endpoint of a TCP mount, owned by the machine it runs on: the
-/// connection and the record reader for the stream it receives. The two
-/// ends of a mount meet only through the `Ev::Send` frames they exchange.
+/// connection, the record reader for the stream it receives and its
+/// queued retransmit timer. The two ends of a mount meet only through the
+/// `Ev::Send` frames they exchange.
 pub(super) struct TcpEnd {
     pub(super) conn: TcpConn,
     reader: RecordReader,
+    timer: QueuedTimer,
 }
 
 impl TcpEnd {
@@ -83,12 +85,46 @@ impl TcpEnd {
         TcpEnd {
             conn: TcpConn::server(tcp_config(mtu), iss),
             reader: RecordReader::new(),
+            timer: QueuedTimer::default(),
         }
     }
 
     /// The next complete record of the received stream, if one is whole.
     fn next_record(&mut self) -> Option<MbufChain> {
         self.reader.next_record(&mut CopyMeter::new())
+    }
+}
+
+/// A TCP end's one queued retransmit timer, as (token, generation). The
+/// connection acts only on its latest generation, so each older timer in
+/// the queue would pop stale: an arm cancels the one it replaces and a
+/// stopped timer is cancelled, as Reno stores into `t_timer[]` instead of
+/// queueing a callout.
+#[derive(Default)]
+struct QueuedTimer(Option<(Token, u64)>);
+
+impl QueuedTimer {
+    /// Queues `ev`, the timer of generation `gen` due at `at`, in place of
+    /// the queued one — unless that one is newer: a server's reply is a
+    /// step nested in the step that received its call, so the nested arm
+    /// is applied first.
+    fn arm<E>(&mut self, queue: &mut EventQueue<E>, at: SimTime, gen: u64, ev: E) {
+        if self.0.is_none_or(|(_, queued)| gen > queued) {
+            self.disarm(queue);
+            self.0 = Some((queue.push(at, ev), gen));
+        }
+    }
+
+    /// Cancels the queued timer, if there is one.
+    fn disarm<E>(&mut self, queue: &mut EventQueue<E>) {
+        if let Some((token, _)) = self.0.take() {
+            queue.cancel(token);
+        }
+    }
+
+    /// The queued timer popped: none is queued now.
+    fn fired(&mut self) {
+        self.0 = None;
     }
 }
 
@@ -218,6 +254,15 @@ pub(super) trait Machine {
         t
     }
 
+    /// This machine's retransmit timer of generation `gen` for its
+    /// connection to `peer` fires at `now`.
+    fn tcp_timer(&mut self, peer: usize, now: SimTime, gen: u64) {
+        if let Some(end) = self.io(peer).tcp {
+            end.timer.fired();
+        }
+        self.tcp_step(peer, now, |conn, out| conn.on_timer_into(gen, now, out));
+    }
+
     /// Runs `step` on this machine's end of its connection to `peer`
     /// (none: nothing happens) into a spare output, then applies it.
     fn tcp_step(&mut self, peer: usize, at: SimTime, step: impl FnOnce(&mut TcpConn, &mut TcpOut)) {
@@ -231,9 +276,9 @@ pub(super) trait Machine {
 
     /// Applies (and drains) one step of this machine's end of its
     /// connection to `peer`: received stream data goes through the record
-    /// reader to [`take`](Self::take), then the timer is armed and the
-    /// segments leave. A record taken may step the same end again, so the
-    /// end is looked up afresh for each.
+    /// reader to [`take`](Self::take), then the end's one queued timer is
+    /// brought up to date and the segments leave. A record taken may step
+    /// the same end again, so the end is looked up afresh for each.
     fn tcp_out(&mut self, peer: usize, out: &mut TcpOut, at: SimTime) {
         for chunk in out.received.drain(..) {
             let Some(end) = self.io(peer).tcp else { break };
@@ -244,21 +289,71 @@ pub(super) trait Machine {
                 self.take(peer, rec, t);
             }
         }
-        let io = self.io(peer);
-        if let Some((deadline, gen)) = out.arm_timer.take() {
-            let ((client, server), server_side) = (io.link, io.server_side);
-            let timer = Ev::TcpTimer {
-                client,
-                server,
-                server_side,
-                gen,
-            };
-            io.queue.push(deadline, timer);
+        let mut io = self.io(peer);
+        if let Some(end) = io.tcp.as_deref_mut() {
+            if let Some((deadline, gen)) = out.arm_timer.take() {
+                let ((client, server), server_side) = (io.link, io.server_side);
+                let timer = Ev::TcpTimer {
+                    client,
+                    server,
+                    server_side,
+                    gen,
+                };
+                end.timer.arm(io.queue, deadline, gen, timer);
+            }
+            if !end.conn.timer_armed() {
+                end.timer.disarm(io.queue);
+            }
         }
         let (src, dst) = io.ends();
         for seg in out.segments.drain(..) {
             let done = io.host.charge_tcp_tx(at, &seg.payload);
             io.queue.push(done, tcp_frame(src, dst, seg));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The generations of the timers left to pop, in pop order.
+    fn drain(q: &mut EventQueue<u64>) -> Vec<u64> {
+        std::iter::from_fn(|| q.pop().map(|(_, gen)| gen)).collect()
+    }
+
+    #[test]
+    fn an_end_queues_only_its_newest_timer() {
+        let ms = SimTime::from_millis;
+        let (mut q, mut timer) = (EventQueue::new(), QueuedTimer::default());
+        // A nested step's arm is applied before the outer step's older,
+        // earlier one: the newer stays queued, alone.
+        timer.arm(&mut q, ms(30), 2, 2);
+        timer.arm(&mut q, ms(20), 1, 1);
+        assert_eq!(drain(&mut q), [2]);
+        // A newer arm replaces the queued one.
+        timer.arm(&mut q, ms(50), 3, 3);
+        timer.arm(&mut q, ms(40), 4, 4);
+        assert_eq!((q.len(), q.peek()), (1, Some(ms(40))));
+        // A stopped timer leaves nothing to pop.
+        timer.disarm(&mut q);
+        assert_eq!(drain(&mut q), []);
+    }
+
+    #[test]
+    fn a_fired_timer_clears_the_record() {
+        let ms = SimTime::from_millis;
+        let (mut q, mut timer) = (EventQueue::new(), QueuedTimer::default());
+        timer.arm(&mut q, ms(10), 1, 1);
+        assert_eq!(q.pop(), Some((ms(10), 1)));
+        timer.fired();
+        assert!(timer.0.is_none());
+        // Nothing of the end's is queued, so a disarm cancels nothing.
+        let other = q.push(ms(20), 99);
+        timer.disarm(&mut q);
+        assert!(q.cancel(other), "another event survives the disarm");
+        // The end's next arm queues.
+        timer.arm(&mut q, ms(30), 2, 2);
+        assert_eq!(drain(&mut q), [2]);
     }
 }

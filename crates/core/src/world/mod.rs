@@ -489,11 +489,10 @@ impl World {
                 server_side,
                 gen,
             } => {
-                let step = |conn: &mut TcpConn, out: &mut TcpOut| conn.on_timer_into(gen, now, out);
                 if server_side {
-                    self.server_ctx(server).tcp_step(client, now, step);
+                    self.server_ctx(server).tcp_timer(client, now, gen);
                 } else {
-                    self.client_ctx(client).tcp_step(server, now, step);
+                    self.client_ctx(client).tcp_timer(server, now, gen);
                 }
             }
             Ev::Note { client, kind } => self.client_ctx(client).note(now, kind),

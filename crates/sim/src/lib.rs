@@ -32,7 +32,7 @@ pub mod time;
 pub use cpu::{Cpu, CpuProfile};
 pub use disk::{Disk, DiskProfile};
 pub use inthash::{IntHasher, IntMap};
-pub use queue::EventQueue;
+pub use queue::{EventQueue, Token};
 pub use rng::Rng;
 pub use time::{SimDuration, SimTime};
 

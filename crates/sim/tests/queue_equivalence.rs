@@ -2,9 +2,13 @@
 //! describes — a list kept sorted by `(time, seq)`, equal times in arrival
 //! order, popped from the front.
 //!
-//! Random interleavings of pushes and pops, with simultaneous events,
-//! past-time pushes (which clamp to `now`), bursts that take the pending
-//! set from empty to a few thousand deep, and drains back to empty.
+//! Random interleavings of pushes, pops and cancels, with simultaneous
+//! events, past-time pushes (which clamp to `now`), bursts that take the
+//! pending set from empty to a few thousand deep, and drains back to
+//! empty. A cancel names a random pending event — the front slot's
+//! occupant, the heap's top or a key deep in it — or one already popped
+//! or cancelled, which must do nothing; a storm of them leaves the heap
+//! more dead than live, so it is rebuilt.
 //!
 //! The queue keeps its earliest entry in a front slot beside the heap, so
 //! everything a caller can observe — the head, the depth, the clock, the
@@ -16,7 +20,7 @@
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
-use renofs_sim::{EventQueue, SimTime};
+use renofs_sim::{EventQueue, SimTime, Token};
 
 /// The reference: `(time, id)` sorted by time, ties in arrival order.
 #[derive(Default)]
@@ -37,6 +41,12 @@ impl Model {
         self.now = head.0;
         Some(head)
     }
+
+    /// Removes `id` if it is pending, and says whether it was.
+    fn cancel(&mut self, id: u32) -> bool {
+        let at = self.pending.iter().position(|&(_, i)| i == id);
+        at.map(|at| self.pending.remove(at)).is_some()
+    }
 }
 
 /// Queue and model fed the same schedule.
@@ -45,6 +55,9 @@ struct Pair {
     q: EventQueue<u32>,
     model: Model,
     pushed: u32,
+    /// Every push's token, by id.
+    tokens: Vec<Token>,
+    cancelled: u64,
     /// The model's running maximum depth.
     peak: usize,
 }
@@ -53,9 +66,26 @@ impl Pair {
     fn push(&mut self, at: SimTime) -> Result<(), TestCaseError> {
         let id = self.pushed;
         self.pushed += 1;
-        self.q.push(at, id);
+        self.tokens.push(self.q.push(at, id));
         self.model.push(at, id);
         self.check()
+    }
+
+    /// Cancels push `id`, pending or not: queue and model must agree.
+    fn cancel(&mut self, id: u32) -> Result<(), TestCaseError> {
+        let removed = self.q.cancel(self.tokens[id as usize]);
+        prop_assert_eq!(removed, self.model.cancel(id));
+        self.cancelled += u64::from(removed);
+        self.check()
+    }
+
+    /// Cancels the pending event at `pick` (mod the depth) in pop order.
+    fn cancel_pending(&mut self, pick: u64) -> Result<(), TestCaseError> {
+        let n = self.model.pending.len() as u64;
+        match self.model.pending.get((pick % n.max(1)) as usize) {
+            Some(&(_, id)) => self.cancel(id),
+            None => Ok(()),
+        }
     }
 
     fn pop(&mut self) -> Result<(), TestCaseError> {
@@ -80,7 +110,7 @@ impl Pair {
         while !self.q.is_empty() {
             self.pop()?;
         }
-        prop_assert_eq!(self.q.pops(), u64::from(self.pushed));
+        prop_assert_eq!(self.q.pops() + self.cancelled, u64::from(self.pushed));
         self.pop()
     }
 }
@@ -120,6 +150,19 @@ fn run_schedule(ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
                 }
                 p.pop()?;
             }
+            // A pending event, anywhere in pop order, or the head.
+            11 | 12 => p.cancel_pending(raw)?,
+            13 => p.cancel_pending(0)?,
+            // Any earlier push: pending, popped or cancelled already.
+            14 if p.pushed > 0 => p.cancel((raw % u64::from(p.pushed)) as u32)?,
+            // A storm: a quarter to three quarters of the pending events,
+            // enough to leave the heap more dead than live.
+            15 => {
+                let n = p.model.pending.len() as u64 * (raw % 3 + 1) / 4;
+                for i in 0..n {
+                    p.cancel_pending((raw >> 8).wrapping_add(i.wrapping_mul(0x9E37_79B9)))?;
+                }
+            }
             _ => p.pop()?,
         }
     }
@@ -146,6 +189,17 @@ fn run_hop_chain(backlog: usize, hops: &[(u16, u8)]) -> Result<(), TestCaseError
             1 => p.push(p.q.now())?,
             // A timer, far behind everything.
             2 => p.push(SimTime::from_nanos(next.as_nanos() + 40_000_000_000))?,
+            // The hop just scheduled (the slot's occupant when it beats
+            // everything pending), then the same hop again.
+            3 => {
+                p.cancel(p.pushed - 1)?;
+                p.push(next)?;
+            }
+            // A far-off timer from the backlog, re-armed.
+            4 if !p.model.pending.is_empty() => {
+                p.cancel_pending(u64::MAX)?;
+                p.push(SimTime::from_nanos(next.as_nanos() + 40_000_000_000))?;
+            }
             _ => {}
         }
     }
@@ -159,13 +213,22 @@ fn run_displacement(steps: &[(u8, u16)]) -> Result<(), TestCaseError> {
     let mut head = SimTime::from_nanos(1_000_000);
     p.push(head)?;
     for &(kind, delta) in steps {
-        match kind % 6 {
+        match kind % 7 {
             0 => {
                 head = SimTime::from_nanos(head.as_nanos().saturating_sub(u64::from(delta)));
                 p.push(head)?;
             }
             1 | 2 => p.push(head)?,
             3 => p.push(SimTime::from_nanos(head.as_nanos() + 1))?,
+            // The head: the slot's occupant, or the heap's top.
+            4 => {
+                p.cancel_pending(0)?;
+                if let Some(&(t, _)) = p.model.pending.front() {
+                    head = t;
+                } else {
+                    p.push(head)?;
+                }
+            }
             _ => {
                 p.pop()?;
                 if let Some(&(t, _)) = p.model.pending.front() {
@@ -181,6 +244,10 @@ fn run_displacement(steps: &[(u8, u16)]) -> Result<(), TestCaseError> {
 }
 
 proptest! {
+    // Debug keeps the tier-1 run quick; `scripts/check.sh` runs the full
+    // count in release.
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 64 } else { 512 }))]
+
     /// The queue pops the model's stream under arbitrary interleavings.
     #[test]
     fn queue_matches_sorted_list_model(
@@ -206,27 +273,34 @@ proptest! {
         run_displacement(&steps)?;
     }
 
-    /// A recorded trace holds every logical push and pop, slot or heap:
-    /// replaying it pops as many events as the live queue did.
+    /// A recorded trace holds every logical push, pop and cancel, slot or
+    /// heap: replaying it pops as many events as the live queue did.
     #[test]
     fn replay_pops_what_the_live_queue_popped(
         ops in proptest::collection::vec((any::<u8>(), 0u64..5_000_000), 1..600),
     ) {
         let mut q: EventQueue<()> = EventQueue::new();
         q.start_trace();
-        let mut pushes = 0;
+        let mut tokens = Vec::new();
+        let mut cancels = 0;
         for &(kind, at) in &ops {
-            if kind % 3 == 0 {
-                q.pop();
-            } else {
+            match kind % 4 {
+                0 => {
+                    q.pop();
+                }
+                // Any earlier push: only a pending one is recorded.
+                3 if !tokens.is_empty() => {
+                    cancels += u64::from(q.cancel(tokens[at as usize % tokens.len()]));
+                }
                 // Hops (just after `now`) and absolute times, some past.
-                let at = if kind % 3 == 1 { q.now().as_nanos() + at % 500 } else { at };
-                q.push(SimTime::from_nanos(at), ());
-                pushes += 1;
+                k => {
+                    let at = if k == 1 { q.now().as_nanos() + at % 500 } else { at };
+                    tokens.push(q.push(SimTime::from_nanos(at), ()));
+                }
             }
         }
         let trace = q.take_trace();
-        prop_assert_eq!(trace.len() as u64, pushes + q.pops());
+        prop_assert_eq!(trace.len() as u64, tokens.len() as u64 + q.pops() + cancels);
         prop_assert_eq!(EventQueue::replay(&trace), q.pops());
     }
 

@@ -85,7 +85,11 @@ pub struct TcpOut {
     /// Segments to transmit, in order.
     pub segments: Vec<TcpSegment>,
     /// Re-arm the retransmit timer: absolute deadline + generation. The
-    /// caller schedules it and feeds it back via [`TcpConn::on_timer`].
+    /// caller schedules it and feeds it back via [`TcpConn::on_timer`];
+    /// only the latest generation, while [`TcpConn::timer_armed`], can do
+    /// anything, so a caller that can unschedule keeps one queued: it
+    /// drops the one this replaces, and the queued one once the timer
+    /// stops.
     pub arm_timer: Option<(SimTime, u64)>,
     /// In-order application data.
     pub received: Vec<MbufChain>,
@@ -209,6 +213,12 @@ impl TcpConn {
     /// Whether the connection is established.
     pub fn is_established(&self) -> bool {
         self.state == State::Established
+    }
+
+    /// Whether the retransmit timer is running: its latest generation is
+    /// the one [`on_timer`](Self::on_timer) acts on.
+    pub fn timer_armed(&self) -> bool {
+        self.timer_armed
     }
 
     /// Statistics so far.

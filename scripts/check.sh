@@ -115,6 +115,10 @@ echo "==> handoff differential (an inserted crossing is invisible to the world)"
 # The debug run above draws 24 cases; release draws the full 192.
 cargo test -q -p renofs --release --test handoff_differential
 
+echo "==> queue equivalence (pushes, pops and cancels against the sorted-list model)"
+# Debug draws 64 cases a property; release draws the full 512.
+cargo test -q -p renofs-sim --release --test queue_equivalence
+
 echo "==> no proc is an OS thread (64 procs, thread count unchanged)"
 cargo test -q -p renofs --release --test no_proc_threads
 
