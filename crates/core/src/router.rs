@@ -153,7 +153,8 @@ pub struct RouterFs<S: Syscalls> {
     /// Mount j is server j's.
     mounts: Vec<ClientFs<ServerPort<S>>>,
     /// Path each handle was produced under, for the read re-walk
-    /// (mount-local recovery already lives in [`ClientFs`]).
+    /// (mount-local recovery already lives in [`ClientFs`]); a path this
+    /// mount unlinks or renames away is dropped.
     paths: HashMap<RouterHandle, String>,
     /// Fault-injection hook for the soak `WrongShardRoute` mutant: when
     /// set, every non-root export's subtree is misrouted to export 0
@@ -227,6 +228,11 @@ impl<S: Syscalls> RouterFs<S> {
         recorded.push_str(path);
     }
 
+    /// Drops the record of every handle produced under `path`.
+    fn forget(&mut self, path: &str) {
+        self.paths.retain(|_, recorded| recorded != path);
+    }
+
     // ----- path operations ----------------------------------------------
 
     /// Resolves a path to a handle in the stitched namespace.
@@ -289,7 +295,9 @@ impl<S: Syscalls> RouterFs<S> {
     /// Removes a file on the owning shard.
     pub fn remove(&mut self, path: &str) -> CResult<()> {
         let (idx, rel) = self.route(path);
-        self.mounts[idx].remove(rel)
+        self.mounts[idx].remove(rel)?;
+        self.forget(path);
+        Ok(())
     }
 
     /// Removes a directory on the owning shard.
@@ -307,7 +315,9 @@ impl<S: Syscalls> RouterFs<S> {
         let (fi, frel) = self.route(from);
         let (ti, trel) = self.route(to);
         if fi == ti {
-            return self.mounts[fi].rename(frel, trel);
+            self.mounts[fi].rename(frel, trel)?;
+            self.forget(from);
+            return Ok(());
         }
         let attr = self.mounts[fi].stat(frel)?;
         if attr.ftype != FileType::Regular {
@@ -327,7 +337,9 @@ impl<S: Syscalls> RouterFs<S> {
             off += data.len() as u32;
         }
         self.mounts[ti].close(dst)?;
-        self.mounts[fi].remove(frel)
+        self.mounts[fi].remove(frel)?;
+        self.forget(from);
+        Ok(())
     }
 
     /// Creates a symlink on the owning shard.
@@ -463,6 +475,32 @@ mod tests {
         let map = ExportMap::fleet(1);
         assert_eq!(map.route("/anything/at/all"), (0, "/anything/at/all"));
         assert_eq!(map.route("/s1/x"), (0, "/s1/x"));
+    }
+
+    /// Files created and removed, or renamed away, leave no recorded path
+    /// behind: the table holds only what the mount can still name.
+    #[test]
+    fn unlinked_paths_are_forgotten() {
+        use crate::server::{NfsServer, ServerConfig};
+        use crate::syscalls::Loopback;
+        let server = NfsServer::new(ServerConfig::reno(), SimTime::ZERO);
+        let root = server.root_handle();
+        let sys = Loopback::new(server);
+        let cfg = ClientConfig::reno();
+        let mut r = RouterFs::mount(sys, cfg, ExportMap::fleet(1), &[root], "uvax1");
+        r.mkdir("/d").unwrap();
+        for i in 0..100 {
+            let path = format!("/d/f{i}");
+            let h = r.open(&path, true, false).unwrap();
+            r.write(h, 0, b"bytes").unwrap();
+            r.close(h).unwrap();
+            if i % 2 == 0 {
+                r.remove(&path).unwrap();
+            } else {
+                r.rename(&path, "/d/last").unwrap();
+            }
+        }
+        assert!(r.paths.len() <= 2, "{} paths recorded", r.paths.len());
     }
 
     #[test]

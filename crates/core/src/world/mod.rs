@@ -290,7 +290,7 @@ impl World {
             if ends.iter().all(|end| end.conn.is_established()) {
                 return;
             }
-            if !self.step() {
+            if !self.step(None) {
                 break;
             }
         }
@@ -455,15 +455,16 @@ impl World {
                 return;
             }
             assert!(
-                self.step(),
+                self.step(until),
                 "deadlock: procs blocked with no pending events"
             );
         }
     }
 
     /// Pops the next event and hands it to the machine that owns it, or
-    /// to the network; false when the queue is empty.
-    fn step(&mut self) -> bool {
+    /// to the network (which may run the frame hops that follow it, none
+    /// due past `until`); false when the queue is empty.
+    fn step(&mut self, until: Option<SimTime>) -> bool {
         let Some((now, ev)) = self.queue.pop() else {
             return false;
         };
@@ -501,7 +502,7 @@ impl World {
                 dst,
                 proto,
                 payload,
-            } => self.net_step(now, |net, out| {
+            } => self.net_step(now, until, |net, out| {
                 let id = net.alloc_dgram_id();
                 let dgram = Datagram {
                     id,
@@ -512,7 +513,7 @@ impl World {
                 };
                 net.send_into(now, dgram, out);
             }),
-            Ev::Net(nev) => self.net_step(now, |net, out| net.handle_into(now, nev, out)),
+            Ev::Net(nev) => self.net_step(now, until, |net, out| net.handle_into(now, nev, out)),
             Ev::NfsdDone { server } => self.server_ctx(server).nfsd_done(now),
             Ev::ServerCrash { server, downtime } => self.server_ctx(server).crash(now, downtime),
             Ev::ServerReboot { server } => self.server_ctx(server).reboot(now),
@@ -524,11 +525,33 @@ impl World {
     /// it: the network's own events are queued, and a datagram that
     /// completed between a client and a server machine goes to the one it
     /// reached (any other is none of this world's exchanges).
-    fn net_step(&mut self, now: SimTime, step: impl FnOnce(&mut Network, &mut NetOutput)) {
+    ///
+    /// While a step delivers nothing and schedules one frame hop, due no
+    /// later than `until`, that nothing pending would pop before, the hop
+    /// runs here at its own time: the same handler at the same instant with
+    /// nothing in between, so only the queue's push and pop are saved.
+    fn net_step(
+        &mut self,
+        mut now: SimTime,
+        until: Option<SimTime>,
+        step: impl FnOnce(&mut Network, &mut NetOutput),
+    ) {
         let _sp = profile::span(profile::Subsystem::Links);
         let mut out = std::mem::take(&mut self.net_out);
         step(&mut self.net, &mut out);
         profile::count(profile::Subsystem::Links, out.events.len() as u64);
+        while let ([(at, NetEvent::FragArrive { .. })], []) =
+            (out.events.as_slice(), out.delivered.as_slice())
+        {
+            if until.is_some_and(|t| *at > t) || !self.queue.run_inline(*at) {
+                break;
+            }
+            let (_, hop) = out.events.pop().expect("one event");
+            now = self.queue.now();
+            profile::census("Net(FragArrive)", false);
+            self.net.handle_into(now, hop, &mut out);
+            profile::count(profile::Subsystem::Links, out.events.len() as u64);
+        }
         for (t, ev) in out.events.drain(..) {
             self.queue.push(t, Ev::Net(ev));
         }

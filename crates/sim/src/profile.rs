@@ -133,6 +133,12 @@ mod imp {
         }
     }
 
+    /// Pops the census has counted, over every kind of event.
+    pub fn census_pops() -> u64 {
+        let rows = CENSUS.lock().expect("a census update panicked");
+        rows.iter().map(|r| r.1).sum()
+    }
+
     /// Records one event-queue pop.
     #[inline]
     pub fn count_event() {
@@ -343,8 +349,8 @@ mod imp {
 
 #[cfg(feature = "profile")]
 pub use imp::{
-    allocs, census, count, count_event, enabled, events, note_alloc, report, reset, set_enabled,
-    snapshot, span, thread_allocs, CountingAlloc, Span,
+    allocs, census, census_pops, count, count_event, enabled, events, note_alloc, report, reset,
+    set_enabled, snapshot, span, thread_allocs, CountingAlloc, Span,
 };
 
 /// No-op stubs when the `profile` feature is off: same API surface, zero
@@ -356,6 +362,12 @@ mod stub {
     /// No-op without the `profile` feature.
     #[inline(always)]
     pub fn census(_kind: &'static str, _stale: bool) {}
+
+    /// Always zero without the `profile` feature.
+    #[inline(always)]
+    pub fn census_pops() -> u64 {
+        0
+    }
 
     /// No-op without the `profile` feature.
     #[inline(always)]
@@ -423,8 +435,8 @@ mod stub {
 
 #[cfg(not(feature = "profile"))]
 pub use stub::{
-    allocs, census, count, count_event, enabled, events, note_alloc, report, reset, set_enabled,
-    snapshot, span, thread_allocs, Span,
+    allocs, census, census_pops, count, count_event, enabled, events, note_alloc, report, reset,
+    set_enabled, snapshot, span, thread_allocs, Span,
 };
 
 #[cfg(all(test, feature = "profile"))]
@@ -454,6 +466,7 @@ mod tests {
         let row = report.lines().find(|l| l.contains("UdpTimer")).unwrap();
         let cols: Vec<&str> = row.split_whitespace().skip(2).collect();
         assert_eq!(cols, ["2", "100.0%", "1", "1"]);
+        assert_eq!(census_pops(), 2);
         set_enabled(false);
         reset();
     }

@@ -40,6 +40,11 @@
 //! and outnumber the live ones, when the heap is rebuilt without them.
 //! `len`, `peek`, `pops` and `peak_depth` see live events only.
 //!
+//! **Running in place.** [`run_inline`](EventQueue::run_inline) lets a
+//! caller run an event it was about to push when nothing pending could pop
+//! before it: the queue moves its clock and counts the pop, and the event
+//! never touches the slot, the heap or the slab.
+//!
 //! Events pop in `(time, seq)` order and pushes in the past clamp to `now`.
 
 use std::cmp::Ordering;
@@ -249,6 +254,25 @@ impl<E> EventQueue<E> {
             Slot::Full(_, event) => Some((time, event)),
             _ => unreachable!("a live key points at a slot with no event"),
         }
+    }
+
+    /// Runs an event due at `at` without queueing it, if nothing pending
+    /// would pop first: `at` (clamped to `now`) must be strictly earlier
+    /// than every pending key, since on a tie the pending key's smaller
+    /// `seq` wins. Then the clock moves to it and it counts as a pop (and
+    /// towards the peak depth, as its push would have), but nothing is
+    /// stored, no `seq` is taken and no operation is traced: the caller
+    /// runs the event itself. Otherwise returns false and changes nothing.
+    pub fn run_inline(&mut self, at: SimTime) -> bool {
+        let time = at.max(self.now);
+        if self.head().is_some_and(|head| head.time <= time) {
+            return false;
+        }
+        self.peak = self.peak.max(self.len() + 1);
+        self.now = time;
+        self.pops += 1;
+        crate::profile::count_event();
+        true
     }
 
     /// Removes the event `token` names if it is still pending, and says
@@ -573,6 +597,56 @@ mod tests {
         assert!(q.slab.len() <= 2 * q.peak_depth() + DEAD_SLACK);
         let (full, free) = slots_pending_and_free(&q);
         assert_eq!((full, full + free + q.dead), (q.len(), q.slab.len()));
+    }
+
+    #[test]
+    fn run_inline_refuses_a_tie_with_the_front_slot() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_millis(9), "heap");
+        q.push(SimTime::from_millis(4), "front");
+        assert!(q.front.is_some());
+        assert!(!q.run_inline(SimTime::from_millis(4)));
+        assert_eq!((q.now(), q.pops(), q.len()), (SimTime::ZERO, 0, 2));
+        assert!(q.run_inline(SimTime::from_millis(3)));
+        assert_eq!(q.pop(), Some((SimTime::from_millis(4), "front")));
+    }
+
+    #[test]
+    fn run_inline_refuses_a_tie_with_the_heap_top() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_millis(2), 1);
+        q.push(SimTime::from_millis(5), 2);
+        q.pop();
+        assert!(q.front.is_none());
+        assert!(!q.run_inline(SimTime::from_millis(5)));
+        assert_eq!((q.now(), q.pops()), (SimTime::from_millis(2), 1));
+        // A time in the past clamps to `now`, which is earlier.
+        assert!(q.run_inline(SimTime::from_millis(1)));
+        assert_eq!((q.now(), q.pops()), (SimTime::from_millis(2), 2));
+    }
+
+    #[test]
+    fn run_inline_on_an_empty_queue_accepts() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        assert!(q.run_inline(SimTime::from_millis(7)));
+        assert_eq!(q.now(), SimTime::from_millis(7));
+        assert_eq!((q.pops(), q.peak_depth(), q.len()), (1, 1, 0));
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn run_inline_leaves_the_slab_untouched() {
+        let mut q = EventQueue::new();
+        q.start_trace();
+        q.push(SimTime::from_millis(8), 8);
+        q.push(SimTime::from_millis(9), 9);
+        q.pop();
+        let (slots, free, seq) = (q.slab.len(), q.free, q.seq);
+        assert!(q.run_inline(SimTime::from_millis(8)));
+        assert_eq!((q.slab.len(), q.free, q.seq), (slots, free, seq));
+        assert_eq!(slots_pending_and_free(&q), (1, 1));
+        assert_eq!(q.take_trace().len(), 3, "nothing traced");
+        assert_eq!(q.pop(), Some((SimTime::from_millis(9), 9)));
     }
 
     #[test]

@@ -2,13 +2,16 @@
 //! describes — a list kept sorted by `(time, seq)`, equal times in arrival
 //! order, popped from the front.
 //!
-//! Random interleavings of pushes, pops and cancels, with simultaneous
+//! Random interleavings of pushes, pops, cancels and events run in place,
+//! with simultaneous
 //! events, past-time pushes (which clamp to `now`), bursts that take the
 //! pending set from empty to a few thousand deep, and drains back to
 //! empty. A cancel names a random pending event — the front slot's
 //! occupant, the heap's top or a key deep in it — or one already popped
 //! or cancelled, which must do nothing; a storm of them leaves the heap
-//! more dead than live, so it is rebuilt.
+//! more dead than live, so it is rebuilt. An event run in place is, in the
+//! model, a push followed at once by a pop when that pop would return it,
+//! and nothing at all otherwise.
 //!
 //! The queue keeps its earliest entry in a front slot beside the heap, so
 //! everything a caller can observe — the head, the depth, the clock, the
@@ -58,6 +61,8 @@ struct Pair {
     /// Every push's token, by id.
     tokens: Vec<Token>,
     cancelled: u64,
+    /// Events run in place.
+    inlined: u64,
     /// The model's running maximum depth.
     peak: usize,
 }
@@ -88,6 +93,24 @@ impl Pair {
         }
     }
 
+    /// Offers an event due at `at` to run in place: the model pushes it,
+    /// pops it if it is now the head and takes it back otherwise.
+    fn run_inline(&mut self, at: SimTime) -> Result<bool, TestCaseError> {
+        const ID: u32 = u32::MAX;
+        self.model.push(at, ID);
+        let next = self.model.pending.front().is_some_and(|&(_, id)| id == ID);
+        if next {
+            self.peak = self.peak.max(self.model.pending.len());
+            self.model.pop();
+            self.inlined += 1;
+        } else {
+            self.model.cancel(ID);
+        }
+        prop_assert_eq!(self.q.run_inline(at), next);
+        self.check()?;
+        Ok(next)
+    }
+
     fn pop(&mut self) -> Result<(), TestCaseError> {
         prop_assert_eq!(self.q.pop(), self.model.pop());
         self.check()
@@ -110,7 +133,10 @@ impl Pair {
         while !self.q.is_empty() {
             self.pop()?;
         }
-        prop_assert_eq!(self.q.pops() + self.cancelled, u64::from(self.pushed));
+        prop_assert_eq!(
+            self.q.pops() + self.cancelled,
+            u64::from(self.pushed) + self.inlined
+        );
         self.pop()
     }
 }
@@ -119,7 +145,7 @@ fn run_schedule(ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
     let mut p = Pair::default();
     let mut last_push = SimTime::ZERO;
     for &(kind, raw) in ops {
-        match kind % 16 {
+        match kind % 18 {
             // Ahead of the clock: microseconds to tens of seconds.
             0..=2 => {
                 last_push = SimTime::from_nanos(p.q.now().as_nanos() + raw % 66_000);
@@ -163,6 +189,13 @@ fn run_schedule(ops: &[(u8, u64)]) -> Result<(), TestCaseError> {
                     p.cancel_pending((raw >> 8).wrapping_add(i.wrapping_mul(0x9E37_79B9)))?;
                 }
             }
+            // In place: just ahead of the clock, or tied with the last push.
+            16 => {
+                p.run_inline(SimTime::from_nanos(p.q.now().as_nanos() + raw % 66_000))?;
+            }
+            17 => {
+                p.run_inline(last_push)?;
+            }
             _ => p.pop()?,
         }
     }
@@ -180,7 +213,12 @@ fn run_hop_chain(backlog: usize, hops: &[(u16, u8)]) -> Result<(), TestCaseError
     p.push(SimTime::from_nanos(1))?;
     for &(gap, kind) in hops {
         p.pop()?;
-        let next = SimTime::from_nanos(p.q.now().as_nanos() + u64::from(gap));
+        let mut next = SimTime::from_nanos(p.q.now().as_nanos() + u64::from(gap));
+        // The world's shape: the hop runs in place when it is next in line,
+        // and the hop it schedules is pushed.
+        if kind % 8 == 5 && p.run_inline(next)? {
+            next = SimTime::from_nanos(next.as_nanos() + u64::from(gap));
+        }
         p.push(next)?;
         match kind % 8 {
             // A second event behind the first: the slot is taken.
@@ -213,7 +251,7 @@ fn run_displacement(steps: &[(u8, u16)]) -> Result<(), TestCaseError> {
     let mut head = SimTime::from_nanos(1_000_000);
     p.push(head)?;
     for &(kind, delta) in steps {
-        match kind % 7 {
+        match kind % 9 {
             0 => {
                 head = SimTime::from_nanos(head.as_nanos().saturating_sub(u64::from(delta)));
                 p.push(head)?;
@@ -228,6 +266,15 @@ fn run_displacement(steps: &[(u8, u16)]) -> Result<(), TestCaseError> {
                 } else {
                     p.push(head)?;
                 }
+            }
+            // In place: at the head's own time (refused), or before it.
+            7 => {
+                p.run_inline(head)?;
+            }
+            8 => {
+                p.run_inline(SimTime::from_nanos(
+                    head.as_nanos().saturating_sub(u64::from(delta)),
+                ))?;
             }
             _ => {
                 p.pop()?;
@@ -274,7 +321,8 @@ proptest! {
     }
 
     /// A recorded trace holds every logical push, pop and cancel, slot or
-    /// heap: replaying it pops as many events as the live queue did.
+    /// heap, and nothing of an event run in place: replaying it pops as
+    /// many events as the live queue popped.
     #[test]
     fn replay_pops_what_the_live_queue_popped(
         ops in proptest::collection::vec((any::<u8>(), 0u64..5_000_000), 1..600),
@@ -283,8 +331,9 @@ proptest! {
         q.start_trace();
         let mut tokens = Vec::new();
         let mut cancels = 0;
+        let mut inlined = 0;
         for &(kind, at) in &ops {
-            match kind % 4 {
+            match kind % 5 {
                 0 => {
                     q.pop();
                 }
@@ -292,6 +341,7 @@ proptest! {
                 3 if !tokens.is_empty() => {
                     cancels += u64::from(q.cancel(tokens[at as usize % tokens.len()]));
                 }
+                4 => inlined += u64::from(q.run_inline(SimTime::from_nanos(q.now().as_nanos() + at % 500))),
                 // Hops (just after `now`) and absolute times, some past.
                 k => {
                     let at = if k == 1 { q.now().as_nanos() + at % 500 } else { at };
@@ -300,8 +350,9 @@ proptest! {
             }
         }
         let trace = q.take_trace();
-        prop_assert_eq!(trace.len() as u64, tokens.len() as u64 + q.pops() + cancels);
-        prop_assert_eq!(EventQueue::replay(&trace), q.pops());
+        let popped = q.pops() - inlined;
+        prop_assert_eq!(trace.len() as u64, tokens.len() as u64 + popped + cancels);
+        prop_assert_eq!(EventQueue::replay(&trace), popped);
     }
 
     /// Pure-burst schedules: many pushes at one instant pop FIFO.

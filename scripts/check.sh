@@ -21,6 +21,14 @@ grep -rnE 'POST_CAP|Req::Flush|SHARED_CAPACITY|XFER_BATCH' crates && exit 1
 # decision, not a drift.
 grep -rnE 'std::sync::(Arc\b|\{[^}]*\bArc\b)|\bArc(<|::)' crates/mbuf/src && exit 1
 
+echo "==> one place an event skips the queue (run_inline is called from World::net_step only)"
+# A frame hop that nothing pending precedes runs in place, at its own time;
+# a second caller would be a second rule for when an event may skip the
+# queue. The queue's own tests are the exception.
+grep -rn --include='*.rs' 'run_inline(' crates src tests examples benchmark/src |
+    grep -vE '^crates/core/src/world/mod\.rs:|^crates/sim/(src/queue|tests/queue_equivalence)\.rs:' &&
+    exit 1
+
 echo "==> IntMap is for keys the simulator mints (a key with wire bytes in it keeps SipHash); one in-flight table per world"
 # Names off the wire come as `String`s, byte vectors, or inline as the name
 # cache's `NcName` and the XDR decoder's `InlineStr`.
@@ -115,7 +123,7 @@ echo "==> handoff differential (an inserted crossing is invisible to the world)"
 # The debug run above draws 24 cases; release draws the full 192.
 cargo test -q -p renofs --release --test handoff_differential
 
-echo "==> queue equivalence (pushes, pops and cancels against the sorted-list model)"
+echo "==> queue equivalence (pushes, pops, cancels and in-place runs against the sorted-list model)"
 # Debug draws 64 cases a property; release draws the full 512.
 cargo test -q -p renofs-sim --release --test queue_equivalence
 
