@@ -12,9 +12,9 @@
 //! fed, as the world runs, to a [`renofs_oracle::StreamingOracle`], which checks it
 //! against the sequential model filesystem in bounded memory: close-to-
 //! open consistency, content integrity, synchronous-write durability,
-//! and exactly-once semantics for non-idempotent RPCs (DESIGN.md §10,
-//! §12). The buffered [`renofs_oracle::Oracle`] only serves as the
-//! reference in `tests/soak_differential.rs`.
+//! and exactly-once semantics for non-idempotent RPCs (DESIGN.md §10).
+//! `tests/soak_differential.rs` holds its verdicts to a buffered
+//! reference checker that lives in the oracle crate's tests.
 //!
 //! A violating seed **auto-shrinks**: the harness re-runs the case with
 //! fewer clients, then greedily drops fault windows, then trims rounds,

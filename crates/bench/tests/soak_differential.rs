@@ -1,11 +1,12 @@
 //! Differential equivalence: the streaming checker must report the
 //! *identical* violation set — same kinds, same paths, same order — as
-//! the retained buffered `Oracle::check` on every world both can see.
+//! the buffered reference checker (`crates/oracle/tests/reference/`,
+//! test code only) on every world both can see.
 //!
 //! Each case runs once with capture enabled: the streaming verdict
 //! comes from the live run, the buffered verdict from replaying the
-//! captured client-major log post-hoc (exactly the PR 5 pipeline,
-//! including the crash-window replay filter). The comparison covers
+//! captured client-major log post-hoc through the reference, with the
+//! same crash-window replay filter. The comparison covers
 //! the full 24-seed quick sweep that `scripts/check.sh` gates on, the
 //! first 24 lease worlds at the lease grace, plus every planted mutant
 //! from `soak_mutation.rs` — the bugs must be caught by the streaming
@@ -16,7 +17,11 @@ use renofs_bench::experiments::soak::{
     derive_world_for, filter_crash_replays, kept_windows, run_case_opts, Mutation, RunOpts,
     SoakCase, SoakProfile, WindowKind, GRACE_NS,
 };
-use renofs_oracle::{Oracle, StreamConfig};
+use renofs_oracle::StreamConfig;
+
+#[path = "../../oracle/tests/reference/mod.rs"]
+mod reference;
+use reference::Oracle;
 
 /// Runs one case through the streaming checker (capturing the log),
 /// replays the captured log through the buffered checker, and asserts

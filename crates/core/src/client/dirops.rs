@@ -230,7 +230,7 @@ impl<S: Syscalls> ClientFs<S> {
 /// Decodes a bare status for [`ClientFs::rpc`]. `NFSERR_STALE` stays
 /// `Nfs(Stale)` here rather than [`ClientError::Stale`], so a stale
 /// directory handle under REMOVE, RMDIR, RENAME or SYMLINK is reported,
-/// not recovered (DESIGN.md §13).
+/// not recovered (DESIGN.md §12).
 fn bare_status(dec: &mut XdrDecoder<'_>) -> Result<CResult<()>, XdrError> {
     Ok(match results::get_stat(dec)? {
         NfsStatus::Ok => Ok(()),

@@ -251,13 +251,7 @@ impl Reassembler {
 /// Fragment payload chains share the original's clusters, so this copies
 /// (almost) nothing — exactly like the BSD `ip_output` fragmentation
 /// path.
-fn fragment_into(
-    dgram: Datagram,
-    mtu: usize,
-    frags: &mut Vec<Fragment>,
-    meter: &mut CopyMeter,
-    stats: &mut NetStats,
-) {
+fn fragment_into(dgram: Datagram, mtu: usize, frags: &mut Vec<Fragment>, stats: &mut NetStats) {
     let total_len = dgram.payload.len();
     let hdr_len = dgram.proto.header_len();
     // First fragment carries the transport header.
@@ -282,7 +276,7 @@ fn fragment_into(
     while off < total_len || (off == 0 && total_len == 0) {
         let cap = if off == 0 { first_cap } else { rest_cap };
         let take = cap.min(total_len - off);
-        let payload = dgram.payload.share_range(off, take, meter);
+        let payload = dgram.payload.share_range(off, take, &mut CopyMeter::new());
         let more = off + take < total_len;
         stats.frags_built += 1;
         frags.push(Fragment {
@@ -309,7 +303,6 @@ pub struct Network {
     rng: Rng,
     next_id: u64,
     reasm: Reassembler,
-    scratch_meter: CopyMeter,
     stats: NetStats,
     /// Scratch for fragment lists; drained after every use, so
     /// fragmentation reuses one grown buffer instead of allocating a
@@ -325,7 +318,6 @@ impl Network {
             rng: Rng::new(seed),
             next_id: 1,
             reasm: Reassembler::new(),
-            scratch_meter: CopyMeter::new(),
             stats: NetStats::default(),
             frag_scratch: Vec::new(),
         }
@@ -357,13 +349,6 @@ impl Network {
         id
     }
 
-    /// Bytes memory-copied inside the network layer (small-mbuf copies
-    /// during fragmentation) since the last call. The sending host charges
-    /// these to its CPU.
-    pub fn take_copy_bytes(&mut self) -> u64 {
-        self.scratch_meter.take().0
-    }
-
     /// Offers a datagram to the network from `dgram.src`. Fragments it to
     /// the first-hop MTU and queues the fragments back to back.
     ///
@@ -384,13 +369,7 @@ impl Network {
         let mtu = self.topo.link(first_link).params().mtu;
         let mut frags = std::mem::take(&mut self.frag_scratch);
         debug_assert!(frags.is_empty());
-        fragment_into(
-            dgram,
-            mtu,
-            &mut frags,
-            &mut self.scratch_meter,
-            &mut self.stats,
-        );
+        fragment_into(dgram, mtu, &mut frags, &mut self.stats);
         for frag in frags.drain(..) {
             self.stats.frags_sent += 1;
             self.offer_to_link(now, first_link, frag, out);
@@ -526,7 +505,7 @@ impl Network {
                 round8(mtu - IP_HEADER)
             };
             let take = cap.min(len - rel);
-            let payload = frag.payload.share_range(rel, take, &mut self.scratch_meter);
+            let payload = frag.payload.share_range(rel, take, &mut CopyMeter::new());
             let abs_off = frag.offset + rel;
             let more = frag.more || abs_off + take < frag.offset + len;
             self.stats.frags_built += 1;

@@ -5,10 +5,11 @@
 //! timestamped [`Obs`]ervation: file versions it committed (wrote and
 //! closed), contents it observed (opened and read), names it created,
 //! removed, or listed, and operations whose effect is *indeterminate*
-//! because a soft mount gave up mid-flight. After the world finishes,
-//! [`Oracle::check`] replays the merged observation log against a
-//! sequential model filesystem and reports every [`Violation`] of the
-//! NFS v2 contract this repo implements:
+//! because a soft mount gave up mid-flight. As the world runs, the
+//! [`StreamingOracle`] advances a sequential model filesystem through
+//! the observations in the world's time order, in bounded memory, and
+//! reports every [`Violation`] of the NFS v2 contract this repo
+//! implements:
 //!
 //! * **Close-to-open consistency.** A reader that opens a file must see
 //!   a version at least as new as the newest version whose close
@@ -42,7 +43,6 @@
 //! the server), and fault-induced frame delays are far shorter than the
 //! spacing between successive versions of one file.
 
-use std::collections::HashMap;
 use std::fmt;
 
 pub mod stream;
@@ -96,8 +96,8 @@ pub enum ObsKind {
     },
     /// The client started writing the whole file: the version exists
     /// from now, and its `Committed` follows. Fed at write start
-    /// (`t_start == t_done`), so the streaming checker knows the version
-    /// before any read could see it; the buffered checker ignores it.
+    /// (`t_start == t_done`), so the checker knows the version before
+    /// any read could see it.
     Writing {
         /// Absolute path of the file.
         path: String,
@@ -260,15 +260,6 @@ impl Violation {
     }
 }
 
-/// The deterministic total order both checkers sort their reports by:
-/// time, then client, then the full rendered record so exact ties (two
-/// missing entries from one listing, say) break identically no matter
-/// which checker — or which internal iteration order — produced them.
-pub(crate) fn violation_total_key(v: &Violation) -> (u64, usize, String) {
-    let (t, c) = v.time_client();
-    (t, c, format!("{v:?}"))
-}
-
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -346,315 +337,21 @@ impl fmt::Display for Violation {
     }
 }
 
-/// One committed (or possibly-committed) version of a file.
-#[derive(Clone, Debug)]
-pub(crate) struct Version {
-    pub(crate) len: usize,
-    pub(crate) fnv: u64,
-    /// When the close was issued (content cannot be observed earlier).
-    pub(crate) t_start: u64,
-    /// When the close returned.
-    pub(crate) t_done: u64,
-    /// Whether the close succeeded (uncertain versions never raise the
-    /// close-to-open floor).
-    pub(crate) certain: bool,
-}
-
-/// Name-existence state in the sequential model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Exists {
-    /// Never created (or certainly removed).
-    No,
-    /// Certainly present.
-    Yes,
-    /// A timed-out create/remove left the name in limbo.
-    Unknown,
-}
-
-/// Per-path model state built from the observation log.
-#[derive(Debug, Default)]
-struct PathModel {
-    versions: Vec<Version>,
-    /// Whether any Removed observation targets this path (paths that
-    /// are never removed get the stronger directory-listing check).
-    ever_removed: bool,
-}
-
-/// The sequential model filesystem plus the contract parameters.
-pub struct Oracle {
-    /// Bounded-staleness window in virtual nanoseconds (the client
-    /// attribute-cache lifetime plus scheduling slack).
-    grace: u64,
-}
-
-impl Oracle {
-    /// Builds an oracle with the given close-to-open grace window.
-    pub fn new(grace_ns: u64) -> Self {
-        Oracle { grace: grace_ns }
-    }
-
-    /// Replays the merged observation log and returns every violation,
-    /// in virtual-time order. The log may arrive in any order; it is
-    /// sorted deterministically before replay.
-    pub fn check(&self, observations: &[Obs]) -> Vec<Violation> {
-        // Deterministic chronological order: completion time, then
-        // client, then original position (per-client logs are already
-        // ordered, so position breaks ties stably).
-        let mut order: Vec<usize> = (0..observations.len()).collect();
-        order.sort_by_key(|&i| (observations[i].t_done, observations[i].client, i));
-
-        // Pass 1: collect every version of every path, so a reader that
-        // races a writer can be matched against a version whose close
-        // completes later in the log.
-        let mut model: HashMap<&str, PathModel> = HashMap::new();
-        for obs in observations {
-            match &obs.kind {
-                ObsKind::Committed {
-                    path,
-                    len,
-                    fnv,
-                    certain,
-                } => {
-                    model.entry(path).or_default().versions.push(Version {
-                        len: *len,
-                        fnv: *fnv,
-                        t_start: obs.t_start,
-                        t_done: obs.t_done,
-                        certain: *certain,
-                    });
-                }
-                ObsKind::Removed { path, .. } => {
-                    model.entry(path).or_default().ever_removed = true;
-                }
-                ObsKind::Created { path, .. } => {
-                    model.entry(path).or_default();
-                }
-                _ => {}
-            }
-        }
-        // Single-writer files: versions arrive in per-client order, but
-        // the global merge above interleaves clients, so sort by close
-        // issue time.
-        for pm in model.values_mut() {
-            pm.versions.sort_by_key(|v| (v.t_start, v.t_done));
-        }
-
-        // Pass 2: chronological replay with existence tracking and
-        // per-reader monotonicity.
-        let mut exists: HashMap<&str, Exists> = HashMap::new();
-        let mut last_seen: HashMap<(usize, &str), usize> = HashMap::new();
-        let mut violations = Vec::new();
-
-        for &i in &order {
-            let obs = &observations[i];
-            let path = obs.kind.path();
-            match &obs.kind {
-                ObsKind::Created { outcome, .. } => {
-                    let st = exists.entry(path).or_insert(Exists::No);
-                    match outcome {
-                        OpOutcome::Ok => *st = Exists::Yes,
-                        OpOutcome::Indeterminate => {
-                            if *st == Exists::No {
-                                *st = Exists::Unknown;
-                            }
-                        }
-                        OpOutcome::Status(s) => {
-                            // Creating a name the model knows is absent
-                            // must not answer EXIST: that is a replayed
-                            // CREATE/MKDIR re-executing.
-                            if *st == Exists::No && s.contains("Exist") {
-                                violations.push(Violation::Replay {
-                                    client: obs.client,
-                                    path: path.to_string(),
-                                    t: obs.t_done,
-                                    op: "create",
-                                    status: s.clone(),
-                                });
-                            }
-                            if *st == Exists::No && !s.contains("Exist") {
-                                // e.g. NOENT on a vanished parent: the
-                                // name still does not exist.
-                            } else if s.contains("Exist") {
-                                *st = Exists::Yes;
-                            }
-                        }
-                    }
-                }
-                ObsKind::Removed { outcome, .. } => {
-                    let st = exists.entry(path).or_insert(Exists::No);
-                    match outcome {
-                        OpOutcome::Ok => *st = Exists::No,
-                        OpOutcome::Indeterminate => *st = Exists::Unknown,
-                        OpOutcome::Status(s) => {
-                            // Removing a name the model knows exists must
-                            // not answer NOENT: the first transmission
-                            // already removed it and the retransmission
-                            // was re-executed instead of being answered
-                            // from the duplicate-request cache.
-                            if *st == Exists::Yes && s.contains("NoEnt") {
-                                violations.push(Violation::Replay {
-                                    client: obs.client,
-                                    path: path.to_string(),
-                                    t: obs.t_done,
-                                    op: "remove",
-                                    status: s.clone(),
-                                });
-                            }
-                            if s.contains("NoEnt") {
-                                *st = Exists::No;
-                            }
-                        }
-                    }
-                }
-                ObsKind::Committed { .. } => {
-                    // A completed close implies the name exists.
-                    exists.insert(path, Exists::Yes);
-                }
-                // Pass 1 already holds every version from its close's
-                // issue time.
-                ObsKind::Writing { .. } => {}
-                ObsKind::Observed { len, fnv, .. } => {
-                    if exists.get(path) == Some(&Exists::Unknown) {
-                        continue;
-                    }
-                    let Some(pm) = model.get(path) else { continue };
-                    // Match newest-first: content is observable from the
-                    // moment its close is issued (the flush precedes the
-                    // close reply).
-                    let seen = pm
-                        .versions
-                        .iter()
-                        .enumerate()
-                        .rev()
-                        .find(|(_, v)| v.t_start <= obs.t_done && v.len == *len && v.fnv == *fnv)
-                        .map(|(k, _)| k);
-                    // Close-to-open floor: the newest *certain* version
-                    // committed more than `grace` before the open.
-                    let floor = pm
-                        .versions
-                        .iter()
-                        .enumerate()
-                        .rev()
-                        .find(|(_, v)| v.certain && v.t_done + self.grace <= obs.t_start)
-                        .map(|(k, _)| k);
-                    let Some(seen) = seen else {
-                        // The created-empty state is the file's version
-                        // "-1": an empty read is legitimate, not
-                        // corruption, while close-to-open owes the reader
-                        // nothing newer (an uncertain close may never
-                        // have landed).
-                        if *len == 0 && floor.is_none() {
-                            continue;
-                        }
-                        violations.push(Violation::CorruptRead {
-                            client: obs.client,
-                            path: path.to_string(),
-                            t: obs.t_done,
-                            len: *len,
-                            fnv: *fnv,
-                        });
-                        continue;
-                    };
-                    if let Some(floor) = floor {
-                        if seen < floor {
-                            violations.push(Violation::StaleRead {
-                                client: obs.client,
-                                path: path.to_string(),
-                                t: obs.t_start,
-                                seen,
-                                floor,
-                            });
-                        }
-                    }
-                    let key = (obs.client, path);
-                    let prev = last_seen.get(&key).copied();
-                    if let Some(prev) = prev {
-                        if seen < prev {
-                            violations.push(Violation::TimeTravel {
-                                client: obs.client,
-                                path: path.to_string(),
-                                t: obs.t_done,
-                                seen,
-                                prev,
-                            });
-                        }
-                    }
-                    last_seen.insert(key, seen.max(prev.unwrap_or(0)));
-                }
-                ObsKind::ReadFailed { status, .. } => {
-                    if exists.get(path) == Some(&Exists::Unknown) {
-                        continue;
-                    }
-                    let vanished = status.contains("NoEnt") || status.contains("Stale");
-                    if !vanished {
-                        continue;
-                    }
-                    // The file must have durably existed well before the
-                    // open for its disappearance to be a violation.
-                    let durable = model
-                        .get(path)
-                        .map(|pm| {
-                            pm.versions
-                                .iter()
-                                .any(|v| v.certain && v.t_done + self.grace <= obs.t_start)
-                        })
-                        .unwrap_or(false);
-                    if durable && exists.get(path) == Some(&Exists::Yes) {
-                        violations.push(Violation::LostFile {
-                            client: obs.client,
-                            path: path.to_string(),
-                            t: obs.t_start,
-                            status: status.clone(),
-                        });
-                    }
-                }
-                ObsKind::Listed { dir, names } => {
-                    // Every never-removed file with a certain version
-                    // committed more than `grace` before the listing must
-                    // appear. Candidate paths are visited in sorted order
-                    // so ties in the final report order are deterministic
-                    // (HashMap iteration is not).
-                    let prefix = if dir.ends_with('/') {
-                        dir.clone()
-                    } else {
-                        format!("{dir}/")
-                    };
-                    let mut cands: Vec<(&&str, &PathModel)> = model.iter().collect();
-                    cands.sort_by_key(|(p, _)| **p);
-                    for (p, pm) in cands {
-                        if pm.ever_removed || !p.starts_with(prefix.as_str()) {
-                            continue;
-                        }
-                        let name = &p[prefix.len()..];
-                        if name.contains('/') {
-                            continue;
-                        }
-                        let durable = pm
-                            .versions
-                            .iter()
-                            .any(|v| v.certain && v.t_done + self.grace <= obs.t_start);
-                        if durable && !names.iter().any(|n| n == name) {
-                            violations.push(Violation::MissingEntry {
-                                client: obs.client,
-                                dir: dir.clone(),
-                                path: p.to_string(),
-                                t: obs.t_start,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        // Total-order sort shared with the streaming checker so exact
-        // (t, client) ties break identically in both.
-        violations.sort_by_cached_key(violation_total_key);
-        violations
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Feeds `obs` to the streaming checker in time order (stable, so
+    /// each client's observations keep their order) and returns its
+    /// verdict.
+    fn check(mut obs: Vec<Obs>) -> Vec<Violation> {
+        obs.sort_by_key(|o| o.t_done);
+        let mut oracle = StreamingOracle::new(3, StreamConfig::new(GRACE, 60 * SEC));
+        for o in obs {
+            oracle.feed(o);
+        }
+        oracle.finish().violations
+    }
 
     fn committed(client: usize, t: u64, path: &str, fnv: u64, certain: bool) -> Obs {
         Obs {
@@ -700,7 +397,7 @@ mod tests {
             committed(0, 5 * SEC, "/c0/f0", 22, true),
             observed(1, 8 * SEC, "/c0/f0", 22),
         ];
-        assert!(Oracle::new(GRACE).check(&obs).is_empty());
+        assert!(check(obs).is_empty());
     }
 
     #[test]
@@ -709,7 +406,7 @@ mod tests {
             committed(0, SEC, "/c0/f0", 11, true),
             observed(1, 3 * SEC, "/c0/f0", 0xBAD),
         ];
-        let v = Oracle::new(GRACE).check(&obs);
+        let v = check(obs);
         assert!(
             matches!(v.as_slice(), [Violation::CorruptRead { .. }]),
             "{v:?}"
@@ -723,7 +420,7 @@ mod tests {
             committed(0, 5 * SEC, "/c0/f0", 22, true),
             observed(1, 9 * SEC, "/c0/f0", 11),
         ];
-        let v = Oracle::new(GRACE).check(&obs);
+        let v = check(obs);
         assert!(
             matches!(
                 v.as_slice(),
@@ -746,7 +443,7 @@ mod tests {
             committed(0, 5 * SEC, "/c0/f0", 22, true),
             observed(1, 5 * SEC + 200_000_000, "/c0/f0", 11),
         ];
-        assert!(Oracle::new(GRACE).check(&obs).is_empty());
+        assert!(check(obs).is_empty());
     }
 
     #[test]
@@ -759,7 +456,7 @@ mod tests {
             observed(1, 9 * SEC, "/c0/f0", 11),
             observed(2, 9 * SEC, "/c0/f0", 22),
         ];
-        assert!(Oracle::new(GRACE).check(&obs).is_empty());
+        assert!(check(obs).is_empty());
     }
 
     #[test]
@@ -772,7 +469,7 @@ mod tests {
             // saw v1, and versions must be monotone per observer.
             observed(1, 2 * SEC + 800_000_000, "/c0/f0", 11),
         ];
-        let v = Oracle::new(GRACE).check(&obs);
+        let v = check(obs);
         assert!(
             matches!(
                 v.as_slice(),
@@ -808,7 +505,7 @@ mod tests {
                 },
             },
         ];
-        let v = Oracle::new(GRACE).check(&obs);
+        let v = check(obs);
         assert!(
             matches!(v.as_slice(), [Violation::Replay { op: "remove", .. }]),
             "{v:?}"
@@ -838,7 +535,7 @@ mod tests {
                 },
             },
         ];
-        assert!(Oracle::new(GRACE).check(&obs).is_empty());
+        assert!(check(obs).is_empty());
     }
 
     #[test]
@@ -855,7 +552,7 @@ mod tests {
                 },
             },
         ];
-        let v = Oracle::new(GRACE).check(&obs);
+        let v = check(obs);
         assert!(
             matches!(v.as_slice(), [Violation::LostFile { .. }]),
             "{v:?}"
@@ -876,7 +573,7 @@ mod tests {
                 },
             },
         ];
-        let v = Oracle::new(GRACE).check(&obs);
+        let v = check(obs);
         assert!(
             matches!(v.as_slice(), [Violation::MissingEntry { .. }]),
             "{v:?}"
@@ -894,16 +591,27 @@ mod tests {
                 },
             },
         ];
-        assert!(Oracle::new(GRACE).check(&obs2).is_empty());
+        assert!(check(obs2).is_empty());
     }
 
     #[test]
     fn racing_reader_may_see_an_inflight_version() {
         // The reader's open/read completes before the writer's close
         // returns (flush already landed): matching the in-flight version
-        // is legal and must not be corrupt or time travel.
+        // is legal and must not be corrupt or time travel. The writer
+        // announced the version when its write started.
         let obs = vec![
             committed(0, SEC, "/c0/f0", 11, true),
+            Obs {
+                client: 0,
+                t_start: 5 * SEC,
+                t_done: 5 * SEC,
+                kind: ObsKind::Writing {
+                    path: "/c0/f0".into(),
+                    len: 100,
+                    fnv: 22,
+                },
+            },
             Obs {
                 client: 0,
                 t_start: 5 * SEC,
@@ -917,7 +625,7 @@ mod tests {
             },
             observed(1, 5 * SEC + 500_000_000, "/c0/f0", 22),
         ];
-        assert!(Oracle::new(GRACE).check(&obs).is_empty());
+        assert!(check(obs).is_empty());
     }
 
     /// A create that succeeded, then one close of 100 bytes, then an
@@ -944,13 +652,13 @@ mod tests {
     fn empty_read_is_legal_until_a_certain_close_is_owed() {
         // The close timed out (soft mount across a crash): its write may
         // never have landed, so the file may still be as it was created.
-        let v = Oracle::new(GRACE).check(&created_closed_read_empty(false, 9 * SEC));
+        let v = check(created_closed_read_empty(false, 9 * SEC));
         assert!(v.is_empty(), "{v:?}");
         // A close that certainly landed is still inside the grace window.
-        let v = Oracle::new(GRACE).check(&created_closed_read_empty(true, 2 * SEC + GRACE / 2));
+        let v = check(created_closed_read_empty(true, 2 * SEC + GRACE / 2));
         assert!(v.is_empty(), "{v:?}");
         // Past the window close-to-open owes the reader those 100 bytes.
-        let v = Oracle::new(GRACE).check(&created_closed_read_empty(true, 9 * SEC));
+        let v = check(created_closed_read_empty(true, 9 * SEC));
         assert!(
             matches!(v.as_slice(), [Violation::CorruptRead { len: 0, .. }]),
             "{v:?}"

@@ -1,11 +1,9 @@
 //! Incremental, bounded-memory streaming consistency checker.
 //!
-//! [`crate::Oracle::check`] buffers the full observation log and replays
-//! it post-hoc: O(total ops) memory, which caps soak length at minutes.
-//! [`StreamingOracle`] checks the same contract *as the world runs*:
-//! the sequential model advances as observations arrive, and state is
-//! retired permanently once its staleness window closes. Memory is
-//! O(open window), proven at runtime by the
+//! [`StreamingOracle`] checks the contract in the crate docs *as the
+//! world runs*: the sequential model advances as observations arrive,
+//! and state is retired permanently once its staleness window closes.
+//! Memory is O(open window), proven at runtime by the
 //! [`StreamStats::peak_retained`] high-water mark.
 //!
 //! # Release in world time order
@@ -15,28 +13,28 @@
 //! across the whole feed, and [`StreamingOracle::feed`] asserts it. The
 //! checker holds only the observations of the current instant; when
 //! time moves on (or at [`finish`](StreamingOracle::finish)) it
-//! releases them stable-sorted by client. That is the
-//! `(t_done, client, index)` order the buffered checker sorts its log
-//! into, so both see one sequence and every derived quantity —
+//! releases them stable-sorted by client, so the model sees one
+//! `(t_done, client, index)` sequence and every derived quantity —
 //! violations, `peak_retained`, retirement counts — is a pure function
 //! of the observations, whichever client fed first within an instant.
 //!
 //! # Announced writes: every read adjudicated on release
 //!
-//! The buffered checker matches a read against every version whose
-//! close *started* before the read completed, closes still in flight
-//! included, because it holds the whole log. Streaming gets the same
-//! knowledge from the writer: a write feeds [`ObsKind::Writing`] when it
-//! starts (`t_start == t_done`), so it is released before any read
-//! that could have seen its bytes. The announcement opens a
-//! version; the write's `Committed` completes the newest open version
-//! of its path with the same content, setting its `t_done` and
-//! certainty, and a `Committed` nobody announced adds a closed version.
-//! So every read is adjudicated the moment it is released: matched,
-//! held to its close-to-open floor and its reader's last version, or —
-//! matching nothing — reported corrupt. Versions are told apart by
-//! `(len, fnv)` alone, so two retained versions of one path with equal
-//! content are a harness error: the checker panics naming the path.
+//! A read may return before its writer's close does, so the checker
+//! gets each version from the writer: a write feeds
+//! [`ObsKind::Writing`] when it starts (`t_start == t_done`), so it is
+//! released before any read that could have seen its bytes. The
+//! announcement opens a version; the write's `Committed` completes the
+//! newest open version of its path with the same content, setting its
+//! `t_done` and certainty, and a `Committed` nobody announced adds a
+//! closed version. So every read is adjudicated the moment it is
+//! released: matched, held to its close-to-open floor and its reader's
+//! last version, or — matching nothing — reported corrupt. A read of a
+//! write that was never announced, finishing before its `Committed`,
+//! is therefore corrupt: announcing is the writer's half of the
+//! contract. Versions are told apart by `(len, fnv)` alone, so two
+//! retained versions of one path with equal content are a harness
+//! error: the checker panics naming the path.
 //!
 //! # Retirement and the taint horizon
 //!
@@ -53,37 +51,13 @@
 //! is O(window + longest taint run), never O(total ops). Safety demands
 //! `retain ≥ grace` (asserted) plus the longest open-to-completion
 //! block, so every version a read could match or floor against is
-//! still retained.
-//!
-//! # Documented divergences from the buffered checker
-//!
-//! The buffered checker's whole-log knowledge leaks into a few
-//! adjudications that a prefix cannot reproduce. None arise in the
-//! soak workload, which announces every write, and the differential
-//! tests pin exact equivalence there:
-//!
-//! * A read of a write that was never announced, finishing before its
-//!   `Committed` is released, is `CorruptRead` here; the buffered
-//!   checker matches it. Announcing is the writer's half of the
-//!   contract.
-//! * A write announced but never committed stays an open, uncertain
-//!   version; the buffered checker never sees it, so later versions of
-//!   that path are numbered one higher here.
-//! * A violation *older than the retain window* may be reported as
-//!   `CorruptRead` where the buffered checker, with the retired
-//!   version list in hand, would have said `StaleRead`.
-//! * `ever_removed` (which downgrades the directory-listing check) is
-//!   prefix knowledge here but whole-log there; the workload never
-//!   removes a committed file, so the two agree.
-//! * A read of a name no earlier observation created, wrote or removed
-//!   is judged here; the buffered checker skips a name the whole log
-//!   never models. Reads follow creation in the workload.
-//! * Names quiescent longer than `retain` with no versions are garbage
-//!   collected and lose replay armor; soak temp names are used once.
+//! still retained. Names quiescent longer than `retain` with no
+//! versions are garbage collected and lose replay armor; soak temp
+//! names are used once.
 
 use std::collections::{HashMap, VecDeque};
 
-use crate::{violation_total_key, Exists, Obs, ObsKind, OpOutcome, Version, Violation};
+use crate::{Obs, ObsKind, OpOutcome, Violation};
 
 /// How often (in virtual time) the retirement sweep runs. Keyed to the
 /// model clock — never to wall-clock — so the retained-state trajectory
@@ -93,11 +67,45 @@ const SWEEP_NS: u64 = 1_000_000_000;
 /// The `t_done` of an announced version whose close has not returned.
 const OPEN: u64 = u64::MAX;
 
+/// One committed, possibly-committed or still-open version of a file.
+#[derive(Clone, Debug)]
+struct Version {
+    len: usize,
+    fnv: u64,
+    /// When the write was issued (content cannot be observed earlier).
+    t_start: u64,
+    /// When the close returned ([`OPEN`] until it does).
+    t_done: u64,
+    /// Whether the close succeeded (uncertain versions never raise the
+    /// close-to-open floor).
+    certain: bool,
+}
+
+/// Name-existence state in the sequential model.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Exists {
+    /// Never created (or certainly removed).
+    No,
+    /// Certainly present.
+    Yes,
+    /// A timed-out create/remove left the name in limbo.
+    Unknown,
+}
+
+/// The deterministic total order of the final report: time, then
+/// client, then the full rendered record, so exact ties (two missing
+/// entries from one listing, say) break the same way whatever the
+/// internal iteration order that produced them.
+fn violation_total_key(v: &Violation) -> (u64, usize, String) {
+    let (t, c) = v.time_client();
+    (t, c, format!("{v:?}"))
+}
+
 /// The streaming checker's window parameters, all in virtual ns.
 #[derive(Clone, Copy, Debug)]
 pub struct StreamConfig {
     /// Close-to-open bounded-staleness window (attr-cache lifetime plus
-    /// scheduling slack) — same meaning as [`crate::Oracle::new`].
+    /// scheduling slack).
     pub grace: u64,
     /// How long versions are retained before the retirement sweep may
     /// drop them. Must be at least `grace` (asserted), with margin for
@@ -165,8 +173,8 @@ struct PathState {
     /// insertion from the back keeps it so.
     versions: VecDeque<Version>,
     /// Count of versions retired off the front: the global index of
-    /// `versions[k]` is `retired + k`, matching the buffered checker's
-    /// whole-log indices.
+    /// `versions[k]` is `retired + k`, the version's index in the whole
+    /// history of its path.
     retired: usize,
     /// Whether any Removed observation has targeted this path.
     ever_removed: bool,
@@ -257,9 +265,7 @@ impl StreamingOracle {
         self.instant = instant;
     }
 
-    /// Advances the model through one released observation. Mirrors
-    /// the buffered checker's replay arm for arm, plus the announced
-    /// writes it does not need.
+    /// Advances the model through one released observation.
     fn process(&mut self, obs: Obs) {
         self.stats.processed += 1;
         if self.model_now >= self.last_sweep + SWEEP_NS {
@@ -453,8 +459,7 @@ impl StreamingOracle {
     /// Adjudicates a read of `path` that saw `(len, fnv)`: the newest
     /// version with that content whose write started before the read
     /// returned, then its close-to-open floor and its reader's last
-    /// version. Mirrors the buffered arm verbatim (including the
-    /// `max(prev)` bookkeeping).
+    /// version.
     fn read(&mut self, obs: &Obs, path: &str, len: usize, fnv: u64) {
         let ps = &self.paths[path];
         let seen = ps
@@ -551,7 +556,7 @@ impl StreamingOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{fnv1a, Oracle};
+    use crate::fnv1a;
 
     const MS: u64 = 1_000_000;
     const SEC: u64 = 1_000_000_000;
@@ -598,54 +603,6 @@ mod tests {
         }
     }
 
-    fn created(client: usize, t: u64, path: &str, outcome: OpOutcome) -> Obs {
-        Obs {
-            client,
-            t_start: t,
-            t_done: t + MS,
-            kind: ObsKind::Created {
-                path: path.to_string(),
-                outcome,
-            },
-        }
-    }
-
-    fn removed(client: usize, t: u64, path: &str, outcome: OpOutcome) -> Obs {
-        Obs {
-            client,
-            t_start: t,
-            t_done: t + MS,
-            kind: ObsKind::Removed {
-                path: path.to_string(),
-                outcome,
-            },
-        }
-    }
-
-    fn read_failed(client: usize, t: u64, path: &str, status: &str) -> Obs {
-        Obs {
-            client,
-            t_start: t,
-            t_done: t + MS,
-            kind: ObsKind::ReadFailed {
-                path: path.to_string(),
-                status: status.to_string(),
-            },
-        }
-    }
-
-    fn listed(client: usize, t: u64, dir: &str, names: &[&str]) -> Obs {
-        Obs {
-            client,
-            t_start: t,
-            t_done: t + MS,
-            kind: ObsKind::Listed {
-                dir: dir.to_string(),
-                names: names.iter().map(|s| s.to_string()).collect(),
-            },
-        }
-    }
-
     /// Feeds `log` to a three-client streaming checker in the order
     /// given and returns its outcome.
     fn stream(cfg: StreamConfig, log: impl IntoIterator<Item = Obs>) -> StreamOutcome {
@@ -656,209 +613,19 @@ mod tests {
         s.finish()
     }
 
-    /// Runs the buffered checker over `log` as written and the
-    /// streaming checker over it in time order (stable, so each
-    /// client's observations keep their order); returns both verdicts.
-    fn both(cfg: StreamConfig, mut log: Vec<Obs>) -> (Vec<Violation>, Vec<Violation>, StreamStats) {
-        let buffered = Oracle::new(cfg.grace).check(&log);
-        log.sort_by_key(|o| o.t_done);
-        let out = stream(cfg, log);
-        (buffered, out.violations, out.stats)
-    }
-
-    /// Equivalence-test config: a retain window wider than any
-    /// staleness the scenarios exercise (inside the window the checkers
-    /// must agree exactly).
     fn cfg_small() -> StreamConfig {
         StreamConfig::new(GRACE, 60 * SEC)
     }
 
     #[test]
-    fn clean_multi_client_run_agrees_with_buffered() {
-        let log = vec![
-            created(0, SEC, "/d/f", OpOutcome::Ok),
-            committed(0, 2 * SEC, "/d/f", "v1", true),
-            observed(1, 6 * SEC, "/d/f", "v1"),
-            committed(0, 9 * SEC, "/d/f", "v2", true),
-            observed(1, 13 * SEC, "/d/f", "v2"),
-            listed(1, 14 * SEC, "/d", &["f"]),
-        ];
-        let (b, s, _) = both(cfg_small(), log);
-        assert!(b.is_empty(), "buffered baseline dirty: {b:?}");
-        assert_eq!(b, s);
-    }
-
-    #[test]
-    fn stale_and_time_travel_match_buffered() {
-        let log = vec![
-            committed(0, SEC, "/d/f", "v1", true),
-            committed(0, 5 * SEC, "/d/f", "v2", true),
-            // Well past grace, reader sees v1: stale.
-            observed(1, 20 * SEC, "/d/f", "v1"),
-            // Then v2, then v1 again: time travel.
-            observed(1, 21 * SEC, "/d/f", "v2"),
-            observed(1, 22 * SEC, "/d/f", "v1"),
-        ];
-        let (b, s, _) = both(cfg_small(), log);
-        assert!(b.iter().any(|v| matches!(v, Violation::StaleRead { .. })));
-        assert!(b.iter().any(|v| matches!(v, Violation::TimeTravel { .. })));
-        assert_eq!(b, s);
-    }
-
-    #[test]
-    fn replay_lost_file_missing_entry_match_buffered() {
-        let log = vec![
-            // Replayed CREATE: EXIST on a name the model knows is absent.
-            created(0, SEC, "/d/a", OpOutcome::Status("Exist".into())),
-            // Replayed REMOVE: NOENT on a name the model knows exists.
-            created(0, 2 * SEC, "/d/b", OpOutcome::Ok),
-            removed(0, 3 * SEC, "/d/b", OpOutcome::Status("NoEnt".into())),
-            // Lost file: durable content answers NOENT.
-            committed(0, 4 * SEC, "/d/c", "cc", true),
-            read_failed(1, 30 * SEC, "/d/c", "NoEnt"),
-            // Missing entry: durable never-removed file absent from listing.
-            listed(1, 31 * SEC, "/d", &["a", "b"]),
-        ];
-        let (b, s, _) = both(cfg_small(), log);
-        assert!(b.iter().any(|v| matches!(v, Violation::Replay { .. })));
-        assert!(b.iter().any(|v| matches!(v, Violation::LostFile { .. })));
-        assert!(b
-            .iter()
-            .any(|v| matches!(v, Violation::MissingEntry { .. })));
-        assert_eq!(b, s);
-    }
-
-    /// A write whose close is in flight for 5 s, and a read that returns
-    /// with its bytes before the close does.
-    fn racing_write(announced: bool) -> Vec<Obs> {
-        let mut close = committed(0, 10 * SEC, "/d/f", "v9", true);
-        close.t_done = 15 * SEC;
-        let mut log = vec![close, observed(1, 12 * SEC, "/d/f", "v9")];
-        if announced {
-            log.insert(0, writing(0, 10 * SEC, "/d/f", "v9"));
-        }
-        log
-    }
-
-    #[test]
-    fn announced_write_matches_a_read_that_returns_before_its_close() {
-        let (b, s, st) = both(cfg_small(), racing_write(true));
-        assert!(b.is_empty(), "buffered baseline dirty: {b:?}");
-        assert_eq!(b, s);
-        // The announcement is an observation; the close completes the
-        // version it opened rather than adding a second one.
-        assert_eq!((st.processed, st.peak_retained), (3, 1));
-    }
-
-    #[test]
-    fn an_unannounced_in_flight_commit_leaves_its_read_corrupt() {
-        // The contract: a read is judged when it is released, so
-        // a writer that does not announce leaves the read nothing to
-        // match. The buffered checker, holding the whole log, matches it.
-        let (b, s, _) = both(cfg_small(), racing_write(false));
-        assert!(b.is_empty(), "buffered baseline dirty: {b:?}");
-        assert!(
-            matches!(s.as_slice(), [Violation::CorruptRead { client: 1, .. }]),
-            "{s:?}"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "two versions of /d/f carry the same 4 bytes")]
     fn two_versions_with_equal_content_trip_the_guard() {
-        let log = vec![
+        let log = [
             committed(0, SEC, "/d/f", "twin", true),
             writing(0, 5 * SEC, "/d/f", "twin"),
         ];
-        both(cfg_small(), log);
+        stream(cfg_small(), log);
     }
-
-    #[test]
-    fn unmatched_read_is_corrupt_like_buffered() {
-        let log = vec![
-            committed(0, SEC, "/d/f", "v1", true),
-            observed(1, 5 * SEC, "/d/f", "garbage"),
-        ];
-        let (b, s, _) = both(cfg_small(), log);
-        assert!(b.iter().any(|v| matches!(v, Violation::CorruptRead { .. })));
-        assert_eq!(b, s);
-    }
-
-    #[test]
-    fn uncertain_versions_and_unknown_names_match_buffered() {
-        let log = vec![
-            committed(0, SEC, "/d/f", "v1", true),
-            committed(0, 5 * SEC, "/d/f", "v2", false), // tainted
-            observed(1, 20 * SEC, "/d/f", "v1"),        // allowed: floor is v1
-            created(0, 21 * SEC, "/d/t", OpOutcome::Indeterminate),
-            observed(1, 22 * SEC, "/d/t", "??"), // unknown name: skipped
-        ];
-        let (b, s, _) = both(cfg_small(), log);
-        assert!(b.is_empty(), "buffered baseline dirty: {b:?}");
-        assert_eq!(b, s);
-    }
-
-    #[test]
-    fn empty_read_is_legal_until_a_certain_close_is_owed() {
-        // Created, one close, and an empty read long after it.
-        let log = |certain: bool| {
-            vec![
-                created(0, SEC, "/d/f", OpOutcome::Ok),
-                committed(0, 2 * SEC, "/d/f", "v1", certain),
-                observed(1, 9 * SEC, "/d/f", ""),
-            ]
-        };
-        // An uncertain close may never have landed: the file may still be
-        // as it was created.
-        let (b, s, _) = both(cfg_small(), log(false));
-        assert!(b.is_empty(), "buffered baseline dirty: {b:?}");
-        assert_eq!(b, s);
-        // A certain one older than grace is owed to the reader.
-        let (b, s, _) = both(cfg_small(), log(true));
-        assert!(
-            matches!(b.as_slice(), [Violation::CorruptRead { len: 0, .. }]),
-            "{b:?}"
-        );
-        assert_eq!(b, s);
-    }
-
-    #[test]
-    fn client_order_within_an_instant_does_not_change_verdict_or_stats() {
-        // Each round's unannounced close and two reads complete at one
-        // instant: client 1's read matches only if the close goes first,
-        // and client 2 reads two versions back, stale once a certain
-        // close is owed to it.
-        let mut log = Vec::new();
-        for r in 0..6u64 {
-            let t = SEC + r * 3 * SEC;
-            log.push(committed(0, t, "/d/f", &format!("v{r}"), r % 3 != 2));
-            log.push(observed(1, t, "/d/f", &format!("v{r}")));
-            log.push(observed(2, t, "/d/f", &format!("v{}", r.saturating_sub(2))));
-        }
-        let buffered = Oracle::new(GRACE).check(&log);
-        assert!(!buffered.is_empty(), "no stale read to order");
-        let orders = [
-            [0, 1, 2],
-            [0, 2, 1],
-            [1, 0, 2],
-            [1, 2, 0],
-            [2, 0, 1],
-            [2, 1, 0],
-        ];
-        let outs: Vec<StreamOutcome> = orders
-            .iter()
-            .map(|order| {
-                let mut fed = log.clone();
-                fed.sort_by_key(|o| (o.t_done, order.iter().position(|&c| c == o.client)));
-                stream(cfg_small(), fed)
-            })
-            .collect();
-        for out in &outs {
-            assert_eq!(out.violations, buffered);
-            assert_eq!(out.stats, outs[0].stats);
-        }
-    }
-
     #[test]
     #[should_panic(
         expected = "client 0 fed t_done 2001000000 after an observation done at 5001000000"

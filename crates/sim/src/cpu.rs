@@ -204,24 +204,6 @@ impl Cpu {
         self.busy = SimDuration::ZERO;
         self.by_category = [SimDuration::ZERO; 9];
     }
-
-    /// A profiling report: fraction of busy time per category, descending.
-    pub fn profile_report(&self) -> Vec<(CpuCategory, f64)> {
-        let total = self.busy.as_secs_f64();
-        let mut rows: Vec<(CpuCategory, f64)> = CpuCategory::ALL
-            .iter()
-            .map(|&c| {
-                let frac = if total > 0.0 {
-                    self.busy_in(c).as_secs_f64() / total
-                } else {
-                    0.0
-                };
-                (c, frac)
-            })
-            .collect();
-        rows.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-        rows
-    }
 }
 
 #[cfg(test)]
@@ -310,9 +292,6 @@ mod tests {
         );
         cpu.charge(SimTime::ZERO, SimDuration::from_millis(1), CpuCategory::Nfs);
         assert_eq!(cpu.busy_in(CpuCategory::NetIf).as_millis(), 6);
-        let report = cpu.profile_report();
-        assert_eq!(report[0].0, CpuCategory::NetIf);
-        assert!((report[0].1 - 0.6).abs() < 1e-9);
     }
 
     #[test]

@@ -45,13 +45,6 @@ impl Rng {
         Rng { s }
     }
 
-    /// Derives an independent child generator; useful for giving each
-    /// simulated component its own stream so adding events to one component
-    /// does not perturb another.
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
@@ -200,14 +193,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(xs, (0..50).collect::<Vec<_>>(), "astronomically unlikely");
-    }
-
-    #[test]
-    fn fork_is_independent() {
-        let mut parent = Rng::new(9);
-        let mut child = parent.fork();
-        let a = parent.next_u64();
-        let b = child.next_u64();
-        assert_ne!(a, b);
     }
 }

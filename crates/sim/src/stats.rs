@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use crate::time::SimTime;
-
 /// Running mean/deviation/min/max over a stream of samples (Welford's
 /// algorithm).
 ///
@@ -193,68 +191,6 @@ impl Histogram {
     }
 }
 
-/// A time-stamped series of values, used to emit the paper's graph traces
-/// (e.g. Graph 7's RTT/RTO trace for read RPCs).
-#[derive(Clone, Debug, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Appends a point.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        self.points.push((t, v));
-    }
-
-    /// All points in insertion order.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Mean of the values (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64
-    }
-
-    /// Downsamples to at most `n` points by averaging fixed-size windows;
-    /// used when printing long traces.
-    pub fn downsample(&self, n: usize) -> Vec<(SimTime, f64)> {
-        if n == 0 || self.points.is_empty() {
-            return Vec::new();
-        }
-        if self.points.len() <= n {
-            return self.points.clone();
-        }
-        let chunk = self.points.len().div_ceil(n);
-        self.points
-            .chunks(chunk)
-            .map(|c| {
-                let t = c[c.len() / 2].0;
-                let v = c.iter().map(|&(_, v)| v).sum::<f64>() / c.len() as f64;
-                (t, v)
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,18 +253,5 @@ mod tests {
     #[should_panic(expected = "ascending")]
     fn histogram_rejects_bad_bounds() {
         let _ = Histogram::new(vec![2.0, 1.0]);
-    }
-
-    #[test]
-    fn timeseries_downsample() {
-        let mut ts = TimeSeries::new();
-        for i in 0..100 {
-            ts.push(SimTime::from_millis(i), i as f64);
-        }
-        let ds = ts.downsample(10);
-        assert!(ds.len() <= 10);
-        assert!((ts.mean() - 49.5).abs() < 1e-12);
-        // Downsampled means should track the original ramp.
-        assert!(ds[0].1 < ds[ds.len() - 1].1);
     }
 }

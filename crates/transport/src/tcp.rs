@@ -155,7 +155,6 @@ pub struct TcpConn {
     // Receive side.
     rcv_nxt: u32,
     ooo: Vec<(u32, MbufChain)>,
-    meter: CopyMeter,
     stats: TcpStats,
 }
 
@@ -179,7 +178,6 @@ impl TcpConn {
             timer_armed: false,
             rcv_nxt: 0,
             ooo: Vec::new(),
-            meter: CopyMeter::new(),
             stats: TcpStats::default(),
         }
     }
@@ -224,12 +222,6 @@ impl TcpConn {
     /// Statistics so far.
     pub fn stats(&self) -> TcpStats {
         self.stats
-    }
-
-    /// Bytes copied inside the connection since last drained (small-mbuf
-    /// copies when slicing the send buffer); the host charges these.
-    pub fn take_copy_bytes(&mut self) -> u64 {
-        self.meter.take().0
     }
 
     /// Unsent + unacknowledged bytes buffered.
@@ -293,7 +285,9 @@ impl TcpConn {
             if n == 0 {
                 break;
             }
-            let payload = self.snd_buf.share_range(in_flight, n, &mut self.meter);
+            let payload = self
+                .snd_buf
+                .share_range(in_flight, n, &mut CopyMeter::new());
             out.segments.push(TcpSegment {
                 seq: self.snd_nxt,
                 ack: self.rcv_nxt,
@@ -548,7 +542,7 @@ impl TcpConn {
         if n == 0 {
             return;
         }
-        let payload = self.snd_buf.share_range(0, n, &mut self.meter);
+        let payload = self.snd_buf.share_range(0, n, &mut CopyMeter::new());
         out.segments.push(TcpSegment {
             seq: self.snd_una,
             ack: self.rcv_nxt,

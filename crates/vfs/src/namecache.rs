@@ -90,11 +90,6 @@ impl NameCache {
         }
     }
 
-    /// Whether the cache is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> NameCacheStats {
         self.stats

@@ -80,6 +80,12 @@ echo "==> the streaming oracle takes the world's time order (no per-client feeds
 grep -rnE 'fn heartbeat|finish_client|with_capture|struct Feed' crates/oracle/src && exit 1
 grep -rnF '.heartbeat(' crates/bench && exit 1
 
+echo "==> one consistency checker (the buffered reference lives in crates/oracle/tests only)"
+# `StreamingOracle` is the checker every soak world, gate and probe uses;
+# the buffered replay it is held to is test code, included by the soak
+# differential. A second checker under src/ is two contracts to keep.
+grep -rnE '\bstruct Oracle\b|\bOracle::(new|check)\(' crates/*/src && exit 1
+
 echo "==> one way to run a cell (one single-proc run, one Nhfsstone window, one topology recipe, one World constructor)"
 # `run_proc` in experiments/mod.rs is the one place an experiment hands a
 # proc's value back over a channel, and `Scale::nhfsstone` the one place
