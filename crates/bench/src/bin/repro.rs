@@ -16,7 +16,9 @@
 //!   soak             randomized chaos worlds vs the consistency oracle
 //!                    (`--seeds N` sweep, `--case SPEC` single replay,
 //!                    `--lease` for NQNFS lease worlds under the
-//!                    tightened oracle grace)
+//!                    tightened oracle grace, `--long` for the
+//!                    certification worlds, `--duration SECS` to stop
+//!                    the sweep early)
 //!   section3         interface-tuning ablation
 //!   ablation-rto ablation-slowstart ablation-namelen
 //!   ablation-preload ablation-rsize ablation-readahead
@@ -33,10 +35,16 @@
 //!
 //! A command line that cannot run as written exits 2 with the reason on
 //! stderr before any world runs: a flag the command would not read
-//! (`--seeds`, `--case`, `--duration`, `--max-ops`, `--long` and
-//! `--lease` are `soak`'s, and a `--case` replay takes none of the
-//! others nor a scale), `--quick` with `--scale paper`, or `--lease`
-//! with `--long`.
+//! (`--seeds`, `--case`, `--duration`, `--long` and `--lease` are
+//! `soak`'s, and a `--case` replay takes none of the others nor a
+//! scale), `--quick` with `--scale paper`, or `--lease` with `--long`.
+//!
+//! `repro soak` either replays one `--case` or runs one seed sweep:
+//! seeds `0..N` for `--seeds N`, else the scale's count (12 quick, 64
+//! paper), of the quick, `--lease` or `--long` worlds. `--duration SECS`
+//! only ever cuts that sweep short: it runs `--jobs` seeds at a time and
+//! stops after the chunk in which the time ran out or a seed violated.
+//! Every soak exits 1 on an oracle violation.
 //!
 //! `--profile` prints the self-profiler's subsystem table (events,
 //! wall-clock, allocations) and the event census (pops by kind of event,
@@ -44,7 +52,7 @@
 //! `profile` cargo feature to report real numbers:
 //! `cargo run --release --features profile -- graph1 --quick --profile`.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use renofs_bench::experiments::{
     ablations, cd, cpu, crowd, faults, mab, servercmp, shard, soak, trace, transport,
@@ -62,20 +70,16 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro <experiment|all|shard> [--quick | --scale quick|paper] \
          [--jobs N] [--profile] [--seeds N] \
-         [--case SPEC] [--duration SECS] [--max-ops N] [--long] [--lease]"
+         [--case SPEC] [--duration SECS] [--long] [--lease]"
     );
     eprintln!(
-        "soak: `repro soak --seeds N` sweeps chaos seeds 0..N; `repro soak --case \
-         \"seed=S,clients=C,rounds=R,windows=0;1\"` replays one shrunk case; `--lease` \
-         sweeps NQNFS lease worlds (write-behind clients, crash/partition windows) \
-         under the tightened lease oracle grace. All exit 1 on an oracle violation."
-    );
-    eprintln!(
-        "soak budget mode: `--duration SECS` and/or `--max-ops N` run seeds (streaming \
-         oracle, heartbeats to stderr) until the budget is spent, failing fast on the \
-         first violation; `--long` switches to the certification worlds (up to 16 \
-         clients, crash/reboot cycles; default {} seeds). `--seeds N` caps the sweep.",
-        soak::LONG_SEEDS
+        "soak: `repro soak --seeds N` sweeps chaos seeds 0..N (default 12 quick, 64 \
+         paper); `repro soak --case \"seed=S,clients=C,rounds=R,windows=0;1\"` replays \
+         one shrunk case; `--lease` sweeps NQNFS lease worlds (write-behind clients, \
+         crash/partition windows) under the tightened lease oracle grace; `--long` \
+         sweeps the certification worlds (up to 16 clients, crash/reboot cycles); \
+         `--duration SECS` stops a sweep early, between chunks of `--jobs` seeds, once \
+         the time is up or a seed violated. All exit 1 on an oracle violation."
     );
     eprintln!("run `repro all --quick` for the fast version of everything");
     std::process::exit(2);
@@ -99,7 +103,6 @@ struct Options {
     seeds: Option<usize>,
     case: Option<String>,
     duration: Option<u64>,
-    max_ops: Option<u64>,
     long: bool,
     lease: bool,
 }
@@ -109,24 +112,12 @@ impl Options {
         self.quick == Some(true)
     }
 
-    /// Whether `repro soak` runs one of its dedicated modes rather than
-    /// the default sweep table.
-    fn soak_mode(&self) -> bool {
-        self.seeds.is_some() || self.case.is_some() || self.budget() || self.lease
-    }
-
-    /// Whether `repro soak` runs the streaming budget mode.
-    fn budget(&self) -> bool {
-        self.duration.is_some() || self.max_ops.is_some() || self.long
-    }
-
     /// The flags given that this command would not read.
     fn ignored(&self) -> Vec<&'static str> {
         let soak = [
             ("--seeds", self.seeds.is_some()),
             ("--case", self.case.is_some()),
             ("--duration", self.duration.is_some()),
-            ("--max-ops", self.max_ops.is_some()),
             ("--long", self.long),
             ("--lease", self.lease),
         ];
@@ -182,7 +173,6 @@ fn parse_args() -> Options {
             "--seeds" => o.seeds = Some(count(value())),
             "--case" => o.case = Some(value().unwrap_or_else(|| usage())),
             "--duration" => o.duration = Some(count(value())),
-            "--max-ops" => o.max_ops = Some(count(value())),
             "--profile" => o.profile = true,
             "--long" => o.long = true,
             "--lease" => o.lease = true,
@@ -209,59 +199,33 @@ fn parse_args() -> Options {
     o
 }
 
-/// Dedicated `repro soak` modes: `--seeds N` sweeps seeds `0..N`,
-/// `--case SPEC` replays one (possibly shrunk) case, and any of
-/// `--duration`/`--max-ops`/`--long` runs the streaming budget mode
-/// (fail-fast, heartbeats to stderr, extended table). All exit nonzero
-/// when the oracle reports a violation, so CI can gate on a bounded
-/// soak run.
-fn run_soak_mode(opts: &Options, scale: &Scale) {
-    if let Some(spec) = &opts.case {
+/// `repro soak`: `--case SPEC` replays one (possibly shrunk) case, and
+/// anything else runs the one seed sweep. Exits 1 when the oracle
+/// reports a violation, so CI can gate on a bounded soak run.
+fn run_soak(opts: &Options, scale: &Scale) {
+    let violated = if let Some(spec) = &opts.case {
         let case =
             soak::SoakCase::parse(spec).unwrap_or_else(|e| refuse(&format!("bad --case: {e}")));
         let (report, violated) = soak::replay_report(&case);
         print!("{report}");
-        if violated {
-            std::process::exit(1);
-        }
-    } else if opts.budget() {
-        let budget = soak::BudgetOpts {
-            wall_limit: opts.duration.map(std::time::Duration::from_secs),
-            max_ops: opts.max_ops,
-            // `--long` alone certifies a fixed seed count; a pure
-            // `--duration`/`--max-ops` run is budget-bounded only.
-            max_seeds: opts.seeds.unwrap_or(if opts.long {
-                soak::LONG_SEEDS
-            } else {
-                usize::MAX
-            }),
-            profile: if opts.lease {
-                soak::SoakProfile::Lease
-            } else if opts.long {
-                soak::SoakProfile::Long
-            } else {
-                soak::SoakProfile::Quick
-            },
-        };
-        let report = soak::soak_budget(scale, &budget);
-        print!("{report}");
-        if report.violated() {
-            std::process::exit(1);
-        }
+        violated
     } else {
-        // A bare `--lease` sweeps a default seed range; `--seeds N`
-        // overrides it either way.
-        let count = opts.seeds.unwrap_or(16);
         let profile = if opts.lease {
             soak::SoakProfile::Lease
+        } else if opts.long {
+            soak::SoakProfile::Long
         } else {
             soak::SoakProfile::Quick
         };
-        let report = soak::soak_profile_with(scale, 0, count, soak::Mutation::None, profile);
+        let deadline = opts
+            .duration
+            .map(|secs| Instant::now() + Duration::from_secs(secs));
+        let report = soak::sweep(scale, profile, opts.seeds, deadline);
         print!("{report}");
-        if report.total_violations() > 0 {
-            std::process::exit(1);
-        }
+        report.total_violations() > 0
+    };
+    if violated {
+        std::process::exit(1);
     }
 }
 
@@ -289,7 +253,9 @@ const EXPERIMENTS: [Experiment; 26] = [
     ("table5", |s| cd::table5(s).to_string()),
     ("faults", |s| faults::faults(s).to_string()),
     ("crowd", |s| crowd::crowd(s).to_string()),
-    ("soak", |s| soak::soak(s).to_string()),
+    ("soak", |s| {
+        soak::sweep(s, soak::SoakProfile::Quick, None, None).to_string()
+    }),
     ("section3", |s| cpu::section3(s).to_string()),
     ("ablation-rto", |s| ablations::ablation_rto(s).to_string()),
     ("ablation-slowstart", |s| {
@@ -359,7 +325,7 @@ fn main() {
     }
     match opts.what.as_str() {
         "shard" => print!("{}", shard::shard(&scale)),
-        "soak" if opts.soak_mode() => run_soak_mode(&opts, &scale),
+        "soak" => run_soak(&opts, &scale),
         what => run_experiments(what, &scale),
     }
     if opts.profile {

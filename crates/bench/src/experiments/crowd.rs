@@ -34,6 +34,7 @@
 use std::fmt;
 
 use renofs::TopologyKind;
+use renofs_sim::stats::quantile;
 use renofs_sim::SimDuration;
 use renofs_workload::nhfsstone::{LoadMix, Spread};
 
@@ -135,16 +136,6 @@ impl fmt::Display for CrowdReport {
             )
         )
     }
-}
-
-/// Exact quantile of an unsorted sample set (0.0 when empty).
-fn quantile(samples: &mut [f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
-    let idx = ((samples.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-    samples[idx]
 }
 
 /// The client-count sweep: at least five points; the paper scale pushes
@@ -273,6 +264,7 @@ mod tests {
         assert_eq!(jain(&[0.0, 0.0]), 0.0);
     }
 
+    /// The crowd's p50/p95 cells come from the shared exact quantile.
     #[test]
     fn quantiles_are_exact_on_small_samples() {
         let mut v = vec![5.0, 1.0, 3.0, 2.0, 4.0];

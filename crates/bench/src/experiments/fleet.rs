@@ -3,6 +3,7 @@
 //! fleet-wide totals both tables are read from.
 
 use renofs::{TopologyKind, TransportKind, World, WorldConfig};
+use renofs_sim::stats::quantile;
 use renofs_sim::SimDuration;
 use renofs_workload::nhfsstone::{self, LoadMix, NhfsstoneConfig, NhfsstoneReport, Spread};
 
@@ -91,7 +92,7 @@ pub(crate) fn run(
         dup_hits += stats.dup_hits;
         let nfsd = world.nfsd_stats_of(sj);
         queued += nfsd.queued;
-        queue_p95_ms.push(nfsd.queue_delay_quantile(0.95));
+        queue_p95_ms.push(quantile(&mut nfsd.queue_delays_ms.clone(), 0.95));
     }
     Fleet {
         world,

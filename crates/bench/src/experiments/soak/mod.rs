@@ -33,10 +33,7 @@ mod report;
 mod run;
 mod world;
 
-pub use report::{
-    replay_report, soak, soak_budget, soak_profile_with, BudgetOpts, BudgetReport, BudgetStop,
-    SoakReport, SoakRow,
-};
+pub use report::{replay_report, sweep, SoakReport, SoakRow};
 pub use run::{run_case, run_case_opts, shrink, CaseOutcome, RunOpts};
 pub use world::{
     derive_world_for, filter_crash_replays, kept_windows, DerivedWorld, SoakCase, SoakProfile,
@@ -54,12 +51,9 @@ const ATTR_TIMEOUT: SimDuration = SimDuration::from_secs(1);
 /// Close-to-open staleness the oracle tolerates: the attribute-cache
 /// lifetime plus transfer/scheduling slack.
 pub const GRACE_NS: u64 = 2_000_000_000;
-/// Default seed count per scale.
+/// A sweep's seed count per scale when `--seeds` is not given.
 const QUICK_SEEDS: usize = 12;
 const PAPER_SEEDS: usize = 64;
-/// Default seed count for the `--long` certification profile when no
-/// other stop condition is given.
-pub const LONG_SEEDS: usize = 256;
 
 /// A deliberately planted consistency bug, for mutation-testing the
 /// oracle (the soak must *catch* these; they are never enabled by
@@ -93,6 +87,7 @@ pub enum Mutation {
 mod tests {
     use super::*;
     use crate::Scale;
+    use std::time::Instant;
 
     #[test]
     fn derivation_is_a_pure_function_of_the_seed() {
@@ -153,7 +148,7 @@ mod tests {
     fn a_handful_of_seeds_soak_clean() {
         let mut scale = Scale::quick();
         scale.jobs = 2;
-        let r = soak_profile_with(&scale, 0, 6, Mutation::None, SoakProfile::Quick);
+        let r = sweep(&scale, SoakProfile::Quick, Some(6), None);
         assert_eq!(r.rows.len(), 6);
         assert_eq!(r.total_violations(), 0, "{r}");
         assert!(r.shrunk.is_none());
@@ -175,7 +170,7 @@ mod tests {
     fn lease_worlds_soak_clean_and_exercise_leases() {
         let mut scale = Scale::quick();
         scale.jobs = 2;
-        let r = soak_profile_with(&scale, 0, 4, Mutation::None, SoakProfile::Lease);
+        let r = sweep(&scale, SoakProfile::Lease, Some(4), None);
         assert_eq!(r.rows.len(), 4);
         assert_eq!(r.total_violations(), 0, "{r}");
         assert!(r.shrunk.is_none());
@@ -217,24 +212,44 @@ mod tests {
     }
 
     #[test]
-    fn budget_headers_print_the_grace_their_worlds_run_under() {
+    fn report_headers_print_the_grace_their_worlds_run_under() {
         let header = |profile| {
-            let sweep = SoakReport {
+            let report = SoakReport {
                 rows: Vec::new(),
                 first_violations: Vec::new(),
                 shrunk: None,
                 profile,
+                seeds: 0,
             };
-            let budget = BudgetReport {
-                sweep,
-                observations: 0,
-                elapsed: 0.0,
-                stopped: BudgetStop::Seeds,
-            };
-            budget.to_string().lines().next().unwrap().to_string()
+            report.to_string().lines().next().unwrap().to_string()
         };
         assert!(header(SoakProfile::Lease).contains("grace 500 ms"));
         assert!(header(SoakProfile::Quick).contains("grace 2000 ms"));
         assert!(header(SoakProfile::Long).contains("grace 2000 ms"));
+    }
+
+    #[test]
+    fn a_sweep_past_its_deadline_runs_one_chunk_and_says_so() {
+        let mut scale = Scale::quick();
+        scale.jobs = 2;
+        let r = sweep(&scale, SoakProfile::Quick, Some(6), Some(Instant::now()));
+        let seeds: Vec<u64> = r.rows.iter().map(|row| row.seed).collect();
+        assert_eq!(seeds, [0, 1]);
+        assert_eq!(r.total_violations(), 0, "{r}");
+        // The title, the header, the rule and the two rows print as a
+        // whole two-seed sweep does; only the summary adds the cut.
+        let (cut, whole) = (
+            r.to_string(),
+            sweep(&scale, SoakProfile::Quick, Some(2), None).to_string(),
+        );
+        let (cut, whole): (Vec<_>, Vec<_>) = (cut.lines().collect(), whole.lines().collect());
+        assert_eq!(cut[..5], whole[..5]);
+        assert_eq!(
+            cut[5],
+            format!(
+                "{} (cut short after 2 of 6 seeds: the deadline passed)",
+                whole[5]
+            )
+        );
     }
 }

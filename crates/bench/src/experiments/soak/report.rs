@@ -1,8 +1,8 @@
-//! Sweeping seeds and reporting them: the per-seed rows, the seed-range
-//! and budget sweeps, and the one table all three reports render.
+//! Sweeping seeds and reporting them: the per-seed rows, the one seed
+//! sweep (which a deadline may cut short), and the table it renders.
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use super::run::{run_case, shrink, CaseOutcome, RunOpts};
 use super::world::{derive_world_for, kept_windows, DerivedWorld, SoakCase, SoakProfile};
@@ -11,8 +11,7 @@ use crate::fmt::table;
 use crate::runner::run_jobs;
 use crate::Scale;
 
-/// One seed of a sweep: its full world, what running it gave, and how
-/// long that took.
+/// One seed of a sweep: its full world and what running it gave.
 #[derive(Clone, Debug)]
 pub struct SoakRow {
     /// The seed.
@@ -21,30 +20,27 @@ pub struct SoakRow {
     pub world: DerivedWorld,
     /// What running that world gave.
     pub outcome: CaseOutcome,
-    /// Wall-clock seconds the run took.
-    pub wall: f64,
 }
 
 /// Runs a seed's full world.
-fn run_seed(seed: u64, profile: SoakProfile, mutation: Mutation) -> SoakRow {
-    let t0 = Instant::now();
-    let outcome = run_case(&SoakCase::from_seed_profile(seed, profile), mutation);
+fn run_seed(seed: u64, profile: SoakProfile) -> SoakRow {
+    let outcome = run_case(&SoakCase::from_seed_profile(seed, profile), Mutation::None);
     SoakRow {
         seed,
         world: derive_world_for(seed, profile),
         outcome,
-        wall: t0.elapsed().as_secs_f64(),
     }
 }
 
 /// A sweep's report: its rows, plus the first violating row's first
 /// five violations and its case shrunk, if any row violated.
-fn report(rows: Vec<SoakRow>, profile: SoakProfile, mutation: Mutation) -> SoakReport {
+fn report(rows: Vec<SoakRow>, profile: SoakProfile, seeds: usize) -> SoakReport {
     let mut report = SoakReport {
         rows,
         first_violations: Vec::new(),
         shrunk: None,
         profile,
+        seeds,
     };
     let bad = report
         .rows
@@ -55,7 +51,7 @@ fn report(rows: Vec<SoakRow>, profile: SoakProfile, mutation: Mutation) -> SoakR
         let msgs = bad.outcome.violations.iter().take(5);
         report.first_violations = msgs.map(|v| v.to_string()).collect();
         let case = SoakCase::from_seed_profile(bad.seed, profile);
-        report.shrunk = Some(shrink(&case, mutation));
+        report.shrunk = Some(shrink(&case, Mutation::None));
     }
     report
 }
@@ -99,14 +95,11 @@ fn cell(r: &SoakRow, column: &str) -> String {
         "expire" => o.leases.expiries.to_string(),
         "viol" => o.violations.len().to_string(),
         "peak" => o.peak_retained.to_string(),
-        "wall(s)" => format!("{:.2}", r.wall),
-        "obs/s" if r.wall > 0.0 => format!("{:.0}", o.observations as f64 / r.wall),
-        "obs/s" => "0".to_string(),
         other => unreachable!("no soak column {other:?}"),
     }
 }
 
-/// The seed-range sweep's columns.
+/// The quick sweep's columns.
 const QUICK_COLUMNS: &str =
     "seed N nfsd M config transport mount rnds faults ops taint corrupt ckdrop garb viol";
 /// Lease sweeps drop the corruption bookkeeping for the server's lease
@@ -115,10 +108,10 @@ const QUICK_COLUMNS: &str =
 /// single-server hard mounts.
 const LEASE_COLUMNS: &str =
     "seed N nfsd config transport rnds faults ops taint issued renew recall vacate expire viol";
-/// Budget runs add the streaming checker's memory bound and wall-clock
-/// throughput.
-const BUDGET_COLUMNS: &str =
-    "seed N nfsd M config transport mount rnds faults ops taint viol peak wall(s) obs/s";
+/// Long sweeps show the streaming checker's memory bound, which their
+/// many-round worlds are there to exercise, in place of the corruption
+/// bookkeeping.
+const LONG_COLUMNS: &str = "seed N nfsd M config transport mount rnds faults ops taint viol peak";
 
 /// The soak report: one row per seed, plus the shrunk repro for the
 /// first violating seed (if any).
@@ -130,9 +123,12 @@ pub struct SoakReport {
     pub first_violations: Vec<String>,
     /// The shrunk minimal case, if anything violated.
     pub shrunk: Option<SoakCase>,
-    /// The world recipe the seeds ran through: lease reports render
-    /// extra lease-traffic columns.
+    /// The world recipe the seeds ran through: it picks the title and
+    /// the columns.
     pub profile: SoakProfile,
+    /// The seeds the sweep was asked for: fewer rows than this means a
+    /// deadline or a violation cut it short.
+    pub seeds: usize,
 }
 
 impl SoakReport {
@@ -140,17 +136,42 @@ impl SoakReport {
     pub fn total_violations(&self) -> usize {
         self.rows.iter().map(|r| r.outcome.violations.len()).sum()
     }
+}
 
-    /// Renders the report: its title, one row per seed under `columns`,
-    /// its summary line, and — when a seed violated — the first
-    /// violating seed's violations and the minimal repro.
-    fn render(
-        &self,
-        f: &mut fmt::Formatter<'_>,
-        title: fmt::Arguments<'_>,
-        columns: &str,
-        summary: fmt::Arguments<'_>,
-    ) -> fmt::Result {
+/// The report renders its title, one row per seed, its summary line,
+/// and — when a seed violated — the first violating seed's violations
+/// and the minimal repro.
+impl fmt::Display for SoakReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let grace_ms = grace_ms(self.profile);
+        let (title, columns, worlds) = match self.profile {
+            SoakProfile::Lease => (
+                format!(
+                    "Soak (lease profile): NQNFS lease worlds checked against the sequential \
+                     oracle (grace {grace_ms} ms — tighter than the {} ms lease term, so stale \
+                     cache past a term is a violation)",
+                    renofs::proto::LEASE_TERM_MS
+                ),
+                LEASE_COLUMNS,
+                "lease worlds",
+            ),
+            SoakProfile::Long => (
+                format!(
+                    "Soak (long profile): certification worlds with crash/reboot cycles \
+                     checked against the sequential oracle (grace {grace_ms} ms)"
+                ),
+                LONG_COLUMNS,
+                "long worlds",
+            ),
+            SoakProfile::Quick => (
+                format!(
+                    "Soak: randomized chaos worlds checked against the sequential oracle \
+                     (grace {grace_ms} ms)"
+                ),
+                QUICK_COLUMNS,
+                "worlds",
+            ),
+        };
         writeln!(f, "{title}")?;
         let columns: Vec<&str> = columns.split(' ').collect();
         let cells: Vec<Vec<String>> = self
@@ -159,7 +180,21 @@ impl SoakReport {
             .map(|r| columns.iter().map(|c| cell(r, c)).collect())
             .collect();
         write!(f, "{}", table(&columns, &cells))?;
-        writeln!(f, "{summary}")?;
+        let ops: u64 = self.rows.iter().map(|r| r.outcome.ok_ops).sum();
+        let (n, v) = (self.rows.len(), self.total_violations());
+        write!(
+            f,
+            "checked {n} {worlds}: {ops} successful ops, {v} violations"
+        )?;
+        if n < self.seeds {
+            let why = if v > 0 {
+                "a seed violated"
+            } else {
+                "the deadline passed"
+            };
+            write!(f, " (cut short after {n} of {} seeds: {why})", self.seeds)?;
+        }
+        writeln!(f)?;
         if let Some(shrunk) = &self.shrunk {
             writeln!(f, "ORACLE VIOLATIONS (first violating seed):")?;
             for v in &self.first_violations {
@@ -171,46 +206,40 @@ impl SoakReport {
     }
 }
 
-impl fmt::Display for SoakReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let grace_ms = grace_ms(self.profile);
-        let ops: u64 = self.rows.iter().map(|r| r.outcome.ok_ops).sum();
-        let (n, v) = (self.rows.len(), self.total_violations());
-        let (title, columns, worlds) = if self.profile == SoakProfile::Lease {
-            let title = format!(
-                "Soak (lease profile): NQNFS lease worlds checked against the sequential \
-                 oracle (grace {grace_ms} ms — tighter than the {} ms lease term, so stale \
-                 cache past a term is a violation)",
-                renofs::proto::LEASE_TERM_MS
-            );
-            (title, LEASE_COLUMNS, "lease worlds")
-        } else {
-            let title = format!(
-                "Soak: randomized chaos worlds checked against the sequential oracle \
-                 (grace {grace_ms} ms)"
-            );
-            (title, QUICK_COLUMNS, "worlds")
-        };
-        let summary = format_args!("checked {n} {worlds}: {ops} successful ops, {v} violations");
-        self.render(f, format_args!("{title}"), columns, summary)
-    }
-}
-
-/// Runs seeds `first..first + count` through [`run_case`] under a world
-/// recipe, in parallel, then shrinks the first violating seed (if any)
-/// sequentially.
-pub fn soak_profile_with(
+/// Runs seeds `0..seeds` of a profile through [`run_case`] on
+/// `scale.jobs` workers, then shrinks the first violating seed (if any).
+/// `seeds` is `None` for the scale's count (12 quick, 64 paper).
+///
+/// Without a deadline every seed runs in one parallel batch. With one
+/// (`repro soak --duration`), the seeds run `scale.jobs` at a time and
+/// the sweep stops between chunks once the deadline has passed or a seed
+/// has violated; the report says so. Either way each row depends on its
+/// seed alone, so a sweep that is not cut short prints the same bytes.
+pub fn sweep(
     scale: &Scale,
-    first: u64,
-    count: usize,
-    mutation: Mutation,
     profile: SoakProfile,
+    seeds: Option<usize>,
+    deadline: Option<Instant>,
 ) -> SoakReport {
-    let seeds: Vec<u64> = (first..first + count as u64).collect();
-    let rows = run_jobs(&seeds, scale.jobs, |&seed| {
-        run_seed(seed, profile, mutation)
+    let seeds = seeds.unwrap_or(if scale.is_quick() {
+        QUICK_SEEDS
+    } else {
+        PAPER_SEEDS
     });
-    report(rows, profile, mutation)
+    let all: Vec<u64> = (0..seeds as u64).collect();
+    let run = |chunk: &[u64]| run_jobs(chunk, scale.jobs, |&seed| run_seed(seed, profile));
+    let Some(deadline) = deadline else {
+        return report(run(&all), profile, seeds);
+    };
+    let mut rows = Vec::new();
+    for chunk in all.chunks(scale.jobs.max(1)) {
+        rows.extend(run(chunk));
+        let violated = rows.iter().any(|r| !r.outcome.violations.is_empty());
+        if violated || Instant::now() >= deadline {
+            break;
+        }
+    }
+    report(rows, profile, seeds)
 }
 
 /// Renders one case for `repro soak --case`: the derived world shape,
@@ -251,151 +280,4 @@ pub fn replay_report(case: &SoakCase) -> (String, bool) {
         }
     }
     (s, !out.violations.is_empty())
-}
-
-/// The `repro soak` entry point: the default seed range for the scale.
-pub fn soak(scale: &Scale) -> SoakReport {
-    let count = if scale.is_quick() {
-        QUICK_SEEDS
-    } else {
-        PAPER_SEEDS
-    };
-    soak_profile_with(scale, 0, count, Mutation::None, SoakProfile::Quick)
-}
-
-/// Stop conditions for [`soak_budget`], the `--duration`/`--max-ops`/
-/// `--long` certification mode.
-#[derive(Clone, Copy, Debug)]
-pub struct BudgetOpts {
-    /// Stop once this much wall-clock has elapsed (checked between
-    /// world batches; the running batch finishes).
-    pub wall_limit: Option<Duration>,
-    /// Stop once this many observations have been checked.
-    pub max_ops: Option<u64>,
-    /// Hard cap on seeds run.
-    pub max_seeds: usize,
-    /// World recipe.
-    pub profile: SoakProfile,
-}
-
-/// Why a budget soak stopped.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BudgetStop {
-    /// Ran every seed up to the cap.
-    Seeds,
-    /// Wall-clock budget exhausted.
-    Duration,
-    /// Observation budget exhausted.
-    Ops,
-    /// Fail-fast on the first violating world.
-    Violation,
-}
-
-impl BudgetStop {
-    fn describe(&self) -> &'static str {
-        match self {
-            BudgetStop::Seeds => "seed cap reached",
-            BudgetStop::Duration => "wall-clock budget reached",
-            BudgetStop::Ops => "observation budget reached",
-            BudgetStop::Violation => "stopped at first violation (fail-fast)",
-        }
-    }
-}
-
-/// The budget-mode report: the sweep (its rows carry their memory
-/// bound and wall-clock throughput), totals, and why it stopped.
-#[derive(Clone, Debug)]
-pub struct BudgetReport {
-    /// The seeds run, and the shrunk repro if the run failed fast.
-    pub sweep: SoakReport,
-    /// Observations checked across all worlds.
-    pub observations: u64,
-    /// Total wall-clock seconds.
-    pub elapsed: f64,
-    /// Why the run stopped.
-    pub stopped: BudgetStop,
-}
-
-impl BudgetReport {
-    /// Whether any world violated (the caller's exit status).
-    pub fn violated(&self) -> bool {
-        self.sweep.total_violations() > 0
-    }
-}
-
-impl fmt::Display for BudgetReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sweep = &self.sweep;
-        let peak = sweep.rows.iter().map(|r| r.outcome.peak_retained);
-        self.sweep.render(
-            f,
-            format_args!(
-                "Soak ({} profile, streaming oracle, grace {} ms): budget run",
-                sweep.profile.tag(),
-                grace_ms(sweep.profile)
-            ),
-            BUDGET_COLUMNS,
-            format_args!(
-                "checked {} worlds in {:.1}s: {} observations, peak retained {}, \
-                 {} violations — {}",
-                sweep.rows.len(),
-                self.elapsed,
-                self.observations,
-                peak.max().unwrap_or(0),
-                sweep.total_violations(),
-                self.stopped.describe()
-            ),
-        )
-    }
-}
-
-/// The budget/certification soak: runs seeds in `--jobs`-sized batches
-/// until a wall-clock, observation, or seed budget is exhausted —
-/// heartbeating progress to stderr every few seconds — and **fails
-/// fast** on the first violating world, which it shrinks. Its columns
-/// include wall-clock ones, so its output is not deterministic.
-pub fn soak_budget(scale: &Scale, opts: &BudgetOpts) -> BudgetReport {
-    let start = Instant::now();
-    let mut last_beat = start;
-    let mut rows: Vec<SoakRow> = Vec::new();
-    let mut observations = 0u64;
-    let mut violations = 0usize;
-    let mut stopped = BudgetStop::Seeds;
-    let jobs = scale.jobs.max(1);
-    let cap = opts.max_seeds as u64;
-    for first in (0..cap).step_by(jobs) {
-        let batch: Vec<u64> = (first..cap.min(first + jobs as u64)).collect();
-        for row in run_jobs(&batch, jobs, |&seed| {
-            run_seed(seed, opts.profile, Mutation::None)
-        }) {
-            observations += row.outcome.observations as u64;
-            violations += row.outcome.violations.len();
-            rows.push(row);
-        }
-        if last_beat.elapsed() >= Duration::from_secs(5) {
-            last_beat = Instant::now();
-            eprintln!(
-                "[soak] {:.0}s elapsed: {} worlds, {observations} observations, \
-                 {violations} violations",
-                start.elapsed().as_secs_f64(),
-                rows.len(),
-            );
-        }
-        stopped = if violations > 0 {
-            BudgetStop::Violation
-        } else if opts.wall_limit.is_some_and(|cap| start.elapsed() >= cap) {
-            BudgetStop::Duration
-        } else if opts.max_ops.is_some_and(|cap| observations >= cap) {
-            BudgetStop::Ops
-        } else {
-            continue;
-        };
-        break;
-    }
-    BudgetReport {
-        sweep: report(rows, opts.profile, Mutation::None),
-        observations,
-        elapsed: start.elapsed().as_secs_f64(),
-        stopped,
-    }
 }

@@ -117,10 +117,8 @@ fn soak_is_byte_identical_across_worker_counts() {
     // thread returns its observation log through a per-client slot, so
     // the merged oracle verdict — and the rendered report — must not
     // depend on thread scheduling or worker count.
-    let render = |scale: &Scale| {
-        soak::soak_profile_with(scale, 0, 8, soak::Mutation::None, soak::SoakProfile::Quick)
-            .to_string()
-    };
+    let render =
+        |scale: &Scale| soak::sweep(scale, soak::SoakProfile::Quick, Some(8), None).to_string();
     let mut scale = Scale::quick();
     scale.jobs = 1;
     let serial = render(&scale);
@@ -159,8 +157,7 @@ fn lease_soak_output_is_byte_identical_across_the_matrix() {
         scale.warmup = SimDuration::from_secs(1);
         scale.nfiles = 12;
         scale.jobs = jobs;
-        soak::soak_profile_with(&scale, 0, 2, soak::Mutation::None, soak::SoakProfile::Lease)
-            .to_string()
+        soak::sweep(&scale, soak::SoakProfile::Lease, Some(2), None).to_string()
     };
     let baseline = render(1);
     assert!(

@@ -83,7 +83,7 @@ fn soak_quick_matches_the_committed_golden_snapshot() {
     //     --scale quick --jobs 1 > crates/bench/tests/golden/soak_quick.txt
     let mut scale = Scale::quick();
     scale.jobs = 1;
-    let out = soak::soak(&scale).to_string();
+    let out = soak::sweep(&scale, soak::SoakProfile::Quick, None, None).to_string();
     assert_eq!(
         out.trim_end(),
         SOAK_GOLDEN.trim_end(),
@@ -97,7 +97,7 @@ fn soak_quick_matches_the_golden_snapshot_at_every_worker_count() {
     for jobs in [2, 4, 8] {
         let mut scale = Scale::quick();
         scale.jobs = jobs;
-        let out = soak::soak(&scale).to_string();
+        let out = soak::sweep(&scale, soak::SoakProfile::Quick, None, None).to_string();
         assert_eq!(
             out.trim_end(),
             SOAK_GOLDEN.trim_end(),

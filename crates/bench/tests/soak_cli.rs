@@ -9,10 +9,11 @@ use std::process::Command;
 
 #[test]
 fn repro_rejects_bad_and_ignored_flags() {
-    let rejected: [(&[&str], &str); 13] = [
+    let rejected: [(&[&str], &str); 14] = [
         (&["graph1", "--jobs", "0"], "usage:"),
         (&["graph1", "--scale", "huge"], "usage:"),
         (&["soak", "--seeds"], "usage:"),
+        (&["soak", "--max-ops", "9"], "usage:"),
         (&["graph1", "--quick", "--scale", "paper"], "two scales"),
         (&["table5", "--check"], "usage:"),
         (
@@ -20,8 +21,8 @@ fn repro_rejects_bad_and_ignored_flags() {
             "repro graph7 would ignore --seeds --lease",
         ),
         (
-            &["shard", "--duration", "5", "--max-ops", "9", "--long"],
-            "repro shard would ignore --duration --max-ops --long",
+            &["shard", "--duration", "5", "--long"],
+            "repro shard would ignore --duration --long",
         ),
         (
             &["all", "--case", "seed=1"],
@@ -52,4 +53,22 @@ fn repro_rejects_bad_and_ignored_flags() {
         assert!(stderr.contains(why), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} ran a world");
     }
+}
+
+/// `--duration` only ever cuts a sweep short: a sweep it does not cut
+/// prints what the same sweep without it prints, byte for byte.
+#[test]
+fn a_duration_that_does_not_cut_the_sweep_changes_no_byte() {
+    let run = |extra: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["soak", "--long", "--seeds", "3", "--scale", "quick"])
+            .args(extra)
+            .output()
+            .expect("repro runs");
+        assert_eq!(out.status.code(), Some(0), "{extra:?}");
+        out.stdout
+    };
+    let whole = run(&[]);
+    assert!(String::from_utf8_lossy(&whole).contains("checked 3 long worlds"));
+    assert_eq!(run(&["--duration", "3600"]), whole);
 }

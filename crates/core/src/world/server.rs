@@ -34,23 +34,11 @@ pub struct NfsdStats {
     /// High-water mark of the wait queue.
     pub peak_queue: usize,
     /// Per-request queueing delay in ms (0.0 when a daemon was free);
-    /// kept as raw samples so harnesses can report exact percentiles.
+    /// kept as raw samples so harnesses can report exact percentiles
+    /// (`renofs_sim::stats::quantile`).
     pub queue_delays_ms: Vec<f64>,
     /// Daemon occupancy per request: service start to reply handoff.
     pub service_ms: Running,
-}
-
-impl NfsdStats {
-    /// Exact queue-delay quantile (0.0 when nothing was served).
-    pub fn queue_delay_quantile(&self, q: f64) -> f64 {
-        if self.queue_delays_ms.is_empty() {
-            return 0.0;
-        }
-        let mut v = self.queue_delays_ms.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("no NaN delays"));
-        let idx = ((v.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        v[idx]
-    }
 }
 
 /// One shard's server machine: host model, NFS server instance (its own

@@ -17,8 +17,11 @@
 //!   allocator; without it the allocation columns read zero.
 //! - **wall-clock**: real time inside [`span`] guards.
 //!
-//! Spans must not nest (the simulator's dispatch loop enters exactly one
-//! subsystem per event), which keeps attribution unambiguous.
+//! Spans nest: the client, server and link handlers each open one, and
+//! `Host::charge_*`, which prices NIC work, opens a `Nic` span inside the
+//! client's or the server's. An inner span pauses the outer one, so each
+//! subsystem is charged its exclusive time and the columns sum to the
+//! total.
 //!
 //! Plus the **census**: pops by kind of event, and how many of each kind
 //! the handler found stale — how many events, of what, and how many for

@@ -92,26 +92,6 @@ impl Running {
             self.max
         }
     }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &Running) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl fmt::Display for Running {
@@ -128,67 +108,15 @@ impl fmt::Display for Running {
     }
 }
 
-/// A fixed-bucket histogram over `f64` samples.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with the given ascending bucket upper bounds; an
-    /// implicit overflow bucket catches everything above the last bound.
-    pub fn new(bounds: Vec<f64>) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "bounds must be strictly ascending"
-        );
-        let n = bounds.len() + 1;
-        Histogram {
-            bounds,
-            counts: vec![0; n],
-            total: 0,
-        }
+/// Exact quantile of an unsorted sample set, which it sorts in place:
+/// the sample nearest rank `(len - 1) * q` (0.0 when empty).
+pub fn quantile(samples: &mut [f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
     }
-
-    /// Adds a sample.
-    pub fn add(&mut self, x: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| x <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Count per bucket (last bucket is overflow).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Approximate quantile (returns the upper bound of the bucket that
-    /// contains the q-th sample; `f64::INFINITY` for the overflow bucket).
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
-        let mut cum = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target.max(1) {
-                return self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
-            }
-        }
-        f64::INFINITY
-    }
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN samples"));
+    let idx = ((samples.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+    samples[idx]
 }
 
 #[cfg(test)]
@@ -214,44 +142,5 @@ mod tests {
         assert_eq!(r.stddev(), 0.0);
         assert_eq!(r.min(), 0.0);
         assert_eq!(r.max(), 0.0);
-    }
-
-    #[test]
-    fn running_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Running::new();
-        for &x in &xs {
-            whole.add(x);
-        }
-        let mut a = Running::new();
-        let mut b = Running::new();
-        for &x in &xs[..37] {
-            a.add(x);
-        }
-        for &x in &xs[37..] {
-            b.add(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.stddev() - whole.stddev()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_buckets_and_quantiles() {
-        let mut h = Histogram::new(vec![1.0, 2.0, 5.0]);
-        for x in [0.5, 0.9, 1.5, 3.0, 10.0] {
-            h.add(x);
-        }
-        assert_eq!(h.counts(), &[2, 1, 1, 1]);
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.quantile(0.2), 1.0);
-        assert_eq!(h.quantile(0.99), f64::INFINITY);
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn histogram_rejects_bad_bounds() {
-        let _ = Histogram::new(vec![2.0, 1.0]);
     }
 }

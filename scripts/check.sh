@@ -97,6 +97,14 @@ grep -rnE 'mpsc::channel|duration = scale\.duration' crates/bench/src/experiment
 grep -rnE '\b(same_lan|token_ring_path|slow_link_path)_n\(' crates benchmark examples && exit 1
 grep -rnE '_nm\(|WorldScratch|with_scratch|run_jobs_with|CLIENT_NAMES|wsize' crates && exit 1
 
+echo "==> one soak sweep (no budget mode, no observation cap)"
+# `repro soak` replays one `--case` or runs `soak::sweep`; `--duration`
+# only cuts that sweep short. A second sweep loop with its own report
+# type and stop conditions is two soaks to extend and keep in step. The
+# CLI test that pins the removed flag as unknown is the exception.
+grep -rnE 'Budget(Report|Opts|Stop)|soak_bud[g]et|max[-_]ops' crates scripts README.md DESIGN.md |
+    grep -v '^crates/bench/tests/soak_cli\.rs:' && exit 1
+
 echo "==> one fleet layout (no read-only replicas, re-export or hand-built export tables)"
 # `ExportMap` is the fleet layout every caller builds ("/" on server 0,
 # "/s{j}" on server j) and `RouterFs` holds one mount per server: the
@@ -172,9 +180,10 @@ cargo run -q --release -p renofs-bench --bin repro -- soak \
     exit 1
 }
 
-echo "==> repro soak --duration 30 --seeds 8 (streaming budget-mode smoke)"
-# Time-boxed streaming-oracle run: exits 1 on the first violation
-# (fail-fast), caps at 8 seeds so it finishes well inside the box.
+echo "==> repro soak --duration 30 --seeds 8 (deadline-cut sweep smoke)"
+# The sweep run in chunks of --jobs seeds against a 30 s deadline: it
+# stops after the chunk in which the time ran out or a seed violated, and
+# exits 1 on a violation. 8 seeds finish well inside the deadline.
 cargo run -q --release -p renofs-bench --bin repro -- soak --duration 30 --seeds 8 \
     --scale quick >/dev/null
 

@@ -26,32 +26,28 @@ got=$(for w in lookup_lan read_56k write_56k crowd_1024x4 andrew_tcp_ring; do
         sed -n 's/^bench: workload=\([^ ]*\) .* digest=\([0-9a-f]*\).*/\1 digest=\2/p'
 done)
 
-# The soak sweeps, `repro all` and `repro shard`, at quick scale. The
-# long sweep runs in budget mode, whose rows end in two wall-clock fields
-# (`wall(s)`, `obs/s`) and whose summary says how long the run took ("in
-# N.Ns"); those are dropped, and the table rule, whose width follows
-# them, is shortened to one dash. A sweep that finds violations exits 1
-# (the lease sweep does); anything else is a failure.
+# The soak sweeps, `repro all` and `repro shard`, at quick scale. A sweep
+# that finds violations exits 1 (the lease sweep does); anything else is
+# a failure.
 out=$(mktemp)
 trap 'rm -f "$out"' EXIT
-repro_md5() { # NAME SED-SCRIPT REPRO-ARGS...
-    local name=$1 strip=$2 status=0
-    shift 2
+repro_md5() { # NAME REPRO-ARGS...
+    local name=$1 status=0
+    shift
     cargo run --release --offline --quiet -p renofs-bench --bin repro -- \
         "$@" --scale quick >"$out" 2>/dev/null || status=$?
     if ((status > 1)); then
         echo "repro $* exited $status" >&2
         exit 1
     fi
-    printf '%s md5=%s\n' "$name" "$(sed -E "$strip" "$out" | md5sum | cut -d' ' -f1)"
+    printf '%s md5=%s\n' "$name" "$(md5sum <"$out" | cut -d' ' -f1)"
 }
-wall='/^( *[0-9]+|seed) /s/ +[^ ]+ +[^ ]+$//; s/^-+$/-/; s/ in [0-9.]+s:/:/'
 got+=$'\n'$(
-    repro_md5 soak_quick_400 '' soak --seeds 400
-    repro_md5 soak_lease_200 '' soak --lease --seeds 200
-    repro_md5 soak_long_64 "$wall" soak --long --seeds 64
-    repro_md5 repro_all_quick '' all --jobs 2
-    repro_md5 shard_quick '' shard
+    repro_md5 soak_quick_400 soak --seeds 400
+    repro_md5 soak_lease_200 soak --lease --seeds 200
+    repro_md5 soak_long_64 soak --long --seeds 64
+    repro_md5 repro_all_quick all --jobs 2
+    repro_md5 shard_quick shard
 )
 
 if [[ "${1:-}" == "--write" ]]; then

@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
-# Opt-in overnight certification soak: the `--long` profile (up to 16
-# clients, 8-16 rounds, repeated crash/reboot cycles) under the
-# streaming oracle, budgeted by wall-clock, failing fast on the first
-# violation (the auto-shrinker prints a minimal repro).
+# Opt-in overnight certification soak: a sweep of `--long` worlds (up to
+# 16 clients, 8-16 rounds, repeated crash/reboot cycles) under the
+# streaming oracle, cut short by a wall-clock deadline: it stops after
+# the chunk of `--jobs` seeds in which the deadline passed or a seed
+# violated (the auto-shrinker prints a minimal repro).
 #
 # Not part of scripts/check.sh — run it by hand or from a nightly job:
 #
 #   SOAK_DURATION=28800 SOAK_SEEDS=512 scripts/soak_overnight.sh
 #
 # Environment:
-#   SOAK_DURATION     wall-clock budget in seconds   (default 28800 = 8h)
-#   SOAK_SEEDS        seed cap                        (default 512)
+#   SOAK_DURATION     deadline in seconds             (default 28800 = 8h)
+#   SOAK_SEEDS        seeds to sweep                  (default 512)
 #   SOAK_JOBS         parallel worlds                 (default: all cores)
 #   SOAK_OUT          summary artifact path           (default SOAK_OVERNIGHT.txt)
 set -euo pipefail
@@ -28,8 +29,8 @@ fi
 echo "==> building release repro"
 cargo build -q --release -p renofs-bench --bin repro
 
-echo "==> overnight soak: --long, ${DURATION}s budget, up to ${SEEDS} seeds" \
-     "(heartbeats below; summary -> ${OUT})"
+echo "==> overnight soak: --long, up to ${SEEDS} seeds within ${DURATION}s" \
+     "(report -> ${OUT})"
 STATUS=0
 ./target/release/repro soak --long --duration "$DURATION" --seeds "$SEEDS" \
     "${JOBS_ARGS[@]}" | tee "$OUT" || STATUS=$?
